@@ -21,7 +21,13 @@ from .crystal import (
     is_kleshchev,
     reduce_signature,
 )
-from .graded import LaurentPoly, gdim_block, gdim_specht, gdim_specht_weight
+from .graded import (
+    LaurentPoly,
+    gdim_block,
+    gdim_factorizable,
+    gdim_specht,
+    gdim_specht_weight,
+)
 from .morita import (
     BlockBridge,
     BridgeError,
@@ -67,7 +73,6 @@ from .tableaux import (
     rectangle_final_tableau,
     degree,
     enumerate_standard,
-    factorizable_tableaux,
     initial_tableau,
     permutation_word,
     residue_sequence,

@@ -106,9 +106,6 @@ class RootVector:
     def items(self):
         return sorted(self._entries.items())
 
-    def support(self):
-        return sorted(self._entries)
-
     @property
     def height(self) -> int:
         return sum(self._entries.values())
@@ -156,4 +153,7 @@ class RootVector:
 
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> "RootVector":
+        if not isinstance(data, dict) or not all(type(m) is int for m in data.values()):
+            raise ValueError(f"a root vector is a JSON object of integer "
+                             f"multiplicities, got {data!r}")
         return cls({int(i): m for i, m in data.items()})

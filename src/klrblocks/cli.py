@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence, Tuple
 
 from .cartan import CartanType, RootVector
@@ -24,6 +22,7 @@ from .partitions import (
     MultiPartition,
     as_partition,
     content,
+    enumerate_block,
     multipartitions_of,
 )
 from .tableaux import degree, enumerate_standard, residue_sequence
@@ -100,17 +99,11 @@ def cmd_block(args) -> int:
     charge = parse_charge(args.charge, ct)
     if args.beta:
         beta = RootVector.from_json(json.loads(args.beta))
-        shapes = [
-            mp for mp in multipartitions_of(beta.height, len(charge))
-            if content(ct, charge, mp) == beta
-        ]
-        records = [{"shape": fmt_shape(mp), "content": content(ct, charge, mp).to_json()}
-                   for mp in shapes]
+        shapes = enumerate_block(ct, charge, beta)
     else:
-        records = [
-            {"shape": fmt_shape(mp), "content": content(ct, charge, mp).to_json()}
-            for mp in multipartitions_of(args.n, len(charge))
-        ]
+        shapes = multipartitions_of(args.n, len(charge))
+    records = [{"shape": fmt_shape(mp), "content": content(ct, charge, mp).to_json()}
+               for mp in shapes]
     emit(records, args.format)
     return 0
 
@@ -185,13 +178,7 @@ def cmd_bridge(args) -> int:
 
 def cmd_verify(args) -> int:
     checks = tuple(args.checks.split(","))
-    bridges = list(iter_bridges(args.kappa_c, args.max_n))
-    threads = int(os.environ.get("KLR_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda b: verify_bridge(b, checks), bridges))
-    else:
-        reports = [verify_bridge(b, checks) for b in bridges]
+    reports = [verify_bridge(b, checks) for b in iter_bridges(args.kappa_c, args.max_n)]
     ok = all(r["pass"] for r in reports)
     if args.format == "pretty":
         for r in reports:

@@ -1,12 +1,22 @@
-"""Integer Laurent polynomials in q and graded dimension computations."""
+"""Integer Laurent polynomials in q and graded dimension computations.
+
+Every graded dimension comes from one recursion over the sub-diagrams of
+the shape (_lattice_gdim); no tableau is listed."""
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue, RootVector
-from .partitions import MultiPartition, enumerate_block
-from .tableaux import degree, enumerate_standard, factorizable_tableaux
+from .partitions import (
+    MultiPartition,
+    content,
+    enumerate_block,
+    removable_nodes,
+    remove_node,
+    size,
+)
+from .tableaux import step_degree
 
 
 class LaurentPoly:
@@ -33,9 +43,6 @@ class LaurentPoly:
     @classmethod
     def q(cls, exponent: int = 1) -> "LaurentPoly":
         return cls({exponent: 1})
-
-    def coefficient(self, exponent: int) -> int:
-        return self._coeffs.get(exponent, 0)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         d = dict(self._coeffs)
@@ -103,20 +110,62 @@ class LaurentPoly:
         return " + ".join(terms).replace("+ -", "- ")
 
 
+def _lattice_gdim(shape: MultiPartition, ct: CartanType, charge: Charge,
+                  residues: Optional[Sequence[Residue]] = None,
+                  omega: Optional[RootVector] = None) -> LaurentPoly:
+    """Sum of q^deg(t) over t in Std(shape).  Removing the node holding the
+    largest entry of t leaves a tableau of a sub-diagram, and deg(t) is its
+    degree plus the step_degree of that node, which depends only on the
+    shape and the node; so the sum is a recursion over sub-diagrams,
+    memoized on the sub-diagram.  With residues, the node holding k must
+    have residue residues[k-1]; with omega, the sub-diagram holding the
+    first ht(omega) entries must have content omega."""
+    n = size(shape)
+    if residues is not None and len(residues) != n:
+        raise ValueError(f"residue word has length {len(residues)}, "
+                         f"but the shape has {n} nodes")
+    cut = -1 if omega is None else omega.height
+    if cut > n:  # there are no first ht(omega) entries
+        return LaurentPoly.zero()
+    memo: Dict[MultiPartition, LaurentPoly] = {}
+
+    def rec(mp: MultiPartition, k: int) -> LaurentPoly:
+        if mp in memo:
+            return memo[mp]
+        if k == cut and content(ct, charge, mp) != omega:
+            out = LaurentPoly.zero()
+        elif k == 0:
+            out = LaurentPoly.one()
+        else:
+            i = None if residues is None else residues[k - 1]
+            out = LaurentPoly.zero()
+            for node in removable_nodes(mp, ct, charge, i):
+                sub = rec(remove_node(mp, node), k - 1)
+                out = out + sub.shifted(step_degree(mp, node, ct, charge))
+        memo[mp] = out
+        return out
+
+    return rec(shape, n)
+
+
 def gdim_specht_weight(shape: MultiPartition, ct: CartanType, charge: Charge,
                        residues: Sequence[Residue]) -> LaurentPoly:
     """Graded dimension of the residue-sequence weight space of the Specht
     module: sum of q^deg(t) over t in Std(shape) with the given residue
     sequence."""
-    return LaurentPoly(
-        (degree(t, ct, charge), 1)
-        for t in enumerate_standard(shape, ct, charge, residues)
-    )
+    return _lattice_gdim(shape, ct, charge, residues=residues)
 
 
 def gdim_specht(shape: MultiPartition, ct: CartanType, charge: Charge) -> LaurentPoly:
     """Graded dimension of the full Specht module."""
-    return LaurentPoly((degree(t, ct, charge), 1) for t in enumerate_standard(shape))
+    return _lattice_gdim(shape, ct, charge)
+
+
+def gdim_factorizable(nu: MultiPartition, ct: CartanType, charge: Charge,
+                      omega: RootVector) -> LaurentPoly:
+    """Sum of q^deg(t) over the tableaux t of shape nu whose first
+    ht(omega) entries fill a sub-diagram of content omega."""
+    return _lattice_gdim(nu, ct, charge, omega=omega)
 
 
 def gdim_block(ct: CartanType, charge: Charge, beta: RootVector,
@@ -127,12 +176,6 @@ def gdim_block(ct: CartanType, charge: Charge, beta: RootVector,
     ht(omega) entries have content omega count (the truncated block)."""
     total = LaurentPoly.zero()
     for shape in enumerate_block(ct, charge, beta):
-        if omega is None:
-            per = gdim_specht(shape, ct, charge)
-        else:
-            per = LaurentPoly(
-                (degree(t, ct, charge), 1)
-                for t in factorizable_tableaux(shape, ct, charge, omega)
-            )
+        per = _lattice_gdim(shape, ct, charge, omega=omega)
         total = total + per * per
     return total

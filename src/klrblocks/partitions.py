@@ -199,6 +199,8 @@ def partitions_of(n: int) -> Tuple[Partition, ...]:
 
 def multipartitions_of(n: int, level: int) -> List[MultiPartition]:
     """All l-partitions of n, ordered lexicographically on part lists."""
+    if n < 0:
+        raise ValueError(f"size must be non-negative, got {n}")
     if level == 1:
         return [(p,) for p in partitions_of(n)]
     out: List[MultiPartition] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .cartan import CartanType, Charge, Residue, RootVector
+from .cartan import CartanType, Charge, Residue
 from .partitions import (
     MultiPartition,
     Node,
@@ -19,6 +19,8 @@ from .partitions import (
     add_node,
     addable_corners,
     addable_nodes,
+    contains,
+    nodes,
     removable_nodes,
     residue,
     size,
@@ -50,9 +52,6 @@ class StandardTableau:
             mp = add_node(mp, node)
         return mp
 
-    def to_json(self) -> dict:
-        return {"shape": [list(p) for p in self.shape], "rows": self.rows()}
-
 
 def _below(a: Node, b: Node) -> bool:
     """True iff a is strictly below b in the (component, row) order."""
@@ -60,12 +59,7 @@ def _below(a: Node, b: Node) -> bool:
 
 
 def initial_tableau(shape: MultiPartition) -> StandardTableau:
-    order: List[Node] = []
-    for m, p in enumerate(shape, start=1):
-        for r, width in enumerate(p, start=1):
-            for c in range(1, width + 1):
-                order.append((r, c, m))
-    return StandardTableau(shape, tuple(order))
+    return StandardTableau(shape, tuple(nodes(shape)))
 
 
 def column_initial_tableau(shape: Partition) -> StandardTableau:
@@ -100,17 +94,21 @@ def residue_sequence(t: StandardTableau, ct: CartanType, charge: Charge) -> Tupl
     return tuple(residue(ct, charge, node) for node in t.order)
 
 
+def step_degree(mp: MultiPartition, node: Node, ct: CartanType, charge: Charge) -> int:
+    """One term of the degree: (#addable - #removable) nodes of the residue
+    of node strictly below it, in the shape mp just after adding node."""
+    i = residue(ct, charge, node)
+    return (sum(1 for a in addable_nodes(mp, ct, charge, i) if _below(a, node))
+            - sum(1 for a in removable_nodes(mp, ct, charge, i) if _below(a, node)))
+
+
 def degree(t: StandardTableau, ct: CartanType, charge: Charge) -> int:
-    """Cellular degree: sum over k of (#addable - #removable) nodes of the
-    same residue strictly below the node holding k, in the shape after
-    adding that node."""
+    """Cellular degree: the sum of step_degree over the entries in order."""
     total = 0
     mp: MultiPartition = tuple(() for _ in t.shape)
     for node in t.order:
         mp = add_node(mp, node)
-        i = residue(ct, charge, node)
-        total += sum(1 for a in addable_nodes(mp, ct, charge, i) if _below(a, node))
-        total -= sum(1 for a in removable_nodes(mp, ct, charge, i) if _below(a, node))
+        total += step_degree(mp, node, ct, charge)
     return total
 
 
@@ -137,16 +135,19 @@ def enumerate_standard(
     order.  With a residue filter, branches whose prefix residue sequence
     deviates are pruned and never materialized."""
     n = size(shape)
-    if residues is not None and len(residues) != n:
-        return
+    if residues is not None:
+        if ct is None or charge is None:
+            raise ValueError("a residue filter needs a Cartan type and a charge")
+        if len(residues) != n:
+            raise ValueError(f"residue word has length {len(residues)}, "
+                             f"but the shape has {n} nodes")
 
     def rec(k: int, prefix: MultiPartition, order: List[Node]) -> Iterator[StandardTableau]:
         if k > n:
             yield StandardTableau(shape, tuple(order))
             return
         for node in addable_corners(prefix):
-            r, c, m = node
-            if not (r <= len(shape[m - 1]) and c <= shape[m - 1][r - 1]):
+            if not contains(shape, node):
                 continue
             if residues is not None and residue(ct, charge, node) != residues[k - 1]:
                 continue
@@ -154,7 +155,7 @@ def enumerate_standard(
             yield from rec(k + 1, add_node(prefix, node), order)
             order.pop()
 
-    yield from rec(1, tuple(() for _ in shape), [])
+    return rec(1, tuple(() for _ in shape), [])
 
 
 def standard_by_residue(
@@ -167,37 +168,6 @@ def standard_by_residue(
     out: List[StandardTableau] = []
     for shape in multipartitions_of(len(residues), len(charge)):
         out.extend(enumerate_standard(shape, ct, charge, residues))
-    return out
-
-
-def factorizable_tableaux(
-    nu: MultiPartition, ct: CartanType, charge: Charge, omega: RootVector
-) -> List[StandardTableau]:
-    """Tableaux of shape nu whose first ht(omega) entries fill a sub-diagram
-    of content omega.  Enumeration prunes prefixes whose content exceeds
-    omega."""
-    r = omega.height
-    n = size(nu)
-    out: List[StandardTableau] = []
-
-    def rec(k: int, prefix: MultiPartition, acc: RootVector, order: List[Node]) -> None:
-        if k == r + 1 and acc != omega:
-            return
-        if k > n:
-            out.append(StandardTableau(nu, tuple(order)))
-            return
-        for node in addable_corners(prefix):
-            rr, c, m = node
-            if not (rr <= len(nu[m - 1]) and c <= nu[m - 1][rr - 1]):
-                continue
-            step = acc + RootVector.simple(residue(ct, charge, node))
-            if k <= r and not step <= omega:
-                continue
-            order.append(node)
-            rec(k + 1, add_node(prefix, node), step, order)
-            order.pop()
-
-    rec(1, tuple(() for _ in nu), RootVector.zero(), [])
     return out
 
 

@@ -1,10 +1,16 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from klrblocks.cartan import CartanType, RootVector
-from klrblocks.graded import LaurentPoly, gdim_block, gdim_specht, gdim_specht_weight
-from klrblocks.partitions import content, enumerate_block, partitions_of
-from klrblocks.tableaux import enumerate_standard, initial_tableau, residue_sequence
+from klrblocks.graded import (
+    LaurentPoly,
+    gdim_block,
+    gdim_factorizable,
+    gdim_specht,
+    gdim_specht_weight,
+)
+from klrblocks.partitions import content, enumerate_block, multipartitions_of, partitions_of
+from klrblocks.tableaux import degree, enumerate_standard, initial_tableau, residue_sequence
 
 A, C = CartanType.A, CartanType.C
 
@@ -115,3 +121,46 @@ class TestGdimBlock:
                     for shape in enumerate_block(C, (0,), beta)
                 )
                 assert gdim_block(C, (0,), beta).eval_at_1() == expected
+
+
+@st.composite
+def charged_tableaux(draw):
+    """A Cartan type, a charge of level 1 or 2, a shape of size at most 7,
+    its standard tableaux and one of them."""
+    ct = draw(st.sampled_from([A, C]))
+    level = draw(st.integers(1, 2))
+    charge = tuple(draw(st.integers(0 if ct is C else -3, 3)) for _ in range(level))
+    shape = draw(st.sampled_from(multipartitions_of(draw(st.integers(0, 7)), level)))
+    tabs = list(enumerate_standard(shape))
+    return ct, charge, shape, tabs, draw(st.sampled_from(tabs))
+
+
+def q_sum(tabs, ct, charge):
+    return LaurentPoly((degree(t, ct, charge), 1) for t in tabs)
+
+
+class TestLatticeAgainstEnumeration:
+    @settings(deadline=None)
+    @given(charged_tableaux())
+    def test_gdim_specht(self, case):
+        ct, charge, shape, tabs, _ = case
+        assert gdim_specht(shape, ct, charge) == q_sum(tabs, ct, charge)
+
+    @settings(deadline=None)
+    @given(charged_tableaux())
+    def test_gdim_specht_weight(self, case):
+        ct, charge, shape, tabs, t = case
+        word = residue_sequence(t, ct, charge)
+        expected = q_sum([s for s in tabs if residue_sequence(s, ct, charge) == word],
+                         ct, charge)
+        assert gdim_specht_weight(shape, ct, charge, word) == expected
+
+    @settings(deadline=None)
+    @given(charged_tableaux(), st.integers(0, 7))
+    def test_gdim_factorizable(self, case, k):
+        ct, charge, shape, tabs, t = case
+        r = min(k, t.n)
+        omega = content(ct, charge, t.prefix_shape(r))
+        expected = q_sum([s for s in tabs if content(ct, charge, s.prefix_shape(r)) == omega],
+                         ct, charge)
+        assert gdim_factorizable(shape, ct, charge, omega) == expected

@@ -13,7 +13,7 @@ from klrblocks.morita import (
     verify_bridge,
 )
 from klrblocks.partitions import content
-from klrblocks.tableaux import enumerate_standard, factorizable_tableaux, residue_sequence
+from klrblocks.tableaux import enumerate_standard, residue_sequence
 
 A, C = CartanType.A, CartanType.C
 
@@ -94,8 +94,10 @@ class TestTableauTransport:
                     for s in rho_tabs
                     for u in enumerate_standard(bp)
                 }
-                target = {t.order
-                          for t in factorizable_tableaux((nu,), C, b.c_charge, b.omega)}
+                target = {
+                    t.order for t in enumerate_standard((nu,))
+                    if content(C, b.c_charge, t.prefix_shape(b.omega.height)) == b.omega
+                }
                 assert image == target
                 assert len(image) == len(rho_tabs) * sum(
                     1 for _ in enumerate_standard(bp)
@@ -157,9 +159,19 @@ class TestVerifyBridge:
         assert to_type_c(((1, 1), (2,)), b) == (3, 3, 1, 1)
         report = verify_bridge(b, checks=("dominance",))
         dom = report["checks"]["dominance"]
-        assert not dom["pass"]
+        assert dom["pass"]
         assert dom["order_preserving"]
         assert {"pair": [[[2], [1, 1]], [[1, 1], [2]]]} in dom["witnesses"]
+
+    def test_witness_census(self):
+        # blocks of kappa_c = 0 with a refinement witness: 1 up to height 8,
+        # 4 up to height 10
+        heights = [
+            b.beta.height for b in iter_bridges(0, 10)
+            if verify_bridge(b, checks=("dominance",))["checks"]["dominance"]["witnesses"]
+        ]
+        assert sum(1 for h in heights if h <= 8) == 1
+        assert len(heights) == 4
 
     @pytest.mark.parametrize("kappa_c", [0, 1])
     def test_order_preserving_on_small_blocks(self, kappa_c):

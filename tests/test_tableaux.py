@@ -3,13 +3,13 @@ from math import factorial
 import pytest
 
 from klrblocks.cartan import CartanType, RootVector
+from klrblocks.graded import LaurentPoly, gdim_factorizable, gdim_specht
 from klrblocks.partitions import conjugate, content, multipartitions_of, partitions_of
 from klrblocks.tableaux import (
     apply_word,
     column_initial_tableau,
     degree,
     enumerate_standard,
-    factorizable_tableaux,
     initial_tableau,
     inversions,
     permutation,
@@ -132,6 +132,12 @@ class TestEnumeration:
                            if residue_sequence(t, ct, charge) == iword}
                     assert direct == ref
 
+    def test_residue_filter_checked_up_front(self):
+        with pytest.raises(ValueError):
+            enumerate_standard(((2,),), residues=(0, 1))
+        with pytest.raises(ValueError):
+            enumerate_standard(((2,),), C, (0,), residues=(0,))
+
     def test_cross_shape_residue_class(self):
         found = standard_by_residue(C, (0,), (0, 1, 1))
         assert {t.shape for t in found} == {((2, 1),)}
@@ -139,26 +145,31 @@ class TestEnumeration:
 
 
 class TestFactorizable:
+    # the definition: tableaux whose first ht(omega) entries fill a
+    # sub-diagram of content omega
+    @staticmethod
+    def by_definition(nu, omega):
+        return LaurentPoly(
+            (degree(t, C, (0,)), 1) for t in enumerate_standard(nu)
+            if content(C, (0,), t.prefix_shape(omega.height)) == omega
+        )
+
     def test_examples(self):
-        both = factorizable_tableaux(((2, 1),), C, (0,), RootVector.simple(0))
-        assert len(both) == 2
+        both = gdim_factorizable(((2, 1),), C, (0,), RootVector.simple(0))
+        assert both.eval_at_1() == 2
+        assert both == self.by_definition(((2, 1),), RootVector.simple(0))
         rho = ((2, 2),)
         omega = content(C, (0,), rho)
-        assert len(factorizable_tableaux(rho, C, (0,), omega)) == sum(
-            1 for _ in enumerate_standard(rho)
-        )
-        assert len(factorizable_tableaux(((2,),), C, (0,), RootVector({0: 1, 1: 1}))) == 1
+        assert gdim_factorizable(rho, C, (0,), omega) == gdim_specht(rho, C, (0,))
+        assert gdim_factorizable(((2,),), C, (0,), RootVector({0: 1, 1: 1})).eval_at_1() == 1
+        omega = RootVector({0: 1, 1: 1})  # larger than the shape
+        assert gdim_factorizable(((1,),), C, (0,), omega) == self.by_definition(((1,),), omega)
+        assert not self.by_definition(((1,),), omega)
 
     def test_matches_definition(self):
         omega = content(C, (0,), ((2, 2),))
         for p in partitions_of(6):
-            fast = {t.order for t in factorizable_tableaux((p,), C, (0,), omega)}
-            slow = {
-                t.order
-                for t in enumerate_standard((p,))
-                if content(C, (0,), t.prefix_shape(4)) == omega
-            }
-            assert fast == slow
+            assert gdim_factorizable((p,), C, (0,), omega) == self.by_definition((p,), omega)
 
 
 class TestPermutationWord:
