@@ -7,8 +7,9 @@ types share the same arithmetic.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from enum import Enum
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Tuple
 
 Residue = int
 Charge = Tuple[Residue, ...]

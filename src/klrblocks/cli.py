@@ -99,6 +99,8 @@ def cmd_block(args) -> int:
     charge = parse_charge(args.charge, ct)
     if args.beta:
         beta = RootVector.from_json(json.loads(args.beta))
+        for i, _ in beta.items():
+            ct.check_label(i)
         shapes = enumerate_block(ct, charge, beta)
     else:
         shapes = multipartitions_of(args.n, len(charge))
@@ -250,7 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # no option takes a list, but argparse before Python 3.12 turns the
+    # value of "--opt=--" into an empty one
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
     except (ValueError, json.JSONDecodeError) as exc:

@@ -5,7 +5,8 @@ the shape (_lattice_gdim); no tableau is listed."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue, RootVector
 from .partitions import (

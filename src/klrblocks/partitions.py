@@ -213,7 +213,41 @@ def multipartitions_of(n: int, level: int) -> List[MultiPartition]:
 
 def enumerate_block(ct: CartanType, charge: Charge, beta: RootVector) -> List[MultiPartition]:
     """All l-partitions (l = len(charge)) with the given content, in the
-    deterministic order of multipartitions_of."""
-    n = beta.height
-    return [mp for mp in multipartitions_of(n, len(charge))
-            if content(ct, charge, mp) == beta]
+    deterministic order of multipartitions_of.
+
+    Shapes are grown under a residue budget: components in order, rows top
+    to bottom, each row extended one node at a time while the node's residue
+    still has budget left in beta.  A row stops at the first node whose
+    residue has none, since every wider row holds that node too.  Once all
+    ht(beta) nodes are placed, no residue count exceeds beta and the counts
+    sum to ht(beta), so the content is beta.
+    """
+    level = len(charge)
+    budget = dict(beta.items())
+    out: List[MultiPartition] = []
+
+    def grow(done: MultiPartition, rows: Partition, left: int) -> None:
+        m = len(done) + 1
+        if left == 0:
+            out.append(done + (rows,) + (EMPTY,) * (level - m))
+            return
+        r = len(rows) + 1
+        limit = min(rows[-1], left) if rows else left
+        spent: List[Residue] = []
+        while len(spent) < limit:
+            i = residue(ct, charge, (r, len(spent) + 1, m))
+            if not budget.get(i):
+                break
+            budget[i] -= 1
+            spent.append(i)
+        while spent:
+            grow(done, rows + (len(spent),), left - len(spent))
+            budget[spent.pop()] += 1
+        if m < level:
+            grow(done + (rows,), EMPTY, left)
+
+    grow((), EMPTY, beta.height)
+    # multipartitions_of's order: larger components first, then parts
+    # lexicographically decreasing
+    out.sort(key=lambda mp: tuple((-sum(p), tuple(-x for x in p)) for p in mp))
+    return out

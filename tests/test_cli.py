@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from klrblocks.cli import main, parse_charge, parse_partition, parse_shape
+from klrblocks.cli import fmt_shape, main, parse_charge, parse_partition, parse_shape
 from klrblocks.cartan import CartanType
+from klrblocks.partitions import content, multipartitions_of
 
 
 def run(capsys, *argv):
@@ -153,7 +156,8 @@ class TestErrors:
             assert fails_cleanly(capsys, command, "--charge", "0", "--n", "-1")
 
     def test_bad_beta_json_exits_2(self, capsys):
-        for beta in ("{oops", "[1]", '{"0":"x"}'):
+        # "-1" is a valid residue only in type A
+        for beta in ("{oops", "[1]", '{"0":"x"}', '{"-1":1}'):
             assert fails_cleanly(capsys, "block", "--charge", "0", "--beta", beta)
 
     def test_unknown_format_exits_2(self):
@@ -173,3 +177,83 @@ class TestErrors:
 def test_determinism(capsys):
     args = ("tableaux", "--type", "a", "--charge", "1,1", "--shape", "3,2/1")
     assert run(capsys, *args) == run(capsys, *args)
+
+
+# argv fuzzing: each value is good most of the time and otherwise drawn from
+# bad shapes, charges, residue words and JSON; shapes have at most 6 nodes so
+# that every command stays small
+JUNK = ("", "x", "-", "1,,2", "1.5", " ", "--", "-1,2")
+
+
+def join(xs):
+    return ",".join(map(str, xs))
+
+
+@st.composite
+def bad_shapes(draw):
+    """Slash-separated part lists, often not weakly decreasing or negative."""
+    comps = [join(draw(st.lists(st.integers(-1, 2), max_size=3))) or "-"
+             for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.sampled_from(("/".join(comps),) + JUNK))
+
+
+@st.composite
+def argvs(draw):
+    def maybe_bad(good, bad):
+        return draw(bad) if draw(st.integers(0, 4)) == 4 else good
+
+    cmd = draw(st.sampled_from(("block", "tableaux", "kleshchev", "gdim", "bridge")))
+    ct = draw(st.sampled_from(CartanType))
+    level = 1 if cmd == "bridge" else draw(st.integers(1, 3))
+    charge = tuple(draw(st.integers(0 if ct is CartanType.C else -2, 3))
+                   for _ in range(level))
+    shape = draw(st.sampled_from(multipartitions_of(draw(st.integers(0, 6)), level)))
+    residues = draw(st.lists(st.integers(-2, 4), min_size=sum(map(sum, shape)),
+                             max_size=sum(map(sum, shape))))
+    bad_words = st.one_of(st.lists(st.integers(-2, 4), max_size=7).map(join),
+                          st.sampled_from(JUNK))
+    opts = {
+        "--type": maybe_bad(ct.value, st.sampled_from(("b", "C", ""))),
+        "--charge": maybe_bad(join(charge), bad_words),
+        "--shape": maybe_bad(fmt_shape(shape), bad_shapes()),
+        "--n": maybe_bad(str(sum(map(sum, shape))), st.sampled_from(("-1", "x"))),
+        "--beta": maybe_bad(json.dumps(content(ct, charge, shape).to_json()), st.one_of(
+            st.dictionaries(st.integers(-2, 4).map(str), st.integers(-1, 2),
+                            max_size=3).map(json.dumps),
+            st.sampled_from(("{", "[1]", "null", '"0"', '{"a":1}', '{"0":1.5}',
+                             '{"0":true}')))),
+        "--residues": maybe_bad(join(residues), bad_words),
+        "--kappa-c": maybe_bad(str(draw(st.integers(0, 1))), st.sampled_from(("-1", "x"))),
+    }
+    opts["--weight"] = opts["--residues"]
+    names = {
+        "block": [draw(st.sampled_from(("--n", "--beta")))],
+        "tableaux": ["--shape"] + draw(st.sampled_from(([], ["--residues"]))),
+        "kleshchev": [draw(st.sampled_from(("--n", "--shape")))],
+        "gdim": ["--shape"] + draw(st.sampled_from(([], ["--weight"]))),
+        "bridge": ["--kappa-c", "--shape"],
+    }[cmd]
+    if cmd != "bridge":
+        names = ["--type", "--charge"] + names
+    argv = ["--format=" + draw(st.sampled_from(("json", "csv", "pretty"))), cmd]
+    argv += [f"{name}={opts[name]}" for name in names]
+    flag = {"tableaux": "--with-degrees", "kleshchev": "--list"}.get(cmd)
+    if flag and draw(st.booleans()):
+        argv.append(flag)
+    if draw(st.integers(0, 19)) == 19:
+        argv.append("--bogus")
+    return argv
+
+
+@settings(deadline=None, max_examples=300)
+@given(argvs())
+@example(["gdim", "--charge=0", "--shape=--"])  # argparse hands over []
+def test_argv_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -164,14 +164,13 @@ class TestVerifyBridge:
         assert {"pair": [[[2], [1, 1]], [[1, 1], [2]]]} in dom["witnesses"]
 
     def test_witness_census(self):
-        # blocks of kappa_c = 0 with a refinement witness: 1 up to height 8,
-        # 4 up to height 10
-        heights = [
-            b.beta.height for b in iter_bridges(0, 10)
-            if verify_bridge(b, checks=("dominance",))["checks"]["dominance"]["witnesses"]
-        ]
-        assert sum(1 for h in heights if h <= 8) == 1
-        assert len(heights) == 4
+        # number of blocks with a refinement witness, up to each height
+        for kappa_c, census in ((0, {8: 1, 10: 4, 12: 11}), (1, {8: 0, 10: 0, 12: 1})):
+            heights = [
+                b.beta.height for b in iter_bridges(kappa_c, max(census))
+                if verify_bridge(b, checks=("dominance",))["checks"]["dominance"]["witnesses"]
+            ]
+            assert {n: sum(1 for h in heights if h <= n) for n in census} == census
 
     @pytest.mark.parametrize("kappa_c", [0, 1])
     def test_order_preserving_on_small_blocks(self, kappa_c):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from klrblocks.cartan import CartanType, RootVector
 from klrblocks.morita import a_block, bridge, iter_bridges, to_type_c
@@ -143,6 +143,31 @@ class TestEnumerateBlock:
             shapes = [mp for p in partitions_of(n)
                       for mp in enumerate_block(C, (0,), content(C, (0,), (p,)))]
             assert len(set(shapes)) == len(partitions_of(n))
+
+
+@st.composite
+def charged_blocks(draw):
+    """A type, a charge and a root vector: the content of a random shape, or
+    a random root vector, whose block is often empty."""
+    ct = draw(st.sampled_from([A, C]))
+    level = draw(st.integers(1, 3))
+    charge = tuple(draw(st.integers(0 if ct is C else -3, 3)) for _ in range(level))
+    if draw(st.booleans()):
+        shape = draw(st.sampled_from(multipartitions_of(draw(st.integers(0, 8)), level)))
+        beta = content(ct, charge, shape)
+    else:
+        beta = RootVector(draw(st.dictionaries(
+            st.integers(0 if ct is C else -4, 5), st.integers(0, 2), max_size=4)))
+    return ct, charge, beta
+
+
+@settings(deadline=None)
+@given(charged_blocks())
+def test_enumerate_block_matches_content_filter(block):
+    ct, charge, beta = block
+    expected = [mp for mp in multipartitions_of(beta.height, len(charge))
+                if content(ct, charge, mp) == beta]
+    assert enumerate_block(ct, charge, beta) == expected
 
 
 class TestBridgeResidueCompatibility:
