@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from typing import Optional, Sequence, Tuple
@@ -101,11 +102,13 @@ def cmd_block(args) -> int:
         beta = RootVector.from_json(json.loads(args.beta))
         for i, _ in beta.items():
             ct.check_label(i)
-        shapes = enumerate_block(ct, charge, beta)
+        # every shape of the block has content beta by construction
+        beta_json = beta.to_json()
+        records = [{"shape": fmt_shape(mp), "content": beta_json}
+                   for mp in enumerate_block(ct, charge, beta)]
     else:
-        shapes = multipartitions_of(args.n, len(charge))
-    records = [{"shape": fmt_shape(mp), "content": content(ct, charge, mp).to_json()}
-               for mp in shapes]
+        records = [{"shape": fmt_shape(mp), "content": content(ct, charge, mp).to_json()}
+                   for mp in multipartitions_of(args.n, len(charge))]
     emit(records, args.format)
     return 0
 
@@ -194,7 +197,15 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call.
+
+    Sharing is safe: each parse_args call makes a fresh namespace, copies
+    the subparser defaults into it and tracks mutually exclusive options
+    per call, and every default is immutable (None, a string, a bool or the
+    enum member CartanType.C).
+    """
     parser = argparse.ArgumentParser(
         prog="klrblocks",
         description="Block, tableau, crystal and graded-dimension "
@@ -263,6 +274,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the shape walks recurse once per row or node
+        print("error: the shape is too large for this tool", file=sys.stderr)
         return 2
 
 

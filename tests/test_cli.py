@@ -1,12 +1,24 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from klrblocks.cli import fmt_shape, main, parse_charge, parse_partition, parse_shape
+import klrblocks
+from klrblocks.cli import (
+    build_parser,
+    fmt_shape,
+    main,
+    parse_charge,
+    parse_partition,
+    parse_shape,
+)
 from klrblocks.cartan import CartanType
 from klrblocks.partitions import content, multipartitions_of
 
@@ -148,6 +160,65 @@ def fails_cleanly(capsys, *argv):
     return code == 2 and err.startswith("error: ") and "Traceback" not in err
 
 
+class TestSharedParser:
+    """main reuses one parser per process; nothing may leak between calls."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_not_built_at_import(self):
+        src = str(Path(klrblocks.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import klrblocks.cli as c; print(c.build_parser.cache_info().currsize)"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out == "0\n"
+
+    def test_fresh_namespace_per_call(self):
+        argv = ["gdim", "--charge", "0", "--shape", "2,1"]
+        first = build_parser().parse_args(argv)
+        first.shape = "3"
+        second = build_parser().parse_args(argv)
+        assert second is not first
+        assert second.shape == "2,1"
+
+    def test_subparser_defaults_per_call(self):
+        parser = build_parser()
+        full = parser.parse_args(["tableaux", "--charge", "0", "--shape", "2",
+                                  "--residues", "0,1", "--with-degrees"])
+        assert full.residues == "0,1" and full.with_degrees
+        bare = parser.parse_args(["tableaux", "--charge", "0", "--shape", "2"])
+        assert bare.residues is None and not bare.with_degrees
+        other = parser.parse_args(["kleshchev", "--charge", "0", "--shape", "1"])
+        assert other.func.__name__ == "cmd_kleshchev"
+        assert not hasattr(other, "residues") and not other.list
+
+    def test_exclusive_group_state_per_call(self):
+        parser = build_parser()
+        assert parser.parse_args(["block", "--charge", "0", "--n", "1"]).n == 1
+        # "--n" seen by the last call must not clash with "--beta" now
+        args = parser.parse_args(["block", "--charge", "0", "--beta", '{"0":1}'])
+        assert args.beta == '{"0":1}' and args.n is None
+        with pytest.raises(SystemExit):
+            with redirect_stderr(io.StringIO()):
+                parser.parse_args(["block", "--charge", "0", "--n", "1",
+                                   "--beta", '{"0":1}'])
+
+    def test_defaults_are_immutable(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
+        actions = parser._actions + [a for p in subparsers.choices.values()
+                                     for a in p._actions]
+        odd = {a.default for a in actions
+               if a.default is not None and not isinstance(a.default, (str, bool))}
+        assert odd == {CartanType.C}
+        args = parser.parse_args(["gdim", "--charge", "0", "--shape", "1"])
+        assert args.type is CartanType.C
+
+
 class TestErrors:
     def test_bad_charge_exits_2(self, capsys):
         assert fails_cleanly(capsys, "kleshchev", "--charge", "-1", "--shape", "1")
@@ -172,6 +243,16 @@ class TestErrors:
                              "--residues", "0,1")
         assert fails_cleanly(capsys, "gdim", "--charge", "0", "--shape", "2,2",
                              "--weight", "0,1,1,0,2")
+
+    def test_tall_shape_exits_2(self, capsys):
+        # a 1200-node column: deeper than the recursion limit of the walks
+        height = 1200
+        column = ",".join(["1"] * height)
+        beta = json.dumps({str(-i): 1 for i in range(height)})
+        common = ("--type", "a", "--charge", "0")
+        assert fails_cleanly(capsys, "block", *common, "--beta", beta)
+        for command in ("kleshchev", "gdim", "tableaux"):
+            assert fails_cleanly(capsys, command, *common, "--shape", column)
 
 
 def test_determinism(capsys):
@@ -245,15 +326,34 @@ def argvs(draw):
     return argv
 
 
-@settings(deadline=None, max_examples=300)
-@given(argvs())
-@example(["gdim", "--charge=0", "--shape=--"])  # argparse hands over []
-def test_argv_fuzz_exits_cleanly(argv):
+def run_captured(argv):
+    """(exit code, stdout, stderr) of main(argv), parser errors included."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the argv
             code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=300)
+@given(argvs())
+@example(["gdim", "--charge=0", "--shape=--"])  # argparse hands over []
+def test_argv_fuzz_exits_cleanly(argv):
+    code, _, err = run_captured(argv)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(argvs(), min_size=2, max_size=8))
+def test_shared_parser_keeps_no_state(batch):
+    fresh = []
+    for argv in batch:
+        build_parser.cache_clear()
+        fresh.append(run_captured(argv))
+    build_parser.cache_clear()
+    shared = [run_captured(argv) for argv in batch]
+    assert build_parser.cache_info().misses == 1
+    assert shared == fresh
