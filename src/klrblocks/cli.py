@@ -71,7 +71,7 @@ def fmt_shape(shape: MultiPartition) -> str:
 def emit(records, fmt: str, stream=None) -> None:
     stream = stream or sys.stdout
     if fmt == "json":
-        json.dump(records, stream, separators=(",", ":"))
+        stream.write(json.dumps(records, separators=(",", ":")))
         stream.write("\n")
     elif fmt == "csv":
         rows = records if isinstance(records, list) else [records]

@@ -1,11 +1,13 @@
 """Integer Laurent polynomials in q and graded dimension computations.
 
 Every graded dimension comes from one recursion over the sub-diagrams of
-the shape (_lattice_gdim); no tableau is listed."""
+the shape (_gdim), memoized for the life of the process; no tableau is
+listed."""
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue, RootVector
@@ -111,42 +113,31 @@ class LaurentPoly:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def _lattice_gdim(shape: MultiPartition, ct: CartanType, charge: Charge,
-                  residues: Optional[Sequence[Residue]] = None,
-                  omega: Optional[RootVector] = None) -> LaurentPoly:
-    """Sum of q^deg(t) over t in Std(shape).  Removing the node holding the
+@lru_cache(maxsize=None)
+def _gdim(ct: CartanType, charge: Charge, mp: MultiPartition,
+          word: Optional[Tuple[Residue, ...]],
+          omega: Optional[RootVector]) -> LaurentPoly:
+    """Sum of q^deg(t) over t in Std(mp).  Removing the node holding the
     largest entry of t leaves a tableau of a sub-diagram, and deg(t) is its
     degree plus the step_degree of that node, which depends only on the
     shape and the node; so the sum is a recursion over sub-diagrams,
-    memoized on the sub-diagram.  With residues, the node holding k must
-    have residue residues[k-1]; with omega, the sub-diagram holding the
-    first ht(omega) entries must have content omega."""
-    n = size(shape)
-    if residues is not None and len(residues) != n:
-        raise ValueError(f"residue word has length {len(residues)}, "
-                         f"but the shape has {n} nodes")
-    cut = -1 if omega is None else omega.height
-    if cut > n:  # there are no first ht(omega) entries
-        return LaurentPoly.zero()
-    memo: Dict[MultiPartition, LaurentPoly] = {}
-
-    def rec(mp: MultiPartition, k: int) -> LaurentPoly:
-        if mp in memo:
-            return memo[mp]
-        if k == cut and content(ct, charge, mp) != omega:
-            out = LaurentPoly.zero()
-        elif k == 0:
-            out = LaurentPoly.one()
-        else:
-            i = None if residues is None else residues[k - 1]
-            out = LaurentPoly.zero()
-            for node in removable_nodes(mp, ct, charge, i):
-                sub = rec(remove_node(mp, node), k - 1)
-                out = out + sub.shifted(step_degree(mp, node, ct, charge))
-        memo[mp] = out
-        return out
-
-    return rec(shape, n)
+    memoized for the life of the process.  With word (of length |mp|), the
+    node holding k must have residue word[k-1]; with omega, the sub-diagram
+    holding the first ht(omega) entries must have content omega, and from
+    there on the sum is the untruncated one."""
+    n = size(mp)
+    if omega is not None and n <= omega.height:
+        if n < omega.height or content(ct, charge, mp) != omega:
+            return LaurentPoly.zero()
+        return _gdim(ct, charge, mp, word, None)
+    if n == 0:
+        return LaurentPoly.one()
+    i, rest = (None, None) if word is None else (word[-1], word[:-1])
+    out = LaurentPoly.zero()
+    for node in removable_nodes(mp, ct, charge, i):
+        sub = _gdim(ct, charge, remove_node(mp, node), rest, omega)
+        out = out + sub.shifted(step_degree(mp, node, ct, charge))
+    return out
 
 
 def gdim_specht_weight(shape: MultiPartition, ct: CartanType, charge: Charge,
@@ -154,19 +145,22 @@ def gdim_specht_weight(shape: MultiPartition, ct: CartanType, charge: Charge,
     """Graded dimension of the residue-sequence weight space of the Specht
     module: sum of q^deg(t) over t in Std(shape) with the given residue
     sequence."""
-    return _lattice_gdim(shape, ct, charge, residues=residues)
+    if len(residues) != size(shape):
+        raise ValueError(f"residue word has length {len(residues)}, "
+                         f"but the shape has {size(shape)} nodes")
+    return _gdim(ct, tuple(charge), shape, tuple(residues), None)
 
 
 def gdim_specht(shape: MultiPartition, ct: CartanType, charge: Charge) -> LaurentPoly:
     """Graded dimension of the full Specht module."""
-    return _lattice_gdim(shape, ct, charge)
+    return _gdim(ct, tuple(charge), shape, None, None)
 
 
 def gdim_factorizable(nu: MultiPartition, ct: CartanType, charge: Charge,
                       omega: RootVector) -> LaurentPoly:
     """Sum of q^deg(t) over the tableaux t of shape nu whose first
     ht(omega) entries fill a sub-diagram of content omega."""
-    return _lattice_gdim(nu, ct, charge, omega=omega)
+    return _gdim(ct, tuple(charge), nu, None, omega)
 
 
 def gdim_block(ct: CartanType, charge: Charge, beta: RootVector,
@@ -177,6 +171,6 @@ def gdim_block(ct: CartanType, charge: Charge, beta: RootVector,
     ht(omega) entries have content omega count (the truncated block)."""
     total = LaurentPoly.zero()
     for shape in enumerate_block(ct, charge, beta):
-        per = _lattice_gdim(shape, ct, charge, omega=omega)
+        per = _gdim(ct, tuple(charge), shape, None, omega)
         total = total + per * per
     return total

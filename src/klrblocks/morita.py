@@ -139,6 +139,8 @@ def tableau_to_type_c(s: StandardTableau, u: StandardTableau,
 def iter_bridges(kappa_c: int, max_n: int) -> Iterator[BlockBridge]:
     """All bridges for type-C blocks with a_0 >= 1 and height at most
     max_n, in increasing height then deterministic content order."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be non-negative, got {max_n}")
     for n in range(1, max_n + 1):
         seen: List[RootVector] = []
         for p in partitions_of(n):

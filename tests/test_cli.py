@@ -244,6 +244,11 @@ class TestErrors:
         assert fails_cleanly(capsys, "gdim", "--charge", "0", "--shape", "2,2",
                              "--weight", "0,1,1,0,2")
 
+    def test_negative_max_n_exits_2(self, capsys):
+        assert fails_cleanly(capsys, "verify", "--kappa-c", "0", "--max-n", "-1")
+        # there are no bridges of height at most 0, which is not an error
+        assert run(capsys, "verify", "--kappa-c", "0", "--max-n", "0") == (0, "[]\n")
+
     def test_tall_shape_exits_2(self, capsys):
         # a 1200-node column: deeper than the recursion limit of the walks
         height = 1200

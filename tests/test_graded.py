@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from klrblocks.cartan import CartanType, RootVector
 from klrblocks.graded import (
     LaurentPoly,
+    _gdim,
     gdim_block,
     gdim_factorizable,
     gdim_specht,
@@ -164,3 +165,90 @@ class TestLatticeAgainstEnumeration:
         expected = q_sum([s for s in tabs if content(ct, charge, s.prefix_shape(r)) == omega],
                          ct, charge)
         assert gdim_factorizable(shape, ct, charge, omega) == expected
+
+
+# The memo of _gdim lives for the process, so every call runs on states that
+# earlier calls left behind.  A call list often repeats the previous shape
+# with one of its type, charge or omega (residue word) changed, which is
+# where a key missing one of them would return a stale polynomial.
+CALLS = (gdim_specht, gdim_specht_weight, gdim_factorizable)
+
+
+def draw_extra(draw, fn, shape, ct, charge):
+    """The residue word or omega of a call: read off a random tableau of
+    the shape, or for omega sometimes of another shape, so that omega may
+    be higher than the shape or not met by it."""
+    if fn is gdim_specht:
+        return None
+    if fn is gdim_specht_weight:
+        return residue_sequence(draw(st.sampled_from(list(enumerate_standard(shape)))),
+                                ct, charge)
+    if draw(st.integers(0, 3)) == 0:
+        shape = draw(st.sampled_from(multipartitions_of(draw(st.integers(0, 6)), len(shape))))
+    t = draw(st.sampled_from(list(enumerate_standard(shape))))
+    return content(ct, charge, t.prefix_shape(draw(st.integers(0, t.n))))
+
+
+@st.composite
+def gdim_calls(draw, prev=None):
+    """(function, shape, type, charge, word or omega, pass lists?).  With
+    prev: its function and shape, and exactly one of its type, charge and
+    word or omega changed."""
+    if prev is None:
+        fn = draw(st.sampled_from(CALLS))
+        level = draw(st.integers(1, 2))
+        shape = draw(st.sampled_from(multipartitions_of(draw(st.integers(0, 6)), level)))
+        ct = draw(st.sampled_from([A, C]))
+        charge = tuple(draw(st.integers(0 if ct is C else -3, 3)) for _ in range(level))
+        extra = draw_extra(draw, fn, shape, ct, charge)
+    else:
+        fn, shape, ct, charge, extra, _ = prev
+        change = draw(st.sampled_from(("type", "charge") + (("extra",) if extra is not None else ())))
+        if change == "type":
+            ct = A if ct is C else C
+            charge = tuple(map(abs, charge))
+        elif change == "charge":
+            charge = (charge[0] + draw(st.integers(1, 2)),) + charge[1:]
+        else:
+            extra = draw_extra(draw, fn, shape, ct, charge)
+    return fn, shape, ct, charge, extra, draw(st.booleans())
+
+
+@st.composite
+def gdim_call_lists(draw):
+    calls = [draw(gdim_calls())]
+    for _ in range(draw(st.integers(1, 7))):
+        calls.append(draw(gdim_calls(calls[-1] if draw(st.booleans()) else None)))
+    return calls
+
+
+def make_call(call):
+    fn, shape, ct, charge, extra, as_lists = call
+    seq = list if as_lists else tuple
+    if fn is gdim_specht:
+        return fn(shape, ct, seq(charge))
+    if fn is gdim_specht_weight:
+        return fn(shape, ct, seq(charge), seq(extra))
+    return fn(shape, ct, seq(charge), extra)
+
+
+def oracle(call):
+    fn, shape, ct, charge, extra, _ = call
+    tabs = list(enumerate_standard(shape))
+    if fn is gdim_specht_weight:
+        tabs = [t for t in tabs if residue_sequence(t, ct, charge) == extra]
+    elif fn is gdim_factorizable:
+        tabs = [t for t in tabs if extra.height <= t.n
+                and content(ct, charge, t.prefix_shape(extra.height)) == extra]
+    return q_sum(tabs, ct, charge)
+
+
+class TestSharedMemo:
+    @settings(deadline=None)
+    @given(gdim_call_lists())
+    def test_warm_calls_match_oracle_and_cold_calls(self, calls):
+        warm = [make_call(call) for call in calls]
+        for call, poly in zip(calls, warm):
+            assert poly == oracle(call)
+            _gdim.cache_clear()
+            assert make_call(call) == poly

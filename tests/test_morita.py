@@ -1,6 +1,7 @@
 import pytest
 
 from klrblocks.cartan import CartanType, RootVector
+from klrblocks.graded import _gdim
 from klrblocks.morita import (
     BridgeError,
     a_block,
@@ -133,6 +134,11 @@ class TestIterBridges:
         heights = [b.beta.height for b in iter_bridges(1, 7)]
         assert heights == sorted(heights)
 
+    def test_negative_max_n(self):
+        assert list(iter_bridges(0, 0)) == []
+        with pytest.raises(ValueError):
+            list(iter_bridges(0, -1))
+
 
 class TestVerifyBridge:
     def test_micro_report(self):
@@ -171,6 +177,18 @@ class TestVerifyBridge:
                 if verify_bridge(b, checks=("dominance",))["checks"]["dominance"]["witnesses"]
             ]
             assert {n: sum(1 for h in heights if h <= n) for n in census} == census
+
+    @pytest.mark.parametrize("kappa_c", [0, 1])
+    def test_shared_memo_matches_cold_memo(self, kappa_c):
+        # the graded-dimension memo lives through a sweep; every report must
+        # be what the bridge gives with the memo cleared before it
+        bridges = list(iter_bridges(kappa_c, 10))
+        shared = [verify_bridge(b) for b in bridges]
+        cold = []
+        for b in bridges:
+            _gdim.cache_clear()
+            cold.append(verify_bridge(b))
+        assert shared == cold
 
     @pytest.mark.parametrize("kappa_c", [0, 1])
     def test_order_preserving_on_small_blocks(self, kappa_c):
