@@ -8,6 +8,11 @@ is (q + 1/q) ** (a0 // 2) with a unique tableau at each extreme.
 """
 
 import argparse
+import sys
+from pathlib import Path
+
+# Import the package from this checkout's src/, installed or not.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from klrblocks.cartan import CartanType
 from klrblocks.graded import gdim_specht_weight

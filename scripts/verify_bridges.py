@@ -8,6 +8,10 @@ Example:
 import argparse
 import json
 import sys
+from pathlib import Path
+
+# Import the package from this checkout's src/, installed or not.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from klrblocks.morita import ALL_CHECKS, iter_bridges, verify_bridge
 

@@ -5,7 +5,7 @@ rectangle."""
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue
 from .partitions import (
@@ -13,28 +13,48 @@ from .partitions import (
     Node,
     Partition,
     add_node,
-    addable_nodes,
+    contains,
     remove_node,
-    removable_nodes,
     residue,
-    size,
 )
 
 SignatureEntry = Tuple[str, Node]  # marker 'a' or 'r', then the node
 Signature = Tuple[SignatureEntry, ...]
 
 
+def _signatures(mp: MultiPartition, ct: CartanType,
+                charge: Charge) -> Dict[Residue, List[SignatureEntry]]:
+    """The i-signature of every residue i with a corner, from one pass
+    over the rows in (component, row) order.  Row r of a component has an
+    addable node exactly when row r - 1 (if any) is longer, and then row
+    r - 1 has a removable node; the two are read in that order."""
+    absolute = ct is CartanType.C
+    sigs: Dict[Residue, List[SignatureEntry]] = {}
+    for m, p in enumerate(mp, start=1):
+        k = charge[m - 1]
+        prev = None
+        for r, width in enumerate(p + (0,), start=1):
+            if prev is not None:
+                if width == prev:
+                    continue
+                i = k + prev - r + 1
+                sigs.setdefault(abs(i) if absolute else i, []).append(
+                    ("r", (r - 1, prev, m)))
+            i = k + width + 1 - r
+            sigs.setdefault(abs(i) if absolute else i, []).append(
+                ("a", (r, width + 1, m)))
+            prev = width
+    return sigs
+
+
 def i_signature(mp: MultiPartition, ct: CartanType, charge: Charge,
                 i: Residue) -> Signature:
     """Addable and removable i-nodes merged in (component, row) reading
     order, marked 'a' and 'r'."""
-    entries = [("a", node) for node in addable_nodes(mp, ct, charge, i)]
-    entries += [("r", node) for node in removable_nodes(mp, ct, charge, i)]
-    entries.sort(key=lambda e: (e[1][2], e[1][0]))
-    return tuple(entries)
+    return tuple(_signatures(mp, ct, charge).get(i, ()))
 
 
-def reduce_signature(sig: Signature) -> Signature:
+def reduce_signature(sig: Sequence[SignatureEntry]) -> Signature:
     """Cancel adjacent (r, a) pairs until the word has shape a..a r..r."""
     stack: List[SignatureEntry] = []
     for entry in sig:
@@ -45,13 +65,18 @@ def reduce_signature(sig: Signature) -> Signature:
     return tuple(stack)
 
 
-def good_node(mp: MultiPartition, ct: CartanType, charge: Charge,
-              i: Residue) -> Optional[Node]:
-    """The removable node at the leftmost r of the reduced i-signature."""
-    for marker, node in reduce_signature(i_signature(mp, ct, charge, i)):
+def _leftmost_r(sig: Sequence[SignatureEntry]) -> Optional[Node]:
+    """The node at the leftmost r of the reduced signature, if any."""
+    for marker, node in reduce_signature(sig):
         if marker == "r":
             return node
     return None
+
+
+def good_node(mp: MultiPartition, ct: CartanType, charge: Charge,
+              i: Residue) -> Optional[Node]:
+    """The removable node at the leftmost r of the reduced i-signature."""
+    return _leftmost_r(i_signature(mp, ct, charge, i))
 
 
 def cogood_node(mp: MultiPartition, ct: CartanType, charge: Charge,
@@ -64,21 +89,22 @@ def cogood_node(mp: MultiPartition, ct: CartanType, charge: Charge,
     return last
 
 
+def _good_nodes(mp: MultiPartition, ct: CartanType,
+                charge: Charge) -> List[Node]:
+    """The good node of every residue that has one, in (component, row)
+    order, from one scan of the corners."""
+    sigs = _signatures(mp, ct, charge).values()
+    goods = [node for node in map(_leftmost_r, sigs) if node is not None]
+    goods.sort(key=lambda node: (node[2], node[0]))
+    return goods
+
+
 @lru_cache(maxsize=None)
 def _kleshchev(ct: CartanType, charge: Charge, mp: MultiPartition) -> bool:
-    if size(mp) == 0:
+    if not any(mp):
         return True
-    seen: set = set()
-    for node in removable_nodes(mp, ct, charge):
-        i = residue(ct, charge, node)
-        if i in seen:
-            continue
-        seen.add(i)
-        if good_node(mp, ct, charge, i) == node and _kleshchev(
-            ct, charge, remove_node(mp, node)
-        ):
-            return True
-    return False
+    return any(_kleshchev(ct, charge, remove_node(mp, node))
+               for node in _good_nodes(mp, ct, charge))
 
 
 def is_kleshchev(mp: MultiPartition, ct: CartanType, charge: Charge) -> bool:
@@ -112,7 +138,10 @@ def good_removal_path(mp: MultiPartition, target: MultiPartition,
                       ct: CartanType, charge: Charge) -> Optional[Tuple[Residue, ...]]:
     """Search for a sequence of good-node removals from mp down to target;
     returns the residue word in *addition* order (target up to mp), or None.
-    Depth-first with memoized failures."""
+    Depth-first with memoized failures; a good node inside target is never
+    removed, since no later removal can bring it back."""
+    if len(target) != len(mp):
+        return None
     failed: set = set()
 
     def rec(cur: MultiPartition) -> Optional[List[Residue]]:
@@ -120,17 +149,12 @@ def good_removal_path(mp: MultiPartition, target: MultiPartition,
             return []
         if cur in failed:
             return None
-        seen: set = set()
-        for node in removable_nodes(cur, ct, charge):
-            i = residue(ct, charge, node)
-            if i in seen:
-                continue
-            seen.add(i)
-            if good_node(cur, ct, charge, i) != node:
+        for node in _good_nodes(cur, ct, charge):
+            if contains(target, node):
                 continue
             sub = rec(remove_node(cur, node))
             if sub is not None:
-                sub.append(i)
+                sub.append(residue(ct, charge, node))
                 return sub
         failed.add(cur)
         return None
@@ -139,12 +163,20 @@ def good_removal_path(mp: MultiPartition, target: MultiPartition,
     return tuple(word) if word is not None else None
 
 
+@lru_cache(maxsize=None)
+def _head_path(rho: Partition, ct: CartanType,
+               charge: Charge) -> Optional[Tuple[Residue, ...]]:
+    """The good-removal word of rho down to the empty partition, searched
+    once per (rho, type, charge) in a process."""
+    return good_removal_path((rho,), ((),), ct, charge)
+
+
 def factors_through(nu: Partition, rho: Partition, ct: CartanType,
                     charge: Charge) -> Optional[Tuple[Residue, ...]]:
     """A residue word j' (+) j'' such that good-node removals take nu to rho
     along reversed j'' and rho to the empty partition along reversed j';
     None if no such word exists.  Reported in addition order."""
-    head = good_removal_path((rho,), ((),), ct, charge)
+    head = _head_path(rho, ct, tuple(charge))
     if head is None:
         return None
     tail = good_removal_path((nu,), (rho,), ct, charge)

@@ -10,12 +10,13 @@ scale."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .cartan import CartanType, Charge, RootVector
 from .crystal import CogoodPathError, cogood_path, factors_through, is_kleshchev
 from .graded import LaurentPoly, gdim_factorizable, gdim_specht
 from .partitions import (
+    MultiPartition,
     Node,
     Partition,
     conjugate,
@@ -142,11 +143,11 @@ def iter_bridges(kappa_c: int, max_n: int) -> Iterator[BlockBridge]:
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     for n in range(1, max_n + 1):
-        seen: List[RootVector] = []
+        seen: Set[RootVector] = set()
         for p in partitions_of(n):
             beta = content(CartanType.C, (kappa_c,), (p,))
             if beta[0] >= 1 and beta not in seen:
-                seen.append(beta)
+                seen.add(beta)
                 yield bridge(kappa_c, beta)
 
 
@@ -159,6 +160,15 @@ def _graded_shift(lhs: LaurentPoly, rhs: LaurentPoly) -> Optional[int]:
         return None
     c = lp[0][0] - rp[0][0]
     return c if lhs == rhs.shifted(c) else None
+
+
+def _replays(start: MultiPartition, word: Sequence[int],
+             end: MultiPartition, charge: Charge) -> bool:
+    """True iff cogood additions along word take start to end in type C."""
+    try:
+        return cogood_path(start, word, CartanType.C, charge) == end
+    except CogoodPathError:
+        return False
 
 
 def verify_bridge(b: BlockBridge,
@@ -254,6 +264,10 @@ def verify_bridge(b: BlockBridge,
         }
 
     if "goodpath" in cs:
+        # Every word shares the memoized head path of rho, so each distinct
+        # head is replayed from the empty partition once per bridge.
+        n_rho = size((b.rho,))
+        head_ok: Dict[Tuple[int, ...], bool] = {}
         failures = []
         for nu in c_shapes:
             if not is_kleshchev((nu,), CartanType.C, b.c_charge):
@@ -261,13 +275,11 @@ def verify_bridge(b: BlockBridge,
             word = factors_through(nu, b.rho, CartanType.C, b.c_charge)
             ok_word = word is not None
             if ok_word:
-                try:
-                    head, tail = word[: size((b.rho,))], word[size((b.rho,)):]
-                    mid = cogood_path(((),), head, CartanType.C, b.c_charge)
-                    end = cogood_path(mid, tail, CartanType.C, b.c_charge)
-                    ok_word = mid == (b.rho,) and end == (nu,)
-                except CogoodPathError:
-                    ok_word = False
+                head, tail = word[:n_rho], word[n_rho:]
+                if head not in head_ok:
+                    head_ok[head] = _replays(((),), head, (b.rho,), b.c_charge)
+                ok_word = (head_ok[head]
+                           and _replays((b.rho,), tail, (nu,), b.c_charge))
             if not ok_word:
                 failures.append(list(nu))
         out["goodpath"] = {"pass": not failures, "failures": failures}

@@ -1,9 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from klrblocks import crystal
 from klrblocks.cartan import CartanType
 from klrblocks.crystal import (
     CogoodPathError,
+    _good_nodes,
     cogood_node,
     cogood_path,
     factors_through,
@@ -15,13 +17,86 @@ from klrblocks.crystal import (
 )
 from klrblocks.partitions import (
     add_node,
+    addable_nodes,
     content,
     multipartitions_of,
     partitions_of,
+    removable_nodes,
     remove_node,
+    residue,
 )
 
 A, C = CartanType.A, CartanType.C
+
+
+@st.composite
+def charged_shapes(draw, max_level=3, max_n=8, max_c_level=None):
+    """A type, a charge (negative entries in type A) and a shape; type C
+    shapes have level at most `max_c_level` when it is given."""
+    ct = draw(st.sampled_from([A, C]))
+    top = max_level if ct is A or max_c_level is None else max_c_level
+    level = draw(st.integers(1, top))
+    charge = tuple(draw(st.integers(0 if ct is C else -3, 3)) for _ in range(level))
+    shape = draw(st.sampled_from(multipartitions_of(draw(st.integers(0, max_n)), level)))
+    return ct, charge, shape
+
+
+def oracle_signature(mp, ct, charge, i):
+    """The i-signature from the per-residue corner filters."""
+    entries = [("a", node) for node in addable_nodes(mp, ct, charge, i)]
+    entries += [("r", node) for node in removable_nodes(mp, ct, charge, i)]
+    entries.sort(key=lambda e: (e[1][2], e[1][0]))
+    return tuple(entries)
+
+
+def oracle_good_node(mp, ct, charge, i):
+    reduced = reduce_signature(oracle_signature(mp, ct, charge, i))
+    return next((node for marker, node in reduced if marker == "r"), None)
+
+
+def seed_good_nodes(cur, ct, charge):
+    """The nodes the search tried before the one-scan rewrite: each
+    residue's first removable node in (component, row) order, kept only
+    if it is that residue's good node."""
+    seen, out = set(), []
+    for node in removable_nodes(cur, ct, charge):
+        i = residue(ct, charge, node)
+        if i in seen:
+            continue
+        seen.add(i)
+        if oracle_good_node(cur, ct, charge, i) == node:
+            out.append(node)
+    return out
+
+
+def oracle_good_nodes(cur, ct, charge):
+    """Every residue's good node from the per-residue filters, in
+    (component, row) order."""
+    residues = {residue(ct, charge, node) for node in removable_nodes(cur, ct, charge)}
+    goods = (oracle_good_node(cur, ct, charge, i) for i in residues)
+    return sorted((n for n in goods if n is not None), key=lambda n: (n[2], n[0]))
+
+
+def unpruned_good_removal_path(mp, target, ct, charge, candidates=oracle_good_nodes):
+    """The good-removal DFS without target pruning, trying the nodes that
+    `candidates` gives at each shape."""
+    failed = set()
+
+    def rec(cur):
+        if cur == target:
+            return []
+        if cur in failed:
+            return None
+        for node in candidates(cur, ct, charge):
+            sub = rec(remove_node(cur, node))
+            if sub is not None:
+                sub.append(residue(ct, charge, node))
+                return sub
+        failed.add(cur)
+        return None
+
+    word = rec(mp)
+    return tuple(word) if word is not None else None
 
 
 class TestSignatures:
@@ -56,6 +131,96 @@ class TestSignatures:
                     changed = True
                     break
         assert tuple(items) == reduced
+
+
+class TestOneScan:
+    @settings(deadline=None, max_examples=200)
+    @given(charged_shapes())
+    def test_every_residue_matches_per_residue_oracle(self, case):
+        ct, charge, mp = case
+        corners = addable_nodes(mp, ct, charge) + removable_nodes(mp, ct, charge)
+        residues = sorted({residue(ct, charge, node) for node in corners})
+        goods = []
+        for i in residues:
+            sig = oracle_signature(mp, ct, charge, i)
+            good = oracle_good_node(mp, ct, charge, i)
+            cogood = next((n for m, n in reversed(reduce_signature(sig)) if m == "a"), None)
+            assert i_signature(mp, ct, charge, i) == sig
+            assert good_node(mp, ct, charge, i) == good
+            assert cogood_node(mp, ct, charge, i) == cogood
+            if good is not None:
+                goods.append(good)
+        assert _good_nodes(mp, ct, charge) == sorted(goods, key=lambda n: (n[2], n[0]))
+        bare = residues[-1] + 1  # a residue with no corner
+        assert i_signature(mp, ct, charge, bare) == ()
+        assert good_node(mp, ct, charge, bare) is None
+        assert cogood_node(mp, ct, charge, bare) is None
+
+    def test_level_three_signature_with_inner_cancellation(self):
+        # residue 0 reads r a r: the first removable 0-node cancels and
+        # the good node is the last one
+        mp = ((1,), (), (1,))
+        assert i_signature(mp, A, (0, 0, 0), 0) == (
+            ("r", (1, 1, 1)), ("a", (1, 1, 2)), ("r", (1, 1, 3)))
+        assert good_node(mp, A, (0, 0, 0), 0) == (1, 1, 3)
+
+
+@st.composite
+def removal_searches(draw, max_c_level=2):
+    """A shape of level 1 or 2 (type C: at most `max_c_level`) and a
+    target: a sub-diagram reached by removing random nodes, or any shape
+    of at most its size."""
+    ct, charge, mp = draw(charged_shapes(max_level=2, max_c_level=max_c_level))
+    if draw(st.booleans()):
+        target = mp
+        for _ in range(draw(st.integers(0, sum(map(sum, mp))))):
+            target = remove_node(target, draw(st.sampled_from(
+                removable_nodes(target, ct, charge))))
+    else:
+        n = draw(st.integers(0, sum(map(sum, mp))))
+        target = draw(st.sampled_from(multipartitions_of(n, len(mp))))
+    return ct, charge, mp, target
+
+
+class TestGoodRemovalPath:
+    @settings(deadline=None, max_examples=200)
+    @given(removal_searches())
+    @example((C, (0,), ((3, 1),), ((2,),)))  # target not inside mp
+    @example((A, (1, 0), ((2,), (1,)), ((1,), ())))
+    def test_pruned_search_matches_unpruned(self, case):
+        ct, charge, mp, target = case
+        assert (good_removal_path(mp, target, ct, charge)
+                == unpruned_good_removal_path(mp, target, ct, charge))
+
+    @settings(deadline=None, max_examples=200)
+    @given(removal_searches(max_c_level=1))
+    def test_matches_seed_search_where_residues_have_two_corners(self, case):
+        # type A at levels 1-2 and type C at level 1 (every bridge) give a
+        # residue at most two corners, so its first removable node is its
+        # good node whenever it has one
+        ct, charge, mp, target = case
+        assert (good_removal_path(mp, target, ct, charge)
+                == unpruned_good_removal_path(mp, target, ct, charge,
+                                              candidates=seed_good_nodes))
+
+    def test_level_mismatch_has_no_path(self):
+        assert good_removal_path(((1,),), ((), ()), C, (0,)) is None
+
+    def test_level_three_good_node_after_cancellation(self):
+        # the only way down is the good 0-node of component 3, which is
+        # not the first removable 0-node
+        assert good_removal_path(((1,), (), (1,)), ((1,), (), ()),
+                                 A, (0, 0, 0)) == (0,)
+
+    def test_type_c_level_two_good_node_after_cancellation(self):
+        # at ((1,), (1, 1)) under charge (1, 0) residue 1 reads r a r: the
+        # removable 1-node of component 1 cancels, the one at the foot of
+        # component 2 is good; the seed search tested only the first
+        mp = ((1,), (1, 1, 1, 1))
+        assert seed_good_nodes(((1,), (1, 1)), C, (1, 0)) == []
+        assert good_removal_path(mp, ((), ()), C, (1, 0)) == (1, 0, 1, 2, 3)
+        assert unpruned_good_removal_path(mp, ((), ()), C, (1, 0),
+                                          candidates=seed_good_nodes) is None
 
 
 class TestGoodCogood:
@@ -94,6 +259,38 @@ class TestKleshchev:
                 empty = ((),) * level
                 reachable = good_removal_path(mp, empty, ct, charge) is not None
                 assert is_kleshchev(mp, ct, charge) == reachable
+
+
+@st.composite
+def head_memo_cases(draw):
+    """A partition nu, a rho (inside nu or not) and two charges."""
+    nu = draw(st.sampled_from(partitions_of(draw(st.integers(1, 8)))))
+    rho = draw(st.sampled_from(partitions_of(draw(st.integers(0, sum(nu))))))
+    charges = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+    return nu, rho, [(k,) for k in charges]
+
+
+class TestHeadMemo:
+    @settings(deadline=None, max_examples=100)
+    @given(head_memo_cases())
+    @example(((2, 1), (1,), [(0,), (1,)]))
+    def test_warm_memo_matches_cold_memo_and_oracle(self, case):
+        nu, rho, charges = case
+        calls = [(ct, charge) for ct in (C, A) for charge in charges]
+        warm = [factors_through(nu, rho, ct, charge) for ct, charge in calls]
+        for (ct, charge), got in zip(calls, warm):
+            crystal._head_path.cache_clear()
+            assert factors_through(nu, rho, ct, charge) == got
+            head = unpruned_good_removal_path((rho,), ((),), ct, charge)
+            tail = unpruned_good_removal_path((nu,), (rho,), ct, charge)
+            assert got == (None if head is None or tail is None else head + tail)
+
+    def test_one_head_search_per_key(self):
+        crystal._head_path.cache_clear()
+        for nu in [(2, 1), (2, 2), (3, 1)]:
+            factors_through(nu, (1,), C, (0,))
+        factors_through((2, 1), (1,), C, [0])
+        assert crystal._head_path.cache_info().misses == 1
 
 
 class TestCogoodPath:

@@ -1,6 +1,8 @@
 import pytest
 
+from klrblocks import morita
 from klrblocks.cartan import CartanType, RootVector
+from klrblocks.crystal import cogood_path, factors_through
 from klrblocks.graded import _gdim
 from klrblocks.morita import (
     BridgeError,
@@ -13,7 +15,7 @@ from klrblocks.morita import (
     to_type_c,
     verify_bridge,
 )
-from klrblocks.partitions import content
+from klrblocks.partitions import content, partitions_of
 from klrblocks.tableaux import enumerate_standard, residue_sequence
 
 A, C = CartanType.A, CartanType.C
@@ -134,6 +136,16 @@ class TestIterBridges:
         heights = [b.beta.height for b in iter_bridges(1, 7)]
         assert heights == sorted(heights)
 
+    @pytest.mark.parametrize("kappa_c", [0, 1])
+    def test_one_bridge_per_content_in_first_seen_order(self, kappa_c):
+        expected = []
+        for n in range(1, 10):
+            for p in partitions_of(n):
+                beta = content(C, (kappa_c,), (p,))
+                if beta[0] >= 1 and beta not in expected:
+                    expected.append(beta)
+        assert [b.beta for b in iter_bridges(kappa_c, 9)] == expected
+
     def test_negative_max_n(self):
         assert list(iter_bridges(0, 0)) == []
         with pytest.raises(ValueError):
@@ -177,6 +189,35 @@ class TestVerifyBridge:
                 if verify_bridge(b, checks=("dominance",))["checks"]["dominance"]["witnesses"]
             ]
             assert {n: sum(1 for h in heights if h <= n) for n in census} == census
+
+    def test_goodpath_replays_head_once(self, monkeypatch):
+        b = bridge(0, content(C, (0,), ((4, 3, 1),)))
+        starts = []
+
+        def counting(start, word, ct, charge):
+            starts.append(start)
+            return cogood_path(start, word, ct, charge)
+
+        monkeypatch.setattr(morita, "cogood_path", counting)
+        report = verify_bridge(b, checks=("kleshchev", "goodpath"))
+        assert report["checks"]["goodpath"]["pass"]
+        n_klesh = len(report["checks"]["kleshchev"]["c_set"])
+        assert n_klesh > 1
+        assert starts.count(((),)) == 1
+        assert starts.count((b.rho,)) == n_klesh == len(starts) - 1
+
+    def test_goodpath_bad_head_fails_every_shape(self, monkeypatch):
+        b = bridge(0, content(C, (0,), ((4, 3, 1),)))
+
+        def bad_head(nu, rho, ct, charge):
+            # the empty partition has no cogood 1-node
+            return (1,) + factors_through(nu, rho, ct, charge)[1:]
+
+        monkeypatch.setattr(morita, "factors_through", bad_head)
+        report = verify_bridge(b, checks=("kleshchev", "goodpath"))
+        goodpath = report["checks"]["goodpath"]
+        assert not goodpath["pass"]
+        assert sorted(goodpath["failures"]) == report["checks"]["kleshchev"]["c_set"]
 
     @pytest.mark.parametrize("kappa_c", [0, 1])
     def test_shared_memo_matches_cold_memo(self, kappa_c):

@@ -1,0 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script,args,first_line", [
+    ("verify_bridges.py", ["--max-n", "4"],
+     'kappa_c=0 a0=1 beta={"0": 1}  count=ok  graded=ok  dominance=ok  '
+     "kleshchev=ok  goodpath=ok"),
+    ("rectangle_table.py", ["--max-kappa", "1", "--max-a0", "4"],
+     "kappa_c=0 a0=1 dim=   1  gdim=1"),
+])
+def test_runs_without_pythonpath(tmp_path, script, args, first_line):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == first_line
