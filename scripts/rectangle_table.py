@@ -24,6 +24,10 @@ def main():
     parser.add_argument("--max-kappa", type=int, default=2)
     parser.add_argument("--max-a0", type=int, default=6)
     args = parser.parse_args()
+    if args.max_kappa < 0:
+        parser.error(f"--max-kappa must be non-negative, got {args.max_kappa}")
+    if args.max_a0 < 1:
+        parser.error(f"--max-a0 must be at least 1, got {args.max_a0}")
 
     C = CartanType.C
     for kappa_c in range(args.max_kappa + 1):

@@ -24,8 +24,15 @@ def main():
     parser.add_argument("--json", action="store_true",
                         help="dump the full reports instead of the table")
     args = parser.parse_args()
-
     checks = tuple(args.checks.split(","))
+    unknown = [c for c in checks if c not in ALL_CHECKS]
+    if unknown:
+        parser.error(f"unknown check {unknown[0]!r}; choose from {','.join(ALL_CHECKS)}")
+    if args.max_n < 0:
+        parser.error(f"--max-n must be non-negative, got {args.max_n}")
+    if any(k < 0 for k in args.kappa_c):
+        parser.error(f"--kappa-c must be non-negative, got {min(args.kappa_c)}")
+
     reports = []
     for kappa_c in args.kappa_c:
         for b in iter_bridges(kappa_c, args.max_n):

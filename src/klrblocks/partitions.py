@@ -8,6 +8,7 @@ A node is a triple (row, col, comp), all 1-based.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Iterator, List, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue, RootVector
@@ -215,39 +216,114 @@ def enumerate_block(ct: CartanType, charge: Charge, beta: RootVector) -> List[Mu
     """All l-partitions (l = len(charge)) with the given content, in the
     deterministic order of multipartitions_of.
 
-    Shapes are grown under a residue budget: components in order, rows top
-    to bottom, each row extended one node at a time while the node's residue
-    still has budget left in beta.  A row stops at the first node whose
-    residue has none, since every wider row holds that node too.  Once all
-    ht(beta) nodes are placed, no residue count exceeds beta and the counts
-    sum to ht(beta), so the content is beta.
+    At e = infinity a component of charge k is fixed by its diagonal
+    profile: d(t) is the number of its nodes of type-A residue t.  Stepping
+    toward the centre t = k, d stays the same or rises by 1; stepping away
+    from it, d stays the same or drops by 1.  Each step is one edge of the
+    shape's boundary, read from south-west to north-east: a north edge
+    closes a row whose length is the number of east edges before it.
+
+    The walk runs over residues, one profile value per track and step, with
+    the values of each step summing to beta there.  In type A there is one
+    track per component, walked from t = min(beta) - 1 to max(beta) + 1.  In
+    type C the residue i holds the type-A residues i and -i, so a component
+    is two tracks, t = 0, 1, ... and t = 0, -1, ..., that share d(0); the
+    walk first splits beta(0) over the components, then steps i = 1 up to
+    max(beta) + 1.  No value is negative or exceeds the away-steps left
+    before it must reach 0, and the last track's value is beta minus the
+    others', so a step tries at most 2^(tracks - 1) vectors.  The walk keeps
+    its own stack, so a block of any height is listed without recursion.
     """
     level = len(charge)
-    budget = dict(beta.items())
+    if beta.height == 0:
+        return [(EMPTY,) * level]
+    labels = [i for i, _ in beta.items()]
+    if ct is CartanType.C:
+        if labels[0] < 0:
+            return []
+        # component m is tracks 2m (t = 0, 1, ...) and 2m + 1 (t = 0, -1, ...)
+        start, top = 0, labels[-1] + 1
+        tracks = [(k, s) for k in charge for s in (1, -1)]
+        targets = [beta[i] for i in range(1, top + 1)]
+    else:
+        start, top = labels[0] - 1, labels[-1] + 1
+        tracks = [(k, 1) for k in charge]
+        targets = [beta[t] for t in range(start + 1, top + 1)]
+    n = len(targets)
+    # a track whose centre is `ahead` steps on may rise on steps j < ahead
+    # and fall after; past step j it holds at most min(cap, n - j - 1), the
+    # away-steps left before it ends at 0
+    bounds = [(s * (k - start), max(0, n - s * (k - start))) for k, s in tracks]
+    if ct is CartanType.C:
+        # a minus track may start at any d(0) <= n, its plus track at <= cap
+        roots = [tuple(v for v in split for _ in "+-")
+                 for split in product(*(range(min(n, cap) + 1)
+                                        for _, cap in bounds[::2]))
+                 if sum(split) == beta[0]]
+    else:
+        roots = [(0,) * level]
+
     out: List[MultiPartition] = []
-
-    def grow(done: MultiPartition, rows: Partition, left: int) -> None:
-        m = len(done) + 1
-        if left == 0:
-            out.append(done + (rows,) + (EMPTY,) * (level - m))
-            return
-        r = len(rows) + 1
-        limit = min(rows[-1], left) if rows else left
-        spent: List[Residue] = []
-        while len(spent) < limit:
-            i = residue(ct, charge, (r, len(spent) + 1, m))
-            if not budget.get(i):
+    path: List[Tuple[int, ...]] = [()] * (n + 1)
+    stack = [iter(roots)]
+    while stack:
+        j = len(stack) - 1
+        for vec in stack[-1]:
+            path[j] = vec
+            if j < n:
+                stack.append(iter(_profile_steps(vec, bounds, j, n - j - 1,
+                                                 targets[j])))
                 break
-            budget[i] -= 1
-            spent.append(i)
-        while spent:
-            grow(done, rows + (len(spent),), left - len(spent))
-            budget[spent.pop()] += 1
-        if m < level:
-            grow(done + (rows,), EMPTY, left)
-
-    grow((), EMPTY, beta.height)
+            profiles = list(zip(*path))
+            if ct is CartanType.C:
+                out.append(tuple(
+                    _profile_rows(profiles[2 * m + 1][::-1] + profiles[2 * m][1:],
+                                  -top, k)
+                    for m, k in enumerate(charge)))
+            else:
+                out.append(tuple(_profile_rows(profiles[m], start, k)
+                                 for m, k in enumerate(charge)))
+        else:
+            stack.pop()
     # multipartitions_of's order: larger components first, then parts
     # lexicographically decreasing
     out.sort(key=lambda mp: tuple((-sum(p), tuple(-x for x in p)) for p in mp))
     return out
+
+
+def _profile_steps(vec: Tuple[int, ...], bounds: Sequence[Tuple[int, int]],
+                   j: int, left: int, target: int) -> List[Tuple[int, ...]]:
+    """Every profile vector one step on from vec whose values sum to
+    target, where `left` steps remain after this one."""
+    choices = []
+    for v, (ahead, cap) in zip(vec, bounds):
+        if cap > left:
+            cap = left
+        w = v + 1 if j < ahead else v - 1
+        stay_or_step = (v, w) if 0 <= w <= cap else (v,)
+        # a value above the cap must step down to it
+        choices.append(stay_or_step[1:] if v > cap else stay_or_step)
+    last = choices.pop()
+    out = []
+    for head in product(*choices):
+        x = target - sum(head)
+        if x in last:
+            out.append(head + (x,))
+    return out
+
+
+def _profile_rows(profile: Sequence[int], t: int, k: int) -> Partition:
+    """The partition of charge k whose diagonal lengths, from residue t on,
+    are profile (0 at both ends)."""
+    # The boundary corner on diagonal t has d(t) + max(t - k, 0) east edges
+    # before it; where two corners agree, a north edge between them closes
+    # a row that long.  Rows close bottom first.
+    rows: List[int] = []
+    prev = 0
+    for d in profile:
+        x = d + t - k if t > k else d
+        if x == prev and x:
+            rows.append(x)
+        prev = x
+        t += 1
+    return tuple(reversed(rows))

@@ -108,6 +108,16 @@ class TestBlock:
         ]
         assert parsed == json.loads(js)
 
+    def test_tall_block_is_answered(self, capsys):
+        # a 1200-node column, deeper than Python's recursion limit
+        height = 1200
+        beta = json.dumps({str(-i): 1 for i in range(height)})
+        code, out = run(capsys, "block", "--type", "a", "--charge", "0",
+                        "--beta", beta)
+        assert code == 0
+        (record,) = json.loads(out)
+        assert record["shape"] == ",".join(["1"] * height)
+
 
 class TestTableaux:
     def test_with_degrees(self, capsys):
@@ -251,11 +261,10 @@ class TestErrors:
 
     def test_tall_shape_exits_2(self, capsys):
         # a 1200-node column: deeper than the recursion limit of the walks
+        # that recurse once per row or node
         height = 1200
         column = ",".join(["1"] * height)
-        beta = json.dumps({str(-i): 1 for i in range(height)})
         common = ("--type", "a", "--charge", "0")
-        assert fails_cleanly(capsys, "block", *common, "--beta", beta)
         for command in ("kleshchev", "gdim", "tableaux"):
             assert fails_cleanly(capsys, command, *common, "--shape", column)
 

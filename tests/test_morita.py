@@ -219,6 +219,27 @@ class TestVerifyBridge:
         assert not goodpath["pass"]
         assert sorted(goodpath["failures"]) == report["checks"]["kleshchev"]["c_set"]
 
+    def test_goodpath_alone_skips_type_a_block(self, monkeypatch):
+        b = bridge(0, content(C, (0,), ((4, 3, 1),)))
+        calls = []
+
+        def counting(b):
+            calls.append(b)
+            return a_block(b)
+
+        monkeypatch.setattr(morita, "a_block", counting)
+        assert verify_bridge(b, checks=("goodpath",))["pass"]
+        assert calls == []
+        verify_bridge(b, checks=("kleshchev", "goodpath"))
+        assert calls == [b]
+
+    @pytest.mark.parametrize("kappa_c", [0, 1])
+    def test_single_check_reports_match_full_report(self, kappa_c):
+        for b in iter_bridges(kappa_c, 10):
+            full = verify_bridge(b)["checks"]
+            for c in full:
+                assert verify_bridge(b, checks=(c,))["checks"] == {c: full[c]}
+
     @pytest.mark.parametrize("kappa_c", [0, 1])
     def test_shared_memo_matches_cold_memo(self, kappa_c):
         # the graded-dimension memo lives through a sweep; every report must

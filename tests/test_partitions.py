@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klrblocks.cartan import CartanType, RootVector
-from klrblocks.morita import a_block, bridge, iter_bridges, to_type_c
+from klrblocks.morita import a_block, bridge, c_block, iter_bridges, to_type_c
 from klrblocks.partitions import (
     addable_nodes,
     as_partition,
@@ -168,6 +168,26 @@ def test_enumerate_block_matches_content_filter(block):
     expected = [mp for mp in multipartitions_of(beta.height, len(charge))
                 if content(ct, charge, mp) == beta]
     assert enumerate_block(ct, charge, beta) == expected
+
+
+class TestBridgeBlocksMatchContentFilter:
+    @pytest.mark.parametrize("kappa_c", [0, 1, 2])
+    def test_every_bridge(self, kappa_c):
+        # the content filter over multipartitions_of, at heights the
+        # hypothesis test does not reach; one filter per charge and size
+        filtered = {}
+
+        def block(ct, charge, beta):
+            key = (ct, charge, beta.height)
+            if key not in filtered:
+                by_content = filtered[key] = {}
+                for mp in multipartitions_of(beta.height, len(charge)):
+                    by_content.setdefault(content(ct, charge, mp), []).append(mp)
+            return filtered[key][beta]
+
+        for b in iter_bridges(kappa_c, 18):
+            assert c_block(b) == [mp[0] for mp in block(C, b.c_charge, b.beta)]
+            assert a_block(b) == block(A, b.a_charge, b.a_beta)
 
 
 class TestBridgeResidueCompatibility:

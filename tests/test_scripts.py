@@ -22,3 +22,20 @@ def test_runs_without_pythonpath(tmp_path, script, args, first_line):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == first_line
+
+
+@pytest.mark.parametrize("script,args", [
+    ("verify_bridges.py", ["--checks", "bogus"]),
+    ("verify_bridges.py", ["--checks", "count,bogus"]),
+    ("verify_bridges.py", ["--max-n", "-1"]),
+    ("verify_bridges.py", ["--kappa-c", "0", "-1"]),
+    ("rectangle_table.py", ["--max-kappa", "-1"]),
+    ("rectangle_table.py", ["--max-a0", "0"]),
+])
+def test_bad_input_exits_2(tmp_path, script, args):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
