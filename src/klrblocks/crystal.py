@@ -5,53 +5,29 @@ rectangle."""
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue
 from .partitions import (
     MultiPartition,
     Node,
     Partition,
+    SignatureEntry,
     add_node,
     contains,
     remove_node,
     residue,
+    signatures,
 )
 
-SignatureEntry = Tuple[str, Node]  # marker 'a' or 'r', then the node
 Signature = Tuple[SignatureEntry, ...]
-
-
-def _signatures(mp: MultiPartition, ct: CartanType,
-                charge: Charge) -> Dict[Residue, List[SignatureEntry]]:
-    """The i-signature of every residue i with a corner, from one pass
-    over the rows in (component, row) order.  Row r of a component has an
-    addable node exactly when row r - 1 (if any) is longer, and then row
-    r - 1 has a removable node; the two are read in that order."""
-    absolute = ct is CartanType.C
-    sigs: Dict[Residue, List[SignatureEntry]] = {}
-    for m, p in enumerate(mp, start=1):
-        k = charge[m - 1]
-        prev = None
-        for r, width in enumerate(p + (0,), start=1):
-            if prev is not None:
-                if width == prev:
-                    continue
-                i = k + prev - r + 1
-                sigs.setdefault(abs(i) if absolute else i, []).append(
-                    ("r", (r - 1, prev, m)))
-            i = k + width + 1 - r
-            sigs.setdefault(abs(i) if absolute else i, []).append(
-                ("a", (r, width + 1, m)))
-            prev = width
-    return sigs
 
 
 def i_signature(mp: MultiPartition, ct: CartanType, charge: Charge,
                 i: Residue) -> Signature:
     """Addable and removable i-nodes merged in (component, row) reading
     order, marked 'a' and 'r'."""
-    return tuple(_signatures(mp, ct, charge).get(i, ()))
+    return tuple(signatures(mp, ct, charge).get(i, ()))
 
 
 def reduce_signature(sig: Sequence[SignatureEntry]) -> Signature:
@@ -93,7 +69,7 @@ def _good_nodes(mp: MultiPartition, ct: CartanType,
                 charge: Charge) -> List[Node]:
     """The good node of every residue that has one, in (component, row)
     order, from one scan of the corners."""
-    sigs = _signatures(mp, ct, charge).values()
+    sigs = signatures(mp, ct, charge).values()
     goods = [node for node in map(_leftmost_r, sigs) if node is not None]
     goods.sort(key=lambda node: (node[2], node[0]))
     return goods

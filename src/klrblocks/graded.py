@@ -2,11 +2,13 @@
 
 Every graded dimension comes from one recursion over the sub-diagrams of
 the shape (_gdim), memoized for the life of the process; no tableau is
-listed."""
+listed.  The step degree of every removal comes from the corner scan that
+the crystal layer also reads (partitions.signatures), and each memo miss
+builds one polynomial."""
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -15,11 +17,10 @@ from .partitions import (
     MultiPartition,
     content,
     enumerate_block,
-    removable_nodes,
     remove_node,
     size,
+    step_degrees,
 )
-from .tableaux import step_degree
 
 
 class LaurentPoly:
@@ -84,6 +85,10 @@ class LaurentPoly:
     def shifted(self, k: int) -> "LaurentPoly":
         return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
 
+    def items(self) -> ItemsView[int, int]:
+        """A read-only view of the (exponent, coefficient) pairs."""
+        return self._coeffs.items()
+
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self._coeffs == other._coeffs
 
@@ -119,12 +124,14 @@ def _gdim(ct: CartanType, charge: Charge, mp: MultiPartition,
           omega: Optional[RootVector]) -> LaurentPoly:
     """Sum of q^deg(t) over t in Std(mp).  Removing the node holding the
     largest entry of t leaves a tableau of a sub-diagram, and deg(t) is its
-    degree plus the step_degree of that node, which depends only on the
+    degree plus the step degree of that node, which depends only on the
     shape and the node; so the sum is a recursion over sub-diagrams,
-    memoized for the life of the process.  With word (of length |mp|), the
-    node holding k must have residue word[k-1]; with omega, the sub-diagram
-    holding the first ht(omega) entries must have content omega, and from
-    there on the sum is the untruncated one."""
+    memoized for the life of the process.  Each miss reads every removal's
+    step degree from one corner scan (partitions.step_degrees) and adds
+    the shifted sub-sums into one coefficient map.  With word (of length
+    |mp|), the node holding k must have residue word[k-1]; with omega, the
+    sub-diagram holding the first ht(omega) entries must have content
+    omega, and from there on the sum is the untruncated one."""
     n = size(mp)
     if omega is not None and n <= omega.height:
         if n < omega.height or content(ct, charge, mp) != omega:
@@ -133,11 +140,12 @@ def _gdim(ct: CartanType, charge: Charge, mp: MultiPartition,
     if n == 0:
         return LaurentPoly.one()
     i, rest = (None, None) if word is None else (word[-1], word[:-1])
-    out = LaurentPoly.zero()
-    for node in removable_nodes(mp, ct, charge, i):
+    out: Dict[int, int] = {}
+    for node, d in step_degrees(mp, ct, charge, i):
         sub = _gdim(ct, charge, remove_node(mp, node), rest, omega)
-        out = out + sub.shifted(step_degree(mp, node, ct, charge))
-    return out
+        for e, c in sub.items():
+            out[e + d] = out.get(e + d, 0) + c
+    return LaurentPoly(out)
 
 
 def gdim_specht_weight(shape: MultiPartition, ct: CartanType, charge: Charge,

@@ -10,6 +10,7 @@ scale."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .cartan import CartanType, Charge, RootVector
@@ -57,8 +58,9 @@ class BlockBridge:
     def a_charge(self) -> Charge:
         return (self.kappa1, self.kappa2)
 
-    @property
+    @cached_property
     def a_beta(self) -> RootVector:
+        """beta - omega, computed on the first read only."""
         return self.beta - self.omega
 
     def to_json(self) -> dict:
@@ -152,14 +154,16 @@ def iter_bridges(kappa_c: int, max_n: int) -> Iterator[BlockBridge]:
 
 
 def _graded_shift(lhs: LaurentPoly, rhs: LaurentPoly) -> Optional[int]:
-    """The unique c with lhs = q^c * rhs, if one exists."""
-    lp, rp = lhs.to_pairs(), rhs.to_pairs()
-    if not lp and not rp:
-        return 0
-    if not lp or not rp:
+    """The unique c with lhs = q^c * rhs, if one exists, read off the two
+    coefficient maps: equal sizes, lowest exponents c apart, and every term
+    of rhs found c higher in lhs."""
+    lt, rt = lhs.items(), rhs.items()
+    if len(lt) != len(rt):
         return None
-    c = lp[0][0] - rp[0][0]
-    return c if lhs == rhs.shifted(c) else None
+    if not rt:
+        return 0
+    c = min(lt)[0] - min(rt)[0]
+    return c if all((e + c, v) in lt for e, v in rt) else None
 
 
 def _replays(start: MultiPartition, word: Sequence[int],

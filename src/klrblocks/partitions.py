@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue, RootVector
 
 Partition = Tuple[int, ...]
 MultiPartition = Tuple[Partition, ...]
 Node = Tuple[int, int, int]
+SignatureEntry = Tuple[str, Node]  # marker 'a' or 'r', then the node
 
 EMPTY: Partition = ()
 
@@ -94,6 +95,53 @@ def removable_nodes(mp: MultiPartition, ct: CartanType, charge: Charge,
                 node = (r, p[r - 1], m)
                 if i is None or residue(ct, charge, node) == i:
                     out.append(node)
+    return out
+
+
+def signatures(mp: MultiPartition, ct: CartanType,
+               charge: Charge) -> Dict[Residue, List[SignatureEntry]]:
+    """The i-signature of every residue i with a corner: its addable and
+    removable i-nodes, marked 'a' and 'r', in (component, row) order, from
+    one pass over the rows.  Row r of a component has an addable node
+    exactly when row r - 1 (if any) is longer, and then row r - 1 has a
+    removable node; the two are read in that order."""
+    absolute = ct is CartanType.C
+    sigs: Dict[Residue, List[SignatureEntry]] = {}
+    for m, p in enumerate(mp, start=1):
+        k = charge[m - 1]
+        prev = None
+        for r, width in enumerate(p + (0,), start=1):
+            if prev is not None:
+                if width == prev:
+                    continue
+                i = k + prev - r + 1
+                sigs.setdefault(abs(i) if absolute else i, []).append(
+                    ("r", (r - 1, prev, m)))
+            i = k + width + 1 - r
+            sigs.setdefault(abs(i) if absolute else i, []).append(
+                ("a", (r, width + 1, m)))
+            prev = width
+    return sigs
+
+
+def step_degrees(mp: MultiPartition, ct: CartanType, charge: Charge,
+                 i: Optional[Residue] = None) -> List[Tuple[Node, int]]:
+    """Every removable node of mp (of residue i, if given) with its step
+    degree: (#addable - #removable) nodes of its residue strictly below it.
+    The two corners of a row never share a residue (in type C, |x| is never
+    |x + 1|), so in a signature the entries after a removable node are
+    exactly those strictly below it, and one reversed pass over each
+    signature gives every removal's step degree."""
+    sigs = signatures(mp, ct, charge)
+    out: List[Tuple[Node, int]] = []
+    for sig in sigs.values() if i is None else (sigs.get(i, ()),):
+        d = 0
+        for marker, node in reversed(sig):
+            if marker == "a":
+                d += 1
+            else:
+                out.append((node, d))
+                d -= 1
     return out
 
 

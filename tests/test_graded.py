@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,13 @@ from klrblocks.graded import (
     gdim_specht_weight,
 )
 from klrblocks.partitions import content, enumerate_block, multipartitions_of, partitions_of
-from klrblocks.tableaux import degree, enumerate_standard, initial_tableau, residue_sequence
+from klrblocks.tableaux import (
+    degree,
+    enumerate_standard,
+    initial_tableau,
+    rectangle_final_tableau,
+    residue_sequence,
+)
 
 A, C = CartanType.A, CartanType.C
 
@@ -196,7 +204,7 @@ def gdim_calls(draw, prev=None):
     word or omega changed."""
     if prev is None:
         fn = draw(st.sampled_from(CALLS))
-        level = draw(st.integers(1, 2))
+        level = draw(st.integers(1, 3))
         shape = draw(st.sampled_from(multipartitions_of(draw(st.integers(0, 6)), level)))
         ct = draw(st.sampled_from([A, C]))
         charge = tuple(draw(st.integers(0 if ct is C else -3, 3)) for _ in range(level))
@@ -252,3 +260,33 @@ class TestSharedMemo:
             assert poly == oracle(call)
             _gdim.cache_clear()
             assert make_call(call) == poly
+
+
+class TestOneScanPerMiss:
+    def test_cold_memo_walks_no_corner_lists(self, monkeypatch):
+        """Filling a cold memo reads step degrees from the corner scan:
+        neither tableaux.step_degree nor partitions.removable_nodes runs,
+        wherever either name is bound."""
+        calls = {"step_degree": 0, "removable_nodes": 0}
+        for mod in [m for k, m in sys.modules.items()
+                    if k == "klrblocks" or k.startswith("klrblocks.")]:
+            for name in calls:
+                if hasattr(mod, name):
+                    def counted(*args, _fn=getattr(mod, name), _name=name):
+                        calls[_name] += 1
+                        return _fn(*args)
+                    monkeypatch.setattr(mod, name, counted)
+        _gdim.cache_clear()
+        rho = ((3, 3, 3, 3),)
+        nu = ((5, 4, 3, 3, 2, 1),)
+        omega = content(C, (1,), rho)
+        gdim_specht(rho, C, (1,))
+        gdim_factorizable(nu, C, (1,), omega)
+        gdim_specht(((3, 1), (2, 2)), A, (4, 3))
+        word = residue_sequence(rectangle_final_tableau(3, 4), C, (1,))
+        gdim_specht_weight(rho, C, (1,), word)
+        assert _gdim.cache_info().currsize > 100
+        assert calls == {"step_degree": 0, "removable_nodes": 0}
+        # the wrappers are live: the degree of one tableau calls both
+        degree(rectangle_final_tableau(3, 4), C, (1,))
+        assert calls["step_degree"] == 12 and calls["removable_nodes"] == 12

@@ -3,7 +3,7 @@ import pytest
 from klrblocks import morita
 from klrblocks.cartan import CartanType, RootVector
 from klrblocks.crystal import cogood_path, factors_through
-from klrblocks.graded import _gdim
+from klrblocks.graded import LaurentPoly, _gdim
 from klrblocks.morita import (
     BridgeError,
     a_block,
@@ -53,12 +53,54 @@ class TestBridge:
         with pytest.raises(BridgeError):
             bridge(-1, MICRO)
 
+    def test_a_beta_computed_once(self, monkeypatch):
+        beta = max(iter_bridges(0, 10), key=lambda b: len(a_block(b))).beta
+        b = bridge(0, beta)
+        subtractions = []
+        sub = RootVector.__sub__
+        monkeypatch.setattr(RootVector, "__sub__",
+                            lambda x, y: subtractions.append(1) or sub(x, y))
+        pairs = a_block(b)
+        assert len(pairs) > 1
+        for bp in pairs:
+            to_type_c(bp, b)
+        assert b.a_beta == b.beta - b.omega
+        assert len(subtractions) == 2  # the first read, then the check above
+        # the cached value is no field: equality and hashing ignore it
+        assert b == bridge(b.kappa_c, b.beta)
+        assert hash(b) == hash(bridge(b.kappa_c, b.beta))
+
     def test_json(self):
         b = bridge(0, MICRO)
         assert b.to_json() == {
             "kappa_c": 0, "beta": {"0": 1, "1": 2}, "a0": 1, "rho": [1],
             "omega": {"0": 1}, "kappa1": 1, "kappa2": 1,
         }
+
+
+class TestGradedShift:
+    def test_zero_against_zero(self):
+        assert morita._graded_shift(LaurentPoly.zero(), LaurentPoly.zero()) == 0
+
+    def test_zero_against_non_zero(self):
+        p = LaurentPoly({1: 1, -1: 1})
+        assert morita._graded_shift(LaurentPoly.zero(), p) is None
+        assert morita._graded_shift(p, LaurentPoly.zero()) is None
+
+    def test_equal_supports_different_coefficients(self):
+        assert morita._graded_shift(LaurentPoly({0: 1, 2: 2}),
+                                    LaurentPoly({0: 1, 2: 1})) is None
+
+    def test_shifts_found(self):
+        p = LaurentPoly({-1: 1, 1: 2, 4: 1})
+        assert morita._graded_shift(p.shifted(-3), p) == -3
+        assert morita._graded_shift(p.shifted(2), p) == 2
+        assert morita._graded_shift(p, p) == 0
+
+    def test_supports_of_different_sizes(self):
+        p = LaurentPoly({0: 1, 2: 1})
+        assert morita._graded_shift(p, p + LaurentPoly.q(5)) is None
+        assert morita._graded_shift(p + LaurentPoly.q(5), p) is None
 
 
 class TestBlockMap:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,10 @@ from klrblocks.partitions import (
     rect_split,
     removable_nodes,
     residue,
+    signatures,
+    step_degrees,
 )
+from klrblocks.tableaux import step_degree
 
 A, C = CartanType.A, CartanType.C
 
@@ -54,6 +59,37 @@ class TestAddableRemovable:
     def test_reading_order(self):
         nodes = addable_nodes(((2, 1), (1,)), A, (0, 0))
         assert nodes == sorted(nodes, key=lambda n: (n[2], n[0]))
+
+
+class TestStepDegrees:
+    def test_examples(self):
+        # (2, 1) at kappa 0 in type C: both removable nodes have residue 1
+        assert signatures(((2, 1),), C, (0,)) == {
+            2: [("a", (1, 3, 1)), ("a", (3, 1, 1))],
+            1: [("r", (1, 2, 1)), ("r", (2, 1, 1))],
+            0: [("a", (2, 2, 1))]}
+        assert step_degrees(((2, 1),), C, (0,)) == [((2, 1, 1), 0), ((1, 2, 1), -1)]
+        assert step_degrees(((1,), (1,)), A, (1, 1), 1) == [((1, 1, 2), 0), ((1, 1, 1), -1)]
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("ct", [A, C])
+    def test_scan_matches_step_degree(self, ct, level):
+        """Every removable node of every l-partition up to size 7: the
+        scan's step degree, with and without a residue filter, equals
+        tableaux.step_degree.  Type C folds the residue k + c - r to its
+        absolute value, where a wrong same-row assumption would show."""
+        shapes = [mp for n in range(8) for mp in multipartitions_of(n, level)]
+        for charge in product(range(3) if ct is C else range(-2, 3), repeat=level):
+            for mp in shapes:
+                expected = sorted((node, step_degree(mp, node, ct, charge))
+                                  for node in removable_nodes(mp, ct, charge))
+                assert sorted(step_degrees(mp, ct, charge)) == expected
+                by_residue = {}
+                for node, d in expected:
+                    by_residue.setdefault(residue(ct, charge, node), []).append((node, d))
+                # every residue with a corner, and one without
+                for i in set(signatures(mp, ct, charge)) | {99}:
+                    assert sorted(step_degrees(mp, ct, charge, i)) == by_residue.get(i, [])
 
 
 class TestDominance:
