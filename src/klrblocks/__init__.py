@@ -2,15 +2,7 @@
 types A-infinity and C-infinity, with the level-one C / level-two A block
 bridge and its verification battery."""
 
-from .cartan import (
-    CartanType,
-    Generator,
-    NotASubroot,
-    RootVector,
-    bilinear_form,
-    cartan_pairing,
-    generator_degree,
-)
+from .cartan import CartanType, NotASubroot, RootVector
 from .crystal import (
     CogoodPathError,
     cogood_node,
@@ -23,7 +15,6 @@ from .crystal import (
 )
 from .graded import (
     LaurentPoly,
-    gdim_block,
     gdim_factorizable,
     gdim_specht,
     gdim_specht_weight,
@@ -57,27 +48,13 @@ from .partitions import (
     removable_nodes,
     residue,
 )
-from .semistandard import (
-    SemistandardTableauPlus,
-    column_initial_sstd,
-    enumerate_sstd_plus,
-    row_initial_sstd,
-    segment_data,
-    segments_well_separated,
-    standardize,
-)
 from .tableaux import (
     StandardTableau,
-    apply_word,
-    column_initial_tableau,
     rectangle_final_tableau,
     degree,
     enumerate_standard,
     initial_tableau,
-    permutation_word,
     residue_sequence,
-    standard_by_residue,
-    y_exponents,
 )
 
 __version__ = "0.1.0"

@@ -31,46 +31,6 @@ class CartanType(Enum):
             self.check_label(k)
 
 
-def bilinear_form(ct: CartanType, i: Residue, j: Residue) -> int:
-    """(alpha_i, alpha_j) = d_i * a_ij, with d = (1,1,...) in type A and
-    d = (2,1,1,...) in type C."""
-    ct.check_label(i)
-    ct.check_label(j)
-    if ct is CartanType.A:
-        if i == j:
-            return 2
-        return -1 if abs(i - j) == 1 else 0
-    if i == j:
-        return 4 if i == 0 else 2
-    if abs(i - j) != 1:
-        return 0
-    return -2 if min(i, j) == 0 else -1
-
-
-def cartan_pairing(i: Residue, charge: Charge) -> int:
-    """<alpha_i^vee, Lambda_kappa>: the number of charge entries equal to i."""
-    return sum(1 for k in charge if k == i)
-
-
-class Generator(Enum):
-    IDEMPOTENT = "idempotent"
-    DOT = "dot"
-    CROSSING = "crossing"
-
-
-def generator_degree(ct: CartanType, generator: Generator,
-                     residues: Tuple[Residue, ...] = ()) -> int:
-    """Degree of a KLR generator at the given local residues: 0 for e(i),
-    (alpha_i, alpha_i) for a dot, (alpha_i, alpha_j) for a crossing."""
-    if generator is Generator.IDEMPOTENT:
-        return 0
-    if generator is Generator.DOT:
-        (i,) = residues
-        return bilinear_form(ct, i, i)
-    i, j = residues
-    return bilinear_form(ct, i, j)
-
-
 class NotASubroot(ValueError):
     pass
 

@@ -16,7 +16,6 @@ from .cartan import CartanType, Charge, Residue, RootVector
 from .partitions import (
     MultiPartition,
     content,
-    enumerate_block,
     remove_node,
     size,
     step_degrees,
@@ -169,16 +168,3 @@ def gdim_factorizable(nu: MultiPartition, ct: CartanType, charge: Charge,
     """Sum of q^deg(t) over the tableaux t of shape nu whose first
     ht(omega) entries fill a sub-diagram of content omega."""
     return _gdim(ct, tuple(charge), nu, None, omega)
-
-
-def gdim_block(ct: CartanType, charge: Charge, beta: RootVector,
-               omega: Optional[RootVector] = None) -> LaurentPoly:
-    """Graded dimension of the cellular algebra on the block: sum over
-    shapes of the square of the tableau generating function, using
-    deg(c_st) = deg(s) + deg(t).  With omega, only tableaux whose first
-    ht(omega) entries have content omega count (the truncated block)."""
-    total = LaurentPoly.zero()
-    for shape in enumerate_block(ct, charge, beta):
-        per = _gdim(ct, tuple(charge), shape, None, omega)
-        total = total + per * per
-    return total

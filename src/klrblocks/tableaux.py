@@ -15,7 +15,6 @@ from .cartan import CartanType, Charge, Residue
 from .partitions import (
     MultiPartition,
     Node,
-    Partition,
     add_node,
     addable_corners,
     addable_nodes,
@@ -35,9 +34,6 @@ class StandardTableau:
     @property
     def n(self) -> int:
         return len(self.order)
-
-    def entry(self, node: Node) -> int:
-        return self.order.index(node) + 1
 
     def rows(self) -> List[List[List[int]]]:
         """Entries arranged per component and row, for display and JSON."""
@@ -62,23 +58,12 @@ def initial_tableau(shape: MultiPartition) -> StandardTableau:
     return StandardTableau(shape, tuple(nodes(shape)))
 
 
-def column_initial_tableau(shape: Partition) -> StandardTableau:
-    """Fill 1..n down successive columns; defined for 1-partitions only."""
-    from .partitions import conjugate
-
-    order: List[Node] = []
-    for c, height in enumerate(conjugate(shape), start=1):
-        for r in range(1, height + 1):
-            order.append((r, c, 1))
-    return StandardTableau((shape,), tuple(order))
-
-
 def rectangle_final_tableau(a0: int, height: int) -> StandardTableau:
     """The minimal-degree tableau of the a0 x height rectangle in the
     weight space of its row-initial residue sequence: the height - a0 rows
     above the zero-residue square are filled in reading order, the square
-    itself down its columns.  For height == a0 this is the column-initial
-    tableau."""
+    itself down its columns.  For height == a0 there are no rows above, and
+    1..n fill the square column by column."""
     if not 1 <= a0 <= height:
         raise ValueError("need 1 <= a0 <= height")
     shape = (a0,) * height
@@ -112,19 +97,6 @@ def degree(t: StandardTableau, ct: CartanType, charge: Charge) -> int:
     return total
 
 
-def y_exponents(t: StandardTableau, ct: CartanType, charge: Charge) -> Tuple[int, ...]:
-    """Exponent vector of y_t: position k counts the addable nodes of the
-    same residue strictly below the node holding k, in the shape before
-    adding it."""
-    out: List[int] = []
-    mp: MultiPartition = tuple(() for _ in t.shape)
-    for node in t.order:
-        i = residue(ct, charge, node)
-        out.append(sum(1 for a in addable_nodes(mp, ct, charge, i) if _below(a, node)))
-        mp = add_node(mp, node)
-    return tuple(out)
-
-
 def enumerate_standard(
     shape: MultiPartition,
     ct: Optional[CartanType] = None,
@@ -156,57 +128,3 @@ def enumerate_standard(
             order.pop()
 
     return rec(1, tuple(() for _ in shape), [])
-
-
-def standard_by_residue(
-    ct: CartanType, charge: Charge, residues: Sequence[Residue]
-) -> List[StandardTableau]:
-    """Std(i): standard tableaux of any shape (at the level of the charge)
-    with the given residue sequence."""
-    from .partitions import multipartitions_of
-
-    out: List[StandardTableau] = []
-    for shape in multipartitions_of(len(residues), len(charge)):
-        out.extend(enumerate_standard(shape, ct, charge, residues))
-    return out
-
-
-def permutation(t: StandardTableau) -> Tuple[int, ...]:
-    """One-line form of w with w(initial tableau) = t: position k holds the
-    entry of t at the node where the initial tableau has k."""
-    init = initial_tableau(t.shape)
-    return tuple(t.entry(node) for node in init.order)
-
-
-def permutation_word(t: StandardTableau) -> Tuple[int, ...]:
-    """A reduced word s_{j1}...s_{jk} for the permutation taking the initial
-    tableau to t: repeatedly move the largest out-of-place entry into its
-    target position by adjacent swaps."""
-    line = list(permutation(t))
-    applied: List[int] = []
-    for m in range(len(line), 0, -1):
-        pos = line.index(m) + 1
-        while pos < m:
-            line[pos - 1], line[pos] = line[pos], line[pos - 1]
-            applied.append(pos)
-            pos += 1
-    applied.reverse()
-    return tuple(applied)
-
-
-def apply_word(word: Sequence[int], t: StandardTableau) -> StandardTableau:
-    """Act on a tableau by a word in adjacent transpositions, each s_j
-    swapping the entries j and j+1 (leftmost letter acts last)."""
-    order = list(t.order)
-    for j in reversed(word):
-        order[j - 1], order[j] = order[j], order[j - 1]
-    return StandardTableau(t.shape, tuple(order))
-
-
-def inversions(line: Sequence[int]) -> int:
-    return sum(
-        1
-        for a in range(len(line))
-        for b in range(a + 1, len(line))
-        if line[a] > line[b]
-    )

@@ -1,62 +1,6 @@
 import pytest
-from hypothesis import given, strategies as st
 
-from klrblocks.cartan import (
-    CartanType,
-    Generator,
-    NotASubroot,
-    RootVector,
-    bilinear_form,
-    cartan_pairing,
-    generator_degree,
-)
-
-
-class TestBilinearForm:
-    def test_type_c_table(self):
-        assert bilinear_form(CartanType.C, 0, 0) == 4
-        assert bilinear_form(CartanType.C, 0, 1) == -2
-        assert bilinear_form(CartanType.C, 1, 0) == -2
-        for i in range(1, 10):
-            assert bilinear_form(CartanType.C, i, i) == 2
-            assert bilinear_form(CartanType.C, i, i + 1) == -1
-        assert bilinear_form(CartanType.C, 2, 5) == 0
-
-    def test_type_a(self):
-        assert bilinear_form(CartanType.A, 3, 5) == 0
-        assert bilinear_form(CartanType.A, -2, -2) == 2
-        assert bilinear_form(CartanType.A, -1, 0) == -1
-
-    @given(st.integers(-20, 20), st.integers(-20, 20))
-    def test_symmetric_type_a(self, i, j):
-        assert bilinear_form(CartanType.A, i, j) == bilinear_form(CartanType.A, j, i)
-
-    @given(st.integers(0, 20), st.integers(0, 20))
-    def test_symmetric_type_c(self, i, j):
-        assert bilinear_form(CartanType.C, i, j) == bilinear_form(CartanType.C, j, i)
-
-    def test_invalid_label(self):
-        with pytest.raises(ValueError):
-            bilinear_form(CartanType.C, -1, 0)
-
-
-def test_cartan_pairing():
-    assert cartan_pairing(1, (1, 1)) == 2
-    assert cartan_pairing(0, (3,)) == 0
-    assert cartan_pairing(3, (3,)) == 1
-
-
-class TestGeneratorDegree:
-    def test_examples(self):
-        assert generator_degree(CartanType.C, Generator.DOT, (0,)) == 4
-        assert generator_degree(CartanType.C, Generator.CROSSING, (2, 3)) == -1
-        assert generator_degree(CartanType.A, Generator.IDEMPOTENT) == 0
-
-    @given(st.integers(0, 12), st.integers(0, 12))
-    def test_crossing_pair_sum(self, i, j):
-        lhs = generator_degree(CartanType.C, Generator.CROSSING, (i, j))
-        rhs = generator_degree(CartanType.C, Generator.CROSSING, (j, i))
-        assert lhs + rhs == 2 * bilinear_form(CartanType.C, i, j)
+from klrblocks.cartan import NotASubroot, RootVector
 
 
 class TestRootVector:

@@ -3,16 +3,15 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klrblocks.cartan import CartanType, RootVector
+from klrblocks.cartan import CartanType
 from klrblocks.graded import (
     LaurentPoly,
     _gdim,
-    gdim_block,
     gdim_factorizable,
     gdim_specht,
     gdim_specht_weight,
 )
-from klrblocks.partitions import content, enumerate_block, multipartitions_of, partitions_of
+from klrblocks.partitions import content, multipartitions_of, partitions_of
 from klrblocks.tableaux import (
     degree,
     enumerate_standard,
@@ -105,31 +104,6 @@ class TestGdimSpecht:
                 for iword in iwords:
                     total = total + gdim_specht_weight((p,), C, (0,), iword)
                 assert total == full
-
-
-class TestGdimBlock:
-    def test_micro_block(self):
-        beta = RootVector({0: 1, 1: 2})
-        assert gdim_block(C, (0,), beta) == QBAL * QBAL
-        assert gdim_block(A, (1, 1), RootVector({1: 2})) == QBAL * QBAL
-
-    def test_trivial_truncation_is_identity(self):
-        beta = RootVector({0: 1, 1: 2})
-        assert gdim_block(C, (0,), beta, omega=RootVector.zero()) == gdim_block(
-            C, (0,), beta
-        )
-
-    def test_empty_block(self):
-        assert gdim_block(C, (0,), RootVector({1: 2})) == LaurentPoly.zero()
-
-    def test_eval_at_1_counts(self):
-        for n in range(1, 9):
-            for beta in {content(C, (0,), (p,)) for p in partitions_of(n)}:
-                expected = sum(
-                    sum(1 for _ in enumerate_standard(shape)) ** 2
-                    for shape in enumerate_block(C, (0,), beta)
-                )
-                assert gdim_block(C, (0,), beta).eval_at_1() == expected
 
 
 @st.composite

@@ -275,6 +275,20 @@ class TestVerifyBridge:
         verify_bridge(b, checks=("kleshchev", "goodpath"))
         assert calls == [b]
 
+    def test_block_members_not_rechecked(self, monkeypatch):
+        # a_block yields only members of the type-A block, so mapping them
+        # through the bridge needs no content computation
+        b = next(b for b in iter_bridges(0, 10) if b.beta.height == 10)
+        calls = []
+
+        def counting(ct, charge, mp):
+            calls.append(mp)
+            return content(ct, charge, mp)
+
+        monkeypatch.setattr(morita, "content", counting)
+        assert verify_bridge(b)["pass"]
+        assert calls == []
+
     @pytest.mark.parametrize("kappa_c", [0, 1])
     def test_single_check_reports_match_full_report(self, kappa_c):
         for b in iter_bridges(kappa_c, 10):

@@ -6,21 +6,20 @@ from klrblocks.cartan import CartanType, RootVector
 from klrblocks.graded import LaurentPoly, gdim_factorizable, gdim_specht
 from klrblocks.partitions import conjugate, content, multipartitions_of, partitions_of
 from klrblocks.tableaux import (
-    apply_word,
-    column_initial_tableau,
+    StandardTableau,
     degree,
     enumerate_standard,
     initial_tableau,
-    inversions,
-    permutation,
-    permutation_word,
     rectangle_final_tableau,
     residue_sequence,
-    standard_by_residue,
-    y_exponents,
 )
 
 A, C = CartanType.A, CartanType.C
+
+# The 2 x 2 square filled down its columns: [[1, 3], [2, 4]].
+SQUARE_BY_COLUMNS = StandardTableau(
+    ((2, 2),), ((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1))
+)
 
 
 def hook_count(p):
@@ -40,16 +39,9 @@ class TestDistinguishedTableaux:
         assert initial_tableau(((2, 2),)).rows() == [[[1, 2], [3, 4]]]
         assert initial_tableau(((1,), (1,))).rows() == [[[1]], [[2]]]
 
-    def test_column_initial(self):
-        assert column_initial_tableau((2, 2)).rows() == [[[1, 3], [2, 4]]]
-        assert column_initial_tableau((1, 1, 1)).rows() == [[[1], [2], [3]]]
-        assert column_initial_tableau((3,)).rows() == [[[1, 2, 3]]]
-
     def test_rectangle_final(self):
-        # equals column-initial on a square, row-fills the extra rows above
-        assert rectangle_final_tableau(2, 2).order == column_initial_tableau(
-            (2, 2)
-        ).order
+        # fills a square down its columns, row-fills the extra rows above
+        assert rectangle_final_tableau(2, 2).order == SQUARE_BY_COLUMNS.order
         assert rectangle_final_tableau(2, 3).rows() == [[[1, 2], [3, 5], [4, 6]]]
         with pytest.raises(ValueError):
             rectangle_final_tableau(3, 2)
@@ -58,14 +50,14 @@ class TestDistinguishedTableaux:
 class TestResidueSequence:
     def test_examples(self):
         assert residue_sequence(initial_tableau(((2, 2),)), C, (0,)) == (0, 1, 1, 0)
-        assert residue_sequence(column_initial_tableau((2, 2)), C, (0,)) == (0, 1, 1, 0)
+        assert residue_sequence(SQUARE_BY_COLUMNS, C, (0,)) == (0, 1, 1, 0)
         assert residue_sequence(initial_tableau(((1,),)), C, (3,)) == (3,)
 
 
 class TestDegree:
     def test_square_extremes(self):
         assert degree(initial_tableau(((2, 2),)), C, (0,)) == 1
-        assert degree(column_initial_tableau((2, 2)), C, (0,)) == -1
+        assert degree(SQUARE_BY_COLUMNS, C, (0,)) == -1
 
     def test_six_square_unique_maximum(self):
         shape = ((6,) * 6,)
@@ -87,24 +79,6 @@ class TestDegree:
         assert [o for o, d in degs.items() if d == bot] == [
             rectangle_final_tableau(a0, kappa_c + a0).order
         ]
-
-
-class TestYExponents:
-    def test_worked_figure(self):
-        # rho = (3^3), lam = (2,1), kappa_c = 0: the row-initial semistandard
-        # tableau standardizes with exponents at entries 2 and 9 only.
-        from klrblocks.semistandard import adjacent_swap, row_initial_sstd, standardize
-
-        S = row_initial_sstd((3, 3, 3), (2, 1))
-        expo = y_exponents(standardize(S), C, (0,))
-        assert [k for k, e in enumerate(expo, start=1) if e] == [2, 9]
-        assert set(expo) == {0, 1}
-        T = adjacent_swap(S, 4)
-        expo = y_exponents(standardize(T), C, (0,))
-        assert [k for k, e in enumerate(expo, start=1) if e] == [2]
-
-    def test_singleton(self):
-        assert y_exponents(initial_tableau(((1,),)), C, (0,)) == (0,)
 
 
 class TestEnumeration:
@@ -138,11 +112,6 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_standard(((2,),), C, (0,), residues=(0,))
 
-    def test_cross_shape_residue_class(self):
-        found = standard_by_residue(C, (0,), (0, 1, 1))
-        assert {t.shape for t in found} == {((2, 1),)}
-        assert len(found) == 2
-
 
 class TestFactorizable:
     # the definition: tableaux whose first ht(omega) entries fill a
@@ -170,17 +139,3 @@ class TestFactorizable:
         omega = content(C, (0,), ((2, 2),))
         for p in partitions_of(6):
             assert gdim_factorizable((p,), C, (0,), omega) == self.by_definition((p,), omega)
-
-
-class TestPermutationWord:
-    def test_examples(self):
-        assert permutation_word(initial_tableau(((3, 2),))) == ()
-        assert permutation_word(column_initial_tableau((2, 2))) == (2,)
-        assert len(permutation_word(column_initial_tableau((2, 2, 2)))) == 3
-
-    @pytest.mark.parametrize("shape", [((3, 2),), ((2, 2, 1),), ((2, 1), (2,))])
-    def test_round_trip_and_reduced(self, shape):
-        for t in enumerate_standard(shape):
-            word = permutation_word(t)
-            assert apply_word(word, initial_tableau(shape)).order == t.order
-            assert len(word) == inversions(permutation(t))
