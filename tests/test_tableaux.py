@@ -12,6 +12,7 @@ from klrblocks.tableaux import (
     initial_tableau,
     rectangle_final_tableau,
     residue_sequence,
+    y_exponents,
 )
 
 A, C = CartanType.A, CartanType.C
@@ -79,6 +80,24 @@ class TestDegree:
         assert [o for o, d in degs.items() if d == bot] == [
             rectangle_final_tableau(a0, kappa_c + a0).order
         ]
+
+
+class TestYExponents:
+    def test_worked_figure(self):
+        # rho = (3^3), lam = (2,1), kappa_c = 0: the row-initial semistandard
+        # tableau standardizes with exponents at entries 2 and 9 only.
+        from klrblocks.semistandard import adjacent_swap, row_initial_sstd, standardize
+
+        S = row_initial_sstd((3, 3, 3), (2, 1))
+        expo = y_exponents(standardize(S), C, (0,))
+        assert [k for k, e in enumerate(expo, start=1) if e] == [2, 9]
+        assert set(expo) == {0, 1}
+        T = adjacent_swap(S, 4)
+        expo = y_exponents(standardize(T), C, (0,))
+        assert [k for k, e in enumerate(expo, start=1) if e] == [2]
+
+    def test_singleton(self):
+        assert y_exponents(initial_tableau(((1,),)), C, (0,)) == (0,)
 
 
 class TestEnumeration:
