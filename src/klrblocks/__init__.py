@@ -48,15 +48,6 @@ from .partitions import (
     removable_nodes,
     residue,
 )
-from .semistandard import (
-    SemistandardTableauPlus,
-    column_initial_sstd,
-    enumerate_sstd_plus,
-    row_initial_sstd,
-    segment_data,
-    segments_well_separated,
-    standardize,
-)
 from .tableaux import (
     StandardTableau,
     rectangle_final_tableau,
@@ -64,7 +55,6 @@ from .tableaux import (
     enumerate_standard,
     initial_tableau,
     residue_sequence,
-    y_exponents,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 from .cartan import CartanType, RootVector
 from .crystal import is_kleshchev
 from .graded import gdim_specht, gdim_specht_weight
-from .morita import bridge, from_type_c, iter_bridges, verify_bridge
+from .morita import ALL_CHECKS, bridge, from_type_c, iter_bridges, verify_bridge
 from .partitions import (
     MultiPartition,
     as_partition,
@@ -183,6 +183,10 @@ def cmd_bridge(args) -> int:
 
 def cmd_verify(args) -> int:
     checks = tuple(args.checks.split(","))
+    # check every name before the sweep, which may hold no bridge to check
+    for c in checks:
+        if c not in ALL_CHECKS:
+            raise ValueError(f"unknown check {c!r}")
     reports = [verify_bridge(b, checks) for b in iter_bridges(args.kappa_c, args.max_n)]
     ok = all(r["pass"] for r in reports)
     if args.format == "pretty":
@@ -256,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the bridge verification battery")
     p.add_argument("--kappa-c", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--checks", default="count,graded,dominance,kleshchev,goodpath")
+    p.add_argument("--checks", default=",".join(ALL_CHECKS))
     p.set_defaults(func=cmd_verify)
 
     return parser

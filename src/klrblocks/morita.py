@@ -147,6 +147,8 @@ def tableau_to_type_c(s: StandardTableau, u: StandardTableau,
 def iter_bridges(kappa_c: int, max_n: int) -> Iterator[BlockBridge]:
     """All bridges for type-C blocks with a_0 >= 1 and height at most
     max_n, in increasing height then deterministic content order."""
+    if kappa_c < 0:
+        raise ValueError(f"kappa_c must be non-negative, got {kappa_c}")
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     for n in range(1, max_n + 1):

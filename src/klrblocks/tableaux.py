@@ -35,9 +35,6 @@ class StandardTableau:
     def n(self) -> int:
         return len(self.order)
 
-    def entry(self, node: Node) -> int:
-        return self.order.index(node) + 1
-
     def rows(self) -> List[List[List[int]]]:
         """Entries arranged per component and row, for display and JSON."""
         grid = [[[0] * w for w in p] for p in self.shape]
@@ -98,19 +95,6 @@ def degree(t: StandardTableau, ct: CartanType, charge: Charge) -> int:
         mp = add_node(mp, node)
         total += step_degree(mp, node, ct, charge)
     return total
-
-
-def y_exponents(t: StandardTableau, ct: CartanType, charge: Charge) -> Tuple[int, ...]:
-    """Exponent vector of y_t: position k counts the addable nodes of the
-    same residue strictly below the node holding k, in the shape before
-    adding it."""
-    out: List[int] = []
-    mp: MultiPartition = tuple(() for _ in t.shape)
-    for node in t.order:
-        i = residue(ct, charge, node)
-        out.append(sum(1 for a in addable_nodes(mp, ct, charge, i) if _below(a, node)))
-        mp = add_node(mp, node)
-    return tuple(out)
 
 
 def enumerate_standard(

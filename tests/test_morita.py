@@ -192,6 +192,9 @@ class TestIterBridges:
         assert list(iter_bridges(0, 0)) == []
         with pytest.raises(ValueError):
             list(iter_bridges(0, -1))
+        # a negative charge is refused before any bridge is built
+        with pytest.raises(ValueError):
+            list(iter_bridges(-1, 0))
 
 
 class TestVerifyBridge:

@@ -17,15 +17,6 @@ KEPT = {
     "rectangle_final_tableau",
     # the planned bijection check (ROADMAP item 3) maps tableaux with it
     "tableau_to_type_c",
-    # pending deletion (ROADMAP item 3): the thick-segment semistandard
-    # tableaux and their 36 tests are retired in a change of their own
-    "adjacent_swap",
-    "column_initial_sstd",
-    "enumerate_sstd_plus",
-    "row_initial_sstd",
-    "segment_data",
-    "segments_well_separated",
-    "strand_permutation",
 }
 
 
