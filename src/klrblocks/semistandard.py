@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from .cartan import CartanType, Charge, Residue
-from .partitions import Node, Partition, is_rectangle, rect_add, residue
-from .tableaux import StandardTableau, y_exponents
+from .partitions import Partition, is_rectangle, rect_add
 
 
 @dataclass(frozen=True)
@@ -48,15 +46,6 @@ class SemistandardTableauPlus:
     def num_values(self) -> int:
         return len(self.rho_values) + len(self.lam_values)
 
-    def segment_nodes(self, k: int) -> List[Node]:
-        """Nodes carrying the value k, left to right."""
-        a = self.rho[0] if self.rho else 0
-        if k in self.rho_values:
-            r = self.rho_values.index(k) + 1
-            return [(r, c, 1) for c in range(1, a + 1)]
-        r = self.lam_values.index(k) + 1
-        return [(r, a + c, 1) for c in range(1, self.lam[r - 1] + 1)]
-
     def fill(self) -> List[List[int]]:
         grid: List[List[int]] = []
         a = self.rho[0] if self.rho else 0
@@ -66,9 +55,6 @@ class SemistandardTableauPlus:
                 row += [self.lam_values[r - 1]] * (width - a)
             grid.append(row)
         return grid
-
-    def to_json(self) -> dict:
-        return {"shape": list(self.shape), "fill": self.fill()}
 
 
 def row_initial_sstd(rho: Partition, lam: Partition) -> SemistandardTableauPlus:
@@ -109,34 +95,6 @@ def enumerate_sstd_plus(rho: Partition, lam: Partition) -> List[SemistandardTabl
     return out
 
 
-def standardize(T: SemistandardTableauPlus) -> StandardTableau:
-    """The unique order-preserving standard tableau: segments in value
-    order, nodes within a segment numbered left to right."""
-    order: List[Node] = []
-    for k in range(1, T.num_values + 1):
-        order.extend(T.segment_nodes(k))
-    return StandardTableau((T.shape,), tuple(order))
-
-
-def segment_data(T: SemistandardTableauPlus, k: int, ct: CartanType,
-                 charge: Charge) -> Tuple[Tuple[Residue, ...], int]:
-    """Residues of the value-k segment left to right, and the total
-    y-exponent contribution of its entries in the standardization."""
-    if not 1 <= k <= T.num_values:
-        raise ValueError(f"segment index {k} out of range")
-    nodes = T.segment_nodes(k)
-    residues = tuple(residue(ct, charge, node) for node in nodes)
-    t = standardize(T)
-    expo = y_exponents(t, ct, charge)
-    ydeg = sum(expo[t.entry(node) - 1] for node in nodes)
-    return residues, ydeg
-
-
-def segments_well_separated(r1: Sequence[Residue], r2: Sequence[Residue]) -> bool:
-    """True iff no residue of r1 equals or is adjacent to a residue of r2."""
-    return all(abs(a - b) >= 2 for a in r1 for b in r2)
-
-
 def adjacent_swap(T: SemistandardTableauPlus, k: int) -> SemistandardTableauPlus:
     """The action of s_k, swapping the values k and k+1; raises if the
     result is not semistandard."""
@@ -146,11 +104,3 @@ def adjacent_swap(T: SemistandardTableauPlus, k: int) -> SemistandardTableauPlus
     return SemistandardTableauPlus(
         T.rho, T.lam, swap(T.rho_values), swap(T.lam_values)
     )
-
-
-def strand_permutation(S: SemistandardTableauPlus,
-                       T: SemistandardTableauPlus) -> Tuple[int, ...]:
-    """One-line form of the entry permutation taking standardize(S) to
-    standardize(T)."""
-    s, t = standardize(S), standardize(T)
-    return tuple(t.entry(node) for node in s.order)

@@ -2,21 +2,13 @@ from itertools import permutations
 
 import pytest
 
-from klrblocks.cartan import CartanType
 from klrblocks.semistandard import (
     SemistandardTableauPlus,
     adjacent_swap,
     column_initial_sstd,
     enumerate_sstd_plus,
     row_initial_sstd,
-    segment_data,
-    segments_well_separated,
-    standardize,
-    strand_permutation,
 )
-from klrblocks.tableaux import initial_tableau
-
-C = CartanType.C
 
 
 def brute_count(rho, lam):
@@ -37,56 +29,6 @@ def brute_count(rho, lam):
             ok = ok and col == sorted(set(col))
         count += ok
     return count
-
-
-def leftmost_word(perm):
-    """Reduced word sorting perm to identity, always at the leftmost descent."""
-    p, w = list(perm), []
-    while True:
-        for j in range(len(p) - 1):
-            if p[j] > p[j + 1]:
-                p[j], p[j + 1] = p[j + 1], p[j]
-                w.append(j + 1)
-                break
-        else:
-            return tuple(w)
-
-
-def rightmost_word(perm):
-    p, w = list(perm), []
-    while True:
-        for j in reversed(range(len(p) - 1)):
-            if p[j] > p[j + 1]:
-                p[j], p[j + 1] = p[j + 1], p[j]
-                w.append(j + 1)
-                break
-        else:
-            return tuple(w)
-
-
-def heap_blocks(word):
-    """Cartier-Foata normal form: the commutation class of a word as a
-    sequence of front-movable letter sets."""
-    letters = list(word)
-    blocks = []
-    while letters:
-        block, blocked, rest = set(), set(), []
-        for s in letters:
-            if s not in blocked and not {s - 1, s, s + 1} & block:
-                block.add(s)
-            else:
-                blocked.update({s - 1, s, s + 1})
-                rest.append(s)
-        blocks.append(frozenset(block))
-        letters = rest
-    return blocks
-
-
-def avoids_321(perm):
-    n = len(perm)
-    return not any(perm[i] > perm[j] > perm[k]
-                   for i in range(n) for j in range(i + 1, n)
-                   for k in range(j + 1, n))
 
 
 class TestDistinguished:
@@ -162,81 +104,9 @@ class TestEnumeration:
         assert seen == set(enumerate_sstd_plus(rho, lam))
 
 
-class TestStandardize:
-    def test_pure_rectangle(self):
-        T = row_initial_sstd((2, 2), ())
-        assert standardize(T).order == initial_tableau(((2, 2),)).order
-
-    def test_column_initial_fills_rectangle_first(self):
-        T = column_initial_sstd((4, 4, 4, 4), (3, 2, 1))
-        t = standardize(T)
-        assert [t.entry((r, c, 1)) for r in range(1, 5) for c in range(1, 5)] == list(
-            range(1, 17)
-        )
-
-    @pytest.mark.parametrize("rho,lam", [
-        ((3, 3, 3), (2, 1)), ((2, 2, 2), (2, 2, 2)), ((4, 4), (3,)),
-        ((1, 1, 1, 1, 1), (1, 1, 1)), ((2, 2, 2, 2), (2, 2, 1)),
-    ])
-    def test_injective(self, rho, lam):
-        all_t = enumerate_sstd_plus(rho, lam)
-        images = {standardize(T).order for T in all_t}
-        assert len(images) == len(all_t)
-
-
-class TestSegmentData:
-    def test_rectangle_first_row(self):
-        T = row_initial_sstd((4, 4, 4, 4), (3, 2, 1))
-        residues, _ = segment_data(T, 1, C, (0,))
-        assert residues == (0, 1, 2, 3)
-
-    def test_overhang_is_increasing_run(self):
-        T = column_initial_sstd((4, 4, 4, 4), (3, 2, 1))
-        residues, _ = segment_data(T, 5, C, (0,))
-        assert residues == (4, 5, 6)
-        assert list(residues) == list(range(residues[0], residues[-1] + 1))
-
-    def test_singleton(self):
-        assert segment_data(row_initial_sstd((1,), ()), 1, C, (0,)) == ((0,), 0)
-
-    def test_worked_figure_degrees(self):
-        S = row_initial_sstd((3, 3, 3), (2, 1))
-        assert [segment_data(S, k, C, (0,))[1] for k in range(1, 6)] == [1, 0, 0, 1, 0]
-
-    def test_invalid_index(self):
-        with pytest.raises(ValueError):
-            segment_data(row_initial_sstd((1,), ()), 2, C, (0,))
-
-
-class TestWellSeparated:
-    def test_examples(self):
-        assert segments_well_separated((0, 1), (3, 4))
-        assert not segments_well_separated((0, 1), (2,))
-        assert not segments_well_separated((5,), (5,))
-
-
 class TestAdjacentSwap:
     def test_invalid_swap_raises(self):
         # swapping 1 and 2 in the row-initial tableau breaks row order
         S = row_initial_sstd((2, 2), (1,))
         with pytest.raises(ValueError):
             adjacent_swap(S, 1)
-
-    @pytest.mark.parametrize("rho,lam", [
-        ((1, 1), (1,)), ((2, 2), (2, 1)), ((2, 2, 2), (1, 1)),
-        ((1, 1, 1, 1), (1, 1, 1)), ((3, 3, 3), (2, 1)),
-    ])
-    def test_swap_words_commutation_equivalent(self, rho, lam):
-        # the strand permutation of an adjacent swap is fully commutative:
-        # all of its reduced words share one heap
-        for S in enumerate_sstd_plus(rho, lam):
-            for k in range(1, S.num_values):
-                try:
-                    T = adjacent_swap(S, k)
-                except ValueError:
-                    continue
-                w = strand_permutation(S, T)
-                assert avoids_321(w)
-                left, right = leftmost_word(w), rightmost_word(w)
-                assert len(left) == len(right)
-                assert heap_blocks(left) == heap_blocks(right)

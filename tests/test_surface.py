@@ -17,6 +17,12 @@ KEPT = {
     "rectangle_final_tableau",
     # the planned bijection check (ROADMAP item 3) maps tableaux with it
     "tableau_to_type_c",
+    # pending deletion (ROADMAP item 3): the rest of the thick-segment
+    # semistandard tableaux and their 18 tests, retired in a change of their own
+    "adjacent_swap",
+    "column_initial_sstd",
+    "enumerate_sstd_plus",
+    "row_initial_sstd",
 }
 
 
