@@ -53,14 +53,6 @@ class RootVector:
         self._entries = d
         self._hash = hash(frozenset(d.items()))
 
-    @classmethod
-    def simple(cls, i: Residue, mult: int = 1) -> "RootVector":
-        return cls({i: mult})
-
-    @classmethod
-    def zero(cls) -> "RootVector":
-        return cls()
-
     def __getitem__(self, i: Residue) -> int:
         return self._entries.get(i, 0)
 

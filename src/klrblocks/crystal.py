@@ -79,13 +79,16 @@ def _good_nodes(mp: MultiPartition, ct: CartanType,
 def _kleshchev(ct: CartanType, charge: Charge, mp: MultiPartition) -> bool:
     if not any(mp):
         return True
-    return any(_kleshchev(ct, charge, remove_node(mp, node))
-               for node in _good_nodes(mp, ct, charge))
+    goods = _good_nodes(mp, ct, charge)
+    return bool(goods) and _kleshchev(ct, charge, remove_node(mp, goods[0]))
 
 
 def is_kleshchev(mp: MultiPartition, ct: CartanType, charge: Charge) -> bool:
     """True iff mp is reachable from the empty l-partition by good-node
-    additions (memoized recursion on good-node removals)."""
+    additions.  The Kleshchev l-partitions form the crystal component of
+    the empty one, which is closed under every e_i, so removing any one
+    good node keeps mp in it or out of it; the memoized recursion follows
+    one good node per step."""
     return _kleshchev(ct, charge, mp)
 
 

@@ -1,10 +1,13 @@
 """Integer Laurent polynomials in q and graded dimension computations.
 
-Every graded dimension comes from one recursion over the sub-diagrams of
-the shape (_gdim), memoized for the life of the process; no tableau is
-listed.  The step degree of every removal comes from the corner scan that
-the crystal layer also reads (partitions.signatures), and each memo miss
-builds one polynomial."""
+Every graded dimension comes from one recursion over the interval of the
+Young lattice between a floor sub-diagram and the shape (_gdim), memoized
+for the life of the process; no tableau is listed.  The Specht dimensions
+walk down to the empty floor; the factorizable truncation of the bridge
+walks down to the rectangle rho and multiplies by gdim(rho).  The step
+degree of every removal comes from the corner scan that the crystal layer
+also reads (partitions.signatures), and each memo miss builds one
+polynomial."""
 
 from __future__ import annotations
 
@@ -12,10 +15,10 @@ from collections.abc import ItemsView, Mapping
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cartan import CartanType, Charge, Residue, RootVector
+from .cartan import CartanType, Charge, Residue
 from .partitions import (
     MultiPartition,
-    content,
+    contains,
     remove_node,
     size,
     step_degrees,
@@ -36,16 +39,8 @@ class LaurentPoly:
         self._coeffs = {e: c for e, c in d.items() if c}
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def q(cls, exponent: int = 1) -> "LaurentPoly":
-        return cls({exponent: 1})
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         d = dict(self._coeffs)
@@ -81,9 +76,6 @@ class LaurentPoly:
     def eval_at_1(self) -> int:
         return sum(self._coeffs.values())
 
-    def shifted(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
-
     def items(self) -> ItemsView[int, int]:
         """A read-only view of the (exponent, coefficient) pairs."""
         return self._coeffs.items()
@@ -99,10 +91,6 @@ class LaurentPoly:
 
     def to_pairs(self) -> List[List[int]]:
         return [[e, c] for e, c in sorted(self._coeffs.items())]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Sequence[int]]) -> "LaurentPoly":
-        return cls((e, c) for e, c in pairs)
 
     def __repr__(self) -> str:
         if not self._coeffs:
@@ -120,28 +108,37 @@ class LaurentPoly:
 @lru_cache(maxsize=None)
 def _gdim(ct: CartanType, charge: Charge, mp: MultiPartition,
           word: Optional[Tuple[Residue, ...]],
-          omega: Optional[RootVector]) -> LaurentPoly:
-    """Sum of q^deg(t) over t in Std(mp).  Removing the node holding the
-    largest entry of t leaves a tableau of a sub-diagram, and deg(t) is its
-    degree plus the step degree of that node, which depends only on the
-    shape and the node; so the sum is a recursion over sub-diagrams,
-    memoized for the life of the process.  Each miss reads every removal's
-    step degree from one corner scan (partitions.step_degrees) and adds
-    the shifted sub-sums into one coefficient map.  With word (of length
-    |mp|), the node holding k must have residue word[k-1]; with omega, the
-    sub-diagram holding the first ht(omega) entries must have content
-    omega, and from there on the sum is the untruncated one."""
-    n = size(mp)
-    if omega is not None and n <= omega.height:
-        if n < omega.height or content(ct, charge, mp) != omega:
-            return LaurentPoly.zero()
-        return _gdim(ct, charge, mp, word, None)
-    if n == 0:
+          floor: MultiPartition) -> LaurentPoly:
+    """Sum of q^deg over the tableaux of the skew shape mp/floor, each
+    node's step degree read in the full shape just after it is added; with
+    the empty floor, the sum of q^deg(t) over t in Std(mp).  Removing the
+    node holding the largest entry leaves a tableau of a smaller skew shape
+    and takes that node's step degree, which depends only on the shape and
+    the node, off the degree; so the sum is a recursion over the interval
+    [floor, mp], memoized for the life of the process and keyed by its
+    floor.  A node inside floor is never removed, and a floor not inside mp
+    gives 0.  Each miss reads every removal's step degree from one corner
+    scan (partitions.step_degrees) and adds the shifted sub-sums into one
+    coefficient map.  With word, the node holding the largest entry must
+    have residue word[-1], the next word[-2], and so on.
+
+    For the bridge this walk is the factorizable truncation.  Let nu lie in
+    a type-C block with a_0 >= 1 zero-residue nodes, rho = (a_0^(kappa_c +
+    a_0)) and omega the content of rho.  A sub-diagram of nu of content
+    omega holds a_0 zero-residue nodes, hence all of nu's, which lie on one
+    diagonal; so it contains the corner (kappa_c + a_0, a_0) and with it
+    rho, and having |omega| = |rho| nodes it is rho.  So the tableaux of nu
+    whose first ht(omega) entries fill a sub-diagram of content omega are
+    those whose first |rho| entries fill rho, and their sum is gdim(rho)
+    times this walk with floor rho."""
+    if mp == floor:
         return LaurentPoly.one()
     i, rest = (None, None) if word is None else (word[-1], word[:-1])
     out: Dict[int, int] = {}
     for node, d in step_degrees(mp, ct, charge, i):
-        sub = _gdim(ct, charge, remove_node(mp, node), rest, omega)
+        if contains(floor, node):
+            continue
+        sub = _gdim(ct, charge, remove_node(mp, node), rest, floor)
         for e, c in sub.items():
             out[e + d] = out.get(e + d, 0) + c
     return LaurentPoly(out)
@@ -155,16 +152,20 @@ def gdim_specht_weight(shape: MultiPartition, ct: CartanType, charge: Charge,
     if len(residues) != size(shape):
         raise ValueError(f"residue word has length {len(residues)}, "
                          f"but the shape has {size(shape)} nodes")
-    return _gdim(ct, tuple(charge), shape, tuple(residues), None)
+    return _gdim(ct, tuple(charge), shape, tuple(residues), ((),) * len(shape))
 
 
 def gdim_specht(shape: MultiPartition, ct: CartanType, charge: Charge) -> LaurentPoly:
     """Graded dimension of the full Specht module."""
-    return _gdim(ct, tuple(charge), shape, None, None)
+    return _gdim(ct, tuple(charge), shape, None, ((),) * len(shape))
 
 
 def gdim_factorizable(nu: MultiPartition, ct: CartanType, charge: Charge,
-                      omega: RootVector) -> LaurentPoly:
-    """Sum of q^deg(t) over the tableaux t of shape nu whose first
-    ht(omega) entries fill a sub-diagram of content omega."""
-    return _gdim(ct, tuple(charge), nu, None, omega)
+                      rho: MultiPartition) -> LaurentPoly:
+    """Sum of q^deg(t) over the tableaux t of shape nu whose first |rho|
+    entries fill the sub-diagram rho: gdim(rho) times the sum over the
+    skew tableaux of nu/rho (0 if rho is not inside nu)."""
+    if len(rho) != len(nu):
+        raise ValueError(f"rho {rho} and nu {nu} differ in level")
+    charge = tuple(charge)
+    return gdim_specht(rho, ct, charge) * _gdim(ct, charge, nu, None, rho)

@@ -5,7 +5,9 @@ the rectangle rho = (a_0^(kappa_c + a_0)); the bijection
 (lambda, mu) -> rho + (lambda, mu') matches it with the type-A block of
 content beta - omega and charges (kappa_c + a_0, a_0).  verify_bridge runs
 the counting, graded, dominance, Kleshchev and good-path checks at desk
-scale."""
+scale.  The type-C side of the counting and graded checks sums over the
+factorizable tableaux of nu, those whose first |rho| entries fill rho:
+gdim(rho) times a walk over the interval [rho, nu] of the Young lattice."""
 
 from __future__ import annotations
 
@@ -201,7 +203,7 @@ def verify_bridge(b: BlockBridge,
 
     if "count" in cs or "graded" in cs:
         rho_poly = gdim_specht((b.rho,), CartanType.C, b.c_charge)
-        polys = [(nu, gdim_factorizable((nu,), CartanType.C, b.c_charge, b.omega),
+        polys = [(nu, gdim_factorizable((nu,), CartanType.C, b.c_charge, (b.rho,)),
                   gdim_specht(bp, CartanType.A, b.a_charge))
                  for bp, nu in pairs]
 

@@ -250,8 +250,14 @@ class TestKleshchev:
         assert not is_kleshchev(((1,), ()), A, (1, 1))
         assert is_kleshchev(((),), C, (0,))
 
+    # is_kleshchev follows one good node; the oracle, good_removal_path,
+    # branches over every good node
     @pytest.mark.parametrize("ct,charge,level,max_n", [
         (C, (0,), 1, 9), (C, (1,), 1, 8), (C, (2,), 1, 8), (A, (1, 1), 2, 6),
+        (C, (3,), 1, 10), (A, (0,), 1, 10),
+        (C, (0, 1), 2, 10), (C, (2, 2), 2, 10),
+        (A, (3, 0), 2, 10), (A, (-1, 2), 2, 10),
+        (C, (0, 1, 1), 3, 7), (A, (2, 0, 1), 3, 7),
     ])
     def test_equals_good_removal_reachability(self, ct, charge, level, max_n):
         for n in range(max_n + 1):

@@ -1,9 +1,10 @@
 import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klrblocks.cartan import CartanType
+from klrblocks.cartan import CartanType, RootVector
 from klrblocks.graded import (
     LaurentPoly,
     _gdim,
@@ -11,7 +12,15 @@ from klrblocks.graded import (
     gdim_specht,
     gdim_specht_weight,
 )
-from klrblocks.partitions import content, multipartitions_of, partitions_of
+from klrblocks.morita import bridge, c_block, iter_bridges
+from klrblocks.partitions import (
+    content,
+    multipartitions_of,
+    partitions_of,
+    remove_node,
+    size,
+    step_degrees,
+)
 from klrblocks.tableaux import (
     degree,
     enumerate_standard,
@@ -42,24 +51,25 @@ class TestLaurentPoly:
 
     def test_eval_at_1(self):
         assert (QBAL ** 3).eval_at_1() == 8
-        assert LaurentPoly.zero().eval_at_1() == 0
+        assert LaurentPoly().eval_at_1() == 0
 
     def test_add_sub_cancel(self):
         p = LaurentPoly({0: 1, 2: -3})
-        assert p - p == LaurentPoly.zero()
+        assert p - p == LaurentPoly()
         assert not (p - p)
-        assert p + LaurentPoly.zero() == p
+        assert p + LaurentPoly() == p
 
     def test_shifted(self):
-        assert LaurentPoly.one().shifted(2) == LaurentPoly.q(2)
+        assert LaurentPoly.one() * LaurentPoly({2: 1}) == LaurentPoly({2: 1})
+        assert QBAL * LaurentPoly({2: 1}) == LaurentPoly({3: 1, 1: 1})
 
     def test_pairs_round_trip(self):
         p = LaurentPoly({-1: 1, 1: 1, 4: -2})
         assert p.to_pairs() == [[-1, 1], [1, 1], [4, -2]]
-        assert LaurentPoly.from_pairs(p.to_pairs()) == p
+        assert LaurentPoly(p.to_pairs()) == p
 
     def test_repr(self):
-        assert repr(LaurentPoly.zero()) == "0"
+        assert repr(LaurentPoly()) == "0"
         assert repr(QBAL) == "q + q^-1"
 
     @given(st.dictionaries(st.integers(-5, 5), st.integers(-4, 4), max_size=5),
@@ -100,7 +110,7 @@ class TestGdimSpecht:
                 full = gdim_specht((p,), C, (0,))
                 iwords = {residue_sequence(t, C, (0,))
                           for t in enumerate_standard((p,))}
-                total = LaurentPoly.zero()
+                total = LaurentPoly()
                 for iword in iwords:
                     total = total + gdim_specht_weight((p,), C, (0,), iword)
                 assert total == full
@@ -142,24 +152,23 @@ class TestLatticeAgainstEnumeration:
     @given(charged_tableaux(), st.integers(0, 7))
     def test_gdim_factorizable(self, case, k):
         ct, charge, shape, tabs, t = case
-        r = min(k, t.n)
-        omega = content(ct, charge, t.prefix_shape(r))
-        expected = q_sum([s for s in tabs if content(ct, charge, s.prefix_shape(r)) == omega],
+        rho = t.prefix_shape(min(k, t.n))
+        expected = q_sum([s for s in tabs if s.prefix_shape(size(rho)) == rho],
                          ct, charge)
-        assert gdim_factorizable(shape, ct, charge, omega) == expected
+        assert gdim_factorizable(shape, ct, charge, rho) == expected
 
 
 # The memo of _gdim lives for the process, so every call runs on states that
 # earlier calls left behind.  A call list often repeats the previous shape
-# with one of its type, charge or omega (residue word) changed, which is
+# with one of its type, charge or floor (residue word) changed, which is
 # where a key missing one of them would return a stale polynomial.
 CALLS = (gdim_specht, gdim_specht_weight, gdim_factorizable)
 
 
 def draw_extra(draw, fn, shape, ct, charge):
-    """The residue word or omega of a call: read off a random tableau of
-    the shape, or for omega sometimes of another shape, so that omega may
-    be higher than the shape or not met by it."""
+    """The residue word or floor of a call: read off a random tableau of
+    the shape, or for the floor sometimes of another shape, so that the
+    floor may be larger than the shape or not inside it."""
     if fn is gdim_specht:
         return None
     if fn is gdim_specht_weight:
@@ -168,14 +177,14 @@ def draw_extra(draw, fn, shape, ct, charge):
     if draw(st.integers(0, 3)) == 0:
         shape = draw(st.sampled_from(multipartitions_of(draw(st.integers(0, 6)), len(shape))))
     t = draw(st.sampled_from(list(enumerate_standard(shape))))
-    return content(ct, charge, t.prefix_shape(draw(st.integers(0, t.n))))
+    return t.prefix_shape(draw(st.integers(0, t.n)))
 
 
 @st.composite
 def gdim_calls(draw, prev=None):
-    """(function, shape, type, charge, word or omega, pass lists?).  With
+    """(function, shape, type, charge, word or floor, pass lists?).  With
     prev: its function and shape, and exactly one of its type, charge and
-    word or omega changed."""
+    word or floor changed."""
     if prev is None:
         fn = draw(st.sampled_from(CALLS))
         level = draw(st.integers(1, 3))
@@ -220,8 +229,7 @@ def oracle(call):
     if fn is gdim_specht_weight:
         tabs = [t for t in tabs if residue_sequence(t, ct, charge) == extra]
     elif fn is gdim_factorizable:
-        tabs = [t for t in tabs if extra.height <= t.n
-                and content(ct, charge, t.prefix_shape(extra.height)) == extra]
+        tabs = [t for t in tabs if t.prefix_shape(size(extra)) == extra]
     return q_sum(tabs, ct, charge)
 
 
@@ -253,9 +261,8 @@ class TestOneScanPerMiss:
         _gdim.cache_clear()
         rho = ((3, 3, 3, 3),)
         nu = ((5, 4, 3, 3, 2, 1),)
-        omega = content(C, (1,), rho)
         gdim_specht(rho, C, (1,))
-        gdim_factorizable(nu, C, (1,), omega)
+        gdim_factorizable(nu, C, (1,), rho)
         gdim_specht(((3, 1), (2, 2)), A, (4, 3))
         word = residue_sequence(rectangle_final_tableau(3, 4), C, (1,))
         gdim_specht_weight(rho, C, (1,), word)
@@ -264,3 +271,54 @@ class TestOneScanPerMiss:
         # the wrappers are live: the degree of one tableau calls both
         degree(rectangle_final_tableau(3, 4), C, (1,))
         assert calls["step_degree"] == 12 and calls["removable_nodes"] == 12
+
+
+@lru_cache(maxsize=None)
+def omega_gdim(ct, charge, mp, omega):
+    """Oracle: the sum of q^deg(t) over t in Std(mp) whose first ht(omega)
+    entries fill a sub-diagram of content omega (omega None: over all of
+    Std(mp)), by a recursion over every sub-diagram with a content test."""
+    n = size(mp)
+    if omega is not None and n <= omega.height:
+        if n < omega.height or content(ct, charge, mp) != omega:
+            return LaurentPoly()
+        return omega_gdim(ct, charge, mp, None)
+    if n == 0:
+        return LaurentPoly.one()
+    out = {}
+    for node, d in step_degrees(mp, ct, charge):
+        for e, c in omega_gdim(ct, charge, remove_node(mp, node), omega).items():
+            out[e + d] = out.get(e + d, 0) + c
+    return LaurentPoly(out)
+
+
+def maximal_bridge(a0):
+    """The bridge of the maximal block of defect a0 at kappa_c = 0:
+    beta = a0 alpha_0 + sum over 1 <= i < 2 a0 of (2 a0 - i) alpha_i."""
+    return bridge(0, RootVector({0: a0, **{i: 2 * a0 - i for i in range(1, 2 * a0)}}))
+
+
+class TestFactorizableAgainstOmega:
+    """The interval above rho gives the content-omega truncation on every
+    shape of a block."""
+
+    @staticmethod
+    def shapes_checked(bridges):
+        shapes = 0
+        try:
+            for b in bridges:
+                for nu in c_block(b):
+                    assert (gdim_factorizable((nu,), C, b.c_charge, (b.rho,))
+                            == omega_gdim(C, b.c_charge, (nu,), b.omega))
+                    shapes += 1
+        finally:
+            omega_gdim.cache_clear()
+        return shapes
+
+    @pytest.mark.parametrize("kappa_c,shapes", [(0, 914), (1, 898), (2, 834)])
+    def test_every_bridge_to_height_16(self, kappa_c, shapes):
+        assert self.shapes_checked(iter_bridges(kappa_c, 16)) == shapes
+
+    @pytest.mark.parametrize("a0,shapes", [(4, 70), (5, 252)])
+    def test_maximal_blocks(self, a0, shapes):
+        assert self.shapes_checked([maximal_bridge(a0)]) == shapes

@@ -45,7 +45,7 @@ class TestBridge:
         assert b.a0 == 1
         assert b.rho == (1, 1, 1)
         assert (b.kappa1, b.kappa2) == (3, 1)
-        assert b.a_beta == RootVector.zero()
+        assert b.a_beta == RootVector()
 
     def test_errors(self):
         with pytest.raises(BridgeError):
@@ -80,12 +80,12 @@ class TestBridge:
 
 class TestGradedShift:
     def test_zero_against_zero(self):
-        assert morita._graded_shift(LaurentPoly.zero(), LaurentPoly.zero()) == 0
+        assert morita._graded_shift(LaurentPoly(), LaurentPoly()) == 0
 
     def test_zero_against_non_zero(self):
         p = LaurentPoly({1: 1, -1: 1})
-        assert morita._graded_shift(LaurentPoly.zero(), p) is None
-        assert morita._graded_shift(p, LaurentPoly.zero()) is None
+        assert morita._graded_shift(LaurentPoly(), p) is None
+        assert morita._graded_shift(p, LaurentPoly()) is None
 
     def test_equal_supports_different_coefficients(self):
         assert morita._graded_shift(LaurentPoly({0: 1, 2: 2}),
@@ -93,14 +93,14 @@ class TestGradedShift:
 
     def test_shifts_found(self):
         p = LaurentPoly({-1: 1, 1: 2, 4: 1})
-        assert morita._graded_shift(p.shifted(-3), p) == -3
-        assert morita._graded_shift(p.shifted(2), p) == 2
+        assert morita._graded_shift(p * LaurentPoly({-3: 1}), p) == -3
+        assert morita._graded_shift(p * LaurentPoly({2: 1}), p) == 2
         assert morita._graded_shift(p, p) == 0
 
     def test_supports_of_different_sizes(self):
         p = LaurentPoly({0: 1, 2: 1})
-        assert morita._graded_shift(p, p + LaurentPoly.q(5)) is None
-        assert morita._graded_shift(p + LaurentPoly.q(5), p) is None
+        assert morita._graded_shift(p, p + LaurentPoly({5: 1})) is None
+        assert morita._graded_shift(p + LaurentPoly({5: 1}), p) is None
 
 
 class TestBlockMap:

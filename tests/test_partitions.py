@@ -43,7 +43,7 @@ class TestResidue:
 class TestContent:
     def test_examples(self):
         assert content(C, (0,), ((2, 1),)) == RootVector({0: 1, 1: 2})
-        assert content(C, (0,), ((),)) == RootVector.zero()
+        assert content(C, (0,), ((),)) == RootVector()
         assert content(A, (1, 1), ((1,), (1,))) == RootVector({1: 2})
 
     def test_height_is_size(self):

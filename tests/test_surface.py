@@ -1,6 +1,6 @@
-"""Every public function and class of klrblocks earns its place: some
-program file (the package or scripts/) uses it, or it is one of the few
-names kept on purpose for tests and planned checks."""
+"""Every public function, class and method of klrblocks earns its place:
+some program file (the package or scripts/) uses it, or it is one of the
+few names kept on purpose for tests and planned checks."""
 
 import ast
 from pathlib import Path
@@ -15,14 +15,22 @@ KEPT = {
     "good_node",
     # paper fixture: the minimal-degree rectangle tableau (acceptance criterion 1)
     "rectangle_final_tableau",
-    # the planned bijection check (ROADMAP item 3) maps tableaux with it
+    # the planned bijection check (ROADMAP item 4) maps tableaux with it
     "tableau_to_type_c",
-    # pending deletion (ROADMAP item 3): the rest of the thick-segment
+    # pending deletion (ROADMAP item 4): the rest of the thick-segment
     # semistandard tableaux and their 18 tests, retired in a change of their own
     "adjacent_swap",
     "column_initial_sstd",
     "enumerate_sstd_plus",
     "row_initial_sstd",
+    "SemistandardTableauPlus.fill",
+    "SemistandardTableauPlus.num_values",
+    # the bar involution of the planned graded decomposition numbers
+    # (ROADMAP item 5)
+    "LaurentPoly.bar",
+    # test oracle of the factorizable sums: the sub-diagram that a
+    # tableau's first entries fill
+    "StandardTableau.prefix_shape",
 }
 
 
@@ -32,33 +40,64 @@ def _program_files():
     return modules + sorted((ROOT / "scripts").glob("*.py"))
 
 
+class _References(ast.NodeVisitor):
+    """The names a file refers to.  A definition's references to its own
+    name, as in a recursive call, do not count."""
+
+    def __init__(self):
+        self.used = set()
+        self.owners = []
+
+    def visit_definition(self, node):
+        self.owners.append(node.name)
+        self.generic_visit(node)
+        self.owners.pop()
+
+    visit_FunctionDef = visit_ClassDef = visit_definition
+
+    def visit_Name(self, node):
+        if node.id not in self.owners:
+            self.used.add(node.id)
+
+    def visit_Attribute(self, node):
+        if node.attr not in self.owners:
+            self.used.add(node.attr)
+        self.generic_visit(node)
+
+
 def _surface():
-    """(public names defined at module level in the package, names that
-    program files refer to).  A top-level definition's references to its
-    own name, as in a recursive call, do not count."""
+    """(public names defined in the package, names that program files refer
+    to).  The defined names are the module-level functions and classes and,
+    as Class.method, the methods of those classes; a method is matched by
+    its name alone, like a function."""
     defined = {}
-    used = set()
+    refs = _References()
     for path in _program_files():
-        for top in ast.parse(path.read_text()).body:
-            own = getattr(top, "name", None)
-            if path.parent == PACKAGE and own and not own.startswith("_"):
-                defined[own] = path.name
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != own:
-                    used.add(name)
-    return defined, used
+        tree = ast.parse(path.read_text())
+        refs.visit(tree)
+        if path.parent != PACKAGE:
+            continue
+        for top in tree.body:
+            if (not isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    or top.name.startswith("_")):
+                continue
+            defined[top.name] = path.name
+            if isinstance(top, ast.ClassDef):
+                for stmt in top.body:
+                    if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                        defined[f"{top.name}.{stmt.name}"] = path.name
+    return defined, refs.used
+
+
+def _bare(name):
+    """The name a program file refers to: a method's without its class."""
+    return name.rpartition(".")[2]
 
 
 def test_public_names_are_used_or_kept():
     defined, used = _surface()
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
-                    if name not in used and name not in KEPT)
+                    if _bare(name) not in used and name not in KEPT)
     assert unused == []
 
 
@@ -66,4 +105,4 @@ def test_kept_names_are_defined_and_unused():
     # a kept name that a program file starts to use leaves the list
     defined, used = _surface()
     assert KEPT <= set(defined)
-    assert not KEPT & used
+    assert not {_bare(name) for name in KEPT} & used

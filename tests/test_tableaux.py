@@ -2,9 +2,9 @@ from math import factorial
 
 import pytest
 
-from klrblocks.cartan import CartanType, RootVector
+from klrblocks.cartan import CartanType
 from klrblocks.graded import LaurentPoly, gdim_factorizable, gdim_specht
-from klrblocks.partitions import conjugate, content, multipartitions_of, partitions_of
+from klrblocks.partitions import conjugate, multipartitions_of, partitions_of, size
 from klrblocks.tableaux import (
     StandardTableau,
     degree,
@@ -114,28 +114,30 @@ class TestEnumeration:
 
 
 class TestFactorizable:
-    # the definition: tableaux whose first ht(omega) entries fill a
-    # sub-diagram of content omega
+    # the definition: tableaux whose first |rho| entries fill the
+    # sub-diagram rho
     @staticmethod
-    def by_definition(nu, omega):
+    def by_definition(nu, rho):
         return LaurentPoly(
             (degree(t, C, (0,)), 1) for t in enumerate_standard(nu)
-            if content(C, (0,), t.prefix_shape(omega.height)) == omega
+            if t.prefix_shape(size(rho)) == rho
         )
 
     def test_examples(self):
-        both = gdim_factorizable(((2, 1),), C, (0,), RootVector.simple(0))
+        both = gdim_factorizable(((2, 1),), C, (0,), ((1,),))
         assert both.eval_at_1() == 2
-        assert both == self.by_definition(((2, 1),), RootVector.simple(0))
+        assert both == self.by_definition(((2, 1),), ((1,),))
         rho = ((2, 2),)
-        omega = content(C, (0,), rho)
-        assert gdim_factorizable(rho, C, (0,), omega) == gdim_specht(rho, C, (0,))
-        assert gdim_factorizable(((2,),), C, (0,), RootVector({0: 1, 1: 1})).eval_at_1() == 1
-        omega = RootVector({0: 1, 1: 1})  # larger than the shape
-        assert gdim_factorizable(((1,),), C, (0,), omega) == self.by_definition(((1,),), omega)
-        assert not self.by_definition(((1,),), omega)
+        assert gdim_factorizable(rho, C, (0,), rho) == gdim_specht(rho, C, (0,))
+        assert gdim_factorizable(((2,),), C, (0,), ((2,),)).eval_at_1() == 1
+        for floor, nu in [(((2,),), ((1,),)), (((1, 1),), ((2,),))]:
+            # a floor not inside the shape gives 0
+            assert gdim_factorizable(nu, C, (0,), floor) == self.by_definition(nu, floor)
+            assert not self.by_definition(nu, floor)
+        with pytest.raises(ValueError):
+            gdim_factorizable(((1,), (1,)), A, (0, 0), ((1,),))
 
     def test_matches_definition(self):
-        omega = content(C, (0,), ((2, 2),))
+        rho = ((2, 2),)
         for p in partitions_of(6):
-            assert gdim_factorizable((p,), C, (0,), omega) == self.by_definition((p,), omega)
+            assert gdim_factorizable((p,), C, (0,), rho) == self.by_definition((p,), rho)
