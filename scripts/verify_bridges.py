@@ -13,7 +13,7 @@ from pathlib import Path
 # Import the package from this checkout's src/, installed or not.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from klrblocks.morita import ALL_CHECKS, iter_bridges, verify_bridge
+from klrblocks.morita import ALL_CHECKS, iter_bridges, known_checks, verify_bridge
 
 
 def main():
@@ -24,10 +24,10 @@ def main():
     parser.add_argument("--json", action="store_true",
                         help="dump the full reports instead of the table")
     args = parser.parse_args()
-    checks = tuple(args.checks.split(","))
-    unknown = [c for c in checks if c not in ALL_CHECKS]
-    if unknown:
-        parser.error(f"unknown check {unknown[0]!r}; choose from {','.join(ALL_CHECKS)}")
+    try:
+        checks = known_checks(args.checks.split(","))
+    except ValueError as exc:
+        parser.error(f"{exc}; choose from {','.join(ALL_CHECKS)}")
     if args.max_n < 0:
         parser.error(f"--max-n must be non-negative, got {args.max_n}")
     if any(k < 0 for k in args.kappa_c):

@@ -48,12 +48,6 @@ from .partitions import (
     removable_nodes,
     residue,
 )
-from .semistandard import (
-    SemistandardTableauPlus,
-    column_initial_sstd,
-    enumerate_sstd_plus,
-    row_initial_sstd,
-)
 from .tableaux import (
     StandardTableau,
     rectangle_final_tableau,

@@ -18,7 +18,8 @@ from typing import Optional, Sequence, Tuple
 from .cartan import CartanType, RootVector
 from .crystal import is_kleshchev
 from .graded import gdim_specht, gdim_specht_weight
-from .morita import ALL_CHECKS, bridge, from_type_c, iter_bridges, verify_bridge
+from .morita import (ALL_CHECKS, bridge, from_type_c, iter_bridges, known_checks,
+                     verify_bridge)
 from .partitions import (
     MultiPartition,
     as_partition,
@@ -182,11 +183,8 @@ def cmd_bridge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = tuple(args.checks.split(","))
     # check every name before the sweep, which may hold no bridge to check
-    for c in checks:
-        if c not in ALL_CHECKS:
-            raise ValueError(f"unknown check {c!r}")
+    checks = known_checks(args.checks.split(","))
     reports = [verify_bridge(b, checks) for b in iter_bridges(args.kappa_c, args.max_n)]
     ok = all(r["pass"] for r in reports)
     if args.format == "pretty":

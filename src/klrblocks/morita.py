@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .cartan import CartanType, Charge, RootVector
 from .crystal import CogoodPathError, cogood_path, factors_through, is_kleshchev
@@ -184,14 +184,21 @@ def _replays(start: MultiPartition, word: Sequence[int],
         return False
 
 
+def known_checks(names: Iterable[str]) -> Tuple[str, ...]:
+    """The requested check names as a tuple; an unknown name raises
+    ValueError."""
+    cs = tuple(names)
+    for c in cs:
+        if c not in ALL_CHECKS:
+            raise ValueError(f"unknown check {c!r}")
+    return cs
+
+
 def verify_bridge(b: BlockBridge,
                   checks: Sequence[str] = ALL_CHECKS) -> Dict[str, dict]:
     """Run the requested checks; failures are report entries, never
     exceptions."""
-    cs = list(checks)
-    for c in cs:
-        if c not in ALL_CHECKS:
-            raise ValueError(f"unknown check {c!r}")
+    cs = known_checks(checks)
     c_shapes = c_block(b)
     # every check but goodpath reads the type-A block, whose members need
     # no membership check on the way through the bridge

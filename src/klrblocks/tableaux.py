@@ -31,10 +31,6 @@ class StandardTableau:
     shape: MultiPartition
     order: Tuple[Node, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
     def rows(self) -> List[List[List[int]]]:
         """Entries arranged per component and row, for display and JSON."""
         grid = [[[0] * w for w in p] for p in self.shape]

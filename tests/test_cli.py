@@ -156,6 +156,13 @@ class TestVerify:
         assert all(r["pass"] for r in reports)
         assert sum(1 for r in reports if r["checks"]["dominance"]["witnesses"]) == 1
 
+    def test_output_ignores_request_order(self, capsys):
+        outs = [run(capsys, "verify", "--kappa-c", "0", "--max-n", "6",
+                    "--checks", checks)
+                for checks in ("goodpath,count", "count,goodpath")]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
+
     def test_pretty_summary(self, capsys):
         code, out = run(capsys, "--format", "pretty", "verify", "--kappa-c", "0",
                         "--max-n", "4", "--checks", "count")

@@ -152,7 +152,7 @@ class TestLatticeAgainstEnumeration:
     @given(charged_tableaux(), st.integers(0, 7))
     def test_gdim_factorizable(self, case, k):
         ct, charge, shape, tabs, t = case
-        rho = t.prefix_shape(min(k, t.n))
+        rho = t.prefix_shape(min(k, len(t.order)))
         expected = q_sum([s for s in tabs if s.prefix_shape(size(rho)) == rho],
                          ct, charge)
         assert gdim_factorizable(shape, ct, charge, rho) == expected
@@ -177,7 +177,7 @@ def draw_extra(draw, fn, shape, ct, charge):
     if draw(st.integers(0, 3)) == 0:
         shape = draw(st.sampled_from(multipartitions_of(draw(st.integers(0, 6)), len(shape))))
     t = draw(st.sampled_from(list(enumerate_standard(shape))))
-    return t.prefix_shape(draw(st.integers(0, t.n)))
+    return t.prefix_shape(draw(st.integers(0, len(t.order))))
 
 
 @st.composite

@@ -212,6 +212,12 @@ class TestVerifyBridge:
         with pytest.raises(ValueError):
             verify_bridge(bridge(0, MICRO), checks=("count", "bogus"))
 
+    def test_report_follows_all_checks_order(self):
+        # the report lists each check once, in ALL_CHECKS order, whatever
+        # the order and repeats of the request
+        checks = verify_bridge(bridge(0, MICRO), ("goodpath", "count", "goodpath"))["checks"]
+        assert list(checks) == ["count", "goodpath"]
+
     def test_dominance_refinement_witness(self):
         # the type-C order strictly refines the type-A order on this block:
         # (4,2,2) dominates (3,3,1,1) but the bipartition preimages

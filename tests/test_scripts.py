@@ -31,6 +31,7 @@ def test_runs_without_pythonpath(tmp_path, script, args, first_line):
     ("verify_bridges.py", ["--kappa-c", "0", "-1"]),
     ("rectangle_table.py", ["--max-kappa", "-1"]),
     ("rectangle_table.py", ["--max-a0", "0"]),
+    ("verify_bridges.py", ["--max-n", "0", "--checks", "bogus"]),
 ])
 def test_bad_input_exits_2(tmp_path, script, args):
     proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],

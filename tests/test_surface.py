@@ -17,14 +17,6 @@ KEPT = {
     "rectangle_final_tableau",
     # the planned bijection check (ROADMAP item 4) maps tableaux with it
     "tableau_to_type_c",
-    # pending deletion (ROADMAP item 4): the rest of the thick-segment
-    # semistandard tableaux and their 18 tests, retired in a change of their own
-    "adjacent_swap",
-    "column_initial_sstd",
-    "enumerate_sstd_plus",
-    "row_initial_sstd",
-    "SemistandardTableauPlus.fill",
-    "SemistandardTableauPlus.num_values",
     # the bar involution of the planned graded decomposition numbers
     # (ROADMAP item 5)
     "LaurentPoly.bar",
