@@ -99,55 +99,68 @@ class CogoodPathError(ValueError):
         self.residue = i
 
 
+@lru_cache(maxsize=None)
+def _cogood_step(ct: CartanType, charge: Charge, mp: MultiPartition,
+                 i: Residue) -> Optional[MultiPartition]:
+    """mp with its cogood i-node added, or None if it has none."""
+    node = cogood_node(mp, ct, charge, i)
+    return None if node is None else add_node(mp, node)
+
+
 def cogood_path(start: MultiPartition, word: Sequence[Residue],
                 ct: CartanType, charge: Charge) -> MultiPartition:
     """Add cogood nodes of the given residues in order; raises
     CogoodPathError with the failing position if a step has no cogood
-    node."""
+    node.  Each step is memoized for the process, so replays that share
+    a prefix, like the shapes of a block above rho, share its steps."""
+    charge = tuple(charge)
     mp = start
     for pos, i in enumerate(word, start=1):
-        node = cogood_node(mp, ct, charge, i)
-        if node is None:
+        nxt = _cogood_step(ct, charge, mp, i)
+        if nxt is None:
             raise CogoodPathError(pos, i)
-        mp = add_node(mp, node)
+        mp = nxt
     return mp
+
+
+@lru_cache(maxsize=None)
+def _removal_step(ct: CartanType, charge: Charge, cur: MultiPartition,
+                  target: MultiPartition) -> Optional[Node]:
+    """The first good node of cur, in (component, row) order and not inside
+    target, whose removal leaves a shape from which good-node removals reach
+    target; None if there is none.  The depth-first search below a shape
+    depends on that shape and target only, so one step per state, memoized
+    for the process, holds every search's answer."""
+    for node in _good_nodes(cur, ct, charge):
+        if contains(target, node):
+            continue
+        nxt = remove_node(cur, node)
+        if nxt == target or _removal_step(ct, charge, nxt, target) is not None:
+            return node
+    return None
 
 
 def good_removal_path(mp: MultiPartition, target: MultiPartition,
                       ct: CartanType, charge: Charge) -> Optional[Tuple[Residue, ...]]:
     """Search for a sequence of good-node removals from mp down to target;
     returns the residue word in *addition* order (target up to mp), or None.
-    Depth-first with memoized failures; a good node inside target is never
-    removed, since no later removal can bring it back."""
+    Depth-first, trying good nodes in (component, row) order; a good node
+    inside target is never removed, since no later removal can bring it
+    back.  The word is read off the memoized step of each state on the
+    way down."""
     if len(target) != len(mp):
         return None
-    failed: set = set()
-
-    def rec(cur: MultiPartition) -> Optional[List[Residue]]:
-        if cur == target:
-            return []
-        if cur in failed:
+    charge = tuple(charge)
+    word: List[Residue] = []
+    cur = mp
+    while cur != target:
+        node = _removal_step(ct, charge, cur, target)
+        if node is None:
             return None
-        for node in _good_nodes(cur, ct, charge):
-            if contains(target, node):
-                continue
-            sub = rec(remove_node(cur, node))
-            if sub is not None:
-                sub.append(residue(ct, charge, node))
-                return sub
-        failed.add(cur)
-        return None
-
-    word = rec(mp)
-    return tuple(word) if word is not None else None
-
-
-@lru_cache(maxsize=None)
-def _head_path(rho: Partition, ct: CartanType,
-               charge: Charge) -> Optional[Tuple[Residue, ...]]:
-    """The good-removal word of rho down to the empty partition, searched
-    once per (rho, type, charge) in a process."""
-    return good_removal_path((rho,), ((),), ct, charge)
+        word.append(residue(ct, charge, node))
+        cur = remove_node(cur, node)
+    word.reverse()
+    return tuple(word)
 
 
 def factors_through(nu: Partition, rho: Partition, ct: CartanType,
@@ -155,7 +168,7 @@ def factors_through(nu: Partition, rho: Partition, ct: CartanType,
     """A residue word j' (+) j'' such that good-node removals take nu to rho
     along reversed j'' and rho to the empty partition along reversed j';
     None if no such word exists.  Reported in addition order."""
-    head = _head_path(rho, ct, tuple(charge))
+    head = good_removal_path((rho,), ((),), ct, charge)
     if head is None:
         return None
     tail = good_removal_path((nu,), (rho,), ct, charge)

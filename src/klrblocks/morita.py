@@ -24,7 +24,7 @@ from .partitions import (
     Partition,
     conjugate,
     content,
-    dominates,
+    dominance_sums,
     enumerate_block,
     partitions_of,
     rect_add,
@@ -258,12 +258,15 @@ def verify_bridge(b: BlockBridge,
         # as witnesses.
         witnesses = []
         preserving = True
-        for i, (bp1, nu1) in enumerate(pairs):
-            for bp2, nu2 in pairs:
-                if bp1 == bp2:
-                    continue
-                a_rel = dominates(bp1, bp2)
-                c_rel = dominates((nu1,), (nu2,))
+        # a shape and itself dominate each other on both sides, so the
+        # diagonal pairs are neither failures nor witnesses
+        bps = [bp for bp, _ in pairs]
+        rows = list(zip(bps, dominance_sums(bps),
+                        dominance_sums([(nu,) for _, nu in pairs])))
+        for bp1, a1, c1 in rows:
+            for bp2, a2, c2 in rows:
+                a_rel = all(map(int.__ge__, a1, a2))
+                c_rel = all(map(int.__ge__, c1, c2))
                 if a_rel and not c_rel:
                     preserving = False
                 if a_rel != c_rel:
@@ -285,23 +288,18 @@ def verify_bridge(b: BlockBridge,
         }
 
     if "goodpath" in cs:
-        # Every word shares the memoized head path of rho, so each distinct
-        # head is replayed from the empty partition once per bridge.
+        # Each word is replayed from the empty partition to rho and on to
+        # nu; the replay steps are memoized, so the shapes of a sweep share
+        # their steps up to and above rho.
         n_rho = size((b.rho,))
-        head_ok: Dict[Tuple[int, ...], bool] = {}
         failures = []
         for nu in c_shapes:
             if not is_kleshchev((nu,), CartanType.C, b.c_charge):
                 continue
             word = factors_through(nu, b.rho, CartanType.C, b.c_charge)
-            ok_word = word is not None
-            if ok_word:
-                head, tail = word[:n_rho], word[n_rho:]
-                if head not in head_ok:
-                    head_ok[head] = _replays(((),), head, (b.rho,), b.c_charge)
-                ok_word = (head_ok[head]
-                           and _replays((b.rho,), tail, (nu,), b.c_charge))
-            if not ok_word:
+            if (word is None
+                    or not _replays(((),), word[:n_rho], (b.rho,), b.c_charge)
+                    or not _replays((b.rho,), word[n_rho:], (nu,), b.c_charge)):
                 failures.append(list(nu))
         out["goodpath"] = {"pass": not failures, "failures": failures}
 

@@ -8,7 +8,7 @@ A node is a triple (row, col, comp), all 1-based.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, chain, product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue, RootVector
@@ -186,6 +186,18 @@ def dominates(a: MultiPartition, b: MultiPartition) -> bool:
         before_a += sum(pa)
         before_b += sum(pb)
     return True
+
+
+def dominance_sums(mps: Sequence[MultiPartition]) -> List[Tuple[int, ...]]:
+    """Each l-partition's row prefix sums, taken over its components in
+    turn, with every component padded by zero rows to the largest row count
+    it has among mps.  For l-partitions of mps of equal size, a dominates b
+    iff every sum of a is at least b's: the padded positions repeat totals
+    that a compared position already holds, or 0 against 0."""
+    widths = [max(map(len, comp)) for comp in zip(*mps)]
+    return [tuple(accumulate(chain.from_iterable(
+                p + (0,) * (w - len(p)) for p, w in zip(mp, widths))))
+            for mp in mps]
 
 
 def conjugate(p: Partition) -> Partition:

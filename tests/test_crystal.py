@@ -188,9 +188,13 @@ class TestGoodRemovalPath:
     @example((C, (0,), ((3, 1),), ((2,),)))  # target not inside mp
     @example((A, (1, 0), ((2,), (1,)), ((1,), ())))
     def test_pruned_search_matches_unpruned(self, case):
+        # the step memo lives for the process: warm and cold answers agree
         ct, charge, mp, target = case
-        assert (good_removal_path(mp, target, ct, charge)
-                == unpruned_good_removal_path(mp, target, ct, charge))
+        warm = good_removal_path(mp, target, ct, charge)
+        assert good_removal_path(mp, target, ct, charge) == warm
+        crystal._removal_step.cache_clear()
+        assert good_removal_path(mp, target, ct, charge) == warm
+        assert warm == unpruned_good_removal_path(mp, target, ct, charge)
 
     @settings(deadline=None, max_examples=200)
     @given(removal_searches(max_c_level=1))
@@ -285,18 +289,96 @@ class TestHeadMemo:
         calls = [(ct, charge) for ct in (C, A) for charge in charges]
         warm = [factors_through(nu, rho, ct, charge) for ct, charge in calls]
         for (ct, charge), got in zip(calls, warm):
-            crystal._head_path.cache_clear()
+            crystal._removal_step.cache_clear()
             assert factors_through(nu, rho, ct, charge) == got
             head = unpruned_good_removal_path((rho,), ((),), ct, charge)
             tail = unpruned_good_removal_path((nu,), (rho,), ct, charge)
             assert got == (None if head is None or tail is None else head + tail)
 
     def test_one_head_search_per_key(self):
-        crystal._head_path.cache_clear()
-        for nu in [(2, 1), (2, 2), (3, 1)]:
-            factors_through(nu, (1,), C, (0,))
-        factors_through((2, 1), (1,), C, [0])
-        assert crystal._head_path.cache_info().misses == 1
+        # rho's path down to the empty partition is searched once, also
+        # under a list charge: a sweep's misses are the head's plus the
+        # tails' alone (their keys have another target)
+        rho, shapes = (2, 2), [(4, 3, 1), (3, 2, 2, 1), (2, 2, 2, 2), (4, 3, 1)]
+        step = crystal._removal_step
+        step.cache_clear()
+        assert good_removal_path((rho,), ((),), C, (0,)) is not None
+        head = step.cache_info().misses
+        step.cache_clear()
+        for nu in shapes:
+            good_removal_path((nu,), (rho,), C, (0,))
+        tails = step.cache_info().misses
+        step.cache_clear()
+        for nu in shapes:
+            factors_through(nu, rho, C, (0,))
+        factors_through(shapes[0], rho, C, [0])
+        assert step.cache_info().misses == head + tails
+
+
+def plain_cogood_path(start, word, ct, charge):
+    """cogood_path without its memo: one cogood_node and add_node per step."""
+    mp = start
+    for pos, i in enumerate(word, start=1):
+        node = cogood_node(mp, ct, charge, i)
+        if node is None:
+            raise CogoodPathError(pos, i)
+        mp = add_node(mp, node)
+    return mp
+
+
+def replay_outcome(replay, start, word, ct, charge):
+    """The end shape of a replay, or the position and residue it fails at."""
+    try:
+        return replay(start, word, ct, charge)
+    except CogoodPathError as err:
+        return ("failed", err.position, err.residue)
+
+
+@st.composite
+def replay_words(draw):
+    """A shape and a word of residues of its addable nodes, step by step;
+    a residue above every addable one ends the word at a failing step."""
+    ct, charge, mp = draw(charged_shapes(max_level=2, max_n=5))
+    word, cur = [], mp
+    for _ in range(draw(st.integers(0, 8))):
+        residues = sorted({residue(ct, charge, n) for n in addable_nodes(cur, ct, charge)})
+        i = draw(st.sampled_from(residues + [residues[-1] + 1]))
+        word.append(i)
+        node = cogood_node(cur, ct, charge, i)
+        if node is None:
+            break
+        cur = add_node(cur, node)
+    return ct, charge, mp, tuple(word)
+
+
+class TestWalkMemos:
+    """The cogood-step memo lives for the process; every replay must be
+    what the unmemoized one gives.  A list charge reads the entries of its
+    tuple in both walk memos."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(replay_words())
+    @example((C, (0,), ((),), (0, 0)))
+    def test_cogood_path_matches_plain_replay(self, case):
+        ct, charge, mp, word = case
+        expected = replay_outcome(plain_cogood_path, mp, word, ct, charge)
+        assert replay_outcome(cogood_path, mp, word, ct, charge) == expected
+        crystal._cogood_step.cache_clear()
+        assert replay_outcome(cogood_path, mp, word, ct, charge) == expected
+
+    @settings(deadline=None, max_examples=100)
+    @given(removal_searches(), replay_words())
+    def test_list_charge_adds_no_misses(self, search, replay):
+        ct, charge, mp, target = search
+        good_removal_path(mp, target, ct, charge)
+        misses = crystal._removal_step.cache_info().misses
+        good_removal_path(mp, target, ct, list(charge))
+        assert crystal._removal_step.cache_info().misses == misses
+        ct, charge, mp, word = replay
+        replay_outcome(cogood_path, mp, word, ct, charge)
+        misses = crystal._cogood_step.cache_info().misses
+        replay_outcome(cogood_path, mp, word, ct, list(charge))
+        assert crystal._cogood_step.cache_info().misses == misses
 
 
 class TestCogoodPath:

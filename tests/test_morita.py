@@ -1,8 +1,8 @@
 import pytest
 
-from klrblocks import morita
+from klrblocks import crystal, morita
 from klrblocks.cartan import CartanType, RootVector
-from klrblocks.crystal import cogood_path, factors_through
+from klrblocks.crystal import cogood_node, cogood_path, factors_through
 from klrblocks.graded import LaurentPoly, _gdim
 from klrblocks.morita import (
     BridgeError,
@@ -15,7 +15,7 @@ from klrblocks.morita import (
     to_type_c,
     verify_bridge,
 )
-from klrblocks.partitions import content, partitions_of
+from klrblocks.partitions import add_node, content, partitions_of
 from klrblocks.tableaux import enumerate_standard, residue_sequence
 
 A, C = CartanType.A, CartanType.C
@@ -241,7 +241,10 @@ class TestVerifyBridge:
             ]
             assert {n: sum(1 for h in heights if h <= n) for n in census} == census
 
-    def test_goodpath_replays_head_once(self, monkeypatch):
+    def test_goodpath_computes_each_replay_step_once(self, monkeypatch):
+        # every shape replays its head from the empty partition and its
+        # tail from rho; the memo computes each (shape, residue) step once,
+        # so rho's head is computed for the first shape only
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
         starts = []
 
@@ -250,12 +253,19 @@ class TestVerifyBridge:
             return cogood_path(start, word, ct, charge)
 
         monkeypatch.setattr(morita, "cogood_path", counting)
+        crystal._cogood_step.cache_clear()
         report = verify_bridge(b, checks=("kleshchev", "goodpath"))
         assert report["checks"]["goodpath"]["pass"]
-        n_klesh = len(report["checks"]["kleshchev"]["c_set"])
-        assert n_klesh > 1
-        assert starts.count(((),)) == 1
-        assert starts.count((b.rho,)) == n_klesh == len(starts) - 1
+        klesh = report["checks"]["kleshchev"]["c_set"]
+        assert len(klesh) > 1
+        assert starts.count(((),)) == starts.count((b.rho,)) == len(klesh)
+        steps = set()
+        for nu in klesh:
+            mp = ((),)
+            for i in factors_through(tuple(nu), b.rho, C, b.c_charge):
+                steps.add((mp, i))
+                mp = add_node(mp, cogood_node(mp, C, b.c_charge, i))
+        assert crystal._cogood_step.cache_info().misses == len(steps)
 
     def test_goodpath_bad_head_fails_every_shape(self, monkeypatch):
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
@@ -315,6 +325,22 @@ class TestVerifyBridge:
         for b in bridges:
             _gdim.cache_clear()
             cold.append(verify_bridge(b))
+        assert shared == cold
+
+    @pytest.mark.parametrize("kappa_c", [0, 1, 2])
+    def test_crystal_memos_match_cold_memos(self, kappa_c):
+        # the Kleshchev, good-removal and cogood-step memos live through a
+        # sweep; every report must be what the bridge gives with all three
+        # cleared before it
+        checks = ("kleshchev", "goodpath")
+        bridges = list(iter_bridges(kappa_c, 12))
+        shared = [verify_bridge(b, checks) for b in bridges]
+        cold = []
+        for b in bridges:
+            for memo in (crystal._kleshchev, crystal._removal_step,
+                         crystal._cogood_step):
+                memo.cache_clear()
+            cold.append(verify_bridge(b, checks))
         assert shared == cold
 
     @pytest.mark.parametrize("kappa_c", [0, 1])

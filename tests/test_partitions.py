@@ -10,6 +10,7 @@ from klrblocks.partitions import (
     as_partition,
     conjugate,
     content,
+    dominance_sums,
     dominates,
     enumerate_block,
     multipartitions_of,
@@ -116,6 +117,24 @@ class TestDominance:
                     for z in block:
                         if dominates(x, y) and dominates(y, z):
                             assert dominates(x, z)
+
+
+class TestDominanceSums:
+    def test_examples(self):
+        assert dominance_sums([((2, 1),), ((1, 1, 1),)]) == [(2, 3, 3), (1, 2, 3)]
+        # each component padded to its longest among the shapes
+        assert dominance_sums([((1,), (2,)), ((), (1, 1, 1))]) == [
+            (1, 3, 3, 3), (0, 1, 2, 3)]
+
+    @pytest.mark.parametrize("kappa_c", [0, 1, 2])
+    def test_match_dominates_on_every_bridge(self, kappa_c):
+        # the dominance check compares prefix sums; dominates is the oracle
+        for b in iter_bridges(kappa_c, 14):
+            for block in (a_block(b), [(nu,) for nu in c_block(b)]):
+                sums = dominance_sums(block)
+                for x, sx in zip(block, sums):
+                    for y, sy in zip(block, sums):
+                        assert all(map(int.__ge__, sx, sy)) == dominates(x, y)
 
 
 @given(st.lists(st.integers(1, 8), max_size=8))

@@ -13,6 +13,9 @@ KEPT = {
     # test oracle: one residue's good node; the crystal layer finds every
     # residue's at once (_good_nodes)
     "good_node",
+    # test oracle: dominance of one pair; the dominance check compares
+    # prefix sums computed once per block (dominance_sums)
+    "dominates",
     # paper fixture: the minimal-degree rectangle tableau (acceptance criterion 1)
     "rectangle_final_tableau",
     # the planned bijection check (ROADMAP item 4) maps tableaux with it
