@@ -61,8 +61,11 @@ def check_level(shape: MultiPartition, charge: Tuple[int, ...]) -> None:
         )
 
 
-def parse_residues(text: str) -> Tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def parse_residues(text: str, ct: CartanType) -> Tuple[int, ...]:
+    residues = tuple(int(x) for x in text.split(","))
+    for i in residues:
+        ct.check_label(i)
+    return residues
 
 
 def fmt_shape(shape: MultiPartition) -> str:
@@ -119,7 +122,7 @@ def cmd_tableaux(args) -> int:
     charge = parse_charge(args.charge, ct)
     shape = parse_shape(args.shape)
     check_level(shape, charge)
-    residues = parse_residues(args.residues) if args.residues else None
+    residues = parse_residues(args.residues, ct) if args.residues else None
     records = []
     for t in enumerate_standard(shape, ct, charge, residues):
         rec = {"rows": t.rows(),
@@ -159,7 +162,7 @@ def cmd_gdim(args) -> int:
     shape = parse_shape(args.shape)
     check_level(shape, charge)
     if args.weight:
-        poly = gdim_specht_weight(shape, ct, charge, parse_residues(args.weight))
+        poly = gdim_specht_weight(shape, ct, charge, parse_residues(args.weight, ct))
     else:
         poly = gdim_specht(shape, ct, charge)
     if args.format == "pretty":

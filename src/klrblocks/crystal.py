@@ -89,7 +89,7 @@ def is_kleshchev(mp: MultiPartition, ct: CartanType, charge: Charge) -> bool:
     the empty one, which is closed under every e_i, so removing any one
     good node keeps mp in it or out of it; the memoized recursion follows
     one good node per step."""
-    return _kleshchev(ct, charge, mp)
+    return _kleshchev(ct, tuple(charge), mp)
 
 
 class CogoodPathError(ValueError):

@@ -4,10 +4,11 @@ A block of the type-C algebra with a_0 >= 1 zero-residue nodes is cut by
 the rectangle rho = (a_0^(kappa_c + a_0)); the bijection
 (lambda, mu) -> rho + (lambda, mu') matches it with the type-A block of
 content beta - omega and charges (kappa_c + a_0, a_0).  verify_bridge runs
-the counting, graded, dominance, Kleshchev and good-path checks at desk
-scale.  The type-C side of the counting and graded checks sums over the
-factorizable tableaux of nu, those whose first |rho| entries fill rho:
-gdim(rho) times a walk over the interval [rho, nu] of the Young lattice."""
+the counting, graded, dominance, Kleshchev and good-path checks over one
+block object per call, whose parts are built on first read.  The type-C
+side of the counting and graded checks sums over the factorizable
+tableaux of nu, those whose first |rho| entries fill rho: gdim(rho) times
+a walk over the interval [rho, nu] of the Young lattice."""
 
 from __future__ import annotations
 
@@ -34,8 +35,6 @@ from .partitions import (
 from .tableaux import StandardTableau
 
 Bipartition = Tuple[Partition, Partition]
-
-ALL_CHECKS = ("count", "graded", "dominance", "kleshchev", "goodpath")
 
 
 class BridgeError(ValueError):
@@ -194,114 +193,140 @@ def known_checks(names: Iterable[str]) -> Tuple[str, ...]:
     return cs
 
 
+@dataclass
+class _Block:
+    """The data the checks read, for one verify_bridge call.  Each part is
+    built on its first read, so a check builds only what it reads."""
+
+    b: BlockBridge
+
+    @cached_property
+    def c_shapes(self) -> List[Partition]:
+        return c_block(self.b)
+
+    @cached_property
+    def pairs(self) -> List[Tuple[Bipartition, Partition]]:
+        # block members need no membership check on the way through the bridge
+        return [(bp, _rect_image(bp, self.b)) for bp in a_block(self.b)]
+
+    @cached_property
+    def rho_poly(self) -> LaurentPoly:
+        return gdim_specht((self.b.rho,), CartanType.C, self.b.c_charge)
+
+    @cached_property
+    def polys(self) -> List[Tuple[Partition, LaurentPoly, LaurentPoly]]:
+        b = self.b
+        return [(nu, gdim_factorizable((nu,), CartanType.C, b.c_charge, (b.rho,)),
+                 gdim_specht(bp, CartanType.A, b.a_charge))
+                for bp, nu in self.pairs]
+
+    @cached_property
+    def c_kleshchev(self) -> List[Partition]:
+        return [nu for nu in self.c_shapes
+                if is_kleshchev((nu,), CartanType.C, self.b.c_charge)]
+
+
+def _check_count(blk: _Block) -> dict:
+    per_shape = []
+    ok = set(nu for _, nu in blk.pairs) == set(blk.c_shapes)
+    std_rho = blk.rho_poly.eval_at_1()
+    lhs_total = rhs_total = 0
+    for nu, lhs, a_poly in blk.polys:
+        n_fact = lhs.eval_at_1()
+        n_a = a_poly.eval_at_1()
+        lhs_total += n_fact * n_fact
+        rhs_total += (std_rho * n_a) ** 2
+        match = n_fact == std_rho * n_a
+        ok = ok and match
+        per_shape.append(
+            {"nu": list(nu), "factorizable": n_fact,
+             "rho_times_a": std_rho * n_a, "pass": match}
+        )
+    return {"pass": ok, "lhs": lhs_total, "rhs": rhs_total,
+            "per_shape": per_shape}
+
+
+def _check_graded(blk: _Block) -> dict:
+    per_shape = []
+    shift: Optional[int] = None
+    ok = True
+    for nu, lhs, a_poly in blk.polys:
+        rhs = blk.rho_poly * a_poly
+        c = _graded_shift(lhs, rhs)
+        if c is None or (shift is not None and c != shift):
+            ok = False
+        if shift is None and c is not None:
+            shift = c
+        per_shape.append(
+            {"nu": list(nu), "lhs": lhs.to_pairs(), "rhs": rhs.to_pairs(),
+             "shift": c}
+        )
+    ok = ok and shift == 0
+    return {"pass": ok, "shift": shift, "per_shape": per_shape}
+
+
+def _check_dominance(blk: _Block) -> dict:
+    # The bridge preserves dominance, which is what the check asserts.
+    # It is not an order isomorphism: the type-C order may strictly
+    # refine the type-A one, and the pairs where it does are reported
+    # as witnesses.
+    witnesses = []
+    preserving = True
+    # a shape and itself dominate each other on both sides, so the
+    # diagonal pairs are neither failures nor witnesses
+    bps = [bp for bp, _ in blk.pairs]
+    rows = list(zip(bps, dominance_sums(bps),
+                    dominance_sums([(nu,) for _, nu in blk.pairs])))
+    for bp1, a1, c1 in rows:
+        for bp2, a2, c2 in rows:
+            a_rel = all(map(int.__ge__, a1, a2))
+            c_rel = all(map(int.__ge__, c1, c2))
+            if a_rel and not c_rel:
+                preserving = False
+            if a_rel != c_rel:
+                witnesses.append({"pair": [list(map(list, bp1)),
+                                           list(map(list, bp2))]})
+    return {"pass": preserving, "order_preserving": preserving,
+            "witnesses": witnesses}
+
+
+def _check_kleshchev(blk: _Block) -> dict:
+    a_klesh = {nu for bp, nu in blk.pairs
+               if is_kleshchev((bp[0], bp[1]), CartanType.A, blk.b.a_charge)}
+    c_klesh = set(blk.c_kleshchev)
+    return {"pass": a_klesh == c_klesh, "a_image": sorted(map(list, a_klesh)),
+            "c_set": sorted(map(list, c_klesh))}
+
+
+def _check_goodpath(blk: _Block) -> dict:
+    # Each word is replayed from the empty partition to rho and on to nu;
+    # the replay steps are memoized, so the shapes of a sweep share their
+    # steps up to and above rho.
+    b = blk.b
+    n_rho = size((b.rho,))
+    failures = []
+    for nu in blk.c_kleshchev:
+        word = factors_through(nu, b.rho, CartanType.C, b.c_charge)
+        if (word is None
+                or not _replays(((),), word[:n_rho], (b.rho,), b.c_charge)
+                or not _replays((b.rho,), word[n_rho:], (nu,), b.c_charge)):
+            failures.append(list(nu))
+    return {"pass": not failures, "failures": failures}
+
+
+# the checks in report order
+_CHECKS = {
+    "count": _check_count, "graded": _check_graded, "dominance": _check_dominance,
+    "kleshchev": _check_kleshchev, "goodpath": _check_goodpath}
+ALL_CHECKS = tuple(_CHECKS)
+
+
 def verify_bridge(b: BlockBridge,
                   checks: Sequence[str] = ALL_CHECKS) -> Dict[str, dict]:
-    """Run the requested checks; failures are report entries, never
-    exceptions."""
+    """Run the requested checks, in ALL_CHECKS order, each once; failures
+    are report entries, never exceptions."""
     cs = known_checks(checks)
-    c_shapes = c_block(b)
-    # every check but goodpath reads the type-A block, whose members need
-    # no membership check on the way through the bridge
-    pairs: List[Tuple[Bipartition, Partition]] = []
-    if set(cs) - {"goodpath"}:
-        pairs = [(bp, _rect_image(bp, b)) for bp in a_block(b)]
-    report: Dict[str, dict] = {"bridge": b.to_json(), "checks": {}}
-    out = report["checks"]
-
-    if "count" in cs or "graded" in cs:
-        rho_poly = gdim_specht((b.rho,), CartanType.C, b.c_charge)
-        polys = [(nu, gdim_factorizable((nu,), CartanType.C, b.c_charge, (b.rho,)),
-                  gdim_specht(bp, CartanType.A, b.a_charge))
-                 for bp, nu in pairs]
-
-    if "count" in cs:
-        per_shape = []
-        ok = set(nu for _, nu in pairs) == set(c_shapes)
-        std_rho = rho_poly.eval_at_1()
-        lhs_total = rhs_total = 0
-        for nu, lhs, a_poly in polys:
-            n_fact = lhs.eval_at_1()
-            n_a = a_poly.eval_at_1()
-            lhs_total += n_fact * n_fact
-            rhs_total += (std_rho * n_a) ** 2
-            match = n_fact == std_rho * n_a
-            ok = ok and match
-            per_shape.append(
-                {"nu": list(nu), "factorizable": n_fact,
-                 "rho_times_a": std_rho * n_a, "pass": match}
-            )
-        out["count"] = {"pass": ok, "lhs": lhs_total, "rhs": rhs_total,
-                        "per_shape": per_shape}
-
-    if "graded" in cs:
-        per_shape = []
-        shift: Optional[int] = None
-        ok = True
-        for nu, lhs, a_poly in polys:
-            rhs = rho_poly * a_poly
-            c = _graded_shift(lhs, rhs)
-            if c is None or (shift is not None and c != shift):
-                ok = False
-            if shift is None and c is not None:
-                shift = c
-            per_shape.append(
-                {"nu": list(nu), "lhs": lhs.to_pairs(), "rhs": rhs.to_pairs(),
-                 "shift": c}
-            )
-        ok = ok and shift == 0
-        out["graded"] = {"pass": ok, "shift": shift, "per_shape": per_shape}
-
-    if "dominance" in cs:
-        # The bridge preserves dominance, which is what the check asserts.
-        # It is not an order isomorphism: the type-C order may strictly
-        # refine the type-A one, and the pairs where it does are reported
-        # as witnesses.
-        witnesses = []
-        preserving = True
-        # a shape and itself dominate each other on both sides, so the
-        # diagonal pairs are neither failures nor witnesses
-        bps = [bp for bp, _ in pairs]
-        rows = list(zip(bps, dominance_sums(bps),
-                        dominance_sums([(nu,) for _, nu in pairs])))
-        for bp1, a1, c1 in rows:
-            for bp2, a2, c2 in rows:
-                a_rel = all(map(int.__ge__, a1, a2))
-                c_rel = all(map(int.__ge__, c1, c2))
-                if a_rel and not c_rel:
-                    preserving = False
-                if a_rel != c_rel:
-                    witnesses.append({"pair": [list(map(list, bp1)),
-                                               list(map(list, bp2))]})
-        out["dominance"] = {"pass": preserving,
-                            "order_preserving": preserving,
-                            "witnesses": witnesses}
-
-    if "kleshchev" in cs:
-        a_klesh = {nu for bp, nu in pairs
-                   if is_kleshchev((bp[0], bp[1]), CartanType.A, b.a_charge)}
-        c_klesh = {nu for nu in c_shapes
-                   if is_kleshchev((nu,), CartanType.C, b.c_charge)}
-        out["kleshchev"] = {
-            "pass": a_klesh == c_klesh,
-            "a_image": sorted(map(list, a_klesh)),
-            "c_set": sorted(map(list, c_klesh)),
-        }
-
-    if "goodpath" in cs:
-        # Each word is replayed from the empty partition to rho and on to
-        # nu; the replay steps are memoized, so the shapes of a sweep share
-        # their steps up to and above rho.
-        n_rho = size((b.rho,))
-        failures = []
-        for nu in c_shapes:
-            if not is_kleshchev((nu,), CartanType.C, b.c_charge):
-                continue
-            word = factors_through(nu, b.rho, CartanType.C, b.c_charge)
-            if (word is None
-                    or not _replays(((),), word[:n_rho], (b.rho,), b.c_charge)
-                    or not _replays((b.rho,), word[n_rho:], (nu,), b.c_charge)):
-                failures.append(list(nu))
-        out["goodpath"] = {"pass": not failures, "failures": failures}
-
-    report["pass"] = all(v["pass"] for v in out.values())
-    return report
+    blk = _Block(b)
+    out = {c: check(blk) for c, check in _CHECKS.items() if c in cs}
+    return {"bridge": b.to_json(), "checks": out,
+            "pass": all(v["pass"] for v in out.values())}

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -163,6 +164,18 @@ class TestVerify:
         assert outs[0] == outs[1]
         assert outs[0][0] == 0
 
+    @pytest.mark.parametrize("kappa_c, digest", [
+        (0, "384dab49301e0e75e31474c4d207fe006263834a5b10a4eb25f82441afc39c37"),
+        (1, "b9332b17f76d66a0210435a41411332d620d1d10627842d57fcc2dcc89b7f5c7"),
+        (2, "a027a620f6995f04c46b4daddfa0f7f1648907a9d847128700d1d015f77f7650"),
+    ], ids=["0", "1", "2"])
+    def test_reports_pinned_byte_for_byte(self, capsys, kappa_c, digest):
+        # the full battery's stdout to height 14; a change to how the checks
+        # are computed must leave every report byte as it was
+        code, out = run(capsys, "verify", "--kappa-c", str(kappa_c), "--max-n", "14")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_pretty_summary(self, capsys):
         code, out = run(capsys, "--format", "pretty", "verify", "--kappa-c", "0",
                         "--max-n", "4", "--checks", "count")
@@ -247,6 +260,15 @@ class TestErrors:
         # "-1" is a valid residue only in type A
         for beta in ("{oops", "[1]", '{"0":"x"}', '{"-1":1}'):
             assert fails_cleanly(capsys, "block", "--charge", "0", "--beta", beta)
+
+    def test_bad_residue_exits_2(self, capsys):
+        # "-1" is a valid residue only in type A
+        assert fails_cleanly(capsys, "tableaux", "--type", "c", "--charge", "0",
+                             "--shape", "1", "--residues=-1")
+        assert fails_cleanly(capsys, "gdim", "--type", "c", "--charge", "0",
+                             "--shape", "1", "--weight=-1")
+        assert run(capsys, "gdim", "--type", "a", "--charge=-1", "--shape", "1",
+                   "--weight=-1") == (0, "[[0,1]]\n")
 
     def test_unknown_format_exits_2(self):
         with pytest.raises(SystemExit) as err:

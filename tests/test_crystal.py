@@ -354,7 +354,7 @@ def replay_words(draw):
 class TestWalkMemos:
     """The cogood-step memo lives for the process; every replay must be
     what the unmemoized one gives.  A list charge reads the entries of its
-    tuple in both walk memos."""
+    tuple in both walk memos and in the Kleshchev memo."""
 
     @settings(deadline=None, max_examples=200)
     @given(replay_words())
@@ -370,6 +370,10 @@ class TestWalkMemos:
     @given(removal_searches(), replay_words())
     def test_list_charge_adds_no_misses(self, search, replay):
         ct, charge, mp, target = search
+        is_kleshchev(mp, ct, charge)
+        misses = crystal._kleshchev.cache_info().misses
+        is_kleshchev(mp, ct, list(charge))
+        assert crystal._kleshchev.cache_info().misses == misses
         good_removal_path(mp, target, ct, charge)
         misses = crystal._removal_step.cache_info().misses
         good_removal_path(mp, target, ct, list(charge))

@@ -2,7 +2,7 @@ import pytest
 
 from klrblocks import crystal, morita
 from klrblocks.cartan import CartanType, RootVector
-from klrblocks.crystal import cogood_node, cogood_path, factors_through
+from klrblocks.crystal import cogood_node, cogood_path, factors_through, is_kleshchev
 from klrblocks.graded import LaurentPoly, _gdim
 from klrblocks.morita import (
     BridgeError,
@@ -280,19 +280,43 @@ class TestVerifyBridge:
         assert not goodpath["pass"]
         assert sorted(goodpath["failures"]) == report["checks"]["kleshchev"]["c_set"]
 
-    def test_goodpath_alone_skips_type_a_block(self, monkeypatch):
+    @pytest.mark.parametrize("checks, unread", [
+        (("goodpath",), "a_block"),
+        (("dominance",), "c_block"),
+        (("graded",), "c_block"),
+        (("dominance", "kleshchev", "goodpath"), "gdim_factorizable"),
+    ], ids=["goodpath", "dominance", "graded", "crystal"])
+    def test_check_builds_only_what_it_reads(self, monkeypatch, checks, unread):
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
         calls = []
+        real = getattr(morita, unread)
 
-        def counting(b):
-            calls.append(b)
-            return a_block(b)
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(morita, "a_block", counting)
-        assert verify_bridge(b, checks=("goodpath",))["pass"]
+        monkeypatch.setattr(morita, unread, counting)
+        assert verify_bridge(b, checks)["pass"]
         assert calls == []
-        verify_bridge(b, checks=("kleshchev", "goodpath"))
-        assert calls == [b]
+        # all five checks build each block once and one polynomial per pair
+        verify_bridge(b)
+        assert len(calls) == (len(a_block(b)) if unread == "gdim_factorizable" else 1)
+
+    def test_kleshchev_shapes_tested_once(self, monkeypatch):
+        # kleshchev and goodpath read one list of Kleshchev type-C shapes
+        b = bridge(0, content(C, (0,), ((4, 3, 1),)))
+        asked = []
+
+        def counting(mp, ct, charge):
+            if ct is C:
+                asked.append(mp)
+            return is_kleshchev(mp, ct, charge)
+
+        monkeypatch.setattr(morita, "is_kleshchev", counting)
+        report = verify_bridge(b, ("kleshchev", "goodpath"))
+        assert report["pass"]
+        assert len(report["checks"]["kleshchev"]["c_set"]) > 1
+        assert sorted(asked) == sorted((nu,) for nu in c_block(b))
 
     def test_block_members_not_rechecked(self, monkeypatch):
         # a_block yields only members of the type-A block, so mapping them
