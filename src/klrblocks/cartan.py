@@ -19,6 +19,11 @@ class CartanType(Enum):
     A = "a"
     C = "c"
 
+    # members are singletons compared by identity, so the identity hash
+    # agrees with equality and skips the Python-level Enum.__hash__ on
+    # every memo lookup keyed by the type
+    __hash__ = object.__hash__
+
     def valid_label(self, i: Residue) -> bool:
         return self is CartanType.A or i >= 0
 

@@ -9,7 +9,6 @@ request; --format json|csv|pretty encode the same data.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -62,7 +61,7 @@ def check_level(shape: MultiPartition, charge: Tuple[int, ...]) -> None:
 
 
 def parse_residues(text: str, ct: CartanType) -> Tuple[int, ...]:
-    residues = tuple(int(x) for x in text.split(","))
+    residues = tuple(int(x) for x in text.split(",")) if text else ()
     for i in residues:
         ct.check_label(i)
     return residues
@@ -78,6 +77,8 @@ def emit(records, fmt: str, stream=None) -> None:
         stream.write(json.dumps(records, separators=(",", ":")))
         stream.write("\n")
     elif fmt == "csv":
+        import csv  # only this format needs it; keeps it out of start-up
+
         rows = records if isinstance(records, list) else [records]
         if not rows:
             return
@@ -122,7 +123,7 @@ def cmd_tableaux(args) -> int:
     charge = parse_charge(args.charge, ct)
     shape = parse_shape(args.shape)
     check_level(shape, charge)
-    residues = parse_residues(args.residues, ct) if args.residues else None
+    residues = parse_residues(args.residues, ct) if args.residues is not None else None
     records = []
     for t in enumerate_standard(shape, ct, charge, residues):
         rec = {"rows": t.rows(),
@@ -161,7 +162,7 @@ def cmd_gdim(args) -> int:
     charge = parse_charge(args.charge, ct)
     shape = parse_shape(args.shape)
     check_level(shape, charge)
-    if args.weight:
+    if args.weight is not None:
         poly = gdim_specht_weight(shape, ct, charge, parse_residues(args.weight, ct))
     else:
         poly = gdim_specht(shape, ct, charge)

@@ -12,9 +12,9 @@ a walk over the interval [rho, nu] of the Young lattice."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from .cartan import CartanType, Charge, RootVector
 from .crystal import CogoodPathError, cogood_path, factors_through, is_kleshchev
@@ -41,8 +41,7 @@ class BridgeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BlockBridge:
+class BlockBridge(NamedTuple):
     kappa_c: int
     beta: RootVector
     a0: int
@@ -50,6 +49,7 @@ class BlockBridge:
     omega: RootVector
     kappa1: int
     kappa2: int
+    a_beta: RootVector  # beta - omega, the content of the type-A block
 
     @property
     def c_charge(self) -> Charge:
@@ -58,11 +58,6 @@ class BlockBridge:
     @property
     def a_charge(self) -> Charge:
         return (self.kappa1, self.kappa2)
-
-    @cached_property
-    def a_beta(self) -> RootVector:
-        """beta - omega, computed on the first read only."""
-        return self.beta - self.omega
 
     def to_json(self) -> dict:
         return {
@@ -92,7 +87,7 @@ def bridge(kappa_c: int, beta: RootVector) -> BlockBridge:
     rest = beta - omega
     if rest[0] != 0:
         raise BridgeError("beta - omega still supported on the zero residue")
-    return BlockBridge(kappa_c, beta, a0, rho, omega, kappa_c + a0, a0)
+    return BlockBridge(kappa_c, beta, a0, rho, omega, kappa_c + a0, a0, rest)
 
 
 def c_block(b: BlockBridge) -> List[Partition]:
@@ -193,12 +188,12 @@ def known_checks(names: Iterable[str]) -> Tuple[str, ...]:
     return cs
 
 
-@dataclass
 class _Block:
     """The data the checks read, for one verify_bridge call.  Each part is
     built on its first read, so a check builds only what it reads."""
 
-    b: BlockBridge
+    def __init__(self, b: BlockBridge):
+        self.b = b
 
     @cached_property
     def c_shapes(self) -> List[Partition]:

@@ -55,10 +55,19 @@ def residue(ct: CartanType, charge: Charge, node: Node) -> Residue:
 
 
 def content(ct: CartanType, charge: Charge, mp: MultiPartition) -> RootVector:
-    counts: dict = {}
-    for node in nodes(mp):
-        i = residue(ct, charge, node)
-        counts[i] = counts.get(i, 0) + 1
+    """The residues of mp's nodes with multiplicity, one row at a time: the
+    row r rows below the top of a component of charge k holds the type-A
+    residues k - r, ..., k - r + width - 1, folded by abs in type C."""
+    absolute = ct is CartanType.C
+    counts: Dict[Residue, int] = {}
+    for m, p in enumerate(mp):
+        k = charge[m]
+        for r, width in enumerate(p):
+            start = k - r
+            for i in range(start, start + width):
+                if absolute and i < 0:
+                    i = -i
+                counts[i] = counts.get(i, 0) + 1
     return RootVector(counts)
 
 

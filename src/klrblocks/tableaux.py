@@ -8,8 +8,7 @@ in the same row are neither above nor below each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue
 from .partitions import (
@@ -26,8 +25,7 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class StandardTableau:
+class StandardTableau(NamedTuple):
     shape: MultiPartition
     order: Tuple[Node, ...]
 

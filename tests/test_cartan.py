@@ -1,6 +1,23 @@
 import pytest
 
-from klrblocks.cartan import NotASubroot, RootVector
+from klrblocks import crystal
+from klrblocks.cartan import CartanType, NotASubroot, RootVector
+
+
+class TestCartanType:
+    def test_hash_is_identity(self):
+        # members are singletons, so the identity hash agrees with equality
+        for ct in CartanType:
+            assert CartanType(ct.value) is ct
+            assert hash(ct) == object.__hash__(ct)
+
+    def test_lookup_by_value_hits_the_same_memo_entry(self):
+        crystal._kleshchev.cache_clear()
+        crystal.is_kleshchev(((2, 1),), CartanType("c"), (0,))
+        before = crystal._kleshchev.cache_info()
+        crystal.is_kleshchev(((2, 1),), CartanType.C, (0,))
+        after = crystal._kleshchev.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 class TestRootVector:

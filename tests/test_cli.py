@@ -18,6 +18,7 @@ from klrblocks.cli import (
     main,
     parse_charge,
     parse_partition,
+    parse_residues,
     parse_shape,
 )
 from klrblocks.cartan import CartanType
@@ -45,6 +46,11 @@ class TestParsers:
         with pytest.raises(ValueError):
             parse_charge("-1", CartanType.C)
         assert parse_charge("-1,3", CartanType.A) == (-1, 3)
+
+    def test_residues(self):
+        assert parse_residues("0,1", CartanType.C) == (0, 1)
+        # the empty word is a word, of length 0
+        assert parse_residues("", CartanType.C) == ()
 
 
 class TestGdim:
@@ -190,6 +196,26 @@ def fails_cleanly(capsys, *argv):
     return code == 2 and err.startswith("error: ") and "Traceback" not in err
 
 
+def fresh_interpreter(code):
+    """The stdout of code run by a new interpreter that imports this
+    checkout's package."""
+    src = str(Path(klrblocks.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_startup_imports():
+    # dataclasses (which pulls in inspect) and csv are start-up costs no
+    # command needs; csv is imported by the csv output format alone
+    out = fresh_interpreter(
+        "import sys; bare = set(sys.modules); "
+        "import klrblocks, klrblocks.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'csv'} & (set(sys.modules) - bare)))")
+    assert out == "[]\n"
+
+
 class TestSharedParser:
     """main reuses one parser per process; nothing may leak between calls."""
 
@@ -197,14 +223,8 @@ class TestSharedParser:
         assert build_parser() is build_parser()
 
     def test_not_built_at_import(self):
-        src = str(Path(klrblocks.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, env.get("PYTHONPATH"))))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import klrblocks.cli as c; print(c.build_parser.cache_info().currsize)"],
-            env=env, capture_output=True, text=True, check=True).stdout
+        out = fresh_interpreter(
+            "import klrblocks.cli as c; print(c.build_parser.cache_info().currsize)")
         assert out == "0\n"
 
     def test_fresh_namespace_per_call(self):
@@ -282,6 +302,20 @@ class TestErrors:
                              "--residues", "0,1")
         assert fails_cleanly(capsys, "gdim", "--charge", "0", "--shape", "2,2",
                              "--weight", "0,1,1,0,2")
+
+    def test_empty_word_is_checked_not_ignored(self, capsys):
+        # an empty --weight= or --residues= is a word of length 0: refused
+        # for a non-empty shape, not read as "no word given"
+        for argv in (("gdim", "--charge", "0", "--shape", "2,1", "--weight="),
+                     ("tableaux", "--charge", "0", "--shape", "2,1", "--residues=")):
+            assert main(list(argv)) == 2
+            err = capsys.readouterr().err
+            assert err == "error: residue word has length 0, but the shape has 3 nodes\n"
+        # and answered for the empty shape
+        assert run(capsys, "gdim", "--charge", "0", "--shape", "-",
+                   "--weight=") == (0, "[[0,1]]\n")
+        assert run(capsys, "tableaux", "--charge", "0", "--shape", "-",
+                   "--residues=") == (0, '[{"rows":[[]],"residues":[]}]\n')
 
     def test_negative_max_n_exits_2(self, capsys):
         assert fails_cleanly(capsys, "verify", "--kappa-c", "0", "--max-n", "-1")

@@ -64,9 +64,9 @@ class TestBridge:
         assert len(pairs) > 1
         for bp in pairs:
             to_type_c(bp, b)
+        # bridge() computed beta - omega once; reading it subtracts nothing
+        assert subtractions == []
         assert b.a_beta == b.beta - b.omega
-        assert len(subtractions) == 2  # the first read, then the check above
-        # the cached value is no field: equality and hashing ignore it
         assert b == bridge(b.kappa_c, b.beta)
         assert hash(b) == hash(bridge(b.kappa_c, b.beta))
 

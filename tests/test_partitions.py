@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from klrblocks.partitions import (
     dominates,
     enumerate_block,
     multipartitions_of,
+    nodes,
     partitions_of,
     rect_add,
     rect_split,
@@ -49,6 +51,29 @@ class TestContent:
 
     def test_height_is_size(self):
         assert content(C, (2,), ((4, 3, 1),)).height == 8
+
+
+@st.composite
+def charged_shapes(draw):
+    """A type, a charge of level 1-3 (entries -2..2, or 0..2 in type C) and
+    an l-partition of that level with at most 5 rows of width at most 6
+    per component."""
+    ct = draw(st.sampled_from((A, C)))
+    level = draw(st.integers(1, 3))
+    charge = tuple(draw(st.integers(0 if ct is C else -2, 2)) for _ in range(level))
+    rows = st.lists(st.integers(1, 6), max_size=5)
+    mp = tuple(tuple(sorted(draw(rows), reverse=True)) for _ in range(level))
+    return ct, charge, mp
+
+
+@settings(max_examples=300, deadline=None)
+@given(charged_shapes())
+def test_content_matches_residue_per_node(case):
+    # content reads a row's residues as one run; the oracle takes residue()
+    # of every node
+    ct, charge, mp = case
+    oracle = Counter(residue(ct, charge, n) for n in nodes(mp))
+    assert content(ct, charge, mp) == RootVector(oracle)
 
 
 class TestAddableRemovable:
