@@ -58,6 +58,15 @@ class RootVector:
         self._entries = d
         self._hash = hash(frozenset(d.items()))
 
+    @classmethod
+    def _of_counts(cls, counts: Dict[Residue, int]) -> "RootVector":
+        """Wrap a dict of positive counts the caller has just built and
+        hands over, with no check and no copy."""
+        v = object.__new__(cls)
+        v._entries = counts
+        v._hash = hash(frozenset(counts.items()))
+        return v
+
     def __getitem__(self, i: Residue) -> int:
         return self._entries.get(i, 0)
 

@@ -17,8 +17,8 @@ from typing import Optional, Sequence, Tuple
 from .cartan import CartanType, RootVector
 from .crystal import is_kleshchev
 from .graded import gdim_specht, gdim_specht_weight
-from .morita import (ALL_CHECKS, bridge, from_type_c, iter_bridges, known_checks,
-                     verify_bridge)
+from .morita import (ALL_CHECKS, bridge, c_block, from_type_c, iter_bridges,
+                     known_checks, verify_bridge)
 from .partitions import (
     MultiPartition,
     as_partition,
@@ -44,6 +44,13 @@ def parse_charge(text: str, ct: CartanType) -> Tuple[int, ...]:
     charge = tuple(int(x) for x in text.split(","))
     ct.check_charge(charge)
     return charge
+
+
+def parse_beta(text: str, ct: CartanType) -> RootVector:
+    beta = RootVector.from_json(json.loads(text))
+    for i, _ in beta.items():
+        ct.check_label(i)
+    return beta
 
 
 def parse_type(text: str) -> CartanType:
@@ -103,10 +110,8 @@ def emit(records, fmt: str, stream=None) -> None:
 def cmd_block(args) -> int:
     ct = args.type
     charge = parse_charge(args.charge, ct)
-    if args.beta:
-        beta = RootVector.from_json(json.loads(args.beta))
-        for i, _ in beta.items():
-            ct.check_label(i)
+    if args.beta is not None:
+        beta = parse_beta(args.beta, ct)
         # every shape of the block has content beta by construction
         beta_json = beta.to_json()
         records = [{"shape": fmt_shape(mp), "content": beta_json}
@@ -189,7 +194,18 @@ def cmd_bridge(args) -> int:
 def cmd_verify(args) -> int:
     # check every name before the sweep, which may hold no bridge to check
     checks = known_checks(args.checks.split(","))
-    reports = [verify_bridge(b, checks) for b in iter_bridges(args.kappa_c, args.max_n)]
+    if args.beta is not None:
+        b = bridge(args.kappa_c, parse_beta(args.beta, CartanType.C))
+        # the one block is listed here, so that a beta the sweep would
+        # never reach is refused, and the checks read the same list
+        shapes = tuple(c_block(b))
+        if not shapes:
+            raise ValueError(f"no type-C partition of charge {args.kappa_c} has "
+                             f"content {args.beta}")
+        bridges = [b._replace(c_shapes=shapes)]
+    else:
+        bridges = iter_bridges(args.kappa_c, args.max_n)
+    reports = [verify_bridge(b, checks) for b in bridges]
     ok = all(r["pass"] for r in reports)
     if args.format == "pretty":
         for r in reports:
@@ -261,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the bridge verification battery")
     p.add_argument("--kappa-c", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--max-n", type=int, help="every block up to this height")
+    g.add_argument("--beta", help='one block, as type-C RootVector JSON')
     p.add_argument("--checks", default=",".join(ALL_CHECKS))
     p.set_defaults(func=cmd_verify)
 

@@ -8,13 +8,21 @@ the counting, graded, dominance, Kleshchev and good-path checks over one
 block object per call, whose parts are built on first read.  The type-C
 side of the counting and graded checks sums over the factorizable
 tableaux of nu, those whose first |rho| entries fill rho: gdim(rho) times
-a walk over the interval [rho, nu] of the Young lattice."""
+a walk over the interval [rho, nu] of the Young lattice.
+
+The type-C shapes come from one of two sources, decided by the input.  A
+sweep (iter_bridges) finds each block by grouping the partitions of each
+height by content, and its bridges carry the group as c_shapes.  A bridge
+made by bridge() alone (a single block, or a test) has none, and the
+checks list the block with the diagonal-profile walk (c_block); the CLI's
+verify --beta lists its one block so before the checks and passes the
+list on in c_shapes.  Both give the shapes in the order of partitions_of."""
 
 from __future__ import annotations
 
 from functools import cached_property
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-                    Set, Tuple)
+                    Tuple)
 
 from .cartan import CartanType, Charge, RootVector
 from .crystal import CogoodPathError, cogood_path, factors_through, is_kleshchev
@@ -50,6 +58,9 @@ class BlockBridge(NamedTuple):
     kappa1: int
     kappa2: int
     a_beta: RootVector  # beta - omega, the content of the type-A block
+    # the type-C shapes, when the bridge's maker has them (iter_bridges);
+    # None means the checks list them with c_block
+    c_shapes: Optional[Tuple[Partition, ...]] = None
 
     @property
     def c_charge(self) -> Charge:
@@ -142,18 +153,21 @@ def tableau_to_type_c(s: StandardTableau, u: StandardTableau,
 
 def iter_bridges(kappa_c: int, max_n: int) -> Iterator[BlockBridge]:
     """All bridges for type-C blocks with a_0 >= 1 and height at most
-    max_n, in increasing height then deterministic content order."""
+    max_n, in increasing height, then in the order partitions_of first
+    reaches each block.  The partitions of a height are grouped by content
+    in that walk, so each bridge carries its block's shapes (c_shapes, in
+    partitions_of order) and the checks do not list the block again."""
     if kappa_c < 0:
         raise ValueError(f"kappa_c must be non-negative, got {kappa_c}")
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     for n in range(1, max_n + 1):
-        seen: Set[RootVector] = set()
+        blocks: Dict[RootVector, List[Partition]] = {}
         for p in partitions_of(n):
-            beta = content(CartanType.C, (kappa_c,), (p,))
-            if beta[0] >= 1 and beta not in seen:
-                seen.add(beta)
-                yield bridge(kappa_c, beta)
+            blocks.setdefault(content(CartanType.C, (kappa_c,), (p,)), []).append(p)
+        for beta, shapes in blocks.items():
+            if beta[0] >= 1:
+                yield bridge(kappa_c, beta)._replace(c_shapes=tuple(shapes))
 
 
 def _graded_shift(lhs: LaurentPoly, rhs: LaurentPoly) -> Optional[int]:
@@ -196,8 +210,9 @@ class _Block:
         self.b = b
 
     @cached_property
-    def c_shapes(self) -> List[Partition]:
-        return c_block(self.b)
+    def c_shapes(self) -> Sequence[Partition]:
+        shapes = self.b.c_shapes
+        return c_block(self.b) if shapes is None else shapes
 
     @cached_property
     def pairs(self) -> List[Tuple[Bipartition, Partition]]:

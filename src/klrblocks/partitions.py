@@ -68,7 +68,8 @@ def content(ct: CartanType, charge: Charge, mp: MultiPartition) -> RootVector:
                 if absolute and i < 0:
                     i = -i
                 counts[i] = counts.get(i, 0) + 1
-    return RootVector(counts)
+    # every count is positive and the dict is ours alone
+    return RootVector._of_counts(counts)
 
 
 def addable_corners(mp: MultiPartition) -> List[Node]:

@@ -22,6 +22,7 @@ from klrblocks.cli import (
     parse_shape,
 )
 from klrblocks.cartan import CartanType
+from klrblocks.morita import ALL_CHECKS
 from klrblocks.partitions import content, multipartitions_of
 
 
@@ -188,6 +189,31 @@ class TestVerify:
         assert code == 0
         assert out.strip().endswith("all-pass")
 
+    @pytest.mark.parametrize("kappa_c", [0, 1])
+    def test_one_block_reports_as_in_sweep(self, capsys, kappa_c):
+        code, out = run(capsys, "verify", "--kappa-c", str(kappa_c), "--max-n", "8")
+        assert code == 0
+        sweep = json.loads(out)
+        for report in sweep:
+            beta = json.dumps(report["bridge"]["beta"])
+            code, out = run(capsys, "verify", "--kappa-c", str(kappa_c), "--beta", beta)
+            assert code == 0
+            assert json.loads(out) == [report]
+
+    def test_one_block_errors(self, capsys):
+        # no zero node: the BridgeError text
+        assert main(["verify", "--kappa-c", "0", "--beta", '{"1":2}']) == 2
+        assert capsys.readouterr().err == "error: no zero nodes: bridge undefined\n"
+        # a type-A label, a bridge with an empty block, a negative charge
+        for kappa_c, beta in (("0", '{"-1":1,"0":1}'), ("0", '{"0":1,"5":1}'),
+                              ("-1", '{"0":1}')):
+            assert fails_cleanly(capsys, "verify", "--kappa-c", kappa_c, "--beta", beta)
+        # exactly one of --max-n and --beta
+        for extra in ([], ["--max-n", "3", "--beta", '{"0":1}']):
+            with pytest.raises(SystemExit) as err:
+                main(["verify", "--kappa-c", "0"] + extra)
+            assert err.value.code == 2
+
 
 def fails_cleanly(capsys, *argv):
     """Exit code 2 with an error line on stderr and no traceback."""
@@ -278,7 +304,7 @@ class TestErrors:
 
     def test_bad_beta_json_exits_2(self, capsys):
         # "-1" is a valid residue only in type A
-        for beta in ("{oops", "[1]", '{"0":"x"}', '{"-1":1}'):
+        for beta in ("{oops", "[1]", '{"0":"x"}', '{"-1":1}', ""):
             assert fails_cleanly(capsys, "block", "--charge", "0", "--beta", beta)
 
     def test_bad_residue_exits_2(self, capsys):
@@ -365,11 +391,15 @@ def argvs(draw):
     def maybe_bad(good, bad):
         return draw(bad) if draw(st.integers(0, 4)) == 4 else good
 
-    cmd = draw(st.sampled_from(("block", "tableaux", "kleshchev", "gdim", "bridge")))
+    cmd = draw(st.sampled_from(("block", "tableaux", "kleshchev", "gdim", "bridge",
+                                "verify")))
     ct = draw(st.sampled_from(CartanType))
-    level = 1 if cmd == "bridge" else draw(st.integers(1, 3))
+    level = 1 if cmd in ("bridge", "verify") else draw(st.integers(1, 3))
     charge = tuple(draw(st.integers(0 if ct is CartanType.C else -2, 3))
                    for _ in range(level))
+    kappa_c = draw(st.integers(0, 1))
+    if cmd == "verify":  # a type-C block of charge kappa_c
+        ct, charge = CartanType.C, (kappa_c,)
     shape = draw(st.sampled_from(multipartitions_of(draw(st.integers(0, 6)), level)))
     residues = draw(st.lists(st.integers(-2, 4), min_size=sum(map(sum, shape)),
                              max_size=sum(map(sum, shape))))
@@ -386,7 +416,10 @@ def argvs(draw):
             st.sampled_from(("{", "[1]", "null", '"0"', '{"a":1}', '{"0":1.5}',
                              '{"0":true}')))),
         "--residues": maybe_bad(join(residues), bad_words),
-        "--kappa-c": maybe_bad(str(draw(st.integers(0, 1))), st.sampled_from(("-1", "x"))),
+        "--kappa-c": maybe_bad(str(kappa_c), st.sampled_from(("-1", "x"))),
+        "--checks": maybe_bad(",".join(draw(st.lists(st.sampled_from(ALL_CHECKS),
+                                                     min_size=1, max_size=3))),
+                              st.sampled_from(("", "bogus", "count,"))),
     }
     opts["--weight"] = opts["--residues"]
     names = {
@@ -395,8 +428,9 @@ def argvs(draw):
         "kleshchev": [draw(st.sampled_from(("--n", "--shape")))],
         "gdim": ["--shape"] + draw(st.sampled_from(([], ["--weight"]))),
         "bridge": ["--kappa-c", "--shape"],
+        "verify": ["--kappa-c", "--beta"] + draw(st.sampled_from(([], ["--checks"]))),
     }[cmd]
-    if cmd != "bridge":
+    if cmd not in ("bridge", "verify"):
         names = ["--type", "--charge"] + names
     argv = ["--format=" + draw(st.sampled_from(("json", "csv", "pretty"))), cmd]
     argv += [f"{name}={opts[name]}" for name in names]

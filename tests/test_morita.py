@@ -188,6 +188,16 @@ class TestIterBridges:
                     expected.append(beta)
         assert [b.beta for b in iter_bridges(kappa_c, 9)] == expected
 
+    def test_sweep_lists_no_block_again(self, monkeypatch):
+        # a sweep's bridges carry their type-C shapes, so no check under
+        # any of the five lists a type-C block
+        calls = []
+        monkeypatch.setattr(morita, "c_block", lambda b: calls.append(b) or c_block(b))
+        for kappa_c in (0, 1):
+            for b in iter_bridges(kappa_c, 9):
+                assert verify_bridge(b)["pass"]
+        assert calls == []
+
     def test_negative_max_n(self):
         assert list(iter_bridges(0, 0)) == []
         with pytest.raises(ValueError):
@@ -335,7 +345,11 @@ class TestVerifyBridge:
     @pytest.mark.parametrize("kappa_c", [0, 1])
     def test_single_check_reports_match_full_report(self, kappa_c):
         for b in iter_bridges(kappa_c, 10):
-            full = verify_bridge(b)["checks"]
+            report = verify_bridge(b)
+            # a sweep's bridge carries its type-C shapes; one from bridge()
+            # alone has none, and the checks list the block with c_block
+            assert verify_bridge(bridge(b.kappa_c, b.beta)) == report
+            full = report["checks"]
             for c in full:
                 assert verify_bridge(b, checks=(c,))["checks"] == {c: full[c]}
 

@@ -52,6 +52,20 @@ class TestContent:
     def test_height_is_size(self):
         assert content(C, (2,), ((4, 3, 1),)).height == 8
 
+    @pytest.mark.parametrize("ct, charges", [(A, [(0,), (-1, 2)]), (C, [(0,), (1, 0)])])
+    def test_unchecked_root_vector_matches_checked(self, ct, charges):
+        # content hands its counts to RootVector unchecked; the result must
+        # be the root vector the checking constructor makes of them
+        for charge in charges:
+            for n in range(9):
+                for mp in multipartitions_of(n, len(charge)):
+                    beta = content(ct, charge, mp)
+                    checked = RootVector(dict(beta.items()))
+                    assert beta == checked and checked == beta
+                    assert hash(beta) == hash(checked)
+        with pytest.raises(ValueError):
+            RootVector({0: -1})
+
 
 @st.composite
 def charged_shapes(draw):
@@ -267,6 +281,8 @@ class TestBridgeBlocksMatchContentFilter:
 
         for b in iter_bridges(kappa_c, 18):
             assert c_block(b) == [mp[0] for mp in block(C, b.c_charge, b.beta)]
+            # the shapes the sweep carries, which the checks read
+            assert list(b.c_shapes) == c_block(b)
             assert a_block(b) == block(A, b.a_charge, b.a_beta)
 
 
