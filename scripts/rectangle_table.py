@@ -8,6 +8,7 @@ is (q + 1/q) ** (a0 // 2) with a unique tableau at each extreme.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -30,14 +31,21 @@ def main():
         parser.error(f"--max-a0 must be at least 1, got {args.max_a0}")
 
     C = CartanType.C
-    for kappa_c in range(args.max_kappa + 1):
-        for a0 in range(1, args.max_a0 + 1):
-            rho = ((a0,) * (kappa_c + a0),)
-            iword = residue_sequence(initial_tableau(rho), C, (kappa_c,))
-            poly = gdim_specht_weight(rho, C, (kappa_c,), iword)
-            print(f"kappa_c={kappa_c} a0={a0} "
-                  f"dim={poly.eval_at_1():4d}  gdim={poly}")
+    try:
+        for kappa_c in range(args.max_kappa + 1):
+            for a0 in range(1, args.max_a0 + 1):
+                rho = ((a0,) * (kappa_c + a0),)
+                iword = residue_sequence(initial_tableau(rho), C, (kappa_c,))
+                poly = gdim_specht_weight(rho, C, (kappa_c,), iword)
+                print(f"kappa_c={kappa_c} a0={a0} "
+                      f"dim={poly.eval_at_1():4d}  gdim={poly}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; what is still buffered goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,6 +7,7 @@ Example:
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -38,20 +39,26 @@ def main():
         for b in iter_bridges(kappa_c, args.max_n):
             reports.append(verify_bridge(b, checks))
 
-    if args.json:
-        json.dump(reports, sys.stdout, indent=2)
-        print()
-    else:
-        for r in reports:
-            b = r["bridge"]
-            cells = "  ".join(
-                f"{name}={'ok' if v['pass'] else 'FAIL'}"
-                for name, v in r["checks"].items()
-            )
-            print(f"kappa_c={b['kappa_c']} a0={b['a0']} "
-                  f"beta={json.dumps(b['beta'])}  {cells}")
-        n_fail = sum(not r["pass"] for r in reports)
-        print(f"{len(reports)} bridges, {n_fail} failing")
+    try:
+        if args.json:
+            json.dump(reports, sys.stdout, indent=2)
+            print()
+        else:
+            for r in reports:
+                b = r["bridge"]
+                cells = "  ".join(
+                    f"{name}={'ok' if v['pass'] else 'FAIL'}"
+                    for name, v in r["checks"].items()
+                )
+                print(f"kappa_c={b['kappa_c']} a0={b['a0']} "
+                      f"beta={json.dumps(b['beta'])}  {cells}")
+            n_fail = sum(not r["pass"] for r in reports)
+            print(f"{len(reports)} bridges, {n_fail} failing")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; what is still buffered goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 1 if any(not r["pass"] for r in reports) else 0
 
 

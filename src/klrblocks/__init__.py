@@ -4,7 +4,6 @@ bridge and its verification battery."""
 
 from .cartan import CartanType, NotASubroot, RootVector
 from .crystal import (
-    CogoodPathError,
     cogood_node,
     cogood_path,
     factors_through,

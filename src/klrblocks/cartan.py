@@ -24,11 +24,8 @@ class CartanType(Enum):
     # every memo lookup keyed by the type
     __hash__ = object.__hash__
 
-    def valid_label(self, i: Residue) -> bool:
-        return self is CartanType.A or i >= 0
-
     def check_label(self, i: Residue) -> None:
-        if not self.valid_label(i):
+        if self is CartanType.C and i < 0:
             raise ValueError(f"residue {i} is not a valid type-{self.name} label")
 
     def check_charge(self, charge: Charge) -> None:
@@ -77,12 +74,6 @@ class RootVector:
     def height(self) -> int:
         return sum(self._entries.values())
 
-    def __add__(self, other: "RootVector") -> "RootVector":
-        d = dict(self._entries)
-        for i, m in other._entries.items():
-            d[i] = d.get(i, 0) + m
-        return RootVector(d)
-
     def __sub__(self, other: "RootVector") -> "RootVector":
         d = dict(self._entries)
         for i, m in other._entries.items():
@@ -103,9 +94,6 @@ class RootVector:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
 
     def __repr__(self) -> str:
         if not self._entries:

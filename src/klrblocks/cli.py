@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional, Sequence, Tuple
 
@@ -238,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, charge_default=None):
+    def common(p):
         p.add_argument("--type", type=parse_type, default=CartanType.C)
-        p.add_argument("--charge", default=charge_default, required=charge_default is None)
+        p.add_argument("--charge", required=True)
 
     p = sub.add_parser("block", help="list the l-partitions of a block or size")
     common(p)
@@ -295,7 +296,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if isinstance(value, list):
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; what is still buffered goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

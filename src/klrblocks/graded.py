@@ -61,14 +61,6 @@ class LaurentPoly:
                 d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly(d)
 
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = LaurentPoly.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def bar(self) -> "LaurentPoly":
         """The bar involution q -> 1/q."""
         return LaurentPoly({-e: c for e, c in self._coeffs.items()})
@@ -82,9 +74,6 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)

@@ -25,10 +25,9 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequen
                     Tuple)
 
 from .cartan import CartanType, Charge, RootVector
-from .crystal import CogoodPathError, cogood_path, factors_through, is_kleshchev
+from .crystal import cogood_path, factors_through, is_kleshchev
 from .graded import LaurentPoly, gdim_factorizable, gdim_specht
 from .partitions import (
-    MultiPartition,
     Node,
     Partition,
     conjugate,
@@ -183,15 +182,6 @@ def _graded_shift(lhs: LaurentPoly, rhs: LaurentPoly) -> Optional[int]:
     return c if all((e + c, v) in lt for e, v in rt) else None
 
 
-def _replays(start: MultiPartition, word: Sequence[int],
-             end: MultiPartition, charge: Charge) -> bool:
-    """True iff cogood additions along word take start to end in type C."""
-    try:
-        return cogood_path(start, word, CartanType.C, charge) == end
-    except CogoodPathError:
-        return False
-
-
 def known_checks(names: Iterable[str]) -> Tuple[str, ...]:
     """The requested check names as a tuple; an unknown name raises
     ValueError."""
@@ -311,15 +301,16 @@ def _check_kleshchev(blk: _Block) -> dict:
 def _check_goodpath(blk: _Block) -> dict:
     # Each word is replayed from the empty partition to rho and on to nu;
     # the replay steps are memoized, so the shapes of a sweep share their
-    # steps up to and above rho.
+    # steps up to and above rho.  A replay that meets no cogood node gives
+    # None, which is neither end.
     b = blk.b
-    n_rho = size((b.rho,))
+    C, n_rho = CartanType.C, size((b.rho,))
     failures = []
     for nu in blk.c_kleshchev:
-        word = factors_through(nu, b.rho, CartanType.C, b.c_charge)
+        word = factors_through(nu, b.rho, C, b.c_charge)
         if (word is None
-                or not _replays(((),), word[:n_rho], (b.rho,), b.c_charge)
-                or not _replays((b.rho,), word[n_rho:], (nu,), b.c_charge)):
+                or cogood_path(((),), word[:n_rho], C, b.c_charge) != (b.rho,)
+                or cogood_path((b.rho,), word[n_rho:], C, b.c_charge) != (nu,)):
             failures.append(list(nu))
     return {"pass": not failures, "failures": failures}
 

@@ -7,7 +7,7 @@ node, kappa_c in {0, 1} and content height at most 8.
 
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 from klrblocks.cartan import CartanType
 from klrblocks.graded import LaurentPoly, gdim_specht_weight
@@ -49,7 +49,9 @@ def test_criterion_1_rectangle_closed_form():
         rho = ((a0,) * (kappa_c + a0),)
         charge = (kappa_c,)
         iword = residue_sequence(initial_tableau(rho), C, charge)
-        ok = ok and gdim_specht_weight(rho, C, charge, iword) == QBAL ** (a0 // 2)
+        m = a0 // 2  # (q + 1/q)^m = sum over j of C(m, j) q^(m - 2j)
+        closed = LaurentPoly({m - 2 * j: comb(m, j) for j in range(m + 1)})
+        ok = ok and gdim_specht_weight(rho, C, charge, iword) == closed
         tableaux = list(enumerate_standard(rho, C, charge, iword))
         degs = {t.order: degree(t, C, charge) for t in tableaux}
         top = [o for o, d in degs.items() if d == a0 // 2]

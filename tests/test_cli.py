@@ -222,14 +222,37 @@ def fails_cleanly(capsys, *argv):
     return code == 2 and err.startswith("error: ") and "Traceback" not in err
 
 
-def fresh_interpreter(code):
-    """The stdout of code run by a new interpreter that imports this
-    checkout's package."""
+def interpreter_env():
+    """The environment of a new interpreter that imports this checkout's
+    package."""
     src = str(Path(klrblocks.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return env
+
+
+def fresh_interpreter(code):
+    """The stdout of code run by a new interpreter that imports this
+    checkout's package."""
+    return subprocess.run([sys.executable, "-c", code], env=interpreter_env(),
                           capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--kappa-c", "0", "--beta", '{"0":2,"1":2,"2":1}'),
+    ("block", "--charge", "0", "--beta", '{"0":1,"1":1}'),
+])
+def test_broken_pipe_exits_1_quietly(argv):
+    # stdout is a pipe whose read end is already closed
+    r, w = os.pipe()
+    os.close(r)
+    code = "import sys; from klrblocks.cli import main; sys.exit(main())"
+    try:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=interpreter_env(),
+                              stdout=w, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_startup_imports():

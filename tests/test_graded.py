@@ -38,19 +38,13 @@ class TestLaurentPoly:
     def test_square(self):
         assert QBAL * QBAL == LaurentPoly({2: 1, 0: 2, -2: 1})
 
-    def test_pow(self):
-        assert QBAL ** 0 == LaurentPoly.one()
-        assert QBAL ** 2 == QBAL * QBAL
-        with pytest.raises(ValueError):
-            QBAL ** -1
-
     def test_bar(self):
         p = LaurentPoly({3: 2, -1: 5})
         assert p.bar() == LaurentPoly({-3: 2, 1: 5})
         assert QBAL.bar() == QBAL
 
     def test_eval_at_1(self):
-        assert (QBAL ** 3).eval_at_1() == 8
+        assert LaurentPoly({3: 1, 1: 3, -1: 3, -3: 1}).eval_at_1() == 8
         assert LaurentPoly().eval_at_1() == 0
 
     def test_add_sub_cancel(self):
@@ -88,7 +82,8 @@ class TestGdimSpecht:
     def test_six_square_weight(self):
         shape = ((6,) * 6,)
         iword = residue_sequence(initial_tableau(shape), C, (0,))
-        assert gdim_specht_weight(shape, C, (0,), iword) == QBAL ** 3
+        assert gdim_specht_weight(shape, C, (0,), iword) == LaurentPoly(
+            {3: 1, 1: 3, -1: 3, -3: 1})
 
     def test_level_two_pair(self):
         assert gdim_specht(((1,), (1,)), A, (1, 1)) == QBAL

@@ -294,7 +294,7 @@ class TestBridgeResidueCompatibility:
         for b in iter_bridges(kappa_c, 8):
             for bp in a_block(b):
                 nu = to_type_c(bp, b)
-                assert content(C, b.c_charge, (nu,)) == b.omega + content(A, b.a_charge, bp)
+                assert content(C, b.c_charge, (nu,)) - b.omega == content(A, b.a_charge, bp)
 
     @pytest.mark.parametrize("kappa_c", [0, 1, 2])
     def test_rectangle_contained(self, kappa_c):

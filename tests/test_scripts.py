@@ -24,6 +24,19 @@ def test_runs_without_pythonpath(tmp_path, script, args, first_line):
     assert proc.stdout.splitlines()[0] == first_line
 
 
+def test_broken_pipe_exits_1_quietly(tmp_path):
+    # stdout is a pipe whose read end is already closed
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "verify_bridges.py"), "--max-n", "4"],
+            cwd=tmp_path, stdout=w, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 @pytest.mark.parametrize("script,args", [
     ("verify_bridges.py", ["--checks", "bogus"]),
     ("verify_bridges.py", ["--checks", "count,bogus"]),

@@ -18,7 +18,8 @@ KEPT = {
     "dominates",
     # paper fixture: the minimal-degree rectangle tableau (acceptance criterion 1)
     "rectangle_final_tableau",
-    # the planned bijection check (ROADMAP item 4) maps tableaux with it
+    # test oracle of the planned steps check (ROADMAP item 4): the
+    # differential test maps enumerated tableaux with it
     "tableau_to_type_c",
     # the bar involution of the planned graded decomposition numbers
     # (ROADMAP item 5)
