@@ -34,7 +34,6 @@ from .partitions import (
     MultiPartition,
     Node,
     Partition,
-    addable_nodes,
     as_partition,
     conjugate,
     content,
@@ -44,7 +43,6 @@ from .partitions import (
     partitions_of,
     rect_add,
     rect_split,
-    removable_nodes,
     residue,
 )
 from .tableaux import (

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from enum import Enum
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 Residue = int
 Charge = Tuple[Residue, ...]
@@ -44,14 +44,13 @@ class RootVector:
 
     __slots__ = ("_entries", "_hash")
 
-    def __init__(self, entries: Mapping[Residue, int] | Iterable[Tuple[Residue, int]] = ()):
+    def __init__(self, entries: Mapping[Residue, int] | None = None):
         d: Dict[Residue, int] = {}
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        for i, m in items:
+        for i, m in (entries or {}).items():
             if m < 0:
                 raise ValueError(f"negative multiplicity {m} at residue {i}")
             if m:
-                d[i] = d.get(i, 0) + m
+                d[i] = m
         self._entries = d
         self._hash = hash(frozenset(d.items()))
 

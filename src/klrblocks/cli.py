@@ -79,8 +79,8 @@ def fmt_shape(shape: MultiPartition) -> str:
     return "/".join(",".join(map(str, p)) or "-" for p in shape)
 
 
-def emit(records, fmt: str, stream=None) -> None:
-    stream = stream or sys.stdout
+def emit(records, fmt: str) -> None:
+    stream = sys.stdout
     if fmt == "json":
         stream.write(json.dumps(records, separators=(",", ":")))
         stream.write("\n")
@@ -95,7 +95,7 @@ def emit(records, fmt: str, stream=None) -> None:
         writer.writerow(keys)
         for row in rows:
             writer.writerow(
-                [json.dumps(row[k]) if isinstance(row[k], (list, dict)) else row[k]
+                [json.dumps(row[k]) if isinstance(row[k], (bool, list, dict)) else row[k]
                  for k in keys]
             )
     else:
@@ -117,6 +117,9 @@ def cmd_block(args) -> int:
         beta_json = beta.to_json()
         records = [{"shape": fmt_shape(mp), "content": beta_json}
                    for mp in enumerate_block(ct, charge, beta)]
+        if not records:
+            raise ValueError(f"no l-partition of charge {args.charge} has "
+                             f"content {args.beta}")
     else:
         records = [{"shape": fmt_shape(mp), "content": content(ct, charge, mp).to_json()}
                    for mp in multipartitions_of(args.n, len(charge))]
@@ -145,6 +148,9 @@ def cmd_kleshchev(args) -> int:
     ct = args.type
     charge = parse_charge(args.charge, ct)
     if args.shape is not None:
+        if args.list:
+            raise ValueError("--list filters the l-partitions of --n; "
+                             "it does not apply to --shape")
         shape = parse_shape(args.shape)
         check_level(shape, charge)
         result = is_kleshchev(shape, ct, charge)

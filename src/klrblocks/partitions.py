@@ -85,29 +85,6 @@ def addable_corners(mp: MultiPartition) -> List[Node]:
     return out
 
 
-def addable_nodes(mp: MultiPartition, ct: CartanType, charge: Charge,
-                  i: Residue | None = None) -> List[Node]:
-    """Addable nodes, optionally filtered by residue, ordered by
-    (component, row)."""
-    corners = addable_corners(mp)
-    if i is None:
-        return corners
-    return [node for node in corners if residue(ct, charge, node) == i]
-
-
-def removable_nodes(mp: MultiPartition, ct: CartanType, charge: Charge,
-                    i: Residue | None = None) -> List[Node]:
-    out: List[Node] = []
-    for m, p in enumerate(mp, start=1):
-        for r in range(1, len(p) + 1):
-            nxt = p[r] if r < len(p) else 0
-            if p[r - 1] > nxt:
-                node = (r, p[r - 1], m)
-                if i is None or residue(ct, charge, node) == i:
-                    out.append(node)
-    return out
-
-
 def signatures(mp: MultiPartition, ct: CartanType,
                charge: Charge) -> Dict[Residue, List[SignatureEntry]]:
     """The i-signature of every residue i with a corner: its addable and

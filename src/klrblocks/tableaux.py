@@ -1,9 +1,7 @@
 """Standard tableaux: enumeration, residue sequences and degree statistics.
 
 A standard tableau is stored as its shape together with the list of nodes
-in entry order, i.e. ``order[k-1]`` is the node containing k.  "Below"
-always means strictly later in the (component, row) reading order; nodes
-in the same row are neither above nor below each other.
+in entry order, i.e. ``order[k-1]`` is the node containing k.
 """
 
 from __future__ import annotations
@@ -16,12 +14,11 @@ from .partitions import (
     Node,
     add_node,
     addable_corners,
-    addable_nodes,
     contains,
     nodes,
-    removable_nodes,
     residue,
     size,
+    step_degrees,
 )
 
 
@@ -41,11 +38,6 @@ class StandardTableau(NamedTuple):
         for node in self.order[:k]:
             mp = add_node(mp, node)
         return mp
-
-
-def _below(a: Node, b: Node) -> bool:
-    """True iff a is strictly below b in the (component, row) order."""
-    return (a[2], a[0]) > (b[2], b[0])
 
 
 def initial_tableau(shape: MultiPartition) -> StandardTableau:
@@ -73,21 +65,16 @@ def residue_sequence(t: StandardTableau, ct: CartanType, charge: Charge) -> Tupl
     return tuple(residue(ct, charge, node) for node in t.order)
 
 
-def step_degree(mp: MultiPartition, node: Node, ct: CartanType, charge: Charge) -> int:
-    """One term of the degree: (#addable - #removable) nodes of the residue
-    of node strictly below it, in the shape mp just after adding node."""
-    i = residue(ct, charge, node)
-    return (sum(1 for a in addable_nodes(mp, ct, charge, i) if _below(a, node))
-            - sum(1 for a in removable_nodes(mp, ct, charge, i) if _below(a, node)))
-
-
 def degree(t: StandardTableau, ct: CartanType, charge: Charge) -> int:
-    """Cellular degree: the sum of step_degree over the entries in order."""
+    """Cellular degree: the sum over the entries, in order, of the step
+    degree partitions.step_degrees gives each node in the shape just after
+    it is added."""
     total = 0
     mp: MultiPartition = tuple(() for _ in t.shape)
     for node in t.order:
         mp = add_node(mp, node)
-        total += step_degree(mp, node, ct, charge)
+        i = residue(ct, charge, node)
+        total += next(d for n, d in step_degrees(mp, ct, charge, i) if n == node)
     return total
 
 

@@ -99,6 +99,19 @@ class TestKleshchev:
         assert code == 0
         assert json.loads(out) == [{"shape": "1,1", "kleshchev": True}]
 
+    def test_list_with_shape_exits_2(self, capsys):
+        assert main(["kleshchev", "--charge", "0", "--shape", "2", "--list"]) == 2
+        assert "--list filters the l-partitions of --n" in capsys.readouterr().err
+
+    def test_csv_booleans_decode_as_json(self, capsys):
+        _, js = run(capsys, "kleshchev", "--charge", "0", "--n", "3")
+        _, cs = run(capsys, "--format", "csv", "kleshchev", "--charge", "0", "--n", "3")
+        parsed = [
+            {"shape": r["shape"], "kleshchev": json.loads(r["kleshchev"])}
+            for r in csv.DictReader(io.StringIO(cs))
+        ]
+        assert parsed == json.loads(js)
+
 
 class TestBlock:
     def test_by_beta(self, capsys):
@@ -115,6 +128,17 @@ class TestBlock:
             for r in csv.DictReader(io.StringIO(cs))
         ]
         assert parsed == json.loads(js)
+
+    def test_empty_block_exits_2(self, capsys):
+        for argv in (("--charge", "0", "--beta", '{"1":1}'),
+                     ("--type", "a", "--charge", "0,0", "--beta", '{"5":1}')):
+            assert main(["block", *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: no l-partition of charge ")
+            assert " has content " in err
+        # the zero root vector has one l-partition, the empty one
+        assert run(capsys, "block", "--type", "a", "--charge", "0,0",
+                   "--beta", "{}") == (0, '[{"shape":"-/-","content":{}}]\n')
 
     def test_tall_block_is_answered(self, capsys):
         # a 1200-node column, deeper than Python's recursion limit

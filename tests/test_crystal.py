@@ -16,15 +16,15 @@ from klrblocks.crystal import (
 )
 from klrblocks.partitions import (
     add_node,
-    addable_nodes,
     content,
     multipartitions_of,
     partitions_of,
-    removable_nodes,
     remove_node,
     residue,
     size,
 )
+
+from oracles import corners
 
 A, C = CartanType.A, CartanType.C
 
@@ -42,9 +42,10 @@ def charged_shapes(draw, max_level=3, max_n=8, max_c_level=None):
 
 
 def oracle_signature(mp, ct, charge, i):
-    """The i-signature from the per-residue corner filters."""
-    entries = [("a", node) for node in addable_nodes(mp, ct, charge, i)]
-    entries += [("r", node) for node in removable_nodes(mp, ct, charge, i)]
+    """The i-signature from the brute-force corners of residue i."""
+    addable, removable = corners(mp)
+    entries = [("a", node) for node in addable if residue(ct, charge, node) == i]
+    entries += [("r", node) for node in removable if residue(ct, charge, node) == i]
     entries.sort(key=lambda e: (e[1][2], e[1][0]))
     return tuple(entries)
 
@@ -59,7 +60,7 @@ def seed_good_nodes(cur, ct, charge):
     residue's first removable node in (component, row) order, kept only
     if it is that residue's good node."""
     seen, out = set(), []
-    for node in removable_nodes(cur, ct, charge):
+    for node in corners(cur)[1]:
         i = residue(ct, charge, node)
         if i in seen:
             continue
@@ -70,9 +71,9 @@ def seed_good_nodes(cur, ct, charge):
 
 
 def oracle_good_nodes(cur, ct, charge):
-    """Every residue's good node from the per-residue filters, in
+    """Every residue's good node from the per-residue oracle signatures, in
     (component, row) order."""
-    residues = {residue(ct, charge, node) for node in removable_nodes(cur, ct, charge)}
+    residues = {residue(ct, charge, node) for node in corners(cur)[1]}
     goods = (oracle_good_node(cur, ct, charge, i) for i in residues)
     return sorted((n for n in goods if n is not None), key=lambda n: (n[2], n[0]))
 
@@ -138,8 +139,8 @@ class TestOneScan:
     @given(charged_shapes())
     def test_every_residue_matches_per_residue_oracle(self, case):
         ct, charge, mp = case
-        corners = addable_nodes(mp, ct, charge) + removable_nodes(mp, ct, charge)
-        residues = sorted({residue(ct, charge, node) for node in corners})
+        addable, removable = corners(mp)
+        residues = sorted({residue(ct, charge, node) for node in addable + removable})
         goods = []
         for i in residues:
             sig = oracle_signature(mp, ct, charge, i)
@@ -174,8 +175,7 @@ def removal_searches(draw, max_c_level=2):
     if draw(st.booleans()):
         target = mp
         for _ in range(draw(st.integers(0, sum(map(sum, mp))))):
-            target = remove_node(target, draw(st.sampled_from(
-                removable_nodes(target, ct, charge))))
+            target = remove_node(target, draw(st.sampled_from(corners(target)[1])))
     else:
         n = draw(st.integers(0, sum(map(sum, mp))))
         target = draw(st.sampled_from(multipartitions_of(n, len(mp))))
@@ -341,7 +341,7 @@ def replay_words(draw):
     ct, charge, mp = draw(charged_shapes(max_level=2, max_n=5))
     word, cur = [], mp
     for _ in range(draw(st.integers(0, 8))):
-        residues = sorted({residue(ct, charge, n) for n in addable_nodes(cur, ct, charge)})
+        residues = sorted({residue(ct, charge, n) for n in corners(cur)[0]})
         i = draw(st.sampled_from(residues + [residues[-1] + 1]))
         word.append(i)
         node = cogood_node(cur, ct, charge, i)

@@ -14,6 +14,8 @@ from klrblocks.tableaux import (
     residue_sequence,
 )
 
+import oracles
+
 A, C = CartanType.A, CartanType.C
 
 # The 2 x 2 square filled down its columns: [[1, 3], [2, 4]].
@@ -79,6 +81,24 @@ class TestDegree:
         assert [o for o, d in degs.items() if d == bot] == [
             rectangle_final_tableau(a0, kappa_c + a0).order
         ]
+
+
+    @pytest.mark.parametrize("ct, charges", [
+        (A, [(0,), (-2,), (0, 0), (1, -1), (0, 3)]),
+        (C, [(0,), (2,), (0, 0), (1, 0), (0, 2)]),
+    ])
+    def test_sum_of_oracle_step_degrees(self, ct, charges):
+        """Every standard tableau of every l-partition up to size 6: the
+        degree is the sum over its entries of the brute-force oracle's step
+        degree of each node in the shape just after it is added."""
+        for charge in charges:
+            for n in range(7):
+                for shape in multipartitions_of(n, len(charge)):
+                    for t in enumerate_standard(shape):
+                        expected = sum(
+                            dict(oracles.step_degrees(t.prefix_shape(k), ct, charge))[node]
+                            for k, node in enumerate(t.order, start=1))
+                        assert degree(t, ct, charge) == expected
 
 
 class TestEnumeration:
