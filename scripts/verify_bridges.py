@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the block bridge verification battery and print a summary table.
 
-Example:
+Examples:
     python scripts/verify_bridges.py --kappa-c 0 1 --max-n 8
+    python scripts/verify_bridges.py --kappa-c 0 --beta '{"0": 2, "1": 2, "2": 1}'
 """
 
 import argparse
@@ -14,13 +15,20 @@ from pathlib import Path
 # Import the package from this checkout's src/, installed or not.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from klrblocks.morita import ALL_CHECKS, iter_bridges, known_checks, verify_bridge
+from klrblocks.cartan import CartanType
+from klrblocks.cli import parse_beta
+from klrblocks.morita import (ALL_CHECKS, iter_bridges, known_checks, one_block_bridge,
+                              verify_bridge)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kappa-c", type=int, nargs="+", default=[0, 1])
-    parser.add_argument("--max-n", type=int, default=8)
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument("--max-n", type=int,
+                       help="every block up to this height (default 8)")
+    which.add_argument("--beta", help="one block, as type-C RootVector JSON; "
+                                      "takes exactly one --kappa-c")
     parser.add_argument("--checks", default=",".join(ALL_CHECKS))
     parser.add_argument("--json", action="store_true",
                         help="dump the full reports instead of the table")
@@ -29,15 +37,24 @@ def main():
         checks = known_checks(args.checks.split(","))
     except ValueError as exc:
         parser.error(f"{exc}; choose from {','.join(ALL_CHECKS)}")
-    if args.max_n < 0:
-        parser.error(f"--max-n must be non-negative, got {args.max_n}")
+    max_n = 8 if args.max_n is None else args.max_n
+    if max_n < 0:
+        parser.error(f"--max-n must be non-negative, got {max_n}")
     if any(k < 0 for k in args.kappa_c):
         parser.error(f"--kappa-c must be non-negative, got {min(args.kappa_c)}")
+    if args.beta is not None and len(args.kappa_c) != 1:
+        parser.error("--beta checks one block: give exactly one --kappa-c")
 
-    reports = []
-    for kappa_c in args.kappa_c:
-        for b in iter_bridges(kappa_c, args.max_n):
-            reports.append(verify_bridge(b, checks))
+    if args.beta is not None:
+        try:
+            bridges = [one_block_bridge(args.kappa_c[0],
+                                        parse_beta(args.beta, CartanType.C))]
+        except ValueError as exc:  # bad JSON, no bridge or an empty block
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    else:
+        bridges = (b for kappa_c in args.kappa_c for b in iter_bridges(kappa_c, max_n))
+    reports = [verify_bridge(b, checks) for b in bridges]
 
     try:
         if args.json:

@@ -5,8 +5,6 @@ bridge and its verification battery."""
 from .cartan import CartanType, NotASubroot, RootVector
 from .crystal import (
     cogood_node,
-    cogood_path,
-    factors_through,
     good_node,
     i_signature,
     is_kleshchev,

@@ -18,8 +18,8 @@ from typing import Optional, Sequence, Tuple
 from .cartan import CartanType, RootVector
 from .crystal import is_kleshchev
 from .graded import gdim_specht, gdim_specht_weight
-from .morita import (ALL_CHECKS, bridge, c_block, from_type_c, iter_bridges,
-                     known_checks, verify_bridge)
+from .morita import (ALL_CHECKS, bridge, from_type_c, iter_bridges, known_checks,
+                     one_block_bridge, verify_bridge)
 from .partitions import (
     MultiPartition,
     as_partition,
@@ -79,7 +79,10 @@ def fmt_shape(shape: MultiPartition) -> str:
     return "/".join(",".join(map(str, p)) or "-" for p in shape)
 
 
-def emit(records, fmt: str) -> None:
+def emit(records, fmt: str, columns: Sequence[str] = ()) -> None:
+    """Write records (a list of rows, or one row) in the format.  A csv
+    header is the keys of the first row; an answer that may have no row
+    names its columns, so that its header is written all the same."""
     stream = sys.stdout
     if fmt == "json":
         stream.write(json.dumps(records, separators=(",", ":")))
@@ -88,9 +91,7 @@ def emit(records, fmt: str) -> None:
         import csv  # only this format needs it; keeps it out of start-up
 
         rows = records if isinstance(records, list) else [records]
-        if not rows:
-            return
-        keys = list(rows[0])
+        keys = list(rows[0]) if rows else list(columns)
         writer = csv.writer(stream)
         writer.writerow(keys)
         for row in rows:
@@ -140,7 +141,8 @@ def cmd_tableaux(args) -> int:
         if args.with_degrees:
             rec["degree"] = degree(t, ct, charge)
         records.append(rec)
-    emit(records, args.format)
+    emit(records, args.format,
+         ("rows", "residues", "degree") if args.with_degrees else ("rows", "residues"))
     return 0
 
 
@@ -154,10 +156,10 @@ def cmd_kleshchev(args) -> int:
         shape = parse_shape(args.shape)
         check_level(shape, charge)
         result = is_kleshchev(shape, ct, charge)
-        if args.format == "json":
-            emit({"shape": fmt_shape(shape), "kleshchev": result}, args.format)
-        else:
+        if args.format == "pretty":
             print("true" if result else "false")
+        else:
+            emit({"shape": fmt_shape(shape), "kleshchev": result}, args.format)
         return 0
     records = [
         {"shape": fmt_shape(mp), "kleshchev": is_kleshchev(mp, ct, charge)}
@@ -165,7 +167,7 @@ def cmd_kleshchev(args) -> int:
     ]
     if args.list:
         records = [r for r in records if r["kleshchev"]]
-    emit(records, args.format)
+    emit(records, args.format, ("shape", "kleshchev"))
     return 0
 
 
@@ -181,7 +183,8 @@ def cmd_gdim(args) -> int:
     if args.format == "pretty":
         print(poly)
     elif args.format == "csv":
-        emit([{"exponent": e, "coefficient": c} for e, c in poly.to_pairs()], "csv")
+        emit([{"exponent": e, "coefficient": c} for e, c in poly.to_pairs()], "csv",
+             ("exponent", "coefficient"))
     else:
         emit(poly.to_pairs(), "json")
     return 0
@@ -202,14 +205,7 @@ def cmd_verify(args) -> int:
     # check every name before the sweep, which may hold no bridge to check
     checks = known_checks(args.checks.split(","))
     if args.beta is not None:
-        b = bridge(args.kappa_c, parse_beta(args.beta, CartanType.C))
-        # the one block is listed here, so that a beta the sweep would
-        # never reach is refused, and the checks read the same list
-        shapes = tuple(c_block(b))
-        if not shapes:
-            raise ValueError(f"no type-C partition of charge {args.kappa_c} has "
-                             f"content {args.beta}")
-        bridges = [b._replace(c_shapes=shapes)]
+        bridges = [one_block_bridge(args.kappa_c, parse_beta(args.beta, CartanType.C))]
     else:
         bridges = iter_bridges(args.kappa_c, args.max_n)
     reports = [verify_bridge(b, checks) for b in bridges]
@@ -222,7 +218,7 @@ def cmd_verify(args) -> int:
             print(f"beta={json.dumps(beta)} {line}")
         print("all-pass" if ok else "FAILED")
     else:
-        emit(reports, args.format)
+        emit(reports, args.format, ("bridge", "checks", "pass"))
     return 0 if ok else 1
 
 

@@ -1,6 +1,6 @@
 """Crystal combinatorics: i-signatures, good/cogood nodes, Kleshchev
-l-partitions, cogood paths and good-removal factorization through the
-rectangle."""
+l-partitions, and good-removal walks down to a target with their cogood
+replays."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from .cartan import CartanType, Charge, Residue
 from .partitions import (
     MultiPartition,
     Node,
-    Partition,
     SignatureEntry,
     add_node,
     contains,
@@ -41,18 +40,13 @@ def reduce_signature(sig: Sequence[SignatureEntry]) -> Signature:
     return tuple(stack)
 
 
-def _leftmost_r(sig: Sequence[SignatureEntry]) -> Optional[Node]:
-    """The node at the leftmost r of the reduced signature, if any."""
-    for marker, node in reduce_signature(sig):
-        if marker == "r":
-            return node
-    return None
-
-
 def good_node(mp: MultiPartition, ct: CartanType, charge: Charge,
               i: Residue) -> Optional[Node]:
     """The removable node at the leftmost r of the reduced i-signature."""
-    return _leftmost_r(i_signature(mp, ct, charge, i))
+    for marker, node in reduce_signature(i_signature(mp, ct, charge, i)):
+        if marker == "r":
+            return node
+    return None
 
 
 def cogood_node(mp: MultiPartition, ct: CartanType, charge: Charge,
@@ -68,9 +62,19 @@ def cogood_node(mp: MultiPartition, ct: CartanType, charge: Charge,
 def _good_nodes(mp: MultiPartition, ct: CartanType,
                 charge: Charge) -> List[Node]:
     """The good node of every residue that has one, in (component, row)
-    order, from one scan of the corners."""
-    sigs = signatures(mp, ct, charge).values()
-    goods = [node for node in map(_leftmost_r, sigs) if node is not None]
+    order, from one scan of the corners.  Each i-signature is reduced with
+    a stack of its open removable nodes: an addable node closes the last
+    one still open, and the good node is the first one left open."""
+    goods = []
+    for sig in signatures(mp, ct, charge).values():
+        open_r: List[Node] = []
+        for marker, node in sig:
+            if marker == "r":
+                open_r.append(node)
+            elif open_r:
+                open_r.pop()
+        if open_r:
+            goods.append(open_r[0])
     goods.sort(key=lambda node: (node[2], node[0]))
     return goods
 
@@ -88,85 +92,53 @@ def is_kleshchev(mp: MultiPartition, ct: CartanType, charge: Charge) -> bool:
     additions.  The Kleshchev l-partitions form the crystal component of
     the empty one, which is closed under every e_i, so removing any one
     good node keeps mp in it or out of it; the memoized recursion follows
-    one good node per step.  It does not reuse good_removal_path's search,
-    which branches over every good node: on the 60-node bipartition
+    one good node per step.  It does not reuse good_walk's search, which
+    branches over every good node: on the 60-node bipartition
     ((9, 9, 3, 1^15), (14, 3, 3, 2, 2)) of type A, charge (0, 1), that
     search visits 234 226 states in 3.66 s, where this walk takes 59."""
     return _kleshchev(ct, tuple(charge), mp)
 
 
-@lru_cache(maxsize=None)
-def _cogood_step(ct: CartanType, charge: Charge, mp: MultiPartition,
-                 i: Residue) -> Optional[MultiPartition]:
-    """mp with its cogood i-node added, or None if it has none."""
-    node = cogood_node(mp, ct, charge, i)
-    return None if node is None else add_node(mp, node)
-
-
-def cogood_path(start: MultiPartition, word: Sequence[Residue],
-                ct: CartanType, charge: Charge) -> Optional[MultiPartition]:
-    """Add cogood nodes of the given residues in order; None if a step has
-    no cogood node.  Each step is memoized for the process, so replays
-    that share a prefix, like the shapes of a block above rho, share its
-    steps."""
-    charge = tuple(charge)
-    mp = start
-    for i in word:
-        mp = _cogood_step(ct, charge, mp, i)
-        if mp is None:
-            return None
-    return mp
+Walk = Tuple[Tuple[Residue, ...], Optional[MultiPartition]]
 
 
 @lru_cache(maxsize=None)
-def _removal_step(ct: CartanType, charge: Charge, cur: MultiPartition,
-                  target: MultiPartition) -> Optional[Node]:
-    """The first good node of cur, in (component, row) order and not inside
-    target, whose removal leaves a shape from which good-node removals reach
-    target; None if there is none.  The depth-first search below a shape
-    depends on that shape and target only, so one step per state, memoized
-    for the process, holds every search's answer."""
-    for node in _good_nodes(cur, ct, charge):
+def _good_walk(ct: CartanType, charge: Charge, mp: MultiPartition,
+               target: MultiPartition) -> Optional[Walk]:
+    """good_walk for mp != target, memoized for the process.  The search
+    tries the good nodes of mp in (component, row) order, skipping those
+    inside target, and keeps the first whose removal leaves target or a
+    shape with a walk; the entry extends that walk by the node's residue
+    and one cogood step of its replay.  So a shape costs one entry on top
+    of the walk one good removal below it, and the recursion is at most
+    |mp| - |target| deep."""
+    for node in _good_nodes(mp, ct, charge):
         if contains(target, node):
             continue
-        nxt = remove_node(cur, node)
-        if nxt == target or _removal_step(ct, charge, nxt, target) is not None:
-            return node
+        nxt = remove_node(mp, node)
+        below = ((), target) if nxt == target else _good_walk(ct, charge, nxt, target)
+        if below is None:
+            continue
+        word, end = below
+        i = residue(ct, charge, node)
+        if end is not None:
+            added = cogood_node(end, ct, charge, i)
+            end = None if added is None else add_node(end, added)
+        return word + (i,), end
     return None
 
 
-def good_removal_path(mp: MultiPartition, target: MultiPartition,
-                      ct: CartanType, charge: Charge) -> Optional[Tuple[Residue, ...]]:
-    """Search for a sequence of good-node removals from mp down to target;
-    returns the residue word in *addition* order (target up to mp), or None.
-    Depth-first, trying good nodes in (component, row) order; a good node
-    inside target is never removed, since no later removal can bring it
-    back.  The word is read off the memoized step of each state on the
-    way down."""
+def good_walk(mp: MultiPartition, target: MultiPartition, ct: CartanType,
+              charge: Charge) -> Optional[Walk]:
+    """Search for a sequence of good-node removals from mp down to target.
+    Returns (word, end): the residue word in *addition* order (target up to
+    mp), and the shape that adding cogood nodes of that word to target
+    reaches (None if a step has no cogood node); None if there is no such
+    sequence.  Depth-first, trying good nodes in (component, row) order; a
+    good node inside target is never removed, since no later removal can
+    bring it back."""
     if len(target) != len(mp):
         return None
-    charge = tuple(charge)
-    word: List[Residue] = []
-    cur = mp
-    while cur != target:
-        node = _removal_step(ct, charge, cur, target)
-        if node is None:
-            return None
-        word.append(residue(ct, charge, node))
-        cur = remove_node(cur, node)
-    word.reverse()
-    return tuple(word)
-
-
-def factors_through(nu: Partition, rho: Partition, ct: CartanType,
-                    charge: Charge) -> Optional[Tuple[Residue, ...]]:
-    """A residue word j' (+) j'' such that good-node removals take nu to rho
-    along reversed j'' and rho to the empty partition along reversed j';
-    None if no such word exists.  Reported in addition order."""
-    head = good_removal_path((rho,), ((),), ct, charge)
-    if head is None:
-        return None
-    tail = good_removal_path((nu,), (rho,), ct, charge)
-    if tail is None:
-        return None
-    return head + tail
+    if mp == target:
+        return (), target
+    return _good_walk(ct, tuple(charge), mp, target)

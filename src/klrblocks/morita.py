@@ -14,18 +14,19 @@ The type-C shapes come from one of two sources, decided by the input.  A
 sweep (iter_bridges) finds each block by grouping the partitions of each
 height by content, and its bridges carry the group as c_shapes.  A bridge
 made by bridge() alone (a single block, or a test) has none, and the
-checks list the block with the diagonal-profile walk (c_block); the CLI's
-verify --beta lists its one block so before the checks and passes the
-list on in c_shapes.  Both give the shapes in the order of partitions_of."""
+checks list the block with the diagonal-profile walk (c_block); a check
+of one named block (one_block_bridge, for klrblocks verify --beta and
+scripts/verify_bridges.py --beta) lists it so before the checks and passes
+the list on in c_shapes.  Both give the shapes in the order of partitions_of."""
 
 from __future__ import annotations
 
-from functools import cached_property
+import json
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from .cartan import CartanType, Charge, RootVector
-from .crystal import cogood_path, factors_through, is_kleshchev
+from .crystal import good_walk, is_kleshchev
 from .graded import LaurentPoly, gdim_factorizable, gdim_specht
 from .partitions import (
     Node,
@@ -37,7 +38,6 @@ from .partitions import (
     partitions_of,
     rect_add,
     rect_split,
-    size,
 )
 from .tableaux import StandardTableau
 
@@ -150,6 +150,19 @@ def tableau_to_type_c(s: StandardTableau, u: StandardTableau,
     return StandardTableau((nu,), tuple(order))
 
 
+def one_block_bridge(kappa_c: int, beta: RootVector) -> BlockBridge:
+    """The bridge of the one type-C block of content beta, carrying the
+    block's shapes, as c_block lists them, in c_shapes.  A beta with no
+    bridge raises BridgeError, and so does an empty block, which no sweep
+    reports."""
+    b = bridge(kappa_c, beta)
+    shapes = tuple(c_block(b))
+    if not shapes:
+        raise BridgeError(f"no type-C partition of charge {kappa_c} has "
+                          f"content {json.dumps(beta.to_json())}")
+    return b._replace(c_shapes=shapes)
+
+
 def iter_bridges(kappa_c: int, max_n: int) -> Iterator[BlockBridge]:
     """All bridges for type-C blocks with a_0 >= 1 and height at most
     max_n, in increasing height, then in the order partitions_of first
@@ -192,6 +205,20 @@ def known_checks(names: Iterable[str]) -> Tuple[str, ...]:
     return cs
 
 
+class _part:
+    """A part of _Block, built by its method on first read and stored in
+    the instance's __dict__, where every later read finds it as a plain
+    attribute.  (functools.cached_property does the same under a lock,
+    which costs more than a small part.)"""
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, blk, owner=None):
+        value = blk.__dict__[self.name] = self.build(blk)
+        return value
+
+
 class _Block:
     """The data the checks read, for one verify_bridge call.  Each part is
     built on its first read, so a check builds only what it reads."""
@@ -199,28 +226,28 @@ class _Block:
     def __init__(self, b: BlockBridge):
         self.b = b
 
-    @cached_property
+    @_part
     def c_shapes(self) -> Sequence[Partition]:
         shapes = self.b.c_shapes
         return c_block(self.b) if shapes is None else shapes
 
-    @cached_property
+    @_part
     def pairs(self) -> List[Tuple[Bipartition, Partition]]:
         # block members need no membership check on the way through the bridge
         return [(bp, _rect_image(bp, self.b)) for bp in a_block(self.b)]
 
-    @cached_property
+    @_part
     def rho_poly(self) -> LaurentPoly:
         return gdim_specht((self.b.rho,), CartanType.C, self.b.c_charge)
 
-    @cached_property
+    @_part
     def polys(self) -> List[Tuple[Partition, LaurentPoly, LaurentPoly]]:
         b = self.b
         return [(nu, gdim_factorizable((nu,), CartanType.C, b.c_charge, (b.rho,)),
                  gdim_specht(bp, CartanType.A, b.a_charge))
                 for bp, nu in self.pairs]
 
-    @cached_property
+    @_part
     def c_kleshchev(self) -> List[Partition]:
         return [nu for nu in self.c_shapes
                 if is_kleshchev((nu,), CartanType.C, self.b.c_charge)]
@@ -299,18 +326,20 @@ def _check_kleshchev(blk: _Block) -> dict:
 
 
 def _check_goodpath(blk: _Block) -> dict:
-    # Each word is replayed from the empty partition to rho and on to nu;
-    # the replay steps are memoized, so the shapes of a sweep share their
-    # steps up to and above rho.  A replay that meets no cogood node gives
-    # None, which is neither end.
+    # A Kleshchev shape passes when good-node removals take it down to rho
+    # and rho down to the empty partition, and each word's cogood replay
+    # from the lower end reaches the upper one.  A replay that meets no
+    # cogood node ends in None, which is neither end.  The walks are
+    # memoized, so rho's head is one lookup, and in a sweep each shape
+    # extends the walk of the shape one good removal below it.
     b = blk.b
-    C, n_rho = CartanType.C, size((b.rho,))
+    C = CartanType.C
+    head = good_walk((b.rho,), ((),), C, b.c_charge)
+    head_ok = head is not None and head[1] == (b.rho,)
     failures = []
     for nu in blk.c_kleshchev:
-        word = factors_through(nu, b.rho, C, b.c_charge)
-        if (word is None
-                or cogood_path(((),), word[:n_rho], C, b.c_charge) != (b.rho,)
-                or cogood_path((b.rho,), word[n_rho:], C, b.c_charge) != (nu,)):
+        tail = good_walk((nu,), (b.rho,), C, b.c_charge)
+        if not head_ok or tail is None or tail[1] != (nu,):
             failures.append(list(nu))
     return {"pass": not failures, "failures": failures}
 

@@ -1,8 +1,10 @@
 """Brute-force corner oracles from the definitions, independent of the
-package's corner scan (partitions.signatures and step_degrees)."""
+package's corner scan (partitions.signatures and step_degrees), and the
+unmemoized cogood replay."""
 
 from functools import lru_cache
 
+from klrblocks.crystal import cogood_node
 from klrblocks.partitions import add_node, remove_node, residue
 
 
@@ -45,3 +47,15 @@ def step_degrees(mp, ct, charge):
     return [(node, sum(1 for k, j in a if j == i and k > key)
              - sum(1 for k, j in r if j == i and k > key))
             for node, (key, i) in zip(removable, r)]
+
+
+def plain_cogood_path(start, word, ct, charge):
+    """The cogood replay without a memo: one cogood_node and add_node per
+    step; None if a step has no cogood node."""
+    mp = start
+    for i in word:
+        node = cogood_node(mp, ct, charge, i)
+        if node is None:
+            return None
+        mp = add_node(mp, node)
+    return mp

@@ -81,6 +81,12 @@ class TestGdim:
         assert code == 0
         assert out == "q + q^-1\n"
 
+    def test_empty_weight_space_csv_is_its_header(self, capsys):
+        # no tableau of shape (2) has residues 0, 0
+        argv = ("gdim", "--charge", "0", "--shape", "2", "--weight", "0,0")
+        assert run(capsys, "--format", "csv", *argv) == (0, "exponent,coefficient\r\n")
+        assert run(capsys, *argv) == (0, "[]\n")
+
 
 class TestKleshchev:
     def test_shape_query_pretty(self, capsys):
@@ -88,6 +94,12 @@ class TestKleshchev:
                         "--charge", "0", "--shape", "2")
         assert code == 0
         assert out == "false\n"
+
+    def test_shape_query_csv_has_header(self, capsys):
+        # the same header and JSON cells as the --n form
+        code, out = run(capsys, "--format", "csv", "kleshchev", "--charge", "0",
+                        "--shape", "2")
+        assert (code, out) == (0, "shape,kleshchev\r\n2,false\r\n")
 
     def test_shape_query_json(self, capsys):
         code, out = run(capsys, "kleshchev", "--charge", "0", "--shape", "1,1")
@@ -159,6 +171,14 @@ class TestTableaux:
         records = json.loads(out)
         assert sorted(r["degree"] for r in records) == [-1, 1]
         assert all(r["residues"] == [0, 1, 1, 0] for r in records)
+
+    def test_empty_answer_csv_is_its_header(self, capsys):
+        # no tableau of shape (2) has residues 0, 0
+        argv = ("tableaux", "--charge", "0", "--shape", "2", "--residues", "0,0")
+        assert run(capsys, "--format", "csv", *argv, "--with-degrees") == (
+            0, "rows,residues,degree\r\n")
+        assert run(capsys, "--format", "csv", *argv) == (0, "rows,residues\r\n")
+        assert run(capsys, *argv, "--with-degrees") == (0, "[]\n")
 
 
 class TestBridge:
@@ -399,6 +419,8 @@ class TestErrors:
                                  "--checks", checks)
         # there are no bridges of height at most 0, which is not an error
         assert run(capsys, "verify", "--kappa-c", "0", "--max-n", "0") == (0, "[]\n")
+        assert run(capsys, "--format", "csv", "verify", "--kappa-c", "0",
+                   "--max-n", "0") == (0, "bridge,checks,pass\r\n")
 
     def test_tall_shape_exits_2(self, capsys):
         # a 1200-node column: deeper than the recursion limit of the walks

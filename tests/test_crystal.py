@@ -6,10 +6,8 @@ from klrblocks.cartan import CartanType
 from klrblocks.crystal import (
     _good_nodes,
     cogood_node,
-    cogood_path,
-    factors_through,
     good_node,
-    good_removal_path,
+    good_walk,
     i_signature,
     is_kleshchev,
     reduce_signature,
@@ -24,7 +22,7 @@ from klrblocks.partitions import (
     size,
 )
 
-from oracles import corners
+from oracles import corners, plain_cogood_path
 
 A, C = CartanType.A, CartanType.C
 
@@ -98,6 +96,20 @@ def unpruned_good_removal_path(mp, target, ct, charge, candidates=oracle_good_no
 
     word = rec(mp)
     return tuple(word) if word is not None else None
+
+
+def removal_word(mp, target, ct, charge):
+    """The residue word of good_walk, or None."""
+    walk = good_walk(mp, target, ct, charge)
+    return None if walk is None else walk[0]
+
+
+def factors(nu, rho, ct, charge):
+    """The word of good removals from nu down to rho and on to the empty
+    partition, in addition order; None if either walk has none."""
+    head = removal_word((rho,), ((),), ct, charge)
+    tail = removal_word((nu,), (rho,), ct, charge)
+    return None if head is None or tail is None else head + tail
 
 
 class TestSignatures:
@@ -188,13 +200,14 @@ class TestGoodRemovalPath:
     @example((C, (0,), ((3, 1),), ((2,),)))  # target not inside mp
     @example((A, (1, 0), ((2,), (1,)), ((1,), ())))
     def test_pruned_search_matches_unpruned(self, case):
-        # the step memo lives for the process: warm and cold answers agree
+        # the walk memo lives for the process: warm and cold answers agree
         ct, charge, mp, target = case
-        warm = good_removal_path(mp, target, ct, charge)
-        assert good_removal_path(mp, target, ct, charge) == warm
-        crystal._removal_step.cache_clear()
-        assert good_removal_path(mp, target, ct, charge) == warm
-        assert warm == unpruned_good_removal_path(mp, target, ct, charge)
+        warm = good_walk(mp, target, ct, charge)
+        assert good_walk(mp, target, ct, charge) == warm
+        crystal._good_walk.cache_clear()
+        assert good_walk(mp, target, ct, charge) == warm
+        assert removal_word(mp, target, ct, charge) == unpruned_good_removal_path(
+            mp, target, ct, charge)
 
     @settings(deadline=None, max_examples=200)
     @given(removal_searches(max_c_level=1))
@@ -203,18 +216,18 @@ class TestGoodRemovalPath:
         # residue at most two corners, so its first removable node is its
         # good node whenever it has one
         ct, charge, mp, target = case
-        assert (good_removal_path(mp, target, ct, charge)
+        assert (removal_word(mp, target, ct, charge)
                 == unpruned_good_removal_path(mp, target, ct, charge,
                                               candidates=seed_good_nodes))
 
     def test_level_mismatch_has_no_path(self):
-        assert good_removal_path(((1,),), ((), ()), C, (0,)) is None
+        assert good_walk(((1,),), ((), ()), C, (0,)) is None
 
     def test_level_three_good_node_after_cancellation(self):
         # the only way down is the good 0-node of component 3, which is
         # not the first removable 0-node
-        assert good_removal_path(((1,), (), (1,)), ((1,), (), ()),
-                                 A, (0, 0, 0)) == (0,)
+        assert removal_word(((1,), (), (1,)), ((1,), (), ()),
+                            A, (0, 0, 0)) == (0,)
 
     def test_type_c_level_two_good_node_after_cancellation(self):
         # at ((1,), (1, 1)) under charge (1, 0) residue 1 reads r a r: the
@@ -222,7 +235,7 @@ class TestGoodRemovalPath:
         # component 2 is good; the seed search tested only the first
         mp = ((1,), (1, 1, 1, 1))
         assert seed_good_nodes(((1,), (1, 1)), C, (1, 0)) == []
-        assert good_removal_path(mp, ((), ()), C, (1, 0)) == (1, 0, 1, 2, 3)
+        assert removal_word(mp, ((), ()), C, (1, 0)) == (1, 0, 1, 2, 3)
         assert unpruned_good_removal_path(mp, ((), ()), C, (1, 0),
                                           candidates=seed_good_nodes) is None
 
@@ -254,8 +267,8 @@ class TestKleshchev:
         assert not is_kleshchev(((1,), ()), A, (1, 1))
         assert is_kleshchev(((),), C, (0,))
 
-    # is_kleshchev follows one good node; the oracle, good_removal_path,
-    # branches over every good node
+    # is_kleshchev follows one good node; the oracle, good_walk, branches
+    # over every good node
     @pytest.mark.parametrize("ct,charge,level,max_n", [
         (C, (0,), 1, 9), (C, (1,), 1, 8), (C, (2,), 1, 8), (A, (1, 1), 2, 6),
         (C, (3,), 1, 10), (A, (0,), 1, 10),
@@ -267,7 +280,7 @@ class TestKleshchev:
         for n in range(max_n + 1):
             for mp in multipartitions_of(n, level):
                 empty = ((),) * level
-                reachable = good_removal_path(mp, empty, ct, charge) is not None
+                reachable = good_walk(mp, empty, ct, charge) is not None
                 assert is_kleshchev(mp, ct, charge) == reachable
 
     def test_non_kleshchev_walk_is_linear(self):
@@ -295,116 +308,118 @@ class TestHeadMemo:
     def test_warm_memo_matches_cold_memo_and_oracle(self, case):
         nu, rho, charges = case
         calls = [(ct, charge) for ct in (C, A) for charge in charges]
-        warm = [factors_through(nu, rho, ct, charge) for ct, charge in calls]
+        warm = [factors(nu, rho, ct, charge) for ct, charge in calls]
         for (ct, charge), got in zip(calls, warm):
-            crystal._removal_step.cache_clear()
-            assert factors_through(nu, rho, ct, charge) == got
+            crystal._good_walk.cache_clear()
+            assert factors(nu, rho, ct, charge) == got
             head = unpruned_good_removal_path((rho,), ((),), ct, charge)
             tail = unpruned_good_removal_path((nu,), (rho,), ct, charge)
             assert got == (None if head is None or tail is None else head + tail)
 
     def test_one_head_search_per_key(self):
-        # rho's path down to the empty partition is searched once, also
-        # under a list charge: a sweep's misses are the head's plus the
-        # tails' alone (their keys have another target)
+        # rho's walk down to the empty partition is built once, also under
+        # a list charge: a sweep's misses are the head's plus the tails'
+        # alone (their keys have another target)
         rho, shapes = (2, 2), [(4, 3, 1), (3, 2, 2, 1), (2, 2, 2, 2), (4, 3, 1)]
-        step = crystal._removal_step
-        step.cache_clear()
-        assert good_removal_path((rho,), ((),), C, (0,)) is not None
-        head = step.cache_info().misses
-        step.cache_clear()
+        walk = crystal._good_walk
+        walk.cache_clear()
+        assert good_walk((rho,), ((),), C, (0,)) is not None
+        head = walk.cache_info().misses
+        walk.cache_clear()
         for nu in shapes:
-            good_removal_path((nu,), (rho,), C, (0,))
-        tails = step.cache_info().misses
-        step.cache_clear()
+            good_walk((nu,), (rho,), C, (0,))
+        tails = walk.cache_info().misses
+        walk.cache_clear()
         for nu in shapes:
-            factors_through(nu, rho, C, (0,))
-        factors_through(shapes[0], rho, C, [0])
-        assert step.cache_info().misses == head + tails
+            factors(nu, rho, C, (0,))
+        factors(shapes[0], rho, C, [0])
+        assert walk.cache_info().misses == head + tails
 
+    def test_cold_miss_recurses_once_per_node(self, monkeypatch):
+        # a cold walk recurses at most |mp| - |target| deep, and its replay
+        # adds no recursion
+        memo, depth, deepest = crystal._good_walk, [0], [0]
 
-def plain_cogood_path(start, word, ct, charge):
-    """cogood_path without its memo: one cogood_node and add_node per step."""
-    mp = start
-    for i in word:
-        node = cogood_node(mp, ct, charge, i)
-        if node is None:
-            return None
-        mp = add_node(mp, node)
-    return mp
+        def tracking(*key):
+            depth[0] += 1
+            deepest[0] = max(deepest[0], depth[0])
+            try:
+                return memo(*key)
+            finally:
+                depth[0] -= 1
 
-
-@st.composite
-def replay_words(draw):
-    """A shape and a word of residues of its addable nodes, step by step;
-    a residue above every addable one ends the word at a failing step."""
-    ct, charge, mp = draw(charged_shapes(max_level=2, max_n=5))
-    word, cur = [], mp
-    for _ in range(draw(st.integers(0, 8))):
-        residues = sorted({residue(ct, charge, n) for n in corners(cur)[0]})
-        i = draw(st.sampled_from(residues + [residues[-1] + 1]))
-        word.append(i)
-        node = cogood_node(cur, ct, charge, i)
-        if node is None:
-            break
-        cur = add_node(cur, node)
-    return ct, charge, mp, tuple(word)
+        monkeypatch.setattr(crystal, "_good_walk", tracking)
+        for nu, rho in (((8,) + (1,) * 7, ()), ((7, 2, 2, 1, 1, 1, 1), (2, 2))):
+            memo.cache_clear()
+            deepest[0] = 0
+            assert good_walk((nu,), (rho,), C, (0,))[1] == (nu,)
+            assert deepest[0] == sum(nu) - sum(rho)
 
 
 class TestWalkMemos:
-    """The cogood-step memo lives for the process; every replay must be
-    what the unmemoized one gives.  A list charge reads the entries of its
-    tuple in both walk memos and in the Kleshchev memo."""
+    """The walk memo lives for the process; every entry's word must be the
+    search's and its replay end the unmemoized replay's.  A list charge
+    reads the entries of its tuple in the walk and Kleshchev memos."""
 
     @settings(deadline=None, max_examples=200)
-    @given(replay_words())
-    @example((C, (0,), ((),), (0, 0)))
+    @given(removal_searches())
+    @example((C, (0,), ((2, 1),), ((),)))
     def test_cogood_path_matches_plain_replay(self, case):
-        ct, charge, mp, word = case
-        expected = plain_cogood_path(mp, word, ct, charge)
-        assert cogood_path(mp, word, ct, charge) == expected
-        crystal._cogood_step.cache_clear()
-        assert cogood_path(mp, word, ct, charge) == expected
+        ct, charge, mp, target = case
+        walk = good_walk(mp, target, ct, charge)
+        if walk is not None:
+            assert walk[1] == plain_cogood_path(target, walk[0], ct, charge)
+        crystal._good_walk.cache_clear()
+        assert good_walk(mp, target, ct, charge) == walk
 
     @settings(deadline=None, max_examples=100)
-    @given(removal_searches(), replay_words())
-    def test_list_charge_adds_no_misses(self, search, replay):
+    @given(removal_searches())
+    def test_list_charge_adds_no_misses(self, search):
         ct, charge, mp, target = search
         is_kleshchev(mp, ct, charge)
         misses = crystal._kleshchev.cache_info().misses
         is_kleshchev(mp, ct, list(charge))
         assert crystal._kleshchev.cache_info().misses == misses
-        good_removal_path(mp, target, ct, charge)
-        misses = crystal._removal_step.cache_info().misses
-        good_removal_path(mp, target, ct, list(charge))
-        assert crystal._removal_step.cache_info().misses == misses
-        ct, charge, mp, word = replay
-        cogood_path(mp, word, ct, charge)
-        misses = crystal._cogood_step.cache_info().misses
-        cogood_path(mp, word, ct, list(charge))
-        assert crystal._cogood_step.cache_info().misses == misses
+        good_walk(mp, target, ct, charge)
+        misses = crystal._good_walk.cache_info().misses
+        good_walk(mp, target, ct, list(charge))
+        assert crystal._good_walk.cache_info().misses == misses
 
 
 class TestCogoodPath:
-    def test_examples(self):
-        assert cogood_path(((),), (0,), C, (0,)) == ((1,),)
-        assert cogood_path(((),), (0, 1), C, (0,)) == ((1, 1),)
+    """The replay half of a walk: the cogood additions of its word from
+    the target."""
 
-    def test_failure_position(self):
-        # after adding the residue-0 node at (1,1) there is no second one
-        assert cogood_path(((),), (0, 0), C, (0,)) is None
+    def test_examples(self):
+        assert good_walk(((1,),), ((),), C, (0,)) == ((0,), ((1,),))
+        assert good_walk(((1, 1),), ((),), C, (0,)) == ((0, 1), ((1, 1),))
+        assert good_walk(((1,),), ((1,),), C, (0,)) == ((), ((1,),))
+
+    def test_failure_position(self, monkeypatch):
+        # a step with no cogood node ends the replay in None, and every
+        # walk built on it keeps None
+        real = crystal.cogood_node
+        monkeypatch.setattr(crystal, "cogood_node", lambda mp, ct, charge, i:
+                            None if i == 1 else real(mp, ct, charge, i))
+        crystal._good_walk.cache_clear()
+        try:
+            assert good_walk(((1,),), ((),), C, (0,)) == ((0,), ((1,),))
+            assert good_walk(((1, 1),), ((),), C, (0,)) == ((0, 1), None)
+            assert good_walk(((2, 1, 1),), ((),), C, (0,)) == ((0, 1, 2, 1), None)
+        finally:
+            crystal._good_walk.cache_clear()
+        assert plain_cogood_path(((),), (0, 0), C, (0,)) is None
 
     def test_replay_witness(self):
-        word = factors_through((2, 1), (1,), C, (0,))
-        assert word is not None
-        assert cogood_path(((),), word, C, (0,)) == ((2, 1),)
+        assert good_walk(((2, 1),), ((1,),), C, (0,)) == ((1, 1), ((2, 1),))
+        assert good_walk(((2, 1),), ((),), C, (0,)) == ((0, 1, 1), ((2, 1),))
 
 
 class TestFactorsThrough:
     def test_examples(self):
-        assert factors_through((1,), (1,), C, (0,)) == (0,)
-        assert factors_through((2, 1), (1,), C, (0,)) is not None
-        assert factors_through((2,), (1,), C, (0,)) is None
+        assert factors((1,), (1,), C, (0,)) == (0,)
+        assert factors((2, 1), (1,), C, (0,)) == (0, 1, 1)
+        assert factors((2,), (1,), C, (0,)) is None
 
     @pytest.mark.parametrize("kappa_c", [0, 1, 2])
     def test_every_kleshchev_factors(self, kappa_c):
@@ -415,10 +430,12 @@ class TestFactorsThrough:
                 if a0 == 0 or not is_kleshchev((nu,), C, (kappa_c,)):
                     continue
                 rho = (a0,) * (kappa_c + a0)
-                word = factors_through(nu, rho, C, (kappa_c,))
-                assert word is not None
+                head = good_walk((rho,), ((),), C, (kappa_c,))
+                tail = good_walk((nu,), (rho,), C, (kappa_c,))
+                assert head[1] == (rho,) and tail[1] == (nu,)
+                word = head[0] + tail[0]
                 # the word's residues add up to the block content
                 assert len(word) == n
-                mid = cogood_path(((),), word[: sum(rho)], C, (kappa_c,))
+                mid = plain_cogood_path(((),), word[: sum(rho)], C, (kappa_c,))
                 assert mid == (rho,)
-                assert cogood_path(mid, word[sum(rho):], C, (kappa_c,)) == (nu,)
+                assert plain_cogood_path(mid, word[sum(rho):], C, (kappa_c,)) == (nu,)

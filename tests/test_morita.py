@@ -2,7 +2,7 @@ import pytest
 
 from klrblocks import crystal, morita
 from klrblocks.cartan import CartanType, RootVector
-from klrblocks.crystal import cogood_node, cogood_path, factors_through, is_kleshchev
+from klrblocks.crystal import good_node, good_walk, is_kleshchev
 from klrblocks.graded import LaurentPoly, _gdim
 from klrblocks.morita import (
     BridgeError,
@@ -15,8 +15,10 @@ from klrblocks.morita import (
     to_type_c,
     verify_bridge,
 )
-from klrblocks.partitions import add_node, content, partitions_of
+from klrblocks.partitions import content, partitions_of, remove_node
 from klrblocks.tableaux import enumerate_standard, residue_sequence
+
+from oracles import plain_cogood_path
 
 A, C = CartanType.A, CartanType.C
 
@@ -252,43 +254,72 @@ class TestVerifyBridge:
             assert {n: sum(1 for h in heights if h <= n) for n in census} == census
 
     def test_goodpath_computes_each_replay_step_once(self, monkeypatch):
-        # every shape replays its head from the empty partition and its
-        # tail from rho; the memo computes each (shape, residue) step once,
-        # so rho's head is computed for the first shape only
+        # rho's head is looked up once per block and each Kleshchev shape's
+        # tail once; with a cold memo every state the walks pass through
+        # is built once, with its replay step, and a second run builds none
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
-        starts = []
+        targets = []
 
-        def counting(start, word, ct, charge):
-            starts.append(start)
-            return cogood_path(start, word, ct, charge)
+        def counting(mp, target, ct, charge):
+            targets.append(target)
+            return good_walk(mp, target, ct, charge)
 
-        monkeypatch.setattr(morita, "cogood_path", counting)
-        crystal._cogood_step.cache_clear()
+        monkeypatch.setattr(morita, "good_walk", counting)
+        crystal._good_walk.cache_clear()
         report = verify_bridge(b, checks=("kleshchev", "goodpath"))
         assert report["checks"]["goodpath"]["pass"]
         klesh = report["checks"]["kleshchev"]["c_set"]
         assert len(klesh) > 1
-        assert starts.count(((),)) == starts.count((b.rho,)) == len(klesh)
-        steps = set()
-        for nu in klesh:
-            mp = ((),)
-            for i in factors_through(tuple(nu), b.rho, C, b.c_charge):
-                steps.add((mp, i))
-                mp = add_node(mp, cogood_node(mp, C, b.c_charge, i))
-        assert crystal._cogood_step.cache_info().misses == len(steps)
+        assert targets.count(((),)) == 1
+        assert targets.count((b.rho,)) == len(targets) - 1 == len(klesh)
+        states = set()
+        for start, target in [((b.rho,), ((),))] + [((tuple(nu),), (b.rho,)) for nu in klesh]:
+            mp = start
+            for i in reversed(good_walk(start, target, C, b.c_charge)[0]):
+                states.add((mp, target))
+                mp = remove_node(mp, good_node(mp, C, b.c_charge, i))
+            assert mp == target
+        misses = crystal._good_walk.cache_info().misses
+        assert misses == len(states)
+        verify_bridge(b, checks=("kleshchev", "goodpath"))
+        assert crystal._good_walk.cache_info().misses == misses
 
     def test_goodpath_bad_head_fails_every_shape(self, monkeypatch):
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
 
-        def bad_head(nu, rho, ct, charge):
+        def bad_head(mp, target, ct, charge):
+            walk = good_walk(mp, target, ct, charge)
+            if target != ((),):
+                return walk
             # the empty partition has no cogood 1-node
-            return (1,) + factors_through(nu, rho, ct, charge)[1:]
+            word = (1,) + walk[0][1:]
+            return word, plain_cogood_path(target, word, ct, charge)
 
-        monkeypatch.setattr(morita, "factors_through", bad_head)
+        monkeypatch.setattr(morita, "good_walk", bad_head)
         report = verify_bridge(b, checks=("kleshchev", "goodpath"))
         goodpath = report["checks"]["goodpath"]
         assert not goodpath["pass"]
         assert sorted(goodpath["failures"]) == report["checks"]["kleshchev"]["c_set"]
+
+    @pytest.mark.parametrize("kappa_c", [0, 1])
+    def test_sweep_builds_one_walk_per_kleshchev_shape(self, kappa_c):
+        # a Kleshchev shape's walk down to rho extends the walk of the
+        # shape one good removal below it, which the bridge one height
+        # lower checked; so once a bridge with the same rho has run,
+        # rho's head and every other walk a bridge reads are memo hits
+        walk = crystal._good_walk
+        walk.cache_clear()
+        seen, later = set(), 0
+        for b in iter_bridges(kappa_c, 14):
+            misses = walk.cache_info().misses
+            report = verify_bridge(b, ("kleshchev", "goodpath"))
+            assert report["pass"]
+            if b.rho in seen:
+                later += 1
+                assert (walk.cache_info().misses - misses
+                        == len(report["checks"]["kleshchev"]["c_set"]))
+            seen.add(b.rho)
+        assert later > 100
 
     @pytest.mark.parametrize("checks, unread", [
         (("goodpath",), "a_block"),
@@ -367,16 +398,14 @@ class TestVerifyBridge:
 
     @pytest.mark.parametrize("kappa_c", [0, 1, 2])
     def test_crystal_memos_match_cold_memos(self, kappa_c):
-        # the Kleshchev, good-removal and cogood-step memos live through a
-        # sweep; every report must be what the bridge gives with all three
-        # cleared before it
+        # the Kleshchev and walk memos live through a sweep; every report
+        # must be what the bridge gives with both cleared before it
         checks = ("kleshchev", "goodpath")
         bridges = list(iter_bridges(kappa_c, 12))
         shared = [verify_bridge(b, checks) for b in bridges]
         cold = []
         for b in bridges:
-            for memo in (crystal._kleshchev, crystal._removal_step,
-                         crystal._cogood_step):
+            for memo in (crystal._kleshchev, crystal._good_walk):
                 memo.cache_clear()
             cold.append(verify_bridge(b, checks))
         assert shared == cold

@@ -1,9 +1,14 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from klrblocks.cartan import RootVector
+from klrblocks.cli import main
+from klrblocks.morita import BridgeError, iter_bridges, one_block_bridge
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -45,6 +50,11 @@ def test_broken_pipe_exits_1_quietly(tmp_path):
     ("rectangle_table.py", ["--max-kappa", "-1"]),
     ("rectangle_table.py", ["--max-a0", "0"]),
     ("verify_bridges.py", ["--max-n", "0", "--checks", "bogus"]),
+    ("verify_bridges.py", ["--beta", '{"0":1}']),
+    ("verify_bridges.py", ["--kappa-c", "0", "1", "--beta", '{"0":1}']),
+    ("verify_bridges.py", ["--kappa-c", "0", "--max-n", "3", "--beta", '{"0":1}']),
+    ("verify_bridges.py", ["--kappa-c", "0", "--beta", "{"]),
+    ("verify_bridges.py", ["--kappa-c", "0", "--beta", '{"-1":1,"0":1}']),
 ])
 def test_bad_input_exits_2(tmp_path, script, args):
     proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
@@ -53,3 +63,51 @@ def test_bad_input_exits_2(tmp_path, script, args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def verify_bridges(tmp_path, *args):
+    return subprocess.run([sys.executable, str(SCRIPTS / "verify_bridges.py"), *args],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+
+BETA = '{"0": 2, "1": 2, "2": 1}'
+
+
+def test_beta_row_is_the_sweeps(tmp_path):
+    sweep = verify_bridges(tmp_path, "--kappa-c", "0", "--max-n", "5").stdout
+    one = verify_bridges(tmp_path, "--kappa-c", "0", "--beta", BETA)
+    assert one.returncode == 0, one.stderr
+    rows = [line for line in sweep.splitlines() if f" beta={BETA} " in line]
+    assert one.stdout.splitlines() == rows + ["1 bridges, 0 failing"]
+    assert len(rows) == 1
+
+
+def test_beta_json_report_is_the_sweeps(tmp_path):
+    sweep = json.loads(verify_bridges(tmp_path, "--kappa-c", "0", "--max-n", "5",
+                                      "--json").stdout)
+    one = json.loads(verify_bridges(tmp_path, "--kappa-c", "0", "--beta", BETA,
+                                    "--json").stdout)
+    assert one == [r for r in sweep if r["bridge"]["beta"] == json.loads(BETA)]
+    assert len(one) == 1
+
+
+def test_beta_errors_are_the_clis(tmp_path, capsys):
+    # no zero node, and a bridge whose type-C block is empty
+    for beta in ('{"1":2}', '{"0":1,"5":1}'):
+        proc = verify_bridges(tmp_path, "--kappa-c", "0", "--beta", beta)
+        code = main(["verify", "--kappa-c", "0", "--beta", beta])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and code == 2
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+@pytest.mark.parametrize("kappa_c", [0, 1])
+def test_one_block_bridge_is_the_sweeps(kappa_c):
+    # the one block that both --beta entry points check is the sweep's
+    # bridge, shapes and all
+    for b in iter_bridges(kappa_c, 9):
+        assert one_block_bridge(kappa_c, b.beta) == b
+    # rho's content and one node of residue 9: a bridge, but no partition
+    empty = RootVector({0: 1, 9: 1} if kappa_c == 0 else {0: 1, 1: 1, 9: 1})
+    with pytest.raises(BridgeError, match=f"charge {kappa_c} has content"):
+        one_block_bridge(kappa_c, empty)
