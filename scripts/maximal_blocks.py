@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Time the five bridge checks on the maximal blocks at kappa_c = 0.
+
+The maximal block of defect a0 is the block of the rectangle (a0^(2 a0)):
+its height is 2 a0^2 and it has C(2 a0, a0) shapes.  For each a0 up to
+--max-a0 the block is listed once; then each check runs in its own
+verify_bridge call, after the package's memos are cleared, so that its
+time is its cost alone.  One line per block gives the seconds of each
+check, the verdict and the peak RSS of the process so far.
+
+Example:
+    python scripts/maximal_blocks.py --max-a0 5
+"""
+
+import argparse
+import os
+import resource
+import sys
+import time
+from pathlib import Path
+
+# Import the package from this checkout's src/, installed or not.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from klrblocks import crystal, graded
+from klrblocks.cartan import CartanType
+from klrblocks.morita import ALL_CHECKS, one_block_bridge, verify_bridge
+from klrblocks.partitions import content
+
+MEMOS = (crystal._kleshchev, crystal._good_walk, graded._gdim)
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--max-a0", type=int, required=True)
+    args = parser.parse_args()
+    if args.max_a0 < 1:
+        parser.error(f"--max-a0 must be at least 1, got {args.max_a0}")
+
+    all_ok = True
+    try:
+        for a0 in range(1, args.max_a0 + 1):
+            rect = ((a0,) * (2 * a0),)
+            b = one_block_bridge(0, content(CartanType.C, (0,), rect))
+            cells, ok = [], True
+            for check in ALL_CHECKS:
+                for memo in MEMOS:
+                    memo.cache_clear()
+                start = time.perf_counter()
+                ok = verify_bridge(b, [check])["pass"] and ok
+                cells.append(f"{check}={time.perf_counter() - start:.3f}s")
+            all_ok = all_ok and ok
+            rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            print(f"a0={a0} height={b.beta.height} shapes={len(b.c_shapes)}  "
+                  f"{'  '.join(cells)}  {'pass' if ok else 'FAIL'}  "
+                  f"peak_rss_mb={rss_mb:.1f}", flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early; what is still buffered goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0 if all_ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

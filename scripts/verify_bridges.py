@@ -42,6 +42,8 @@ def main():
         parser.error(f"--max-n must be non-negative, got {max_n}")
     if any(k < 0 for k in args.kappa_c):
         parser.error(f"--kappa-c must be non-negative, got {min(args.kappa_c)}")
+    if len(set(args.kappa_c)) != len(args.kappa_c):
+        parser.error(f"--kappa-c repeats a charge: {' '.join(map(str, args.kappa_c))}")
     if args.beta is not None and len(args.kappa_c) != 1:
         parser.error("--beta checks one block: give exactly one --kappa-c")
 

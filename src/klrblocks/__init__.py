@@ -3,13 +3,7 @@ types A-infinity and C-infinity, with the level-one C / level-two A block
 bridge and its verification battery."""
 
 from .cartan import CartanType, NotASubroot, RootVector
-from .crystal import (
-    cogood_node,
-    good_node,
-    i_signature,
-    is_kleshchev,
-    reduce_signature,
-)
+from .crystal import is_kleshchev
 from .graded import (
     LaurentPoly,
     gdim_factorizable,
@@ -39,7 +33,6 @@ from .partitions import (
     enumerate_block,
     multipartitions_of,
     partitions_of,
-    rect_add,
     rect_split,
     residue,
 )

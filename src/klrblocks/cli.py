@@ -82,9 +82,10 @@ def fmt_shape(shape: MultiPartition) -> str:
 def emit(records, fmt: str, columns: Sequence[str] = ()) -> None:
     """Write records (a list of rows, or one row) in the format.  A csv
     header is the keys of the first row; an answer that may have no row
-    names its columns, so that its header is written all the same."""
+    names its columns, so that its header is written all the same.  An
+    empty answer has no pretty row, and pretty writes it as json does."""
     stream = sys.stdout
-    if fmt == "json":
+    if fmt == "json" or (fmt == "pretty" and not records):
         stream.write(json.dumps(records, separators=(",", ":")))
         stream.write("\n")
     elif fmt == "csv":

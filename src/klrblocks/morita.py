@@ -36,7 +36,6 @@ from .partitions import (
     dominance_sums,
     enumerate_block,
     partitions_of,
-    rect_add,
     rect_split,
 )
 from .tableaux import StandardTableau
@@ -112,9 +111,14 @@ def a_block(b: BlockBridge) -> List[Bipartition]:
 
 
 def _rect_image(bp: Bipartition, b: BlockBridge) -> Partition:
-    """(lambda, mu) -> rho + (lambda, mu'), with no membership check."""
+    """(lambda, mu) -> rho + (lambda, mu'), with no membership check: a0 +
+    lambda_r in each of rho's rows, then the rows of mu'.  A member of the
+    type-A block fits: a node of lambda below row kappa_c + a0, or of mu
+    below row a0, would have residue 0."""
     lam, mu = bp
-    return rect_add(b.rho, lam, conjugate(mu))
+    a = b.a0
+    return tuple(a + (lam[r] if r < len(lam) else 0)
+                 for r in range(len(b.rho))) + conjugate(mu)
 
 
 def to_type_c(bp: Bipartition, b: BlockBridge) -> Partition:
@@ -299,13 +303,15 @@ def _check_dominance(blk: _Block) -> dict:
     # as witnesses.
     witnesses = []
     preserving = True
-    # a shape and itself dominate each other on both sides, so the
-    # diagonal pairs are neither failures nor witnesses
     bps = [bp for bp, _ in blk.pairs]
     rows = list(zip(bps, dominance_sums(bps),
                     dominance_sums([(nu,) for _, nu in blk.pairs])))
     for bp1, a1, c1 in rows:
         for bp2, a2, c2 in rows:
+            # a shape and itself dominate each other on both sides, so the
+            # diagonal pair is neither a failure nor a witness
+            if bp2 is bp1:
+                continue
             a_rel = all(map(int.__ge__, a1, a2))
             c_rel = all(map(int.__ge__, c1, c2))
             if a_rel and not c_rel:
@@ -319,7 +325,7 @@ def _check_dominance(blk: _Block) -> dict:
 
 def _check_kleshchev(blk: _Block) -> dict:
     a_klesh = {nu for bp, nu in blk.pairs
-               if is_kleshchev((bp[0], bp[1]), CartanType.A, blk.b.a_charge)}
+               if is_kleshchev(bp, CartanType.A, blk.b.a_charge)}
     c_klesh = set(blk.c_kleshchev)
     return {"pass": a_klesh == c_klesh, "a_image": sorted(map(list, a_klesh)),
             "c_set": sorted(map(list, c_klesh))}

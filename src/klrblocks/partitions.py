@@ -201,23 +201,8 @@ def is_rectangle(p: Partition) -> bool:
     return len(set(p)) <= 1
 
 
-def rect_add(rho: Partition, lam: Partition, mu: Partition = EMPTY) -> Partition:
-    """rho + lam for a rectangle rho, or rho + (lam, mu) with mu appended
-    below the rectangle."""
-    if not is_rectangle(rho):
-        raise ValueError(f"{rho} is not a rectangle")
-    if len(lam) > len(rho):
-        raise ValueError(f"{lam} has more rows than {rho}")
-    if mu and rho and mu[0] > rho[0]:
-        raise ValueError(f"appended part {mu} is wider than the rectangle {rho}")
-    if mu and not rho:
-        raise ValueError("cannot append below an empty rectangle")
-    parts = tuple(rho[r] + (lam[r] if r < len(lam) else 0) for r in range(len(rho)))
-    return as_partition(parts + mu)
-
-
 def rect_split(nu: Partition, rho: Partition) -> Tuple[Partition, Partition]:
-    """Inverse of nu = rect_add(rho, lam, conjugate(mu)): recover (lam, mu)."""
+    """Inverse of the bridge image nu = rho + (lam, mu'): recover (lam, mu)."""
     if not is_rectangle(rho):
         raise ValueError(f"{rho} is not a rectangle")
     b = len(rho)

@@ -1,11 +1,18 @@
 """Brute-force corner oracles from the definitions, independent of the
-package's corner scan (partitions.signatures and step_degrees), and the
-unmemoized cogood replay."""
+package's corner scans (partitions.signatures and step_degrees, the
+crystal layer's corner pass): i-signatures and their reduction, good and
+cogood nodes, the unmemoized cogood replay, and the bridge image."""
 
 from functools import lru_cache
 
-from klrblocks.crystal import cogood_node
-from klrblocks.partitions import add_node, remove_node, residue
+from klrblocks.partitions import (
+    EMPTY,
+    add_node,
+    as_partition,
+    is_rectangle,
+    remove_node,
+    residue,
+)
 
 
 def _fits(step, mp, node):
@@ -49,6 +56,39 @@ def step_degrees(mp, ct, charge):
             for node, (key, i) in zip(removable, r)]
 
 
+def signature(mp, ct, charge, i):
+    """The i-signature: the addable and removable i-nodes of the
+    brute-force corners, marked 'a' and 'r', in (component, row) order."""
+    addable, removable = corners(mp)
+    entries = [("a", node) for node in addable if residue(ct, charge, node) == i]
+    entries += [("r", node) for node in removable if residue(ct, charge, node) == i]
+    entries.sort(key=lambda e: (e[1][2], e[1][0]))
+    return tuple(entries)
+
+
+def reduce_signature(sig):
+    """Cancel adjacent (r, a) pairs until the word has shape a..a r..r."""
+    stack = []
+    for entry in sig:
+        if entry[0] == "a" and stack and stack[-1][0] == "r":
+            stack.pop()
+        else:
+            stack.append(entry)
+    return tuple(stack)
+
+
+def good_node(mp, ct, charge, i):
+    """The removable node at the leftmost r of the reduced i-signature."""
+    reduced = reduce_signature(signature(mp, ct, charge, i))
+    return next((node for marker, node in reduced if marker == "r"), None)
+
+
+def cogood_node(mp, ct, charge, i):
+    """The addable node at the rightmost a of the reduced i-signature."""
+    reduced = reduce_signature(signature(mp, ct, charge, i))
+    return next((node for marker, node in reversed(reduced) if marker == "a"), None)
+
+
 def plain_cogood_path(start, word, ct, charge):
     """The cogood replay without a memo: one cogood_node and add_node per
     step; None if a step has no cogood node."""
@@ -59,3 +99,18 @@ def plain_cogood_path(start, word, ct, charge):
             return None
         mp = add_node(mp, node)
     return mp
+
+
+def rect_add(rho, lam, mu=EMPTY):
+    """rho + lam for a rectangle rho, or rho + (lam, mu) with mu appended
+    below the rectangle; ValueError where the result is not of that form."""
+    if not is_rectangle(rho):
+        raise ValueError(f"{rho} is not a rectangle")
+    if len(lam) > len(rho):
+        raise ValueError(f"{lam} has more rows than {rho}")
+    if mu and rho and mu[0] > rho[0]:
+        raise ValueError(f"appended part {mu} is wider than the rectangle {rho}")
+    if mu and not rho:
+        raise ValueError("cannot append below an empty rectangle")
+    parts = tuple(rho[r] + (lam[r] if r < len(lam) else 0) for r in range(len(rho)))
+    return as_partition(parts + mu)

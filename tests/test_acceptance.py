@@ -13,7 +13,6 @@ from klrblocks.cartan import CartanType
 from klrblocks.graded import LaurentPoly, gdim_specht_weight
 from klrblocks.morita import a_block, from_type_c, iter_bridges, to_type_c, verify_bridge
 from klrblocks.partitions import conjugate, partitions_of
-from klrblocks.crystal import reduce_signature
 from klrblocks.tableaux import (
     degree,
     enumerate_standard,
@@ -21,6 +20,8 @@ from klrblocks.tableaux import (
     rectangle_final_tableau,
     residue_sequence,
 )
+
+from oracles import reduce_signature
 
 A, C = CartanType.A, CartanType.C
 

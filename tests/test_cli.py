@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import klrblocks
+from klrblocks import cli
 from klrblocks.cli import (
     build_parser,
     fmt_shape,
@@ -111,6 +112,16 @@ class TestKleshchev:
         assert code == 0
         assert json.loads(out) == [{"shape": "1,1", "kleshchev": True}]
 
+    def test_empty_list_in_every_format(self, capsys, monkeypatch):
+        # every size has a Kleshchev l-partition (a highest-weight crystal
+        # of infinite rank has no element that every f_i kills), so the
+        # empty --list answer is made by a membership test that says no
+        monkeypatch.setattr(cli, "is_kleshchev", lambda mp, ct, charge: False)
+        argv = ("kleshchev", "--charge", "0", "--n", "3", "--list")
+        assert run(capsys, *argv) == (0, "[]\n")
+        assert run(capsys, "--format", "pretty", *argv) == (0, "[]\n")
+        assert run(capsys, "--format", "csv", *argv) == (0, "shape,kleshchev\r\n")
+
     def test_list_with_shape_exits_2(self, capsys):
         assert main(["kleshchev", "--charge", "0", "--shape", "2", "--list"]) == 2
         assert "--list filters the l-partitions of --n" in capsys.readouterr().err
@@ -179,6 +190,12 @@ class TestTableaux:
             0, "rows,residues,degree\r\n")
         assert run(capsys, "--format", "csv", *argv) == (0, "rows,residues\r\n")
         assert run(capsys, *argv, "--with-degrees") == (0, "[]\n")
+
+    def test_empty_answer_pretty_is_an_empty_list(self, capsys):
+        # pretty has no row to write, and writes the empty list as json does
+        argv = ("tableaux", "--charge", "0", "--shape", "2", "--residues", "0,0")
+        assert run(capsys, "--format", "pretty", *argv) == (0, "[]\n")
+        assert run(capsys, "--format", "pretty", *argv, "--with-degrees") == (0, "[]\n")
 
 
 class TestBridge:

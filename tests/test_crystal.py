@@ -3,15 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from klrblocks import crystal
 from klrblocks.cartan import CartanType
-from klrblocks.crystal import (
-    _good_nodes,
-    cogood_node,
-    good_node,
-    good_walk,
-    i_signature,
-    is_kleshchev,
-    reduce_signature,
-)
+from klrblocks.crystal import _corner_pass, _good_nodes, good_walk, is_kleshchev
 from klrblocks.partitions import (
     add_node,
     content,
@@ -19,10 +11,18 @@ from klrblocks.partitions import (
     partitions_of,
     remove_node,
     residue,
+    signatures,
     size,
 )
 
-from oracles import corners, plain_cogood_path
+from oracles import (
+    cogood_node,
+    corners,
+    good_node,
+    plain_cogood_path,
+    reduce_signature,
+    signature,
+)
 
 A, C = CartanType.A, CartanType.C
 
@@ -39,18 +39,10 @@ def charged_shapes(draw, max_level=3, max_n=8, max_c_level=None):
     return ct, charge, shape
 
 
-def oracle_signature(mp, ct, charge, i):
-    """The i-signature from the brute-force corners of residue i."""
-    addable, removable = corners(mp)
-    entries = [("a", node) for node in addable if residue(ct, charge, node) == i]
-    entries += [("r", node) for node in removable if residue(ct, charge, node) == i]
-    entries.sort(key=lambda e: (e[1][2], e[1][0]))
-    return tuple(entries)
-
-
-def oracle_good_node(mp, ct, charge, i):
-    reduced = reduce_signature(oracle_signature(mp, ct, charge, i))
-    return next((node for marker, node in reduced if marker == "r"), None)
+def pass_nodes(mp, ct, charge, i):
+    """(good, cogood) i-nodes as the corner pass gives them."""
+    depth, bottom, cogood = _corner_pass(mp, ct, charge).get(i, (0, None, None))
+    return (bottom if depth else None), cogood
 
 
 def seed_good_nodes(cur, ct, charge):
@@ -63,7 +55,7 @@ def seed_good_nodes(cur, ct, charge):
         if i in seen:
             continue
         seen.add(i)
-        if oracle_good_node(cur, ct, charge, i) == node:
+        if good_node(cur, ct, charge, i) == node:
             out.append(node)
     return out
 
@@ -72,7 +64,7 @@ def oracle_good_nodes(cur, ct, charge):
     """Every residue's good node from the per-residue oracle signatures, in
     (component, row) order."""
     residues = {residue(ct, charge, node) for node in corners(cur)[1]}
-    goods = (oracle_good_node(cur, ct, charge, i) for i in residues)
+    goods = (good_node(cur, ct, charge, i) for i in residues)
     return sorted((n for n in goods if n is not None), key=lambda n: (n[2], n[0]))
 
 
@@ -112,14 +104,21 @@ def factors(nu, rho, ct, charge):
     return None if head is None or tail is None else head + tail
 
 
+def scan_signature(mp, ct, charge, i):
+    """The i-signature that the package's corner scan gives."""
+    return tuple(signatures(mp, ct, charge).get(i, ()))
+
+
 class TestSignatures:
     def test_examples(self):
-        assert i_signature(((2,),), C, (0,), 1) == (("r", (1, 2, 1)), ("a", (2, 1, 1)))
-        assert i_signature(((1, 1),), C, (0,), 1) == (("a", (1, 2, 1)), ("r", (2, 1, 1)))
-        assert i_signature(((1,), (1,)), A, (1, 1), 1) == (
-            ("r", (1, 1, 1)),
-            ("r", (1, 1, 2)),
-        )
+        # the oracle's signature and the corner scan's (step degrees)
+        for sig in (signature, scan_signature):
+            assert sig(((2,),), C, (0,), 1) == (("r", (1, 2, 1)), ("a", (2, 1, 1)))
+            assert sig(((1, 1),), C, (0,), 1) == (("a", (1, 2, 1)), ("r", (2, 1, 1)))
+            assert sig(((1,), (1,)), A, (1, 1), 1) == (
+                ("r", (1, 1, 1)),
+                ("r", (1, 1, 2)),
+            )
 
     def test_reduce_examples(self):
         r, a = ("r", (1, 2, 1)), ("a", (2, 1, 1))
@@ -146,36 +145,61 @@ class TestSignatures:
         assert tuple(items) == reduced
 
 
+def assert_pass_matches_oracle(mp, ct, charge):
+    """The corner pass has an entry for exactly the residues with a
+    corner, and for each its depth is the number of r's left in the
+    oracle's reduced signature, its bottom (when open) the leftmost of
+    them and its cogood node the rightmost a; _good_nodes lists the good
+    nodes in (component, row) order."""
+    addable, removable = corners(mp)
+    residues = {residue(ct, charge, node) for node in addable + removable}
+    state = _corner_pass(mp, ct, charge)
+    assert set(state) == residues
+    goods = []
+    for i in residues:
+        reduced = reduce_signature(signature(mp, ct, charge, i))
+        r_nodes = [node for marker, node in reduced if marker == "r"]
+        a_nodes = [node for marker, node in reduced if marker == "a"]
+        depth, bottom, cogood = state[i]
+        assert depth == len(r_nodes)
+        if depth:
+            assert bottom == r_nodes[0] == good_node(mp, ct, charge, i)
+            goods.append(bottom)
+        assert cogood == (a_nodes[-1] if a_nodes else None)
+        assert cogood == cogood_node(mp, ct, charge, i)
+    assert _good_nodes(mp, ct, charge) == sorted(goods, key=lambda n: (n[2], n[0]))
+    return residues
+
+
 class TestOneScan:
     @settings(deadline=None, max_examples=200)
     @given(charged_shapes())
     def test_every_residue_matches_per_residue_oracle(self, case):
         ct, charge, mp = case
-        addable, removable = corners(mp)
-        residues = sorted({residue(ct, charge, node) for node in addable + removable})
-        goods = []
+        residues = assert_pass_matches_oracle(mp, ct, charge)
         for i in residues:
-            sig = oracle_signature(mp, ct, charge, i)
-            good = oracle_good_node(mp, ct, charge, i)
-            cogood = next((n for m, n in reversed(reduce_signature(sig)) if m == "a"), None)
-            assert i_signature(mp, ct, charge, i) == sig
-            assert good_node(mp, ct, charge, i) == good
-            assert cogood_node(mp, ct, charge, i) == cogood
-            if good is not None:
-                goods.append(good)
-        assert _good_nodes(mp, ct, charge) == sorted(goods, key=lambda n: (n[2], n[0]))
-        bare = residues[-1] + 1  # a residue with no corner
-        assert i_signature(mp, ct, charge, bare) == ()
-        assert good_node(mp, ct, charge, bare) is None
-        assert cogood_node(mp, ct, charge, bare) is None
+            assert scan_signature(mp, ct, charge, i) == signature(mp, ct, charge, i)
+        bare = max(residues) + 1  # a residue with no corner
+        assert signature(mp, ct, charge, bare) == ()
+        assert pass_nodes(mp, ct, charge, bare) == (None, None)
+
+    @pytest.mark.parametrize("ct,charge", [
+        (A, (0,)), (A, (-2,)), (C, (0,)), (C, (1,)), (C, (3,)),
+        (A, (0, 0)), (A, (1, 0)), (A, (-1, 2)), (C, (0, 0)), (C, (0, 1)), (C, (2, 1)),
+        (A, (0, 0, 0)), (A, (2, 0, 1)), (C, (0, 1, 1)), (C, (1, 0, 2)),
+    ])
+    def test_every_shape_to_size_8(self, ct, charge):
+        for n in range(9):
+            for mp in multipartitions_of(n, len(charge)):
+                assert_pass_matches_oracle(mp, ct, charge)
 
     def test_level_three_signature_with_inner_cancellation(self):
-        # residue 0 reads r a r: the first removable 0-node cancels and
-        # the good node is the last one
+        # residue 0 reads r a r: the first removable 0-node cancels, the
+        # good node is the last one, and the one addable 0-node is closed
         mp = ((1,), (), (1,))
-        assert i_signature(mp, A, (0, 0, 0), 0) == (
+        assert signature(mp, A, (0, 0, 0), 0) == (
             ("r", (1, 1, 1)), ("a", (1, 1, 2)), ("r", (1, 1, 3)))
-        assert good_node(mp, A, (0, 0, 0), 0) == (1, 1, 3)
+        assert pass_nodes(mp, A, (0, 0, 0), 0) == ((1, 1, 3), None)
 
 
 @st.composite
@@ -242,20 +266,20 @@ class TestGoodRemovalPath:
 
 class TestGoodCogood:
     def test_examples(self):
-        assert good_node(((2,),), C, (0,), 1) is None
-        assert good_node(((1, 1),), C, (0,), 1) == (2, 1, 1)
-        assert cogood_node(((),),  C, (0,), 0) == (1, 1, 1)
+        assert pass_nodes(((2,),), C, (0,), 1) == (None, None)
+        assert pass_nodes(((1, 1),), C, (0,), 1) == ((2, 1, 1), (1, 2, 1))
+        assert pass_nodes(((),), C, (0,), 0) == (None, (1, 1, 1))
 
     def test_partial_inverse(self):
         # cogood addition then good removal is the identity where defined
         for n in range(9):
             for mp in multipartitions_of(n, 1):
                 for i in range(n + 2):
-                    node = cogood_node(mp, C, (0,), i)
+                    node = pass_nodes(mp, C, (0,), i)[1]
                     if node is None:
                         continue
                     bigger = add_node(mp, node)
-                    assert good_node(bigger, C, (0,), i) == node
+                    assert pass_nodes(bigger, C, (0,), i)[0] == node
                     assert remove_node(bigger, node) == mp
 
 
@@ -398,9 +422,15 @@ class TestCogoodPath:
     def test_failure_position(self, monkeypatch):
         # a step with no cogood node ends the replay in None, and every
         # walk built on it keeps None
-        real = crystal.cogood_node
-        monkeypatch.setattr(crystal, "cogood_node", lambda mp, ct, charge, i:
-                            None if i == 1 else real(mp, ct, charge, i))
+        real = crystal._corner_pass
+
+        def no_cogood_1(mp, ct, charge):
+            state = real(mp, ct, charge)
+            if 1 in state:
+                state[1][2] = None
+            return state
+
+        monkeypatch.setattr(crystal, "_corner_pass", no_cogood_1)
         crystal._good_walk.cache_clear()
         try:
             assert good_walk(((1,),), ((),), C, (0,)) == ((0,), ((1,),))

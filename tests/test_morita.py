@@ -2,7 +2,7 @@ import pytest
 
 from klrblocks import crystal, morita
 from klrblocks.cartan import CartanType, RootVector
-from klrblocks.crystal import good_node, good_walk, is_kleshchev
+from klrblocks.crystal import good_walk, is_kleshchev
 from klrblocks.graded import LaurentPoly, _gdim
 from klrblocks.morita import (
     BridgeError,
@@ -15,10 +15,10 @@ from klrblocks.morita import (
     to_type_c,
     verify_bridge,
 )
-from klrblocks.partitions import content, partitions_of, remove_node
+from klrblocks.partitions import conjugate, content, partitions_of, remove_node
 from klrblocks.tableaux import enumerate_standard, residue_sequence
 
-from oracles import plain_cogood_path
+from oracles import good_node, plain_cogood_path, rect_add
 
 A, C = CartanType.A, CartanType.C
 
@@ -127,6 +127,18 @@ class TestBlockMap:
             assert sorted(image) == sorted(c_block(b))
             for bp, nu in zip(a_block(b), image):
                 assert from_type_c(nu, b) == bp
+
+    @pytest.mark.parametrize("kappa_c", [0, 1, 2])
+    def test_rect_image_matches_rect_add(self, kappa_c):
+        # the direct image of a block member against the checked
+        # rectangle addition, on every bridge up to height 14
+        members = 0
+        for b in iter_bridges(kappa_c, 14):
+            for bp in a_block(b):
+                lam, mu = bp
+                assert morita._rect_image(bp, b) == rect_add(b.rho, lam, conjugate(mu))
+                members += 1
+        assert members > 0
 
 
 class TestTableauTransport:

@@ -16,7 +16,6 @@ from klrblocks.partitions import (
     multipartitions_of,
     nodes,
     partitions_of,
-    rect_add,
     rect_split,
     residue,
     signatures,
@@ -24,6 +23,7 @@ from klrblocks.partitions import (
 )
 
 import oracles
+from oracles import rect_add
 
 A, C = CartanType.A, CartanType.C
 

@@ -1,14 +1,18 @@
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
+from klrblocks import crystal, graded
 from klrblocks.cartan import RootVector
 from klrblocks.cli import main
-from klrblocks.morita import BridgeError, iter_bridges, one_block_bridge
+from klrblocks.morita import ALL_CHECKS, BridgeError, iter_bridges, one_block_bridge
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -55,6 +59,8 @@ def test_broken_pipe_exits_1_quietly(tmp_path):
     ("verify_bridges.py", ["--kappa-c", "0", "--max-n", "3", "--beta", '{"0":1}']),
     ("verify_bridges.py", ["--kappa-c", "0", "--beta", "{"]),
     ("verify_bridges.py", ["--kappa-c", "0", "--beta", '{"-1":1,"0":1}']),
+    ("verify_bridges.py", ["--kappa-c", "0", "0", "--max-n", "2"]),
+    ("maximal_blocks.py", ["--max-a0", "0"]),
 ])
 def test_bad_input_exits_2(tmp_path, script, args):
     proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
@@ -111,3 +117,43 @@ def test_one_block_bridge_is_the_sweeps(kappa_c):
     empty = RootVector({0: 1, 9: 1} if kappa_c == 0 else {0: 1, 1: 1, 9: 1})
     with pytest.raises(BridgeError, match=f"charge {kappa_c} has content"):
         one_block_bridge(kappa_c, empty)
+
+
+def test_maximal_blocks_lines(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "maximal_blocks.py"),
+                           "--max-a0", "3"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    for a0, line in enumerate(lines, start=1):
+        head, *cells, verdict, rss = line.split("  ")
+        assert head == f"a0={a0} height={2 * a0 * a0} shapes={comb(2 * a0, a0)}"
+        assert [cell.split("=")[0] for cell in cells] == list(ALL_CHECKS)
+        assert all(re.fullmatch(r"\d+\.\d{3}s", cell.split("=")[1]) for cell in cells)
+        assert verdict == "pass"
+        assert re.fullmatch(r"peak_rss_mb=\d+\.\d", rss)
+
+
+def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys):
+    # every check runs alone, in its own verify_bridge call, on empty memos
+    spec = importlib.util.spec_from_file_location("maximal_blocks",
+                                                  SCRIPTS / "maximal_blocks.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    real, calls = script.verify_bridge, []
+
+    def recording(b, checks):
+        sizes = [memo.cache_info().currsize
+                 for memo in (crystal._kleshchev, crystal._good_walk, graded._gdim)]
+        calls.append((b.a0, tuple(checks), sizes))
+        return real(b, checks)
+
+    monkeypatch.setattr(script, "verify_bridge", recording)
+    monkeypatch.setattr(sys, "argv", ["maximal_blocks.py", "--max-a0", "2"])
+    assert script.main() == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert calls == [(a0, (check,), [0, 0, 0])
+                     for a0 in (1, 2) for check in ALL_CHECKS]

@@ -10,9 +10,6 @@ PACKAGE = ROOT / "src" / "klrblocks"
 
 # Names that no program file uses yet, each kept for a stated reason.
 KEPT = {
-    # test oracle: one residue's good node; the crystal layer finds every
-    # residue's at once (_good_nodes)
-    "good_node",
     # test oracle: dominance of one pair; the dominance check compares
     # prefix sums computed once per block (dominance_sums)
     "dominates",
