@@ -38,7 +38,6 @@ from .partitions import (
 )
 from .tableaux import (
     StandardTableau,
-    rectangle_final_tableau,
     degree,
     enumerate_standard,
     initial_tableau,

@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 from typing import Optional, Sequence, Tuple
 
 from .cartan import CartanType, RootVector
@@ -80,19 +81,25 @@ def fmt_shape(shape: MultiPartition) -> str:
 
 
 def emit(records, fmt: str, columns: Sequence[str] = ()) -> None:
-    """Write records (a list of rows, or one row) in the format.  A csv
-    header is the keys of the first row; an answer that may have no row
-    names its columns, so that its header is written all the same.  An
-    empty answer has no pretty row, and pretty writes it as json does."""
+    """Write records (one dict row, or rows written as they come, once the
+    first is read) in the format.  A csv header is the keys of the first
+    row; an answer that may have no row names its columns, so that its
+    header is written all the same; pretty writes an empty answer as json."""
     stream = sys.stdout
-    if fmt == "json" or (fmt == "pretty" and not records):
-        stream.write(json.dumps(records, separators=(",", ":")))
-        stream.write("\n")
+    rows = iter([records] if isinstance(records, dict) else records)
+    first = next(rows, None)
+    rows = chain(() if first is None else (first,), rows)
+    if fmt == "json" and isinstance(records, dict):
+        stream.write(json.dumps(records, separators=(",", ":")) + "\n")
+    elif fmt == "json" or (fmt == "pretty" and first is None):
+        stream.write("[")
+        for k, row in enumerate(rows):
+            stream.write(("," if k else "") + json.dumps(row, separators=(",", ":")))
+        stream.write("]\n")
     elif fmt == "csv":
         import csv  # only this format needs it; keeps it out of start-up
 
-        rows = records if isinstance(records, list) else [records]
-        keys = list(rows[0]) if rows else list(columns)
+        keys = list(columns if first is None else first)
         writer = csv.writer(stream)
         writer.writerow(keys)
         for row in rows:
@@ -101,7 +108,6 @@ def emit(records, fmt: str, columns: Sequence[str] = ()) -> None:
                  for k in keys]
             )
     else:
-        rows = records if isinstance(records, list) else [records]
         for row in rows:
             if isinstance(row, dict):
                 stream.write("  ".join(f"{k}={json.dumps(v)}" for k, v in row.items()))
@@ -209,18 +215,24 @@ def cmd_verify(args) -> int:
         bridges = [one_block_bridge(args.kappa_c, parse_beta(args.beta, CartanType.C))]
     else:
         bridges = iter_bridges(args.kappa_c, args.max_n)
-    reports = [verify_bridge(b, checks) for b in bridges]
-    ok = all(r["pass"] for r in reports)
+    passes = []
+
+    def reports():  # each written as soon as it is made, and not kept
+        for b in bridges:
+            r = verify_bridge(b, checks)
+            passes.append(r["pass"])
+            yield r
+
     if args.format == "pretty":
-        for r in reports:
+        for r in reports():
             beta = r["bridge"]["beta"]
             line = " ".join(f"{c}:{'pass' if v['pass'] else 'FAIL'}"
                             for c, v in r["checks"].items())
             print(f"beta={json.dumps(beta)} {line}")
-        print("all-pass" if ok else "FAILED")
+        print("all-pass" if all(passes) else "FAILED")
     else:
-        emit(reports, args.format, ("bridge", "checks", "pass"))
-    return 0 if ok else 1
+        emit(reports(), args.format, ("bridge", "checks", "pass"))
+    return 0 if all(passes) else 1
 
 
 @functools.cache

@@ -104,10 +104,7 @@ def c_block(b: BlockBridge) -> List[Partition]:
 
 
 def a_block(b: BlockBridge) -> List[Bipartition]:
-    return [
-        (mp[0], mp[1])
-        for mp in enumerate_block(CartanType.A, b.a_charge, b.a_beta)
-    ]
+    return enumerate_block(CartanType.A, b.a_charge, b.a_beta)
 
 
 def _rect_image(bp: Bipartition, b: BlockBridge) -> Partition:
@@ -259,7 +256,7 @@ class _Block:
 
 def _check_count(blk: _Block) -> dict:
     per_shape = []
-    ok = set(nu for _, nu in blk.pairs) == set(blk.c_shapes)
+    ok = sorted(nu for _, nu in blk.pairs) == sorted(blk.c_shapes)  # one to one
     std_rho = blk.rho_poly.eval_at_1()
     lhs_total = rhs_total = 0
     for nu, lhs, a_poly in blk.polys:

@@ -8,7 +8,7 @@ A node is a triple (row, col, comp), all 1-based.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, combinations, product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue, RootVector
@@ -246,7 +246,8 @@ def multipartitions_of(n: int, level: int) -> List[MultiPartition]:
 
 def enumerate_block(ct: CartanType, charge: Charge, beta: RootVector) -> List[MultiPartition]:
     """All l-partitions (l = len(charge)) with the given content, in the
-    deterministic order of multipartitions_of.
+    deterministic order of multipartitions_of.  A level-two type-A block is
+    read off its weight (_weight_placements), every other one as follows.
 
     At e = infinity a component of charge k is fixed by its diagonal
     profile: d(t) is the number of its nodes of type-A residue t.  Stepping
@@ -270,6 +271,9 @@ def enumerate_block(ct: CartanType, charge: Charge, beta: RootVector) -> List[Mu
     if beta.height == 0:
         return [(EMPTY,) * level]
     labels = [i for i, _ in beta.items()]
+    if ct is CartanType.A and level == 2:
+        return sorted(_weight_placements(charge, beta, labels[0], labels[-1]),
+                      key=_block_order, reverse=True)
     if ct is CartanType.C:
         if labels[0] < 0:
             return []
@@ -317,9 +321,40 @@ def enumerate_block(ct: CartanType, charge: Charge, beta: RootVector) -> List[Mu
                                  for m, k in enumerate(charge)))
         else:
             stack.pop()
-    # multipartitions_of's order: larger components first, then parts
-    # lexicographically decreasing
-    out.sort(key=lambda mp: tuple((-sum(p), tuple(-x for x in p)) for p in mp))
+    out.sort(key=_block_order, reverse=True)
+    return out
+
+
+def _block_order(mp: MultiPartition):
+    # in reverse, multipartitions_of's order: larger components first, then parts
+    # lexicographically decreasing (no part list of one size is a prefix of another)
+    return tuple((sum(p), p) for p in mp)
+
+
+def _weight_placements(charge: Charge, beta: RootVector, first: Residue,
+                       last: Residue) -> List[MultiPartition]:
+    """The level-two type-A block of content beta (residues first..last).
+    Vertex u is in c_u = [u < k1] + [u < k2] + beta(u) - beta(u + 1) of the
+    Maya sets M(lam, k1), M(mu, k2), where M(p, k) = {k + p_r - r : r >= 1}.
+    From lo = min(beta, k1, k2) - 1 up, each c_u = 2 is in both, and each
+    choice of k1 - lo - #(c_u = 2) free vertices (c_u = 1) for M(lam, k1),
+    the rest for M(mu, k2), is one member; other c_u leave the block empty."""
+    # a charge past first - 1 or last + 1 empties its component, as that end does
+    k1, k2 = (min(max(k, first - 1), last + 1) for k in charge)
+    lo, hi = min(first, k1, k2) - 1, max(last, k1, k2)
+    c = [(u < k1) + (u < k2) + beta[u] - beta[u + 1] for u in range(hi, lo - 1, -1)]
+    d = k1 - lo - c.count(2)
+    if d < 0 or not set(c) <= {0, 1, 2}:
+        return []
+    out: List[MultiPartition] = []
+    for vee in map(set, combinations([j for j, x in enumerate(c) if x == 1], d)):
+        lam, mu = [], []
+        for j, x in enumerate(c):
+            if x == 2 or j in vee:
+                lam.append(hi - j - k1 + len(lam) + 1)
+            if x == 2 or (x == 1 and j not in vee):
+                mu.append(hi - j - k2 + len(mu) + 1)
+        out.append((tuple(x for x in lam if x), tuple(x for x in mu if x)))
     return out
 
 

@@ -33,32 +33,9 @@ class StandardTableau(NamedTuple):
             grid[m - 1][r - 1][c - 1] = k
         return grid
 
-    def prefix_shape(self, k: int) -> MultiPartition:
-        mp: MultiPartition = tuple(() for _ in self.shape)
-        for node in self.order[:k]:
-            mp = add_node(mp, node)
-        return mp
-
 
 def initial_tableau(shape: MultiPartition) -> StandardTableau:
     return StandardTableau(shape, tuple(nodes(shape)))
-
-
-def rectangle_final_tableau(a0: int, height: int) -> StandardTableau:
-    """The minimal-degree tableau of the a0 x height rectangle in the
-    weight space of its row-initial residue sequence: the height - a0 rows
-    above the zero-residue square are filled in reading order, the square
-    itself down its columns.  For height == a0 there are no rows above, and
-    1..n fill the square column by column."""
-    if not 1 <= a0 <= height:
-        raise ValueError("need 1 <= a0 <= height")
-    shape = (a0,) * height
-    top = height - a0
-    order: List[Node] = [(r, c, 1) for r in range(1, top + 1)
-                         for c in range(1, a0 + 1)]
-    order += [(top + r, c, 1) for c in range(1, a0 + 1)
-              for r in range(1, a0 + 1)]
-    return StandardTableau((shape,), tuple(order))
 
 
 def residue_sequence(t: StandardTableau, ct: CartanType, charge: Charge) -> Tuple[Residue, ...]:

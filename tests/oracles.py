@@ -1,7 +1,9 @@
 """Brute-force corner oracles from the definitions, independent of the
 package's corner scans (partitions.signatures and step_degrees, the
 crystal layer's corner pass): i-signatures and their reduction, good and
-cogood nodes, the unmemoized cogood replay, and the bridge image."""
+cogood nodes, the unmemoized cogood replay, and the bridge image.  Also
+two tableau fixtures: the sub-diagram a tableau's first entries fill, and
+the paper's minimal-degree rectangle tableau."""
 
 from functools import lru_cache
 
@@ -13,6 +15,7 @@ from klrblocks.partitions import (
     remove_node,
     residue,
 )
+from klrblocks.tableaux import StandardTableau
 
 
 def _fits(step, mp, node):
@@ -114,3 +117,25 @@ def rect_add(rho, lam, mu=EMPTY):
         raise ValueError("cannot append below an empty rectangle")
     parts = tuple(rho[r] + (lam[r] if r < len(lam) else 0) for r in range(len(rho)))
     return as_partition(parts + mu)
+
+
+def prefix_shape(t, k):
+    """The sub-diagram that the entries 1..k of the tableau t fill."""
+    mp = tuple(() for _ in t.shape)
+    for node in t.order[:k]:
+        mp = add_node(mp, node)
+    return mp
+
+
+def rectangle_final_tableau(a0, height):
+    """The minimal-degree tableau of the a0 x height rectangle in the
+    weight space of its row-initial residue sequence: the height - a0 rows
+    above the zero-residue square are filled in reading order, the square
+    itself down its columns.  For height == a0 there are no rows above, and
+    1..n fill the square column by column."""
+    if not 1 <= a0 <= height:
+        raise ValueError("need 1 <= a0 <= height")
+    top = height - a0
+    order = [(r, c, 1) for r in range(1, top + 1) for c in range(1, a0 + 1)]
+    order += [(top + r, c, 1) for c in range(1, a0 + 1) for r in range(1, a0 + 1)]
+    return StandardTableau(((a0,) * height,), tuple(order))

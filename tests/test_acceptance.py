@@ -17,11 +17,10 @@ from klrblocks.tableaux import (
     degree,
     enumerate_standard,
     initial_tableau,
-    rectangle_final_tableau,
     residue_sequence,
 )
 
-from oracles import reduce_signature
+from oracles import rectangle_final_tableau, reduce_signature
 
 A, C = CartanType.A, CartanType.C
 

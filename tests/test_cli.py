@@ -22,8 +22,8 @@ from klrblocks.cli import (
     parse_residues,
     parse_shape,
 )
-from klrblocks.cartan import CartanType
-from klrblocks.morita import ALL_CHECKS
+from klrblocks.cartan import CartanType, RootVector
+from klrblocks.morita import ALL_CHECKS, iter_bridges, one_block_bridge, verify_bridge
 from klrblocks.partitions import content, multipartitions_of
 
 
@@ -274,6 +274,88 @@ class TestVerify:
             with pytest.raises(SystemExit) as err:
                 main(["verify", "--kappa-c", "0"] + extra)
             assert err.value.code == 2
+
+
+def list_based_verify(reports, fmt):
+    """verify's stdout written from the whole list of reports at once."""
+    if fmt == "json":
+        return json.dumps(reports, separators=(",", ":")) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["bridge", "checks", "pass"])
+        for r in reports:
+            writer.writerow([json.dumps(r[k]) for k in ("bridge", "checks", "pass")])
+        return buf.getvalue()
+    lines = [f"beta={json.dumps(r['bridge']['beta'])} "
+             + " ".join(f"{c}:{'pass' if v['pass'] else 'FAIL'}"
+                        for c, v in r["checks"].items())
+             for r in reports]
+    ok = all(r["pass"] for r in reports)
+    return "".join(line + "\n" for line in lines + ["all-pass" if ok else "FAILED"])
+
+
+FORMATS = ("json", "csv", "pretty")
+BETA = '{"0":2,"1":3,"2":2,"3":1}'
+
+
+class TestVerifyStreams:
+    # verify writes each report as it is made; the bytes are those of the
+    # whole list written at once
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("kappa_c, how, value", [
+        (0, "--max-n", "8"), (1, "--max-n", "8"), (0, "--max-n", "0"),
+        (0, "--beta", BETA), (1, "--beta", '{"0":1,"1":2,"2":1}'),
+    ])
+    def test_bytes_as_from_a_list(self, capsys, fmt, kappa_c, how, value):
+        if how == "--max-n":
+            reports = [verify_bridge(b) for b in iter_bridges(kappa_c, int(value))]
+        else:
+            beta = RootVector.from_json(json.loads(value))
+            reports = [verify_bridge(one_block_bridge(kappa_c, beta))]
+        code, out = run(capsys, "--format", fmt, "verify", "--kappa-c",
+                        str(kappa_c), how, value)
+        assert (code, out) == (0, list_based_verify(reports, fmt))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_a_failure_on_the_way_sets_the_exit_code(self, capsys, monkeypatch, fmt):
+        reports = []
+
+        def failing_third(b, checks):
+            r = verify_bridge(b, checks)
+            if len(reports) == 2:
+                r["pass"] = r["checks"]["count"]["pass"] = False
+            reports.append(r)
+            return r
+
+        monkeypatch.setattr(cli, "verify_bridge", failing_third)
+        code, out = run(capsys, "--format", fmt, "verify", "--kappa-c", "0",
+                        "--max-n", "6")
+        assert len(reports) > 3
+        assert (code, out) == (1, list_based_verify(reports, fmt))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_each_report_is_written_before_the_next_is_made(self, monkeypatch, fmt):
+        out, written = io.StringIO(), []
+
+        def recording(b, checks):
+            written.append(len(out.getvalue()))
+            return verify_bridge(b, checks)
+
+        monkeypatch.setattr(cli, "verify_bridge", recording)
+        with redirect_stdout(out):
+            assert main(["--format", fmt, "verify", "--kappa-c", "0", "--max-n", "6"]) == 0
+        # the first report is made before anything is written
+        assert written[0] == 0 and len(written) > 3
+        assert all(a < b for a, b in zip(written[1:], written[2:]))
+        assert written[1] > 0
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_a_refused_sweep_writes_nothing(self, capsys, fmt):
+        for bad in (["--kappa-c", "0", "--max-n", "-1"], ["--kappa-c", "-1", "--max-n", "3"]):
+            assert main(["--format", fmt, "verify", *bad]) == 2
+            assert capsys.readouterr().out == ""
 
 
 def fails_cleanly(capsys, *argv):

@@ -24,9 +24,10 @@ from klrblocks.tableaux import (
     degree,
     enumerate_standard,
     initial_tableau,
-    rectangle_final_tableau,
     residue_sequence,
 )
+
+from oracles import prefix_shape, rectangle_final_tableau
 
 A, C = CartanType.A, CartanType.C
 
@@ -146,8 +147,8 @@ class TestLatticeAgainstEnumeration:
     @given(charged_tableaux(), st.integers(0, 7))
     def test_gdim_factorizable(self, case, k):
         ct, charge, shape, tabs, t = case
-        rho = t.prefix_shape(min(k, len(t.order)))
-        expected = q_sum([s for s in tabs if s.prefix_shape(size(rho)) == rho],
+        rho = prefix_shape(t, min(k, len(t.order)))
+        expected = q_sum([s for s in tabs if prefix_shape(s, size(rho)) == rho],
                          ct, charge)
         assert gdim_factorizable(shape, ct, charge, rho) == expected
 
@@ -171,7 +172,7 @@ def draw_extra(draw, fn, shape, ct, charge):
     if draw(st.integers(0, 3)) == 0:
         shape = draw(st.sampled_from(multipartitions_of(draw(st.integers(0, 6)), len(shape))))
     t = draw(st.sampled_from(list(enumerate_standard(shape))))
-    return t.prefix_shape(draw(st.integers(0, len(t.order))))
+    return prefix_shape(t, draw(st.integers(0, len(t.order))))
 
 
 @st.composite
@@ -223,7 +224,7 @@ def oracle(call):
     if fn is gdim_specht_weight:
         tabs = [t for t in tabs if residue_sequence(t, ct, charge) == extra]
     elif fn is gdim_factorizable:
-        tabs = [t for t in tabs if t.prefix_shape(size(extra)) == extra]
+        tabs = [t for t in tabs if prefix_shape(t, size(extra)) == extra]
     return q_sum(tabs, ct, charge)
 
 

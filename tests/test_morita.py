@@ -18,7 +18,7 @@ from klrblocks.morita import (
 from klrblocks.partitions import conjugate, content, partitions_of, remove_node
 from klrblocks.tableaux import enumerate_standard, residue_sequence
 
-from oracles import good_node, plain_cogood_path, rect_add
+from oracles import good_node, plain_cogood_path, prefix_shape, rect_add
 
 A, C = CartanType.A, CartanType.C
 
@@ -155,7 +155,7 @@ class TestTableauTransport:
                 }
                 target = {
                     t.order for t in enumerate_standard((nu,))
-                    if content(C, b.c_charge, t.prefix_shape(b.omega.height)) == b.omega
+                    if content(C, b.c_charge, prefix_shape(t, b.omega.height)) == b.omega
                 }
                 assert image == target
                 assert len(image) == len(rho_tabs) * sum(
@@ -235,6 +235,18 @@ class TestVerifyBridge:
     def test_unknown_check(self):
         with pytest.raises(ValueError):
             verify_bridge(bridge(0, MICRO), checks=("count", "bogus"))
+
+    @pytest.mark.parametrize("edit", ["drop", "repeat", "add"])
+    def test_count_needs_each_shape_once(self, monkeypatch, edit):
+        # the type-A listing must map onto the type-C shapes one to one: a
+        # repeated shape leaves the image set unchanged, but not its size
+        b = bridge(0, RootVector({0: 2, 1: 3, 2: 2, 3: 1}))
+        assert verify_bridge(b, ("count",))["pass"]
+        shapes = a_block(b)
+        edited = {"drop": shapes[1:], "repeat": shapes + shapes[:1],
+                  "add": shapes + [((1,), ())]}[edit]
+        monkeypatch.setattr(morita, "a_block", lambda _: edited)
+        assert not verify_bridge(b, ("count",))["pass"]
 
     def test_report_follows_all_checks_order(self):
         # the report lists each check once, in ALL_CHECKS order, whatever

@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -262,6 +264,50 @@ def test_enumerate_block_matches_content_filter(block):
     expected = [mp for mp in multipartitions_of(beta.height, len(charge))
                 if content(ct, charge, mp) == beta]
     assert enumerate_block(ct, charge, beta) == expected
+
+
+@lru_cache(maxsize=None)
+def level_two_a_blocks(charge, n):
+    """The type-A blocks of charge (k1, k2) and height n, by the content
+    filter over multipartitions_of(n, 2), each in that order."""
+    blocks = {}
+    for mp in multipartitions_of(n, 2):
+        blocks.setdefault(content(A, charge, mp), []).append(mp)
+    return blocks
+
+
+class TestLevelTwoTypeAByWeight:
+    # enumerate_block reads level-two type-A blocks off their weights; each
+    # list, order included, must be the content filter's
+    CHARGES = list(product(range(-2, 3), repeat=2))
+
+    def test_every_content_to_size_8(self):
+        for charge in self.CHARGES:
+            for n in range(9):
+                for beta, shapes in level_two_a_blocks(charge, n).items():
+                    assert enumerate_block(A, charge, beta) == shapes
+
+    def test_random_root_vectors(self):
+        rng = random.Random(20251018)
+        found = 0
+        for _ in range(20000):
+            charge = rng.choice(self.CHARGES)
+            beta = RootVector({rng.randint(-5, 5): rng.randint(1, 2)
+                               for _ in range(rng.randint(1, 4))})
+            expected = level_two_a_blocks(charge, beta.height).get(beta, [])
+            assert enumerate_block(A, charge, beta) == expected
+            found += bool(expected)
+        # most random root vectors have no bipartition (739 of these have)
+        assert 0 < found < 2000
+
+    def test_far_charges(self):
+        # a charge far outside beta's residues leaves its component empty
+        beta = RootVector({0: 2, 1: 1, -1: 1})
+        for far in (10 ** 9, -10 ** 9):
+            assert enumerate_block(A, (far, 0), beta) == [
+                ((), mu) for (mu,) in enumerate_block(A, (0,), beta)]
+            assert enumerate_block(A, (0, far), beta) == [
+                (lam, ()) for (lam,) in enumerate_block(A, (0,), beta)]
 
 
 class TestBridgeBlocksMatchContentFilter:

@@ -13,17 +13,12 @@ KEPT = {
     # test oracle: dominance of one pair; the dominance check compares
     # prefix sums computed once per block (dominance_sums)
     "dominates",
-    # paper fixture: the minimal-degree rectangle tableau (acceptance criterion 1)
-    "rectangle_final_tableau",
     # test oracle of the planned steps check (ROADMAP item 4): the
     # differential test maps enumerated tableaux with it
     "tableau_to_type_c",
     # the bar involution of the planned graded decomposition numbers
     # (ROADMAP item 5)
     "LaurentPoly.bar",
-    # test oracle of the factorizable sums: the sub-diagram that a
-    # tableau's first entries fill
-    "StandardTableau.prefix_shape",
 }
 
 

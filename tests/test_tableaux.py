@@ -10,11 +10,11 @@ from klrblocks.tableaux import (
     degree,
     enumerate_standard,
     initial_tableau,
-    rectangle_final_tableau,
     residue_sequence,
 )
 
 import oracles
+from oracles import prefix_shape, rectangle_final_tableau
 
 A, C = CartanType.A, CartanType.C
 
@@ -96,7 +96,7 @@ class TestDegree:
                 for shape in multipartitions_of(n, len(charge)):
                     for t in enumerate_standard(shape):
                         expected = sum(
-                            dict(oracles.step_degrees(t.prefix_shape(k), ct, charge))[node]
+                            dict(oracles.step_degrees(prefix_shape(t, k), ct, charge))[node]
                             for k, node in enumerate(t.order, start=1))
                         assert degree(t, ct, charge) == expected
 
@@ -140,7 +140,7 @@ class TestFactorizable:
     def by_definition(nu, rho):
         return LaurentPoly(
             (degree(t, C, (0,)), 1) for t in enumerate_standard(nu)
-            if t.prefix_shape(size(rho)) == rho
+            if prefix_shape(t, size(rho)) == rho
         )
 
     def test_examples(self):
