@@ -56,14 +56,24 @@ def main():
             return 2
     else:
         bridges = (b for kappa_c in args.kappa_c for b in iter_bridges(kappa_c, max_n))
-    reports = [verify_bridge(b, checks) for b in bridges]
+    passes = []
+
+    def reports():  # each written as soon as it is made, and not kept
+        for b in bridges:
+            r = verify_bridge(b, checks)
+            passes.append(r["pass"])
+            yield r
 
     try:
         if args.json:
-            json.dump(reports, sys.stdout, indent=2)
-            print()
+            # the bytes of json.dump(all reports, indent=2), a report at a time
+            head = "[\n  "
+            for r in reports():
+                sys.stdout.write(head + json.dumps(r, indent=2).replace("\n", "\n  "))
+                head = ",\n  "
+            print("\n]" if passes else "[]")
         else:
-            for r in reports:
+            for r in reports():
                 b = r["bridge"]
                 cells = "  ".join(
                     f"{name}={'ok' if v['pass'] else 'FAIL'}"
@@ -71,14 +81,13 @@ def main():
                 )
                 print(f"kappa_c={b['kappa_c']} a0={b['a0']} "
                       f"beta={json.dumps(b['beta'])}  {cells}")
-            n_fail = sum(not r["pass"] for r in reports)
-            print(f"{len(reports)} bridges, {n_fail} failing")
+            print(f"{len(passes)} bridges, {passes.count(False)} failing")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early; what is still buffered goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return 1 if any(not r["pass"] for r in reports) else 0
+    return 0 if all(passes) else 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from .morita import (
     c_block,
     from_type_c,
     iter_bridges,
-    tableau_to_type_c,
     to_type_c,
     verify_bridge,
 )

@@ -3,18 +3,19 @@
 Partitions are written as comma-separated parts ("2,2"), bipartitions as
 two groups joined by "/" with "-" for an empty component ("3,2,1/-"),
 charges as comma-separated integers.  Output is deterministic for a fixed
-request; --format json|csv|pretty encode the same data.
+request; --format json|csv|pretty encode the same data.  parse_args reads
+a command line from the COMMANDS table, in one pass and as argparse would.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
 from itertools import chain
-from typing import Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 from .cartan import CartanType, RootVector
 from .crystal import is_kleshchev
@@ -59,7 +60,7 @@ def parse_type(text: str) -> CartanType:
     try:
         return CartanType(text.lower())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"unknown type {text!r} (use a or c)")
+        raise ValueError(f"unknown type {text!r} (use a or c)") from None
 
 
 def check_level(shape: MultiPartition, charge: Tuple[int, ...]) -> None:
@@ -235,81 +236,201 @@ def cmd_verify(args) -> int:
     return 0 if all(passes) else 1
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared by every later call.
+class Option(NamedTuple):
+    convert: Optional[Callable[[str], Any]]  # None: a flag, True when named
+    default: Any = None
+    help: str = ""
 
-    Sharing is safe: each parse_args call makes a fresh namespace, copies
-    the subparser defaults into it and tracks mutually exclusive options
-    per call, and every default is immutable (None, a string, a bool or the
-    enum member CartanType.C).
-    """
-    parser = argparse.ArgumentParser(
-        prog="klrblocks",
-        description="Block, tableau, crystal and graded-dimension "
-                    "combinatorics for cyclotomic KLR algebras of types "
-                    "A-infinity and C-infinity.",
-    )
-    parser.add_argument("--format", choices=("json", "csv", "pretty"),
-                        default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--type", type=parse_type, default=CartanType.C)
-        p.add_argument("--charge", required=True)
+class Command(NamedTuple):
+    func: Callable[[Any], int]
+    help: str
+    options: Dict[str, Option]
+    groups: Tuple[Tuple[str, ...], ...]  # exactly one option of each is given
 
-    p = sub.add_parser("block", help="list the l-partitions of a block or size")
-    common(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--n", type=int)
-    g.add_argument("--beta", help='RootVector JSON, e.g. {"0":1,"1":2}')
-    p.set_defaults(func=cmd_block)
 
-    p = sub.add_parser("tableaux", help="stream standard tableaux of a shape")
-    common(p)
-    p.add_argument("--shape", required=True)
-    p.add_argument("--residues")
-    p.add_argument("--with-degrees", action="store_true")
-    p.set_defaults(func=cmd_tableaux)
+def parse_format(text: str) -> str:
+    if text not in ("json", "csv", "pretty"):
+        raise ValueError(f"invalid choice: {text!r} (choose from json, csv, pretty)")
+    return text
 
-    p = sub.add_parser("kleshchev", help="Kleshchev membership")
-    common(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--shape")
-    g.add_argument("--n", type=int)
-    p.add_argument("--list", action="store_true")
-    p.set_defaults(func=cmd_kleshchev)
 
-    p = sub.add_parser("gdim", help="graded dimension of a Specht module")
-    common(p)
-    p.add_argument("--shape", required=True)
-    p.add_argument("--weight", help="residue sequence of the weight space")
-    p.set_defaults(func=cmd_gdim)
+DESCRIPTION = ("Block, tableau, crystal and graded-dimension combinatorics for "
+               "cyclotomic KLR algebras of types A-infinity and C-infinity.")
+FORMAT = {"--format": Option(parse_format, "json", "json (default), csv or pretty")}
+TYPE = Option(parse_type, CartanType.C, "a or c (default)")
+FLAG = Option(None, False)
+COMMANDS = {
+    "block": Command(cmd_block, "list the l-partitions of a block or size", {
+        "--type": TYPE, "--charge": Option(str), "--n": Option(int),
+        "--beta": Option(str, help='RootVector JSON, e.g. {"0":1,"1":2}'),
+    }, (("--charge",), ("--n", "--beta"))),
+    "tableaux": Command(cmd_tableaux, "stream standard tableaux of a shape", {
+        "--type": TYPE, "--charge": Option(str), "--shape": Option(str),
+        "--residues": Option(str), "--with-degrees": FLAG,
+    }, (("--charge",), ("--shape",))),
+    "kleshchev": Command(cmd_kleshchev, "Kleshchev membership", {
+        "--type": TYPE, "--charge": Option(str), "--shape": Option(str),
+        "--n": Option(int), "--list": FLAG,
+    }, (("--charge",), ("--shape", "--n"))),
+    "gdim": Command(cmd_gdim, "graded dimension of a Specht module", {
+        "--type": TYPE, "--charge": Option(str), "--shape": Option(str),
+        "--weight": Option(str, help="residue sequence of the weight space"),
+    }, (("--charge",), ("--shape",))),
+    "bridge": Command(cmd_bridge, "bridge datum and bipartition image of a shape", {
+        "--kappa-c": Option(int), "--shape": Option(str),
+    }, (("--kappa-c",), ("--shape",))),
+    "verify": Command(cmd_verify, "run the bridge verification battery", {
+        "--kappa-c": Option(int),
+        "--max-n": Option(int, help="every block up to this height"),
+        "--beta": Option(str, help="one block, as type-C RootVector JSON"),
+        "--checks": Option(str, ",".join(ALL_CHECKS)),
+    }, (("--kappa-c",), ("--max-n", "--beta"))),
+}
 
-    p = sub.add_parser("bridge", help="bridge datum and bipartition image of a shape")
-    p.add_argument("--kappa-c", type=int, required=True)
-    p.add_argument("--shape", required=True)
-    p.set_defaults(func=cmd_bridge)
 
-    p = sub.add_parser("verify", help="run the bridge verification battery")
-    p.add_argument("--kappa-c", type=int, required=True)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--max-n", type=int, help="every block up to this height")
-    g.add_argument("--beta", help='one block, as type-C RootVector JSON')
-    p.add_argument("--checks", default=",".join(ALL_CHECKS))
-    p.set_defaults(func=cmd_verify)
+def _metavar(name: str, option: Option) -> str:
+    return name if option.convert is None else f"{name} {name[2:].upper()}"
 
-    return parser
+
+def _usage(command: Optional[str]) -> str:
+    """The usage line: an optional option in brackets, a required one bare,
+    and a group of which one is required in parentheses."""
+    if command is None:
+        return ("usage: klrblocks [-h] [--format FORMAT] "
+                f"{{{','.join(COMMANDS)}}} ...")
+    _, _, options, groups = COMMANDS[command]
+    words = [f"usage: klrblocks {command} [-h]"]
+    for name, option in options.items():
+        group = next((g for g in groups if name in g), None)
+        if group is None:
+            words.append(f"[{_metavar(name, option)}]")
+        elif name == group[0]:
+            alts = " | ".join(_metavar(n, options[n]) for n in group)
+            words.append(f"({alts})" if len(group) > 1 else alts)
+    return " ".join(words)
+
+
+def _help(command: Optional[str]) -> str:
+    if command is None:
+        lines = [DESCRIPTION, "", "commands:"]
+        lines += [f"  {name:<10} {cmd.help}" for name, cmd in COMMANDS.items()]
+        options = FORMAT
+    else:
+        lines = [COMMANDS[command].help]
+        options = COMMANDS[command].options
+    lines += ["", "options:", f"  {'-h, --help':<20} show this help and exit"]
+    lines += [f"  {_metavar(name, option):<20} {option.help}".rstrip()
+              for name, option in options.items()]
+    return _usage(command) + "\n\n" + "\n".join(lines) + "\n"
+
+
+def _fail(command: Optional[str], message: str) -> NoReturn:
+    prog = f"klrblocks {command}" if command else "klrblocks"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _read(arg: str, options: Dict[str, Option], command: Optional[str]):
+    """How an argument is read, as argparse reads it: None for a value,
+    else (the option it names, or None for an unknown option, and the value
+    after its "=", or None).  A long option may be abbreviated to a unique
+    prefix; "-", a negative number and a word with a space are values."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, value = arg.partition("=")
+    if name in options or name in ("-h", "--help"):
+        return name, value if eq else None
+    if arg[1] != "-":
+        if arg[1] == "h":  # -h with a value joined to it
+            return "-h", arg[2:]
+    elif arg != "--":
+        matches = [n for n in (*options, "--help") if n.startswith(name)]
+        if len(matches) > 1:
+            _fail(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, None
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The namespace of a command line: format, command, func and each of
+    the command's options, given or default, named with "_" for "-".
+
+    One pass reads the arguments, each with one lookup in the table when it
+    is an option's exact name, alone or with "=value": "--format" before
+    the command, then the command's options.  A usage error writes the
+    usage line and the error to stderr and exits 2; -h or --help writes
+    the help to stdout and exits 0."""
+    command, options = None, FORMAT
+    values: Dict[str, Any] = {"format": "json"}
+    given, unknown = set(), []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        name, eq, value = arg.partition("=")
+        option = options.get(name)
+        if option is None:
+            read = _read(arg, options, command)
+            if read is None and command is None:
+                if arg not in COMMANDS:
+                    _fail(None, f"argument command: invalid choice: {arg!r} "
+                                f"(choose from {', '.join(COMMANDS)})")
+                command, options = arg, COMMANDS[arg].options
+                values.update(command=arg, func=COMMANDS[arg].func)
+                values.update((n[2:].replace("-", "_"), o.default)
+                              for n, o in options.items())
+                continue
+            if arg == "--":
+                _fail(command, "unrecognized arguments: --")
+            if read is None or read[0] is None:
+                unknown.append(arg)
+                continue
+            name, value = read
+            eq = value is not None
+            if name in ("-h", "--help"):
+                if eq:
+                    _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+                sys.stdout.write(_help(command))
+                raise SystemExit(0)
+            option = options[name]
+        if option.convert is None:
+            if eq:
+                _fail(command, f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        else:
+            if not eq:
+                if i == len(argv) or (argv[i][:1] == "-" and
+                                      _read(argv[i], options, command) is not None):
+                    _fail(command, f"argument {name}: expected one argument")
+                value = argv[i]
+                i += 1
+            try:
+                value = option.convert(value)
+            except ValueError as exc:
+                _fail(command, f"argument {name}: {exc}")
+        values[name[2:].replace("-", "_")] = value
+        given.add(name)
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    for group in COMMANDS[command].groups:
+        named = [n for n in group if n in given]
+        if len(named) > 1:
+            _fail(command, f"argument {named[1]}: not allowed with argument {named[0]}")
+        if not named:
+            _fail(command, f"the following arguments are required: {group[0]}"
+                  if len(group) == 1 else
+                  f"one of the arguments {' '.join(group)} is required")
+    if unknown:
+        _fail(command, f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # no option takes a list, but argparse before Python 3.12 turns the
-    # value of "--opt=--" into an empty one
-    for name, value in vars(args).items():
-        if isinstance(value, list):
-            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

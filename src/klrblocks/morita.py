@@ -29,7 +29,6 @@ from .cartan import CartanType, Charge, RootVector
 from .crystal import good_walk, is_kleshchev
 from .graded import LaurentPoly, gdim_factorizable, gdim_specht
 from .partitions import (
-    Node,
     Partition,
     conjugate,
     content,
@@ -38,7 +37,6 @@ from .partitions import (
     partitions_of,
     rect_split,
 )
-from .tableaux import StandardTableau
 
 Bipartition = Tuple[Partition, Partition]
 
@@ -132,25 +130,6 @@ def from_type_c(nu: Partition, b: BlockBridge) -> Bipartition:
     return rect_split(nu, b.rho)
 
 
-def tableau_to_type_c(s: StandardTableau, u: StandardTableau,
-                      b: BlockBridge) -> StandardTableau:
-    """Combine a rho-tableau and a bipartition tableau into the
-    factorizable tableau of shape rho + (lambda, mu'): component-1 nodes
-    shift right past the rectangle, component-2 nodes conjugate below it."""
-    if s.shape != (b.rho,):
-        raise BridgeError("first tableau must have shape rho")
-    lam, mu = u.shape
-    nu = to_type_c((lam, mu), b)
-    a, height = b.a0, len(b.rho)
-    order: List[Node] = list(s.order)
-    for (r, c, m) in u.order:
-        if m == 1:
-            order.append((r, a + c, 1))
-        else:
-            order.append((height + c, r, 1))
-    return StandardTableau((nu,), tuple(order))
-
-
 def one_block_bridge(kappa_c: int, beta: RootVector) -> BlockBridge:
     """The bridge of the one type-C block of content beta, carrying the
     block's shapes, as c_block lists them, in c_shapes.  A beta with no
@@ -169,11 +148,16 @@ def iter_bridges(kappa_c: int, max_n: int) -> Iterator[BlockBridge]:
     max_n, in increasing height, then in the order partitions_of first
     reaches each block.  The partitions of a height are grouped by content
     in that walk, so each bridge carries its block's shapes (c_shapes, in
-    partitions_of order) and the checks do not list the block again."""
+    partitions_of order) and the checks do not list the block again.  The
+    arguments are checked at the call, before any bridge is taken."""
     if kappa_c < 0:
         raise ValueError(f"kappa_c must be non-negative, got {kappa_c}")
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
+    return _bridges(kappa_c, max_n)
+
+
+def _bridges(kappa_c: int, max_n: int) -> Iterator[BlockBridge]:
     for n in range(1, max_n + 1):
         blocks: Dict[RootVector, List[Partition]] = {}
         for p in partitions_of(n):

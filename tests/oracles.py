@@ -3,10 +3,16 @@ package's corner scans (partitions.signatures and step_degrees, the
 crystal layer's corner pass): i-signatures and their reduction, good and
 cogood nodes, the unmemoized cogood replay, and the bridge image.  Also
 two tableau fixtures: the sub-diagram a tableau's first entries fill, and
-the paper's minimal-degree rectangle tableau."""
+the paper's minimal-degree rectangle tableau; the bridge's map of
+tableaux onto factorizable tableaux; and the argparse parser that the
+command line's own parser replaced, as the reference of its parsing."""
 
-from functools import lru_cache
+import argparse
+from functools import cache, lru_cache
 
+from klrblocks import cli
+from klrblocks.cartan import CartanType
+from klrblocks.morita import ALL_CHECKS, BridgeError, to_type_c
 from klrblocks.partitions import (
     EMPTY,
     add_node,
@@ -139,3 +145,83 @@ def rectangle_final_tableau(a0, height):
     order = [(r, c, 1) for r in range(1, top + 1) for c in range(1, a0 + 1)]
     order += [(top + r, c, 1) for c in range(1, a0 + 1) for r in range(1, a0 + 1)]
     return StandardTableau(((a0,) * height,), tuple(order))
+
+
+def tableau_to_type_c(s, u, b):
+    """Combine a rho-tableau and a bipartition tableau into the
+    factorizable tableau of shape rho + (lambda, mu'): component-1 nodes
+    shift right past the rectangle, component-2 nodes conjugate below it."""
+    if s.shape != (b.rho,):
+        raise BridgeError("first tableau must have shape rho")
+    lam, mu = u.shape
+    nu = to_type_c((lam, mu), b)
+    a, height = b.a0, len(b.rho)
+    order = list(s.order)
+    for (r, c, m) in u.order:
+        if m == 1:
+            order.append((r, a + c, 1))
+        else:
+            order.append((height + c, r, 1))
+    return StandardTableau((nu,), tuple(order))
+
+
+@cache
+def argparse_parser():
+    """The command line's argparse parser, as klrblocks.cli built it before
+    it parsed from its command table."""
+    parser = argparse.ArgumentParser(
+        prog="klrblocks",
+        description="Block, tableau, crystal and graded-dimension "
+                    "combinatorics for cyclotomic KLR algebras of types "
+                    "A-infinity and C-infinity.",
+    )
+    parser.add_argument("--format", choices=("json", "csv", "pretty"),
+                        default="json")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--type", type=cli.parse_type, default=CartanType.C)
+        p.add_argument("--charge", required=True)
+
+    p = sub.add_parser("block", help="list the l-partitions of a block or size")
+    common(p)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--n", type=int)
+    g.add_argument("--beta", help='RootVector JSON, e.g. {"0":1,"1":2}')
+    p.set_defaults(func=cli.cmd_block)
+
+    p = sub.add_parser("tableaux", help="stream standard tableaux of a shape")
+    common(p)
+    p.add_argument("--shape", required=True)
+    p.add_argument("--residues")
+    p.add_argument("--with-degrees", action="store_true")
+    p.set_defaults(func=cli.cmd_tableaux)
+
+    p = sub.add_parser("kleshchev", help="Kleshchev membership")
+    common(p)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--shape")
+    g.add_argument("--n", type=int)
+    p.add_argument("--list", action="store_true")
+    p.set_defaults(func=cli.cmd_kleshchev)
+
+    p = sub.add_parser("gdim", help="graded dimension of a Specht module")
+    common(p)
+    p.add_argument("--shape", required=True)
+    p.add_argument("--weight", help="residue sequence of the weight space")
+    p.set_defaults(func=cli.cmd_gdim)
+
+    p = sub.add_parser("bridge", help="bridge datum and bipartition image of a shape")
+    p.add_argument("--kappa-c", type=int, required=True)
+    p.add_argument("--shape", required=True)
+    p.set_defaults(func=cli.cmd_bridge)
+
+    p = sub.add_parser("verify", help="run the bridge verification battery")
+    p.add_argument("--kappa-c", type=int, required=True)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--max-n", type=int, help="every block up to this height")
+    g.add_argument("--beta", help='one block, as type-C RootVector JSON')
+    p.add_argument("--checks", default=",".join(ALL_CHECKS))
+    p.set_defaults(func=cli.cmd_verify)
+
+    return parser

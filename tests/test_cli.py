@@ -14,9 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 import klrblocks
 from klrblocks import cli
 from klrblocks.cli import (
-    build_parser,
+    COMMANDS,
+    FORMAT,
     fmt_shape,
     main,
+    parse_args,
     parse_charge,
     parse_partition,
     parse_residues,
@@ -25,6 +27,8 @@ from klrblocks.cli import (
 from klrblocks.cartan import CartanType, RootVector
 from klrblocks.morita import ALL_CHECKS, iter_bridges, one_block_bridge, verify_bridge
 from klrblocks.partitions import content, multipartitions_of
+
+from oracles import argparse_parser
 
 
 def run(capsys, *argv):
@@ -399,66 +403,172 @@ def test_broken_pipe_exits_1_quietly(argv):
 
 
 def test_startup_imports():
-    # dataclasses (which pulls in inspect) and csv are start-up costs no
-    # command needs; csv is imported by the csv output format alone
+    # dataclasses (which pulls in inspect), argparse (which pulls in
+    # gettext) and csv are start-up costs no command needs; csv is imported
+    # by the csv output format alone
     out = fresh_interpreter(
         "import sys; bare = set(sys.modules); "
         "import klrblocks, klrblocks.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'csv'} & (set(sys.modules) - bare)))")
+        "print(sorted({'dataclasses', 'inspect', 'csv', 'argparse', 'gettext'} "
+        "& (set(sys.modules) - bare)))")
     assert out == "[]\n"
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["-h"], "usage: klrblocks [-h] [--format FORMAT] {block,"),
+    (["block", "-h"], "usage: klrblocks block [-h] [--type TYPE] --charge CHARGE"),
+    (["verify", "--help"], "usage: klrblocks verify [-h] --kappa-c KAPPA-C"),
+])
+def test_help_exits_0(argv, usage):
+    proc = subprocess.run([sys.executable, "-m", "klrblocks.cli", *argv],
+                          env=interpreter_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(usage)
+
+
 class TestSharedParser:
-    """main reuses one parser per process; nothing may leak between calls."""
-
-    def test_built_once(self):
-        assert build_parser() is build_parser()
-
-    def test_not_built_at_import(self):
-        out = fresh_interpreter(
-            "import klrblocks.cli as c; print(c.build_parser.cache_info().currsize)")
-        assert out == "0\n"
+    """parse_args shares its command table between calls; nothing may leak
+    from one call to the next."""
 
     def test_fresh_namespace_per_call(self):
         argv = ["gdim", "--charge", "0", "--shape", "2,1"]
-        first = build_parser().parse_args(argv)
+        first = parse_args(argv)
         first.shape = "3"
-        second = build_parser().parse_args(argv)
+        second = parse_args(argv)
         assert second is not first
         assert second.shape == "2,1"
 
     def test_subparser_defaults_per_call(self):
-        parser = build_parser()
-        full = parser.parse_args(["tableaux", "--charge", "0", "--shape", "2",
-                                  "--residues", "0,1", "--with-degrees"])
+        full = parse_args(["tableaux", "--charge", "0", "--shape", "2",
+                           "--residues", "0,1", "--with-degrees"])
         assert full.residues == "0,1" and full.with_degrees
-        bare = parser.parse_args(["tableaux", "--charge", "0", "--shape", "2"])
+        bare = parse_args(["tableaux", "--charge", "0", "--shape", "2"])
         assert bare.residues is None and not bare.with_degrees
-        other = parser.parse_args(["kleshchev", "--charge", "0", "--shape", "1"])
+        other = parse_args(["kleshchev", "--charge", "0", "--shape", "1"])
         assert other.func.__name__ == "cmd_kleshchev"
         assert not hasattr(other, "residues") and not other.list
 
     def test_exclusive_group_state_per_call(self):
-        parser = build_parser()
-        assert parser.parse_args(["block", "--charge", "0", "--n", "1"]).n == 1
+        assert parse_args(["block", "--charge", "0", "--n", "1"]).n == 1
         # "--n" seen by the last call must not clash with "--beta" now
-        args = parser.parse_args(["block", "--charge", "0", "--beta", '{"0":1}'])
+        args = parse_args(["block", "--charge", "0", "--beta", '{"0":1}'])
         assert args.beta == '{"0":1}' and args.n is None
         with pytest.raises(SystemExit):
             with redirect_stderr(io.StringIO()):
-                parser.parse_args(["block", "--charge", "0", "--n", "1",
-                                   "--beta", '{"0":1}'])
+                parse_args(["block", "--charge", "0", "--n", "1", "--beta", '{"0":1}'])
 
     def test_defaults_are_immutable(self):
-        parser = build_parser()
-        subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
-        actions = parser._actions + [a for p in subparsers.choices.values()
-                                     for a in p._actions]
-        odd = {a.default for a in actions
-               if a.default is not None and not isinstance(a.default, (str, bool))}
+        options = [o for cmd in COMMANDS.values() for o in cmd.options.values()]
+        odd = {o.default for o in options + list(FORMAT.values())
+               if o.default is not None and not isinstance(o.default, (str, bool))}
         assert odd == {CartanType.C}
-        args = parser.parse_args(["gdim", "--charge", "0", "--shape", "1"])
+        args = parse_args(["gdim", "--charge", "0", "--shape", "1"])
         assert args.type is CartanType.C
+
+
+def parsed(parse, argv):
+    """vars() of the namespace parse(argv) returns, or the code it exits with."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def assert_parsed_as_by_argparse(argv):
+    expected = parsed(argparse_parser().parse_args, argv)
+    got = parsed(parse_args, argv)
+    if isinstance(expected, dict) and any(isinstance(v, list) for v in expected.values()):
+        # argparse before Python 3.12 reads the value of "--opt=--" as an
+        # empty list; the value "--" is a string here, and no command takes it
+        assert isinstance(got, dict) and run_captured(argv)[0] == 2
+        return
+    assert got == expected
+
+
+BLOCK = ["block", "--charge", "0"]
+GDIM = ["gdim", "--charge", "0", "--shape", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    # --opt value: "-" and a negative number are values, "-1,2" is not
+    GDIM + ["--weight", "-"],
+    ["gdim", "--type", "a", "--charge", "-1", "--shape", "1"],
+    ["gdim", "--type", "a", "--charge", "-1.5", "--shape", "1"],
+    ["gdim", "--type", "a", "--charge", "-1,2", "--shape", "1"],
+    GDIM + ["--weight", "-x"],
+    GDIM + ["--weight", "- 1"],
+    GDIM + ["--weight", "--ch 1"],
+    GDIM + ["--weight", "--charge"],
+    GDIM + ["--weight", "--ch=1"],
+    GDIM + ["--weight", "-h"],
+    GDIM + ["--weight"],
+    BLOCK + ["--n", "-1"],
+    BLOCK + ["--n", "x"],
+    BLOCK + ["--n", " 1_0 "],
+    # unique-prefix abbreviations, alone and with "="
+    ["verify", "--kappa", "0", "--max-n", "3"],
+    ["verify", "--k=0", "--m", "3", "--c=count"],
+    ["tableaux", "--charge", "0", "--sh", "1", "--with"],
+    ["tableaux", "--charge", "0", "--sh", "1", "--with="],
+    ["tableaux", "--charge", "0", "--shape", "1", "--with-degrees=yes"],
+    ["--form", "csv", "block", "--ch", "0", "--b", "{}"],
+    GDIM + ["--=x"],
+    # a repeated option: the last value wins
+    BLOCK + ["--n", "1", "--n", "2"],
+    ["--format", "csv", "--format=pretty", *BLOCK, "--n", "1"],
+    GDIM + ["--type", "a", "--type=C"],
+    # an exclusive-group conflict, and a missing group or option
+    BLOCK + ["--n", "1", "--beta", "{}"],
+    ["kleshchev", "--charge", "0", "--shape", "1", "--n", "1"],
+    ["verify", "--kappa-c", "0", "--max-n", "1", "--beta", "{}"],
+    BLOCK,
+    ["block", "--n", "1"],
+    ["verify", "--max-n", "1"],
+    # --format belongs before the command
+    BLOCK + ["--n", "1", "--format", "csv"],
+    ["--format", "bogus", *BLOCK, "--n", "1"],
+    ["--format", *BLOCK, "--n", "1"],
+    # unknown arguments, "--", the command missing or unknown
+    BLOCK + ["--n", "1", "extra"],
+    BLOCK + ["--n", "1", "--bogus"],
+    BLOCK + ["--n", "1", "-1"],
+    BLOCK + ["--n", "1", "--"],
+    BLOCK + ["--", "--n", "1"],
+    ["--", *BLOCK, "--n", "1"],
+    ["--bogus", *BLOCK, "--n", "1"],
+    [],
+    ["--format", "csv"],
+    ["bogus"],
+    ["-1", "block"],
+    ["Block", "--charge", "0", "--n", "1"],
+    # -h and --help, before or after the command or an unknown argument
+    ["-h"],
+    ["--help", "bogus"],
+    ["--he"],
+    ["block", "-h"],
+    BLOCK + ["--bogus", "--h"],
+    ["verify", "--help=x"],
+    GDIM + ["-hx"],
+])
+def test_parse_args_is_argparse(argv):
+    assert_parsed_as_by_argparse(argv)
+
+
+def test_usage_errors_name_the_command(capsys):
+    with pytest.raises(SystemExit) as err:
+        parse_args(BLOCK + ["--n", "x"])
+    assert err.value.code == 2
+    usage, message = capsys.readouterr().err.splitlines()
+    assert usage == ("usage: klrblocks block [-h] [--type TYPE] --charge CHARGE "
+                     "(--n N | --beta BETA)")
+    assert message == ("klrblocks block: error: argument --n: "
+                       "invalid literal for int() with base 10: 'x'")
+    with pytest.raises(SystemExit):
+        parse_args(["bogus"])
+    assert capsys.readouterr().err.splitlines()[1].startswith(
+        "klrblocks: error: argument command: invalid choice: 'bogus'")
 
 
 class TestErrors:
@@ -616,28 +726,39 @@ def run_captured(argv):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejects the argv
+        except SystemExit as exc:  # parse_args rejects the argv
             code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
 @settings(deadline=None, max_examples=300)
 @given(argvs())
-@example(["gdim", "--charge=0", "--shape=--"])  # argparse hands over []
+@example(["gdim", "--charge=0", "--shape=--"])  # a value that is the "--" marker
 def test_argv_fuzz_exits_cleanly(argv):
     code, _, err = run_captured(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
 
 
+@settings(deadline=None, max_examples=300)
+@given(argvs())
+@example(["gdim", "--charge=0", "--shape=--"])
+def test_argv_fuzz_parses_as_argparse(argv):
+    assert_parsed_as_by_argparse(argv)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.lists(argvs(), min_size=2, max_size=8))
 def test_shared_parser_keeps_no_state(batch):
-    fresh = []
-    for argv in batch:
-        build_parser.cache_clear()
-        fresh.append(run_captured(argv))
-    build_parser.cache_clear()
-    shared = [run_captured(argv) for argv in batch]
-    assert build_parser.cache_info().misses == 1
-    assert shared == fresh
+    # the batch in turn and in reverse, so that each argv follows other
+    # calls: the same namespaces and answers, and the table unchanged
+    def table():
+        return [(name, cmd.func, cmd.help, dict(cmd.options), cmd.groups)
+                for name, cmd in COMMANDS.items()] + [dict(FORMAT)]
+
+    before = table()
+    forward = [(parsed(parse_args, argv), run_captured(argv)) for argv in batch]
+    backward = [(parsed(parse_args, argv), run_captured(argv))
+                for argv in reversed(batch)]
+    assert forward == backward[::-1]
+    assert table() == before

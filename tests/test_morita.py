@@ -11,14 +11,14 @@ from klrblocks.morita import (
     c_block,
     from_type_c,
     iter_bridges,
-    tableau_to_type_c,
     to_type_c,
     verify_bridge,
 )
 from klrblocks.partitions import conjugate, content, partitions_of, remove_node
 from klrblocks.tableaux import enumerate_standard, residue_sequence
 
-from oracles import good_node, plain_cogood_path, prefix_shape, rect_add
+from oracles import (good_node, plain_cogood_path, prefix_shape, rect_add,
+                     tableau_to_type_c)
 
 A, C = CartanType.A, CartanType.C
 
@@ -219,6 +219,13 @@ class TestIterBridges:
         # a negative charge is refused before any bridge is built
         with pytest.raises(ValueError):
             list(iter_bridges(-1, 0))
+
+    @pytest.mark.parametrize("kappa_c, max_n", [(-1, 3), (0, -1)])
+    def test_arguments_are_checked_at_the_call(self, kappa_c, max_n):
+        # not when the first bridge is taken, which a caller may do only
+        # after it has written something
+        with pytest.raises(ValueError, match="must be non-negative"):
+            iter_bridges(kappa_c, max_n)
 
 
 class TestVerifyBridge:

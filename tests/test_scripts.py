@@ -1,9 +1,11 @@
 import importlib.util
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from math import comb
 from pathlib import Path
 
@@ -12,7 +14,8 @@ import pytest
 from klrblocks import crystal, graded
 from klrblocks.cartan import RootVector
 from klrblocks.cli import main
-from klrblocks.morita import ALL_CHECKS, BridgeError, iter_bridges, one_block_bridge
+from klrblocks.morita import (ALL_CHECKS, BridgeError, iter_bridges, one_block_bridge,
+                              verify_bridge)
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -137,12 +140,16 @@ def test_maximal_blocks_lines(tmp_path):
         assert re.fullmatch(r"peak_rss_mb=\d+\.\d", rss)
 
 
-def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys):
-    # every check runs alone, in its own verify_bridge call, on empty memos
-    spec = importlib.util.spec_from_file_location("maximal_blocks",
-                                                  SCRIPTS / "maximal_blocks.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys):
+    # every check runs alone, in its own verify_bridge call, on empty memos
+    script = load_script("maximal_blocks")
     real, calls = script.verify_bridge, []
 
     def recording(b, checks):
@@ -157,3 +164,33 @@ def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
     assert calls == [(a0, (check,), [0, 0, 0])
                      for a0 in (1, 2) for check in ALL_CHECKS]
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_verify_bridges_writes_each_row_before_the_next_report(monkeypatch, extra):
+    script = load_script("verify_bridges")
+    out, written = io.StringIO(), []
+
+    def recording(b, checks):
+        written.append(len(out.getvalue()))
+        return verify_bridge(b, checks)
+
+    monkeypatch.setattr(script, "verify_bridge", recording)
+    monkeypatch.setattr(sys, "argv", ["verify_bridges.py", "--kappa-c", "0", "1",
+                                      "--max-n", "6", *extra])
+    with redirect_stdout(out):
+        assert script.main() == 0
+    # the first report is made before anything is written
+    assert written[0] == 0 and len(written) > 3
+    assert all(a < b for a, b in zip(written, written[1:]))
+
+
+@pytest.mark.parametrize("kappa_c, max_n", [((0, 1), 6), ((0,), 0)])
+def test_verify_bridges_json_is_the_dump_of_all_reports(monkeypatch, kappa_c, max_n):
+    reports = [verify_bridge(b) for k in kappa_c for b in iter_bridges(k, max_n)]
+    monkeypatch.setattr(sys, "argv", ["verify_bridges.py", "--kappa-c",
+                                      *map(str, kappa_c), "--max-n", str(max_n), "--json"])
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert load_script("verify_bridges").main() == 0
+    assert out.getvalue() == json.dumps(reports, indent=2) + "\n"

@@ -13,9 +13,9 @@ KEPT = {
     # test oracle: dominance of one pair; the dominance check compares
     # prefix sums computed once per block (dominance_sums)
     "dominates",
-    # test oracle of the planned steps check (ROADMAP item 4): the
-    # differential test maps enumerated tableaux with it
-    "tableau_to_type_c",
+    # the inverse of from_type_c: bench/spans.py traces it, and the
+    # tableau oracle oracles.tableau_to_type_c maps shapes with it
+    "to_type_c",
     # the bar involution of the planned graded decomposition numbers
     # (ROADMAP item 5)
     "LaurentPoly.bar",
