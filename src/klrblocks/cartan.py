@@ -110,4 +110,10 @@ class RootVector:
         if not isinstance(data, dict) or not all(type(m) is int for m in data.values()):
             raise ValueError(f"a root vector is a JSON object of integer "
                              f"multiplicities, got {data!r}")
-        return cls({int(i): m for i, m in data.items()})
+        keys: Dict[Residue, str] = {}
+        for key in data:
+            i = int(key)
+            if i in keys:
+                raise ValueError(f"keys {keys[i]!r} and {key!r} both name residue {i}")
+            keys[i] = key
+        return cls({i: data[key] for i, key in keys.items()})

@@ -14,8 +14,9 @@ The type-C shapes come from one of two sources, decided by the input.  A
 sweep (iter_bridges) finds each block by grouping the partitions of each
 height by content, and its bridges carry the group as c_shapes.  A bridge
 made by bridge() alone (a single block, or a test) has none, and the
-checks list the block with the diagonal-profile walk (c_block); a check
-of one named block (one_block_bridge, for klrblocks verify --beta and
+checks list the block with enumerate_block (c_block), the Maya-set walk
+that also lists the type-A side (a_block); a check of one named block
+(one_block_bridge, for klrblocks verify --beta and
 scripts/verify_bridges.py --beta) lists it so before the checks and passes
 the list on in c_shapes.  Both give the shapes in the order of partitions_of."""
 
@@ -54,8 +55,9 @@ class BlockBridge(NamedTuple):
     kappa1: int
     kappa2: int
     a_beta: RootVector  # beta - omega, the content of the type-A block
-    # the type-C shapes, when the bridge's maker has them (iter_bridges);
-    # None means the checks list them with c_block
+    # the type-C shapes, when the bridge's maker has them (iter_bridges,
+    # one_block_bridge); None means the checks list them with c_block, off
+    # the block's Maya sets like the type-A side
     c_shapes: Optional[Tuple[Partition, ...]] = None
 
     @property

@@ -8,7 +8,8 @@ A node is a triple (row, col, comp), all 1-based.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, product
+from itertools import accumulate, chain, combinations, count
+from operator import sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue, RootVector
@@ -246,81 +247,31 @@ def multipartitions_of(n: int, level: int) -> List[MultiPartition]:
 
 def enumerate_block(ct: CartanType, charge: Charge, beta: RootVector) -> List[MultiPartition]:
     """All l-partitions (l = len(charge)) with the given content, in the
-    deterministic order of multipartitions_of.  A level-two type-A block is
-    read off its weight (_weight_placements), every other one as follows.
+    deterministic order of multipartitions_of, read off their Maya sets
+    M(p, k) = {k + p_r - r : r >= 1}.
 
-    At e = infinity a component of charge k is fixed by its diagonal
-    profile: d(t) is the number of its nodes of type-A residue t.  Stepping
-    toward the centre t = k, d stays the same or rises by 1; stepping away
-    from it, d stays the same or drops by 1.  Each step is one edge of the
-    shape's boundary, read from south-west to north-east: a north edge
-    closes a row whose length is the number of east edges before it.
-
-    The walk runs over residues, one profile value per track and step, with
-    the values of each step summing to beta there.  In type A there is one
-    track per component, walked from t = min(beta) - 1 to max(beta) + 1.  In
-    type C the residue i holds the type-A residues i and -i, so a component
-    is two tracks, t = 0, 1, ... and t = 0, -1, ..., that share d(0); the
-    walk first splits beta(0) over the components, then steps i = 1 up to
-    max(beta) + 1.  No value is negative or exceeds the away-steps left
-    before it must reach 0, and the last track's value is beta minus the
-    others', so a step tries at most 2^(tracks - 1) vectors.  The walk keeps
-    its own stack, so a block of any height is listed without recursion.
+    A nonempty component's content is one run of consecutive labels that
+    holds its charge.  So beta splits into its runs, each run is listed on
+    its own (_run_block) with every component whose charge lies outside it
+    empty there, and the block is the product of the runs' lists.  A type-C
+    run that starts above 0 folds no node and is listed as type A.
     """
-    level = len(charge)
     if beta.height == 0:
-        return [(EMPTY,) * level]
-    labels = [i for i, _ in beta.items()]
-    if ct is CartanType.A and level == 2:
-        return sorted(_weight_placements(charge, beta, labels[0], labels[-1]),
-                      key=_block_order, reverse=True)
-    if ct is CartanType.C:
-        if labels[0] < 0:
-            return []
-        # component m is tracks 2m (t = 0, 1, ...) and 2m + 1 (t = 0, -1, ...)
-        start, top = 0, labels[-1] + 1
-        tracks = [(k, s) for k in charge for s in (1, -1)]
-        targets = [beta[i] for i in range(1, top + 1)]
-    else:
-        start, top = labels[0] - 1, labels[-1] + 1
-        tracks = [(k, 1) for k in charge]
-        targets = [beta[t] for t in range(start + 1, top + 1)]
-    n = len(targets)
-    # a track whose centre is `ahead` steps on may rise on steps j < ahead
-    # and fall after; past step j it holds at most min(cap, n - j - 1), the
-    # away-steps left before it ends at 0
-    bounds = [(s * (k - start), max(0, n - s * (k - start))) for k, s in tracks]
-    if ct is CartanType.C:
-        # a minus track may start at any d(0) <= n, its plus track at <= cap
-        roots = [tuple(v for v in split for _ in "+-")
-                 for split in product(*(range(min(n, cap) + 1)
-                                        for _, cap in bounds[::2]))
-                 if sum(split) == beta[0]]
-    else:
-        roots = [(0,) * level]
-
-    out: List[MultiPartition] = []
-    path: List[Tuple[int, ...]] = [()] * (n + 1)
-    stack = [iter(roots)]
-    while stack:
-        j = len(stack) - 1
-        for vec in stack[-1]:
-            path[j] = vec
-            if j < n:
-                stack.append(iter(_profile_steps(vec, bounds, j, n - j - 1,
-                                                 targets[j])))
-                break
-            profiles = list(zip(*path))
-            if ct is CartanType.C:
-                out.append(tuple(
-                    _profile_rows(profiles[2 * m + 1][::-1] + profiles[2 * m][1:],
-                                  -top, k)
-                    for m, k in enumerate(charge)))
-            else:
-                out.append(tuple(_profile_rows(profiles[m], start, k)
-                                 for m, k in enumerate(charge)))
+        return [(EMPTY,) * len(charge)]
+    runs: List[List[Tuple[Residue, int]]] = []
+    for entry in beta.items():
+        if runs and runs[-1][-1][0] == entry[0] - 1:
+            runs[-1].append(entry)
         else:
-            stack.pop()
+            runs.append([entry])
+    if ct is CartanType.C and runs[0][0][0] < 0:
+        return []
+    out = _run_block(ct is CartanType.C and runs[0][0][0] == 0, charge, runs[0])
+    for entries in runs[1:]:
+        # each component is empty in every run but its own, and the empty
+        # partition is below every other
+        out = [tuple(map(max, mp, shapes))
+               for mp in out for shapes in _run_block(False, charge, entries)]
     out.sort(key=_block_order, reverse=True)
     return out
 
@@ -328,69 +279,103 @@ def enumerate_block(ct: CartanType, charge: Charge, beta: RootVector) -> List[Mu
 def _block_order(mp: MultiPartition):
     # in reverse, multipartitions_of's order: larger components first, then parts
     # lexicographically decreasing (no part list of one size is a prefix of another)
-    return tuple((sum(p), p) for p in mp)
+    return [(sum(p), p) for p in mp]
 
 
-def _weight_placements(charge: Charge, beta: RootVector, first: Residue,
-                       last: Residue) -> List[MultiPartition]:
-    """The level-two type-A block of content beta (residues first..last).
-    Vertex u is in c_u = [u < k1] + [u < k2] + beta(u) - beta(u + 1) of the
-    Maya sets M(lam, k1), M(mu, k2), where M(p, k) = {k + p_r - r : r >= 1}.
-    From lo = min(beta, k1, k2) - 1 up, each c_u = 2 is in both, and each
-    choice of k1 - lo - #(c_u = 2) free vertices (c_u = 1) for M(lam, k1),
-    the rest for M(mu, k2), is one member; other c_u leave the block empty."""
-    # a charge past first - 1 or last + 1 empties its component, as that end does
-    k1, k2 = (min(max(k, first - 1), last + 1) for k in charge)
-    lo, hi = min(first, k1, k2) - 1, max(last, k1, k2)
-    c = [(u < k1) + (u < k2) + beta[u] - beta[u + 1] for u in range(hi, lo - 1, -1)]
-    d = k1 - lo - c.count(2)
-    if d < 0 or not set(c) <= {0, 1, 2}:
+def _run_block(fold: bool, charge: Charge,
+               entries: Sequence[Tuple[Residue, int]]) -> List[MultiPartition]:
+    """The l-partitions whose content is entries, a run of labels
+    first..last.  A charge outside first - 1..last + 1 is moved to the
+    nearer end, which leaves its component empty, as the charge itself does.
+
+    Vertex u is index j = last - u.  Type A (not fold): u lies in
+    c_u = sum_m [u < k_m] + beta(u) - beta(u + 1) of the sets M(p_m, k_m);
+    all of them hold every u < first - 1 and none holds a u > last, so set m
+    holds k_m - first + 1 vertices of first - 1..last.  Type C (fold,
+    first = 0): a component is two tracks on u >= 0, "u in M" and "-1 - u
+    not in M", whose vertex counts add up to the same c_u with beta(0) more
+    at u = 0, and the first track holds k_m more vertices than the second.
+    Every way of dealing the vertices to the tracks (_placements) is one
+    member."""
+    last = entries[-1][0]
+    lo = 0 if fold else entries[0][0] - 1
+    ks = [min(max(k, lo), last + 1) for k in charge]
+    # beta(u) for u = last, last - 1, ..., lo, then c_u
+    b = [x for _, x in reversed(entries)] + ([] if fold else [0])
+    c = list(map(sub, b, [0] + b))
+    if fold:
+        c[-1] += b[-1]
+    for k in ks:
+        for j in range(last - k + 1, len(c)):
+            c[j] += 1
+    if min(c) < 0:
         return []
-    out: List[MultiPartition] = []
-    for vee in map(set, combinations([j for j, x in enumerate(c) if x == 1], d)):
-        lam, mu = [], []
-        for j, x in enumerate(c):
-            if x == 2 or j in vee:
-                lam.append(hi - j - k1 + len(lam) + 1)
-            if x == 2 or (x == 1 and j not in vee):
-                mu.append(hi - j - k2 + len(mu) + 1)
-        out.append((tuple(x for x in lam if x), tuple(x for x in mu if x)))
-    return out
-
-
-def _profile_steps(vec: Tuple[int, ...], bounds: Sequence[Tuple[int, int]],
-                   j: int, left: int, target: int) -> List[Tuple[int, ...]]:
-    """Every profile vector one step on from vec whose values sum to
-    target, where `left` steps remain after this one."""
-    choices = []
-    for v, (ahead, cap) in zip(vec, bounds):
-        if cap > left:
-            cap = left
-        w = v + 1 if j < ahead else v - 1
-        stay_or_step = (v, w) if 0 <= w <= cap else (v,)
-        # a value above the cap must step down to it
-        choices.append(stay_or_step[1:] if v > cap else stay_or_step)
-    last = choices.pop()
+    tops = [last - k + 1 for k in ks]
+    if not fold:
+        counts = tuple([k - lo for k in ks])
+        return [tuple(map(_maya_rows, tracks, tops))
+                for tracks in _placements(tuple(c), counts, {})]
+    counts = tuple([x for k in ks for x in (None, k)])
     out = []
-    for head in product(*choices):
-        x = target - sum(head)
-        if x in last:
-            out.append(head + (x,))
+    for tracks in _placements(tuple(c), counts, {}):
+        shapes = []
+        for top, inside, outside in zip(tops, tracks[::2], tracks[1::2]):
+            # a vertex u (index j) of the second track leaves -1 - u, the
+            # index 2 last + 1 - j, out of M; M holds -1 - u for every other u
+            span = range(last, outside[0], -1) if outside else ()
+            below = [2 * last + 1 - j for j in span if j not in outside]
+            shapes.append(_maya_rows(inside + below, top))
+        out.append(tuple(shapes))
     return out
 
 
-def _profile_rows(profile: Sequence[int], t: int, k: int) -> Partition:
-    """The partition of charge k whose diagonal lengths, from residue t on,
-    are profile (0 at both ends)."""
-    # The boundary corner on diagonal t has d(t) + max(t - k, 0) east edges
-    # before it; where two corners agree, a north edge between them closes
-    # a row that long.  Rows close bottom first.
-    rows: List[int] = []
-    prev = 0
-    for d in profile:
-        x = d + t - k if t > k else d
-        if x == prev and x:
-            rows.append(x)
-        prev = x
-        t += 1
-    return tuple(reversed(rows))
+def _maya_rows(indices: Sequence[int], top: int) -> Partition:
+    """The partition of charge k whose Maya set holds the vertices
+    u = last - j for j in indices (increasing) and every u below them, where
+    top = last - k + 1: its rows are u_r - k + r."""
+    return tuple(filter(None, map(sub, count(top), indices)))
+
+
+def _placements(c: Tuple[int, ...], counts: tuple, memo: dict) -> list:
+    """Every way to give each track counts[t] vertices so that vertex j goes
+    to c[j] tracks, as one increasing list of vertices per track.  A count
+    None (a type-C first track) is free, and the next entry is the charge k
+    by which that track outnumbers the next.  A vertex whose c equals the
+    tracks left goes to each of them; the last track takes what is left.
+    memo holds the placements of the tracks after the first, by their
+    (c, counts)."""
+    left = len(counts)
+    forced = tuple([j for j, x in enumerate(c) if x == left])
+    free = [j for j, x in enumerate(c) if 0 < x < left]
+    if counts[0] is None:
+        k = counts[1]
+        if left > 2:
+            sizes = range(max(k, len(forced)), len(forced) + len(free) + 1)
+            return [placed for n in sizes
+                    for placed in _placements(c, (n, n - k) + counts[2:], memo)]
+        n = (sum(c) + k) // 2
+        counts = (n, n - k)
+    d = counts[0] - len(forced)
+    if max(c) > left or not 0 <= d <= len(free):
+        return []
+    if left == 1:
+        return [(list(forced),)]
+    if left == 2:
+        if len(forced) + len(free) - d != counts[1]:
+            return []
+        # the complements of free's d-subsets, taken in lexicographic order,
+        # are its other subsets in reverse lexicographic order
+        rests = reversed(list(combinations(free, len(free) - d)))
+        return [(sorted(forced + pick), sorted(forced + rest))
+                for pick, rest in zip(combinations(free, d), rests)]
+    out = []
+    for pick in combinations(free, d):
+        track = sorted(forced + pick)
+        after = list(c)
+        for j in track:
+            after[j] -= 1
+        key = (tuple(after), counts[1:])
+        if key not in memo:
+            memo[key] = _placements(*key, memo)
+        out.extend((track,) + placed for placed in memo[key])
+    return out

@@ -39,6 +39,10 @@ class TestRootVector:
         v = RootVector({0: 2, 1: 2})
         assert v.to_json() == {"0": 2, "1": 2}
         assert RootVector.from_json(v.to_json()) == v
+        # two keys naming one residue would leave only the later multiplicity
+        for data in ({"1": 1, "01": 1, "0": 1}, {"-1": 2, "-01": 1}, {"2": 1, " 2": 1}):
+            with pytest.raises(ValueError, match="both name residue"):
+                RootVector.from_json(data)
 
     def test_partial_order(self):
         small = RootVector({0: 1, 1: 1})

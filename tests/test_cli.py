@@ -176,6 +176,20 @@ class TestBlock:
         assert code == 0
         (record,) = json.loads(out)
         assert record["shape"] == ",".join(["1"] * height)
+        # in type C the column's labels are 0, ..., 1199, as are the row's
+        beta = json.dumps({str(i): 1 for i in range(height)})
+        code, out = run(capsys, "block", "--type", "c", "--charge", "0",
+                        "--beta", beta)
+        assert code == 0
+        assert [r["shape"] for r in json.loads(out)] == [
+            str(height), ",".join(["1"] * height)]
+        # labels 10^9 apart are listed as two blocks, not over the span
+        for ct in ("a", "c"):
+            assert run(capsys, "block", "--type", ct, "--charge", "0,1000000000",
+                       "--beta", '{"0":1,"1000000000":1}') == (
+                0, '[{"shape":"1/1","content":{"0":1,"1000000000":1}}]\n')
+        assert fails_cleanly(capsys, "block", "--type", "c", "--charge", "0",
+                             "--beta", '{"1000000000":1}')
 
 
 class TestTableaux:
@@ -580,7 +594,9 @@ class TestErrors:
 
     def test_bad_beta_json_exits_2(self, capsys):
         # "-1" is a valid residue only in type A
-        for beta in ("{oops", "[1]", '{"0":"x"}', '{"-1":1}', ""):
+        # "01" names the residue 1 a second time
+        for beta in ("{oops", "[1]", '{"0":"x"}', '{"-1":1}', "",
+                     '{"1":1,"01":1,"0":1}'):
             assert fails_cleanly(capsys, "block", "--charge", "0", "--beta", beta)
 
     def test_bad_residue_exits_2(self, capsys):

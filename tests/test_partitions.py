@@ -267,25 +267,28 @@ def test_enumerate_block_matches_content_filter(block):
 
 
 @lru_cache(maxsize=None)
-def level_two_a_blocks(charge, n):
-    """The type-A blocks of charge (k1, k2) and height n, by the content
-    filter over multipartitions_of(n, 2), each in that order."""
+def content_blocks(ct, charge, n):
+    """The blocks of type ct, charge charge and height n, by the content
+    filter over multipartitions_of(n, len(charge)), each in that order."""
     blocks = {}
-    for mp in multipartitions_of(n, 2):
-        blocks.setdefault(content(A, charge, mp), []).append(mp)
+    for mp in multipartitions_of(n, len(charge)):
+        blocks.setdefault(content(ct, charge, mp), []).append(mp)
     return blocks
 
 
 class TestLevelTwoTypeAByWeight:
-    # enumerate_block reads level-two type-A blocks off their weights; each
-    # list, order included, must be the content filter's
+    # enumerate_block reads every block off its Maya sets; each list, order
+    # included, must be the content filter's
     CHARGES = list(product(range(-2, 3), repeat=2))
 
     def test_every_content_to_size_8(self):
-        for charge in self.CHARGES:
-            for n in range(9):
-                for beta, shapes in level_two_a_blocks(charge, n).items():
-                    assert enumerate_block(A, charge, beta) == shapes
+        # every type and level up to 3; level 3 to size 7
+        for ct, level in product((A, C), (1, 2, 3)):
+            low = -2 if ct is A else 0
+            for charge in product(range(low, 3), repeat=level):
+                for n in range(9 if level < 3 else 8):
+                    for beta, shapes in content_blocks(ct, charge, n).items():
+                        assert enumerate_block(ct, charge, beta) == shapes
 
     def test_random_root_vectors(self):
         rng = random.Random(20251018)
@@ -294,20 +297,26 @@ class TestLevelTwoTypeAByWeight:
             charge = rng.choice(self.CHARGES)
             beta = RootVector({rng.randint(-5, 5): rng.randint(1, 2)
                                for _ in range(rng.randint(1, 4))})
-            expected = level_two_a_blocks(charge, beta.height).get(beta, [])
+            expected = content_blocks(A, charge, beta.height).get(beta, [])
             assert enumerate_block(A, charge, beta) == expected
             found += bool(expected)
         # most random root vectors have no bipartition (739 of these have)
         assert 0 < found < 2000
 
     def test_far_charges(self):
-        # a charge far outside beta's residues leaves its component empty
-        beta = RootVector({0: 2, 1: 1, -1: 1})
-        for far in (10 ** 9, -10 ** 9):
-            assert enumerate_block(A, (far, 0), beta) == [
-                ((), mu) for (mu,) in enumerate_block(A, (0,), beta)]
-            assert enumerate_block(A, (0, far), beta) == [
-                (lam, ()) for (lam,) in enumerate_block(A, (0,), beta)]
+        # a charge far outside beta's labels leaves its component empty
+        for ct, beta in ((A, RootVector({0: 2, 1: 1, -1: 1})),
+                         (C, RootVector({0: 1, 1: 2, 2: 1}))):
+            alone = [mp for (mp,) in enumerate_block(ct, (0,), beta)]
+            assert alone
+            fars = (10 ** 9, -10 ** 9) if ct is A else (10 ** 9,)
+            for far in fars:
+                assert enumerate_block(ct, (far, 0), beta) == [((), p) for p in alone]
+                assert enumerate_block(ct, (0, far), beta) == [(p, ()) for p in alone]
+                assert enumerate_block(ct, (far, 0, far), beta) == [
+                    ((), p, ()) for p in alone]
+            # with no charge in its run of labels, the block is empty
+            assert enumerate_block(ct, (10 ** 9,), beta) == []
 
 
 class TestBridgeBlocksMatchContentFilter:
