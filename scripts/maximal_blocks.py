@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Time the five bridge checks on the maximal blocks at kappa_c = 0.
+"""Time the five bridge checks on the maximal blocks at one kappa_c.
 
-The maximal block of defect a0 is the block of the rectangle (a0^(2 a0)):
-its height is 2 a0^2 and it has C(2 a0, a0) shapes.  For each a0 up to
+The maximal block of defect a0 at kappa_c = K is the block of the
+rectangle (a0^(2 a0 + 2 K)) of charge K: its height is 2 a0 (a0 + K) and
+it has C(2 a0 + K, a0) shapes.  For each a0 up to
 --max-a0 the block is listed once; then each check runs in its own
 verify_bridge call, after the package's memos are cleared, so that its
 time is its cost alone.  One line per block gives the seconds of each
 check, the verdict and the peak RSS of the process so far.
 
 Example:
-    python scripts/maximal_blocks.py --max-a0 5
+    python scripts/maximal_blocks.py --max-a0 5 --kappa-c 1
 """
 
 import argparse
@@ -34,15 +35,19 @@ def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--max-a0", type=int, required=True)
+    parser.add_argument("--kappa-c", type=int, default=0)
     args = parser.parse_args()
     if args.max_a0 < 1:
         parser.error(f"--max-a0 must be at least 1, got {args.max_a0}")
+    if args.kappa_c < 0:
+        parser.error(f"--kappa-c must be at least 0, got {args.kappa_c}")
+    kappa_c = args.kappa_c
 
     all_ok = True
     try:
         for a0 in range(1, args.max_a0 + 1):
-            rect = ((a0,) * (2 * a0),)
-            b = one_block_bridge(0, content(CartanType.C, (0,), rect))
+            rect = ((a0,) * (2 * a0 + 2 * kappa_c),)
+            b = one_block_bridge(kappa_c, content(CartanType.C, (kappa_c,), rect))
             cells, ok = [], True
             for check in ALL_CHECKS:
                 for memo in MEMOS:

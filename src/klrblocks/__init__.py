@@ -37,7 +37,6 @@ from .partitions import (
 )
 from .tableaux import (
     StandardTableau,
-    degree,
     enumerate_standard,
     initial_tableau,
     residue_sequence,

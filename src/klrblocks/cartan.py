@@ -66,6 +66,10 @@ class RootVector:
     def __getitem__(self, i: Residue) -> int:
         return self._entries.get(i, 0)
 
+    # __getitem__ answers every int, so the legacy sequence iteration it
+    # would enable never ends; iterate .items() instead
+    __iter__ = None
+
     def items(self):
         return sorted(self._entries.items())
 

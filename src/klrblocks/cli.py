@@ -29,7 +29,7 @@ from .partitions import (
     enumerate_block,
     multipartitions_of,
 )
-from .tableaux import degree, enumerate_standard, residue_sequence
+from .tableaux import enumerate_standard
 
 
 def parse_partition(text: str) -> Tuple[int, ...]:
@@ -49,8 +49,18 @@ def parse_charge(text: str, ct: CartanType) -> Tuple[int, ...]:
     return charge
 
 
+def _unique_keys(pairs):
+    # json.loads would keep the last of two equal keys
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"label {key!r} is given twice")
+        out[key] = value
+    return out
+
+
 def parse_beta(text: str, ct: CartanType) -> RootVector:
-    beta = RootVector.from_json(json.loads(text))
+    beta = RootVector.from_json(json.loads(text, object_pairs_hook=_unique_keys))
     for i, _ in beta.items():
         ct.check_label(i)
     return beta
@@ -144,10 +154,9 @@ def cmd_tableaux(args) -> int:
     residues = parse_residues(args.residues, ct) if args.residues is not None else None
     records = []
     for t in enumerate_standard(shape, ct, charge, residues):
-        rec = {"rows": t.rows(),
-               "residues": list(residue_sequence(t, ct, charge))}
+        rec = {"rows": t.rows(), "residues": list(t.word)}
         if args.with_degrees:
-            rec["degree"] = degree(t, ct, charge)
+            rec["degree"] = t.degree
         records.append(rec)
     emit(records, args.format,
          ("rows", "residues", "degree") if args.with_degrees else ("rows", "residues"))
@@ -443,7 +452,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the shape walks recurse once per row or node
+        # the crystal and graded-dimension recursions recurse once per node
         print("error: the shape is too large for this tool", file=sys.stderr)
         return 2
 

@@ -5,9 +5,9 @@ Young lattice between a floor sub-diagram and the shape (_gdim), memoized
 for the life of the process; no tableau is listed.  The Specht dimensions
 walk down to the empty floor; the factorizable truncation of the bridge
 walks down to the rectangle rho and multiplies by gdim(rho).  The step
-degree of every removal comes from the corner scan that the crystal layer
-also reads (partitions.signatures), and each memo miss builds one
-polynomial."""
+degree of every removal comes from the corner pass that also gives the
+tableau walk its step degrees (partitions.step_degrees), and each memo
+miss builds one polynomial."""
 
 from __future__ import annotations
 
@@ -107,7 +107,7 @@ def _gdim(ct: CartanType, charge: Charge, mp: MultiPartition,
     [floor, mp], memoized for the life of the process and keyed by its
     floor.  A node inside floor is never removed, and a floor not inside mp
     gives 0.  Each miss reads every removal's step degree from one corner
-    scan (partitions.step_degrees) and adds the shifted sub-sums into one
+    pass (partitions.step_degrees) and adds the shifted sub-sums into one
     coefficient map.  With word, the node holding the largest entry must
     have residue word[-1], the next word[-2], and so on.
 
@@ -124,8 +124,8 @@ def _gdim(ct: CartanType, charge: Charge, mp: MultiPartition,
         return LaurentPoly.one()
     i, rest = (None, None) if word is None else (word[-1], word[:-1])
     out: Dict[int, int] = {}
-    for node, d in step_degrees(mp, ct, charge, i):
-        if contains(floor, node):
+    for node, j, d in step_degrees(mp, ct, charge)[1]:
+        if (i is not None and j != i) or contains(floor, node):
             continue
         sub = _gdim(ct, charge, remove_node(mp, node), rest, floor)
         for e, c in sub.items():

@@ -10,14 +10,14 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, count
 from operator import sub
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue, RootVector
 
 Partition = Tuple[int, ...]
 MultiPartition = Tuple[Partition, ...]
 Node = Tuple[int, int, int]
-SignatureEntry = Tuple[str, Node]  # marker 'a' or 'r', then the node
+Corner = Tuple[Node, Residue, int]  # a node, its residue and step degree
 
 EMPTY: Partition = ()
 
@@ -73,64 +73,44 @@ def content(ct: CartanType, charge: Charge, mp: MultiPartition) -> RootVector:
     return RootVector._of_counts(counts)
 
 
-def addable_corners(mp: MultiPartition) -> List[Node]:
-    """All addable nodes, ordered by (component, row)."""
-    out: List[Node] = []
-    for m, p in enumerate(mp, start=1):
-        for r in range(1, len(p) + 2):
-            prev = p[r - 2] if r >= 2 else None
-            cur = p[r - 1] if r <= len(p) else 0
-            if prev is not None and cur >= prev:
-                continue
-            out.append((r, cur + 1, m))
-    return out
-
-
-def signatures(mp: MultiPartition, ct: CartanType,
-               charge: Charge) -> Dict[Residue, List[SignatureEntry]]:
-    """The i-signature of every residue i with a corner: its addable and
-    removable i-nodes, marked 'a' and 'r', in (component, row) order, from
-    one pass over the rows.  Row r of a component has an addable node
-    exactly when row r - 1 (if any) is longer, and then row r - 1 has a
-    removable node; the two are read in that order."""
+def step_degrees(mp: MultiPartition, ct: CartanType,
+                 charge: Charge) -> Tuple[List[Corner], List[Corner]]:
+    """(addable, removable): every corner of mp with its residue and step
+    degree, (#addable - #removable) nodes of its residue strictly below it,
+    both lists last first in (component, row) order, from one reversed pass
+    over the rows.  Row r of a component has an addable node exactly when
+    row r - 1 (if any) is longer, and then row r - 1 has a removable node
+    above it.  A removable node's step degree is that of removing it; an
+    addable node's is that of adding it, since adding a node of residue i
+    changes only corners of the residues next to i (in type C, |x| is never
+    |x + 1|), so the count is the same in mp and in the larger shape."""
     absolute = ct is CartanType.C
-    sigs: Dict[Residue, List[SignatureEntry]] = {}
-    for m, p in enumerate(mp, start=1):
-        k = charge[m - 1]
-        prev = None
-        for r, width in enumerate(p + (0,), start=1):
-            if prev is not None:
-                if width == prev:
-                    continue
-                i = k + prev - r + 1
-                sigs.setdefault(abs(i) if absolute else i, []).append(
-                    ("r", (r - 1, prev, m)))
+    below: Dict[Residue, int] = {}
+    addable: List[Corner] = []
+    removable: List[Corner] = []
+    for m in range(len(mp), 0, -1):
+        p, k = mp[m - 1], charge[m - 1]
+        width = 0
+        for r in range(len(p) + 1, 0, -1):
+            prev = p[r - 2] if r > 1 else None
+            if prev == width:
+                continue
             i = k + width + 1 - r
-            sigs.setdefault(abs(i) if absolute else i, []).append(
-                ("a", (r, width + 1, m)))
-            prev = width
-    return sigs
-
-
-def step_degrees(mp: MultiPartition, ct: CartanType, charge: Charge,
-                 i: Optional[Residue] = None) -> List[Tuple[Node, int]]:
-    """Every removable node of mp (of residue i, if given) with its step
-    degree: (#addable - #removable) nodes of its residue strictly below it.
-    The two corners of a row never share a residue (in type C, |x| is never
-    |x + 1|), so in a signature the entries after a removable node are
-    exactly those strictly below it, and one reversed pass over each
-    signature gives every removal's step degree."""
-    sigs = signatures(mp, ct, charge)
-    out: List[Tuple[Node, int]] = []
-    for sig in sigs.values() if i is None else (sigs.get(i, ()),):
-        d = 0
-        for marker, node in reversed(sig):
-            if marker == "a":
-                d += 1
-            else:
-                out.append((node, d))
-                d -= 1
-    return out
+            if absolute and i < 0:
+                i = -i
+            d = below.get(i, 0)
+            addable.append(((r, width + 1, m), i, d))
+            below[i] = d + 1
+            if prev is None:
+                break
+            i = k + prev + 1 - r
+            if absolute and i < 0:
+                i = -i
+            d = below.get(i, 0)
+            removable.append(((r - 1, prev, m), i, d))
+            below[i] = d - 1
+            width = prev
+    return addable, removable
 
 
 def add_node(mp: MultiPartition, node: Node) -> MultiPartition:

@@ -1,4 +1,4 @@
-"""Standard tableaux: enumeration, residue sequences and degree statistics.
+"""Standard tableaux: enumeration with residue words and degrees.
 
 A standard tableau is stored as its shape together with the list of nodes
 in entry order, i.e. ``order[k-1]`` is the node containing k.
@@ -13,8 +13,6 @@ from .partitions import (
     MultiPartition,
     Node,
     add_node,
-    addable_corners,
-    contains,
     nodes,
     residue,
     size,
@@ -23,8 +21,13 @@ from .partitions import (
 
 
 class StandardTableau(NamedTuple):
+    """A tableau from enumerate_standard also holds its residue word and
+    cellular degree for the walk's type and charge; one built by hand
+    leaves them None (and so never equals one from the walk)."""
     shape: MultiPartition
     order: Tuple[Node, ...]
+    word: Optional[Tuple[Residue, ...]] = None
+    degree: Optional[int] = None
 
     def rows(self) -> List[List[List[int]]]:
         """Entries arranged per component and row, for display and JSON."""
@@ -42,47 +45,50 @@ def residue_sequence(t: StandardTableau, ct: CartanType, charge: Charge) -> Tupl
     return tuple(residue(ct, charge, node) for node in t.order)
 
 
-def degree(t: StandardTableau, ct: CartanType, charge: Charge) -> int:
-    """Cellular degree: the sum over the entries, in order, of the step
-    degree partitions.step_degrees gives each node in the shape just after
-    it is added."""
-    total = 0
-    mp: MultiPartition = tuple(() for _ in t.shape)
-    for node in t.order:
-        mp = add_node(mp, node)
-        i = residue(ct, charge, node)
-        total += next(d for n, d in step_degrees(mp, ct, charge, i) if n == node)
-    return total
-
-
 def enumerate_standard(
     shape: MultiPartition,
-    ct: Optional[CartanType] = None,
-    charge: Optional[Charge] = None,
+    ct: CartanType,
+    charge: Charge,
     residues: Optional[Sequence[Residue]] = None,
 ) -> Iterator[StandardTableau]:
-    """Depth-first enumeration of Std(shape), candidate nodes in reading
-    order.  With a residue filter, branches whose prefix residue sequence
-    deviates are pruned and never materialized."""
+    """Std(shape), depth first, the children of a prefix in (component,
+    row) order, each tableau with its residue word and degree.  The walk
+    keeps its own stack, so a shape of any height is walked.  One corner
+    pass per prefix (partitions.step_degrees) gives each addable node its
+    residue and the step degree of adding it, and the degree is their sum
+    along the path.  With a residue filter, branches whose prefix residue
+    sequence deviates are pruned and never materialized."""
     n = size(shape)
-    if residues is not None:
-        if ct is None or charge is None:
-            raise ValueError("a residue filter needs a Cartan type and a charge")
-        if len(residues) != n:
-            raise ValueError(f"residue word has length {len(residues)}, "
-                             f"but the shape has {n} nodes")
+    if residues is not None and len(residues) != n:
+        raise ValueError(f"residue word has length {len(residues)}, "
+                         f"but the shape has {n} nodes")
+    return _walk(shape, ct, charge, residues, n)
 
-    def rec(k: int, prefix: MultiPartition, order: List[Node]) -> Iterator[StandardTableau]:
-        if k > n:
-            yield StandardTableau(shape, tuple(order))
-            return
-        for node in addable_corners(prefix):
-            if not contains(shape, node):
-                continue
-            if residues is not None and residue(ct, charge, node) != residues[k - 1]:
-                continue
-            order.append(node)
-            yield from rec(k + 1, add_node(prefix, node), order)
-            order.pop()
 
-    return rec(1, tuple(() for _ in shape), [])
+def _walk(shape: MultiPartition, ct: CartanType, charge: Charge,
+          residues: Optional[Sequence[Residue]], n: int) -> Iterator[StandardTableau]:
+    if n == 0:
+        yield StandardTableau(shape, (), (), 0)
+        return
+    cells = set(nodes(shape))
+
+    def children(mp: MultiPartition, k: int):
+        want = None if residues is None else residues[k]
+        return iter([(node, i, d) for node, i, d in reversed(step_degrees(mp, ct, charge)[0])
+                     if (want is None or i == want) and node in cells])
+
+    empty = tuple(() for _ in shape)
+    # per prefix: its untried children, entries, residue word, degree, shape
+    stack = [(children(empty, 0), (), (), 0, empty)]
+    while stack:
+        kids, order, word, total, mp = stack[-1]
+        for node, i, d in kids:
+            if len(order) == n - 1:
+                yield StandardTableau(shape, order + (node,), word + (i,), total + d)
+                continue
+            child = add_node(mp, node)
+            stack.append((children(child, len(order) + 1), order + (node,), word + (i,),
+                          total + d, child))
+            break
+        else:
+            stack.pop()

@@ -1,7 +1,9 @@
 """Brute-force corner oracles from the definitions, independent of the
-package's corner scans (partitions.signatures and step_degrees, the
-crystal layer's corner pass): i-signatures and their reduction, good and
+package's corner scans (partitions.step_degrees, the crystal layer's
+corner pass): step degrees, i-signatures and their reduction, good and
 cogood nodes, the unmemoized cogood replay, and the bridge image.  Also
+the tableau references that the package's walk replaced: the recursive
+depth-first enumeration and the cellular degree replayed entry by entry;
 two tableau fixtures: the sub-diagram a tableau's first entries fill, and
 the paper's minimal-degree rectangle tableau; the bridge's map of
 tableaux onto factorizable tableaux; and the argparse parser that the
@@ -17,9 +19,11 @@ from klrblocks.partitions import (
     EMPTY,
     add_node,
     as_partition,
+    contains,
     is_rectangle,
     remove_node,
     residue,
+    size,
 )
 from klrblocks.tableaux import StandardTableau
 
@@ -63,6 +67,43 @@ def step_degrees(mp, ct, charge):
     return [(node, sum(1 for k, j in a if j == i and k > key)
              - sum(1 for k, j in r if j == i and k > key))
             for node, (key, i) in zip(removable, r)]
+
+
+@lru_cache(maxsize=None)
+def removal_degrees(mp, ct, charge):
+    """step_degrees as a dict from each removable node to its degree."""
+    return dict(step_degrees(mp, ct, charge))
+
+
+def degree(t, ct, charge):
+    """The cellular degree by definition: the sum over the entries, in
+    order, of the step degree of each node in the shape just after it is
+    added."""
+    total = 0
+    mp = tuple(() for _ in t.shape)
+    for node in t.order:
+        mp = add_node(mp, node)
+        total += removal_degrees(mp, ct, tuple(charge))[node]
+    return total
+
+
+def standard_tableaux(shape):
+    """Std(shape) by the recursive depth-first walk, the addable nodes of
+    each prefix tried in (component, row) order: the order reference of
+    the package's walk (tableaux.enumerate_standard)."""
+    n = size(shape)
+
+    def rec(prefix, order):
+        if len(order) == n:
+            yield StandardTableau(shape, tuple(order))
+            return
+        for node in corners(prefix)[0]:
+            if contains(shape, node):
+                order.append(node)
+                yield from rec(add_node(prefix, node), order)
+                order.pop()
+
+    return rec(tuple(() for _ in shape), [])
 
 
 def signature(mp, ct, charge, i):

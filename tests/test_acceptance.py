@@ -14,7 +14,6 @@ from klrblocks.graded import LaurentPoly, gdim_specht_weight
 from klrblocks.morita import a_block, from_type_c, iter_bridges, to_type_c, verify_bridge
 from klrblocks.partitions import conjugate, partitions_of
 from klrblocks.tableaux import (
-    degree,
     enumerate_standard,
     initial_tableau,
     residue_sequence,
@@ -53,7 +52,7 @@ def test_criterion_1_rectangle_closed_form():
         closed = LaurentPoly({m - 2 * j: comb(m, j) for j in range(m + 1)})
         ok = ok and gdim_specht_weight(rho, C, charge, iword) == closed
         tableaux = list(enumerate_standard(rho, C, charge, iword))
-        degs = {t.order: degree(t, C, charge) for t in tableaux}
+        degs = {t.order: t.degree for t in tableaux}
         top = [o for o, d in degs.items() if d == a0 // 2]
         bot = [o for o, d in degs.items() if d == -(a0 // 2)]
         ok = ok and top == [initial_tableau(rho).order]
@@ -65,7 +64,7 @@ def test_criterion_1_rectangle_closed_form():
 def test_criterion_2_six_square_degree_counts():
     rho = ((6,) * 6,)
     iword = residue_sequence(initial_tableau(rho), C, (0,))
-    degs = [degree(t, C, (0,)) for t in enumerate_standard(rho, C, (0,), iword)]
+    degs = [t.degree for t in enumerate_standard(rho, C, (0,), iword)]
     ok = degs.count(3) == 1 and degs.count(1) == 3
     report(2, "6x6 rectangle has 1 tableau of degree 3 and 3 of degree 1", ok)
 
@@ -112,7 +111,7 @@ def test_criterion_7_oracle_equivalences():
     # filtered enumeration against filter-after-enumerate
     for n in range(1, 10):
         for p in partitions_of(n):
-            all_t = list(enumerate_standard((p,)))
+            all_t = list(enumerate_standard((p,), C, (0,)))
             by_word = {}
             for t in all_t:
                 by_word.setdefault(residue_sequence(t, C, (0,)), set()).add(t.order)
@@ -124,7 +123,7 @@ def test_criterion_7_oracle_equivalences():
     # tableau counts against the hook length formula
     for n in range(1, 11):
         for p in partitions_of(n):
-            ok = ok and sum(1 for _ in enumerate_standard((p,))) == hook_count(p)
+            ok = ok and sum(1 for _ in enumerate_standard((p,), C, (0,))) == hook_count(p)
 
     # signature reduction against brute-force pair deletion
     for length in range(11):

@@ -49,3 +49,12 @@ class TestRootVector:
         big = RootVector({0: 1, 1: 2, 2: 1})
         assert small <= big
         assert not big <= small
+
+    def test_not_iterable(self):
+        # __getitem__ answers every residue, so iteration by index would
+        # never end; it fails at once instead
+        v = RootVector({0: 1})
+        for make in (list, tuple, iter):
+            with pytest.raises(TypeError):
+                make(v)
+        assert v.items() == [(0, 1)]

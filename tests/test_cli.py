@@ -190,6 +190,14 @@ class TestBlock:
                 0, '[{"shape":"1/1","content":{"0":1,"1000000000":1}}]\n')
         assert fails_cleanly(capsys, "block", "--type", "c", "--charge", "0",
                              "--beta", '{"1000000000":1}')
+        # the tableau walk keeps its own stack: the column's one tableau,
+        # entries down the column, type-A residues 0, -1, ...
+        code, out = run(capsys, "tableaux", "--type", "a", "--charge", "0",
+                        "--shape", ",".join(["1"] * height), "--with-degrees")
+        assert code == 0
+        (record,) = json.loads(out)
+        assert record == {"rows": [[[k] for k in range(1, height + 1)]],
+                          "residues": [-k for k in range(height)], "degree": 0}
 
 
 class TestTableaux:
@@ -648,13 +656,24 @@ class TestErrors:
                    "--max-n", "0") == (0, "bridge,checks,pass\r\n")
 
     def test_tall_shape_exits_2(self, capsys):
-        # a 1200-node column: deeper than the recursion limit of the walks
-        # that recurse once per row or node
+        # a 1200-node column: deeper than the recursion limit of the crystal
+        # and graded-dimension recursions, which recurse once per node
         height = 1200
         column = ",".join(["1"] * height)
         common = ("--type", "a", "--charge", "0")
-        for command in ("kleshchev", "gdim", "tableaux"):
+        for command in ("kleshchev", "gdim"):
             assert fails_cleanly(capsys, command, *common, "--shape", column)
+
+    def test_repeated_label_exits_2(self, capsys):
+        # json.loads alone would answer the block of {"0":1,"1":1}
+        beta = '{"0":1,"1":2,"1":1}'
+        assert fails_cleanly(capsys, "block", "--type", "c", "--charge", "0",
+                             "--beta", beta)
+        assert fails_cleanly(capsys, "verify", "--kappa-c", "0", "--beta", beta)
+        assert fails_cleanly(capsys, "block", "--type", "a", "--charge", "0",
+                             "--beta", '{"0":1,"0":1}')
+        assert run(capsys, "block", "--type", "c", "--charge", "0",
+                   "--beta", '{"0":1,"1":1}')[0] == 0
 
 
 def test_determinism(capsys):

@@ -11,8 +11,8 @@ from klrblocks.partitions import (
     partitions_of,
     remove_node,
     residue,
-    signatures,
     size,
+    step_degrees,
 )
 
 from oracles import (
@@ -105,8 +105,12 @@ def factors(nu, rho, ct, charge):
 
 
 def scan_signature(mp, ct, charge, i):
-    """The i-signature that the package's corner scan gives."""
-    return tuple(signatures(mp, ct, charge).get(i, ()))
+    """The i-signature that the package's corner pass gives, sorted into
+    (component, row) order (no row has two corners of one residue)."""
+    addable, removable = step_degrees(mp, ct, charge)
+    entries = [("a", node) for node, j, _ in addable if j == i]
+    entries += [("r", node) for node, j, _ in removable if j == i]
+    return tuple(sorted(entries, key=lambda e: (e[1][2], e[1][0])))
 
 
 class TestSignatures:

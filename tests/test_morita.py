@@ -145,29 +145,29 @@ class TestTableauTransport:
     @pytest.mark.parametrize("kappa_c", [0, 1])
     def test_bijection_onto_factorizable(self, kappa_c):
         for b in iter_bridges(kappa_c, 7):
-            rho_tabs = list(enumerate_standard((b.rho,)))
+            rho_tabs = list(enumerate_standard((b.rho,), C, b.c_charge))
             for bp in a_block(b):
                 nu = to_type_c(bp, b)
                 image = {
                     tableau_to_type_c(s, u, b).order
                     for s in rho_tabs
-                    for u in enumerate_standard(bp)
+                    for u in enumerate_standard(bp, A, b.a_charge)
                 }
                 target = {
-                    t.order for t in enumerate_standard((nu,))
+                    t.order for t in enumerate_standard((nu,), C, b.c_charge)
                     if content(C, b.c_charge, prefix_shape(t, b.omega.height)) == b.omega
                 }
                 assert image == target
                 assert len(image) == len(rho_tabs) * sum(
-                    1 for _ in enumerate_standard(bp)
+                    1 for _ in enumerate_standard(bp, A, b.a_charge)
                 )
 
     def test_residue_compatibility(self):
         # the transported tableau reads the A-residues of u literally
         b = bridge(0, content(C, (0,), ((3, 2, 1),)))
         for bp in a_block(b):
-            for s in enumerate_standard((b.rho,)):
-                for u in enumerate_standard(bp):
+            for s in enumerate_standard((b.rho,), C, b.c_charge):
+                for u in enumerate_standard(bp, A, b.a_charge):
                     t = tableau_to_type_c(s, u, b)
                     word = residue_sequence(t, C, b.c_charge)
                     head = residue_sequence(s, C, b.c_charge)
@@ -176,8 +176,8 @@ class TestTableauTransport:
 
     def test_shape_mismatch(self):
         b = bridge(0, MICRO)
-        s = next(iter(enumerate_standard(((2,),))))
-        u = next(iter(enumerate_standard(((1,), (1,)))))
+        s = next(iter(enumerate_standard(((2,),), C, (0,))))
+        u = next(iter(enumerate_standard(((1,), (1,)), A, (0, 0))))
         with pytest.raises(BridgeError):
             tableau_to_type_c(s, u, b)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from klrblocks.cartan import CartanType, RootVector
 from klrblocks.morita import a_block, bridge, c_block, iter_bridges, to_type_c
 from klrblocks.partitions import (
+    add_node,
     as_partition,
     conjugate,
     content,
@@ -20,7 +21,6 @@ from klrblocks.partitions import (
     partitions_of,
     rect_split,
     residue,
-    signatures,
     step_degrees,
 )
 
@@ -93,45 +93,46 @@ def test_content_matches_residue_per_node(case):
 
 class TestAddableRemovable:
     def test_examples(self):
-        assert signatures(((2,),), C, (0,))[1] == [("r", (1, 2, 1)), ("a", (2, 1, 1))]
-        assert signatures(((),), C, (0,)) == {0: [("a", (1, 1, 1))]}
+        # (2) at kappa 0 in type C: (2, 1) and (1, 2) both have residue 1
+        assert step_degrees(((2,),), C, (0,)) == (
+            [((2, 1, 1), 1, 0), ((1, 3, 1), 2, 0)], [((1, 2, 1), 1, 1)])
+        assert step_degrees(((),), C, (0,)) == ([((1, 1, 1), 0, 0)], [])
 
     def test_reading_order(self):
-        sigs = signatures(((2, 1), (1,)), A, (0, 0))
-        addable = [node for sig in sigs.values() for marker, node in sig if marker == "a"]
-        assert sorted(addable) == sorted(oracles.corners(((2, 1), (1,)))[0])
-        for sig in sigs.values():
-            assert sig == sorted(sig, key=lambda e: (e[1][2], e[1][0]))
+        # both lists last first in (component, row) order
+        mp = ((2, 1), (1,))
+        addable, removable = step_degrees(mp, A, (0, 0))
+        assert [node for node, _, _ in reversed(addable)] == list(oracles.corners(mp)[0])
+        assert [node for node, _, _ in reversed(removable)] == list(oracles.corners(mp)[1])
 
 
 class TestStepDegrees:
     def test_examples(self):
         # (2, 1) at kappa 0 in type C: both removable nodes have residue 1
-        assert signatures(((2, 1),), C, (0,)) == {
-            2: [("a", (1, 3, 1)), ("a", (3, 1, 1))],
-            1: [("r", (1, 2, 1)), ("r", (2, 1, 1))],
-            0: [("a", (2, 2, 1))]}
-        assert step_degrees(((2, 1),), C, (0,)) == [((2, 1, 1), 0), ((1, 2, 1), -1)]
-        assert step_degrees(((1,), (1,)), A, (1, 1), 1) == [((1, 1, 2), 0), ((1, 1, 1), -1)]
+        assert step_degrees(((2, 1),), C, (0,)) == (
+            [((3, 1, 1), 2, 0), ((2, 2, 1), 0, 0), ((1, 3, 1), 2, 1)],
+            [((2, 1, 1), 1, 0), ((1, 2, 1), 1, -1)])
+        assert step_degrees(((1,), (1,)), A, (1, 1))[1] == [
+            ((1, 1, 2), 1, 0), ((1, 1, 1), 1, -1)]
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     @pytest.mark.parametrize("ct", [A, C])
     def test_scan_matches_step_degree(self, ct, level):
-        """Every removable node of every l-partition up to size 7: the
-        scan's step degree, with and without a residue filter, equals the
-        brute-force oracle's.  Type C folds the residue k + c - r to its
-        absolute value, where a wrong same-row assumption would show."""
+        """Every corner of every l-partition up to size 7: its residue, and
+        its step degree equals the brute-force oracle's, a removable node's
+        in the shape itself and an addable node's in the shape with it
+        added.  Type C folds the residue k + c - r to its absolute value,
+        where a wrong same-row assumption would show."""
         shapes = [mp for n in range(8) for mp in multipartitions_of(n, level)]
         for charge in product(range(3) if ct is C else range(-2, 3), repeat=level):
             for mp in shapes:
-                expected = sorted(oracles.step_degrees(mp, ct, charge))
-                assert sorted(step_degrees(mp, ct, charge)) == expected
-                by_residue = {}
-                for node, d in expected:
-                    by_residue.setdefault(residue(ct, charge, node), []).append((node, d))
-                # every residue with a corner, and one without
-                for i in set(signatures(mp, ct, charge)) | {99}:
-                    assert sorted(step_degrees(mp, ct, charge, i)) == by_residue.get(i, [])
+                addable, removable = step_degrees(mp, ct, charge)
+                assert sorted((node, d) for node, _, d in removable) == sorted(
+                    oracles.step_degrees(mp, ct, charge))
+                for node, i, d in addable:
+                    assert d == oracles.removal_degrees(add_node(mp, node), ct, charge)[node]
+                for node, i, _ in addable + removable:
+                    assert i == residue(ct, charge, node)
 
 
 class TestDominance:

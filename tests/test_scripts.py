@@ -64,6 +64,7 @@ def test_broken_pipe_exits_1_quietly(tmp_path):
     ("verify_bridges.py", ["--kappa-c", "0", "--beta", '{"-1":1,"0":1}']),
     ("verify_bridges.py", ["--kappa-c", "0", "0", "--max-n", "2"]),
     ("maximal_blocks.py", ["--max-a0", "0"]),
+    ("maximal_blocks.py", ["--max-a0", "1", "--kappa-c", "-1"]),
 ])
 def test_bad_input_exits_2(tmp_path, script, args):
     proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
@@ -138,6 +139,20 @@ def test_maximal_blocks_lines(tmp_path):
         assert all(re.fullmatch(r"\d+\.\d{3}s", cell.split("=")[1]) for cell in cells)
         assert verdict == "pass"
         assert re.fullmatch(r"peak_rss_mb=\d+\.\d", rss)
+
+
+def test_maximal_blocks_at_kappa_c(tmp_path):
+    # the maximal block of defect a0 at kappa_c = 1: the block of the
+    # rectangle (a0^(2 a0 + 2)), of height 2 a0 (a0 + 1), with C(2 a0 + 1, a0)
+    # shapes
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "maximal_blocks.py"),
+                           "--kappa-c", "1", "--max-a0", "2"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    heads = [line.split("  ")[0] for line in proc.stdout.splitlines()]
+    assert heads == [f"a0={a0} height={2 * a0 * (a0 + 1)} shapes={comb(2 * a0 + 1, a0)}"
+                     for a0 in (1, 2)]
+    assert all(line.split("  ")[-2] == "pass" for line in proc.stdout.splitlines())
 
 
 def load_script(name):

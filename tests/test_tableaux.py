@@ -1,3 +1,4 @@
+from itertools import product
 from math import factorial
 
 import pytest
@@ -7,7 +8,6 @@ from klrblocks.graded import LaurentPoly, gdim_factorizable, gdim_specht
 from klrblocks.partitions import conjugate, multipartitions_of, partitions_of, size
 from klrblocks.tableaux import (
     StandardTableau,
-    degree,
     enumerate_standard,
     initial_tableau,
     residue_sequence,
@@ -58,15 +58,17 @@ class TestResidueSequence:
 
 class TestDegree:
     def test_square_extremes(self):
-        assert degree(initial_tableau(((2, 2),)), C, (0,)) == 1
-        assert degree(SQUARE_BY_COLUMNS, C, (0,)) == -1
+        assert oracles.degree(initial_tableau(((2, 2),)), C, (0,)) == 1
+        assert oracles.degree(SQUARE_BY_COLUMNS, C, (0,)) == -1
+        walked = {t.order: t.degree for t in enumerate_standard(((2, 2),), C, (0,))}
+        assert walked == {initial_tableau(((2, 2),)).order: 1, SQUARE_BY_COLUMNS.order: -1}
 
     def test_six_square_unique_maximum(self):
         shape = ((6,) * 6,)
         iword = residue_sequence(initial_tableau(shape), C, (0,))
-        best = [t for t in enumerate_standard(shape, C, (0,), iword)
-                if degree(t, C, (0,)) == 3]
-        assert best == [initial_tableau(shape)]
+        best = [t.order for t in enumerate_standard(shape, C, (0,), iword)
+                if t.degree == 3]
+        assert best == [initial_tableau(shape).order]
 
     @pytest.mark.parametrize("kappa_c", [0, 1, 2])
     @pytest.mark.parametrize("a0", [1, 2, 3, 4, 5])
@@ -74,7 +76,7 @@ class TestDegree:
         rho = ((a0,) * (kappa_c + a0),)
         iword = residue_sequence(initial_tableau(rho), C, (kappa_c,))
         tableaux = list(enumerate_standard(rho, C, (kappa_c,), iword))
-        degs = {t.order: degree(t, C, (kappa_c,)) for t in tableaux}
+        degs = {t.order: t.degree for t in tableaux}
         top, bot = a0 // 2, -(a0 // 2)
         assert max(degs.values()) == top and min(degs.values()) == bot
         assert [o for o, d in degs.items() if d == top] == [initial_tableau(rho).order]
@@ -89,26 +91,27 @@ class TestDegree:
     ])
     def test_sum_of_oracle_step_degrees(self, ct, charges):
         """Every standard tableau of every l-partition up to size 6: the
-        degree is the sum over its entries of the brute-force oracle's step
-        degree of each node in the shape just after it is added."""
+        walk's degree is the sum over its entries of the brute-force
+        oracle's step degree of each node in the shape just after it is
+        added."""
         for charge in charges:
             for n in range(7):
                 for shape in multipartitions_of(n, len(charge)):
-                    for t in enumerate_standard(shape):
+                    for t in enumerate_standard(shape, ct, charge):
                         expected = sum(
                             dict(oracles.step_degrees(prefix_shape(t, k), ct, charge))[node]
                             for k, node in enumerate(t.order, start=1))
-                        assert degree(t, ct, charge) == expected
+                        assert t.degree == expected
 
 
 class TestEnumeration:
     def test_unfiltered_counts(self):
-        assert sum(1 for _ in enumerate_standard(((2, 1),))) == 2
+        assert sum(1 for _ in enumerate_standard(((2, 1),), C, (0,))) == 2
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_hook_length_oracle(self, n):
         for p in partitions_of(n):
-            assert sum(1 for _ in enumerate_standard((p,))) == hook_count(p)
+            assert sum(1 for _ in enumerate_standard((p,), A, (0,))) == hook_count(p)
 
     def test_weight_space_count_on_rectangle(self):
         rho = ((6,) * 6,)
@@ -119,7 +122,7 @@ class TestEnumeration:
     def test_filtered_equals_filter_after(self, level, ct, charge):
         for n in range(1, 6):
             for shape in multipartitions_of(n, level):
-                all_t = list(enumerate_standard(shape))
+                all_t = list(oracles.standard_tableaux(shape))
                 for iword in {residue_sequence(t, ct, charge) for t in all_t}:
                     direct = {t.order for t in enumerate_standard(shape, ct, charge, iword)}
                     ref = {t.order for t in all_t
@@ -128,9 +131,37 @@ class TestEnumeration:
 
     def test_residue_filter_checked_up_front(self):
         with pytest.raises(ValueError):
-            enumerate_standard(((2,),), residues=(0, 1))
-        with pytest.raises(ValueError):
             enumerate_standard(((2,),), C, (0,), residues=(0,))
+        with pytest.raises(ValueError):
+            enumerate_standard(((2,),), C, (0,), residues=(0, 1, 1))
+
+
+class TestWalkAgainstReferences:
+    """The walk against the references it replaced: the recursive
+    depth-first walk's list and order (oracles.standard_tableaux), each
+    tableau's residue word (residue_sequence) and its degree replayed from
+    the definition (oracles.degree); and with a residue filter, the walk's
+    own tableaux of that word, in order."""
+
+    @pytest.mark.parametrize("level,largest,filtered", [
+        (1, 7, 7), (2, 7, 5), (3, 5, 4)])
+    @pytest.mark.parametrize("ct", [A, C])
+    def test_every_shape(self, ct, level, largest, filtered):
+        for n in range(largest + 1):
+            for shape in multipartitions_of(n, level):
+                ref = [t.order for t in oracles.standard_tableaux(shape)]
+                for charge in product(range(3), repeat=level):
+                    walked = list(enumerate_standard(shape, ct, charge))
+                    assert [t.order for t in walked] == ref
+                    by_word = {}
+                    for t in walked:
+                        assert t.word == residue_sequence(t, ct, charge)
+                        assert t.degree == oracles.degree(t, ct, charge)
+                        by_word.setdefault(t.word, []).append(t)
+                    if n > filtered:
+                        continue
+                    for word, tableaux in by_word.items():
+                        assert list(enumerate_standard(shape, ct, charge, word)) == tableaux
 
 
 class TestFactorizable:
@@ -139,7 +170,7 @@ class TestFactorizable:
     @staticmethod
     def by_definition(nu, rho):
         return LaurentPoly(
-            (degree(t, C, (0,)), 1) for t in enumerate_standard(nu)
+            (oracles.degree(t, C, (0,)), 1) for t in oracles.standard_tableaux(nu)
             if prefix_shape(t, size(rho)) == rho
         )
 
