@@ -152,14 +152,11 @@ def cmd_tableaux(args) -> int:
     shape = parse_shape(args.shape)
     check_level(shape, charge)
     residues = parse_residues(args.residues, ct) if args.residues is not None else None
-    records = []
-    for t in enumerate_standard(shape, ct, charge, residues):
-        rec = {"rows": t.rows(), "residues": list(t.word)}
-        if args.with_degrees:
-            rec["degree"] = t.degree
-        records.append(rec)
-    emit(records, args.format,
-         ("rows", "residues", "degree") if args.with_degrees else ("rows", "residues"))
+    tableaux = enumerate_standard(shape, ct, charge, residues)
+    columns = ("rows", "residues", "degree") if args.with_degrees else ("rows", "residues")
+    # each record is written as soon as the walk makes it, and not kept
+    records = (dict(zip(columns, (t.rows(), list(t.word), t.degree))) for t in tableaux)
+    emit(records, args.format, columns)
     return 0
 
 
@@ -178,12 +175,12 @@ def cmd_kleshchev(args) -> int:
         else:
             emit({"shape": fmt_shape(shape), "kleshchev": result}, args.format)
         return 0
-    records = [
+    records = (
         {"shape": fmt_shape(mp), "kleshchev": is_kleshchev(mp, ct, charge)}
         for mp in multipartitions_of(args.n, len(charge))
-    ]
+    )
     if args.list:
-        records = [r for r in records if r["kleshchev"]]
+        records = (r for r in records if r["kleshchev"])
     emit(records, args.format, ("shape", "kleshchev"))
     return 0
 

@@ -3,14 +3,23 @@ and good-removal walks down to a target with their cogood replays.
 
 Kashiwara's signature rule reads the good and cogood i-nodes off the
 reduced i-signature, the word a..a r..r left when every removable i-node
-followed by an addable one is cancelled.  No signature is built here: one
-pass over the corners in (component, row) order counts, per residue, the
-removable nodes still open (_corner_pass)."""
+followed by an addable one is cancelled, in (component, row) order.  No
+signature is built: both are read off partitions.step_degrees, where a
+corner's degree d counts the addable minus removable i-nodes below it.
+A removable i-node stays (is normal) iff no stretch below it holds more
+a's than r's: the stretch to the foot holds d more, and the one to just
+above a lower removable i-node of degree d', d - d' + 1 more.  So, read
+bottom first, it is normal when d is below the running minimum of its
+residue, which starts at 1; the good node, the leftmost r, is the last
+normal one read.  Dually, with T the addable minus removable i-nodes, an
+addable i-node stays iff d < T and d is below the degree of every higher
+addable i-node; the cogood node, the rightmost a, is the addable i-node
+of least degree, the highest if several tie, when that degree is below T."""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .cartan import CartanType, Charge, Residue
 from .partitions import (
@@ -19,70 +28,42 @@ from .partitions import (
     add_node,
     contains,
     remove_node,
-    residue,
+    step_degrees,
 )
 
 
-def _corner_pass(mp: MultiPartition, ct: CartanType,
-                 charge: Charge) -> Dict[Residue, list]:
-    """[depth, bottom, cogood] for every residue i with a corner, from one
-    pass over the rows.  Row r of a component has an addable node exactly
-    when row r - 1 (if any) is longer, and then row r - 1 has a removable
-    node; the two are read in that order.  A removable i-node opens on a
-    stack, and an addable one closes the top of it or, with none open,
-    becomes the latest unmatched addable i-node.  So at the end, if depth
-    (the open removable nodes) is positive, bottom (the first of them) is
-    the good i-node; cogood is the cogood i-node or None."""
-    absolute = ct is CartanType.C
-    state: Dict[Residue, list] = {}
-    for m, p in enumerate(mp, start=1):
-        k = charge[m - 1]
-        prev = None
-        for r, width in enumerate(p + (0,), start=1):
-            if prev is not None:
-                if width == prev:
-                    continue
-                i = k + prev - r + 1
-                if absolute and i < 0:
-                    i = -i
-                s = state.get(i)
-                if s is None:
-                    state[i] = [1, (r - 1, prev, m), None]
-                elif s[0]:
-                    s[0] += 1
-                else:
-                    s[0], s[1] = 1, (r - 1, prev, m)
-            i = k + width + 1 - r
-            if absolute and i < 0:
-                i = -i
-            s = state.get(i)
-            if s is None:
-                state[i] = [0, None, (r, width + 1, m)]
-            elif s[0]:
-                s[0] -= 1
-            else:
-                s[2] = (r, width + 1, m)
-            prev = width
-    return state
-
-
 def _good_nodes(mp: MultiPartition, ct: CartanType,
-                charge: Charge) -> List[Node]:
-    """The good node of every residue that has one, in (component, row)
-    order."""
-    goods = [bottom for depth, bottom, _ in _corner_pass(mp, ct, charge).values()
-             if depth]
-    goods.sort(key=lambda node: (node[2], node[0]))
-    return goods
+                charge: Charge) -> Dict[Residue, Node]:
+    """{i: the good i-node} for every residue i that has one."""
+    low: Dict[Residue, int] = {}
+    good: Dict[Residue, Node] = {}
+    for node, i, d in step_degrees(mp, ct, charge)[1]:
+        if d < low.get(i, 1):
+            low[i] = d
+            good[i] = node
+    return good
+
+
+def _cogood_node(mp: MultiPartition, ct: CartanType, charge: Charge,
+                 i: Residue) -> Optional[Node]:
+    """The cogood i-node of mp, or None if there is none."""
+    addable, removable = step_degrees(mp, ct, charge)
+    best, low, excess = None, 0, 0
+    for node, j, d in addable:  # bottom first: the last of a tie is the highest
+        if j == i:
+            excess += 1
+            if best is None or d <= low:
+                best, low = node, d
+    excess -= sum(1 for _, j, _ in removable if j == i)
+    return None if best is None or low >= excess else best
 
 
 @lru_cache(maxsize=None)
 def _kleshchev(ct: CartanType, charge: Charge, mp: MultiPartition) -> bool:
     if not any(mp):
         return True
-    for depth, bottom, _ in _corner_pass(mp, ct, charge).values():
-        if depth:
-            return _kleshchev(ct, charge, remove_node(mp, bottom))
+    for node in _good_nodes(mp, ct, charge).values():
+        return _kleshchev(ct, charge, remove_node(mp, node))
     return False
 
 
@@ -91,7 +72,7 @@ def is_kleshchev(mp: MultiPartition, ct: CartanType, charge: Charge) -> bool:
     additions.  The Kleshchev l-partitions form the crystal component of
     the empty one, which is closed under every e_i, so removing any one
     good node keeps mp in it or out of it; the memoized recursion removes
-    the first good node the corner pass gives, with no sort.  It does not
+    the first good node that _good_nodes gives, with no sort.  It does not
     reuse good_walk's search, which branches over every good node: on the
     60-node bipartition ((9, 9, 3, 1^15), (14, 3, 3, 2, 2)) of type A,
     charge (0, 1), that search visits 234 226 states in 3.66 s, where this
@@ -109,11 +90,12 @@ def _good_walk(ct: CartanType, charge: Charge, mp: MultiPartition,
     tries the good nodes of mp in (component, row) order, skipping those
     inside target, and keeps the first whose removal leaves target or a
     shape with a walk; the entry extends that walk by the node's residue
-    and one cogood step of its replay, read from the corner pass of the
+    and one cogood step of its replay, read from the step degrees of the
     replay's shape so far.  So a shape costs one entry on top
     of the walk one good removal below it, and the recursion is at most
     |mp| - |target| deep."""
-    for node in _good_nodes(mp, ct, charge):
+    goods = _good_nodes(mp, ct, charge).items()
+    for i, node in sorted(goods, key=lambda entry: (entry[1][2], entry[1][0])):
         if contains(target, node):
             continue
         nxt = remove_node(mp, node)
@@ -121,10 +103,9 @@ def _good_walk(ct: CartanType, charge: Charge, mp: MultiPartition,
         if below is None:
             continue
         word, end = below
-        i = residue(ct, charge, node)
         if end is not None:
-            s = _corner_pass(end, ct, charge).get(i)
-            end = None if s is None or s[2] is None else add_node(end, s[2])
+            step = _cogood_node(end, ct, charge, i)
+            end = None if step is None else add_node(end, step)
         return word + (i,), end
     return None
 

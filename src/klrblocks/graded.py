@@ -5,8 +5,9 @@ Young lattice between a floor sub-diagram and the shape (_gdim), memoized
 for the life of the process; no tableau is listed.  The Specht dimensions
 walk down to the empty floor; the factorizable truncation of the bridge
 walks down to the rectangle rho and multiplies by gdim(rho).  The step
-degree of every removal comes from the corner pass that also gives the
-tableau walk its step degrees (partitions.step_degrees), and each memo
+degree of every removal comes from the package's one corner scan
+(partitions.step_degrees), which also gives the tableau walk its step
+degrees and the crystal layer its good and cogood nodes, and each memo
 miss builds one polynomial."""
 
 from __future__ import annotations

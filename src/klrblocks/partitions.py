@@ -78,38 +78,47 @@ def step_degrees(mp: MultiPartition, ct: CartanType,
     """(addable, removable): every corner of mp with its residue and step
     degree, (#addable - #removable) nodes of its residue strictly below it,
     both lists last first in (component, row) order, from one reversed pass
-    over the rows.  Row r of a component has an addable node exactly when
-    row r - 1 (if any) is longer, and then row r - 1 has a removable node
-    above it.  A removable node's step degree is that of removing it; an
-    addable node's is that of adding it, since adding a node of residue i
-    changes only corners of the residues next to i (in type C, |x| is never
-    |x + 1|), so the count is the same in mp and in the larger shape."""
+    over the rows.  Where row r of a component is longer than row r + 1, of
+    width w (0 below the last row), (r + 1, w + 1) is addable and the last
+    node of row r removable; row 1 always has an addable node.  A
+    removable node's step degree is that of removing it; an addable node's
+    is that of adding it, since adding a node of residue i changes only
+    corners of the residues next to i (in type C, |x| is never |x + 1|),
+    so the count is the same in mp and in the larger shape.
+
+    This is the package's one scan of a shape's rows for corners.  Its
+    readers are the tableau walk (tableaux.enumerate_standard), the graded
+    recursion (graded._gdim) and the crystal layer, which reads good and
+    cogood nodes off the degrees (crystal._good_nodes, crystal._cogood_node)."""
     absolute = ct is CartanType.C
     below: Dict[Residue, int] = {}
     addable: List[Corner] = []
     removable: List[Corner] = []
     for m in range(len(mp), 0, -1):
         p, k = mp[m - 1], charge[m - 1]
-        width = 0
-        for r in range(len(p) + 1, 0, -1):
-            prev = p[r - 2] if r > 1 else None
-            if prev == width:
-                continue
-            i = k + width + 1 - r
-            if absolute and i < 0:
-                i = -i
-            d = below.get(i, 0)
-            addable.append(((r, width + 1, m), i, d))
-            below[i] = d + 1
-            if prev is None:
-                break
-            i = k + prev + 1 - r
-            if absolute and i < 0:
-                i = -i
-            d = below.get(i, 0)
-            removable.append(((r - 1, prev, m), i, d))
-            below[i] = d - 1
-            width = prev
+        r, width = len(p), 0  # row r + 1 is width long, row r above long
+        for above in p[::-1]:
+            if above != width:
+                i = k + width - r
+                if absolute and i < 0:
+                    i = -i
+                d = below.get(i, 0)
+                addable.append(((r + 1, width + 1, m), i, d))
+                below[i] = d + 1
+                i = k + above - r
+                if absolute and i < 0:
+                    i = -i
+                d = below.get(i, 0)
+                removable.append(((r, above, m), i, d))
+                below[i] = d - 1
+                width = above
+            r -= 1
+        i = k + width
+        if absolute and i < 0:
+            i = -i
+        d = below.get(i, 0)
+        addable.append(((1, width + 1, m), i, d))
+        below[i] = d + 1
     return addable, removable
 
 

@@ -1,13 +1,14 @@
 """Brute-force corner oracles from the definitions, independent of the
-package's corner scans (partitions.step_degrees, the crystal layer's
-corner pass): step degrees, i-signatures and their reduction, good and
-cogood nodes, the unmemoized cogood replay, and the bridge image.  Also
-the tableau references that the package's walk replaced: the recursive
-depth-first enumeration and the cellular degree replayed entry by entry;
-two tableau fixtures: the sub-diagram a tableau's first entries fill, and
-the paper's minimal-degree rectangle tableau; the bridge's map of
-tableaux onto factorizable tableaux; and the argparse parser that the
-command line's own parser replaced, as the reference of its parsing."""
+package's one corner scan (partitions.step_degrees, off which the
+crystal layer also reads its good and cogood nodes): step degrees,
+i-signatures and their reduction, good and cogood nodes, the unmemoized
+cogood replay, and the bridge image.  Also the tableau references that
+the package's walk replaced: the recursive depth-first enumeration and
+the cellular degree replayed entry by entry; two tableau fixtures: the
+sub-diagram a tableau's first entries fill, and the paper's
+minimal-degree rectangle tableau; the bridge's map of tableaux onto
+factorizable tableaux; and the argparse parser that the command line's
+own parser replaced, as the reference of its parsing."""
 
 import argparse
 from functools import cache, lru_cache

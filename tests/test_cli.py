@@ -25,8 +25,10 @@ from klrblocks.cli import (
     parse_shape,
 )
 from klrblocks.cartan import CartanType, RootVector
+from klrblocks.crystal import is_kleshchev
 from klrblocks.morita import ALL_CHECKS, iter_bridges, one_block_bridge, verify_bridge
 from klrblocks.partitions import content, multipartitions_of
+from klrblocks.tableaux import enumerate_standard
 
 from oracles import argparse_parser
 
@@ -382,6 +384,66 @@ class TestVerifyStreams:
         for bad in (["--kappa-c", "0", "--max-n", "-1"], ["--kappa-c", "-1", "--max-n", "3"]):
             assert main(["--format", fmt, "verify", *bad]) == 2
             assert capsys.readouterr().out == ""
+
+
+TABLEAUX = ("tableaux", "--type", "a", "--charge", "0,0", "--shape", "3,2/1",
+            "--with-degrees")
+KLESHCHEV_LIST = ("kleshchev", "--type", "a", "--charge", "0,1", "--n", "5", "--list")
+
+
+class TestListsStream:
+    # tableaux and kleshchev --n write each record as it is made, with the
+    # bytes they had when every record was collected in a list first
+
+    @pytest.mark.parametrize("argv, fmt, digest", [
+        (TABLEAUX, "json", "9ea8445e8331c0a30dd85a67fdf43b2fc115e5785f87e7d09a8e2cb2b470d101"),
+        (TABLEAUX, "csv", "c0912222c839af537beadfd721553042d48bddca0dfa0275cd26b5f9d8e7dde5"),
+        (TABLEAUX, "pretty", "b1d422ce65aa8d39a15dc85852b0ba8a0e0389e2bfff443fbd75e9989899dff7"),
+        (KLESHCHEV_LIST, "json",
+         "09b6019104862ba7bd5698410640bd9bd1e99197b0df867cce6f0d70f79cba57"),
+        (KLESHCHEV_LIST, "csv",
+         "711ea40d2c915554cb2a7c6c3057c1e4c6c040c5527571244651fadd981be676"),
+        (KLESHCHEV_LIST, "pretty",
+         "74c113bc252c21157e33deba22aa24afe89e938c2d5ff336c6c3a13a418b54be"),
+    ])
+    def test_bytes_pinned(self, capsys, argv, fmt, digest):
+        code, out = run(capsys, "--format", fmt, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_first_tableau_is_written_before_the_walk_ends(self, monkeypatch, fmt):
+        out, written = io.StringIO(), []
+
+        def recording(*args):
+            for t in enumerate_standard(*args):
+                written.append(len(out.getvalue()))
+                yield t
+
+        monkeypatch.setattr(cli, "enumerate_standard", recording)
+        with redirect_stdout(out):
+            assert main(["--format", fmt, *TABLEAUX]) == 0
+        # the first record is made before anything is written
+        assert written[0] == 0 and len(written) > 3
+        assert all(a < b for a, b in zip(written[1:], written[2:]))
+        assert written[1] > 0
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("listed", [False, True])
+    def test_first_kleshchev_record_is_written_before_the_last_test(
+            self, monkeypatch, fmt, listed):
+        out, written = io.StringIO(), []
+
+        def recording(mp, ct, charge):
+            written.append(len(out.getvalue()))
+            return is_kleshchev(mp, ct, charge)
+
+        monkeypatch.setattr(cli, "is_kleshchev", recording)
+        argv = KLESHCHEV_LIST if listed else KLESHCHEV_LIST[:-1]
+        with redirect_stdout(out):
+            assert main(["--format", fmt, *argv]) == 0
+        assert written[0] == 0 and written[-1] > 0
+        assert len(written) == len(multipartitions_of(5, 2))
 
 
 def fails_cleanly(capsys, *argv):

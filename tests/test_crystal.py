@@ -3,7 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from klrblocks import crystal
 from klrblocks.cartan import CartanType
-from klrblocks.crystal import _corner_pass, _good_nodes, good_walk, is_kleshchev
+from klrblocks.crystal import _cogood_node, _good_nodes, good_walk, is_kleshchev
 from klrblocks.partitions import (
     add_node,
     content,
@@ -40,9 +40,9 @@ def charged_shapes(draw, max_level=3, max_n=8, max_c_level=None):
 
 
 def pass_nodes(mp, ct, charge, i):
-    """(good, cogood) i-nodes as the corner pass gives them."""
-    depth, bottom, cogood = _corner_pass(mp, ct, charge).get(i, (0, None, None))
-    return (bottom if depth else None), cogood
+    """(good, cogood) i-nodes as the crystal layer reads them off the step
+    degrees."""
+    return _good_nodes(mp, ct, charge).get(i), _cogood_node(mp, ct, charge, i)
 
 
 def seed_good_nodes(cur, ct, charge):
@@ -105,7 +105,7 @@ def factors(nu, rho, ct, charge):
 
 
 def scan_signature(mp, ct, charge, i):
-    """The i-signature that the package's corner pass gives, sorted into
+    """The i-signature that the package's corner scan gives, sorted into
     (component, row) order (no row has two corners of one residue)."""
     addable, removable = step_degrees(mp, ct, charge)
     entries = [("a", node) for node, j, _ in addable if j == i]
@@ -150,28 +150,23 @@ class TestSignatures:
 
 
 def assert_pass_matches_oracle(mp, ct, charge):
-    """The corner pass has an entry for exactly the residues with a
-    corner, and for each its depth is the number of r's left in the
-    oracle's reduced signature, its bottom (when open) the leftmost of
-    them and its cogood node the rightmost a; _good_nodes lists the good
-    nodes in (component, row) order."""
+    """For every residue with a corner, _good_nodes holds the leftmost r
+    left in the oracle's reduced signature (no entry when none is left)
+    and _cogood_node gives the rightmost a; _good_nodes has no entry for
+    any other residue."""
     addable, removable = corners(mp)
     residues = {residue(ct, charge, node) for node in addable + removable}
-    state = _corner_pass(mp, ct, charge)
-    assert set(state) == residues
-    goods = []
+    goods = _good_nodes(mp, ct, charge)
+    assert set(goods) <= residues
     for i in residues:
         reduced = reduce_signature(signature(mp, ct, charge, i))
         r_nodes = [node for marker, node in reduced if marker == "r"]
         a_nodes = [node for marker, node in reduced if marker == "a"]
-        depth, bottom, cogood = state[i]
-        assert depth == len(r_nodes)
-        if depth:
-            assert bottom == r_nodes[0] == good_node(mp, ct, charge, i)
-            goods.append(bottom)
+        assert goods.get(i) == (r_nodes[0] if r_nodes else None)
+        assert goods.get(i) == good_node(mp, ct, charge, i)
+        cogood = _cogood_node(mp, ct, charge, i)
         assert cogood == (a_nodes[-1] if a_nodes else None)
         assert cogood == cogood_node(mp, ct, charge, i)
-    assert _good_nodes(mp, ct, charge) == sorted(goods, key=lambda n: (n[2], n[0]))
     return residues
 
 
@@ -204,6 +199,33 @@ class TestOneScan:
         assert signature(mp, A, (0, 0, 0), 0) == (
             ("r", (1, 1, 1)), ("a", (1, 1, 2)), ("r", (1, 1, 3)))
         assert pass_nodes(mp, A, (0, 0, 0), 0) == ((1, 1, 3), None)
+
+
+def rule_cases():
+    """Every l-partition to size 8 at levels 1 and 2 and to size 6 at
+    level 3, of both types, under the charges 0^l, 1^l, (0, 1, 2)[:l], its
+    reverse and (2, 0, 1)[:l]."""
+    for level, max_n in ((1, 8), (2, 8), (3, 6)):
+        charges = {(0,) * level, (1,) * level, (0, 1, 2)[:level],
+                   (0, 1, 2)[:level][::-1], (2, 0, 1)[:level]}
+        shapes = [mp for n in range(max_n + 1) for mp in multipartitions_of(n, level)]
+        for ct in (A, C):
+            for charge in sorted(charges):
+                for mp in shapes:
+                    yield ct, charge, mp
+
+
+class TestStepDegreeRules:
+    def test_every_small_shape_matches_the_oracles(self):
+        # the running-minimum rule for good nodes and the least-degree rule
+        # for cogood nodes, against the reduced signatures, exhaustively
+        for ct, charge, mp in rule_cases():
+            residues = {residue(ct, charge, node) for node in sum(corners(mp), ())}
+            goods = {i: good_node(mp, ct, charge, i) for i in residues}
+            assert _good_nodes(mp, ct, charge) == {
+                i: node for i, node in goods.items() if node is not None}
+            for i in residues:
+                assert _cogood_node(mp, ct, charge, i) == cogood_node(mp, ct, charge, i)
 
 
 @st.composite
@@ -426,15 +448,12 @@ class TestCogoodPath:
     def test_failure_position(self, monkeypatch):
         # a step with no cogood node ends the replay in None, and every
         # walk built on it keeps None
-        real = crystal._corner_pass
+        real = crystal._cogood_node
 
-        def no_cogood_1(mp, ct, charge):
-            state = real(mp, ct, charge)
-            if 1 in state:
-                state[1][2] = None
-            return state
+        def no_cogood_1(mp, ct, charge, i):
+            return None if i == 1 else real(mp, ct, charge, i)
 
-        monkeypatch.setattr(crystal, "_corner_pass", no_cogood_1)
+        monkeypatch.setattr(crystal, "_cogood_node", no_cogood_1)
         crystal._good_walk.cache_clear()
         try:
             assert good_walk(((1,),), ((),), C, (0,)) == ((0,), ((1,),))
