@@ -28,7 +28,8 @@ from klrblocks.cartan import CartanType
 from klrblocks.morita import ALL_CHECKS, one_block_bridge, verify_bridge
 from klrblocks.partitions import content
 
-MEMOS = (crystal._kleshchev, crystal._good_walk, graded._gdim)
+MEMOS = (crystal._kleshchev, crystal._good_walk, graded._gdim, graded.c_walk,
+         graded.a_walk)
 
 
 def main():

@@ -6,7 +6,6 @@ from .cartan import CartanType, NotASubroot, RootVector
 from .crystal import is_kleshchev
 from .graded import (
     LaurentPoly,
-    gdim_factorizable,
     gdim_specht,
     gdim_specht_weight,
 )

@@ -1,14 +1,17 @@
 """Integer Laurent polynomials in q and graded dimension computations.
 
-Every graded dimension comes from one recursion over the interval of the
-Young lattice between a floor sub-diagram and the shape (_gdim), memoized
-for the life of the process; no tableau is listed.  The Specht dimensions
-walk down to the empty floor; the factorizable truncation of the bridge
-walks down to the rectangle rho and multiplies by gdim(rho).  The step
-degree of every removal comes from the package's one corner scan
+The graded dimension of a Specht module, or of one of its residue weight
+spaces, comes from one recursion down the Young lattice to the empty
+shape (_gdim), memoized for the life of the process; no tableau is
+listed.  Its step degrees come from the package's one corner scan
 (partitions.step_degrees), which also gives the tableau walk its step
-degrees and the crystal layer its good and cogood nodes, and each memo
-miss builds one polynomial."""
+degrees and the crystal layer its good and cogood nodes.
+
+The bridge's checks read two memoized walks on bit states instead: the
+type-C walk (c_walk) on one Maya set down to the rectangle rho, and the
+type-A walk (a_walk) on two Maya sets.  Each reads a step degree off two
+bits of its state and holds a polynomial as one int in Q = 2^K, so a
+removal is a shift and an add; only the report decodes the ints."""
 
 from __future__ import annotations
 
@@ -17,13 +20,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue
-from .partitions import (
-    MultiPartition,
-    contains,
-    remove_node,
-    size,
-    step_degrees,
-)
+from .partitions import MultiPartition, Partition, remove_node, size, step_degrees
 
 
 class LaurentPoly:
@@ -43,25 +40,6 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        d = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            d[e] = d.get(e, 0) + c
-        return LaurentPoly(d)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        d = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            d[e] = d.get(e, 0) - c
-        return LaurentPoly(d)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        d: Dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(d)
-
     def bar(self) -> "LaurentPoly":
         """The bar involution q -> 1/q."""
         return LaurentPoly({-e: c for e, c in self._coeffs.items()})
@@ -75,9 +53,6 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self._coeffs == other._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
 
     def to_pairs(self) -> List[List[int]]:
         return [[e, c] for e, c in sorted(self._coeffs.items())]
@@ -97,39 +72,25 @@ class LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _gdim(ct: CartanType, charge: Charge, mp: MultiPartition,
-          word: Optional[Tuple[Residue, ...]],
-          floor: MultiPartition) -> LaurentPoly:
-    """Sum of q^deg over the tableaux of the skew shape mp/floor, each
-    node's step degree read in the full shape just after it is added; with
-    the empty floor, the sum of q^deg(t) over t in Std(mp).  Removing the
-    node holding the largest entry leaves a tableau of a smaller skew shape
-    and takes that node's step degree, which depends only on the shape and
-    the node, off the degree; so the sum is a recursion over the interval
-    [floor, mp], memoized for the life of the process and keyed by its
-    floor.  A node inside floor is never removed, and a floor not inside mp
-    gives 0.  Each miss reads every removal's step degree from one corner
-    pass (partitions.step_degrees) and adds the shifted sub-sums into one
-    coefficient map.  With word, the node holding the largest entry must
-    have residue word[-1], the next word[-2], and so on.
-
-    For the bridge this walk is the factorizable truncation.  Let nu lie in
-    a type-C block with a_0 >= 1 zero-residue nodes, rho = (a_0^(kappa_c +
-    a_0)) and omega the content of rho.  A sub-diagram of nu of content
-    omega holds a_0 zero-residue nodes, hence all of nu's, which lie on one
-    diagonal; so it contains the corner (kappa_c + a_0, a_0) and with it
-    rho, and having |omega| = |rho| nodes it is rho.  So the tableaux of nu
-    whose first ht(omega) entries fill a sub-diagram of content omega are
-    those whose first |rho| entries fill rho, and their sum is gdim(rho)
-    times this walk with floor rho."""
-    if mp == floor:
+          word: Optional[Tuple[Residue, ...]]) -> LaurentPoly:
+    """Sum of q^deg(t) over t in Std(mp), each node's step degree read in
+    the shape just after it is added.  Removing the node holding the
+    largest entry leaves a tableau of a smaller shape and takes that
+    node's step degree, which depends only on the shape and the node, off
+    the degree; so the sum is a recursion down the Young lattice, memoized
+    for the life of the process.  Each miss reads every removal's step
+    degree from one corner pass (partitions.step_degrees) and adds the
+    shifted sub-sums into one coefficient map.  With word, the node
+    holding the largest entry must have residue word[-1], the next
+    word[-2], and so on."""
+    if not any(mp):
         return LaurentPoly.one()
     i, rest = (None, None) if word is None else (word[-1], word[:-1])
     out: Dict[int, int] = {}
     for node, j, d in step_degrees(mp, ct, charge)[1]:
-        if (i is not None and j != i) or contains(floor, node):
+        if i is not None and j != i:
             continue
-        sub = _gdim(ct, charge, remove_node(mp, node), rest, floor)
-        for e, c in sub.items():
+        for e, c in _gdim(ct, charge, remove_node(mp, node), rest).items():
             out[e + d] = out.get(e + d, 0) + c
     return LaurentPoly(out)
 
@@ -142,20 +103,111 @@ def gdim_specht_weight(shape: MultiPartition, ct: CartanType, charge: Charge,
     if len(residues) != size(shape):
         raise ValueError(f"residue word has length {len(residues)}, "
                          f"but the shape has {size(shape)} nodes")
-    return _gdim(ct, tuple(charge), shape, tuple(residues), ((),) * len(shape))
+    return _gdim(ct, tuple(charge), shape, tuple(residues))
 
 
 def gdim_specht(shape: MultiPartition, ct: CartanType, charge: Charge) -> LaurentPoly:
     """Graded dimension of the full Specht module."""
-    return _gdim(ct, tuple(charge), shape, None, ((),) * len(shape))
+    return _gdim(ct, tuple(charge), shape, None)
 
 
-def gdim_factorizable(nu: MultiPartition, ct: CartanType, charge: Charge,
-                      rho: MultiPartition) -> LaurentPoly:
-    """Sum of q^deg(t) over the tableaux t of shape nu whose first |rho|
-    entries fill the sub-diagram rho: gdim(rho) times the sum over the
-    skew tableaux of nu/rho (0 if rho is not inside nu)."""
-    if len(rho) != len(nu):
-        raise ValueError(f"rho {rho} and nu {nu} differ in level")
-    charge = tuple(charge)
-    return gdim_specht(rho, ct, charge) * _gdim(ct, charge, nu, None, rho)
+def c_state(nu: Partition, kappa_c: int) -> Tuple[int, int]:
+    """The type-C bit state (zero, s) of nu: bit zero + u of s holds
+    u in M(nu, kappa_c) = {kappa_c + nu_r - r}, for u >= -zero; zero =
+    kappa_c + |nu| + 1 puts every row and the mirror -t - 1 of every
+    removable node's content t in the window."""
+    zero = kappa_c + sum(nu) + 1
+    s = (1 << zero + kappa_c - len(nu)) - 1  # the rows below the last
+    for r, p in enumerate(nu, 1):
+        s |= 1 << zero + kappa_c + p - r
+    return zero, s
+
+
+def _c_steps(zero: int, s: int) -> List[Tuple[int, int]]:
+    """Each removal from the type-C bit state (zero, s), as (the new s, whose
+    zero is zero - 1, step degree).  Removing a node of content t moves t in
+    M to t - 1; its degree is b(-t - 1) - b(-t) for t > 0, with b membership
+    in M, and 0 for t < 0.  A content-0 node is never removed: above rho,
+    the only one removable is rho's corner, the walk's floor."""
+    out = []
+    movable = s & ~(s << 1) & ~1
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        t = low.bit_length() - 1 - zero
+        if t:
+            d = (s >> zero - t - 1 & 1) - (s >> zero - t & 1) if t > 0 else 0
+            out.append(((s ^ low ^ low >> 1) >> 1, d))
+    return out
+
+
+@lru_cache(maxsize=None)
+def c_walk(K: int, zero: int, s: int) -> int:
+    """The sum of Q^(deg + |nu| - |rho|), Q = 2^K, over the skew tableaux of
+    nu/rho, for (zero, s) = c_state(nu, kappa_c) and rho the rectangle of
+    nu's zero-residue nodes; every coefficient must be below Q, and K = 0
+    counts the tableaux.  The memo is keyed by K, so widths never mix.
+
+    This is the bridge's factorizable truncation.  With a_0 >= 1 and rho =
+    (a_0^(kappa_c + a_0)) of content omega, a sub-diagram of nu of content
+    omega holds all a_0 zero-residue nodes of nu, on one diagonal, so it
+    holds rho's corner and is rho.  So the tableaux of nu whose first
+    ht(omega) entries fill a sub-diagram of content omega sum to gdim(rho)
+    times this walk."""
+    total = 0
+    for child, d in _c_steps(zero, s):
+        total += c_walk(K, zero - 1, child) << K * (d + 1)
+    return total or 1
+
+
+def a_state(bp: Tuple[Partition, Partition], charge: Charge) -> int:
+    """The level-two type-A bit state of bp: bit 2u + m - 1 holds u in
+    M(bp_m, charge_m), for u >= 0 and m = 1, 2.  No component has more rows
+    than its charge (as in a bridge's type-A block), so every u < 0 is in."""
+    s = 0
+    for m, (p, k) in enumerate(zip(bp, charge)):
+        if len(p) > k:
+            raise ValueError(f"{p} has more rows than its charge {k}")
+        s |= ((1 << 2 * (k - len(p))) - 1) // 3 << m  # the rows below the last
+        for r, x in enumerate(p, 1):
+            s |= 1 << 2 * (k + x - r) + m
+    return s
+
+
+def _a_steps(s: int) -> List[Tuple[int, int]]:
+    """Each removal from the type-A bit state s, as (state, step degree).
+    Removing a t-node moves t in its component's set to t - 1.  From
+    component 1 its degree is b2(t - 1) - b2(t), with b2 membership in the
+    second set (the only t-corner below it); from component 2 it is 0."""
+    out = []
+    movable = s & ~(s << 2) & ~3
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        p = low.bit_length() - 1
+        d = 0 if p & 1 else (s >> p - 1 & 1) - (s >> p + 1 & 1)
+        out.append((s ^ low ^ low >> 2, d))
+    return out
+
+
+@lru_cache(maxsize=None)
+def a_walk(K: int, s: int) -> int:
+    """The sum of Q^(deg + |bp|), Q = 2^K, over the standard tableaux of the
+    bipartition bp with a_state s, as c_walk."""
+    total = 0
+    for child, d in _a_steps(s):
+        total += a_walk(K, child) << K * (d + 1)
+    return total or 1
+
+
+def kronecker_pairs(x: int, K: int, low: int) -> List[List[int]]:
+    """The [exponent, coefficient] pairs of the polynomial whose
+    coefficients are the K-bit digits of x, digit 0 being q^low."""
+    mask, out = (1 << K) - 1, []
+    while x:
+        c = x & mask
+        if c:
+            out.append([low, c])
+        x >>= K
+        low += 1
+    return out

@@ -8,7 +8,8 @@ the counting, graded, dominance, Kleshchev and good-path checks over one
 block object per call, whose parts are built on first read.  The type-C
 side of the counting and graded checks sums over the factorizable
 tableaux of nu, those whose first |rho| entries fill rho: gdim(rho) times
-a walk over the interval [rho, nu] of the Young lattice.
+the type-C walk over the interval [rho, nu] (graded.c_walk), against
+gdim(rho) times the type-A walk (graded.a_walk), each an int product.
 
 The type-C shapes come from one of two sources, decided by the input.  A
 sweep (iter_bridges) finds each block by grouping the partitions of each
@@ -28,7 +29,8 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequen
 
 from .cartan import CartanType, Charge, RootVector
 from .crystal import good_walk, is_kleshchev
-from .graded import LaurentPoly, gdim_factorizable, gdim_specht
+from .graded import (LaurentPoly, a_state, a_walk, c_state, c_walk, gdim_specht,
+                     kronecker_pairs)
 from .partitions import (
     Partition,
     conjugate,
@@ -169,17 +171,14 @@ def _bridges(kappa_c: int, max_n: int) -> Iterator[BlockBridge]:
                 yield bridge(kappa_c, beta)._replace(c_shapes=tuple(shapes))
 
 
-def _graded_shift(lhs: LaurentPoly, rhs: LaurentPoly) -> Optional[int]:
-    """The unique c with lhs = q^c * rhs, if one exists, read off the two
-    coefficient maps: equal sizes, lowest exponents c apart, and every term
-    of rhs found c higher in lhs."""
-    lt, rt = lhs.items(), rhs.items()
-    if len(lt) != len(rt):
-        return None
-    if not rt:
-        return 0
-    c = min(lt)[0] - min(rt)[0]
-    return c if all((e + c, v) in lt for e, v in rt) else None
+def _graded_shift(lhs: int, rhs: int, K: int) -> Optional[int]:
+    """The unique c with lhs = q^c * rhs, if one exists, for Kronecker ints
+    of digit width K whose digit 0 is the same power of q: c is the distance
+    between their lowest nonzero digits, if one moved c digits is the other."""
+    if not lhs or not rhs:
+        return None if lhs or rhs else 0
+    c = ((lhs & -lhs).bit_length() - 1) // K - ((rhs & -rhs).bit_length() - 1) // K
+    return c if (lhs == rhs << K * c if c >= 0 else rhs == lhs << -K * c) else None
 
 
 def known_checks(names: Iterable[str]) -> Tuple[str, ...]:
@@ -228,11 +227,14 @@ class _Block:
         return gdim_specht((self.b.rho,), CartanType.C, self.b.c_charge)
 
     @_part
-    def polys(self) -> List[Tuple[Partition, LaurentPoly, LaurentPoly]]:
+    def states(self) -> List[Tuple[Partition, Tuple[int, int], int]]:
         b = self.b
-        return [(nu, gdim_factorizable((nu,), CartanType.C, b.c_charge, (b.rho,)),
-                 gdim_specht(bp, CartanType.A, b.a_charge))
+        return [(nu, c_state(nu, b.kappa_c), a_state(bp, b.a_charge))
                 for bp, nu in self.pairs]
+
+    @_part
+    def counts(self) -> List[Tuple[int, int]]:  # the walks at q = 1
+        return [(c_walk(0, *c), a_walk(0, a)) for _, c, a in self.states]
 
     @_part
     def c_kleshchev(self) -> List[Partition]:
@@ -245,36 +247,44 @@ def _check_count(blk: _Block) -> dict:
     ok = sorted(nu for _, nu in blk.pairs) == sorted(blk.c_shapes)  # one to one
     std_rho = blk.rho_poly.eval_at_1()
     lhs_total = rhs_total = 0
-    for nu, lhs, a_poly in blk.polys:
-        n_fact = lhs.eval_at_1()
-        n_a = a_poly.eval_at_1()
-        lhs_total += n_fact * n_fact
-        rhs_total += (std_rho * n_a) ** 2
-        match = n_fact == std_rho * n_a
+    for (nu, _, _), (n_c, n_a) in zip(blk.states, blk.counts):
+        n_fact, n_rho_a = std_rho * n_c, std_rho * n_a
+        lhs_total += n_fact ** 2
+        rhs_total += n_rho_a ** 2
+        match = n_fact == n_rho_a
         ok = ok and match
         per_shape.append(
             {"nu": list(nu), "factorizable": n_fact,
-             "rho_times_a": std_rho * n_a, "pass": match}
+             "rho_times_a": n_rho_a, "pass": match}
         )
     return {"pass": ok, "lhs": lhs_total, "rhs": rhs_total,
             "per_shape": per_shape}
 
 
 def _check_graded(blk: _Block) -> dict:
+    # Q = 2^K holds every coefficient, each at most its product's value at
+    # q = 1 (K a multiple of 16, so that blocks share the walks' memos); the
+    # two products share the factor gdim(rho), so their shift is the walks'.
+    b, rho = blk.b, blk.rho_poly
+    low = min(e for e, _ in rho.items())
+    top = rho.eval_at_1() * max(map(max, blk.counts), default=0)
+    K = max(16, (top.bit_length() + 15) // 16 * 16)
+    rho_int = sum(c << K * (e - low) for e, c in rho.items())
     per_shape = []
     shift: Optional[int] = None
     ok = True
-    for nu, lhs, a_poly in blk.polys:
-        rhs = blk.rho_poly * a_poly
-        c = _graded_shift(lhs, rhs)
+    for nu, c_st, a_st in blk.states:
+        lhs, rhs = c_walk(K, *c_st), a_walk(K, a_st)
+        c = _graded_shift(lhs, rhs, K)
         if c is None or (shift is not None and c != shift):
             ok = False
         if shift is None and c is not None:
             shift = c
-        per_shape.append(
-            {"nu": list(nu), "lhs": lhs.to_pairs(), "rhs": rhs.to_pairs(),
-             "shift": c}
-        )
+        base = low - sum(nu) + b.a0 * len(b.rho)  # digit 0's exponent
+        lhs_pairs = kronecker_pairs(rho_int * lhs, K, base)
+        rhs_pairs = lhs_pairs if rhs == lhs else kronecker_pairs(rho_int * rhs, K, base)
+        per_shape.append({"nu": list(nu), "lhs": lhs_pairs, "rhs": rhs_pairs,
+                          "shift": c})
     ok = ok and shift == 0
     return {"pass": ok, "shift": shift, "per_shape": per_shape}
 

@@ -7,14 +7,18 @@ the package's walk replaced: the recursive depth-first enumeration and
 the cellular degree replayed entry by entry; two tableau fixtures: the
 sub-diagram a tableau's first entries fill, and the paper's
 minimal-degree rectangle tableau; the bridge's map of tableaux onto
-factorizable tableaux; and the argparse parser that the command line's
-own parser replaced, as the reference of its parsing."""
+factorizable tableaux; the factorizable sum that the bridge's bit-state
+walks replaced, as a recursion over an interval of the Young lattice,
+with the product of Laurent polynomials it needs; and the argparse parser
+that the command line's own parser replaced, as the reference of its
+parsing."""
 
 import argparse
 from functools import cache, lru_cache
 
-from klrblocks import cli
+from klrblocks import cli, partitions
 from klrblocks.cartan import CartanType
+from klrblocks.graded import LaurentPoly, gdim_specht
 from klrblocks.morita import ALL_CHECKS, BridgeError, to_type_c
 from klrblocks.partitions import (
     EMPTY,
@@ -205,6 +209,35 @@ def tableau_to_type_c(s, u, b):
         else:
             order.append((height + c, r, 1))
     return StandardTableau((nu,), tuple(order))
+
+
+def poly_mul(p, r):
+    """The product of two Laurent polynomials, term by term."""
+    return LaurentPoly((e1 + e2, c1 * c2) for e1, c1 in p.items() for e2, c2 in r.items())
+
+
+@lru_cache(maxsize=None)
+def interval_gdim(ct, charge, mp, floor):
+    """The sum of q^deg over the skew tableaux of mp/floor, each node's step
+    degree read in the shape just after it is added, by a recursion down
+    the interval [floor, mp] that never removes a node of floor; 0 if floor
+    is not inside mp."""
+    if mp == floor:
+        return LaurentPoly.one()
+    out = {}
+    for node, _, d in partitions.step_degrees(mp, ct, charge)[1]:
+        if not contains(floor, node):
+            for e, c in interval_gdim(ct, charge, remove_node(mp, node), floor).items():
+                out[e + d] = out.get(e + d, 0) + c
+    return LaurentPoly(out)
+
+
+def factorizable_gdim(nu, ct, charge, rho):
+    """The sum of q^deg(t) over the tableaux t of shape nu whose first |rho|
+    entries fill the sub-diagram rho: gdim(rho) times the sum over the skew
+    tableaux of nu/rho."""
+    charge = tuple(charge)
+    return poly_mul(gdim_specht(rho, ct, charge), interval_gdim(ct, charge, nu, rho))
 
 
 @cache

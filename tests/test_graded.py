@@ -3,19 +3,23 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klrblocks.cartan import CartanType, RootVector
+from klrblocks.cartan import CartanType
 from klrblocks.graded import (
     LaurentPoly,
+    _a_steps,
+    _c_steps,
     _gdim,
-    gdim_factorizable,
+    a_state,
+    c_state,
     gdim_specht,
     gdim_specht_weight,
 )
-from klrblocks.morita import bridge, c_block, iter_bridges
+from klrblocks.morita import a_block, bridge, iter_bridges, verify_bridge
 from klrblocks.partitions import (
     content,
     multipartitions_of,
     partitions_of,
+    rect_split,
     remove_node,
     size,
     step_degrees,
@@ -27,7 +31,7 @@ from klrblocks.tableaux import (
 )
 
 import oracles
-from oracles import prefix_shape, rectangle_final_tableau
+from oracles import factorizable_gdim, poly_mul, prefix_shape, rectangle_final_tableau
 
 A, C = CartanType.A, CartanType.C
 
@@ -36,7 +40,7 @@ QBAL = LaurentPoly({1: 1, -1: 1})  # q + 1/q
 
 class TestLaurentPoly:
     def test_square(self):
-        assert QBAL * QBAL == LaurentPoly({2: 1, 0: 2, -2: 1})
+        assert poly_mul(QBAL, QBAL) == LaurentPoly({2: 1, 0: 2, -2: 1})
 
     def test_bar(self):
         p = LaurentPoly({3: 2, -1: 5})
@@ -47,15 +51,9 @@ class TestLaurentPoly:
         assert LaurentPoly({3: 1, 1: 3, -1: 3, -3: 1}).eval_at_1() == 8
         assert LaurentPoly().eval_at_1() == 0
 
-    def test_add_sub_cancel(self):
-        p = LaurentPoly({0: 1, 2: -3})
-        assert p - p == LaurentPoly()
-        assert not (p - p)
-        assert p + LaurentPoly() == p
-
     def test_shifted(self):
-        assert LaurentPoly.one() * LaurentPoly({2: 1}) == LaurentPoly({2: 1})
-        assert QBAL * LaurentPoly({2: 1}) == LaurentPoly({3: 1, 1: 1})
+        assert poly_mul(LaurentPoly.one(), LaurentPoly({2: 1})) == LaurentPoly({2: 1})
+        assert poly_mul(QBAL, LaurentPoly({2: 1})) == LaurentPoly({3: 1, 1: 1})
 
     def test_pairs_round_trip(self):
         p = LaurentPoly({-1: 1, 1: 1, 4: -2})
@@ -70,8 +68,10 @@ class TestLaurentPoly:
            st.dictionaries(st.integers(-5, 5), st.integers(-4, 4), max_size=5))
     def test_mul_commutes_and_distributes(self, d1, d2):
         p, r = LaurentPoly(d1), LaurentPoly(d2)
-        assert p * r == r * p
-        assert (p + r) * QBAL == p * QBAL + r * QBAL
+        assert poly_mul(p, r) == poly_mul(r, p)
+        total = LaurentPoly([*p.items(), *r.items()])
+        assert poly_mul(total, QBAL) == LaurentPoly(
+            [*poly_mul(p, QBAL).items(), *poly_mul(r, QBAL).items()])
 
 
 class TestGdimSpecht:
@@ -104,10 +104,9 @@ class TestGdimSpecht:
             for p in partitions_of(n):
                 full = gdim_specht((p,), C, (0,))
                 iwords = {t.word for t in enumerate_standard((p,), C, (0,))}
-                total = LaurentPoly()
-                for iword in iwords:
-                    total = total + gdim_specht_weight((p,), C, (0,), iword)
-                assert total == full
+                assert LaurentPoly(
+                    term for iword in iwords
+                    for term in gdim_specht_weight((p,), C, (0,), iword).items()) == full
 
 
 @st.composite
@@ -145,40 +144,34 @@ class TestLatticeAgainstEnumeration:
     @settings(deadline=None)
     @given(charged_tableaux(), st.integers(0, 7))
     def test_gdim_factorizable(self, case, k):
+        # the factorizable oracle that the bridge's walks are tested against
         ct, charge, shape, tabs, t = case
         rho = prefix_shape(t, min(k, len(t.order)))
         expected = q_sum([s for s in tabs if prefix_shape(s, size(rho)) == rho],
                          ct, charge)
-        assert gdim_factorizable(shape, ct, charge, rho) == expected
+        assert factorizable_gdim(shape, ct, charge, rho) == expected
 
 
 # The memo of _gdim lives for the process, so every call runs on states that
 # earlier calls left behind.  A call list often repeats the previous shape
-# with one of its type, charge or floor (residue word) changed, which is
-# where a key missing one of them would return a stale polynomial.
-CALLS = (gdim_specht, gdim_specht_weight, gdim_factorizable)
+# with one of its type, charge or residue word changed, which is where a
+# key missing one of them would return a stale polynomial.
+CALLS = (gdim_specht, gdim_specht_weight)
 
 
 def draw_extra(draw, fn, shape, ct, charge):
-    """The residue word or floor of a call: read off a random tableau of
-    the shape, or for the floor sometimes of another shape, so that the
-    floor may be larger than the shape or not inside it."""
+    """The residue word of a call, read off a random tableau of the shape."""
     if fn is gdim_specht:
         return None
-    if fn is gdim_specht_weight:
-        return residue_sequence(draw(st.sampled_from(list(oracles.standard_tableaux(shape)))),
-                                ct, charge)
-    if draw(st.integers(0, 3)) == 0:
-        shape = draw(st.sampled_from(multipartitions_of(draw(st.integers(0, 6)), len(shape))))
-    t = draw(st.sampled_from(list(oracles.standard_tableaux(shape))))
-    return prefix_shape(t, draw(st.integers(0, len(t.order))))
+    return residue_sequence(draw(st.sampled_from(list(oracles.standard_tableaux(shape)))),
+                            ct, charge)
 
 
 @st.composite
 def gdim_calls(draw, prev=None):
-    """(function, shape, type, charge, word or floor, pass lists?).  With
-    prev: its function and shape, and exactly one of its type, charge and
-    word or floor changed."""
+    """(function, shape, type, charge, word, pass lists?).  With prev: its
+    function and shape, and exactly one of its type, charge and word
+    changed."""
     if prev is None:
         fn = draw(st.sampled_from(CALLS))
         level = draw(st.integers(1, 3))
@@ -212,9 +205,7 @@ def make_call(call):
     seq = list if as_lists else tuple
     if fn is gdim_specht:
         return fn(shape, ct, seq(charge))
-    if fn is gdim_specht_weight:
-        return fn(shape, ct, seq(charge), seq(extra))
-    return fn(shape, ct, seq(charge), extra)
+    return fn(shape, ct, seq(charge), seq(extra))
 
 
 def oracle(call):
@@ -222,8 +213,6 @@ def oracle(call):
     tabs = list(oracles.standard_tableaux(shape))
     if fn is gdim_specht_weight:
         tabs = [t for t in tabs if residue_sequence(t, ct, charge) == extra]
-    elif fn is gdim_factorizable:
-        tabs = [t for t in tabs if prefix_shape(t, size(extra)) == extra]
     return q_sum(tabs, ct, charge)
 
 
@@ -247,7 +236,7 @@ class TestOneScanPerMiss:
         rho = ((3, 3, 3, 3),)
         nu = ((5, 4, 3, 3, 2, 1),)
         gdim_specht(rho, C, (1,))
-        gdim_factorizable(nu, C, (1,), rho)
+        gdim_specht(nu, C, (1,))
         gdim_specht(((3, 1), (2, 2)), A, (4, 3))
         word = residue_sequence(rectangle_final_tableau(3, 4), C, (1,))
         gdim_specht_weight(rho, C, (1,), word)
@@ -273,27 +262,39 @@ def omega_gdim(ct, charge, mp, omega):
     return LaurentPoly(out)
 
 
-def maximal_bridge(a0):
-    """The bridge of the maximal block of defect a0 at kappa_c = 0:
-    beta = a0 alpha_0 + sum over 1 <= i < 2 a0 of (2 a0 - i) alpha_i."""
-    return bridge(0, RootVector({0: a0, **{i: 2 * a0 - i for i in range(1, 2 * a0)}}))
+def maximal_bridge(a0, kappa_c=0):
+    """The bridge of the maximal block of defect a0 at kappa_c, the block of
+    the rectangle (a0^(2 a0 + 2 kappa_c)); at kappa_c = 0, beta = a0 alpha_0
+    + sum over 1 <= i < 2 a0 of (2 a0 - i) alpha_i."""
+    return bridge(kappa_c, content(C, (kappa_c,), ((a0,) * (2 * a0 + 2 * kappa_c),)))
 
 
 class TestFactorizableAgainstOmega:
-    """The interval above rho gives the content-omega truncation on every
-    shape of a block."""
+    """The bridge's bit-state walks, as the count and graded checks report
+    them, against oracles on every shape of a block: the type-C side
+    against the content-omega truncation and the factorizable sum, the
+    type-A side against gdim(rho) times its Specht module's (_gdim)."""
 
     @staticmethod
     def shapes_checked(bridges):
         shapes = 0
         try:
             for b in bridges:
-                for nu in c_block(b):
-                    assert (gdim_factorizable((nu,), C, b.c_charge, (b.rho,))
-                            == omega_gdim(C, b.c_charge, (nu,), b.omega))
+                checks = verify_bridge(b, ("count", "graded"))["checks"]
+                rho = gdim_specht((b.rho,), C, b.c_charge)
+                for bp, count, row in zip(a_block(b), checks["count"]["per_shape"],
+                                          checks["graded"]["per_shape"]):
+                    nu = (tuple(row["nu"]),)
+                    lhs = omega_gdim(C, b.c_charge, nu, b.omega)
+                    assert lhs == factorizable_gdim(nu, C, b.c_charge, (b.rho,))
+                    rhs = poly_mul(rho, gdim_specht(bp, A, b.a_charge))
+                    assert (row["lhs"], row["rhs"]) == (lhs.to_pairs(), rhs.to_pairs())
+                    assert count["factorizable"] == lhs.eval_at_1()
+                    assert count["rho_times_a"] == rhs.eval_at_1()
                     shapes += 1
         finally:
             omega_gdim.cache_clear()
+            oracles.interval_gdim.cache_clear()
         return shapes
 
     @pytest.mark.parametrize("kappa_c,shapes", [(0, 914), (1, 898), (2, 834)])
@@ -302,4 +303,68 @@ class TestFactorizableAgainstOmega:
 
     @pytest.mark.parametrize("a0,shapes", [(4, 70), (5, 252)])
     def test_maximal_blocks(self, a0, shapes):
+        # the a0 = 5 block's products have coefficients of 76 bits, so
+        # digits of a fixed 64-bit width would carry into each other
         assert self.shapes_checked([maximal_bridge(a0)]) == shapes
+
+    def test_maximal_block_at_kappa_c_1(self):
+        assert self.shapes_checked([maximal_bridge(4, 1)]) == 126
+
+
+def maya(p, k, u):
+    """Whether u lies in M(p, k) = {k + p_r - r : r >= 1}, by the definition."""
+    return u < k - len(p) or u in {k + x - r for r, x in enumerate(p, 1)}
+
+
+@lru_cache(maxsize=None)
+def walk_shapes(kappa_c, max_n):
+    """Every type-C shape that the walks down from the blocks of the bridges
+    to height max_n reach, that is every removal that keeps the content-0
+    nodes, each with its bridge's rho."""
+    seen = {}
+    todo = [(nu, b.rho) for b in iter_bridges(kappa_c, max_n) for nu in b.c_shapes]
+    while todo:
+        nu, rho = todo.pop()
+        if nu not in seen:
+            seen[nu] = rho
+            todo.extend((remove_node((nu,), (r, c, 1))[0], rho)
+                        for (r, c, _), _, _ in step_degrees((nu,), C, (kappa_c,))[1]
+                        if kappa_c + c != r)
+    return seen
+
+
+class TestBitRules:
+    """The walks' step degrees, read off two bits of a bit state, against
+    the corner scan on every state of every bridge's walks to height 20."""
+
+    @pytest.mark.parametrize("kappa_c,states", [(0, 2713), (1, 2693), (2, 2593)])
+    def test_steps_match_the_corner_scan(self, kappa_c, states):
+        shapes = walk_shapes(kappa_c, 20)
+        for nu, rho in shapes.items():
+            zero, s = c_state(nu, kappa_c)
+            assert sorted(((zero - 1, t), d) for t, d in _c_steps(zero, s)) == sorted(
+                (c_state(remove_node((nu,), node)[0], kappa_c), d)
+                for node, _, d in step_degrees((nu,), C, (kappa_c,))[1]
+                if kappa_c + node[1] != node[0])
+            bp, charge = rect_split(nu, rho), (kappa_c + rho[0], rho[0])
+            assert sorted(_a_steps(a_state(bp, charge))) == sorted(
+                (a_state(remove_node(bp, node), charge), d)
+                for node, _, d in step_degrees(bp, A, charge)[1])
+        assert len(shapes) == states
+
+    @pytest.mark.parametrize("kappa_c", [0, 1, 2])
+    def test_the_two_sides_degree_rules_agree(self, kappa_c):
+        # finding 5: b2(t - 1) - b2(t) = b(-t - 1) - b(-t) for t >= 1, with b
+        # membership in M(nu, kappa_c) and b2 in M(mu, a0), for nu = rho +
+        # (lambda, mu'); at larger t both sides are 0
+        for nu, rho in walk_shapes(kappa_c, 20).items():
+            mu = rect_split(nu, rho)[1]
+            for t in range(1, len(nu) + rho[0] + 3):
+                assert (maya(mu, rho[0], t - 1) - maya(mu, rho[0], t)
+                        == maya(nu, kappa_c, -t - 1) - maya(nu, kappa_c, -t))
+
+    def test_type_a_state_refuses_more_rows_than_the_charge(self):
+        # such a component has a node of residue 0 or less, and its set
+        # misses some u < 0, which the state cannot hold
+        with pytest.raises(ValueError):
+            a_state(((1, 1), ()), (1, 1))

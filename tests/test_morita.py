@@ -3,7 +3,7 @@ import pytest
 from klrblocks import crystal, morita
 from klrblocks.cartan import CartanType, RootVector
 from klrblocks.crystal import good_walk, is_kleshchev
-from klrblocks.graded import LaurentPoly, _gdim
+from klrblocks import graded
 from klrblocks.morita import (
     BridgeError,
     a_block,
@@ -80,29 +80,37 @@ class TestBridge:
         }
 
 
+def kron(poly, K=8, low=-4):
+    """A polynomial {exponent: coefficient} as a Kronecker int of digit
+    width K, digit 0 being q^low."""
+    return sum(c << K * (e - low) for e, c in poly.items())
+
+
 class TestGradedShift:
     def test_zero_against_zero(self):
-        assert morita._graded_shift(LaurentPoly(), LaurentPoly()) == 0
+        assert morita._graded_shift(0, 0, 8) == 0
 
     def test_zero_against_non_zero(self):
-        p = LaurentPoly({1: 1, -1: 1})
-        assert morita._graded_shift(LaurentPoly(), p) is None
-        assert morita._graded_shift(p, LaurentPoly()) is None
+        p = kron({1: 1, -1: 1})
+        assert morita._graded_shift(0, p, 8) is None
+        assert morita._graded_shift(p, 0, 8) is None
 
     def test_equal_supports_different_coefficients(self):
-        assert morita._graded_shift(LaurentPoly({0: 1, 2: 2}),
-                                    LaurentPoly({0: 1, 2: 1})) is None
+        assert morita._graded_shift(kron({0: 1, 2: 2}), kron({0: 1, 2: 1}), 8) is None
 
     def test_shifts_found(self):
-        p = LaurentPoly({-1: 1, 1: 2, 4: 1})
-        assert morita._graded_shift(p * LaurentPoly({-3: 1}), p) == -3
-        assert morita._graded_shift(p * LaurentPoly({2: 1}), p) == 2
-        assert morita._graded_shift(p, p) == 0
+        p = {-1: 1, 1: 2, 4: 1}
+        assert morita._graded_shift(kron({e - 3: c for e, c in p.items()}), kron(p), 8) == -3
+        assert morita._graded_shift(kron({e + 2: c for e, c in p.items()}), kron(p), 8) == 2
+        assert morita._graded_shift(kron(p), kron(p), 8) == 0
+        # lowest digits whose own lowest bits differ
+        assert morita._graded_shift(kron({1: 2, 3: 1}), kron({0: 1, 2: 2}), 8) is None
+        assert morita._graded_shift(kron({1: 1, 2: 2}), kron({0: 1, 1: 2}), 8) == 1
 
     def test_supports_of_different_sizes(self):
-        p = LaurentPoly({0: 1, 2: 1})
-        assert morita._graded_shift(p, p + LaurentPoly({5: 1})) is None
-        assert morita._graded_shift(p + LaurentPoly({5: 1}), p) is None
+        p = {0: 1, 2: 1}
+        assert morita._graded_shift(kron(p), kron({**p, 5: 1}), 8) is None
+        assert morita._graded_shift(kron({**p, 5: 1}), kron(p), 8) is None
 
 
 class TestBlockMap:
@@ -356,7 +364,7 @@ class TestVerifyBridge:
         (("goodpath",), "a_block"),
         (("dominance",), "c_block"),
         (("graded",), "c_block"),
-        (("dominance", "kleshchev", "goodpath"), "gdim_factorizable"),
+        (("dominance", "kleshchev", "goodpath"), "c_walk"),
     ], ids=["goodpath", "dominance", "graded", "crystal"])
     def test_check_builds_only_what_it_reads(self, monkeypatch, checks, unread):
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
@@ -370,9 +378,10 @@ class TestVerifyBridge:
         monkeypatch.setattr(morita, unread, counting)
         assert verify_bridge(b, checks)["pass"]
         assert calls == []
-        # all five checks build each block once and one polynomial per pair
+        # all five checks build each block once, and walk down from each
+        # pair's type-C shape twice: for its tableau count and its polynomial
         verify_bridge(b)
-        assert len(calls) == (len(a_block(b)) if unread == "gdim_factorizable" else 1)
+        assert len(calls) == (2 * len(a_block(b)) if unread == "c_walk" else 1)
 
     def test_kleshchev_shapes_tested_once(self, monkeypatch):
         # kleshchev and goodpath read one list of Kleshchev type-C shapes
@@ -417,13 +426,14 @@ class TestVerifyBridge:
 
     @pytest.mark.parametrize("kappa_c", [0, 1])
     def test_shared_memo_matches_cold_memo(self, kappa_c):
-        # the graded-dimension memo lives through a sweep; every report must
-        # be what the bridge gives with the memo cleared before it
+        # the graded-dimension memos live through a sweep; every report must
+        # be what the bridge gives with them cleared before it
         bridges = list(iter_bridges(kappa_c, 10))
         shared = [verify_bridge(b) for b in bridges]
         cold = []
         for b in bridges:
-            _gdim.cache_clear()
+            for memo in (graded._gdim, graded.c_walk, graded.a_walk):
+                memo.cache_clear()
             cold.append(verify_bridge(b))
         assert shared == cold
 

@@ -169,7 +169,8 @@ def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys):
 
     def recording(b, checks):
         sizes = [memo.cache_info().currsize
-                 for memo in (crystal._kleshchev, crystal._good_walk, graded._gdim)]
+                 for memo in (crystal._kleshchev, crystal._good_walk, graded._gdim,
+                              graded.c_walk, graded.a_walk)]
         calls.append((b.a0, tuple(checks), sizes))
         return real(b, checks)
 
@@ -177,7 +178,7 @@ def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["maximal_blocks.py", "--max-a0", "2"])
     assert script.main() == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
-    assert calls == [(a0, (check,), [0, 0, 0])
+    assert calls == [(a0, (check,), [0] * 5)
                      for a0 in (1, 2) for check in ALL_CHECKS]
 
 
