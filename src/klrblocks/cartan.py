@@ -29,8 +29,10 @@ class CartanType(Enum):
             raise ValueError(f"residue {i} is not a valid type-{self.name} label")
 
     def check_charge(self, charge: Charge) -> None:
-        for k in charge:
-            self.check_label(k)
+        """Refuse a charge, or a residue word, with an entry that is not a
+        label of this type; the error names the first such entry."""
+        if self is CartanType.C and charge and min(charge) < 0:
+            self.check_label(next(k for k in charge if k < 0))
 
 
 class NotASubroot(ValueError):

@@ -36,15 +36,15 @@ def parse_partition(text: str) -> Tuple[int, ...]:
     text = text.strip()
     if text in ("", "-"):
         return ()
-    return as_partition(tuple(int(x) for x in text.split(",")))
+    return as_partition(tuple(map(int, text.split(","))))
 
 
 def parse_shape(text: str) -> MultiPartition:
-    return tuple(parse_partition(part) for part in text.split("/"))
+    return tuple(map(parse_partition, text.split("/")))
 
 
 def parse_charge(text: str, ct: CartanType) -> Tuple[int, ...]:
-    charge = tuple(int(x) for x in text.split(","))
+    charge = tuple(map(int, text.split(",")))
     ct.check_charge(charge)
     return charge
 
@@ -81,9 +81,8 @@ def check_level(shape: MultiPartition, charge: Tuple[int, ...]) -> None:
 
 
 def parse_residues(text: str, ct: CartanType) -> Tuple[int, ...]:
-    residues = tuple(int(x) for x in text.split(",")) if text else ()
-    for i in residues:
-        ct.check_label(i)
+    residues = tuple(map(int, text.split(","))) if text else ()
+    ct.check_charge(residues)
     return residues
 
 
@@ -91,21 +90,27 @@ def fmt_shape(shape: MultiPartition) -> str:
     return "/".join(",".join(map(str, p)) or "-" for p in shape)
 
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def emit(records, fmt: str, columns: Sequence[str] = ()) -> None:
-    """Write records (one dict row, or rows written as they come, once the
-    first is read) in the format.  A csv header is the keys of the first
-    row; an answer that may have no row names its columns, so that its
-    header is written all the same; pretty writes an empty answer as json."""
+    """Write records (one dict row, a list of rows, or rows written as they
+    come, once the first is read) in the format.  In json a dict or list is
+    encoded in one call, and streamed rows one by one with the same bytes.
+    A csv header is the keys of the first row; an answer that may have no
+    row names its columns, so that its header is written all the same;
+    pretty writes an empty answer as json."""
     stream = sys.stdout
+    if fmt == "json" and isinstance(records, (dict, list)):
+        stream.write(_encode(records) + "\n")
+        return
     rows = iter([records] if isinstance(records, dict) else records)
     first = next(rows, None)
     rows = chain(() if first is None else (first,), rows)
-    if fmt == "json" and isinstance(records, dict):
-        stream.write(json.dumps(records, separators=(",", ":")) + "\n")
-    elif fmt == "json" or (fmt == "pretty" and first is None):
+    if fmt == "json" or (fmt == "pretty" and first is None):
         stream.write("[")
         for k, row in enumerate(rows):
-            stream.write(("," if k else "") + json.dumps(row, separators=(",", ":")))
+            stream.write(("," if k else "") + _encode(row))
         stream.write("]\n")
     elif fmt == "csv":
         import csv  # only this format needs it; keeps it out of start-up
@@ -293,6 +298,14 @@ COMMANDS = {
         "--checks": Option(str, ",".join(ALL_CHECKS)),
     }, (("--kappa-c",), ("--max-n", "--beta"))),
 }
+# Built once from the tables above and only read: each option's name in the
+# namespace, and each command's namespace before its options are read.
+_DEST = {name: name[2:].replace("-", "_")
+         for options in (FORMAT, *(cmd.options for cmd in COMMANDS.values()))
+         for name in options}
+_START = {command: {"command": command, "func": cmd.func,
+                    **{_DEST[name]: o.default for name, o in cmd.options.items()}}
+          for command, cmd in COMMANDS.items()}
 
 
 def _metavar(name: str, option: Option) -> str:
@@ -386,9 +399,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
                     _fail(None, f"argument command: invalid choice: {arg!r} "
                                 f"(choose from {', '.join(COMMANDS)})")
                 command, options = arg, COMMANDS[arg].options
-                values.update(command=arg, func=COMMANDS[arg].func)
-                values.update((n[2:].replace("-", "_"), o.default)
-                              for n, o in options.items())
+                values.update(_START[arg])
                 continue
             if arg == "--":
                 _fail(command, "unrecognized arguments: --")
@@ -418,7 +429,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
                 value = option.convert(value)
             except ValueError as exc:
                 _fail(command, f"argument {name}: {exc}")
-        values[name[2:].replace("-", "_")] = value
+        values[_DEST[name]] = value
         given.add(name)
     if command is None:
         _fail(None, "the following arguments are required: command")

@@ -37,8 +37,16 @@ class LaurentPoly:
         self._coeffs = {e: c for e, c in d.items() if c}
 
     @classmethod
+    def _owning(cls, coeffs: Dict[int, int]) -> "LaurentPoly":
+        """The polynomial that takes coeffs, which has no zero coefficient
+        and no other holder, as its own map: no copy is made."""
+        poly = cls.__new__(cls)
+        poly._coeffs = coeffs
+        return poly
+
+    @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return cls._owning({0: 1})
 
     def bar(self) -> "LaurentPoly":
         """The bar involution q -> 1/q."""
@@ -92,7 +100,8 @@ def _gdim(ct: CartanType, charge: Charge, mp: MultiPartition,
             continue
         for e, c in _gdim(ct, charge, remove_node(mp, node), rest).items():
             out[e + d] = out.get(e + d, 0) + c
-    return LaurentPoly(out)
+    # every coefficient counts tableaux, so none is 0
+    return LaurentPoly._owning(out)
 
 
 def gdim_specht_weight(shape: MultiPartition, ct: CartanType, charge: Charge,

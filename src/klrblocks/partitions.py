@@ -23,12 +23,15 @@ EMPTY: Partition = ()
 
 
 def as_partition(parts: Sequence[int]) -> Partition:
-    p = tuple(x for x in parts if x != 0)
-    if any(x < 0 for x in p):
+    """parts as a partition, trailing zeros dropped; a negative part, or a
+    part above the one before it (a positive part after a zero among
+    them), is refused."""
+    p = tuple(parts)
+    if p and min(p) < 0:
         raise ValueError(f"negative part in {parts!r}")
-    if any(p[k] < p[k + 1] for k in range(len(p) - 1)):
+    if not all(map(int.__ge__, p, p[1:])):
         raise ValueError(f"parts not weakly decreasing: {parts!r}")
-    return p
+    return p[:len(p) - p.count(0)]
 
 
 def size(mp: MultiPartition) -> int:

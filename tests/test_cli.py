@@ -60,6 +60,15 @@ class TestParsers:
         # the empty word is a word, of length 0
         assert parse_residues("", CartanType.C) == ()
 
+    def test_zero_parts(self):
+        # trailing zeros are dropped; a zero is never dropped from inside
+        assert parse_partition("2,1,0") == (2, 1)
+        assert parse_partition("0") == ()
+        assert parse_shape("0,0/1,0") == ((), (1,))
+        for text in ("1,0,1", "0,1,1", "2,0,0,1"):
+            with pytest.raises(ValueError, match="parts not weakly decreasing"):
+                parse_partition(text)
+
 
 class TestGdim:
     def test_weight_space_exact_output(self, capsys):
@@ -391,9 +400,45 @@ TABLEAUX = ("tableaux", "--type", "a", "--charge", "0,0", "--shape", "3,2/1",
 KLESHCHEV_LIST = ("kleshchev", "--type", "a", "--charge", "0,1", "--n", "5", "--list")
 
 
+# the single answers: (argv, digests of the json, csv and pretty bytes)
+SINGLE_ANSWERS = [
+    (("gdim", "--type", "a", "--charge", "0,1", "--shape", "3,1/2,1"),
+     "c8945ebe7ebad744c8263c83aaeee51da0fdebda4fa9696ad627a1e5702a38af",
+     "709bc9b8c1652b0848e44fe1afbe97c8b7b5dab279faaa3fa38c869c0a60055a",
+     "8cce3635b0d5cc24b518736decf1e26f415fce2e8126fae1f5818170d548f29a"),
+    (("gdim", "--type", "c", "--charge", "1", "--shape", "3,2,2,1",
+      "--weight", "1,2,3,0,1,1,0,2"),
+     "2c7b6b42ddea3ee69d26f34419d205d55be83aff5e5eea86eb5822bf2c2ca792",
+     "e681fa083a716c69f629d1f0ad68a00847ce8d9602b7b9169a1f1f8c549793fb",
+     "dec266e45547896f766caa51ec71abab2f0ad0d1bfe05857276f136ecfccd66a"),
+    (("gdim", "--charge", "0", "--shape", "2", "--weight", "0,0"),  # an empty space
+     "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+     "2e306590365345fd6815fac30d22725a7a182335aa009a7c69cc24dc10ac24f2",
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (("bridge", "--kappa-c", "1", "--shape", "4,3,2,1"),
+     "1089c392fbe39d4e5b408ec444693e27e1a846682aa1f6e8031630c371a7d435",
+     "6f3197b77bc866a0cf569d68d1a7ffc2a876fa94bf3f033e5336d938601f364e",
+     "0179441cc959caa76204e1eb5a81c068346fdda827aaacf361f9a198c4971975"),
+    (("block", "--type", "a", "--charge", "0,2", "--beta", '{"0":2,"1":2,"2":1,"-1":1}'),
+     "267955b637b6efda9e6036a8f59000e0a2f4373f97da90b50a72e5922409100b",
+     "d2b493f35cf736da045e443620ab6947d1d33f9b2aec696871b1aaca11f34c5d",
+     "f09608ea9d54d64d5bf5848c19c0822da83500b03c7126afdd04c12822cb3b7a"),
+    (("block", "--type", "c", "--charge", "1", "--n", "4"),
+     "716b2131ecc3dce9924ef8a253964a9c35adf7d7097016b3948c6615c50e4915",
+     "6ca44336a5f7fb5da0dd92490c3bbf0825d21c96b8171dbbd08615ea492519e1",
+     "c4248b52bf2a401c130744ff60fdba71ebcad036acec4d0f0757b78659e5017e"),
+    (("kleshchev", "--type", "a", "--charge", "0,1", "--shape", "2,1/1"),
+     "d53a21e85357c70e6f2def0f70969847abc323be64e082d5580ca01c2d7ba8df",
+     "d9c89b15e64f1fa74ff0a0bc61bcf07cebe5509d571cec6b7e6b5369e9df0102",
+     "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+]
+
+
 class TestListsStream:
     # tableaux and kleshchev --n write each record as it is made, with the
-    # bytes they had when every record was collected in a list first
+    # bytes they had when every record was collected in a list first; the
+    # single answers, encoded whole, keep the bytes they had when each
+    # record was encoded on its own
 
     @pytest.mark.parametrize("argv, fmt, digest", [
         (TABLEAUX, "json", "9ea8445e8331c0a30dd85a67fdf43b2fc115e5785f87e7d09a8e2cb2b470d101"),
@@ -405,7 +450,8 @@ class TestListsStream:
          "711ea40d2c915554cb2a7c6c3057c1e4c6c040c5527571244651fadd981be676"),
         (KLESHCHEV_LIST, "pretty",
          "74c113bc252c21157e33deba22aa24afe89e938c2d5ff336c6c3a13a418b54be"),
-    ])
+    ] + [(argv, fmt, digest) for argv, *digests in SINGLE_ANSWERS
+         for fmt, digest in zip(FORMATS, digests)])
     def test_bytes_pinned(self, capsys, argv, fmt, digest):
         code, out = run(capsys, "--format", fmt, *argv)
         assert code == 0
@@ -444,6 +490,39 @@ class TestListsStream:
             assert main(["--format", fmt, *argv]) == 0
         assert written[0] == 0 and written[-1] > 0
         assert len(written) == len(multipartitions_of(5, 2))
+
+
+def emitted(records, fmt, columns=()):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli.emit(records, fmt, columns)
+    return out.getvalue()
+
+
+CELLS = st.recursive(st.one_of(st.integers(), st.text(max_size=4), st.booleans()),
+                     lambda cells: st.lists(cells, max_size=3), max_leaves=6)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_one_encode_is_the_stream(data):
+    # a whole answer is encoded in one call and a streamed one row by row:
+    # the same rows give the same bytes either way, no row included
+    keys = data.draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=3,
+                              unique=True))
+    rows = data.draw(st.lists(st.fixed_dictionaries(dict.fromkeys(keys, CELLS)),
+                              max_size=4))
+    for fmt in FORMATS:
+        assert emitted(rows, fmt, keys) == emitted((r for r in rows), fmt, keys)
+    # rows that are lists, as gdim writes them in json and pretty
+    pairs = data.draw(st.lists(st.lists(CELLS, max_size=3), max_size=4))
+    for fmt in ("json", "pretty"):
+        assert emitted(pairs, fmt) == emitted((r for r in pairs), fmt)
+    # a dict is one row, written in json as the object itself
+    row = data.draw(st.fixed_dictionaries(dict.fromkeys(keys, CELLS)))
+    assert emitted(row, "json") == json.dumps(row, separators=(",", ":")) + "\n"
+    for fmt in ("csv", "pretty"):
+        assert emitted(row, fmt, keys) == emitted((r for r in [row]), fmt, keys)
 
 
 def fails_cleanly(capsys, *argv):
@@ -725,6 +804,15 @@ class TestErrors:
         common = ("--type", "a", "--charge", "0")
         for command in ("kleshchev", "gdim"):
             assert fails_cleanly(capsys, command, *common, "--shape", column)
+
+    def test_positive_part_after_zero_exits_2(self, capsys):
+        # (1,0,1) is not the shape (1,1): the zero is refused, not dropped
+        for argv, parts in ((("gdim", "--type=a", "--charge=0", "--shape=1,0,1"), "1, 0, 1"),
+                            (("kleshchev", "--type=c", "--charge=0", "--shape=0,1,1"),
+                             "0, 1, 1")):
+            assert main(list(argv)) == 2
+            assert capsys.readouterr() == (
+                "", f"error: parts not weakly decreasing: ({parts})\n")
 
     def test_repeated_label_exits_2(self, capsys):
         # json.loads alone would answer the block of {"0":1,"1":1}

@@ -210,3 +210,86 @@ def test_verify_bridges_json_is_the_dump_of_all_reports(monkeypatch, kappa_c, ma
     with redirect_stdout(out):
         assert load_script("verify_bridges").main() == 0
     assert out.getvalue() == json.dumps(reports, indent=2) + "\n"
+
+
+# bench_pairs.py against two checkouts whose bench/run.py prints canned
+# lines: each stub logs its checkout and argv, prints a line of progress,
+# then the result pinned for its seed
+STUB_RUN = """\
+import json, sys
+from pathlib import Path
+root = Path.cwd()
+with open(root.parent / "log", "a") as f:
+    f.write(root.name + " " + " ".join(sys.argv[1:]) + "\\n")
+seed = sys.argv[sys.argv.index("--seed") + 1]
+print("progress")
+print(json.dumps(json.loads((root / "canned.json").read_text())[seed]))
+"""
+STUB_BENCHMARK = {"run_seconds": 3, "end_to_end": [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.15},
+    {"name": "ok_ratio", "unit": "ratio", "better": "higher", "bound": 0.0005},
+]}
+
+
+def stub_result(wall_s, correct=True, failed=0):
+    return {"correct": correct, "attempted": 10, "failed": failed, "metrics": {
+        "wall_s": {"value": wall_s, "unit": "s"},
+        "ok_ratio": {"value": (10 - failed) / 10, "unit": "ratio"}}}
+
+
+def stub_checkouts(tmp_path, parent, change):
+    """Two stub checkouts answering seeds 5, 6, ... with the given results."""
+    for name, results in (("parent", parent), ("change", change)):
+        root = tmp_path / name
+        (root / "bench").mkdir(parents=True)
+        (root / "bench" / "run.py").write_text(STUB_RUN)
+        (root / "BENCHMARK.json").write_text(json.dumps(STUB_BENCHMARK))
+        canned = {str(seed): r for seed, r in enumerate(results, 5)}
+        (root / "canned.json").write_text(json.dumps(canned))
+    out = tmp_path / "out"
+    out.mkdir()
+    return out
+
+
+def bench_pairs(tmp_path, pairs, *extra):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_pairs.py"), "--parent",
+         str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+         "--workload", "queries", "--pairs", str(pairs), "--first-seed", "5", *extra],
+        cwd=tmp_path / "out", capture_output=True, text=True, timeout=120)
+
+
+def test_bench_pairs_alternates_and_summarises(tmp_path):
+    parent = [stub_result(w) for w in (1.0, 1.2, 1.1, 1.3)]
+    change = [stub_result(w) for w in (0.9, 1.3, 1.0, 1.0)]
+    out = stub_checkouts(tmp_path, parent, change)
+    proc = bench_pairs(tmp_path, 4, "--label", "t")
+    assert proc.returncode == 0, proc.stderr
+    # the parent runs first on odd pairs; --seconds defaults to run_seconds
+    runs = (tmp_path / "log").read_text().splitlines()
+    order = ["parent", "change", "change", "parent"] * 2
+    assert [r.split()[0] for r in runs] == order
+    seeds = [5, 5, 6, 6, 7, 7, 8, 8]
+    assert [r.split(" ", 1)[1] for r in runs] == [
+        f"--workload queries --seed {s} --seconds 3 --trace 0" for s in seeds]
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "queries: 4 pairs, seeds 5-8, 3 s per run"
+    # medians 1.15 and 1.0, quartiles of the parent 1.025 and 1.275, 3 wins
+    # of 4; on ok_ratio all 4 pairs tie
+    assert lines[2].split() == ["wall_s", "s", "1.15", "1.025", "1.275", "1",
+                                "-13.0%", "3/4"]
+    assert lines[3].split() == ["ok_ratio", "ratio", "1", "1", "1", "1", "+0.0%", "0/4"]
+    for side, results in (("parent", parent), ("change", change)):
+        written = (out / f"BENCH_t_{side}.json").read_text()
+        assert written == json.dumps(results[-1]) + "\n"
+
+
+@pytest.mark.parametrize("bad", [stub_result(1.0, correct=False),
+                                 stub_result(1.0, failed=1)])
+def test_bench_pairs_refuses_a_bad_run(tmp_path, bad):
+    out = stub_checkouts(tmp_path, [stub_result(1.0)] * 3,
+                         [stub_result(1.0), bad, stub_result(1.0)])
+    proc = bench_pairs(tmp_path, 3, "--label", "t")
+    assert proc.returncode == 1
+    assert "refused" in proc.stderr and "seed 6" in proc.stderr
+    assert list(out.iterdir()) == []
