@@ -456,7 +456,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the reader closed stdout early; what is still buffered goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

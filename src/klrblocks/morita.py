@@ -17,9 +17,9 @@ height by content, and its bridges carry the group as c_shapes.  A bridge
 made by bridge() alone (a single block, or a test) has none, and the
 checks list the block with enumerate_block (c_block), the Maya-set walk
 that also lists the type-A side (a_block); a check of one named block
-(one_block_bridge, for klrblocks verify --beta and
-scripts/verify_bridges.py --beta) lists it so before the checks and passes
-the list on in c_shapes.  Both give the shapes in the order of partitions_of."""
+(one_block_bridge, for klrblocks verify --beta) lists it so before the
+checks and passes the list on in c_shapes.  Both give the shapes in the
+order of partitions_of."""
 
 from __future__ import annotations
 

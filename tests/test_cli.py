@@ -788,7 +788,7 @@ class TestErrors:
         assert fails_cleanly(capsys, "verify", "--kappa-c", "0", "--max-n", "-1")
         # bad input is refused even when the sweep holds no bridge
         assert fails_cleanly(capsys, "verify", "--kappa-c", "-1", "--max-n", "0")
-        for checks in ("bogus", ""):
+        for checks in ("bogus", "count,bogus", ""):
             assert fails_cleanly(capsys, "verify", "--kappa-c", "0", "--max-n", "0",
                                  "--checks", checks)
         # there are no bridges of height at most 0, which is not an error

@@ -11,6 +11,7 @@ from klrblocks.morita import (
     c_block,
     from_type_c,
     iter_bridges,
+    one_block_bridge,
     to_type_c,
     verify_bridge,
 )
@@ -234,6 +235,18 @@ class TestIterBridges:
         # after it has written something
         with pytest.raises(ValueError, match="must be non-negative"):
             iter_bridges(kappa_c, max_n)
+
+
+@pytest.mark.parametrize("kappa_c", [0, 1])
+def test_one_block_bridge_is_the_sweeps(kappa_c):
+    # the one block that klrblocks verify --beta checks is the sweep's
+    # bridge, shapes and all
+    for b in iter_bridges(kappa_c, 9):
+        assert one_block_bridge(kappa_c, b.beta) == b
+    # rho's content and one node of residue 9: a bridge, but no partition
+    empty = RootVector({0: 1, 9: 1} if kappa_c == 0 else {0: 1, 1: 1, 9: 1})
+    with pytest.raises(BridgeError, match=f"charge {kappa_c} has content"):
+        one_block_bridge(kappa_c, empty)
 
 
 class TestVerifyBridge:

@@ -1,48 +1,54 @@
 import importlib.util
-import io
 import json
 import os
 import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
 from math import comb
 from pathlib import Path
 
 import pytest
 
 from klrblocks import crystal, graded
-from klrblocks.cartan import RootVector
-from klrblocks.cli import main
-from klrblocks.morita import (ALL_CHECKS, BridgeError, iter_bridges, one_block_bridge,
-                              verify_bridge)
+from klrblocks.morita import ALL_CHECKS
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+NO_PYTHONPATH = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
 
 
 @pytest.mark.parametrize("script,args,first_line", [
-    ("verify_bridges.py", ["--max-n", "4"],
-     'kappa_c=0 a0=1 beta={"0": 1}  count=ok  graded=ok  dominance=ok  '
-     "kleshchev=ok  goodpath=ok"),
     ("rectangle_table.py", ["--max-kappa", "1", "--max-a0", "4"],
      "kappa_c=0 a0=1 dim=   1  gdim=1"),
 ])
 def test_runs_without_pythonpath(tmp_path, script, args, first_line):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
-                          cwd=tmp_path, env=env, capture_output=True,
+                          cwd=tmp_path, env=NO_PYTHONPATH, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == first_line
 
 
-def test_broken_pipe_exits_1_quietly(tmp_path):
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_every_script_is_documented_and_runs_from_anywhere(tmp_path, script):
+    assert f"scripts/{script}" in (ROOT / "README.md").read_text()
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"],
+                          cwd=tmp_path, env=NO_PYTHONPATH, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("script,args", [
+    ("rectangle_table.py", []),
+    ("maximal_blocks.py", ["--max-a0", "2"]),
+])
+def test_broken_pipe_exits_1_quietly(tmp_path, script, args):
     # stdout is a pipe whose read end is already closed
     r, w = os.pipe()
     os.close(r)
     try:
         proc = subprocess.run(
-            [sys.executable, str(SCRIPTS / "verify_bridges.py"), "--max-n", "4"],
+            [sys.executable, str(SCRIPTS / script), *args],
             cwd=tmp_path, stdout=w, stderr=subprocess.PIPE, text=True, timeout=120)
     finally:
         os.close(w)
@@ -50,19 +56,8 @@ def test_broken_pipe_exits_1_quietly(tmp_path):
 
 
 @pytest.mark.parametrize("script,args", [
-    ("verify_bridges.py", ["--checks", "bogus"]),
-    ("verify_bridges.py", ["--checks", "count,bogus"]),
-    ("verify_bridges.py", ["--max-n", "-1"]),
-    ("verify_bridges.py", ["--kappa-c", "0", "-1"]),
     ("rectangle_table.py", ["--max-kappa", "-1"]),
     ("rectangle_table.py", ["--max-a0", "0"]),
-    ("verify_bridges.py", ["--max-n", "0", "--checks", "bogus"]),
-    ("verify_bridges.py", ["--beta", '{"0":1}']),
-    ("verify_bridges.py", ["--kappa-c", "0", "1", "--beta", '{"0":1}']),
-    ("verify_bridges.py", ["--kappa-c", "0", "--max-n", "3", "--beta", '{"0":1}']),
-    ("verify_bridges.py", ["--kappa-c", "0", "--beta", "{"]),
-    ("verify_bridges.py", ["--kappa-c", "0", "--beta", '{"-1":1,"0":1}']),
-    ("verify_bridges.py", ["--kappa-c", "0", "0", "--max-n", "2"]),
     ("maximal_blocks.py", ["--max-a0", "0"]),
     ("maximal_blocks.py", ["--max-a0", "1", "--kappa-c", "-1"]),
 ])
@@ -75,59 +70,10 @@ def test_bad_input_exits_2(tmp_path, script, args):
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def verify_bridges(tmp_path, *args):
-    return subprocess.run([sys.executable, str(SCRIPTS / "verify_bridges.py"), *args],
-                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
-
-
-BETA = '{"0": 2, "1": 2, "2": 1}'
-
-
-def test_beta_row_is_the_sweeps(tmp_path):
-    sweep = verify_bridges(tmp_path, "--kappa-c", "0", "--max-n", "5").stdout
-    one = verify_bridges(tmp_path, "--kappa-c", "0", "--beta", BETA)
-    assert one.returncode == 0, one.stderr
-    rows = [line for line in sweep.splitlines() if f" beta={BETA} " in line]
-    assert one.stdout.splitlines() == rows + ["1 bridges, 0 failing"]
-    assert len(rows) == 1
-
-
-def test_beta_json_report_is_the_sweeps(tmp_path):
-    sweep = json.loads(verify_bridges(tmp_path, "--kappa-c", "0", "--max-n", "5",
-                                      "--json").stdout)
-    one = json.loads(verify_bridges(tmp_path, "--kappa-c", "0", "--beta", BETA,
-                                    "--json").stdout)
-    assert one == [r for r in sweep if r["bridge"]["beta"] == json.loads(BETA)]
-    assert len(one) == 1
-
-
-def test_beta_errors_are_the_clis(tmp_path, capsys):
-    # no zero node, and a bridge whose type-C block is empty
-    for beta in ('{"1":2}', '{"0":1,"5":1}'):
-        proc = verify_bridges(tmp_path, "--kappa-c", "0", "--beta", beta)
-        code = main(["verify", "--kappa-c", "0", "--beta", beta])
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and code == 2
-        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
-
-
-@pytest.mark.parametrize("kappa_c", [0, 1])
-def test_one_block_bridge_is_the_sweeps(kappa_c):
-    # the one block that both --beta entry points check is the sweep's
-    # bridge, shapes and all
-    for b in iter_bridges(kappa_c, 9):
-        assert one_block_bridge(kappa_c, b.beta) == b
-    # rho's content and one node of residue 9: a bridge, but no partition
-    empty = RootVector({0: 1, 9: 1} if kappa_c == 0 else {0: 1, 1: 1, 9: 1})
-    with pytest.raises(BridgeError, match=f"charge {kappa_c} has content"):
-        one_block_bridge(kappa_c, empty)
-
-
 def test_maximal_blocks_lines(tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, str(SCRIPTS / "maximal_blocks.py"),
                            "--max-a0", "3"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          cwd=tmp_path, env=NO_PYTHONPATH, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -180,36 +126,6 @@ def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
     assert calls == [(a0, (check,), [0] * 5)
                      for a0 in (1, 2) for check in ALL_CHECKS]
-
-
-@pytest.mark.parametrize("extra", [[], ["--json"]])
-def test_verify_bridges_writes_each_row_before_the_next_report(monkeypatch, extra):
-    script = load_script("verify_bridges")
-    out, written = io.StringIO(), []
-
-    def recording(b, checks):
-        written.append(len(out.getvalue()))
-        return verify_bridge(b, checks)
-
-    monkeypatch.setattr(script, "verify_bridge", recording)
-    monkeypatch.setattr(sys, "argv", ["verify_bridges.py", "--kappa-c", "0", "1",
-                                      "--max-n", "6", *extra])
-    with redirect_stdout(out):
-        assert script.main() == 0
-    # the first report is made before anything is written
-    assert written[0] == 0 and len(written) > 3
-    assert all(a < b for a, b in zip(written, written[1:]))
-
-
-@pytest.mark.parametrize("kappa_c, max_n", [((0, 1), 6), ((0,), 0)])
-def test_verify_bridges_json_is_the_dump_of_all_reports(monkeypatch, kappa_c, max_n):
-    reports = [verify_bridge(b) for k in kappa_c for b in iter_bridges(k, max_n)]
-    monkeypatch.setattr(sys, "argv", ["verify_bridges.py", "--kappa-c",
-                                      *map(str, kappa_c), "--max-n", str(max_n), "--json"])
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert load_script("verify_bridges").main() == 0
-    assert out.getvalue() == json.dumps(reports, indent=2) + "\n"
 
 
 # bench_pairs.py against two checkouts whose bench/run.py prints canned
