@@ -3,19 +3,19 @@
 Partitions are written as comma-separated parts ("2,2"), bipartitions as
 two groups joined by "/" with "-" for an empty component ("3,2,1/-"),
 charges as comma-separated integers.  Output is deterministic for a fixed
-request; --format json|csv|pretty encode the same data.  parse_args reads
-a command line from the COMMANDS table, in one pass and as argparse would.
+request; --format json|csv|pretty encode the same data.  The COMMANDS
+table defines the command line: parse_args reads exact option spellings in
+one pass, and argparse, built from the same table, reads everything else.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from itertools import chain
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, NamedTuple, NoReturn, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .cartan import CartanType, RootVector
 from .crystal import is_kleshchev
@@ -308,84 +308,58 @@ _START = {command: {"command": command, "func": cmd.func,
           for command, cmd in COMMANDS.items()}
 
 
-def _metavar(name: str, option: Option) -> str:
-    return name if option.convert is None else f"{name} {name[2:].upper()}"
+def build_parser():
+    """The argparse parser of the COMMANDS table, which reads every command
+    line that the one pass of parse_args does not."""
+    import argparse  # only here: the exact spellings never need it
+    from functools import partial
+
+    def typed(convert):
+        def read(text):
+            try:
+                return convert(text)
+            except ValueError as exc:  # its text is the message
+                raise argparse.ArgumentTypeError(exc) from None
+        return read
+
+    def add(parser, options, groups=()):
+        exclusive = {g: parser.add_mutually_exclusive_group(required=True)
+                     for g in groups if len(g) > 1}
+        for name, option in options.items():
+            group = next((g for g in groups if name in g), ())
+            kwargs = (dict(action="store_true") if option.convert is None else
+                      dict(type=typed(option.convert), default=option.default,
+                           required=len(group) == 1, metavar=name[2:].upper()))
+            exclusive.get(group, parser).add_argument(name, help=option.help, **kwargs)
+
+    # so wide that no usage line wraps, and no output depends on COLUMNS
+    formatter = partial(argparse.HelpFormatter, width=1000)
+    parser = argparse.ArgumentParser(prog="klrblocks", description=DESCRIPTION,
+                                     formatter_class=formatter)
+    add(parser, FORMAT)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, cmd in COMMANDS.items():
+        sub = commands.add_parser(command, help=cmd.help, description=cmd.help,
+                                  formatter_class=formatter)
+        add(sub, cmd.options, cmd.groups)
+        sub.set_defaults(func=cmd.func)
+    return parser
 
 
-def _usage(command: Optional[str]) -> str:
-    """The usage line: an optional option in brackets, a required one bare,
-    and a group of which one is required in parentheses."""
-    if command is None:
-        return ("usage: klrblocks [-h] [--format FORMAT] "
-                f"{{{','.join(COMMANDS)}}} ...")
-    _, _, options, groups = COMMANDS[command]
-    words = [f"usage: klrblocks {command} [-h]"]
-    for name, option in options.items():
-        group = next((g for g in groups if name in g), None)
-        if group is None:
-            words.append(f"[{_metavar(name, option)}]")
-        elif name == group[0]:
-            alts = " | ".join(_metavar(n, options[n]) for n in group)
-            words.append(f"({alts})" if len(group) > 1 else alts)
-    return " ".join(words)
-
-
-def _help(command: Optional[str]) -> str:
-    if command is None:
-        lines = [DESCRIPTION, "", "commands:"]
-        lines += [f"  {name:<10} {cmd.help}" for name, cmd in COMMANDS.items()]
-        options = FORMAT
-    else:
-        lines = [COMMANDS[command].help]
-        options = COMMANDS[command].options
-    lines += ["", "options:", f"  {'-h, --help':<20} show this help and exit"]
-    lines += [f"  {_metavar(name, option):<20} {option.help}".rstrip()
-              for name, option in options.items()]
-    return _usage(command) + "\n\n" + "\n".join(lines) + "\n"
-
-
-def _fail(command: Optional[str], message: str) -> NoReturn:
-    prog = f"klrblocks {command}" if command else "klrblocks"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _read(arg: str, options: Dict[str, Option], command: Optional[str]):
-    """How an argument is read, as argparse reads it: None for a value,
-    else (the option it names, or None for an unknown option, and the value
-    after its "=", or None).  A long option may be abbreviated to a unique
-    prefix; "-", a negative number and a word with a space are values."""
-    if arg[:1] != "-" or arg == "-":
-        return None
-    name, eq, value = arg.partition("=")
-    if name in options or name in ("-h", "--help"):
-        return name, value if eq else None
-    if arg[1] != "-":
-        if arg[1] == "h":  # -h with a value joined to it
-            return "-h", arg[2:]
-    elif arg != "--":
-        matches = [n for n in (*options, "--help") if n.startswith(name)]
-        if len(matches) > 1:
-            _fail(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], value if eq else None
-    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
-        return None
-    return None, None
-
-
-def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+def parse_args(argv: Sequence[str]):
     """The namespace of a command line: format, command, func and each of
     the command's options, given or default, named with "_" for "-".
 
-    One pass reads the arguments, each with one lookup in the table when it
-    is an option's exact name, alone or with "=value": "--format" before
-    the command, then the command's options.  A usage error writes the
-    usage line and the error to stderr and exits 2; -h or --help writes
-    the help to stdout and exits 0."""
+    One pass reads a command line that spells every option exactly, with
+    one lookup in the table per option: "--format" before the command
+    word, then the command's options, each as "--opt=value", as "--opt
+    value" with a value that does not start with "-", or a flag alone,
+    and exactly one option of each group.  Any other command line, or a
+    value its converter refuses, goes to build_parser's argparse parser,
+    whose namespace, usage error (exit 2) or help (exit 0) is the answer."""
     command, options = None, FORMAT
     values: Dict[str, Any] = {"format": "json"}
-    given, unknown = set(), []
+    given = set()
     i = 0
     while i < len(argv):
         arg = argv[i]
@@ -393,57 +367,40 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
         name, eq, value = arg.partition("=")
         option = options.get(name)
         if option is None:
-            read = _read(arg, options, command)
-            if read is None and command is None:
-                if arg not in COMMANDS:
-                    _fail(None, f"argument command: invalid choice: {arg!r} "
-                                f"(choose from {', '.join(COMMANDS)})")
-                command, options = arg, COMMANDS[arg].options
-                values.update(_START[arg])
-                continue
-            if arg == "--":
-                _fail(command, "unrecognized arguments: --")
-            if read is None or read[0] is None:
-                unknown.append(arg)
-                continue
-            name, value = read
-            eq = value is not None
-            if name in ("-h", "--help"):
-                if eq:
-                    _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
-                sys.stdout.write(_help(command))
-                raise SystemExit(0)
-            option = options[name]
+            if command is not None or arg not in COMMANDS:
+                break
+            command, options = arg, COMMANDS[arg].options
+            values.update(_START[arg])
+            continue
         if option.convert is None:
             if eq:
-                _fail(command, f"argument {name}: ignored explicit argument {value!r}")
+                break
             value = True
         else:
             if not eq:
-                if i == len(argv) or (argv[i][:1] == "-" and
-                                      _read(argv[i], options, command) is not None):
-                    _fail(command, f"argument {name}: expected one argument")
+                if i == len(argv) or argv[i][:1] == "-":
+                    break
                 value = argv[i]
                 i += 1
             try:
                 value = option.convert(value)
-            except ValueError as exc:
-                _fail(command, f"argument {name}: {exc}")
+            except ValueError:
+                break
         values[_DEST[name]] = value
         given.add(name)
-    if command is None:
-        _fail(None, "the following arguments are required: command")
-    for group in COMMANDS[command].groups:
-        named = [n for n in group if n in given]
-        if len(named) > 1:
-            _fail(command, f"argument {named[1]}: not allowed with argument {named[0]}")
-        if not named:
-            _fail(command, f"the following arguments are required: {group[0]}"
-                  if len(group) == 1 else
-                  f"one of the arguments {' '.join(group)} is required")
-    if unknown:
-        _fail(command, f"unrecognized arguments: {' '.join(unknown)}")
-    return SimpleNamespace(**values)
+    else:  # every argument was read
+        if command is not None and all(sum(n in given for n in group) == 1
+                                       for group in COMMANDS[command].groups):
+            return SimpleNamespace(**values)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name, option in chain(FORMAT.items(), COMMANDS[args.command].options.items()):
+        if getattr(args, _DEST[name]) == []:  # "--opt=--" before Python 3.12
+            try:
+                setattr(args, _DEST[name], option.convert("--"))
+            except ValueError as exc:
+                parser.error(f"argument {name}: {exc}")
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

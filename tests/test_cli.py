@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -577,17 +578,68 @@ def test_startup_imports():
     assert out == "[]\n"
 
 
+def run_cli(argv, **env):
+    """The finished process of `python -m klrblocks.cli argv` with env added."""
+    return subprocess.run([sys.executable, "-m", "klrblocks.cli", *argv],
+                          env={**interpreter_env(), **env}, capture_output=True,
+                          text=True, timeout=120)
+
+
 @pytest.mark.parametrize("argv, usage", [
-    (["-h"], "usage: klrblocks [-h] [--format FORMAT] {block,"),
-    (["block", "-h"], "usage: klrblocks block [-h] [--type TYPE] --charge CHARGE"),
-    (["verify", "--help"], "usage: klrblocks verify [-h] --kappa-c KAPPA-C"),
+    (["-h"], "usage: klrblocks [-h] [--format FORMAT] "
+             "{block,tableaux,kleshchev,gdim,bridge,verify} ..."),
+    (["block", "-h"], "usage: klrblocks block [-h] [--type TYPE] --charge CHARGE "
+                      "(--n N | --beta BETA)"),
+    (["verify", "--help"], "usage: klrblocks verify [-h] --kappa-c KAPPA-C "
+                           "(--max-n MAX-N | --beta BETA) [--checks CHECKS]"),
+    (["tableaux", "-h"], "usage: klrblocks tableaux [-h] [--type TYPE] --charge CHARGE "
+                         "--shape SHAPE [--residues RESIDUES] [--with-degrees]"),
+    (["kleshchev", "-h"], "usage: klrblocks kleshchev [-h] [--type TYPE] "
+                          "--charge CHARGE (--shape SHAPE | --n N) [--list]"),
+    (["gdim", "-h"], "usage: klrblocks gdim [-h] [--type TYPE] --charge CHARGE "
+                     "--shape SHAPE [--weight WEIGHT]"),
+    (["bridge", "-h"], "usage: klrblocks bridge [-h] --kappa-c KAPPA-C --shape SHAPE"),
 ])
 def test_help_exits_0(argv, usage):
-    proc = subprocess.run([sys.executable, "-m", "klrblocks.cli", *argv],
-                          env=interpreter_env(), capture_output=True, text=True,
-                          timeout=120)
+    proc = run_cli(argv)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.startswith(usage)
+    assert proc.stdout.splitlines()[0] == usage
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"]])
+def test_help_does_not_depend_on_the_terminal_width(argv):
+    narrow, wide = run_cli(argv, COLUMNS="30"), run_cli(argv, COLUMNS="300")
+    assert narrow.returncode == wide.returncode == 0
+    assert narrow.stdout == wide.stdout
+
+
+def test_exact_spellings_never_reach_argparse():
+    # one argv per command, in the "=" and the space form, in each format:
+    # all are read by the one pass, so argparse is never imported
+    commands = [
+        ["block", "--charge", "0", "--beta", '{"0":1,"1":1}'],
+        ["block", "--type", "a", "--charge", "0,1", "--n", "2"],
+        ["tableaux", "--charge", "0", "--shape", "2,1", "--residues", "0,1,2",
+         "--with-degrees"],
+        ["kleshchev", "--charge", "0", "--n", "2", "--list"],
+        ["kleshchev", "--type", "a", "--charge", "0,1", "--shape", "1/1"],
+        ["gdim", "--charge", "0", "--shape", "2,1", "--weight", "0,1,2"],
+        ["bridge", "--kappa-c", "0", "--shape", "2,1"],
+        ["verify", "--kappa-c", "0", "--max-n", "2", "--checks", "count,graded"],
+    ]
+
+    spaced = [["--format", fmt, *argv] for argv in commands
+              for fmt in ("json", "csv", "pretty")]
+    # the same with "--opt=value" for each "--opt value"; no value has a space
+    joined = [re.sub(r"(--\S+) (?!-)", r"\1=", " ".join(argv)).split(" ")
+              for argv in spaced]
+    argvs = spaced + joined
+    out = fresh_interpreter(
+        "import io, sys; from contextlib import redirect_stdout; "
+        "from klrblocks.cli import main\n"
+        f"with redirect_stdout(io.StringIO()): codes = [main(a) for a in {argvs!r}]\n"
+        "print(set(codes), 'argparse' in sys.modules)")
+    assert out == "{0} False\n"
 
 
 class TestSharedParser:
@@ -644,14 +696,19 @@ def assert_parsed_as_by_argparse(argv):
     got = parsed(parse_args, argv)
     if isinstance(expected, dict) and any(isinstance(v, list) for v in expected.values()):
         # argparse before Python 3.12 reads the value of "--opt=--" as an
-        # empty list; the value "--" is a string here, and no command takes it
-        assert isinstance(got, dict) and run_captured(argv)[0] == 2
+        # empty list; the value "--" is a string here, which --format refuses
+        # at once and no command takes
+        assert got == 2 if expected["format"] == [] else isinstance(got, dict)
+        assert run_captured(argv)[0] == 2
         return
     assert got == expected
 
 
 BLOCK = ["block", "--charge", "0"]
 GDIM = ["gdim", "--charge", "0", "--shape", "2"]
+DASHES = [["--format=--", "gdim", "--charge=0", "--shape=1"],
+          ["gdim", "--charge=0", "--sh=--"],
+          ["tableaux", "--charge=0", "--shape=1", "--with=--"]]
 
 
 @pytest.mark.parametrize("argv", [
@@ -714,6 +771,8 @@ GDIM = ["gdim", "--charge", "0", "--shape", "2"]
     BLOCK + ["--bogus", "--h"],
     ["verify", "--help=x"],
     GDIM + ["-hx"],
+    # "--opt=--": argparse before Python 3.12 reads the value as []
+    *DASHES,
 ])
 def test_parse_args_is_argparse(argv):
     assert_parsed_as_by_argparse(argv)
@@ -919,6 +978,9 @@ def run_captured(argv):
 @settings(deadline=None, max_examples=300)
 @given(argvs())
 @example(["gdim", "--charge=0", "--shape=--"])  # a value that is the "--" marker
+@example(DASHES[0])
+@example(DASHES[1])
+@example(DASHES[2])
 def test_argv_fuzz_exits_cleanly(argv):
     code, _, err = run_captured(argv)
     assert code in (0, 1, 2)
