@@ -31,7 +31,6 @@ from .partitions import (
     enumerate_block,
     multipartitions_of,
     partitions_of,
-    rect_split,
     residue,
 )
 from .tableaux import (

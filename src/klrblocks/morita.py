@@ -38,7 +38,6 @@ from .partitions import (
     dominance_sums,
     enumerate_block,
     partitions_of,
-    rect_split,
 )
 
 Bipartition = Tuple[Partition, Partition]
@@ -91,6 +90,9 @@ def bridge(kappa_c: int, beta: RootVector) -> BlockBridge:
     a0 = beta[0]
     if a0 == 0:
         raise BridgeError("no zero nodes: bridge undefined")
+    # checked before rho, of a0 (kappa_c + a0) nodes, is built
+    if a0 * (kappa_c + a0) > beta.height:
+        raise BridgeError("rectangle content is not contained in beta")
     rho = (a0,) * (kappa_c + a0)
     omega = content(CartanType.C, (kappa_c,), (rho,))
     if not omega <= beta:
@@ -128,10 +130,15 @@ def to_type_c(bp: Bipartition, b: BlockBridge) -> Partition:
 
 
 def from_type_c(nu: Partition, b: BlockBridge) -> Bipartition:
-    """Inverse of to_type_c."""
+    """Inverse of to_type_c: lambda is nu beyond a0 in the rows of rho (a
+    rectangle by construction), mu the conjugate of nu below them.  A block
+    member needs no other check: its content-0 nodes are (kappa_c + j, j)
+    for j = 1..a0, so it holds (kappa_c + a0, a0) and with it rho, but not
+    (kappa_c + a0 + 1, a0 + 1), so no row below rho is wider than a0."""
     if content(CartanType.C, b.c_charge, (nu,)) != b.beta:
         raise BridgeError(f"{nu} is not in the type-C block")
-    return rect_split(nu, b.rho)
+    a, h = b.a0, len(b.rho)
+    return tuple([p - a for p in nu[:h] if p > a]), conjugate(nu[h:])
 
 
 def one_block_bridge(kappa_c: int, beta: RootVector) -> BlockBridge:

@@ -7,7 +7,6 @@ A node is a triple (row, col, comp), all 1-based.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, chain, combinations, count
 from operator import sub
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -190,27 +189,6 @@ def conjugate(p: Partition) -> Partition:
     return tuple(out)
 
 
-def is_rectangle(p: Partition) -> bool:
-    return len(set(p)) <= 1
-
-
-def rect_split(nu: Partition, rho: Partition) -> Tuple[Partition, Partition]:
-    """Inverse of the bridge image nu = rho + (lam, mu'): recover (lam, mu)."""
-    if not is_rectangle(rho):
-        raise ValueError(f"{rho} is not a rectangle")
-    b = len(rho)
-    a = rho[0] if rho else 0
-    if len(nu) < b or any(nu[r] < a for r in range(b)):
-        raise ValueError(f"{rho} is not contained in {nu}")
-    tail = nu[b:]
-    if tail and tail[0] > a:
-        raise ValueError(f"{nu} is not of the {rho}-block shape")
-    lam = as_partition(tuple(nu[r] - a for r in range(b)))
-    mu = conjugate(tail)
-    return lam, mu
-
-
-@lru_cache(maxsize=None)
 def partitions_of(n: int) -> Tuple[Partition, ...]:
     """All partitions of n, lexicographically decreasing."""
     def gen(n: int, cap: int) -> Iterator[Partition]:
@@ -224,17 +202,22 @@ def partitions_of(n: int) -> Tuple[Partition, ...]:
 
 
 def multipartitions_of(n: int, level: int) -> List[MultiPartition]:
-    """All l-partitions of n, ordered lexicographically on part lists."""
+    """All l-partitions of n, ordered lexicographically on part lists.  The
+    partitions of each height up to n are listed once per call, and each
+    tail list once per size of the component before it."""
     if n < 0:
         raise ValueError(f"size must be non-negative, got {n}")
     if level == 1:
         return [(p,) for p in partitions_of(n)]
-    out: List[MultiPartition] = []
-    for k in range(n, -1, -1):
-        for p in partitions_of(k):
-            for rest in multipartitions_of(n - k, level - 1):
-                out.append((p,) + rest)
-    return out
+    table = [partitions_of(k) for k in range(n + 1)]
+
+    def tails(n: int, level: int) -> List[MultiPartition]:
+        if level == 1:
+            return [(p,) for p in table[n]]
+        return [(p,) + rest for k in range(n, -1, -1)
+                for rests in [tails(n - k, level - 1)] for p in table[k] for rest in rests]
+
+    return tails(n, level)
 
 
 def enumerate_block(ct: CartanType, charge: Charge, beta: RootVector) -> List[MultiPartition]:

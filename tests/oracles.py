@@ -2,9 +2,11 @@
 package's one corner scan (partitions.step_degrees, off which the
 crystal layer also reads its good and cogood nodes): step degrees,
 i-signatures and their reduction, good and cogood nodes, the unmemoized
-cogood replay, and the bridge image.  Also the tableau references that
-the package's walk replaced: the recursive depth-first enumeration and
-the cellular degree replayed entry by entry; two tableau fixtures: the
+cogood replay, and the bridge image.  Also the nested recursion that
+listed l-partitions before multipartitions_of kept a table of its own,
+and the tableau references that the package's walk replaced: the
+recursive depth-first enumeration and the cellular degree replayed
+entry by entry; two tableau fixtures: the
 sub-diagram a tableau's first entries fill, and the paper's
 minimal-degree rectangle tableau; the bridge's map of tableaux onto
 factorizable tableaux; the factorizable sum that the bridge's bit-state
@@ -25,7 +27,7 @@ from klrblocks.partitions import (
     add_node,
     as_partition,
     contains,
-    is_rectangle,
+    partitions_of,
     remove_node,
     residue,
     size,
@@ -159,7 +161,7 @@ def plain_cogood_path(start, word, ct, charge):
 def rect_add(rho, lam, mu=EMPTY):
     """rho + lam for a rectangle rho, or rho + (lam, mu) with mu appended
     below the rectangle; ValueError where the result is not of that form."""
-    if not is_rectangle(rho):
+    if len(set(rho)) > 1:
         raise ValueError(f"{rho} is not a rectangle")
     if len(lam) > len(rho):
         raise ValueError(f"{lam} has more rows than {rho}")
@@ -169,6 +171,15 @@ def rect_add(rho, lam, mu=EMPTY):
         raise ValueError("cannot append below an empty rectangle")
     parts = tuple(rho[r] + (lam[r] if r < len(lam) else 0) for r in range(len(rho)))
     return as_partition(parts + mu)
+
+
+def nested_multipartitions(n, level):
+    """All l-partitions of n by the nested recursion that multipartitions_of
+    replaced: each first component, largest size first, then every tail."""
+    if level == 1:
+        return [(p,) for p in partitions_of(n)]
+    return [(p,) + rest for k in range(n, -1, -1) for p in partitions_of(k)
+            for rest in nested_multipartitions(n - k, level - 1)]
 
 
 def prefix_shape(t, k):

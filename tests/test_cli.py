@@ -578,11 +578,12 @@ def test_startup_imports():
     assert out == "[]\n"
 
 
-def run_cli(argv, **env):
-    """The finished process of `python -m klrblocks.cli argv` with env added."""
+def run_cli(argv, timeout=120, **env):
+    """The finished process of `python -m klrblocks.cli argv` with env added,
+    within timeout seconds."""
     return subprocess.run([sys.executable, "-m", "klrblocks.cli", *argv],
                           env={**interpreter_env(), **env}, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("argv, usage", [
@@ -611,6 +612,17 @@ def test_help_does_not_depend_on_the_terminal_width(argv):
     narrow, wide = run_cli(argv, COLUMNS="30"), run_cli(argv, COLUMNS="300")
     assert narrow.returncode == wide.returncode == 0
     assert narrow.stdout == wide.stdout
+
+
+@pytest.mark.parametrize("kappa_c, beta", [("0", '{"0":20000}'),
+                                           ("100000000", '{"0":1}')])
+def test_rectangle_larger_than_beta_exits_2_before_it_is_built(kappa_c, beta):
+    # the rectangle's a0 (kappa_c + a0) nodes outnumber beta's: 4 * 10^8 of
+    # them, or a rectangle 10^8 rows tall, is refused by its size alone,
+    # where building its content takes minutes or all memory
+    proc = run_cli(["verify", "--kappa-c", kappa_c, "--beta", beta], timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: rectangle content is not contained in beta\n")
 
 
 def test_exact_spellings_never_reach_argparse():

@@ -14,12 +14,11 @@ from klrblocks.graded import (
     gdim_specht,
     gdim_specht_weight,
 )
-from klrblocks.morita import a_block, bridge, iter_bridges, verify_bridge
+from klrblocks.morita import a_block, bridge, from_type_c, iter_bridges, verify_bridge
 from klrblocks.partitions import (
     content,
     multipartitions_of,
     partitions_of,
-    rect_split,
     remove_node,
     size,
     step_degrees,
@@ -333,6 +332,13 @@ def walk_shapes(kappa_c, max_n):
     return seen
 
 
+def own_split(nu, kappa_c):
+    """nu's bipartition under the bridge of its own block, whose rho is that
+    of every block above nu in walk_shapes: a walk keeps the content-0
+    nodes."""
+    return from_type_c(nu, bridge(kappa_c, content(C, (kappa_c,), (nu,))))
+
+
 class TestBitRules:
     """The walks' step degrees, read off two bits of a bit state, against
     the corner scan on every state of every bridge's walks to height 20."""
@@ -346,7 +352,7 @@ class TestBitRules:
                 (c_state(remove_node((nu,), node)[0], kappa_c), d)
                 for node, _, d in step_degrees((nu,), C, (kappa_c,))[1]
                 if kappa_c + node[1] != node[0])
-            bp, charge = rect_split(nu, rho), (kappa_c + rho[0], rho[0])
+            bp, charge = own_split(nu, kappa_c), (kappa_c + rho[0], rho[0])
             assert sorted(_a_steps(a_state(bp, charge))) == sorted(
                 (a_state(remove_node(bp, node), charge), d)
                 for node, _, d in step_degrees(bp, A, charge)[1])
@@ -358,7 +364,7 @@ class TestBitRules:
         # membership in M(nu, kappa_c) and b2 in M(mu, a0), for nu = rho +
         # (lambda, mu'); at larger t both sides are 0
         for nu, rho in walk_shapes(kappa_c, 20).items():
-            mu = rect_split(nu, rho)[1]
+            mu = own_split(nu, kappa_c)[1]
             for t in range(1, len(nu) + rho[0] + 3):
                 assert (maya(mu, rho[0], t - 1) - maya(mu, rho[0], t)
                         == maya(nu, kappa_c, -t - 1) - maya(nu, kappa_c, -t))

@@ -129,9 +129,9 @@ class TestBlockMap:
         with pytest.raises(BridgeError):
             from_type_c((3,), b)
 
-    @pytest.mark.parametrize("kappa_c", [0, 1])
+    @pytest.mark.parametrize("kappa_c", [0, 1, 2])
     def test_round_trip_is_block_bijection(self, kappa_c):
-        for b in iter_bridges(kappa_c, 8):
+        for b in iter_bridges(kappa_c, 12):
             image = [to_type_c(bp, b) for bp in a_block(b)]
             assert sorted(image) == sorted(c_block(b))
             for bp, nu in zip(a_block(b), image):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klrblocks.cartan import CartanType, RootVector
-from klrblocks.morita import a_block, bridge, c_block, iter_bridges, to_type_c
+from klrblocks.morita import a_block, bridge, c_block, from_type_c, iter_bridges, to_type_c
 from klrblocks.partitions import (
     add_node,
     as_partition,
@@ -19,7 +19,6 @@ from klrblocks.partitions import (
     multipartitions_of,
     nodes,
     partitions_of,
-    rect_split,
     residue,
     step_degrees,
 )
@@ -197,11 +196,6 @@ class TestRectAddSplit:
         assert rect_add((1,), (), ()) == (1,)
         assert rect_add((1,), (1,), (1,)) == (2, 1)
 
-    def test_split_examples(self):
-        assert rect_split((7, 6, 5, 4), (4, 4, 4, 4)) == ((3, 2, 1), ())
-        assert rect_split((2, 1), (1,)) == ((1,), (1,))
-        assert rect_split((2, 2), (2, 2)) == ((), ())
-
     def test_errors(self):
         with pytest.raises(ValueError):
             rect_add((2, 1), (1,))  # not a rectangle
@@ -209,24 +203,6 @@ class TestRectAddSplit:
             rect_add((2,), (1, 1))  # too many rows
         with pytest.raises(ValueError):
             rect_add((2, 2), (), (3,))  # appended part too wide
-        with pytest.raises(ValueError):
-            rect_split((1, 1), (2,))  # rectangle not contained
-        with pytest.raises(ValueError):
-            rect_split((3, 3), (2,))  # tail row wider than the rectangle
-        assert rect_split((2, 2, 2), (2,)) == ((), (2, 2))
-
-    def test_split_inverts_add(self):
-        for n in range(13):
-            for nu in partitions_of(n):
-                widths = set(nu)
-                for a in widths:
-                    b = max(r + 1 for r, w in enumerate(nu) if w >= a)
-                    rho = (a,) * b
-                    try:
-                        lam, mu = rect_split(nu, rho)
-                    except ValueError:
-                        continue
-                    assert rect_add(rho, lam, conjugate(mu)) == nu
 
 
 class TestEnumerateBlock:
@@ -360,10 +336,20 @@ class TestBridgeResidueCompatibility:
                 if beta[0] == 0:
                     continue
                 b = bridge(kappa_c, beta)
-                lam, mu = rect_split(p, b.rho)  # must not raise
+                lam, mu = from_type_c(p, b)  # must not raise
                 assert rect_add(b.rho, lam, conjugate(mu)) == p
 
 
 def test_multipartitions_of_counts():
     assert len(multipartitions_of(2, 2)) == 5
     assert multipartitions_of(0, 1) == [((),)]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_multipartitions_of_keeps_the_nested_order(level):
+    for n in range(10):
+        first = multipartitions_of(n, level)
+        assert first == oracles.nested_multipartitions(n, level)
+        # each call builds its own list
+        second = multipartitions_of(n, level)
+        assert second == first and second is not first

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import klrblocks
 from klrblocks import crystal, graded
 from klrblocks.morita import ALL_CHECKS
 
@@ -126,6 +128,28 @@ def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
     assert calls == [(a0, (check,), [0] * 5)
                      for a0 in (1, 2) for check in ALL_CHECKS]
+
+
+def test_every_memo_is_cleared():
+    # the memos of the package's modules, found by their cache_clear, are
+    # those maximal_blocks.py clears before each check and those the README
+    # lists, so a memo added without an entry in either fails here
+    found = set()
+    for info in pkgutil.iter_modules(klrblocks.__path__):
+        module = importlib.import_module(f"klrblocks.{info.name}")
+        found.update(memo_name(obj) for obj in vars(module).values()
+                     if hasattr(obj, "cache_clear"))
+    assert {memo_name(memo) for memo in load_script("maximal_blocks").MEMOS} == found
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("Five memos live"):readme.index("Each is a `functools")]
+    assert set(re.findall(r"^- `(\w+\.\w+)`", section, re.M)) == found
+    assert len(found) == 5
+
+
+def memo_name(memo):
+    """A memo's module within the package and its name, as the README gives
+    them."""
+    return f"{memo.__module__.rpartition('.')[2]}.{memo.__qualname__}"
 
 
 # bench_pairs.py against two checkouts whose bench/run.py prints canned
