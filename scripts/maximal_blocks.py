@@ -7,7 +7,9 @@ it has C(2 a0 + K, a0) shapes.  For each a0 up to
 --max-a0 the block is listed once; then each check runs in its own
 verify_bridge call, after the package's memos are cleared, so that its
 time is its cost alone.  One line per block gives the seconds of each
-check, the verdict and the peak RSS of the process so far.
+check, the verdict and the peak RSS of the process so far.  A check that
+runs out of memory is written as check=MemoryError and fails the block;
+the run goes on with the next check and exits 1 at the end.
 
 Example:
     python scripts/maximal_blocks.py --max-a0 5 --kappa-c 1
@@ -54,8 +56,15 @@ def main():
                 for memo in MEMOS:
                     memo.cache_clear()
                 start = time.perf_counter()
-                ok = verify_bridge(b, [check])["pass"] and ok
-                cells.append(f"{check}={time.perf_counter() - start:.3f}s")
+                try:
+                    passed = verify_bridge(b, [check])["pass"]
+                except MemoryError:
+                    # the next check starts on cleared memos all the same
+                    passed, cell = False, "MemoryError"
+                else:
+                    cell = f"{time.perf_counter() - start:.3f}s"
+                ok = passed and ok
+                cells.append(f"{check}={cell}")
             all_ok = all_ok and ok
             rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             print(f"a0={a0} height={b.beta.height} shapes={len(b.c_shapes)}  "

@@ -17,7 +17,6 @@ from .morita import (
     c_block,
     from_type_c,
     iter_bridges,
-    to_type_c,
     verify_bridge,
 )
 from .partitions import (
@@ -27,7 +26,6 @@ from .partitions import (
     as_partition,
     conjugate,
     content,
-    dominates,
     enumerate_block,
     multipartitions_of,
     partitions_of,

@@ -420,6 +420,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the crystal and graded-dimension recursions recurse once per node
         print("error: the shape is too large for this tool", file=sys.stderr)
         return 2
+    except MemoryError:
+        # exit 1 means a failed check; a block this machine cannot hold is not one
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -122,19 +122,13 @@ def _rect_image(bp: Bipartition, b: BlockBridge) -> Partition:
                  for r in range(len(b.rho))) + conjugate(mu)
 
 
-def to_type_c(bp: Bipartition, b: BlockBridge) -> Partition:
-    """(lambda, mu) -> rho + (lambda, mu')."""
-    if content(CartanType.A, b.a_charge, bp) != b.a_beta:
-        raise BridgeError(f"{bp} is not in the type-A block")
-    return _rect_image(bp, b)
-
-
 def from_type_c(nu: Partition, b: BlockBridge) -> Bipartition:
-    """Inverse of to_type_c: lambda is nu beyond a0 in the rows of rho (a
-    rectangle by construction), mu the conjugate of nu below them.  A block
-    member needs no other check: its content-0 nodes are (kappa_c + j, j)
-    for j = 1..a0, so it holds (kappa_c + a0, a0) and with it rho, but not
-    (kappa_c + a0 + 1, a0 + 1), so no row below rho is wider than a0."""
+    """rho + (lambda, mu') -> (lambda, mu), the bridge read backwards: lambda
+    is nu beyond a0 in the rows of rho (a rectangle by construction), mu the
+    conjugate of nu below them.  A block member needs no other check: its
+    content-0 nodes are (kappa_c + j, j) for j = 1..a0, so it holds
+    (kappa_c + a0, a0) and with it rho, but not (kappa_c + a0 + 1, a0 + 1),
+    so no row below rho is wider than a0."""
     if content(CartanType.C, b.c_charge, (nu,)) != b.beta:
         raise BridgeError(f"{nu} is not in the type-C block")
     a, h = b.a0, len(b.rho)

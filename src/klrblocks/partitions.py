@@ -147,26 +147,6 @@ def remove_node(mp: MultiPartition, node: Node) -> MultiPartition:
     return mp[: m - 1] + (tuple(p),) + mp[m:]
 
 
-def dominates(a: MultiPartition, b: MultiPartition) -> bool:
-    """Dominance order on l-partitions of equal size and level."""
-    if len(a) != len(b):
-        raise ValueError("level mismatch")
-    if size(a) != size(b):
-        raise ValueError("size mismatch")
-    before_a = before_b = 0
-    for m in range(len(a)):
-        pa, pb = a[m], b[m]
-        sa, sb = before_a, before_b
-        for r in range(max(len(pa), len(pb))):
-            sa += pa[r] if r < len(pa) else 0
-            sb += pb[r] if r < len(pb) else 0
-            if sa < sb:
-                return False
-        before_a += sum(pa)
-        before_b += sum(pb)
-    return True
-
-
 def dominance_sums(mps: Sequence[MultiPartition]) -> List[Tuple[int, ...]]:
     """Each l-partition's row prefix sums, taken over its components in
     turn, with every component padded by zero rows to the largest row count

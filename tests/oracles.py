@@ -2,7 +2,10 @@
 package's one corner scan (partitions.step_degrees, off which the
 crystal layer also reads its good and cogood nodes): step degrees,
 i-signatures and their reduction, good and cogood nodes, the unmemoized
-cogood replay, and the bridge image.  Also the nested recursion that
+cogood replay, and the bridge image.  Also the bridge map with its
+membership check, built on that image; the weight labels of a type-C
+partition; the pairwise dominance test that the dominance check's prefix
+sums replaced; the nested recursion that
 listed l-partitions before multipartitions_of kept a table of its own,
 and the tableau references that the package's walk replaced: the
 recursive depth-first enumeration and the cellular degree replayed
@@ -21,12 +24,15 @@ from functools import cache, lru_cache
 from klrblocks import cli, partitions
 from klrblocks.cartan import CartanType
 from klrblocks.graded import LaurentPoly, gdim_specht
-from klrblocks.morita import ALL_CHECKS, BridgeError, to_type_c
+from klrblocks.morita import ALL_CHECKS, BridgeError
 from klrblocks.partitions import (
     EMPTY,
+    MultiPartition,
     add_node,
     as_partition,
+    conjugate,
     contains,
+    content,
     partitions_of,
     remove_node,
     residue,
@@ -171,6 +177,52 @@ def rect_add(rho, lam, mu=EMPTY):
         raise ValueError("cannot append below an empty rectangle")
     parts = tuple(rho[r] + (lam[r] if r < len(lam) else 0) for r in range(len(rho)))
     return as_partition(parts + mu)
+
+
+def to_type_c(bp, b):
+    """(lambda, mu) -> rho + (lambda, mu') for a member of b's type-A block,
+    built by rect_add rather than the package's own image of the bridge;
+    BridgeError for a bipartition outside the block."""
+    if content(CartanType.A, b.a_charge, bp) != b.a_beta:
+        raise BridgeError(f"{bp} is not in the type-A block")
+    lam, mu = bp
+    return rect_add(b.rho, lam, conjugate(mu))
+
+
+def maya_labels(nu, kappa):
+    """The weight labels of a type-C partition nu of charge kappa, read off
+    M = {kappa + nu_r - r}: vertex u, for 0 <= u < |nu| + kappa + 2, has
+    x_u = [u in M] and y_u = [-1 - u not in M].  Returns the crosses (x_u
+    and y_u), the free vertices (x_u != y_u) and d, the number of free
+    vertices with x_u = 0."""
+    n = sum(nu)
+    rows = len(nu) + n + 2 * kappa + 2  # reaches every -1 - u below
+    maya = {kappa + (nu[r - 1] if r <= len(nu) else 0) - r for r in range(1, rows + 1)}
+    vertices = [(u, u in maya, -1 - u not in maya) for u in range(n + kappa + 2)]
+    crosses = tuple(u for u, x, y in vertices if x and y)
+    free = tuple(u for u, x, y in vertices if x != y)
+    d = sum(1 for u, x, y in vertices if x != y and not x)
+    return crosses, free, d
+
+
+def dominates(a: MultiPartition, b: MultiPartition) -> bool:
+    """Dominance order on l-partitions of equal size and level."""
+    if len(a) != len(b):
+        raise ValueError("level mismatch")
+    if size(a) != size(b):
+        raise ValueError("size mismatch")
+    before_a = before_b = 0
+    for m in range(len(a)):
+        pa, pb = a[m], b[m]
+        sa, sb = before_a, before_b
+        for r in range(max(len(pa), len(pb))):
+            sa += pa[r] if r < len(pa) else 0
+            sb += pb[r] if r < len(pb) else 0
+            if sa < sb:
+                return False
+        before_a += sum(pa)
+        before_b += sum(pb)
+    return True
 
 
 def nested_multipartitions(n, level):

@@ -11,7 +11,7 @@ from math import comb, factorial
 
 from klrblocks.cartan import CartanType
 from klrblocks.graded import LaurentPoly, gdim_specht_weight
-from klrblocks.morita import a_block, from_type_c, iter_bridges, to_type_c, verify_bridge
+from klrblocks.morita import a_block, from_type_c, iter_bridges, verify_bridge
 from klrblocks.partitions import conjugate, partitions_of
 from klrblocks.tableaux import (
     enumerate_standard,
@@ -19,7 +19,7 @@ from klrblocks.tableaux import (
     residue_sequence,
 )
 
-from oracles import rectangle_final_tableau, reduce_signature
+from oracles import rectangle_final_tableau, reduce_signature, to_type_c
 
 A, C = CartanType.A, CartanType.C
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -374,6 +375,26 @@ class TestVerifyStreams:
         assert (code, out) == (1, list_based_verify(reports, fmt))
 
     @pytest.mark.parametrize("fmt", FORMATS)
+    def test_running_out_of_memory_exits_2(self, capsys, monkeypatch, fmt):
+        reports = []
+
+        def third_runs_out(b, checks):
+            if len(reports) == 2:
+                raise MemoryError
+            reports.append(verify_bridge(b, checks))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "verify_bridge", third_runs_out)
+        code = main(["--format", fmt, "verify", "--kappa-c", "0", "--max-n", "6"])
+        out, err = capsys.readouterr()
+        # not exit 1, which means a failed check
+        assert (code, err) == (2, "error: out of memory\n")
+        # the reports made before the error are already written
+        whole = list_based_verify(reports, fmt)
+        assert out == {"json": whole[:-len("]\n")], "csv": whole,
+                       "pretty": whole[:-len("all-pass\n")]}[fmt]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
     def test_each_report_is_written_before_the_next_is_made(self, monkeypatch, fmt):
         out, written = io.StringIO(), []
 
@@ -623,6 +644,30 @@ def test_rectangle_larger_than_beta_exits_2_before_it_is_built(kappa_c, beta):
     proc = run_cli(["verify", "--kappa-c", kappa_c, "--beta", beta], timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", "error: rectangle content is not contained in beta\n")
+
+
+def cap_address_space():
+    """Run in the child before it starts: 250 MB of address space."""
+    limit = 250 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_maximal_a0_7_block_out_of_memory_exits_2():
+    # the count check of the maximal a0 = 7 block at kappa_c = 0 holds
+    # millions of walk states, far more than the cap lets it have
+    if subprocess.run([sys.executable, "-c", "pass"],
+                      preexec_fn=cap_address_space).returncode:
+        pytest.skip("the interpreter does not start under a 250 MB cap")
+    beta = json.dumps({"0": 7, **{str(i): 14 - i for i in range(1, 14)}},
+                      separators=(",", ":"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "klrblocks.cli", "verify", "--kappa-c", "0",
+         "--beta", beta, "--checks", "count"],
+        env=interpreter_env(), capture_output=True, text=True, timeout=300,
+        preexec_fn=cap_address_space)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: out of memory"]
+    assert "Traceback" not in proc.stderr
 
 
 def test_exact_spellings_never_reach_argparse():

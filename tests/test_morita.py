@@ -1,3 +1,6 @@
+from collections import Counter
+from math import comb
+
 import pytest
 
 from klrblocks import crystal, morita
@@ -12,14 +15,13 @@ from klrblocks.morita import (
     from_type_c,
     iter_bridges,
     one_block_bridge,
-    to_type_c,
     verify_bridge,
 )
 from klrblocks.partitions import conjugate, content, partitions_of, remove_node
 from klrblocks.tableaux import enumerate_standard, residue_sequence
 
-from oracles import (good_node, plain_cogood_path, prefix_shape, rect_add,
-                     tableau_to_type_c)
+from oracles import (good_node, maya_labels, plain_cogood_path, prefix_shape,
+                     rect_add, tableau_to_type_c, to_type_c)
 
 A, C = CartanType.A, CartanType.C
 
@@ -247,6 +249,38 @@ def test_one_block_bridge_is_the_sweeps(kappa_c):
     empty = RootVector({0: 1, 9: 1} if kappa_c == 0 else {0: 1, 1: 1, 9: 1})
     with pytest.raises(BridgeError, match=f"charge {kappa_c} has content"):
         one_block_bridge(kappa_c, empty)
+
+
+class TestWeights:
+    # ROADMAP findings 1-2 on the block listing: a block is its crosses and
+    # free vertices, and its shapes are the placements of its d down-arrows
+    # on the free vertices
+
+    @pytest.mark.parametrize("kappa_c", [0, 1, 2])
+    def test_a_block_is_its_labels(self, kappa_c):
+        seen = set()
+        for b in iter_bridges(kappa_c, 14):
+            labels = {maya_labels(nu, kappa_c) for nu in b.c_shapes}
+            assert len(labels) == 1
+            (crosses, free, d), = labels
+            assert len(free) == kappa_c + 2 * d
+            assert len(b.c_shapes) == comb(kappa_c + 2 * d, d)
+            # no two bridges of one height share their labels
+            key = (b.beta.height, crosses, free, d)
+            assert key not in seen
+            seen.add(key)
+
+    @pytest.mark.parametrize("kappa_c, blocks", [(1, 20), (2, 120), (3, 357)])
+    def test_blocks_with_no_zero_node_are_single_shapes(self, kappa_c, blocks):
+        # without residue 0 the algebra is a level-one type-A algebra, which
+        # is semisimple (ROADMAP item 6 relies on this)
+        found = 0
+        for n in range(1, 21):
+            sizes = Counter(content(C, (kappa_c,), (p,)) for p in partitions_of(n))
+            no_zero = [size for beta, size in sizes.items() if beta[0] == 0]
+            assert set(no_zero) <= {1}
+            found += len(no_zero)
+        assert found == blocks
 
 
 class TestVerifyBridge:

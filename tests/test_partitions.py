@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klrblocks.cartan import CartanType, RootVector
-from klrblocks.morita import a_block, bridge, c_block, from_type_c, iter_bridges, to_type_c
+from klrblocks.morita import a_block, bridge, c_block, from_type_c, iter_bridges
 from klrblocks.partitions import (
     add_node,
     as_partition,
     conjugate,
     content,
     dominance_sums,
-    dominates,
     enumerate_block,
     multipartitions_of,
     nodes,
@@ -24,7 +23,7 @@ from klrblocks.partitions import (
 )
 
 import oracles
-from oracles import rect_add
+from oracles import dominates, rect_add, to_type_c
 
 A, C = CartanType.A, CartanType.C
 

@@ -130,6 +130,30 @@ def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys):
                      for a0 in (1, 2) for check in ALL_CHECKS]
 
 
+def test_maximal_blocks_goes_on_after_running_out_of_memory(monkeypatch, capsys):
+    # a check that runs out of memory is written as such, and every later
+    # check still runs, on cleared memos
+    script = load_script("maximal_blocks")
+    real, calls = script.verify_bridge, []
+
+    def graded_runs_out(b, checks):
+        calls.append((b.a0, tuple(checks), graded.c_walk.cache_info().currsize))
+        if checks == ["graded"]:
+            graded.c_walk(0, *graded.c_state(b.rho, b.kappa_c))  # fills a memo
+            raise MemoryError
+        return real(b, checks)
+
+    monkeypatch.setattr(script, "verify_bridge", graded_runs_out)
+    monkeypatch.setattr(sys, "argv", ["maximal_blocks.py", "--max-a0", "2"])
+    assert script.main() == 1
+    assert calls == [(a0, (check,), 0) for a0 in (1, 2) for check in ALL_CHECKS]
+    for line in capsys.readouterr().out.splitlines():
+        _, *cells, verdict, _ = line.split("  ")
+        assert [cell.split("=")[1] == "MemoryError" for cell in cells] == [
+            check == "graded" for check in ALL_CHECKS]
+        assert verdict == "FAIL"
+
+
 def test_every_memo_is_cleared():
     # the memos of the package's modules, found by their cache_clear, are
     # those maximal_blocks.py clears before each check and those the README

@@ -10,14 +10,8 @@ PACKAGE = ROOT / "src" / "klrblocks"
 
 # Names that no program file uses yet, each kept for a stated reason.
 KEPT = {
-    # test oracle: dominance of one pair; the dominance check compares
-    # prefix sums computed once per block (dominance_sums)
-    "dominates",
-    # the inverse of from_type_c: bench/spans.py traces it, and the
-    # tableau oracle oracles.tableau_to_type_c maps shapes with it
-    "to_type_c",
     # the bar involution of the planned graded decomposition numbers
-    # (ROADMAP item 5)
+    # (ROADMAP item 6)
     "LaurentPoly.bar",
 }
 
