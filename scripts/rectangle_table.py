@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from klrblocks.cartan import CartanType
 from klrblocks.graded import gdim_specht_weight
-from klrblocks.tableaux import initial_tableau, residue_sequence
+from klrblocks.tableaux import enumerate_standard
 
 
 def main():
@@ -35,7 +35,8 @@ def main():
         for kappa_c in range(args.max_kappa + 1):
             for a0 in range(1, args.max_a0 + 1):
                 rho = ((a0,) * (kappa_c + a0),)
-                iword = residue_sequence(initial_tableau(rho), C, (kappa_c,))
+                # the walk's first tableau is the row-reading one
+                iword = next(enumerate_standard(rho, C, (kappa_c,))).word
                 poly = gdim_specht_weight(rho, C, (kappa_c,), iword)
                 print(f"kappa_c={kappa_c} a0={a0} "
                       f"dim={poly.eval_at_1():4d}  gdim={poly}")

@@ -29,13 +29,7 @@ from .partitions import (
     enumerate_block,
     multipartitions_of,
     partitions_of,
-    residue,
 )
-from .tableaux import (
-    StandardTableau,
-    enumerate_standard,
-    initial_tableau,
-    residue_sequence,
-)
+from .tableaux import StandardTableau, enumerate_standard
 
 __version__ = "0.1.0"

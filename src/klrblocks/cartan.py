@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from enum import Enum
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Tuple
 
 Residue = int
 Charge = Tuple[Residue, ...]
@@ -24,15 +24,14 @@ class CartanType(Enum):
     # every memo lookup keyed by the type
     __hash__ = object.__hash__
 
-    def check_label(self, i: Residue) -> None:
-        if self is CartanType.C and i < 0:
-            raise ValueError(f"residue {i} is not a valid type-{self.name} label")
-
-    def check_charge(self, charge: Charge) -> None:
-        """Refuse a charge, or a residue word, with an entry that is not a
-        label of this type; the error names the first such entry."""
-        if self is CartanType.C and charge and min(charge) < 0:
-            self.check_label(next(k for k in charge if k < 0))
+    def check_labels(self, labels: Iterable[Residue]) -> None:
+        """Refuse labels (a charge, a residue word, a root vector's residues)
+        with one that is not a label of this type; the error names the
+        first such label."""
+        if self is CartanType.C:
+            for i in labels:
+                if i < 0:
+                    raise ValueError(f"residue {i} is not a valid type-{self.name} label")
 
 
 class NotASubroot(ValueError):

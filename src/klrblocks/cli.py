@@ -45,7 +45,7 @@ def parse_shape(text: str) -> MultiPartition:
 
 def parse_charge(text: str, ct: CartanType) -> Tuple[int, ...]:
     charge = tuple(map(int, text.split(",")))
-    ct.check_charge(charge)
+    ct.check_labels(charge)
     return charge
 
 
@@ -61,8 +61,7 @@ def _unique_keys(pairs):
 
 def parse_beta(text: str, ct: CartanType) -> RootVector:
     beta = RootVector.from_json(json.loads(text, object_pairs_hook=_unique_keys))
-    for i, _ in beta.items():
-        ct.check_label(i)
+    ct.check_labels(i for i, _ in beta.items())
     return beta
 
 
@@ -82,7 +81,7 @@ def check_level(shape: MultiPartition, charge: Tuple[int, ...]) -> None:
 
 def parse_residues(text: str, ct: CartanType) -> Tuple[int, ...]:
     residues = tuple(map(int, text.split(","))) if text else ()
-    ct.check_charge(residues)
+    ct.check_labels(residues)
     return residues
 
 
@@ -413,6 +412,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the reader closed stdout early; what is still buffered goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except KeyboardInterrupt:
+        # 128 + SIGINT, as a shell reports a command stopped by Ctrl-C
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except ValueError as exc:  # json.JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,24 +37,10 @@ def size(mp: MultiPartition) -> int:
     return sum(sum(p) for p in mp)
 
 
-def nodes(mp: MultiPartition) -> Iterator[Node]:
-    """All nodes of the Young diagram in reading order (component, row, col)."""
-    for m, p in enumerate(mp, start=1):
-        for r, width in enumerate(p, start=1):
-            for c in range(1, width + 1):
-                yield (r, c, m)
-
-
 def contains(mp: MultiPartition, node: Node) -> bool:
     r, c, m = node
     p = mp[m - 1]
     return r <= len(p) and c <= p[r - 1]
-
-
-def residue(ct: CartanType, charge: Charge, node: Node) -> Residue:
-    r, c, m = node
-    res = charge[m - 1] + c - r
-    return abs(res) if ct is CartanType.C else res
 
 
 def content(ct: CartanType, charge: Charge, mp: MultiPartition) -> RootVector:

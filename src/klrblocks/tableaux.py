@@ -9,25 +9,16 @@ from __future__ import annotations
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue
-from .partitions import (
-    MultiPartition,
-    Node,
-    add_node,
-    nodes,
-    residue,
-    size,
-    step_degrees,
-)
+from .partitions import MultiPartition, Node, add_node, contains, size, step_degrees
 
 
 class StandardTableau(NamedTuple):
-    """A tableau from enumerate_standard also holds its residue word and
-    cellular degree for the walk's type and charge; one built by hand
-    leaves them None (and so never equals one from the walk)."""
+    """A tableau of enumerate_standard, with its residue word and cellular
+    degree for the walk's type and charge."""
     shape: MultiPartition
     order: Tuple[Node, ...]
-    word: Optional[Tuple[Residue, ...]] = None
-    degree: Optional[int] = None
+    word: Tuple[Residue, ...]
+    degree: int
 
     def rows(self) -> List[List[List[int]]]:
         """Entries arranged per component and row, for display and JSON."""
@@ -37,14 +28,6 @@ class StandardTableau(NamedTuple):
         return grid
 
 
-def initial_tableau(shape: MultiPartition) -> StandardTableau:
-    return StandardTableau(shape, tuple(nodes(shape)))
-
-
-def residue_sequence(t: StandardTableau, ct: CartanType, charge: Charge) -> Tuple[Residue, ...]:
-    return tuple(residue(ct, charge, node) for node in t.order)
-
-
 def enumerate_standard(
     shape: MultiPartition,
     ct: CartanType,
@@ -52,12 +35,13 @@ def enumerate_standard(
     residues: Optional[Sequence[Residue]] = None,
 ) -> Iterator[StandardTableau]:
     """Std(shape), depth first, the children of a prefix in (component,
-    row) order, each tableau with its residue word and degree.  The walk
-    keeps its own stack, so a shape of any height is walked.  One corner
-    pass per prefix (partitions.step_degrees) gives each addable node its
-    residue and the step degree of adding it, and the degree is their sum
-    along the path.  With a residue filter, branches whose prefix residue
-    sequence deviates are pruned and never materialized."""
+    row) order, so the first is the row-reading tableau, each tableau with
+    its residue word and degree.  The walk keeps its own stack, so a shape
+    of any height is walked.  One corner pass per prefix
+    (partitions.step_degrees) gives each addable node its residue and the
+    step degree of adding it, and the degree is their sum along the path.
+    With a residue filter, branches whose prefix residue sequence deviates
+    are pruned and never materialized."""
     n = size(shape)
     if residues is not None and len(residues) != n:
         raise ValueError(f"residue word has length {len(residues)}, "
@@ -70,12 +54,11 @@ def _walk(shape: MultiPartition, ct: CartanType, charge: Charge,
     if n == 0:
         yield StandardTableau(shape, (), (), 0)
         return
-    cells = set(nodes(shape))
 
     def children(mp: MultiPartition, k: int):
         want = None if residues is None else residues[k]
         return iter([(node, i, d) for node, i, d in reversed(step_degrees(mp, ct, charge)[0])
-                     if (want is None or i == want) and node in cells])
+                     if (want is None or i == want) and contains(shape, node)])
 
     empty = tuple(() for _ in shape)
     # per prefix: its untried children, entries, residue word, degree, shape

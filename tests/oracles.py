@@ -8,8 +8,9 @@ partition; the pairwise dominance test that the dominance check's prefix
 sums replaced; the nested recursion that
 listed l-partitions before multipartitions_of kept a table of its own,
 and the tableau references that the package's walk replaced: the
-recursive depth-first enumeration and the cellular degree replayed
-entry by entry; two tableau fixtures: the
+recursive depth-first enumeration, the cellular degree replayed
+entry by entry, and the hand-built row-reading tableau with its residue
+word read node by node (nodes, residue); two tableau fixtures: the
 sub-diagram a tableau's first entries fill, and the paper's
 minimal-degree rectangle tableau; the bridge's map of tableaux onto
 factorizable tableaux; the factorizable sum that the bridge's bit-state
@@ -35,10 +36,36 @@ from klrblocks.partitions import (
     content,
     partitions_of,
     remove_node,
-    residue,
     size,
 )
 from klrblocks.tableaux import StandardTableau
+
+
+def nodes(mp):
+    """All nodes of the Young diagram in reading order (component, row, col)."""
+    for m, p in enumerate(mp, start=1):
+        for r, width in enumerate(p, start=1):
+            for c in range(1, width + 1):
+                yield (r, c, m)
+
+
+def residue(ct, charge, node):
+    """A node's residue by definition: its component's charge plus its
+    column minus its row, folded by abs in type C."""
+    r, c, m = node
+    res = charge[m - 1] + c - r
+    return abs(res) if ct is CartanType.C else res
+
+
+def initial_tableau(shape):
+    """The row-reading tableau: the nodes filled in reading order.  Built by
+    hand, it carries no residue word or degree."""
+    return StandardTableau(shape, tuple(nodes(shape)), None, None)
+
+
+def residue_sequence(t, ct, charge):
+    """A tableau's residue word, one node's residue at a time."""
+    return tuple(residue(ct, charge, node) for node in t.order)
 
 
 def _fits(step, mp, node):
@@ -108,7 +135,7 @@ def standard_tableaux(shape):
 
     def rec(prefix, order):
         if len(order) == n:
-            yield StandardTableau(shape, tuple(order))
+            yield StandardTableau(shape, tuple(order), None, None)
             return
         for node in corners(prefix)[0]:
             if contains(shape, node):
@@ -253,7 +280,7 @@ def rectangle_final_tableau(a0, height):
     top = height - a0
     order = [(r, c, 1) for r in range(1, top + 1) for c in range(1, a0 + 1)]
     order += [(top + r, c, 1) for c in range(1, a0 + 1) for r in range(1, a0 + 1)]
-    return StandardTableau(((a0,) * height,), tuple(order))
+    return StandardTableau(((a0,) * height,), tuple(order), None, None)
 
 
 def tableau_to_type_c(s, u, b):
@@ -271,7 +298,7 @@ def tableau_to_type_c(s, u, b):
             order.append((r, a + c, 1))
         else:
             order.append((height + c, r, 1))
-    return StandardTableau((nu,), tuple(order))
+    return StandardTableau((nu,), tuple(order), None, None)
 
 
 def poly_mul(p, r):

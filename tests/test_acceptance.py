@@ -13,13 +13,15 @@ from klrblocks.cartan import CartanType
 from klrblocks.graded import LaurentPoly, gdim_specht_weight
 from klrblocks.morita import a_block, from_type_c, iter_bridges, verify_bridge
 from klrblocks.partitions import conjugate, partitions_of
-from klrblocks.tableaux import (
-    enumerate_standard,
-    initial_tableau,
-    residue_sequence,
-)
+from klrblocks.tableaux import enumerate_standard
 
-from oracles import rectangle_final_tableau, reduce_signature, to_type_c
+from oracles import (
+    initial_tableau,
+    rectangle_final_tableau,
+    reduce_signature,
+    residue_sequence,
+    to_type_c,
+)
 
 A, C = CartanType.A, CartanType.C
 

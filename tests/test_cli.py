@@ -5,6 +5,7 @@ import json
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -585,6 +586,30 @@ def test_broken_pipe_exits_1_quietly(argv):
     finally:
         os.close(w)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(b, checks):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "verify_bridge", interrupted)
+    code = main(["verify", "--kappa-c", "0", "--max-n", "6"])
+    assert (code, capsys.readouterr().err) == (130, "error: interrupted\n")
+
+
+def test_ctrl_c_exits_130_without_a_traceback():
+    # SIGINT once the sweep has written its first byte, far from its end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "klrblocks.cli", "verify", "--kappa-c", "0", "--max-n", "40"],
+        env=interpreter_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(1) == b"["
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # a no-op once it has exited
+        proc.wait()
+    assert (proc.returncode, err) == (130, b"error: interrupted\n")
 
 
 def test_startup_imports():

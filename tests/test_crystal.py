@@ -10,7 +10,6 @@ from klrblocks.partitions import (
     multipartitions_of,
     partitions_of,
     remove_node,
-    residue,
     size,
     step_degrees,
 )
@@ -21,6 +20,7 @@ from oracles import (
     good_node,
     plain_cogood_path,
     reduce_signature,
+    residue,
     signature,
 )
 

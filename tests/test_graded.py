@@ -23,14 +23,17 @@ from klrblocks.partitions import (
     size,
     step_degrees,
 )
-from klrblocks.tableaux import (
-    enumerate_standard,
-    initial_tableau,
-    residue_sequence,
-)
+from klrblocks.tableaux import enumerate_standard
 
 import oracles
-from oracles import factorizable_gdim, poly_mul, prefix_shape, rectangle_final_tableau
+from oracles import (
+    factorizable_gdim,
+    initial_tableau,
+    poly_mul,
+    prefix_shape,
+    rectangle_final_tableau,
+    residue_sequence,
+)
 
 A, C = CartanType.A, CartanType.C
 

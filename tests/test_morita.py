@@ -18,10 +18,10 @@ from klrblocks.morita import (
     verify_bridge,
 )
 from klrblocks.partitions import conjugate, content, partitions_of, remove_node
-from klrblocks.tableaux import enumerate_standard, residue_sequence
+from klrblocks.tableaux import enumerate_standard
 
 from oracles import (good_node, maya_labels, plain_cogood_path, prefix_shape,
-                     rect_add, tableau_to_type_c, to_type_c)
+                     rect_add, residue_sequence, tableau_to_type_c, to_type_c)
 
 A, C = CartanType.A, CartanType.C
 

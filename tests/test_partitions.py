@@ -16,14 +16,12 @@ from klrblocks.partitions import (
     dominance_sums,
     enumerate_block,
     multipartitions_of,
-    nodes,
     partitions_of,
-    residue,
     step_degrees,
 )
 
 import oracles
-from oracles import dominates, rect_add, to_type_c
+from oracles import dominates, nodes, rect_add, residue, to_type_c
 
 A, C = CartanType.A, CartanType.C
 
@@ -82,8 +80,8 @@ def charged_shapes(draw):
 @settings(max_examples=300, deadline=None)
 @given(charged_shapes())
 def test_content_matches_residue_per_node(case):
-    # content reads a row's residues as one run; the oracle takes residue()
-    # of every node
+    # content reads a row's residues as one run; the oracle takes its own
+    # residue() of every node it lists
     ct, charge, mp = case
     oracle = Counter(residue(ct, charge, n) for n in nodes(mp))
     assert content(ct, charge, mp) == RootVector(oracle)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -29,6 +30,14 @@ def test_runs_without_pythonpath(tmp_path, script, args, first_line):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == first_line
+
+
+def test_rectangle_table_default_output_is_pinned(tmp_path):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "rectangle_table.py")],
+                          cwd=tmp_path, env=NO_PYTHONPATH, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "eceb2ee73f8246c6e09035953e3a200778eae543c8606b85b9803dea827020f1")
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))

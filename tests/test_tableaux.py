@@ -6,21 +6,22 @@ import pytest
 from klrblocks.cartan import CartanType
 from klrblocks.graded import LaurentPoly, gdim_specht
 from klrblocks.partitions import conjugate, multipartitions_of, partitions_of, size
-from klrblocks.tableaux import (
-    StandardTableau,
-    enumerate_standard,
-    initial_tableau,
-    residue_sequence,
-)
+from klrblocks.tableaux import StandardTableau, enumerate_standard
 
 import oracles
-from oracles import factorizable_gdim, prefix_shape, rectangle_final_tableau
+from oracles import (
+    factorizable_gdim,
+    initial_tableau,
+    prefix_shape,
+    rectangle_final_tableau,
+    residue_sequence,
+)
 
 A, C = CartanType.A, CartanType.C
 
 # The 2 x 2 square filled down its columns: [[1, 3], [2, 4]].
 SQUARE_BY_COLUMNS = StandardTableau(
-    ((2, 2),), ((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1))
+    ((2, 2),), ((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1)), None, None
 )
 
 
@@ -102,6 +103,21 @@ class TestDegree:
                             dict(oracles.step_degrees(prefix_shape(t, k), ct, charge))[node]
                             for k, node in enumerate(t.order, start=1))
                         assert t.degree == expected
+
+
+class TestFirstTableau:
+    """The walk's first tableau is the row-reading one, with its residue
+    word: scripts/rectangle_table.py reads the row-initial word off it."""
+
+    @pytest.mark.parametrize("level,largest", [(1, 7), (2, 7), (3, 5)])
+    @pytest.mark.parametrize("ct", [A, C])
+    def test_is_row_reading(self, ct, level, largest):
+        for charge in [(0,) * level, (1,) * level, (2, 0, 1)[:level]]:
+            for n in range(largest + 1):
+                for shape in multipartitions_of(n, level):
+                    first = next(enumerate_standard(shape, ct, charge))
+                    assert first.order == tuple(oracles.nodes(shape))
+                    assert first.word == residue_sequence(first, ct, charge)
 
 
 class TestEnumeration:
