@@ -9,7 +9,8 @@ verify_bridge call, after the package's memos are cleared, so that its
 time is its cost alone.  One line per block gives the seconds of each
 check, the verdict and the peak RSS of the process so far.  A check that
 runs out of memory is written as check=MemoryError and fails the block;
-the run goes on with the next check and exits 1 at the end.
+the run goes on with the next check and exits 1 at the end.  Ctrl-C
+stops the run with "error: interrupted" and exit code 130.
 
 Example:
     python scripts/maximal_blocks.py --max-a0 5 --kappa-c 1
@@ -30,8 +31,8 @@ from klrblocks.cartan import CartanType
 from klrblocks.morita import ALL_CHECKS, one_block_bridge, verify_bridge
 from klrblocks.partitions import content
 
-MEMOS = (crystal._kleshchev, crystal._good_walk, graded._gdim, graded.c_walk,
-         graded.a_walk)
+MEMOS = (crystal.c_kleshchev, crystal.a_kleshchev, crystal.c_good_walk, graded._gdim,
+         graded.c_walk, graded.a_walk)
 
 
 def main():
@@ -74,6 +75,10 @@ def main():
         # the reader closed stdout early; what is still buffered goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except KeyboardInterrupt:
+        # 128 + SIGINT, as a shell reports a command stopped by Ctrl-C
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return 0 if all_ok else 1
 
 

@@ -4,7 +4,8 @@
 For each charge kappa_c and zero-node count a0, prints the graded
 dimension of the row-initial residue weight space of the rectangle
 (a0 ** (kappa_c + a0)) together with its extreme degrees.  The dimension
-is (q + 1/q) ** (a0 // 2) with a unique tableau at each extreme.
+is (q + 1/q) ** (a0 // 2) with a unique tableau at each extreme.  Ctrl-C
+stops the run with "error: interrupted" and exit code 130.
 """
 
 import argparse
@@ -45,6 +46,10 @@ def main():
         # the reader closed stdout early; what is still buffered goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except KeyboardInterrupt:
+        # 128 + SIGINT, as a shell reports a command stopped by Ctrl-C
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

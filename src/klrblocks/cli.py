@@ -420,7 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the crystal and graded-dimension recursions recurse once per node
+        # the graded-dimension recursion recurses once per node
         print("error: the shape is too large for this tool", file=sys.stderr)
         return 2
     except MemoryError:

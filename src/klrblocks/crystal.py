@@ -1,35 +1,32 @@
-"""Crystal combinatorics: good and cogood nodes, Kleshchev l-partitions,
-and good-removal walks down to a target with their cogood replays.
+"""Crystal combinatorics: good nodes and Kleshchev l-partitions, and the
+bridge's Kleshchev tests and good-removal walk on bit states.
 
 Kashiwara's signature rule reads the good and cogood i-nodes off the
 reduced i-signature, the word a..a r..r left when every removable i-node
-followed by an addable one is cancelled, in (component, row) order.  No
-signature is built: both are read off partitions.step_degrees, where a
-corner's degree d counts the addable minus removable i-nodes below it.
-A removable i-node stays (is normal) iff no stretch below it holds more
-a's than r's: the stretch to the foot holds d more, and the one to just
-above a lower removable i-node of degree d', d - d' + 1 more.  So, read
-bottom first, it is normal when d is below the running minimum of its
-residue, which starts at 1; the good node, the leftmost r, is the last
-normal one read.  Dually, with T the addable minus removable i-nodes, an
-addable i-node stays iff d < T and d is below the degree of every higher
-addable i-node; the cogood node, the rightmost a, is the addable i-node
-of least degree, the highest if several tie, when that degree is below T."""
+followed by an addable one is cancelled, in (component, row) order.  For
+any type and level (the command line) no signature is built: the good
+nodes are read off partitions.step_degrees, where a corner's degree d
+counts the addable minus removable i-nodes below it.  A removable i-node
+stays (is normal) iff no stretch below it holds more a's than r's: the
+stretch to the foot holds d more, and the one to just above a lower
+removable i-node of degree d', d - d' + 1 more.  So, read bottom first,
+it is normal when d is below the running minimum of its residue, which
+starts at 1; the good node, the leftmost r, is the last normal one read.
+
+The bridge's shapes give a residue at most two corners, an upper and a
+lower one: contents i and -i of a type-C state (graded.c_state), or
+components 1 and 2 of a type-A one (graded.a_state).  So the rule reads
+four bits: a removable upper corner is good unless the lower one is
+addable, else a removable lower corner is; an addable lower corner is
+cogood unless the upper one is removable, else an addable upper one is."""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .cartan import CartanType, Charge, Residue
-from .partitions import (
-    MultiPartition,
-    Node,
-    add_node,
-    contains,
-    remove_node,
-    step_degrees,
-)
+from .partitions import MultiPartition, Node, remove_node, step_degrees
 
 
 def _good_nodes(mp: MultiPartition, ct: CartanType,
@@ -44,83 +41,90 @@ def _good_nodes(mp: MultiPartition, ct: CartanType,
     return good
 
 
-def _cogood_node(mp: MultiPartition, ct: CartanType, charge: Charge,
-                 i: Residue) -> Optional[Node]:
-    """The cogood i-node of mp, or None if there is none."""
-    addable, removable = step_degrees(mp, ct, charge)
-    best, low, excess = None, 0, 0
-    for node, j, d in addable:  # bottom first: the last of a tie is the highest
-        if j == i:
-            excess += 1
-            if best is None or d <= low:
-                best, low = node, d
-    excess -= sum(1 for _, j, _ in removable if j == i)
-    return None if best is None or low >= excess else best
+_KLESHCHEV: Dict[Tuple[CartanType, Charge, MultiPartition], bool] = {}
 
 
-@lru_cache(maxsize=None)
 def _kleshchev(ct: CartanType, charge: Charge, mp: MultiPartition) -> bool:
-    if not any(mp):
-        return True
-    for node in _good_nodes(mp, ct, charge).values():
-        return _kleshchev(ct, charge, remove_node(mp, node))
-    return False
+    """Follow first good removals from mp to the empty l-partition (True), a
+    shape with no good node (False) or one in the memo _KLESHCHEV, and record
+    the answer there for every shape on the way; a loop, for any depth."""
+    chain, key = [], (ct, charge, mp)
+    while key not in _KLESHCHEV:
+        chain.append(key)
+        goods = _good_nodes(mp, ct, charge)
+        if not goods:
+            answer = not any(mp)
+            break
+        mp = remove_node(mp, next(iter(goods.values())))
+        key = (ct, charge, mp)
+    else:
+        answer = _KLESHCHEV[key]
+    _KLESHCHEV.update(dict.fromkeys(chain, answer))
+    return answer
 
 
 def is_kleshchev(mp: MultiPartition, ct: CartanType, charge: Charge) -> bool:
     """True iff mp is reachable from the empty l-partition by good-node
     additions.  The Kleshchev l-partitions form the crystal component of
     the empty one, which is closed under every e_i, so removing any one
-    good node keeps mp in it or out of it; the memoized recursion removes
-    the first good node that _good_nodes gives, with no sort.  It does not
-    reuse good_walk's search, which branches over every good node: on the
-    60-node bipartition ((9, 9, 3, 1^15), (14, 3, 3, 2, 2)) of type A,
-    charge (0, 1), that search visits 234 226 states in 3.66 s, where this
-    walk takes 59."""
+    good node keeps mp in it or out of it: no search is needed."""
     return _kleshchev(ct, tuple(charge), mp)
 
 
-Walk = Tuple[Tuple[Residue, ...], Optional[MultiPartition]]
+def _c_goods(zero: int, s: int, removable: int) -> Iterator[int]:
+    """The good ones among the removable bits p of the type-C state (zero,
+    s), top first; the mirror of content p - zero is at 2 zero - p - 1."""
+    while removable:
+        p = removable.bit_length() - 1
+        removable ^= 1 << p
+        if s >> 2 * zero - p - 1 & 3 != (1 if p >= zero else 2):
+            yield p
 
 
 @lru_cache(maxsize=None)
-def _good_walk(ct: CartanType, charge: Charge, mp: MultiPartition,
-               target: MultiPartition) -> Optional[Walk]:
-    """good_walk for mp != target, memoized for the process.  The search
-    tries the good nodes of mp in (component, row) order, skipping those
-    inside target, and keeps the first whose removal leaves target or a
-    shape with a walk; the entry extends that walk by the node's residue
-    and one cogood step of its replay, read from the step degrees of the
-    replay's shape so far.  So a shape costs one entry on top
-    of the walk one good removal below it, and the recursion is at most
-    |mp| - |target| deep."""
-    goods = _good_nodes(mp, ct, charge).items()
-    for i, node in sorted(goods, key=lambda entry: (entry[1][2], entry[1][0])):
-        if contains(target, node):
-            continue
-        nxt = remove_node(mp, node)
-        below = ((), target) if nxt == target else _good_walk(ct, charge, nxt, target)
-        if below is None:
-            continue
-        word, end = below
+def c_kleshchev(zero: int, s: int) -> bool:
+    """is_kleshchev of the level-one type-C shape with c_state (zero, s)."""
+    removable = s & ~(s << 1) & ~1
+    for p in _c_goods(zero, s, removable):
+        return c_kleshchev(zero - 1, (s ^ 3 << p - 1) >> 1)
+    return not removable
+
+
+@lru_cache(maxsize=None)
+def a_kleshchev(s: int) -> bool:
+    """is_kleshchev of the bipartition with a_state s: its node at bit p is
+    good unless bits (p - 1, p + 1) read (1, 0) in component 1, (p - 3, p - 1)
+    read (0, 1) in component 2."""
+    rest = removable = s & ~(s << 2) & ~3
+    while rest:
+        p = rest.bit_length() - 1
+        rest ^= 1 << p
+        if s >> p - 3 & 5 != 4 if p & 1 else s >> p - 1 & 5 != 1:
+            return a_kleshchev(s ^ 5 << p - 2)
+    return not removable
+
+
+@lru_cache(maxsize=None)
+def c_good_walk(zero: int, s: int, to_rho: bool) -> Optional[int]:
+    """Search good-node removals, top first, from the type-C state (zero, s)
+    to the empty shape, or with to_rho to the rectangle rho of its content-0
+    nodes, whose corner is the one good node inside rho; the s (at zero) that
+    the word's cogood additions reach from that end, 0 if a step has no
+    cogood node, None if there is no word.  An entry is one cogood step on
+    top of the walk one good removal below it."""
+    removable = s & ~(s << 1) & ~1 & ~(to_rho << zero)
+    if not removable:
+        return s
+    for p in _c_goods(zero, s, removable):
+        end = c_good_walk(zero - 1, (s ^ 3 << p - 1) >> 1, to_rho)
         if end is not None:
-            step = _cogood_node(end, ct, charge, i)
-            end = None if step is None else add_node(end, step)
-        return word + (i,), end
+            return end and _c_cogood(zero - 1, end, abs(p - zero))
     return None
 
 
-def good_walk(mp: MultiPartition, target: MultiPartition, ct: CartanType,
-              charge: Charge) -> Optional[Walk]:
-    """Search for a sequence of good-node removals from mp down to target.
-    Returns (word, end): the residue word in *addition* order (target up to
-    mp), and the shape that adding cogood nodes of that word to target
-    reaches (None if a step has no cogood node); None if there is no such
-    sequence.  Depth-first, trying good nodes in (component, row) order; a
-    good node inside target is never removed, since no later removal can
-    bring it back."""
-    if len(target) != len(mp):
-        return None
-    if mp == target:
-        return (), target
-    return _good_walk(ct, tuple(charge), mp, target)
+def _c_cogood(zero: int, s: int, i: Residue) -> int:
+    """The s of the type-C state (zero, s) with its cogood i-node added (its
+    zero is zero + 1), or 0 if it has none."""
+    upper, lower = s >> zero + i - 1 & 3, s >> zero - i - 1 & 3
+    p = zero - i if lower == 1 and upper != 2 else zero + i if upper == 1 else 0
+    return p and (s ^ 3 << p - 1) << 1 | 1

@@ -5,7 +5,7 @@ spaces, comes from one recursion down the Young lattice to the empty
 shape (_gdim), memoized for the life of the process; no tableau is
 listed.  Its step degrees come from the package's one corner scan
 (partitions.step_degrees), which also gives the tableau walk its step
-degrees and the crystal layer its good and cogood nodes.
+degrees and the command line's Kleshchev test its good nodes.
 
 The bridge's checks read two memoized walks on bit states instead: the
 type-C walk (c_walk) on one Maya set down to the rectangle rho, and the

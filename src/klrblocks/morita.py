@@ -5,11 +5,11 @@ the rectangle rho = (a_0^(kappa_c + a_0)); the bijection
 (lambda, mu) -> rho + (lambda, mu') matches it with the type-A block of
 content beta - omega and charges (kappa_c + a_0, a_0).  verify_bridge runs
 the counting, graded, dominance, Kleshchev and good-path checks over one
-block object per call, whose parts are built on first read.  The type-C
-side of the counting and graded checks sums over the factorizable
-tableaux of nu, those whose first |rho| entries fill rho: gdim(rho) times
-the type-C walk over the interval [rho, nu] (graded.c_walk), against
-gdim(rho) times the type-A walk (graded.a_walk), each an int product.
+block object per call, whose parts are built on first read.  Every check
+but dominance reads bit states: the type-C side of the counting and graded
+checks, the factorizable tableaux of nu, is gdim(rho) times the type-C
+walk over [rho, nu] (graded.c_walk), against gdim(rho) times the type-A
+walk (graded.a_walk); the crystal checks read crystal's bit rules.
 
 The type-C shapes come from one of two sources, decided by the input.  A
 sweep (iter_bridges) finds each block by grouping the partitions of each
@@ -28,7 +28,7 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequen
                     Tuple)
 
 from .cartan import CartanType, Charge, RootVector
-from .crystal import good_walk, is_kleshchev
+from .crystal import a_kleshchev, c_good_walk, c_kleshchev
 from .graded import (LaurentPoly, a_state, a_walk, c_state, c_walk, gdim_specht,
                      kronecker_pairs)
 from .partitions import (
@@ -228,19 +228,22 @@ class _Block:
         return gdim_specht((self.b.rho,), CartanType.C, self.b.c_charge)
 
     @_part
-    def states(self) -> List[Tuple[Partition, Tuple[int, int], int]]:
-        b = self.b
-        return [(nu, c_state(nu, b.kappa_c), a_state(bp, b.a_charge))
-                for bp, nu in self.pairs]
+    def a_states(self) -> List[int]:  # the states of pairs, in its order
+        return [a_state(bp, self.b.a_charge) for bp, _ in self.pairs]
+
+    @_part
+    def c_states(self) -> List[Tuple[int, int]]:  # of the images in pairs
+        return [c_state(nu, self.b.kappa_c) for _, nu in self.pairs]
 
     @_part
     def counts(self) -> List[Tuple[int, int]]:  # the walks at q = 1
-        return [(c_walk(0, *c), a_walk(0, a)) for _, c, a in self.states]
+        return [(c_walk(0, *c), a_walk(0, a)) for c, a in zip(self.c_states, self.a_states)]
 
     @_part
-    def c_kleshchev(self) -> List[Partition]:
-        return [nu for nu in self.c_shapes
-                if is_kleshchev((nu,), CartanType.C, self.b.c_charge)]
+    def c_klesh(self) -> List[Tuple[Partition, Tuple[int, int]]]:
+        # off c_shapes, not pairs: the Kleshchev check compares two listings
+        return [(nu, st) for nu in self.c_shapes
+                for st in [c_state(nu, self.b.kappa_c)] if c_kleshchev(*st)]
 
 
 def _check_count(blk: _Block) -> dict:
@@ -248,7 +251,7 @@ def _check_count(blk: _Block) -> dict:
     ok = sorted(nu for _, nu in blk.pairs) == sorted(blk.c_shapes)  # one to one
     std_rho = blk.rho_poly.eval_at_1()
     lhs_total = rhs_total = 0
-    for (nu, _, _), (n_c, n_a) in zip(blk.states, blk.counts):
+    for (_, nu), (n_c, n_a) in zip(blk.pairs, blk.counts):
         n_fact, n_rho_a = std_rho * n_c, std_rho * n_a
         lhs_total += n_fact ** 2
         rhs_total += n_rho_a ** 2
@@ -274,7 +277,7 @@ def _check_graded(blk: _Block) -> dict:
     per_shape = []
     shift: Optional[int] = None
     ok = True
-    for nu, c_st, a_st in blk.states:
+    for (_, nu), c_st, a_st in zip(blk.pairs, blk.c_states, blk.a_states):
         lhs, rhs = c_walk(K, *c_st), a_walk(K, a_st)
         c = _graded_shift(lhs, rhs, K)
         if c is None or (shift is not None and c != shift):
@@ -318,9 +321,8 @@ def _check_dominance(blk: _Block) -> dict:
 
 
 def _check_kleshchev(blk: _Block) -> dict:
-    a_klesh = {nu for bp, nu in blk.pairs
-               if is_kleshchev(bp, CartanType.A, blk.b.a_charge)}
-    c_klesh = set(blk.c_kleshchev)
+    a_klesh = {nu for (_, nu), s in zip(blk.pairs, blk.a_states) if a_kleshchev(s)}
+    c_klesh = {nu for nu, _ in blk.c_klesh}
     return {"pass": a_klesh == c_klesh, "a_image": sorted(map(list, a_klesh)),
             "c_set": sorted(map(list, c_klesh))}
 
@@ -328,19 +330,13 @@ def _check_kleshchev(blk: _Block) -> dict:
 def _check_goodpath(blk: _Block) -> dict:
     # A Kleshchev shape passes when good-node removals take it down to rho
     # and rho down to the empty partition, and each word's cogood replay
-    # from the lower end reaches the upper one.  A replay that meets no
-    # cogood node ends in None, which is neither end.  The walks are
-    # memoized, so rho's head is one lookup, and in a sweep each shape
-    # extends the walk of the shape one good removal below it.
-    b = blk.b
-    C = CartanType.C
-    head = good_walk((b.rho,), ((),), C, b.c_charge)
-    head_ok = head is not None and head[1] == (b.rho,)
-    failures = []
-    for nu in blk.c_kleshchev:
-        tail = good_walk((nu,), (b.rho,), C, b.c_charge)
-        if not head_ok or tail is None or tail[1] != (nu,):
-            failures.append(list(nu))
+    # from the lower end reaches the upper one (a replay that meets no
+    # cogood node ends in 0).  The walks are memoized: rho's head is one
+    # lookup, and in a sweep a shape extends the walk one removal below it.
+    zero, s = c_state(blk.b.rho, blk.b.kappa_c)
+    head_ok = c_good_walk(zero, s, False) == s
+    failures = [list(nu) for nu, (zero, s) in blk.c_klesh
+                if not head_ok or c_good_walk(zero, s, True) != s]
     return {"pass": not failures, "failures": failures}
 
 

@@ -76,8 +76,8 @@ def step_degrees(mp: MultiPartition, ct: CartanType,
 
     This is the package's one scan of a shape's rows for corners.  Its
     readers are the tableau walk (tableaux.enumerate_standard), the graded
-    recursion (graded._gdim) and the crystal layer, which reads good and
-    cogood nodes off the degrees (crystal._good_nodes, crystal._cogood_node)."""
+    recursion (graded._gdim) and the command line's Kleshchev test, which
+    reads good nodes off the degrees (crystal._good_nodes)."""
     absolute = ct is CartanType.C
     below: Dict[Residue, int] = {}
     addable: List[Corner] = []

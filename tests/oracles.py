@@ -1,8 +1,12 @@
 """Brute-force corner oracles from the definitions, independent of the
 package's one corner scan (partitions.step_degrees, off which the
-crystal layer also reads its good and cogood nodes): step degrees,
+crystal layer also reads its good nodes): step degrees,
 i-signatures and their reduction, good and cogood nodes, the unmemoized
-cogood replay, and the bridge image.  Also the bridge map with its
+cogood replay, and the bridge image.  The cogood rule on step degrees and
+the good-removal walk on shapes that the bridge's bit rules replaced
+(oracle_cogood_node, good_walk), the ballot rule of the type-A weights
+(ballot_kleshchev), and a reader of the bit walk in the terms of good_walk
+(c_shape, bit_good_walk).  Also the bridge map with its
 membership check, built on that image; the weight labels of a type-C
 partition; the pairwise dominance test that the dominance check's prefix
 sums replaced; the nested recursion that
@@ -22,7 +26,7 @@ parsing."""
 import argparse
 from functools import cache, lru_cache
 
-from klrblocks import cli, partitions
+from klrblocks import cli, crystal, graded, partitions
 from klrblocks.cartan import CartanType
 from klrblocks.graded import LaurentPoly, gdim_specht
 from klrblocks.morita import ALL_CHECKS, BridgeError
@@ -189,6 +193,120 @@ def plain_cogood_path(start, word, ct, charge):
             return None
         mp = add_node(mp, node)
     return mp
+
+
+def oracle_cogood_node(mp, ct, charge, i):
+    """The cogood i-node read off the step degrees, as the crystal layer did
+    before the bridge read it off bit states: the addable i-node of least
+    degree, the highest if several tie, when that degree is below the
+    count of addable minus removable i-nodes; None otherwise."""
+    addable, removable = partitions.step_degrees(mp, ct, charge)
+    best, low, excess = None, 0, 0
+    for node, j, d in addable:  # bottom first: the last of a tie is the highest
+        if j == i:
+            excess += 1
+            if best is None or d <= low:
+                best, low = node, d
+    excess -= sum(1 for _, j, _ in removable if j == i)
+    return None if best is None or low >= excess else best
+
+
+@lru_cache(maxsize=None)
+def _good_walk(ct, charge, mp, target):
+    """good_walk for mp != target, memoized for the process.  The search
+    tries the good nodes of mp in (component, row) order, skipping those
+    inside target, and keeps the first whose removal leaves target or a
+    shape with a walk; the entry extends that walk by the node's residue
+    and one cogood step of its replay."""
+    goods = crystal._good_nodes(mp, ct, charge).items()
+    for i, node in sorted(goods, key=lambda entry: (entry[1][2], entry[1][0])):
+        if contains(target, node):
+            continue
+        nxt = remove_node(mp, node)
+        below = ((), target) if nxt == target else _good_walk(ct, charge, nxt, target)
+        if below is None:
+            continue
+        word, end = below
+        if end is not None:
+            step = oracle_cogood_node(end, ct, charge, i)
+            end = None if step is None else add_node(end, step)
+        return word + (i,), end
+    return None
+
+
+def good_walk(mp, target, ct, charge):
+    """The good-removal walk on shapes that crystal.c_good_walk replaced:
+    (word, end), the residue word of good-node removals from mp down to
+    target in addition order and the shape its cogood additions reach from
+    target (None if a step has no cogood node); None if there is no such
+    word.  Depth-first, trying good nodes in (component, row) order; a good
+    node inside target is never removed, since no later removal can bring
+    it back."""
+    if len(target) != len(mp):
+        return None
+    if mp == target:
+        return (), target
+    return _good_walk(ct, tuple(charge), mp, target)
+
+
+def c_shape(zero, s, kappa_c):
+    """The partition nu whose type-C bit state (graded.c_state) is (zero, s),
+    read off M(nu, kappa_c) = {kappa_c + nu_r - r}: its r-th largest element
+    u gives nu_r = u - kappa_c + r, down to the first part that is 0."""
+    parts = []
+    for p in range(s.bit_length() - 1, -1, -1):
+        if s >> p & 1:
+            part = p - zero - kappa_c + len(parts) + 1
+            if part == 0:
+                break
+            parts.append(part)
+    return tuple(parts)
+
+
+def bit_good_walk(nu, kappa_c, to_rho):
+    """crystal.c_good_walk from nu, down to the rectangle rho of nu's
+    zero-residue nodes or (not to_rho) down to the empty partition, in the
+    terms of good_walk: (word, end) with end decoded into an l-partition,
+    or None.  The word follows, from each shape, the first good node
+    (crystal._good_nodes, in row order) outside rho whose state has a walk,
+    as the search does."""
+    C, charge = CartanType.C, (kappa_c,)
+    a0 = content(C, charge, (nu,))[0]
+    target = (a0,) * (kappa_c + a0) if to_rho else ()
+    end = crystal.c_good_walk(*graded.c_state(nu, kappa_c), to_rho)
+    if end is None:
+        return None
+    word, cur = [], nu
+    while cur != target:
+        goods = sorted(crystal._good_nodes((cur,), C, charge).items(), key=lambda g: g[1])
+        for i, node in goods:
+            child = remove_node((cur,), node)[0]
+            if not contains((target,), node) and crystal.c_good_walk(
+                    *graded.c_state(child, kappa_c), to_rho) is not None:
+                word.append(i)
+                cur = child
+                break
+        else:
+            raise AssertionError(f"the bit walk has a word below {cur} that the "
+                                 "search does not find")
+    zero = graded.c_state(nu, kappa_c)[0]
+    return tuple(reversed(word)), (c_shape(zero, end, kappa_c),) if end else None
+
+
+def ballot_kleshchev(bp, charge):
+    """Kleshchev membership of a bipartition of a bridge's type-A block by
+    weights (ROADMAP finding 3): its free vertices u >= 0, those in exactly
+    one of M(lambda, kappa_1) and M(mu, kappa_2), read upward as a ballot
+    word, with no prefix holding more vertices of M(mu) than of M(lambda)."""
+    sets = [{k + (p[r - 1] if r <= len(p) else 0) - r for r in range(1, len(p) + k + 1)}
+            for p, k in zip(bp, charge)]
+    lead = 0
+    for u in range(size(bp) + max(charge) + 1):
+        if (u in sets[0]) != (u in sets[1]):
+            lead += 1 if u in sets[0] else -1
+            if lead < 0:
+                return False
+    return True
 
 
 def rect_add(rho, lam, mu=EMPTY):

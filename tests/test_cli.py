@@ -140,6 +140,17 @@ class TestKleshchev:
         assert run(capsys, "--format", "pretty", *argv) == (0, "[]\n")
         assert run(capsys, "--format", "csv", *argv) == (0, "shape,kleshchev\r\n")
 
+    def test_tall_column_is_answered(self, capsys):
+        # a 1200-node column, deeper than Python's recursion limit: every
+        # partition is Kleshchev in type A at level one, and this column in
+        # type C at charge 0
+        column = ",".join(["1"] * 1200)
+        for ct in ("a", "c"):
+            assert run(capsys, "kleshchev", "--type", ct, "--charge", "0",
+                       "--shape", column) == (
+                0, json.dumps({"shape": column, "kleshchev": True},
+                              separators=(",", ":")) + "\n")
+
     def test_list_with_shape_exits_2(self, capsys):
         assert main(["kleshchev", "--charge", "0", "--shape", "2", "--list"]) == 2
         assert "--list filters the l-partitions of --n" in capsys.readouterr().err
@@ -938,13 +949,13 @@ class TestErrors:
                    "--max-n", "0") == (0, "bridge,checks,pass\r\n")
 
     def test_tall_shape_exits_2(self, capsys):
-        # a 1200-node column: deeper than the recursion limit of the crystal
-        # and graded-dimension recursions, which recurse once per node
+        # a 1200-node column: deeper than the recursion limit of the
+        # graded-dimension recursion, which recurses once per node (the
+        # Kleshchev test is a loop: TestKleshchev answers the column)
         height = 1200
         column = ",".join(["1"] * height)
-        common = ("--type", "a", "--charge", "0")
-        for command in ("kleshchev", "gdim"):
-            assert fails_cleanly(capsys, command, *common, "--shape", column)
+        assert fails_cleanly(capsys, "gdim", "--type", "a", "--charge", "0",
+                             "--shape", column)
 
     def test_positive_part_after_zero_exits_2(self, capsys):
         # (1,0,1) is not the shape (1,1): the zero is refused, not dropped

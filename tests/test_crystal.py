@@ -3,7 +3,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from klrblocks import crystal
 from klrblocks.cartan import CartanType
-from klrblocks.crystal import _cogood_node, _good_nodes, good_walk, is_kleshchev
+from klrblocks.crystal import _good_nodes, a_kleshchev, c_kleshchev, is_kleshchev
+from klrblocks.graded import a_state, c_state
+from klrblocks.morita import a_block, iter_bridges, one_block_bridge
 from klrblocks.partitions import (
     add_node,
     content,
@@ -14,10 +16,16 @@ from klrblocks.partitions import (
     step_degrees,
 )
 
+import oracles
 from oracles import (
+    ballot_kleshchev,
+    bit_good_walk,
+    c_shape,
     cogood_node,
     corners,
     good_node,
+    good_walk,
+    oracle_cogood_node,
     plain_cogood_path,
     reduce_signature,
     residue,
@@ -40,9 +48,9 @@ def charged_shapes(draw, max_level=3, max_n=8, max_c_level=None):
 
 
 def pass_nodes(mp, ct, charge, i):
-    """(good, cogood) i-nodes as the crystal layer reads them off the step
-    degrees."""
-    return _good_nodes(mp, ct, charge).get(i), _cogood_node(mp, ct, charge, i)
+    """(good, cogood) i-nodes read off the step degrees: the good one by the
+    crystal layer, the cogood one by the oracle the bit rules replaced."""
+    return _good_nodes(mp, ct, charge).get(i), oracle_cogood_node(mp, ct, charge, i)
 
 
 def seed_good_nodes(cur, ct, charge):
@@ -152,8 +160,8 @@ class TestSignatures:
 def assert_pass_matches_oracle(mp, ct, charge):
     """For every residue with a corner, _good_nodes holds the leftmost r
     left in the oracle's reduced signature (no entry when none is left)
-    and _cogood_node gives the rightmost a; _good_nodes has no entry for
-    any other residue."""
+    and oracle_cogood_node gives the rightmost a; _good_nodes has no entry
+    for any other residue."""
     addable, removable = corners(mp)
     residues = {residue(ct, charge, node) for node in addable + removable}
     goods = _good_nodes(mp, ct, charge)
@@ -164,7 +172,7 @@ def assert_pass_matches_oracle(mp, ct, charge):
         a_nodes = [node for marker, node in reduced if marker == "a"]
         assert goods.get(i) == (r_nodes[0] if r_nodes else None)
         assert goods.get(i) == good_node(mp, ct, charge, i)
-        cogood = _cogood_node(mp, ct, charge, i)
+        cogood = oracle_cogood_node(mp, ct, charge, i)
         assert cogood == (a_nodes[-1] if a_nodes else None)
         assert cogood == cogood_node(mp, ct, charge, i)
     return residues
@@ -225,7 +233,7 @@ class TestStepDegreeRules:
             assert _good_nodes(mp, ct, charge) == {
                 i: node for i, node in goods.items() if node is not None}
             for i in residues:
-                assert _cogood_node(mp, ct, charge, i) == cogood_node(mp, ct, charge, i)
+                assert oracle_cogood_node(mp, ct, charge, i) == cogood_node(mp, ct, charge, i)
 
 
 @st.composite
@@ -250,11 +258,11 @@ class TestGoodRemovalPath:
     @example((C, (0,), ((3, 1),), ((2,),)))  # target not inside mp
     @example((A, (1, 0), ((2,), (1,)), ((1,), ())))
     def test_pruned_search_matches_unpruned(self, case):
-        # the walk memo lives for the process: warm and cold answers agree
+        # the oracle's memo lives for the process: warm and cold answers agree
         ct, charge, mp, target = case
         warm = good_walk(mp, target, ct, charge)
         assert good_walk(mp, target, ct, charge) == warm
-        crystal._good_walk.cache_clear()
+        oracles._good_walk.cache_clear()
         assert good_walk(mp, target, ct, charge) == warm
         assert removal_word(mp, target, ct, charge) == unpruned_good_removal_path(
             mp, target, ct, charge)
@@ -335,60 +343,152 @@ class TestKleshchev:
 
     def test_non_kleshchev_walk_is_linear(self):
         # the good-removal search visits 234 226 states on this shape; the
-        # one-node walk makes at most one memo miss per node and the empty one
+        # one-node walk records at most one memo entry per node and the
+        # empty one
         mp = ((9, 9, 3) + (1,) * 15, (14, 3, 3, 2, 2))
-        crystal._kleshchev.cache_clear()
+        crystal._KLESHCHEV.clear()
         assert not is_kleshchev(mp, A, (0, 1))
-        assert crystal._kleshchev.cache_info().misses <= size(mp) + 1
+        assert len(crystal._KLESHCHEV) <= size(mp) + 1
+
+    def test_walk_records_every_shape_on_its_chain(self):
+        # the answer is recorded for each shape the walk passes, so testing
+        # a shape one good removal below a tested one adds no entry
+        for mp, answer in ((((3, 2, 1),), True), (((4, 2),), False)):
+            crystal._KLESHCHEV.clear()
+            assert is_kleshchev(mp, C, (0,)) is answer
+            entries = dict(crystal._KLESHCHEV)
+            below = remove_node(mp, next(iter(_good_nodes(mp, C, (0,)).values())))
+            assert entries[C, (0,), below] is answer
+            assert is_kleshchev(below, C, (0,)) is answer
+            assert crystal._KLESHCHEV == entries
+
+    def test_column_deeper_than_the_recursion_limit(self):
+        # the answers good_walk gives for the columns of 1 to 8 nodes
+        column = (1,) * 1200
+        assert is_kleshchev((column,), C, (0,))
+        assert is_kleshchev(((), column), A, (0, 0))
+        assert not is_kleshchev((column, ()), A, (0, 0))
 
 
-@st.composite
-def head_memo_cases(draw):
-    """A partition nu, a rho (inside nu or not) and two charges."""
-    nu = draw(st.sampled_from(partitions_of(draw(st.integers(1, 8)))))
-    rho = draw(st.sampled_from(partitions_of(draw(st.integers(0, sum(nu))))))
-    charges = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
-    return nu, rho, [(k,) for k in charges]
+def bridge_members(kappa_c, max_n=20):
+    """Every bridge to height max_n at kappa_c, then the maximal blocks to
+    a0 = 6 at kappa_c 0 and to a0 = 5 above it."""
+    yield from iter_bridges(kappa_c, max_n)
+    for a0 in range(1, 7 if kappa_c == 0 else 6):
+        rect = ((a0,) * (2 * a0 + 2 * kappa_c),)
+        yield one_block_bridge(kappa_c, content(C, (kappa_c,), rect))
+
+
+class TestBitRules:
+    """The bridge's Kleshchev tests and good-removal walk read their good and
+    cogood nodes off four bits of a state; each must agree with the
+    step-degree rules, and the type-A test also with the ballot rule of
+    the weights (ROADMAP finding 3), on every member of every block the
+    bridge checks."""
+
+    def test_examples(self):
+        assert c_kleshchev(*c_state((1, 1), 0))
+        assert not c_kleshchev(*c_state((2,), 0))
+        assert c_kleshchev(*c_state((), 3))
+        assert a_kleshchev(a_state(((1,), (1,)), (1, 1)))
+        assert not a_kleshchev(a_state(((1,), ()), (1, 1)))
+        assert a_kleshchev(a_state(((), ()), (2, 0)))
+
+    def test_cogood_nodes_of_small_shapes(self):
+        # every residue of every partition to size 10 at kappa_c 0-3
+        for kappa_c in range(4):
+            for n in range(11):
+                for nu in partitions_of(n):
+                    zero, s = c_state(nu, kappa_c)
+                    for i in range(kappa_c + n + 1):
+                        node = cogood_node((nu,), C, (kappa_c,), i)
+                        got = crystal._c_cogood(zero, s, i)
+                        assert got == (0 if node is None else
+                                       c_state(add_node((nu,), node)[0], kappa_c)[1])
+
+    def test_kleshchev_on_small_shapes(self):
+        # beyond the bridge's blocks: every partition to size 12 at kappa_c
+        # 0-3, and every bipartition to size 8 that fits its charges 0-3
+        for kappa_c in range(4):
+            for n in range(13):
+                for nu in partitions_of(n):
+                    assert (c_kleshchev(*c_state(nu, kappa_c))
+                            == crystal._kleshchev(C, (kappa_c,), (nu,)))
+        charges = [(k1, k2) for k1 in range(4) for k2 in range(4)]
+        for n in range(9):
+            for bp in multipartitions_of(n, 2):
+                for charge in charges:
+                    if all(len(p) <= k for p, k in zip(bp, charge)):
+                        assert (a_kleshchev(a_state(bp, charge))
+                                == crystal._kleshchev(A, charge, bp))
+
+    @pytest.mark.parametrize("kappa_c", [0, 1, 2])
+    def test_on_every_bridge_member(self, kappa_c):
+        heads = set()
+        for b in bridge_members(kappa_c):
+            if b.rho not in heads:
+                heads.add(b.rho)
+                assert (bit_good_walk(b.rho, kappa_c, False)
+                        == good_walk((b.rho,), ((),), C, (kappa_c,)))
+            for nu in b.c_shapes:
+                state = c_state(nu, kappa_c)
+                assert c_shape(*state, kappa_c) == nu
+                assert c_kleshchev(*state) == crystal._kleshchev(C, (kappa_c,), (nu,))
+                assert (bit_good_walk(nu, kappa_c, True)
+                        == good_walk((nu,), (b.rho,), C, (kappa_c,)))
+            for bp in a_block(b):
+                klesh = a_kleshchev(a_state(bp, b.a_charge))
+                assert klesh == crystal._kleshchev(A, b.a_charge, bp)
+                assert klesh == ballot_kleshchev(bp, b.a_charge)
+
+
+def bridge_shapes(max_n=8):
+    """(nu, kappa_c) for every partition nu to size max_n with a zero-residue
+    node, at kappa_c 0-3."""
+    return [(nu, kappa_c) for kappa_c in range(4) for n in range(1, max_n + 1)
+            for nu in partitions_of(n) if content(C, (kappa_c,), (nu,))[0]]
 
 
 class TestHeadMemo:
     @settings(deadline=None, max_examples=100)
-    @given(head_memo_cases())
-    @example(((2, 1), (1,), [(0,), (1,)]))
-    def test_warm_memo_matches_cold_memo_and_oracle(self, case):
-        nu, rho, charges = case
-        calls = [(ct, charge) for ct in (C, A) for charge in charges]
-        warm = [factors(nu, rho, ct, charge) for ct, charge in calls]
-        for (ct, charge), got in zip(calls, warm):
-            crystal._good_walk.cache_clear()
-            assert factors(nu, rho, ct, charge) == got
-            head = unpruned_good_removal_path((rho,), ((),), ct, charge)
-            tail = unpruned_good_removal_path((nu,), (rho,), ct, charge)
-            assert got == (None if head is None or tail is None else head + tail)
+    @given(st.sampled_from(bridge_shapes()), st.booleans())
+    @example(((2, 1), 0), True)
+    def test_warm_memo_matches_cold_memo_and_oracle(self, case, to_rho):
+        # the walk memo lives for the process: warm and cold answers agree,
+        # and both are the search's
+        nu, kappa_c = case
+        a0 = content(C, (kappa_c,), (nu,))[0]
+        target = (a0,) * (kappa_c + a0) if to_rho else ()
+        warm = bit_good_walk(nu, kappa_c, to_rho)
+        crystal.c_good_walk.cache_clear()
+        assert bit_good_walk(nu, kappa_c, to_rho) == warm
+        assert warm == good_walk((nu,), (target,), C, (kappa_c,))
+        word = unpruned_good_removal_path((nu,), (target,), C, (kappa_c,))
+        assert (None if warm is None else warm[0]) == word
 
     def test_one_head_search_per_key(self):
-        # rho's walk down to the empty partition is built once, also under
-        # a list charge: a sweep's misses are the head's plus the tails'
-        # alone (their keys have another target)
+        # rho's walk down to the empty partition is built once: a sweep's
+        # misses are the head's plus the tails' alone (their keys have
+        # another flag)
         rho, shapes = (2, 2), [(4, 3, 1), (3, 2, 2, 1), (2, 2, 2, 2), (4, 3, 1)]
-        walk = crystal._good_walk
+        walk = crystal.c_good_walk
         walk.cache_clear()
-        assert good_walk((rho,), ((),), C, (0,)) is not None
+        assert walk(*c_state(rho, 0), False) is not None
         head = walk.cache_info().misses
         walk.cache_clear()
         for nu in shapes:
-            good_walk((nu,), (rho,), C, (0,))
+            walk(*c_state(nu, 0), True)
         tails = walk.cache_info().misses
         walk.cache_clear()
         for nu in shapes:
-            factors(nu, rho, C, (0,))
-        factors(shapes[0], rho, C, [0])
+            walk(*c_state(rho, 0), False)
+            walk(*c_state(nu, 0), True)
         assert walk.cache_info().misses == head + tails
 
     def test_cold_miss_recurses_once_per_node(self, monkeypatch):
-        # a cold walk recurses at most |mp| - |target| deep, and its replay
+        # a cold walk recurses at most |nu| - |rho| deep, and its replay
         # adds no recursion
-        memo, depth, deepest = crystal._good_walk, [0], [0]
+        memo, depth, deepest = crystal.c_good_walk, [0], [0]
 
         def tracking(*key):
             depth[0] += 1
@@ -398,18 +498,19 @@ class TestHeadMemo:
             finally:
                 depth[0] -= 1
 
-        monkeypatch.setattr(crystal, "_good_walk", tracking)
+        monkeypatch.setattr(crystal, "c_good_walk", tracking)
         for nu, rho in (((8,) + (1,) * 7, ()), ((7, 2, 2, 1, 1, 1, 1), (2, 2))):
             memo.cache_clear()
             deepest[0] = 0
-            assert good_walk((nu,), (rho,), C, (0,))[1] == (nu,)
-            assert deepest[0] == sum(nu) - sum(rho)
+            zero, s = c_state(nu, 0)
+            assert crystal.c_good_walk(zero, s, bool(rho)) == s
+            assert deepest[0] == sum(nu) - sum(rho) + 1
 
 
 class TestWalkMemos:
-    """The walk memo lives for the process; every entry's word must be the
-    search's and its replay end the unmemoized replay's.  A list charge
-    reads the entries of its tuple in the walk and Kleshchev memos."""
+    """The oracle's walk memo lives for the process; every entry's word must
+    be the search's and its replay end the unmemoized replay's.  A list
+    charge reads the entries of its tuple in the walk and Kleshchev memos."""
 
     @settings(deadline=None, max_examples=200)
     @given(removal_searches())
@@ -419,7 +520,7 @@ class TestWalkMemos:
         walk = good_walk(mp, target, ct, charge)
         if walk is not None:
             assert walk[1] == plain_cogood_path(target, walk[0], ct, charge)
-        crystal._good_walk.cache_clear()
+        oracles._good_walk.cache_clear()
         assert good_walk(mp, target, ct, charge) == walk
 
     @settings(deadline=None, max_examples=100)
@@ -427,45 +528,46 @@ class TestWalkMemos:
     def test_list_charge_adds_no_misses(self, search):
         ct, charge, mp, target = search
         is_kleshchev(mp, ct, charge)
-        misses = crystal._kleshchev.cache_info().misses
+        entries = len(crystal._KLESHCHEV)
         is_kleshchev(mp, ct, list(charge))
-        assert crystal._kleshchev.cache_info().misses == misses
+        assert len(crystal._KLESHCHEV) == entries
         good_walk(mp, target, ct, charge)
-        misses = crystal._good_walk.cache_info().misses
+        misses = oracles._good_walk.cache_info().misses
         good_walk(mp, target, ct, list(charge))
-        assert crystal._good_walk.cache_info().misses == misses
+        assert oracles._good_walk.cache_info().misses == misses
 
 
 class TestCogoodPath:
-    """The replay half of a walk: the cogood additions of its word from
-    the target."""
+    """The replay half of the bit walk: the cogood additions of its word
+    from the lower end."""
 
     def test_examples(self):
-        assert good_walk(((1,),), ((),), C, (0,)) == ((0,), ((1,),))
-        assert good_walk(((1, 1),), ((),), C, (0,)) == ((0, 1), ((1, 1),))
-        assert good_walk(((1,),), ((1,),), C, (0,)) == ((), ((1,),))
+        assert bit_good_walk((1,), 0, False) == ((0,), ((1,),))
+        assert bit_good_walk((1, 1), 0, False) == ((0, 1), ((1, 1),))
+        assert bit_good_walk((1,), 0, True) == ((), ((1,),))
 
     def test_failure_position(self, monkeypatch):
-        # a step with no cogood node ends the replay in None, and every
-        # walk built on it keeps None
-        real = crystal._cogood_node
+        # a step with no cogood node ends the replay in 0, and every walk
+        # built on it keeps 0
+        real = crystal._c_cogood
 
-        def no_cogood_1(mp, ct, charge, i):
-            return None if i == 1 else real(mp, ct, charge, i)
+        def no_cogood_1(zero, s, i):
+            return 0 if i == 1 else real(zero, s, i)
 
-        monkeypatch.setattr(crystal, "_cogood_node", no_cogood_1)
-        crystal._good_walk.cache_clear()
+        monkeypatch.setattr(crystal, "_c_cogood", no_cogood_1)
+        crystal.c_good_walk.cache_clear()
         try:
-            assert good_walk(((1,),), ((),), C, (0,)) == ((0,), ((1,),))
-            assert good_walk(((1, 1),), ((),), C, (0,)) == ((0, 1), None)
-            assert good_walk(((2, 1, 1),), ((),), C, (0,)) == ((0, 1, 2, 1), None)
+            assert bit_good_walk((1,), 0, False) == ((0,), ((1,),))
+            assert bit_good_walk((1, 1), 0, False) == ((0, 1), None)
+            assert bit_good_walk((2, 1, 1), 0, False) == ((0, 1, 2, 1), None)
+            assert crystal.c_good_walk(*c_state((2, 1, 1), 0), False) == 0
         finally:
-            crystal._good_walk.cache_clear()
+            crystal.c_good_walk.cache_clear()
         assert plain_cogood_path(((),), (0, 0), C, (0,)) is None
 
     def test_replay_witness(self):
-        assert good_walk(((2, 1),), ((1,),), C, (0,)) == ((1, 1), ((2, 1),))
-        assert good_walk(((2, 1),), ((),), C, (0,)) == ((0, 1, 1), ((2, 1),))
+        assert bit_good_walk((2, 1), 0, True) == ((1, 1), ((2, 1),))
+        assert bit_good_walk((2, 1), 0, False) == ((0, 1, 1), ((2, 1),))
 
 
 class TestFactorsThrough:
@@ -478,13 +580,12 @@ class TestFactorsThrough:
     def test_every_kleshchev_factors(self, kappa_c):
         for n in range(1, 10):
             for nu in partitions_of(n):
-                beta = content(C, (kappa_c,), (nu,))
-                a0 = beta[0]
-                if a0 == 0 or not is_kleshchev((nu,), C, (kappa_c,)):
+                a0 = content(C, (kappa_c,), (nu,))[0]
+                if a0 == 0 or not c_kleshchev(*c_state(nu, kappa_c)):
                     continue
                 rho = (a0,) * (kappa_c + a0)
-                head = good_walk((rho,), ((),), C, (kappa_c,))
-                tail = good_walk((nu,), (rho,), C, (kappa_c,))
+                head = bit_good_walk(rho, kappa_c, False)
+                tail = bit_good_walk(nu, kappa_c, True)
                 assert head[1] == (rho,) and tail[1] == (nu,)
                 word = head[0] + tail[0]
                 # the word's residues add up to the block content

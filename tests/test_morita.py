@@ -5,8 +5,8 @@ import pytest
 
 from klrblocks import crystal, morita
 from klrblocks.cartan import CartanType, RootVector
-from klrblocks.crystal import good_walk, is_kleshchev
 from klrblocks import graded
+from klrblocks.graded import c_state
 from klrblocks.morita import (
     BridgeError,
     a_block,
@@ -20,8 +20,8 @@ from klrblocks.morita import (
 from klrblocks.partitions import conjugate, content, partitions_of, remove_node
 from klrblocks.tableaux import enumerate_standard
 
-from oracles import (good_node, maya_labels, plain_cogood_path, prefix_shape,
-                     rect_add, residue_sequence, tableau_to_type_c, to_type_c)
+from oracles import (bit_good_walk, maya_labels, prefix_shape, rect_add,
+                     residue_sequence, tableau_to_type_c, to_type_c)
 
 A, C = CartanType.A, CartanType.C
 
@@ -344,44 +344,42 @@ class TestVerifyBridge:
         # tail once; with a cold memo every state the walks pass through
         # is built once, with its replay step, and a second run builds none
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
-        targets = []
+        flags = []
+        walk = crystal.c_good_walk
 
-        def counting(mp, target, ct, charge):
-            targets.append(target)
-            return good_walk(mp, target, ct, charge)
+        def counting(zero, s, to_rho):
+            flags.append(to_rho)
+            return walk(zero, s, to_rho)
 
-        monkeypatch.setattr(morita, "good_walk", counting)
-        crystal._good_walk.cache_clear()
+        monkeypatch.setattr(morita, "c_good_walk", counting)
+        walk.cache_clear()
         report = verify_bridge(b, checks=("kleshchev", "goodpath"))
         assert report["checks"]["goodpath"]["pass"]
         klesh = report["checks"]["kleshchev"]["c_set"]
         assert len(klesh) > 1
-        assert targets.count(((),)) == 1
-        assert targets.count((b.rho,)) == len(targets) - 1 == len(klesh)
+        assert flags.count(False) == 1
+        assert flags.count(True) == len(flags) - 1 == len(klesh)
+        # the states on the walks' paths, the lower end included
         states = set()
-        for start, target in [((b.rho,), ((),))] + [((tuple(nu),), (b.rho,)) for nu in klesh]:
-            mp = start
-            for i in reversed(good_walk(start, target, C, b.c_charge)[0]):
-                states.add((mp, target))
-                mp = remove_node(mp, good_node(mp, C, b.c_charge, i))
-            assert mp == target
-        misses = crystal._good_walk.cache_info().misses
+        for start, to_rho in [(b.rho, False)] + [(tuple(nu), True) for nu in klesh]:
+            mp = (start,)
+            for i in reversed(bit_good_walk(start, b.kappa_c, to_rho)[0]):
+                states.add((c_state(mp[0], b.kappa_c), to_rho))
+                mp = remove_node(mp, crystal._good_nodes(mp, C, b.c_charge)[i])
+            states.add((c_state(mp[0], b.kappa_c), to_rho))
+        misses = walk.cache_info().misses
         assert misses == len(states)
         verify_bridge(b, checks=("kleshchev", "goodpath"))
-        assert crystal._good_walk.cache_info().misses == misses
+        assert walk.cache_info().misses == misses
 
     def test_goodpath_bad_head_fails_every_shape(self, monkeypatch):
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
 
-        def bad_head(mp, target, ct, charge):
-            walk = good_walk(mp, target, ct, charge)
-            if target != ((),):
-                return walk
-            # the empty partition has no cogood 1-node
-            word = (1,) + walk[0][1:]
-            return word, plain_cogood_path(target, word, ct, charge)
+        def bad_head(zero, s, to_rho):
+            # a head whose replay meets no cogood node
+            return crystal.c_good_walk(zero, s, to_rho) if to_rho else 0
 
-        monkeypatch.setattr(morita, "good_walk", bad_head)
+        monkeypatch.setattr(morita, "c_good_walk", bad_head)
         report = verify_bridge(b, checks=("kleshchev", "goodpath"))
         goodpath = report["checks"]["goodpath"]
         assert not goodpath["pass"]
@@ -393,7 +391,7 @@ class TestVerifyBridge:
         # shape one good removal below it, which the bridge one height
         # lower checked; so once a bridge with the same rho has run,
         # rho's head and every other walk a bridge reads are memo hits
-        walk = crystal._good_walk
+        walk = crystal.c_good_walk
         walk.cache_clear()
         seen, later = set(), 0
         for b in iter_bridges(kappa_c, 14):
@@ -431,20 +429,20 @@ class TestVerifyBridge:
         assert len(calls) == (2 * len(a_block(b)) if unread == "c_walk" else 1)
 
     def test_kleshchev_shapes_tested_once(self, monkeypatch):
-        # kleshchev and goodpath read one list of Kleshchev type-C shapes
+        # kleshchev and goodpath read one list of Kleshchev type-C shapes,
+        # tested on the states of c_block's shapes
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
         asked = []
 
-        def counting(mp, ct, charge):
-            if ct is C:
-                asked.append(mp)
-            return is_kleshchev(mp, ct, charge)
+        def counting(zero, s):
+            asked.append((zero, s))
+            return crystal.c_kleshchev(zero, s)
 
-        monkeypatch.setattr(morita, "is_kleshchev", counting)
+        monkeypatch.setattr(morita, "c_kleshchev", counting)
         report = verify_bridge(b, ("kleshchev", "goodpath"))
         assert report["pass"]
         assert len(report["checks"]["kleshchev"]["c_set"]) > 1
-        assert sorted(asked) == sorted((nu,) for nu in c_block(b))
+        assert sorted(asked) == sorted(c_state(nu, 0) for nu in c_block(b))
 
     def test_block_members_not_rechecked(self, monkeypatch):
         # a_block yields only members of the type-A block, so mapping them
@@ -493,7 +491,7 @@ class TestVerifyBridge:
         shared = [verify_bridge(b, checks) for b in bridges]
         cold = []
         for b in bridges:
-            for memo in (crystal._kleshchev, crystal._good_walk):
+            for memo in (crystal.c_kleshchev, crystal.a_kleshchev, crystal.c_good_walk):
                 memo.cache_clear()
             cold.append(verify_bridge(b, checks))
         assert shared == cold

@@ -126,8 +126,9 @@ def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys):
 
     def recording(b, checks):
         sizes = [memo.cache_info().currsize
-                 for memo in (crystal._kleshchev, crystal._good_walk, graded._gdim,
-                              graded.c_walk, graded.a_walk)]
+                 for memo in (crystal.c_kleshchev, crystal.a_kleshchev,
+                              crystal.c_good_walk, graded._gdim, graded.c_walk,
+                              graded.a_walk)]
         calls.append((b.a0, tuple(checks), sizes))
         return real(b, checks)
 
@@ -135,8 +136,26 @@ def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["maximal_blocks.py", "--max-a0", "2"])
     assert script.main() == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
-    assert calls == [(a0, (check,), [0] * 5)
+    assert calls == [(a0, (check,), [0] * 6)
                      for a0 in (1, 2) for check in ALL_CHECKS]
+
+
+@pytest.mark.parametrize("script,work,argv", [
+    ("maximal_blocks", "verify_bridge", ["--max-a0", "2"]),
+    ("rectangle_table", "gdim_specht_weight", []),
+])
+def test_ctrl_c_exits_130_quietly(monkeypatch, capsys, script, work, argv):
+    # Ctrl-C in the work loop prints one line and no traceback, as the
+    # command line does
+    module = load_script(script)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(module, work, interrupted)
+    monkeypatch.setattr(sys, "argv", [f"{script}.py", *argv])
+    assert module.main() == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
 
 
 def test_maximal_blocks_goes_on_after_running_out_of_memory(monkeypatch, capsys):
@@ -174,9 +193,9 @@ def test_every_memo_is_cleared():
                      if hasattr(obj, "cache_clear"))
     assert {memo_name(memo) for memo in load_script("maximal_blocks").MEMOS} == found
     readme = (ROOT / "README.md").read_text()
-    section = readme[readme.index("Five memos live"):readme.index("Each is a `functools")]
+    section = readme[readme.index("Six memos live"):readme.index("Each is a `functools")]
     assert set(re.findall(r"^- `(\w+\.\w+)`", section, re.M)) == found
-    assert len(found) == 5
+    assert len(found) == 6
 
 
 def memo_name(memo):
