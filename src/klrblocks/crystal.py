@@ -1,17 +1,18 @@
-"""Crystal combinatorics: good nodes and Kleshchev l-partitions, and the
-bridge's Kleshchev tests and good-removal walk on bit states.
+"""Crystal combinatorics: Kleshchev l-partitions, and the bridge's
+Kleshchev tests and good-removal walk on bit states.
 
 Kashiwara's signature rule reads the good and cogood i-nodes off the
 reduced i-signature, the word a..a r..r left when every removable i-node
 followed by an addable one is cancelled, in (component, row) order.  For
 any type and level (the command line) no signature is built: the good
-nodes are read off partitions.step_degrees, where a corner's degree d
-counts the addable minus removable i-nodes below it.  A removable i-node
-stays (is normal) iff no stretch below it holds more a's than r's: the
-stretch to the foot holds d more, and the one to just above a lower
-removable i-node of degree d', d - d' + 1 more.  So, read bottom first,
-it is normal when d is below the running minimum of its residue, which
-starts at 1; the good node, the leftmost r, is the last normal one read.
+nodes are read off the corner rule on lattice states (partitions.corners),
+where a corner's degree d counts the addable minus removable i-nodes
+below it.  A removable i-node stays (is normal) iff no stretch below it
+holds more a's than r's: the stretch to the foot holds d more, and the
+one to just above a lower removable i-node of degree d', d - d' + 1 more.
+So, read bottom first, it is normal when d is below the running minimum
+of its residue, which starts at 1; the good node, the leftmost r, is the
+last normal one read.
 
 The bridge's shapes give a residue at most two corners, an upper and a
 lower one: contents i and -i of a type-C state (graded.c_state), or
@@ -26,37 +27,31 @@ from functools import lru_cache
 from typing import Dict, Iterator, Optional, Tuple
 
 from .cartan import CartanType, Charge, Residue
-from .partitions import MultiPartition, Node, remove_node, step_degrees
+from .partitions import MultiPartition, corners, lattice_state, move
 
 
-def _good_nodes(mp: MultiPartition, ct: CartanType,
-                charge: Charge) -> Dict[Residue, Node]:
-    """{i: the good i-node} for every residue i that has one."""
-    low: Dict[Residue, int] = {}
-    good: Dict[Residue, Node] = {}
-    for node, i, d in step_degrees(mp, ct, charge)[1]:
-        if d < low.get(i, 1):
-            low[i] = d
-            good[i] = node
-    return good
-
-
-_KLESHCHEV: Dict[Tuple[CartanType, Charge, MultiPartition], bool] = {}
+_KLESHCHEV: Dict[Tuple[CartanType, Charge, int], bool] = {}
 
 
 def _kleshchev(ct: CartanType, charge: Charge, mp: MultiPartition) -> bool:
-    """Follow first good removals from mp to the empty l-partition (True), a
-    shape with no good node (False) or one in the memo _KLESHCHEV, and record
-    the answer there for every shape on the way; a loop, for any depth."""
-    chain, key = [], (ct, charge, mp)
+    """Follow good removals from mp's lattice state to the empty one (True),
+    a state with no good node (False) or one in the memo _KLESHCHEV, and
+    record the answer there for every state on the way (each lane of s
+    holds n + 1 bits, so s fixes n); a loop, for any depth.  Each step
+    removes the good node of the first normal node's residue, bottom first."""
+    l, (n, s) = len(charge), lattice_state(mp, charge)
+    chain, key = [], (ct, charge, s)
     while key not in _KLESHCHEV:
         chain.append(key)
-        goods = _good_nodes(mp, ct, charge)
-        if not goods:
-            answer = not any(mp)
+        pick = None  # the residue of the first normal node, its good node
+        for q, i, d in reversed(corners(ct, charge, n, s, False)):
+            if d < 1 and pick is None or i == pick and d < low:
+                pick, good, low = i, q, d
+        if pick is None:
+            answer = not n
             break
-        mp = remove_node(mp, next(iter(goods.values())))
-        key = (ct, charge, mp)
+        n, s = n - 1, move(l, s, good, False)
+        key = (ct, charge, s)
     else:
         answer = _KLESHCHEV[key]
     _KLESHCHEV.update(dict.fromkeys(chain, answer))

@@ -3,9 +3,9 @@
 The graded dimension of a Specht module, or of one of its residue weight
 spaces, comes from one recursion down the Young lattice to the empty
 shape (_gdim), memoized for the life of the process; no tableau is
-listed.  Its step degrees come from the package's one corner scan
-(partitions.step_degrees), which also gives the tableau walk its step
-degrees and the command line's Kleshchev test its good nodes.
+listed.  It walks lattice states and reads each step degree off the
+package's one corner rule (partitions.corners), as the tableau walk and
+the command line's Kleshchev test do.
 
 The bridge's checks read two memoized walks on bit states instead: the
 type-C walk (c_walk) on one Maya set down to the rectangle rho, and the
@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue
-from .partitions import MultiPartition, Partition, remove_node, size, step_degrees
+from .partitions import MultiPartition, Partition, corners, lattice_state, move, size
 
 
 class LaurentPoly:
@@ -79,26 +79,23 @@ class LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _gdim(ct: CartanType, charge: Charge, mp: MultiPartition,
+def _gdim(ct: CartanType, charge: Charge, n: int, s: int,
           word: Optional[Tuple[Residue, ...]]) -> LaurentPoly:
-    """Sum of q^deg(t) over t in Std(mp), each node's step degree read in
-    the shape just after it is added.  Removing the node holding the
-    largest entry leaves a tableau of a smaller shape and takes that
-    node's step degree, which depends only on the shape and the node, off
-    the degree; so the sum is a recursion down the Young lattice, memoized
-    for the life of the process.  Each miss reads every removal's step
-    degree from one corner pass (partitions.step_degrees) and adds the
-    shifted sub-sums into one coefficient map.  With word, the node
-    holding the largest entry must have residue word[-1], the next
-    word[-2], and so on."""
-    if not any(mp):
+    """Sum of q^deg(t) over t in Std(mp), for (n, s) the lattice state of
+    mp, each node's step degree read in the shape just after it is added.
+    Removing the node holding the largest entry leaves a tableau of a
+    smaller shape and takes that node's step degree, which depends only on
+    the shape and the node, off the degree; so the sum is a recursion down
+    the Young lattice, memoized for the life of the process.  Each miss
+    adds the sub-sums of its removable corners (partitions.corners),
+    shifted by their step degrees, into one coefficient map; with word,
+    only those of residue word[-1], below them word[-2], and so on."""
+    if not n:
         return LaurentPoly.one()
     i, rest = (None, None) if word is None else (word[-1], word[:-1])
     out: Dict[int, int] = {}
-    for node, j, d in step_degrees(mp, ct, charge)[1]:
-        if i is not None and j != i:
-            continue
-        for e, c in _gdim(ct, charge, remove_node(mp, node), rest).items():
+    for q, _, d in corners(ct, charge, n, s, False, i):
+        for e, c in _gdim(ct, charge, n - 1, move(len(charge), s, q, False), rest).items():
             out[e + d] = out.get(e + d, 0) + c
     # every coefficient counts tableaux, so none is 0
     return LaurentPoly._owning(out)
@@ -112,12 +109,12 @@ def gdim_specht_weight(shape: MultiPartition, ct: CartanType, charge: Charge,
     if len(residues) != size(shape):
         raise ValueError(f"residue word has length {len(residues)}, "
                          f"but the shape has {size(shape)} nodes")
-    return _gdim(ct, tuple(charge), shape, tuple(residues))
+    return _gdim(ct, tuple(charge), *lattice_state(shape, charge), tuple(residues))
 
 
 def gdim_specht(shape: MultiPartition, ct: CartanType, charge: Charge) -> LaurentPoly:
     """Graded dimension of the full Specht module."""
-    return _gdim(ct, tuple(charge), shape, None)
+    return _gdim(ct, tuple(charge), *lattice_state(shape, charge), None)
 
 
 def c_state(nu: Partition, kappa_c: int) -> Tuple[int, int]:

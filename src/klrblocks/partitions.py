@@ -3,20 +3,25 @@
 Partitions are tuples of positive integers in weakly decreasing order
 (trailing zeros never stored); an l-partition is a tuple of l partitions.
 A node is a triple (row, col, comp), all 1-based.
+
+The Young lattice is walked on one int per l-partition, of any type and
+level (lattice_state); one corner rule (corners) reads each corner's
+residue and step degree off its bits, and a step (move) keeps the state
+canonical.  The graded recursion, the tableau walk and the command line's
+Kleshchev test read them.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain, combinations, count
 from operator import sub
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue, RootVector
 
 Partition = Tuple[int, ...]
 MultiPartition = Tuple[Partition, ...]
 Node = Tuple[int, int, int]
-Corner = Tuple[Node, Residue, int]  # a node, its residue and step degree
 
 EMPTY: Partition = ()
 
@@ -37,12 +42,6 @@ def size(mp: MultiPartition) -> int:
     return sum(sum(p) for p in mp)
 
 
-def contains(mp: MultiPartition, node: Node) -> bool:
-    r, c, m = node
-    p = mp[m - 1]
-    return r <= len(p) and c <= p[r - 1]
-
-
 def content(ct: CartanType, charge: Charge, mp: MultiPartition) -> RootVector:
     """The residues of mp's nodes with multiplicity, one row at a time: the
     row r rows below the top of a component of charge k holds the type-A
@@ -61,76 +60,78 @@ def content(ct: CartanType, charge: Charge, mp: MultiPartition) -> RootVector:
     return RootVector._of_counts(counts)
 
 
-def step_degrees(mp: MultiPartition, ct: CartanType,
-                 charge: Charge) -> Tuple[List[Corner], List[Corner]]:
-    """(addable, removable): every corner of mp with its residue and step
-    degree, (#addable - #removable) nodes of its residue strictly below it,
-    both lists last first in (component, row) order, from one reversed pass
-    over the rows.  Where row r of a component is longer than row r + 1, of
-    width w (0 below the last row), (r + 1, w + 1) is addable and the last
-    node of row r removable; row 1 always has an addable node.  A
-    removable node's step degree is that of removing it; an addable node's
-    is that of adding it, since adding a node of residue i changes only
-    corners of the residues next to i (in type C, |x| is never |x + 1|),
-    so the count is the same in mp and in the larger shape.
-
-    This is the package's one scan of a shape's rows for corners.  Its
-    readers are the tableau walk (tableaux.enumerate_standard), the graded
-    recursion (graded._gdim) and the command line's Kleshchev test, which
-    reads good nodes off the degrees (crystal._good_nodes)."""
-    absolute = ct is CartanType.C
-    below: Dict[Residue, int] = {}
-    addable: List[Corner] = []
-    removable: List[Corner] = []
-    for m in range(len(mp), 0, -1):
-        p, k = mp[m - 1], charge[m - 1]
-        r, width = len(p), 0  # row r + 1 is width long, row r above long
-        for above in p[::-1]:
-            if above != width:
-                i = k + width - r
-                if absolute and i < 0:
-                    i = -i
-                d = below.get(i, 0)
-                addable.append(((r + 1, width + 1, m), i, d))
-                below[i] = d + 1
-                i = k + above - r
-                if absolute and i < 0:
-                    i = -i
-                d = below.get(i, 0)
-                removable.append(((r, above, m), i, d))
-                below[i] = d - 1
-                width = above
-            r -= 1
-        i = k + width
-        if absolute and i < 0:
-            i = -i
-        d = below.get(i, 0)
-        addable.append(((1, width + 1, m), i, d))
-        below[i] = d + 1
-    return addable, removable
+def lattice_state(mp: MultiPartition, charge: Charge) -> Tuple[int, int]:
+    """(n, s) for n = |mp|: mp's components' Maya sets interleaved in one
+    int, with no charge in any bit (a charge of another level is refused).
+    Bit l j + m - 1 of s holds k_m + j - n - 1 in M(mp_m, k_m) =
+    {k_m + p_r - r}, that is j - n - 1 in M(mp_m, 0), over the window
+    j = 0..2n + 1: every label below it is in M, none above, and each lane
+    holds n + 1 bits."""
+    l, n = len(mp), size(mp)
+    if len(charge) != l:
+        raise ValueError(f"shape has {l} components but charge has {len(charge)}")
+    s = 0
+    for m, p in enumerate(mp):  # the labels below the last row, then the rows
+        s |= ((1 << l * (n + 1 - len(p))) - 1) // ((1 << l) - 1) << m
+        for r, x in enumerate(p, 1):
+            s |= 1 << l * (n + 1 + x - r) + m
+    return n, s
 
 
-def add_node(mp: MultiPartition, node: Node) -> MultiPartition:
-    r, c, m = node
-    p = list(mp[m - 1])
-    if r == len(p) + 1:
-        p.append(0)
-    if c != p[r - 1] + 1 or (r >= 2 and p[r - 1] >= p[r - 2]):
-        raise ValueError(f"node {node} is not addable to {mp}")
-    p[r - 1] += 1
-    return mp[: m - 1] + (tuple(p),) + mp[m:]
+def corners(ct: CartanType, charge: Charge, n: int, s: int, add: bool,
+            i: Optional[Residue] = None) -> List[Tuple[int, Residue, int]]:
+    """Every addable (add) or removable corner of the lattice state (n, s)
+    under charge (l = len(charge)), of residue i only if i is given, as
+    (bit, residue, step degree) in (component, row) order.  Bit q = l j + m
+    is in component m + 1, of content t = j + k - n - 1 and residue t, or
+    |t| in type C; it is addable when t - 1 is in M and t is not, removable
+    when t is and t - 1 is not.  Its step degree (Brundan-Kleshchev-Wang),
+    the addable minus the removable nodes of its residue strictly below
+    it, sums b(u - 1) - b(u), b membership (1 below the window), over every
+    later component and label u of the residue (t, or t and -t in type C),
+    and in type C with t > 0 over the mirror -t in its own component.
+    Adding or removing the corner moves none of these bits, so an addable
+    corner's degree is that of adding it."""
+    l, fold = len(charge), ct is CartanType.C
+    found = []  # (bit, component, content)
+    if i is None:
+        mask = ~s & s << l if add else s & ~(s << l) & ~((1 << l) - 1)
+        rep = ((1 << l * (mask.bit_length() // l + 1)) - 1) // ((1 << l) - 1)
+        for m, k in enumerate(charge):  # bit l j + m for every j, top first
+            lane = mask & rep << m
+            while lane:
+                q = lane.bit_length() - 1
+                lane ^= 1 << q
+                found.append((q, m, q // l + k - n - 1))
+    else:
+        want, pair = 1 if add else 1 << l, 1 << l | 1  # the bits of t - 1 and t
+        for m, k in enumerate(charge):
+            for t in (i,) if not fold or i == 0 else (i, -i) if i > 0 else ():
+                q = l * (t - k + n + 1) + m
+                if q >= l and s >> q - l & pair == want:
+                    found.append((q, m, t))
+    out = []
+    for q, m, t in found:
+        d = 0
+        for below in range(m + 1, l):
+            for u in (t, -t) if fold and t else (t,):
+                p = l * (u - charge[below] + n) + below  # the bit of u - 1
+                if p >= 0:
+                    d += (s >> p & 1) - (s >> p + l & 1)
+        if fold and t > 0:
+            p = l * (n - t - charge[m]) + m
+            if p >= 0:
+                d += (s >> p & 1) - (s >> p + l & 1)
+        out.append((q, -t if fold and t < 0 else t, d))
+    return out
 
 
-def remove_node(mp: MultiPartition, node: Node) -> MultiPartition:
-    r, c, m = node
-    p = list(mp[m - 1])
-    nxt = p[r] if r < len(p) else 0
-    if r > len(p) or c != p[r - 1] or p[r - 1] <= nxt:
-        raise ValueError(f"node {node} is not removable from {mp}")
-    p[r - 1] -= 1
-    if p[r - 1] == 0:
-        p.pop(r - 1)
-    return mp[: m - 1] + (tuple(p),) + mp[m:]
+def move(l: int, s: int, q: int, add: bool) -> int:
+    """The lattice state of level l after adding (add) or removing the
+    corner at bit q of s: t - 1 moves to t or back, and the window moves
+    one lane step, so the state is again that of lattice_state."""
+    s ^= (1 << l | 1) << q - l
+    return s << l | (1 << l) - 1 if add else s >> l
 
 
 def dominance_sums(mps: Sequence[MultiPartition]) -> List[Tuple[int, ...]]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue
-from .partitions import MultiPartition, Node, add_node, contains, size, step_degrees
+from .partitions import MultiPartition, Node, corners, lattice_state, move, size
 
 
 class StandardTableau(NamedTuple):
@@ -37,11 +37,11 @@ def enumerate_standard(
     """Std(shape), depth first, the children of a prefix in (component,
     row) order, so the first is the row-reading tableau, each tableau with
     its residue word and degree.  The walk keeps its own stack, so a shape
-    of any height is walked.  One corner pass per prefix
-    (partitions.step_degrees) gives each addable node its residue and the
-    step degree of adding it, and the degree is their sum along the path.
-    With a residue filter, branches whose prefix residue sequence deviates
-    are pruned and never materialized."""
+    of any height is walked.  A prefix is a lattice state: the corner rule
+    (partitions.corners) gives each addable node its residue and the step
+    degree of adding it, whose sum along the path is the degree, and the
+    node's row is 1 plus the number of its component's bits above it.
+    With a residue filter only the next residue's corners are read."""
     n = size(shape)
     if residues is not None and len(residues) != n:
         raise ValueError(f"residue word has length {len(residues)}, "
@@ -54,23 +54,30 @@ def _walk(shape: MultiPartition, ct: CartanType, charge: Charge,
     if n == 0:
         yield StandardTableau(shape, (), (), 0)
         return
+    l = len(shape)
+    lane = ((1 << l * (2 * n + 2)) - 1) // ((1 << l) - 1)  # bits 0, l, 2l, ...
 
-    def children(mp: MultiPartition, k: int):
-        want = None if residues is None else residues[k]
-        return iter([(node, i, d) for node, i, d in reversed(step_degrees(mp, ct, charge)[0])
-                     if (want is None or i == want) and contains(shape, node)])
+    def children(k: int, s: int):
+        out = []
+        for q, i, d in corners(ct, charge, k, s, True, residues and residues[k]):
+            j, m = divmod(q, l)
+            r = (s >> q & lane).bit_count() + 1
+            p, c = shape[m], j - k - 1 + r  # the charge-free content plus the row
+            if r <= len(p) and c <= p[r - 1]:
+                out.append(((r, c, m + 1), i, d, q))
+        return iter(out)
 
-    empty = tuple(() for _ in shape)
-    # per prefix: its untried children, entries, residue word, degree, shape
-    stack = [(children(empty, 0), (), (), 0, empty)]
+    # per prefix: its untried children, entries, residue word, degree, state
+    s = lattice_state(((),) * l, charge)[1]
+    stack = [(children(0, s), (), (), 0, s)]
     while stack:
-        kids, order, word, total, mp = stack[-1]
-        for node, i, d in kids:
+        kids, order, word, total, s = stack[-1]
+        for node, i, d, q in kids:
             if len(order) == n - 1:
                 yield StandardTableau(shape, order + (node,), word + (i,), total + d)
                 continue
-            child = add_node(mp, node)
-            stack.append((children(child, len(order) + 1), order + (node,), word + (i,),
+            child = move(l, s, q, True)
+            stack.append((children(len(order) + 1, child), order + (node,), word + (i,),
                           total + d, child))
             break
         else:

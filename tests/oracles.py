@@ -1,27 +1,31 @@
 """Brute-force corner oracles from the definitions, independent of the
-package's one corner scan (partitions.step_degrees, off which the
-crystal layer also reads its good nodes): step degrees,
-i-signatures and their reduction, good and cogood nodes, the unmemoized
-cogood replay, and the bridge image.  The cogood rule on step degrees and
-the good-removal walk on shapes that the bridge's bit rules replaced
-(oracle_cogood_node, good_walk), the ballot rule of the type-A weights
-(ballot_kleshchev), and a reader of the bit walk in the terms of good_walk
-(c_shape, bit_good_walk).  Also the bridge map with its
-membership check, built on that image; the weight labels of a type-C
-partition; the pairwise dominance test that the dominance check's prefix
-sums replaced; the nested recursion that
-listed l-partitions before multipartitions_of kept a table of its own,
-and the tableau references that the package's walk replaced: the
-recursive depth-first enumeration, the cellular degree replayed
-entry by entry, and the hand-built row-reading tableau with its residue
-word read node by node (nodes, residue); two tableau fixtures: the
-sub-diagram a tableau's first entries fill, and the paper's
-minimal-degree rectangle tableau; the bridge's map of tableaux onto
-factorizable tableaux; the factorizable sum that the bridge's bit-state
-walks replaced, as a recursion over an interval of the Young lattice,
-with the product of Laurent polynomials it needs; and the argparse parser
-that the command line's own parser replaced, as the reference of its
-parsing."""
+package's one corner rule (partitions.corners on the lattice states of
+partitions.lattice_state, off which the crystal layer also reads its
+good nodes): the nodes of a shape and their residues, the Young-lattice
+steps on shapes (contains, add_node, remove_node) with the corners they
+accept, step degrees by definition, and the reversed pass over the rows
+that the lattice states replaced (step_degrees), beside a reader of the
+corner rule in its terms (state_corners) and the running-minimum good
+nodes on it (good_nodes); i-signatures and their reduction, good and
+cogood nodes, the unmemoized cogood replay, and the bridge image.  The
+cogood rule on step degrees and the good-removal walk on shapes that the
+bridge's bit rules replaced (oracle_cogood_node, good_walk), the ballot
+rule of the type-A weights (ballot_kleshchev), and a reader of the bit
+walk in the terms of good_walk (c_shape, bit_good_walk).  Also the bridge
+map with its membership check, built on that image; the weight labels of
+a type-C partition; the pairwise dominance test that the dominance
+check's prefix sums replaced; the nested recursion that listed
+l-partitions before multipartitions_of kept a table of its own, and the
+tableau references that the package's walk replaced: the recursive
+depth-first enumeration, the cellular degree replayed entry by entry, and
+the hand-built row-reading tableau with its residue word read node by
+node (nodes, residue); two tableau fixtures: the sub-diagram a tableau's
+first entries fill, and the paper's minimal-degree rectangle tableau; the
+bridge's map of tableaux onto factorizable tableaux; the factorizable sum
+that the bridge's bit-state walks replaced, as a recursion over an
+interval of the Young lattice, with the product of Laurent polynomials it
+needs; and the argparse parser that the command line's own parser
+replaced, as the reference of its parsing."""
 
 import argparse
 from functools import cache, lru_cache
@@ -33,13 +37,10 @@ from klrblocks.morita import ALL_CHECKS, BridgeError
 from klrblocks.partitions import (
     EMPTY,
     MultiPartition,
-    add_node,
     as_partition,
     conjugate,
-    contains,
     content,
     partitions_of,
-    remove_node,
     size,
 )
 from klrblocks.tableaux import StandardTableau
@@ -72,6 +73,35 @@ def residue_sequence(t, ct, charge):
     return tuple(residue(ct, charge, node) for node in t.order)
 
 
+def contains(mp, node):
+    r, c, m = node
+    p = mp[m - 1]
+    return r <= len(p) and c <= p[r - 1]
+
+
+def add_node(mp, node):
+    r, c, m = node
+    p = list(mp[m - 1])
+    if r == len(p) + 1:
+        p.append(0)
+    if c != p[r - 1] + 1 or (r >= 2 and p[r - 1] >= p[r - 2]):
+        raise ValueError(f"node {node} is not addable to {mp}")
+    p[r - 1] += 1
+    return mp[: m - 1] + (tuple(p),) + mp[m:]
+
+
+def remove_node(mp, node):
+    r, c, m = node
+    p = list(mp[m - 1])
+    nxt = p[r] if r < len(p) else 0
+    if r > len(p) or c != p[r - 1] or p[r - 1] <= nxt:
+        raise ValueError(f"node {node} is not removable from {mp}")
+    p[r - 1] -= 1
+    if p[r - 1] == 0:
+        p.pop(r - 1)
+    return mp[: m - 1] + (tuple(p),) + mp[m:]
+
+
 def _fits(step, mp, node):
     try:
         step(mp, node)
@@ -98,25 +128,92 @@ def corners(mp):
     return tuple(addable), tuple(removable)
 
 
-def step_degrees(mp, ct, charge):
-    """Every removable node of mp with its step degree by definition: the
-    addable minus the removable nodes of its residue strictly below it in
-    the (component, row) order, from one scan of mp."""
+@lru_cache(maxsize=None)
+def removal_degrees(mp, ct, charge):
+    """Every removable node of mp with its step degree by definition, as a
+    dict: the addable minus the removable nodes of its residue strictly
+    below it in the (component, row) order, from one scan of mp."""
     addable, removable = corners(mp)
 
     def keyed(nodes):
         return [((n[2], n[0]), residue(ct, charge, n)) for n in nodes]
 
     a, r = keyed(addable), keyed(removable)
-    return [(node, sum(1 for k, j in a if j == i and k > key)
-             - sum(1 for k, j in r if j == i and k > key))
-            for node, (key, i) in zip(removable, r)]
+    return {node: sum(1 for k, j in a if j == i and k > key)
+            - sum(1 for k, j in r if j == i and k > key)
+            for node, (key, i) in zip(removable, r)}
 
 
-@lru_cache(maxsize=None)
-def removal_degrees(mp, ct, charge):
-    """step_degrees as a dict from each removable node to its degree."""
-    return dict(step_degrees(mp, ct, charge))
+def step_degrees(mp, ct, charge):
+    """(addable, removable): every corner of mp with its residue and step
+    degree, both lists last first in (component, row) order, from one
+    reversed pass over the rows: the package's corner scan before the
+    lattice states replaced it.  Where row r of a component is longer than
+    row r + 1, of width w (0 below the last row), (r + 1, w + 1) is
+    addable and the last node of row r removable; row 1 always has an
+    addable node.  A removable node's step degree is that of removing it;
+    an addable node's is that of adding it."""
+    absolute = ct is CartanType.C
+    below = {}
+    addable = []
+    removable = []
+    for m in range(len(mp), 0, -1):
+        p, k = mp[m - 1], charge[m - 1]
+        r, width = len(p), 0  # row r + 1 is width long, row r above long
+        for above in p[::-1]:
+            if above != width:
+                i = k + width - r
+                if absolute and i < 0:
+                    i = -i
+                d = below.get(i, 0)
+                addable.append(((r + 1, width + 1, m), i, d))
+                below[i] = d + 1
+                i = k + above - r
+                if absolute and i < 0:
+                    i = -i
+                d = below.get(i, 0)
+                removable.append(((r, above, m), i, d))
+                below[i] = d - 1
+                width = above
+            r -= 1
+        i = k + width
+        if absolute and i < 0:
+            i = -i
+        d = below.get(i, 0)
+        addable.append(((1, width + 1, m), i, d))
+        below[i] = d + 1
+    return addable, removable
+
+
+def state_corners(mp, ct, charge):
+    """partitions.corners on mp's lattice state, in the form step_degrees
+    gives: (addable, removable), each corner as (node, residue, degree),
+    last first in (component, row) order.  A bit is read back as the node
+    of its component at the end of a row (removable), or just past it
+    (addable), with the same content; a bit with no such node raises
+    KeyError."""
+    n, s = partitions.lattice_state(mp, charge)
+    l = len(mp)
+    out = []
+    for add in (True, False):
+        at = {l * (x + add - r + n + 1) + m: (r, x + add, m + 1)
+              for m, p in enumerate(mp) for r, x in enumerate(p + (0,) * add, 1)}
+        found = partitions.corners(ct, tuple(charge), n, s, add)
+        out.append([(at[q], i, d) for q, i, d in reversed(found)])
+    return tuple(out)
+
+
+def good_nodes(mp, ct, charge):
+    """{i: the good i-node} for every residue i that has one, by the
+    running-minimum rule on the lattice state's step degrees, read bottom
+    first (crystal._kleshchev's rule), in the order _kleshchev reads them:
+    its first entry is the node it removes."""
+    low, good = {}, {}
+    for node, i, d in state_corners(mp, ct, charge)[1]:
+        if d < low.get(i, 1):
+            low[i] = d
+            good[i] = node
+    return good
 
 
 def degree(t, ct, charge):
@@ -200,7 +297,7 @@ def oracle_cogood_node(mp, ct, charge, i):
     before the bridge read it off bit states: the addable i-node of least
     degree, the highest if several tie, when that degree is below the
     count of addable minus removable i-nodes; None otherwise."""
-    addable, removable = partitions.step_degrees(mp, ct, charge)
+    addable, removable = step_degrees(mp, ct, charge)
     best, low, excess = None, 0, 0
     for node, j, d in addable:  # bottom first: the last of a tie is the highest
         if j == i:
@@ -218,7 +315,7 @@ def _good_walk(ct, charge, mp, target):
     inside target, and keeps the first whose removal leaves target or a
     shape with a walk; the entry extends that walk by the node's residue
     and one cogood step of its replay."""
-    goods = crystal._good_nodes(mp, ct, charge).items()
+    goods = good_nodes(mp, ct, charge).items()
     for i, node in sorted(goods, key=lambda entry: (entry[1][2], entry[1][0])):
         if contains(target, node):
             continue
@@ -268,7 +365,7 @@ def bit_good_walk(nu, kappa_c, to_rho):
     zero-residue nodes or (not to_rho) down to the empty partition, in the
     terms of good_walk: (word, end) with end decoded into an l-partition,
     or None.  The word follows, from each shape, the first good node
-    (crystal._good_nodes, in row order) outside rho whose state has a walk,
+    (good_nodes, in row order) outside rho whose state has a walk,
     as the search does."""
     C, charge = CartanType.C, (kappa_c,)
     a0 = content(C, charge, (nu,))[0]
@@ -278,7 +375,7 @@ def bit_good_walk(nu, kappa_c, to_rho):
         return None
     word, cur = [], nu
     while cur != target:
-        goods = sorted(crystal._good_nodes((cur,), C, charge).items(), key=lambda g: g[1])
+        goods = sorted(good_nodes((cur,), C, charge).items(), key=lambda g: g[1])
         for i, node in goods:
             child = remove_node((cur,), node)[0]
             if not contains((target,), node) and crystal.c_good_walk(
@@ -433,7 +530,7 @@ def interval_gdim(ct, charge, mp, floor):
     if mp == floor:
         return LaurentPoly.one()
     out = {}
-    for node, _, d in partitions.step_degrees(mp, ct, charge)[1]:
+    for node, _, d in step_degrees(mp, ct, charge)[1]:
         if not contains(floor, node):
             for e, c in interval_gdim(ct, charge, remove_node(mp, node), floor).items():
                 out[e + d] = out.get(e + d, 0) + c

@@ -2,6 +2,7 @@ import pytest
 
 from klrblocks import crystal
 from klrblocks.cartan import CartanType, NotASubroot, RootVector
+from klrblocks.partitions import lattice_state
 
 
 class TestCartanType:
@@ -15,7 +16,7 @@ class TestCartanType:
         crystal._KLESHCHEV.clear()
         crystal.is_kleshchev(((2, 1),), CartanType("c"), (0,))
         before = dict(crystal._KLESHCHEV)
-        assert (CartanType.C, (0,), ((2, 1),)) in before
+        assert (CartanType.C, (0,), lattice_state(((2, 1),), (0,))[1]) in before
         crystal.is_kleshchev(((2, 1),), CartanType.C, (0,))
         assert crystal._KLESHCHEV == before
 

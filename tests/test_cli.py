@@ -192,6 +192,18 @@ class TestBlock:
         assert run(capsys, "block", "--type", "a", "--charge", "0,0",
                    "--beta", "{}") == (0, '[{"shape":"-/-","content":{}}]\n')
 
+    def test_far_charges_cost_what_near_ones_do(self, capsys):
+        # no charge enters a bit of a lattice state: these bytes are those
+        # the corner scan over rows printed
+        assert run(capsys, "gdim", "--type", "a", "--charge", "1000000000,0",
+                   "--shape", "2,1/1") == (0, "[[0,8]]\n")
+        assert run(capsys, "kleshchev", "--type=a", "--charge=-1000000,3",
+                   "--shape=1/1") == (0, '{"shape":"1/1","kleshchev":true}\n')
+        assert run(capsys, "tableaux", "--type", "a", "--charge", "100000000,0",
+                   "--shape", "1/1", "--with-degrees") == (
+            0, '[{"rows":[[[1]],[[2]]],"residues":[100000000,0],"degree":0},'
+               '{"rows":[[[2]],[[1]]],"residues":[0,100000000],"degree":0}]\n')
+
     def test_tall_block_is_answered(self, capsys):
         # a 1200-node column, deeper than Python's recursion limit
         height = 1200

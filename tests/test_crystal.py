@@ -3,33 +3,29 @@ from hypothesis import example, given, settings, strategies as st
 
 from klrblocks import crystal
 from klrblocks.cartan import CartanType
-from klrblocks.crystal import _good_nodes, a_kleshchev, c_kleshchev, is_kleshchev
+from klrblocks.crystal import a_kleshchev, c_kleshchev, is_kleshchev
 from klrblocks.graded import a_state, c_state
 from klrblocks.morita import a_block, iter_bridges, one_block_bridge
-from klrblocks.partitions import (
-    add_node,
-    content,
-    multipartitions_of,
-    partitions_of,
-    remove_node,
-    size,
-    step_degrees,
-)
+from klrblocks.partitions import content, lattice_state, multipartitions_of, partitions_of, size
 
 import oracles
 from oracles import (
+    add_node,
     ballot_kleshchev,
     bit_good_walk,
     c_shape,
     cogood_node,
     corners,
     good_node,
+    good_nodes,
     good_walk,
     oracle_cogood_node,
     plain_cogood_path,
     reduce_signature,
+    remove_node,
     residue,
     signature,
+    state_corners,
 )
 
 A, C = CartanType.A, CartanType.C
@@ -49,8 +45,9 @@ def charged_shapes(draw, max_level=3, max_n=8, max_c_level=None):
 
 def pass_nodes(mp, ct, charge, i):
     """(good, cogood) i-nodes read off the step degrees: the good one by the
-    crystal layer, the cogood one by the oracle the bit rules replaced."""
-    return _good_nodes(mp, ct, charge).get(i), oracle_cogood_node(mp, ct, charge, i)
+    Kleshchev test's rule on the lattice state, the cogood one by the
+    oracle the bit rules replaced."""
+    return good_nodes(mp, ct, charge).get(i), oracle_cogood_node(mp, ct, charge, i)
 
 
 def seed_good_nodes(cur, ct, charge):
@@ -113,9 +110,10 @@ def factors(nu, rho, ct, charge):
 
 
 def scan_signature(mp, ct, charge, i):
-    """The i-signature that the package's corner scan gives, sorted into
-    (component, row) order (no row has two corners of one residue)."""
-    addable, removable = step_degrees(mp, ct, charge)
+    """The i-signature that the package's corner rule gives on the lattice
+    state, sorted into (component, row) order (no row has two corners of
+    one residue)."""
+    addable, removable = state_corners(mp, ct, charge)
     entries = [("a", node) for node, j, _ in addable if j == i]
     entries += [("r", node) for node, j, _ in removable if j == i]
     return tuple(sorted(entries, key=lambda e: (e[1][2], e[1][0])))
@@ -123,7 +121,7 @@ def scan_signature(mp, ct, charge, i):
 
 class TestSignatures:
     def test_examples(self):
-        # the oracle's signature and the corner scan's (step degrees)
+        # the oracle's signature and the corner rule's
         for sig in (signature, scan_signature):
             assert sig(((2,),), C, (0,), 1) == (("r", (1, 2, 1)), ("a", (2, 1, 1)))
             assert sig(((1, 1),), C, (0,), 1) == (("a", (1, 2, 1)), ("r", (2, 1, 1)))
@@ -158,13 +156,13 @@ class TestSignatures:
 
 
 def assert_pass_matches_oracle(mp, ct, charge):
-    """For every residue with a corner, _good_nodes holds the leftmost r
+    """For every residue with a corner, good_nodes holds the leftmost r
     left in the oracle's reduced signature (no entry when none is left)
-    and oracle_cogood_node gives the rightmost a; _good_nodes has no entry
+    and oracle_cogood_node gives the rightmost a; good_nodes has no entry
     for any other residue."""
     addable, removable = corners(mp)
     residues = {residue(ct, charge, node) for node in addable + removable}
-    goods = _good_nodes(mp, ct, charge)
+    goods = good_nodes(mp, ct, charge)
     assert set(goods) <= residues
     for i in residues:
         reduced = reduce_signature(signature(mp, ct, charge, i))
@@ -230,7 +228,7 @@ class TestStepDegreeRules:
         for ct, charge, mp in rule_cases():
             residues = {residue(ct, charge, node) for node in sum(corners(mp), ())}
             goods = {i: good_node(mp, ct, charge, i) for i in residues}
-            assert _good_nodes(mp, ct, charge) == {
+            assert good_nodes(mp, ct, charge) == {
                 i: node for i, node in goods.items() if node is not None}
             for i in residues:
                 assert oracle_cogood_node(mp, ct, charge, i) == cogood_node(mp, ct, charge, i)
@@ -351,14 +349,15 @@ class TestKleshchev:
         assert len(crystal._KLESHCHEV) <= size(mp) + 1
 
     def test_walk_records_every_shape_on_its_chain(self):
-        # the answer is recorded for each shape the walk passes, so testing
-        # a shape one good removal below a tested one adds no entry
+        # the answer is recorded for the lattice state of each shape the
+        # walk passes, so testing a shape one good removal below a tested
+        # one adds no entry
         for mp, answer in ((((3, 2, 1),), True), (((4, 2),), False)):
             crystal._KLESHCHEV.clear()
             assert is_kleshchev(mp, C, (0,)) is answer
             entries = dict(crystal._KLESHCHEV)
-            below = remove_node(mp, next(iter(_good_nodes(mp, C, (0,)).values())))
-            assert entries[C, (0,), below] is answer
+            below = remove_node(mp, next(iter(good_nodes(mp, C, (0,)).values())))
+            assert entries[C, (0,), lattice_state(below, (0,))[1]] is answer
             assert is_kleshchev(below, C, (0,)) is answer
             assert crystal._KLESHCHEV == entries
 

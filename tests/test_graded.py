@@ -15,14 +15,7 @@ from klrblocks.graded import (
     gdim_specht_weight,
 )
 from klrblocks.morita import a_block, bridge, from_type_c, iter_bridges, verify_bridge
-from klrblocks.partitions import (
-    content,
-    multipartitions_of,
-    partitions_of,
-    remove_node,
-    size,
-    step_degrees,
-)
+from klrblocks.partitions import content, lattice_state, multipartitions_of, partitions_of, size
 from klrblocks.tableaux import enumerate_standard
 
 import oracles
@@ -32,7 +25,9 @@ from oracles import (
     poly_mul,
     prefix_shape,
     rectangle_final_tableau,
+    remove_node,
     residue_sequence,
+    step_degrees,
 )
 
 A, C = CartanType.A, CartanType.C
@@ -155,9 +150,11 @@ class TestLatticeAgainstEnumeration:
 
 
 # The memo of _gdim lives for the process, so every call runs on states that
-# earlier calls left behind.  A call list often repeats the previous shape
-# with one of its type, charge or residue word changed, which is where a
-# key missing one of them would return a stale polynomial.
+# earlier calls left behind.  Its key holds a shape's lattice state, in
+# which no charge enters a bit, so calls of one shape under any type and
+# charge meet the same states.  A call list often repeats the previous
+# shape with one of its type, charge or residue word changed, which is
+# where a key missing one of them would return a stale polynomial.
 CALLS = (gdim_specht, gdim_specht_weight)
 
 
@@ -229,20 +226,39 @@ class TestSharedMemo:
             assert make_call(call) == poly
 
 
-class TestOneScanPerMiss:
-    def test_cold_memo_walks_no_corner_lists(self):
-        """A few calls fill a cold memo with the sub-shapes their
-        recursions reach; the step degrees come from the corner scan
-        (partitions.step_degrees), the package's only source of them."""
+def sub_diagrams(shape):
+    """The number of l-partitions inside shape, shape itself and the empty
+    one included."""
+    def inside(mp):
+        return all(len(p) <= len(big) and all(map(int.__le__, p, big))
+                   for p, big in zip(mp, shape))
+    return sum(inside(mp) for n in range(size(shape) + 1)
+               for mp in multipartitions_of(n, len(shape)))
+
+
+class TestOneEntryPerState:
+    def test_cold_memo_holds_one_entry_per_sub_diagram(self):
+        """A Specht module's recursion on a cold memo makes one entry per
+        lattice state it reaches, the states of the sub-diagrams of its
+        shape; a larger shape reuses those of a smaller one inside it, and
+        another type and charge make entries of their own."""
         _gdim.cache_clear()
         rho = ((3, 3, 3, 3),)
         nu = ((5, 4, 3, 3, 2, 1),)
         gdim_specht(rho, C, (1,))
+        assert _gdim.cache_info().currsize == sub_diagrams(rho) == 35
         gdim_specht(nu, C, (1,))
-        gdim_specht(((3, 1), (2, 2)), A, (4, 3))
+        assert _gdim.cache_info().currsize == sub_diagrams(nu)
+        gdim_specht(nu, A, (1,))
+        assert _gdim.cache_info().currsize == 2 * sub_diagrams(nu)
+        bp = ((3, 1), (2, 2))
+        gdim_specht(bp, A, (4, 3))
+        assert _gdim.cache_info().currsize == 2 * sub_diagrams(nu) + sub_diagrams(bp)
+        # a residue word reaches at most one entry per sub-diagram
+        _gdim.cache_clear()
         word = residue_sequence(rectangle_final_tableau(3, 4), C, (1,))
         gdim_specht_weight(rho, C, (1,), word)
-        assert _gdim.cache_info().currsize > 100
+        assert 12 < _gdim.cache_info().currsize <= 35
 
 
 @lru_cache(maxsize=None)

@@ -17,11 +17,11 @@ from klrblocks.morita import (
     one_block_bridge,
     verify_bridge,
 )
-from klrblocks.partitions import conjugate, content, partitions_of, remove_node
+from klrblocks.partitions import conjugate, content, partitions_of
 from klrblocks.tableaux import enumerate_standard
 
-from oracles import (bit_good_walk, maya_labels, prefix_shape, rect_add,
-                     residue_sequence, tableau_to_type_c, to_type_c)
+from oracles import (bit_good_walk, good_nodes, maya_labels, prefix_shape, rect_add,
+                     remove_node, residue_sequence, tableau_to_type_c, to_type_c)
 
 A, C = CartanType.A, CartanType.C
 
@@ -365,7 +365,7 @@ class TestVerifyBridge:
             mp = (start,)
             for i in reversed(bit_good_walk(start, b.kappa_c, to_rho)[0]):
                 states.add((c_state(mp[0], b.kappa_c), to_rho))
-                mp = remove_node(mp, crystal._good_nodes(mp, C, b.c_charge)[i])
+                mp = remove_node(mp, good_nodes(mp, C, b.c_charge)[i])
             states.add((c_state(mp[0], b.kappa_c), to_rho))
         misses = walk.cache_info().misses
         assert misses == len(states)

@@ -9,19 +9,30 @@ from hypothesis import given, settings, strategies as st
 from klrblocks.cartan import CartanType, RootVector
 from klrblocks.morita import a_block, bridge, c_block, from_type_c, iter_bridges
 from klrblocks.partitions import (
-    add_node,
     as_partition,
     conjugate,
     content,
+    corners,
     dominance_sums,
     enumerate_block,
+    lattice_state,
+    move,
     multipartitions_of,
     partitions_of,
-    step_degrees,
 )
 
 import oracles
-from oracles import dominates, nodes, rect_add, residue, to_type_c
+from oracles import (
+    add_node,
+    dominates,
+    nodes,
+    rect_add,
+    remove_node,
+    residue,
+    state_corners,
+    step_degrees,
+    to_type_c,
+)
 
 A, C = CartanType.A, CartanType.C
 
@@ -124,11 +135,65 @@ class TestStepDegrees:
             for mp in shapes:
                 addable, removable = step_degrees(mp, ct, charge)
                 assert sorted((node, d) for node, _, d in removable) == sorted(
-                    oracles.step_degrees(mp, ct, charge))
+                    oracles.removal_degrees(mp, ct, charge).items())
                 for node, i, d in addable:
                     assert d == oracles.removal_degrees(add_node(mp, node), ct, charge)[node]
                 for node, i, _ in addable + removable:
                     assert i == residue(ct, charge, node)
+
+
+def reader_cases():
+    """Every l-partition to size 7 at levels 1 and 2 and to size 4 at level
+    3, under the type-A charges -2..2 and the type-C charges 0..2."""
+    for level, largest in ((1, 7), (2, 7), (3, 4)):
+        shapes = [mp for n in range(largest + 1) for mp in multipartitions_of(n, level)]
+        for ct in (A, C):
+            for charge in product(range(3) if ct is C else range(-2, 3), repeat=level):
+                for mp in shapes:
+                    yield ct, charge, mp
+
+
+class TestLatticeState:
+    def test_examples(self):
+        # under any charge the bits read M((2, 1), 0) = {1, -1, -3, -4, ...}
+        # over the window -4..3
+        assert lattice_state(((2, 1),), (5,)) == lattice_state(((2, 1),), (0,)) == (
+            3, 0b00101011)
+        assert lattice_state(((),), (0,)) == (0, 0b1)
+        # (1) and () interleaved: lanes 1 and 2 read {0, -2, ...} and {-1, -2, ...}
+        assert lattice_state(((1,), ()), (0, 3)) == (1, 0b011011)
+        with pytest.raises(ValueError):
+            lattice_state(((1,),), (0, 0))
+
+    def test_no_charge_enters_a_bit(self):
+        # corners read each lane against its own charge: a charge a billion
+        # away costs the same bits
+        n, s = lattice_state(((2, 1), (1,)), (10 ** 9, 0))
+        assert s.bit_length() <= 2 * (2 * n + 2)
+        assert [d for _, _, d in corners(A, (10 ** 9, 0), n, s, False)] == [0, 0, 0]
+        assert [i for _, i, _ in corners(A, (10 ** 9, 0), n, s, True)] == [
+            10 ** 9 + 2, 10 ** 9, 10 ** 9 - 2, 1, -1]
+
+    def test_corner_rule_matches_the_row_scan(self):
+        """Every corner of every reader case: the lattice state's corner
+        rule gives the nodes, order, residues and step degrees of the row
+        scan the states replaced, and with a residue only that residue's
+        corners, none for a negative one in type C.  Each lane holds n + 1
+        bits, and a step on the state is the state of the shape add_node or
+        remove_node makes."""
+        for ct, charge, mp in reader_cases():
+            n, s = lattice_state(mp, charge)
+            assert bin(s).count("1") == len(mp) * (n + 1)
+            scanned = step_degrees(mp, ct, charge)
+            assert state_corners(mp, ct, charge) == scanned
+            for add, step, found in ((True, add_node, scanned[0]),
+                                     (False, remove_node, scanned[1])):
+                rule = corners(ct, charge, n, s, add)
+                for i in {i for _, i, _ in found} | {-1, 7}:
+                    assert corners(ct, charge, n, s, add, i) == [c for c in rule if c[1] == i]
+                for (q, _, _), (node, _, _) in zip(rule, reversed(found)):
+                    assert lattice_state(step(mp, node), charge) == (
+                        n + 1 if add else n - 1, move(len(mp), s, q, add))
 
 
 class TestDominance:

@@ -100,7 +100,7 @@ class TestDegree:
                 for shape in multipartitions_of(n, len(charge)):
                     for t in enumerate_standard(shape, ct, charge):
                         expected = sum(
-                            dict(oracles.step_degrees(prefix_shape(t, k), ct, charge))[node]
+                            oracles.removal_degrees(prefix_shape(t, k), ct, charge)[node]
                             for k, node in enumerate(t.order, start=1))
                         assert t.degree == expected
 
