@@ -26,13 +26,13 @@ from pathlib import Path
 # Import the package from this checkout's src/, installed or not.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from klrblocks import crystal, graded
+from klrblocks import graded, morita
 from klrblocks.cartan import CartanType
 from klrblocks.morita import ALL_CHECKS, one_block_bridge, verify_bridge
 from klrblocks.partitions import content
 
-MEMOS = (crystal.c_kleshchev, crystal.a_kleshchev, crystal.c_good_walk, graded._gdim,
-         graded.c_walk, graded.a_walk)
+MEMOS = (graded._gdim, morita.c_walk, morita.a_walk, morita.c_kleshchev,
+         morita.a_kleshchev, morita.c_good_walk)
 
 
 def main():

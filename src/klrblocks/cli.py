@@ -72,13 +72,6 @@ def parse_type(text: str) -> CartanType:
         raise ValueError(f"unknown type {text!r} (use a or c)") from None
 
 
-def check_level(shape: MultiPartition, charge: Tuple[int, ...]) -> None:
-    if len(shape) != len(charge):
-        raise ValueError(
-            f"shape has {len(shape)} components but charge has {len(charge)}"
-        )
-
-
 def parse_residues(text: str, ct: CartanType) -> Tuple[int, ...]:
     residues = tuple(map(int, text.split(","))) if text else ()
     ct.check_labels(residues)
@@ -154,7 +147,6 @@ def cmd_tableaux(args) -> int:
     ct = args.type
     charge = parse_charge(args.charge, ct)
     shape = parse_shape(args.shape)
-    check_level(shape, charge)
     residues = parse_residues(args.residues, ct) if args.residues is not None else None
     tableaux = enumerate_standard(shape, ct, charge, residues)
     columns = ("rows", "residues", "degree") if args.with_degrees else ("rows", "residues")
@@ -172,7 +164,6 @@ def cmd_kleshchev(args) -> int:
             raise ValueError("--list filters the l-partitions of --n; "
                              "it does not apply to --shape")
         shape = parse_shape(args.shape)
-        check_level(shape, charge)
         result = is_kleshchev(shape, ct, charge)
         if args.format == "pretty":
             print("true" if result else "false")
@@ -193,7 +184,6 @@ def cmd_gdim(args) -> int:
     ct = args.type
     charge = parse_charge(args.charge, ct)
     shape = parse_shape(args.shape)
-    check_level(shape, charge)
     if args.weight is not None:
         poly = gdim_specht_weight(shape, ct, charge, parse_residues(args.weight, ct))
     else:

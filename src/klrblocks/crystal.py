@@ -1,5 +1,4 @@
-"""Crystal combinatorics: Kleshchev l-partitions, and the bridge's
-Kleshchev tests and good-removal walk on bit states.
+"""Crystal combinatorics: Kleshchev l-partitions.
 
 Kashiwara's signature rule reads the good and cogood i-nodes off the
 reduced i-signature, the word a..a r..r left when every removable i-node
@@ -12,21 +11,14 @@ holds more a's than r's: the stretch to the foot holds d more, and the
 one to just above a lower removable i-node of degree d', d - d' + 1 more.
 So, read bottom first, it is normal when d is below the running minimum
 of its residue, which starts at 1; the good node, the leftmost r, is the
-last normal one read.
-
-The bridge's shapes give a residue at most two corners, an upper and a
-lower one: contents i and -i of a type-C state (graded.c_state), or
-components 1 and 2 of a type-A one (graded.a_state).  So the rule reads
-four bits: a removable upper corner is good unless the lower one is
-addable, else a removable lower corner is; an addable lower corner is
-cogood unless the upper one is removable, else an addable upper one is."""
+last normal one read.  (The bridge reads its shapes' good and cogood
+nodes off bit states of its own: morita.)"""
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Tuple
 
-from .cartan import CartanType, Charge, Residue
+from .cartan import CartanType, Charge
 from .partitions import MultiPartition, corners, lattice_state, move
 
 
@@ -64,62 +56,3 @@ def is_kleshchev(mp: MultiPartition, ct: CartanType, charge: Charge) -> bool:
     the empty one, which is closed under every e_i, so removing any one
     good node keeps mp in it or out of it: no search is needed."""
     return _kleshchev(ct, tuple(charge), mp)
-
-
-def _c_goods(zero: int, s: int, removable: int) -> Iterator[int]:
-    """The good ones among the removable bits p of the type-C state (zero,
-    s), top first; the mirror of content p - zero is at 2 zero - p - 1."""
-    while removable:
-        p = removable.bit_length() - 1
-        removable ^= 1 << p
-        if s >> 2 * zero - p - 1 & 3 != (1 if p >= zero else 2):
-            yield p
-
-
-@lru_cache(maxsize=None)
-def c_kleshchev(zero: int, s: int) -> bool:
-    """is_kleshchev of the level-one type-C shape with c_state (zero, s)."""
-    removable = s & ~(s << 1) & ~1
-    for p in _c_goods(zero, s, removable):
-        return c_kleshchev(zero - 1, (s ^ 3 << p - 1) >> 1)
-    return not removable
-
-
-@lru_cache(maxsize=None)
-def a_kleshchev(s: int) -> bool:
-    """is_kleshchev of the bipartition with a_state s: its node at bit p is
-    good unless bits (p - 1, p + 1) read (1, 0) in component 1, (p - 3, p - 1)
-    read (0, 1) in component 2."""
-    rest = removable = s & ~(s << 2) & ~3
-    while rest:
-        p = rest.bit_length() - 1
-        rest ^= 1 << p
-        if s >> p - 3 & 5 != 4 if p & 1 else s >> p - 1 & 5 != 1:
-            return a_kleshchev(s ^ 5 << p - 2)
-    return not removable
-
-
-@lru_cache(maxsize=None)
-def c_good_walk(zero: int, s: int, to_rho: bool) -> Optional[int]:
-    """Search good-node removals, top first, from the type-C state (zero, s)
-    to the empty shape, or with to_rho to the rectangle rho of its content-0
-    nodes, whose corner is the one good node inside rho; the s (at zero) that
-    the word's cogood additions reach from that end, 0 if a step has no
-    cogood node, None if there is no word.  An entry is one cogood step on
-    top of the walk one good removal below it."""
-    removable = s & ~(s << 1) & ~1 & ~(to_rho << zero)
-    if not removable:
-        return s
-    for p in _c_goods(zero, s, removable):
-        end = c_good_walk(zero - 1, (s ^ 3 << p - 1) >> 1, to_rho)
-        if end is not None:
-            return end and _c_cogood(zero - 1, end, abs(p - zero))
-    return None
-
-
-def _c_cogood(zero: int, s: int, i: Residue) -> int:
-    """The s of the type-C state (zero, s) with its cogood i-node added (its
-    zero is zero + 1), or 0 if it has none."""
-    upper, lower = s >> zero + i - 1 & 3, s >> zero - i - 1 & 3
-    p = zero - i if lower == 1 and upper != 2 else zero + i if upper == 1 else 0
-    return p and (s ^ 3 << p - 1) << 1 | 1

@@ -5,11 +5,27 @@ the rectangle rho = (a_0^(kappa_c + a_0)); the bijection
 (lambda, mu) -> rho + (lambda, mu') matches it with the type-A block of
 content beta - omega and charges (kappa_c + a_0, a_0).  verify_bridge runs
 the counting, graded, dominance, Kleshchev and good-path checks over one
-block object per call, whose parts are built on first read.  Every check
-but dominance reads bit states: the type-C side of the counting and graded
-checks, the factorizable tableaux of nu, is gdim(rho) times the type-C
-walk over [rho, nu] (graded.c_walk), against gdim(rho) times the type-A
-walk (graded.a_walk); the crystal checks read crystal's bit rules.
+block object per call, whose parts are built on first read.
+
+Every check but dominance reads the bridge's own bit states, which are the
+paper's weights: one int per shape, the charge in its bits.  The type-C
+state (c_state) holds M(nu, kappa_c) = {kappa_c + nu_r - r}, the type-A
+state (a_state) the two Maya sets of a bipartition interleaved, and a
+removal moves one element t of a set to t - 1.  The bridge's shapes give a
+residue at most two corners, an upper and a lower one: contents i and -i
+of a type-C state, or components 1 and 2 of a type-A one.  So an upper
+corner's step degree is read off the two bits of the lower one (1 if
+addable, -1 if removable), a lower corner's is 0, and the crystal rule
+reads four bits: a removable upper corner is good unless the lower one is
+addable, else a removable lower corner is; an addable lower corner is
+cogood unless the upper one is removable, else an addable upper one is.
+The counting and graded checks compare gdim(rho) times the type-C walk
+over [rho, nu] (c_walk), the factorizable tableaux of nu, with gdim(rho)
+times the type-A walk (a_walk); each walk holds a polynomial as one int in
+Q = 2^K, so a removal is a shift and an add, and only the report decodes
+the ints.  The Kleshchev check's two tests follow one good node
+(c_kleshchev, a_kleshchev), and the good-path check searches good removals
+(c_good_walk).
 
 The type-C shapes come from one of two sources, decided by the input.  A
 sweep (iter_bridges) finds each block by grouping the partitions of each
@@ -24,13 +40,12 @@ order of partitions_of."""
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .cartan import CartanType, Charge, RootVector
-from .crystal import a_kleshchev, c_good_walk, c_kleshchev
-from .graded import (LaurentPoly, a_state, a_walk, c_state, c_walk, gdim_specht,
-                     kronecker_pairs)
+from .cartan import CartanType, Charge, Residue, RootVector
+from .graded import LaurentPoly, gdim_specht
 from .partitions import (
     Partition,
     conjugate,
@@ -170,6 +185,169 @@ def _bridges(kappa_c: int, max_n: int) -> Iterator[BlockBridge]:
         for beta, shapes in blocks.items():
             if beta[0] >= 1:
                 yield bridge(kappa_c, beta)._replace(c_shapes=tuple(shapes))
+
+
+def c_state(nu: Partition, kappa_c: int) -> Tuple[int, int]:
+    """The type-C bit state (zero, s) of nu: bit zero + u of s holds
+    u in M(nu, kappa_c) = {kappa_c + nu_r - r}, for u >= -zero; zero =
+    kappa_c + |nu| + 1 puts every row and the mirror -t - 1 of every
+    removable node's content t in the window.  It is nu's lattice state
+    with 2 kappa_c more labels below it, all in M, built here in one pass:
+    through lattice_state it took the crystal sweep 5% longer."""
+    zero = kappa_c + sum(nu) + 1
+    s = (1 << zero + kappa_c - len(nu)) - 1  # the rows below the last
+    for r, p in enumerate(nu, 1):
+        s |= 1 << zero + kappa_c + p - r
+    return zero, s
+
+
+def _c_steps(zero: int, s: int) -> List[Tuple[int, int]]:
+    """Each removal from the type-C bit state (zero, s), as (the new s, whose
+    zero is zero - 1, step degree).  Removing a node of content t moves t in
+    M to t - 1; its degree is b(-t - 1) - b(-t) for t > 0, with b membership
+    in M, and 0 for t < 0.  A content-0 node is never removed: above rho,
+    the only one removable is rho's corner, the walk's floor."""
+    out = []
+    movable = s & ~(s << 1) & ~1
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        t = low.bit_length() - 1 - zero
+        if t:
+            d = (s >> zero - t - 1 & 1) - (s >> zero - t & 1) if t > 0 else 0
+            out.append(((s ^ low ^ low >> 1) >> 1, d))
+    return out
+
+
+@lru_cache(maxsize=None)
+def c_walk(K: int, zero: int, s: int) -> int:
+    """The sum of Q^(deg + |nu| - |rho|), Q = 2^K, over the skew tableaux of
+    nu/rho, for (zero, s) = c_state(nu, kappa_c) and rho the rectangle of
+    nu's zero-residue nodes; every coefficient must be below Q, and K = 0
+    counts the tableaux.  The memo is keyed by K, so widths never mix.
+
+    This is the bridge's factorizable truncation.  With a_0 >= 1 and rho =
+    (a_0^(kappa_c + a_0)) of content omega, a sub-diagram of nu of content
+    omega holds all a_0 zero-residue nodes of nu, on one diagonal, so it
+    holds rho's corner and is rho.  So the tableaux of nu whose first
+    ht(omega) entries fill a sub-diagram of content omega sum to gdim(rho)
+    times this walk."""
+    total = 0
+    for child, d in _c_steps(zero, s):
+        total += c_walk(K, zero - 1, child) << K * (d + 1)
+    return total or 1
+
+
+def a_state(bp: Bipartition, charge: Charge) -> int:
+    """The level-two type-A bit state of bp: bit 2u + m - 1 holds u in
+    M(bp_m, charge_m), for u >= 0 and m = 1, 2.  No component has more rows
+    than its charge (as in a bridge's type-A block), so every u < 0 is in."""
+    s = 0
+    for m, (p, k) in enumerate(zip(bp, charge)):
+        if len(p) > k:
+            raise ValueError(f"{p} has more rows than its charge {k}")
+        s |= ((1 << 2 * (k - len(p))) - 1) // 3 << m  # the rows below the last
+        for r, x in enumerate(p, 1):
+            s |= 1 << 2 * (k + x - r) + m
+    return s
+
+
+def _a_steps(s: int) -> List[Tuple[int, int]]:
+    """Each removal from the type-A bit state s, as (state, step degree).
+    Removing a t-node moves t in its component's set to t - 1.  From
+    component 1 its degree is b2(t - 1) - b2(t), with b2 membership in the
+    second set (the only t-corner below it); from component 2 it is 0."""
+    out = []
+    movable = s & ~(s << 2) & ~3
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        p = low.bit_length() - 1
+        d = 0 if p & 1 else (s >> p - 1 & 1) - (s >> p + 1 & 1)
+        out.append((s ^ low ^ low >> 2, d))
+    return out
+
+
+@lru_cache(maxsize=None)
+def a_walk(K: int, s: int) -> int:
+    """The sum of Q^(deg + |bp|), Q = 2^K, over the standard tableaux of the
+    bipartition bp with a_state s, as c_walk."""
+    total = 0
+    for child, d in _a_steps(s):
+        total += a_walk(K, child) << K * (d + 1)
+    return total or 1
+
+
+def kronecker_pairs(x: int, K: int, low: int) -> List[List[int]]:
+    """The [exponent, coefficient] pairs of the polynomial whose
+    coefficients are the K-bit digits of x, digit 0 being q^low."""
+    mask, out = (1 << K) - 1, []
+    while x:
+        c = x & mask
+        if c:
+            out.append([low, c])
+        x >>= K
+        low += 1
+    return out
+
+
+def _c_goods(zero: int, s: int, removable: int) -> Iterator[int]:
+    """The good ones among the removable bits p of the type-C state (zero,
+    s), top first; the mirror of content p - zero is at 2 zero - p - 1."""
+    while removable:
+        p = removable.bit_length() - 1
+        removable ^= 1 << p
+        if s >> 2 * zero - p - 1 & 3 != (1 if p >= zero else 2):
+            yield p
+
+
+@lru_cache(maxsize=None)
+def c_kleshchev(zero: int, s: int) -> bool:
+    """is_kleshchev of the level-one type-C shape with c_state (zero, s)."""
+    removable = s & ~(s << 1) & ~1
+    for p in _c_goods(zero, s, removable):
+        return c_kleshchev(zero - 1, (s ^ 3 << p - 1) >> 1)
+    return not removable
+
+
+@lru_cache(maxsize=None)
+def a_kleshchev(s: int) -> bool:
+    """is_kleshchev of the bipartition with a_state s: its node at bit p is
+    good unless bits (p - 1, p + 1) read (1, 0) in component 1, (p - 3, p - 1)
+    read (0, 1) in component 2."""
+    rest = removable = s & ~(s << 2) & ~3
+    while rest:
+        p = rest.bit_length() - 1
+        rest ^= 1 << p
+        if s >> p - 3 & 5 != 4 if p & 1 else s >> p - 1 & 5 != 1:
+            return a_kleshchev(s ^ 5 << p - 2)
+    return not removable
+
+
+@lru_cache(maxsize=None)
+def c_good_walk(zero: int, s: int, to_rho: bool) -> Optional[int]:
+    """Search good-node removals, top first, from the type-C state (zero, s)
+    to the empty shape, or with to_rho to the rectangle rho of its content-0
+    nodes, whose corner is the one good node inside rho; the s (at zero) that
+    the word's cogood additions reach from that end, 0 if a step has no
+    cogood node, None if there is no word.  An entry is one cogood step on
+    top of the walk one good removal below it."""
+    removable = s & ~(s << 1) & ~1 & ~(to_rho << zero)
+    if not removable:
+        return s
+    for p in _c_goods(zero, s, removable):
+        end = c_good_walk(zero - 1, (s ^ 3 << p - 1) >> 1, to_rho)
+        if end is not None:
+            return end and _c_cogood(zero - 1, end, abs(p - zero))
+    return None
+
+
+def _c_cogood(zero: int, s: int, i: Residue) -> int:
+    """The s of the type-C state (zero, s) with its cogood i-node added (its
+    zero is zero + 1), or 0 if it has none."""
+    upper, lower = s >> zero + i - 1 & 3, s >> zero - i - 1 & 3
+    p = zero - i if lower == 1 and upper != 2 else zero + i if upper == 1 else 0
+    return p and (s ^ 3 << p - 1) << 1 | 1
 
 
 def _graded_shift(lhs: int, rhs: int, K: int) -> Optional[int]:

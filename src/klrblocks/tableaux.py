@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue
-from .partitions import MultiPartition, Node, corners, lattice_state, move, size
+from .partitions import MultiPartition, Node, corners, lattice_state, move
 
 
 class StandardTableau(NamedTuple):
@@ -41,8 +41,9 @@ def enumerate_standard(
     (partitions.corners) gives each addable node its residue and the step
     degree of adding it, whose sum along the path is the degree, and the
     node's row is 1 plus the number of its component's bits above it.
-    With a residue filter only the next residue's corners are read."""
-    n = size(shape)
+    With a residue filter only the next residue's corners are read.  A
+    charge of another level is refused at the call, as lattice_state does."""
+    n = lattice_state(shape, charge)[0]
     if residues is not None and len(residues) != n:
         raise ValueError(f"residue word has length {len(residues)}, "
                          f"but the shape has {n} nodes")

@@ -30,7 +30,7 @@ replaced, as the reference of its parsing."""
 import argparse
 from functools import cache, lru_cache
 
-from klrblocks import cli, crystal, graded, partitions
+from klrblocks import cli, morita, partitions
 from klrblocks.cartan import CartanType
 from klrblocks.graded import LaurentPoly, gdim_specht
 from klrblocks.morita import ALL_CHECKS, BridgeError
@@ -332,7 +332,7 @@ def _good_walk(ct, charge, mp, target):
 
 
 def good_walk(mp, target, ct, charge):
-    """The good-removal walk on shapes that crystal.c_good_walk replaced:
+    """The good-removal walk on shapes that morita.c_good_walk replaced:
     (word, end), the residue word of good-node removals from mp down to
     target in addition order and the shape its cogood additions reach from
     target (None if a step has no cogood node); None if there is no such
@@ -347,7 +347,7 @@ def good_walk(mp, target, ct, charge):
 
 
 def c_shape(zero, s, kappa_c):
-    """The partition nu whose type-C bit state (graded.c_state) is (zero, s),
+    """The partition nu whose type-C bit state (morita.c_state) is (zero, s),
     read off M(nu, kappa_c) = {kappa_c + nu_r - r}: its r-th largest element
     u gives nu_r = u - kappa_c + r, down to the first part that is 0."""
     parts = []
@@ -361,7 +361,7 @@ def c_shape(zero, s, kappa_c):
 
 
 def bit_good_walk(nu, kappa_c, to_rho):
-    """crystal.c_good_walk from nu, down to the rectangle rho of nu's
+    """morita.c_good_walk from nu, down to the rectangle rho of nu's
     zero-residue nodes or (not to_rho) down to the empty partition, in the
     terms of good_walk: (word, end) with end decoded into an l-partition,
     or None.  The word follows, from each shape, the first good node
@@ -370,7 +370,7 @@ def bit_good_walk(nu, kappa_c, to_rho):
     C, charge = CartanType.C, (kappa_c,)
     a0 = content(C, charge, (nu,))[0]
     target = (a0,) * (kappa_c + a0) if to_rho else ()
-    end = crystal.c_good_walk(*graded.c_state(nu, kappa_c), to_rho)
+    end = morita.c_good_walk(*morita.c_state(nu, kappa_c), to_rho)
     if end is None:
         return None
     word, cur = [], nu
@@ -378,15 +378,15 @@ def bit_good_walk(nu, kappa_c, to_rho):
         goods = sorted(good_nodes((cur,), C, charge).items(), key=lambda g: g[1])
         for i, node in goods:
             child = remove_node((cur,), node)[0]
-            if not contains((target,), node) and crystal.c_good_walk(
-                    *graded.c_state(child, kappa_c), to_rho) is not None:
+            if not contains((target,), node) and morita.c_good_walk(
+                    *morita.c_state(child, kappa_c), to_rho) is not None:
                 word.append(i)
                 cur = child
                 break
         else:
             raise AssertionError(f"the bit walk has a word below {cur} that the "
                                  "search does not find")
-    zero = graded.c_state(nu, kappa_c)[0]
+    zero = morita.c_state(nu, kappa_c)[0]
     return tuple(reversed(word)), (c_shape(zero, end, kappa_c),) if end else None
 
 

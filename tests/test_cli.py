@@ -933,6 +933,12 @@ class TestErrors:
                              "--residues", "0,1")
         assert fails_cleanly(capsys, "gdim", "--charge", "0", "--shape", "2,2",
                              "--weight", "0,1,1,0,2")
+        # the library refuses the empty shape too, with the same message
+        for argv in (("tableaux",), ("tableaux", "--residues="), ("kleshchev",),
+                     ("gdim",), ("gdim", "--weight=")):
+            assert main([*argv, "--charge", "0,0", "--shape", "-"]) == 2
+            assert capsys.readouterr() == (
+                "", "error: shape has 1 components but charge has 2\n")
 
     def test_empty_word_is_checked_not_ignored(self, capsys):
         # an empty --weight= or --residues= is a word of length 0: refused

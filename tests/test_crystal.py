@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from klrblocks import crystal
+from klrblocks import crystal, morita
 from klrblocks.cartan import CartanType
-from klrblocks.crystal import a_kleshchev, c_kleshchev, is_kleshchev
-from klrblocks.graded import a_state, c_state
-from klrblocks.morita import a_block, iter_bridges, one_block_bridge
+from klrblocks.crystal import is_kleshchev
+from klrblocks.morita import (a_block, a_kleshchev, a_state, c_kleshchev, c_state,
+                              iter_bridges, one_block_bridge)
 from klrblocks.partitions import content, lattice_state, multipartitions_of, partitions_of, size
 
 import oracles
@@ -401,7 +401,7 @@ class TestBitRules:
                     zero, s = c_state(nu, kappa_c)
                     for i in range(kappa_c + n + 1):
                         node = cogood_node((nu,), C, (kappa_c,), i)
-                        got = crystal._c_cogood(zero, s, i)
+                        got = morita._c_cogood(zero, s, i)
                         assert got == (0 if node is None else
                                        c_state(add_node((nu,), node)[0], kappa_c)[1])
 
@@ -459,7 +459,7 @@ class TestHeadMemo:
         a0 = content(C, (kappa_c,), (nu,))[0]
         target = (a0,) * (kappa_c + a0) if to_rho else ()
         warm = bit_good_walk(nu, kappa_c, to_rho)
-        crystal.c_good_walk.cache_clear()
+        morita.c_good_walk.cache_clear()
         assert bit_good_walk(nu, kappa_c, to_rho) == warm
         assert warm == good_walk((nu,), (target,), C, (kappa_c,))
         word = unpruned_good_removal_path((nu,), (target,), C, (kappa_c,))
@@ -470,7 +470,7 @@ class TestHeadMemo:
         # misses are the head's plus the tails' alone (their keys have
         # another flag)
         rho, shapes = (2, 2), [(4, 3, 1), (3, 2, 2, 1), (2, 2, 2, 2), (4, 3, 1)]
-        walk = crystal.c_good_walk
+        walk = morita.c_good_walk
         walk.cache_clear()
         assert walk(*c_state(rho, 0), False) is not None
         head = walk.cache_info().misses
@@ -487,7 +487,7 @@ class TestHeadMemo:
     def test_cold_miss_recurses_once_per_node(self, monkeypatch):
         # a cold walk recurses at most |nu| - |rho| deep, and its replay
         # adds no recursion
-        memo, depth, deepest = crystal.c_good_walk, [0], [0]
+        memo, depth, deepest = morita.c_good_walk, [0], [0]
 
         def tracking(*key):
             depth[0] += 1
@@ -497,12 +497,12 @@ class TestHeadMemo:
             finally:
                 depth[0] -= 1
 
-        monkeypatch.setattr(crystal, "c_good_walk", tracking)
+        monkeypatch.setattr(morita, "c_good_walk", tracking)
         for nu, rho in (((8,) + (1,) * 7, ()), ((7, 2, 2, 1, 1, 1, 1), (2, 2))):
             memo.cache_clear()
             deepest[0] = 0
             zero, s = c_state(nu, 0)
-            assert crystal.c_good_walk(zero, s, bool(rho)) == s
+            assert morita.c_good_walk(zero, s, bool(rho)) == s
             assert deepest[0] == sum(nu) - sum(rho) + 1
 
 
@@ -548,20 +548,20 @@ class TestCogoodPath:
     def test_failure_position(self, monkeypatch):
         # a step with no cogood node ends the replay in 0, and every walk
         # built on it keeps 0
-        real = crystal._c_cogood
+        real = morita._c_cogood
 
         def no_cogood_1(zero, s, i):
             return 0 if i == 1 else real(zero, s, i)
 
-        monkeypatch.setattr(crystal, "_c_cogood", no_cogood_1)
-        crystal.c_good_walk.cache_clear()
+        monkeypatch.setattr(morita, "_c_cogood", no_cogood_1)
+        morita.c_good_walk.cache_clear()
         try:
             assert bit_good_walk((1,), 0, False) == ((0,), ((1,),))
             assert bit_good_walk((1, 1), 0, False) == ((0, 1), None)
             assert bit_good_walk((2, 1, 1), 0, False) == ((0, 1, 2, 1), None)
-            assert crystal.c_good_walk(*c_state((2, 1, 1), 0), False) == 0
+            assert morita.c_good_walk(*c_state((2, 1, 1), 0), False) == 0
         finally:
-            crystal.c_good_walk.cache_clear()
+            morita.c_good_walk.cache_clear()
         assert plain_cogood_path(((),), (0, 0), C, (0,)) is None
 
     def test_replay_witness(self):

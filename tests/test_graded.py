@@ -4,17 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klrblocks.cartan import CartanType
-from klrblocks.graded import (
-    LaurentPoly,
-    _a_steps,
-    _c_steps,
-    _gdim,
-    a_state,
-    c_state,
-    gdim_specht,
-    gdim_specht_weight,
-)
-from klrblocks.morita import a_block, bridge, from_type_c, iter_bridges, verify_bridge
+from klrblocks.graded import LaurentPoly, _gdim, gdim_specht, gdim_specht_weight
+from klrblocks.morita import (_a_steps, _c_steps, a_block, a_state, bridge, c_state,
+                              from_type_c, iter_bridges, verify_bridge)
 from klrblocks.partitions import content, lattice_state, multipartitions_of, partitions_of, size
 from klrblocks.tableaux import enumerate_standard
 

@@ -3,21 +3,21 @@ from math import comb
 
 import pytest
 
-from klrblocks import crystal, morita
+from klrblocks import morita
 from klrblocks.cartan import CartanType, RootVector
 from klrblocks import graded
-from klrblocks.graded import c_state
 from klrblocks.morita import (
     BridgeError,
     a_block,
     bridge,
     c_block,
+    c_state,
     from_type_c,
     iter_bridges,
     one_block_bridge,
     verify_bridge,
 )
-from klrblocks.partitions import conjugate, content, partitions_of
+from klrblocks.partitions import conjugate, content, lattice_state, partitions_of
 from klrblocks.tableaux import enumerate_standard
 
 from oracles import (bit_good_walk, good_nodes, maya_labels, prefix_shape, rect_add,
@@ -26,6 +26,26 @@ from oracles import (bit_good_walk, good_nodes, maya_labels, prefix_shape, rect_
 A, C = CartanType.A, CartanType.C
 
 MICRO = RootVector({0: 1, 1: 2})
+
+
+def outer_calls(monkeypatch, name):
+    """The list of the argument tuples of the calls that the checks make to
+    morita's function name, which is replaced by a recording wrapper.  The
+    memoized walks recurse through their module's names, so the wrapper
+    also sees their inner calls; it passes those on unrecorded."""
+    real, calls, depth = getattr(morita, name), [], [0]
+
+    def recording(*args):
+        if not depth[0]:
+            calls.append(args)
+        depth[0] += 1
+        try:
+            return real(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(morita, name, recording)
+    return calls
 
 
 class TestBridge:
@@ -282,6 +302,16 @@ class TestWeights:
             found += len(no_zero)
         assert found == blocks
 
+    def test_type_c_state_is_the_lattice_state_shifted(self):
+        # c_state builds its int in one pass; it is the lattice state with
+        # 2 kappa_c more labels, all in the Maya set, below the window
+        for kappa_c in range(5):
+            for n in range(13):
+                for nu in partitions_of(n):
+                    _, s = lattice_state((nu,), (kappa_c,))
+                    assert c_state(nu, kappa_c) == (kappa_c + n + 1,
+                                                    (s + 1 << 2 * kappa_c) - 1)
+
 
 class TestVerifyBridge:
     def test_micro_report(self):
@@ -344,16 +374,11 @@ class TestVerifyBridge:
         # tail once; with a cold memo every state the walks pass through
         # is built once, with its replay step, and a second run builds none
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
-        flags = []
-        walk = crystal.c_good_walk
-
-        def counting(zero, s, to_rho):
-            flags.append(to_rho)
-            return walk(zero, s, to_rho)
-
-        monkeypatch.setattr(morita, "c_good_walk", counting)
+        walk = morita.c_good_walk
+        calls = outer_calls(monkeypatch, "c_good_walk")
         walk.cache_clear()
         report = verify_bridge(b, checks=("kleshchev", "goodpath"))
+        flags = [to_rho for _, _, to_rho in calls]
         assert report["checks"]["goodpath"]["pass"]
         klesh = report["checks"]["kleshchev"]["c_set"]
         assert len(klesh) > 1
@@ -374,10 +399,11 @@ class TestVerifyBridge:
 
     def test_goodpath_bad_head_fails_every_shape(self, monkeypatch):
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
+        walk = morita.c_good_walk
 
         def bad_head(zero, s, to_rho):
             # a head whose replay meets no cogood node
-            return crystal.c_good_walk(zero, s, to_rho) if to_rho else 0
+            return walk(zero, s, to_rho) if to_rho else 0
 
         monkeypatch.setattr(morita, "c_good_walk", bad_head)
         report = verify_bridge(b, checks=("kleshchev", "goodpath"))
@@ -391,7 +417,7 @@ class TestVerifyBridge:
         # shape one good removal below it, which the bridge one height
         # lower checked; so once a bridge with the same rho has run,
         # rho's head and every other walk a bridge reads are memo hits
-        walk = crystal.c_good_walk
+        walk = morita.c_good_walk
         walk.cache_clear()
         seen, later = set(), 0
         for b in iter_bridges(kappa_c, 14):
@@ -413,14 +439,7 @@ class TestVerifyBridge:
     ], ids=["goodpath", "dominance", "graded", "crystal"])
     def test_check_builds_only_what_it_reads(self, monkeypatch, checks, unread):
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
-        calls = []
-        real = getattr(morita, unread)
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(morita, unread, counting)
+        calls = outer_calls(monkeypatch, unread)
         assert verify_bridge(b, checks)["pass"]
         assert calls == []
         # all five checks build each block once, and walk down from each
@@ -432,13 +451,7 @@ class TestVerifyBridge:
         # kleshchev and goodpath read one list of Kleshchev type-C shapes,
         # tested on the states of c_block's shapes
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
-        asked = []
-
-        def counting(zero, s):
-            asked.append((zero, s))
-            return crystal.c_kleshchev(zero, s)
-
-        monkeypatch.setattr(morita, "c_kleshchev", counting)
+        asked = outer_calls(monkeypatch, "c_kleshchev")
         report = verify_bridge(b, ("kleshchev", "goodpath"))
         assert report["pass"]
         assert len(report["checks"]["kleshchev"]["c_set"]) > 1
@@ -477,7 +490,7 @@ class TestVerifyBridge:
         shared = [verify_bridge(b) for b in bridges]
         cold = []
         for b in bridges:
-            for memo in (graded._gdim, graded.c_walk, graded.a_walk):
+            for memo in (graded._gdim, morita.c_walk, morita.a_walk):
                 memo.cache_clear()
             cold.append(verify_bridge(b))
         assert shared == cold
@@ -491,10 +504,29 @@ class TestVerifyBridge:
         shared = [verify_bridge(b, checks) for b in bridges]
         cold = []
         for b in bridges:
-            for memo in (crystal.c_kleshchev, crystal.a_kleshchev, crystal.c_good_walk):
+            for memo in (morita.c_kleshchev, morita.a_kleshchev, morita.c_good_walk):
                 memo.cache_clear()
             cold.append(verify_bridge(b, checks))
         assert shared == cold
+
+    @pytest.mark.parametrize("kappa_c", [0, 1])
+    def test_kleshchev_tests_follow_one_good_node(self, kappa_c):
+        # each Kleshchev test removes one good node per step and does not
+        # search: on the maximal blocks, with cleared memos, each memo ends
+        # with at most one entry per state on one path per shape, and the
+        # good-removal search is not read.  (At kappa_c = 0, a0 = 5 the tests
+        # hold 2061 and 1349 entries against a bound of 12852; the search
+        # holds 44455.)
+        memos = (morita.c_kleshchev, morita.a_kleshchev, morita.c_good_walk)
+        for a0 in range(1, 6):
+            rect = ((a0,) * (2 * a0 + 2 * kappa_c),)
+            b = one_block_bridge(kappa_c, content(C, (kappa_c,), rect))
+            for memo in memos:
+                memo.cache_clear()
+            assert verify_bridge(b, ("kleshchev",))["pass"]
+            bound = len(b.c_shapes) * (b.beta.height + 1)
+            sizes = [memo.cache_info().currsize for memo in memos]
+            assert sizes[0] <= bound and sizes[1] <= bound and sizes[2] == 0
 
     @pytest.mark.parametrize("kappa_c", [0, 1])
     def test_order_preserving_on_small_blocks(self, kappa_c):

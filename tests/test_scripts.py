@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import klrblocks
-from klrblocks import crystal, graded
+from klrblocks import graded, morita
 from klrblocks.morita import ALL_CHECKS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -126,9 +126,9 @@ def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys):
 
     def recording(b, checks):
         sizes = [memo.cache_info().currsize
-                 for memo in (crystal.c_kleshchev, crystal.a_kleshchev,
-                              crystal.c_good_walk, graded._gdim, graded.c_walk,
-                              graded.a_walk)]
+                 for memo in (morita.c_kleshchev, morita.a_kleshchev,
+                              morita.c_good_walk, graded._gdim, morita.c_walk,
+                              morita.a_walk)]
         calls.append((b.a0, tuple(checks), sizes))
         return real(b, checks)
 
@@ -165,9 +165,9 @@ def test_maximal_blocks_goes_on_after_running_out_of_memory(monkeypatch, capsys)
     real, calls = script.verify_bridge, []
 
     def graded_runs_out(b, checks):
-        calls.append((b.a0, tuple(checks), graded.c_walk.cache_info().currsize))
+        calls.append((b.a0, tuple(checks), morita.c_walk.cache_info().currsize))
         if checks == ["graded"]:
-            graded.c_walk(0, *graded.c_state(b.rho, b.kappa_c))  # fills a memo
+            morita.c_walk(0, *morita.c_state(b.rho, b.kappa_c))  # fills a memo
             raise MemoryError
         return real(b, checks)
 

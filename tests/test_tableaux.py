@@ -151,6 +151,14 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_standard(((2,),), C, (0,), residues=(0, 1, 1))
 
+    @pytest.mark.parametrize("shape, charge", [
+        (((),), (0, 0)), (((), ()), (0,)), (((2, 1), ()), (0,)), (((1,),), (1, 0))])
+    def test_level_mismatch_refused_at_the_call(self, shape, charge):
+        # for every shape, the empty one too, before a tableau is asked for
+        with pytest.raises(ValueError, match=f"^shape has {len(shape)} components "
+                                             f"but charge has {len(charge)}$"):
+            enumerate_standard(shape, A, charge)
+
 
 class TestWalkAgainstReferences:
     """The walk against the references it replaced: the recursive
