@@ -9,9 +9,13 @@ of each run's stdout is read; a run that exits non-zero, reads
 ``correct: false`` or counts a failed operation stops the comparison
 with exit 1.  For each end-to-end metric of the change's
 ``BENCHMARK.json`` one line gives the parent's median and quartiles, the
-change's median, the change in percent and the pairs the change won
-(ties count for neither side).  With ``--label L`` the last pair's two
-lines are written, as run.py printed them, to ``BENCH_L_parent.json``
+change's median, the change in percent, the pairs the change won (ties
+count for neither side) and a verdict: ``gain`` when the change won at
+least 9 in 10 of the pairs and its median is better than the parent's by
+more than the parent's interquartile range, ``worse`` when its median is
+worse than the parent's by more than the metric's ``bound`` (a fraction
+of the parent's median), else ``-``.  With ``--label L`` the last pair's
+two lines are written, as run.py printed them, to ``BENCH_L_parent.json``
 and ``BENCH_L_change.json`` in the current directory.
 
 Example:
@@ -66,7 +70,7 @@ def summary(metrics, runs):
     """One line per metric of runs = {side: [result, ...]}, pair by pair."""
     n = len(runs["parent"])
     lines = [f"{'metric':<12} {'unit':<6} {'parent':>10} {'q1':>10} {'q3':>10} "
-             f"{'change':>10} {'delta':>8} {'wins':>7}"]
+             f"{'change':>10} {'delta':>8} {'wins':>7} verdict"]
     for m in metrics:
         name = m["name"]
         parent, change = ([r["metrics"][name]["value"] for r in runs[side]]
@@ -76,8 +80,14 @@ def summary(metrics, runs):
         p_med, c_med = statistics.median(parent), statistics.median(change)
         q1, q3 = quartiles(parent)
         delta = f"{100 * (c_med - p_med) / p_med:+.1f}%" if p_med else "n/a"
+        if 10 * wins >= 9 * n and sign * (p_med - c_med) > q3 - q1:
+            verdict = "gain"
+        elif sign * (c_med - p_med) > m["bound"] * abs(p_med):
+            verdict = "worse"
+        else:
+            verdict = "-"
         lines.append(f"{name:<12} {m['unit']:<6} {p_med:>10.4g} {q1:>10.4g} "
-                     f"{q3:>10.4g} {c_med:>10.4g} {delta:>8} {f'{wins}/{n}':>7}")
+                     f"{q3:>10.4g} {c_med:>10.4g} {delta:>8} {f'{wins}/{n}':>7} {verdict}")
     return lines
 
 

@@ -475,25 +475,24 @@ def _check_dominance(blk: _Block) -> dict:
     # The bridge preserves dominance, which is what the check asserts.
     # It is not an order isomorphism: the type-C order may strictly
     # refine the type-A one, and the pairs where it does are reported
-    # as witnesses.
-    witnesses = []
-    preserving = True
+    # as witnesses.  On packed sums (dominance_sums) a pair costs one
+    # subtraction and one AND per side, and the diagonal compares equal on
+    # both.  A shape's JSON lists are built at its first witness and shared.
+    witnesses, preserving, lists = [], True, {}
     bps = [bp for bp, _ in blk.pairs]
-    rows = list(zip(bps, dominance_sums(bps),
-                    dominance_sums([(nu,) for _, nu in blk.pairs])))
-    for bp1, a1, c1 in rows:
-        for bp2, a2, c2 in rows:
-            # a shape and itself dominate each other on both sides, so the
-            # diagonal pair is neither a failure nor a witness
-            if bp2 is bp1:
-                continue
-            a_rel = all(map(int.__ge__, a1, a2))
-            c_rel = all(map(int.__ge__, c1, c2))
-            if a_rel and not c_rel:
-                preserving = False
-            if a_rel != c_rel:
-                witnesses.append({"pair": [list(map(list, bp1)),
-                                           list(map(list, bp2))]})
+    if len(bps) > 1:  # one shape has no pair
+        a_sums, a_top = dominance_sums(bps)
+        c_sums, c_top = dominance_sums([(nu,) for _, nu in blk.pairs])
+        rows = list(zip(a_sums, c_sums))
+        for i, (a1, c1) in enumerate(rows):
+            a1, c1 = a1 | a_top, c1 | c_top
+            wit = [j for j, (a2, c2) in enumerate(rows)
+                   if ((a1 - a2) & a_top == a_top) != ((c1 - c2) & c_top == c_top)]
+            if wit:
+                preserving &= all((a1 - a_sums[j]) & a_top != a_top for j in wit)
+                for j in {i, *wit} - lists.keys():
+                    lists[j] = list(map(list, bps[j]))
+                witnesses += [{"pair": [lists[i], lists[j]]} for j in wit]
     return {"pass": preserving, "order_preserving": preserving,
             "witnesses": witnesses}
 

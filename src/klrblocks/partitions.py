@@ -13,7 +13,7 @@ Kleshchev test read them.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, combinations, count
+from itertools import combinations, count
 from operator import sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -39,7 +39,7 @@ def as_partition(parts: Sequence[int]) -> Partition:
 
 
 def size(mp: MultiPartition) -> int:
-    return sum(sum(p) for p in mp)
+    return sum(map(sum, mp))
 
 
 def content(ct: CartanType, charge: Charge, mp: MultiPartition) -> RootVector:
@@ -134,16 +134,25 @@ def move(l: int, s: int, q: int, add: bool) -> int:
     return s << l | (1 << l) - 1 if add else s >> l
 
 
-def dominance_sums(mps: Sequence[MultiPartition]) -> List[Tuple[int, ...]]:
+def dominance_sums(mps: Sequence[MultiPartition]) -> Tuple[List[int], int]:
     """Each l-partition's row prefix sums, taken over its components in
-    turn, with every component padded by zero rows to the largest row count
-    it has among mps.  For l-partitions of mps of equal size, a dominates b
-    iff every sum of a is at least b's: the padded positions repeat totals
-    that a compared position already holds, or 0 against 0."""
+    turn with every component padded by zero rows to the largest row count
+    it has among mps, as one int (sum k at bit k*f, f = n.bit_length() + 1
+    for size n), and G, the top bit of every field, which no sum reaches.
+    For mps of equal size, a dominates b iff every sum of a is at least b's
+    (a padded position repeats a total already compared, or 0 against 0),
+    iff ((A | G) - B) & G == G: no field borrows from the next."""
+    f = size(mps[0]).bit_length() + 1
     widths = [max(map(len, comp)) for comp in zip(*mps)]
-    return [tuple(accumulate(chain.from_iterable(
-                p + (0,) * (w - len(p)) for p, w in zip(mp, widths))))
-            for mp in mps]
+    packed = []
+    for mp in mps:
+        x = t = k = 0
+        for p, w in zip(mp, widths):
+            for r in p + (0,) * (w - len(p)):
+                t += r
+                x, k = x | t << k, k + f
+        packed.append(x)
+    return packed, ((1 << f * sum(widths)) - 1) // ((1 << f) - 1) << f - 1
 
 
 def conjugate(p: Partition) -> Partition:

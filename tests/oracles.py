@@ -14,21 +14,24 @@ rule of the type-A weights (ballot_kleshchev), and a reader of the bit
 walk in the terms of good_walk (c_shape, bit_good_walk).  Also the bridge
 map with its membership check, built on that image; the weight labels of
 a type-C partition; the pairwise dominance test that the dominance
-check's prefix sums replaced; the nested recursion that listed
-l-partitions before multipartitions_of kept a table of its own, and the
-tableau references that the package's walk replaced: the recursive
-depth-first enumeration, the cellular degree replayed entry by entry, and
-the hand-built row-reading tableau with its residue word read node by
-node (nodes, residue); two tableau fixtures: the sub-diagram a tableau's
-first entries fill, and the paper's minimal-degree rectangle tableau; the
-bridge's map of tableaux onto factorizable tableaux; the factorizable sum
-that the bridge's bit-state walks replaced, as a recursion over an
-interval of the Young lattice, with the product of Laurent polynomials it
-needs; and the argparse parser that the command line's own parser
-replaced, as the reference of its parsing."""
+check's prefix sums replaced, the prefix sums as tuples that its packed
+sums replaced, and the check's pairwise loop on that test; the nested
+recursion that listed l-partitions before multipartitions_of kept a
+table of its own, and the tableau references that the package's walk
+replaced: the recursive depth-first enumeration, the cellular degree
+replayed entry by entry, and the hand-built row-reading tableau with its
+residue word read node by node (nodes, residue); two tableau fixtures:
+the sub-diagram a tableau's first entries fill, and the paper's
+minimal-degree rectangle tableau; the bridge's map of tableaux onto
+factorizable tableaux; the factorizable sum that the bridge's bit-state
+walks replaced, as a recursion over an interval of the Young lattice,
+with the product of Laurent polynomials it needs; and the argparse
+parser that the command line's own parser replaced, as the reference of
+its parsing."""
 
 import argparse
 from functools import cache, lru_cache
+from itertools import accumulate, chain
 
 from klrblocks import cli, morita, partitions
 from klrblocks.cartan import CartanType
@@ -465,6 +468,35 @@ def dominates(a: MultiPartition, b: MultiPartition) -> bool:
         before_a += sum(pa)
         before_b += sum(pb)
     return True
+
+
+def dominance_sums(mps):
+    """Each l-partition's row prefix sums as a tuple, over its components in
+    turn, each component padded by zero rows to its largest row count among
+    mps: the sums that partitions.dominance_sums packs into one int."""
+    widths = [max(map(len, comp)) for comp in zip(*mps)]
+    return [tuple(accumulate(chain.from_iterable(
+                p + (0,) * (w - len(p)) for p, w in zip(mp, widths))))
+            for mp in mps]
+
+
+def pairwise_dominance(b):
+    """The dominance check's report by its pairwise loop on dominates: each
+    ordered pair of distinct type-A block members, in a_block order, with
+    their images by to_type_c."""
+    pairs = [(bp, (to_type_c(bp, b),)) for bp in morita.a_block(b)]
+    witnesses = []
+    preserving = True
+    for bp1, nu1 in pairs:
+        for bp2, nu2 in pairs:
+            if bp2 is bp1:
+                continue
+            a_rel, c_rel = dominates(bp1, bp2), dominates(nu1, nu2)
+            if a_rel and not c_rel:
+                preserving = False
+            if a_rel != c_rel:
+                witnesses.append({"pair": [list(map(list, bp1)), list(map(list, bp2))]})
+    return {"pass": preserving, "order_preserving": preserving, "witnesses": witnesses}
 
 
 def nested_multipartitions(n, level):

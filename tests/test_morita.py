@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from math import comb
 
@@ -20,8 +21,9 @@ from klrblocks.morita import (
 from klrblocks.partitions import conjugate, content, lattice_state, partitions_of
 from klrblocks.tableaux import enumerate_standard
 
-from oracles import (bit_good_walk, good_nodes, maya_labels, prefix_shape, rect_add,
-                     remove_node, residue_sequence, tableau_to_type_c, to_type_c)
+from oracles import (bit_good_walk, good_nodes, maya_labels, pairwise_dominance,
+                     prefix_shape, rect_add, remove_node, residue_sequence,
+                     tableau_to_type_c, to_type_c)
 
 A, C = CartanType.A, CartanType.C
 
@@ -533,3 +535,45 @@ class TestVerifyBridge:
         for b in iter_bridges(kappa_c, 8):
             report = verify_bridge(b, checks=("dominance",))
             assert report["checks"]["dominance"]["order_preserving"]
+
+
+def dominance_report(b):
+    return verify_bridge(b, ("dominance",))["checks"]["dominance"]
+
+
+class TestDominanceCheck:
+    """The check on packed sums against its pairwise loop on dominates
+    (oracles.pairwise_dominance): the same pass, order_preserving and
+    witnesses, in the same order."""
+
+    @pytest.mark.parametrize("kappa_c", [0, 1, 2])
+    def test_every_bridge_to_height_20(self, kappa_c):
+        for b in iter_bridges(kappa_c, 20):
+            assert dominance_report(b) == pairwise_dominance(b)
+
+    @pytest.mark.parametrize("kappa_c,max_a0", [(0, 6), (1, 5), (2, 4)])
+    def test_maximal_blocks(self, kappa_c, max_a0):
+        for a0 in range(1, max_a0 + 1):
+            rect = ((a0,) * (2 * a0 + 2 * kappa_c),)
+            b = one_block_bridge(kappa_c, content(C, (kappa_c,), rect))
+            assert dominance_report(b) == pairwise_dominance(b)
+
+    def test_one_shape_block_builds_no_sums(self, monkeypatch):
+        def refuse(mps):
+            raise AssertionError("a one-shape block has no pair")
+
+        monkeypatch.setattr(morita, "dominance_sums", refuse)
+        b = bridge(0, RootVector({0: 1}))
+        assert a_block(b) == [((), ())]
+        assert dominance_report(b) == {"pass": True, "order_preserving": True,
+                                       "witnesses": []}
+
+    def test_witnesses_share_each_shapes_lists(self):
+        # each shape's JSON lists are built once, however many witnesses
+        # name it; the encoded report is the same as with copies
+        b = one_block_bridge(0, content(C, (0,), ((4,) * 8,)))
+        report = dominance_report(b)
+        shapes = [s for w in report["witnesses"] for s in w["pair"]]
+        assert len({id(s) for s in shapes}) == len({json.dumps(s) for s in shapes})
+        assert len(shapes) > len({id(s) for s in shapes})
+        assert json.dumps(report) == json.dumps(pairwise_dominance(b))

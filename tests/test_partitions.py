@@ -224,9 +224,9 @@ class TestDominance:
 
 class TestDominanceSums:
     def test_examples(self):
-        assert dominance_sums([((2, 1),), ((1, 1, 1),)]) == [(2, 3, 3), (1, 2, 3)]
+        assert oracles.dominance_sums([((2, 1),), ((1, 1, 1),)]) == [(2, 3, 3), (1, 2, 3)]
         # each component padded to its longest among the shapes
-        assert dominance_sums([((1,), (2,)), ((), (1, 1, 1))]) == [
+        assert oracles.dominance_sums([((1,), (2,)), ((), (1, 1, 1))]) == [
             (1, 3, 3, 3), (0, 1, 2, 3)]
 
     @pytest.mark.parametrize("kappa_c", [0, 1, 2])
@@ -234,10 +234,47 @@ class TestDominanceSums:
         # the dominance check compares prefix sums; dominates is the oracle
         for b in iter_bridges(kappa_c, 14):
             for block in (a_block(b), [(nu,) for nu in c_block(b)]):
-                sums = dominance_sums(block)
+                sums = oracles.dominance_sums(block)
                 for x, sx in zip(block, sums):
                     for y, sy in zip(block, sums):
                         assert all(map(int.__ge__, sx, sy)) == dominates(x, y)
+
+
+class TestPackedDominanceSums:
+    """partitions.dominance_sums packs the tuple sums of the oracle, field k
+    at bit k*f with f = n.bit_length() + 1, and x dominates y iff
+    ((X | G) - Y) & G == G."""
+
+    @staticmethod
+    def check(mps):
+        packed, top = dominance_sums(mps)
+        sums = oracles.dominance_sums(mps)
+        f = sum(map(sum, mps[0])).bit_length() + 1
+        fields = range(len(sums[0]))
+        assert top == sum(1 << k * f + f - 1 for k in fields)
+        assert [tuple(x >> k * f & (1 << f) - 1 for k in fields) for x in packed] == sums
+        for x, px in zip(mps, packed):
+            for y, py in zip(mps, packed):
+                assert (((px | top) - py) & top == top) == dominates(x, y)
+
+    @pytest.mark.parametrize("mps", [
+        [((3,),), ((1, 1, 1),)],  # a sum equal to n = 3, whose top bit is set
+        [((4,),), ((2, 2),), ((1, 1, 1, 1),)],  # n = 4, a power of two
+        [((2, 1), ()), ((1, 1, 1), ()), ((3,), ())],  # empty in every member
+        [((), (2, 1)), ((), (1, 1, 1))],
+        [((1,), (2,)), ((), (1, 1, 1))],
+        [((2, 2),)],  # a one-shape block
+        [((), ())],  # the empty bipartition
+    ], ids=["row-column", "power-of-two", "empty-last", "empty-first", "padded",
+            "one-shape", "empty"])
+    def test_edge_cases(self, mps):
+        self.check(mps)
+
+    @pytest.mark.parametrize("kappa_c", [0, 1, 2])
+    def test_every_bridge(self, kappa_c):
+        for b in iter_bridges(kappa_c, 14):
+            self.check(a_block(b))
+            self.check([(nu,) for nu in c_block(b)])
 
 
 @given(st.lists(st.integers(1, 8), max_size=8))

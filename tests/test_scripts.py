@@ -223,10 +223,11 @@ STUB_BENCHMARK = {"run_seconds": 3, "end_to_end": [
 ]}
 
 
-def stub_result(wall_s, correct=True, failed=0):
+def stub_result(wall_s, correct=True, failed=0, ok_ratio=None):
+    ok = (10 - failed) / 10 if ok_ratio is None else ok_ratio
     return {"correct": correct, "attempted": 10, "failed": failed, "metrics": {
         "wall_s": {"value": wall_s, "unit": "s"},
-        "ok_ratio": {"value": (10 - failed) / 10, "unit": "ratio"}}}
+        "ok_ratio": {"value": ok, "unit": "ratio"}}}
 
 
 def stub_checkouts(tmp_path, parent, change):
@@ -267,13 +268,35 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == "queries: 4 pairs, seeds 5-8, 3 s per run"
     # medians 1.15 and 1.0, quartiles of the parent 1.025 and 1.275, 3 wins
-    # of 4; on ok_ratio all 4 pairs tie
+    # of 4, so no verdict; on ok_ratio all 4 pairs tie
+    assert lines[1].split()[-1] == "verdict"
     assert lines[2].split() == ["wall_s", "s", "1.15", "1.025", "1.275", "1",
-                                "-13.0%", "3/4"]
-    assert lines[3].split() == ["ok_ratio", "ratio", "1", "1", "1", "1", "+0.0%", "0/4"]
+                                "-13.0%", "3/4", "-"]
+    assert lines[3].split() == ["ok_ratio", "ratio", "1", "1", "1", "1", "+0.0%", "0/4",
+                                "-"]
     for side, results in (("parent", parent), ("change", change)):
         written = (out / f"BENCH_t_{side}.json").read_text()
         assert written == json.dumps(results[-1]) + "\n"
+    # ten pairs against a parent whose wall_s has median 1.0 and quartiles
+    # 0.95 and 1.05; the verdicts of wall_s and ok_ratio
+    parent = [stub_result(w) for w in (0.9, 0.95, 0.95, 1.0, 1.0, 1.0, 1.0, 1.05, 1.05, 1.1)]
+    for k, (walls, ok_ratio, verdicts) in enumerate([
+        # 9 of 10 wins and a median gap of 0.2, beyond the IQR of 0.1;
+        # ok_ratio 0.999 against 1 is worse by more than its bound 0.0005
+        ([0.8] * 9 + [2.0], 0.999, ["gain", "worse"]),
+        # 8 of 10 wins with the same medians: not a gain
+        ([0.8] * 8 + [2.0] * 2, 1.0, ["-", "-"]),
+        # 9 of 10 wins, by a median gap of 0.06, inside the IQR
+        ([0.95 - 0.002 * j for j in range(10)], 1.0, ["-", "-"]),
+        # 16% slower than the parent's median, beyond wall_s's bound 0.15;
+        # ok_ratio 0.9996 is inside its bound
+        ([1.16] * 10, 0.9996, ["worse", "-"]),
+    ]):
+        case = tmp_path / f"case{k}"
+        stub_checkouts(case, parent, [stub_result(w, ok_ratio=ok_ratio) for w in walls])
+        proc = bench_pairs(case, 10)
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split()[-1] for line in proc.stdout.splitlines()[2:]] == verdicts
 
 
 @pytest.mark.parametrize("bad", [stub_result(1.0, correct=False),
