@@ -10,11 +10,11 @@ block object per call, whose parts are built on first read.
 Every check but dominance reads the bridge's own bit states, which are the
 paper's weights: one int per shape, the charge in its bits.  The type-C
 state (c_state) holds M(nu, kappa_c) = {kappa_c + nu_r - r}, the type-A
-state (a_state) the two Maya sets of a bipartition interleaved, and a
-removal moves one element t of a set to t - 1.  The bridge's shapes give a
-residue at most two corners, an upper and a lower one: contents i and -i
-of a type-C state, or components 1 and 2 of a type-A one.  So an upper
-corner's step degree is read off the two bits of the lower one (1 if
+state (a_block's weights) the two Maya sets of a bipartition interleaved,
+and a removal moves one element t of a set to t - 1.  The bridge's shapes
+give a residue at most two corners, an upper and a lower one: contents i
+and -i of a type-C state, or components 1 and 2 of a type-A one.  So an
+upper corner's step degree is read off the two bits of the lower one (1 if
 addable, -1 if removable), a lower corner's is 0, and the crystal rule
 reads four bits: a removable upper corner is good unless the lower one is
 addable, else a removable lower corner is; an addable lower corner is
@@ -31,16 +31,17 @@ The type-C shapes come from one of two sources, decided by the input.  A
 sweep (iter_bridges) finds each block by grouping the partitions of each
 height by content, and its bridges carry the group as c_shapes.  A bridge
 made by bridge() alone (a single block, or a test) has none, and the
-checks list the block with enumerate_block (c_block), the Maya-set walk
-that also lists the type-A side (a_block); a check of one named block
-(one_block_bridge, for klrblocks verify --beta) lists it so before the
-checks and passes the list on in c_shapes.  Both give the shapes in the
-order of partitions_of."""
+checks list the block with enumerate_block (c_block); a check of one
+named block (one_block_bridge, for klrblocks verify --beta) lists it so
+before the checks and passes the list on in c_shapes.  Both give the
+shapes in the order of partitions_of, and a_block lists the type-A side
+off its weights by code of its own, independent of either."""
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import combinations
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -73,7 +74,7 @@ class BlockBridge(NamedTuple):
     a_beta: RootVector  # beta - omega, the content of the type-A block
     # the type-C shapes, when the bridge's maker has them (iter_bridges,
     # one_block_bridge); None means the checks list them with c_block, off
-    # the block's Maya sets like the type-A side
+    # the block's Maya sets
     c_shapes: Optional[Tuple[Partition, ...]] = None
 
     @property
@@ -122,8 +123,54 @@ def c_block(b: BlockBridge) -> List[Partition]:
     return [mp[0] for mp in enumerate_block(CartanType.C, b.c_charge, b.beta)]
 
 
-def a_block(b: BlockBridge) -> List[Bipartition]:
-    return enumerate_block(CartanType.A, b.a_charge, b.a_beta)
+def a_block(b: BlockBridge) -> Dict[Bipartition, int]:
+    """The bridge's type-A block in multipartitions_of order, each member
+    with its weight: bit 2u + m - 1 holds u >= 0 in M(bp_m, k_m), (k_1, k_2)
+    = a_charge.  With a_beta on residues 1 and up, u is in c_u = [u < k_1] +
+    [u < k_2] + beta(u) - beta(u + 1) sets: 2 is a cross, 1 free, and each
+    pick of the free vertices set 1 lacks is a member.  |lambda| is set 1's
+    sum less k_1 (k_1 - 1) / 2; at equal sums the larger lambda has the
+    larger pick read from the top, and mu follows lambda."""
+    (k1, k2), beta = b.a_charge, b.a_beta
+    items = beta.items()
+    top = max(k1, items[-1][0] + 1 if items else 0)  # c_u = 0 from top on
+    if top > k1 + beta.height:  # a label above every member's nodes
+        return {}
+    sets = [(u < k1) + (u < k2) for u in range(top)]
+    for i, x in items:  # c_u gains beta(u) - beta(u + 1)
+        sets[i - 1:i + 1] = sets[i - 1] - x, sets[i] + x
+    base, free = 0, []
+    for u, c in enumerate(sets):
+        if c == 2:
+            base |= 3 << 2 * u
+        elif c == 1:
+            base |= 2 << 2 * u  # in set 2 unless picked
+            free.append(u)
+        elif c:
+            return {}
+    # need >= 0: the c_u sum to k_1 + k_2 >= 2 #crosses
+    need, lane, out = k1 - sets.count(2), ((1 << 2 * top) - 1) // 3, {}
+    for pick in sorted(combinations(free, need), key=lambda p: (sum(p), p[::-1]),
+                       reverse=True):
+        w = base
+        for u in pick:
+            w ^= 3 << 2 * u
+        out[_lane_rows(w & lane, k1), _lane_rows(w >> 1 & lane, k2)] = w
+    return out
+
+
+def _lane_rows(bits: int, k: int) -> Partition:
+    """The partition of charge k whose Maya set is every u < 0 and each set
+    bit 2u of bits: row j is u_j - k + j, read top first while positive."""
+    rows = []
+    while bits:
+        u = bits.bit_length() - 1 >> 1
+        r = u - k + len(rows) + 1
+        if r <= 0:
+            break
+        rows.append(r)
+        bits ^= 1 << 2 * u
+    return tuple(rows)
 
 
 def _rect_image(bp: Bipartition, b: BlockBridge) -> Partition:
@@ -238,20 +285,6 @@ def c_walk(K: int, zero: int, s: int) -> int:
     return total or 1
 
 
-def a_state(bp: Bipartition, charge: Charge) -> int:
-    """The level-two type-A bit state of bp: bit 2u + m - 1 holds u in
-    M(bp_m, charge_m), for u >= 0 and m = 1, 2.  No component has more rows
-    than its charge (as in a bridge's type-A block), so every u < 0 is in."""
-    s = 0
-    for m, (p, k) in enumerate(zip(bp, charge)):
-        if len(p) > k:
-            raise ValueError(f"{p} has more rows than its charge {k}")
-        s |= ((1 << 2 * (k - len(p))) - 1) // 3 << m  # the rows below the last
-        for r, x in enumerate(p, 1):
-            s |= 1 << 2 * (k + x - r) + m
-    return s
-
-
 def _a_steps(s: int) -> List[Tuple[int, int]]:
     """Each removal from the type-A bit state s, as (state, step degree).
     Removing a t-node moves t in its component's set to t - 1.  From
@@ -271,7 +304,7 @@ def _a_steps(s: int) -> List[Tuple[int, int]]:
 @lru_cache(maxsize=None)
 def a_walk(K: int, s: int) -> int:
     """The sum of Q^(deg + |bp|), Q = 2^K, over the standard tableaux of the
-    bipartition bp with a_state s, as c_walk."""
+    bipartition bp whose weight, as a_block gives it, is s, as c_walk."""
     total = 0
     for child, d in _a_steps(s):
         total += a_walk(K, child) << K * (d + 1)
@@ -312,9 +345,9 @@ def c_kleshchev(zero: int, s: int) -> bool:
 
 @lru_cache(maxsize=None)
 def a_kleshchev(s: int) -> bool:
-    """is_kleshchev of the bipartition with a_state s: its node at bit p is
-    good unless bits (p - 1, p + 1) read (1, 0) in component 1, (p - 3, p - 1)
-    read (0, 1) in component 2."""
+    """is_kleshchev of the bipartition whose weight (a_block) is s: its node
+    at bit p is good unless bits (p - 1, p + 1) read (1, 0) in component 1,
+    (p - 3, p - 1) read (0, 1) in component 2."""
     rest = removable = s & ~(s << 2) & ~3
     while rest:
         p = rest.bit_length() - 1
@@ -397,17 +430,17 @@ class _Block:
         return c_block(self.b) if shapes is None else shapes
 
     @_part
+    def members(self) -> Dict[Bipartition, int]:  # a_block's, with the weights
+        return a_block(self.b)
+
+    @_part
     def pairs(self) -> List[Tuple[Bipartition, Partition]]:
         # block members need no membership check on the way through the bridge
-        return [(bp, _rect_image(bp, self.b)) for bp in a_block(self.b)]
+        return [(bp, _rect_image(bp, self.b)) for bp in self.members]
 
     @_part
     def rho_poly(self) -> LaurentPoly:
         return gdim_specht((self.b.rho,), CartanType.C, self.b.c_charge)
-
-    @_part
-    def a_states(self) -> List[int]:  # the states of pairs, in its order
-        return [a_state(bp, self.b.a_charge) for bp, _ in self.pairs]
 
     @_part
     def c_states(self) -> List[Tuple[int, int]]:  # of the images in pairs
@@ -415,7 +448,8 @@ class _Block:
 
     @_part
     def counts(self) -> List[Tuple[int, int]]:  # the walks at q = 1
-        return [(c_walk(0, *c), a_walk(0, a)) for c, a in zip(self.c_states, self.a_states)]
+        return [(c_walk(0, *c), a_walk(0, a))
+                for c, a in zip(self.c_states, self.members.values())]
 
     @_part
     def c_klesh(self) -> List[Tuple[Partition, Tuple[int, int]]]:
@@ -455,7 +489,7 @@ def _check_graded(blk: _Block) -> dict:
     per_shape = []
     shift: Optional[int] = None
     ok = True
-    for (_, nu), c_st, a_st in zip(blk.pairs, blk.c_states, blk.a_states):
+    for (_, nu), c_st, a_st in zip(blk.pairs, blk.c_states, blk.members.values()):
         lhs, rhs = c_walk(K, *c_st), a_walk(K, a_st)
         c = _graded_shift(lhs, rhs, K)
         if c is None or (shift is not None and c != shift):
@@ -498,7 +532,8 @@ def _check_dominance(blk: _Block) -> dict:
 
 
 def _check_kleshchev(blk: _Block) -> dict:
-    a_klesh = {nu for (_, nu), s in zip(blk.pairs, blk.a_states) if a_kleshchev(s)}
+    a_klesh = {nu for (_, nu), s in zip(blk.pairs, blk.members.values())
+               if a_kleshchev(s)}
     c_klesh = {nu for nu, _ in blk.c_klesh}
     return {"pass": a_klesh == c_klesh, "a_image": sorted(map(list, a_klesh)),
             "c_set": sorted(map(list, c_klesh))}

@@ -11,9 +11,10 @@ cogood nodes, the unmemoized cogood replay, and the bridge image.  The
 cogood rule on step degrees and the good-removal walk on shapes that the
 bridge's bit rules replaced (oracle_cogood_node, good_walk), the ballot
 rule of the type-A weights (ballot_kleshchev), and a reader of the bit
-walk in the terms of good_walk (c_shape, bit_good_walk).  Also the bridge
-map with its membership check, built on that image; the weight labels of
-a type-C partition; the pairwise dominance test that the dominance
+walk in the terms of good_walk (c_shape, bit_good_walk); the type-A bit
+state built row by row (a_state), the oracle of the weights a_block
+gives.  Also the bridge map with its membership check, built on that
+image; the weight labels of a type-C partition; the pairwise dominance test that the dominance
 check's prefix sums replaced, the prefix sums as tuples that its packed
 sums replaced, and the check's pairwise loop on that test; the nested
 recursion that listed l-partitions before multipartitions_of kept a
@@ -361,6 +362,21 @@ def c_shape(zero, s, kappa_c):
                 break
             parts.append(part)
     return tuple(parts)
+
+
+def a_state(bp, charge):
+    """The level-two type-A bit state of bp, by rows: bit 2u + m - 1 holds u
+    in M(bp_m, charge_m), for u >= 0 and m = 1, 2.  No component has more
+    rows than its charge (as in a bridge's type-A block), so every u < 0 is
+    in.  The weight that morita.a_block gives each member of its block."""
+    s = 0
+    for m, (p, k) in enumerate(zip(bp, charge)):
+        if len(p) > k:
+            raise ValueError(f"{p} has more rows than its charge {k}")
+        s |= ((1 << 2 * (k - len(p))) - 1) // 3 << m  # the rows below the last
+        for r, x in enumerate(p, 1):
+            s |= 1 << 2 * (k + x - r) + m
+    return s
 
 
 def bit_good_walk(nu, kappa_c, to_rho):

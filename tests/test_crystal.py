@@ -4,12 +4,13 @@ from hypothesis import example, given, settings, strategies as st
 from klrblocks import crystal, morita
 from klrblocks.cartan import CartanType
 from klrblocks.crystal import is_kleshchev
-from klrblocks.morita import (a_block, a_kleshchev, a_state, c_kleshchev, c_state,
-                              iter_bridges, one_block_bridge)
+from klrblocks.morita import (a_block, a_kleshchev, c_kleshchev, c_state, iter_bridges,
+                              one_block_bridge)
 from klrblocks.partitions import content, lattice_state, multipartitions_of, partitions_of, size
 
 import oracles
 from oracles import (
+    a_state,
     add_node,
     ballot_kleshchev,
     bit_good_walk,

@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from klrblocks.cartan import CartanType
 from klrblocks.graded import LaurentPoly, _gdim, gdim_specht, gdim_specht_weight
-from klrblocks.morita import (_a_steps, _c_steps, a_block, a_state, bridge, c_state,
-                              from_type_c, iter_bridges, verify_bridge)
+from klrblocks.morita import (_a_steps, _c_steps, a_block, bridge, c_state, from_type_c,
+                              iter_bridges, verify_bridge)
 from klrblocks.partitions import content, lattice_state, multipartitions_of, partitions_of, size
 from klrblocks.tableaux import enumerate_standard
 
 import oracles
 from oracles import (
+    a_state,
     factorizable_gdim,
     initial_tableau,
     poly_mul,

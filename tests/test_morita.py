@@ -21,9 +21,9 @@ from klrblocks.morita import (
 from klrblocks.partitions import conjugate, content, lattice_state, partitions_of
 from klrblocks.tableaux import enumerate_standard
 
-from oracles import (bit_good_walk, good_nodes, maya_labels, pairwise_dominance,
-                     prefix_shape, rect_add, remove_node, residue_sequence,
-                     tableau_to_type_c, to_type_c)
+from oracles import (a_state, bit_good_walk, good_nodes, maya_labels,
+                     pairwise_dominance, prefix_shape, rect_add, remove_node,
+                     residue_sequence, tableau_to_type_c, to_type_c)
 
 A, C = CartanType.A, CartanType.C
 
@@ -142,7 +142,7 @@ class TestBlockMap:
     def test_micro_blocks(self):
         b = bridge(0, MICRO)
         assert c_block(b) == [(2, 1)]
-        assert a_block(b) == [((1,), (1,))]
+        assert list(a_block(b)) == [((1,), (1,))]
         assert to_type_c(((1,), (1,)), b) == (2, 1)
         assert from_type_c((2, 1), b) == ((1,), (1,))
 
@@ -333,13 +333,21 @@ class TestVerifyBridge:
     @pytest.mark.parametrize("edit", ["drop", "repeat", "add"])
     def test_count_needs_each_shape_once(self, monkeypatch, edit):
         # the type-A listing must map onto the type-C shapes one to one: a
-        # repeated shape leaves the image set unchanged, but not its size
+        # repeated shape leaves the image set unchanged, but not its size.
+        # The type-A listing is a dict, which holds a key once, so the
+        # repeat is made in the type-C one
         b = bridge(0, RootVector({0: 2, 1: 3, 2: 2, 3: 1}))
         assert verify_bridge(b, ("count",))["pass"]
-        shapes = a_block(b)
-        edited = {"drop": shapes[1:], "repeat": shapes + shapes[:1],
-                  "add": shapes + [((1,), ())]}[edit]
-        monkeypatch.setattr(morita, "a_block", lambda _: edited)
+        if edit == "repeat":
+            shapes = c_block(b)
+            b = b._replace(c_shapes=tuple(shapes + shapes[:1]))
+        else:
+            edited = dict(a_block(b))
+            if edit == "drop":
+                del edited[next(iter(edited))]
+            else:
+                edited[(1,), ()] = a_state(((1,), ()), b.a_charge)
+            monkeypatch.setattr(morita, "a_block", lambda _: edited)
         assert not verify_bridge(b, ("count",))["pass"]
 
     def test_report_follows_all_checks_order(self):
@@ -564,7 +572,7 @@ class TestDominanceCheck:
 
         monkeypatch.setattr(morita, "dominance_sums", refuse)
         b = bridge(0, RootVector({0: 1}))
-        assert a_block(b) == [((), ())]
+        assert list(a_block(b)) == [((), ())]
         assert dominance_report(b) == {"pass": True, "order_preserving": True,
                                        "witnesses": []}
 

@@ -233,7 +233,7 @@ class TestDominanceSums:
     def test_match_dominates_on_every_bridge(self, kappa_c):
         # the dominance check compares prefix sums; dominates is the oracle
         for b in iter_bridges(kappa_c, 14):
-            for block in (a_block(b), [(nu,) for nu in c_block(b)]):
+            for block in (list(a_block(b)), [(nu,) for nu in c_block(b)]):
                 sums = oracles.dominance_sums(block)
                 for x, sx in zip(block, sums):
                     for y, sy in zip(block, sums):
@@ -273,7 +273,7 @@ class TestPackedDominanceSums:
     @pytest.mark.parametrize("kappa_c", [0, 1, 2])
     def test_every_bridge(self, kappa_c):
         for b in iter_bridges(kappa_c, 14):
-            self.check(a_block(b))
+            self.check(list(a_block(b)))
             self.check([(nu,) for nu in c_block(b)])
 
 
@@ -410,11 +410,76 @@ class TestBridgeBlocksMatchContentFilter:
                     by_content.setdefault(content(ct, charge, mp), []).append(mp)
             return filtered[key][beta]
 
-        for b in iter_bridges(kappa_c, 18):
-            assert c_block(b) == [mp[0] for mp in block(C, b.c_charge, b.beta)]
+        # a_block lists the type-A side off its weights, with no code in
+        # common with enumerate_block, which the filter checks to height 18
+        for b in iter_bridges(kappa_c, 20):
+            if b.beta.height <= 18:
+                assert c_block(b) == [mp[0] for mp in block(C, b.c_charge, b.beta)]
+                assert enumerate_block(A, b.a_charge, b.a_beta) == block(
+                    A, b.a_charge, b.a_beta)
             # the shapes the sweep carries, which the checks read
             assert list(b.c_shapes) == c_block(b)
-            assert a_block(b) == block(A, b.a_charge, b.a_beta)
+            check_a_block(b)
+
+    @pytest.mark.parametrize("kappa_c, max_a0", [(0, 6), (1, 5), (2, 4)])
+    def test_maximal_blocks(self, kappa_c, max_a0):
+        for a0 in range(1, max_a0 + 1):
+            rect = ((a0,) * (2 * a0 + 2 * kappa_c),)
+            check_a_block(bridge(kappa_c, content(C, (kappa_c,), rect)))
+
+    def test_rho_alone(self):
+        # an empty a_beta: rho's block holds rho alone, the empty bipartition
+        for kappa_c in range(3):
+            for a0 in range(1, 4):
+                b = bridge(kappa_c, content(C, (kappa_c,), ((a0,) * (kappa_c + a0),)))
+                assert b.a_beta == RootVector()
+                assert check_a_block(b) == {((), ()): oracles.a_state(((), ()), b.a_charge)}
+
+    def test_far_label(self):
+        # a label above every member's nodes empties the block, with no
+        # vertex window up to it
+        b = bridge(0, RootVector({0: 1, 10 ** 9: 1}))
+        assert check_a_block(b) == {}
+
+
+def check_a_block(b):
+    """a_block(b), once it is checked against enumerate_block, order
+    included, and each weight against the oracle's a_state."""
+    members = a_block(b)
+    assert list(members) == enumerate_block(A, b.a_charge, b.a_beta)
+    assert list(members.values()) == [oracles.a_state(bp, b.a_charge) for bp in members]
+    return members
+
+
+@st.composite
+def type_a_bridges(draw):
+    """A bridge whose type-A block has charges 1 <= k2 <= k1 <= 4 and a
+    content on residues 1 and up of height at most 10: that of a random
+    bipartition that fits its charges, or a random root vector, whose block
+    is often empty.  beta is that content plus the rectangle's."""
+    k2 = draw(st.integers(1, 4))
+    k1 = draw(st.integers(k2, 4))
+    if draw(st.booleans()):
+        shapes = [bp for bp in multipartitions_of(draw(st.integers(0, 10)), 2)
+                  if len(bp[0]) <= k1 and len(bp[1]) <= k2]
+        a_beta = content(A, (k1, k2), draw(st.sampled_from(shapes)))
+    else:
+        a_beta = RootVector(draw(st.dictionaries(
+            st.integers(1, 14), st.integers(1, 3), max_size=5).filter(
+                lambda d: sum(d.values()) <= 10)))
+    omega = content(C, (k1 - k2,), ((k2,) * k1,))
+    b = bridge(k1 - k2, RootVector({i: omega[i] + a_beta[i]
+                                    for i, _ in omega.items() + a_beta.items()}))
+    assert b.a_charge == (k1, k2) and b.a_beta == a_beta
+    return b
+
+
+@settings(deadline=None, max_examples=200)
+@given(type_a_bridges())
+def test_a_block_matches_enumerate_block(b):
+    members = check_a_block(b)
+    if not enumerate_block(A, b.a_charge, b.a_beta):
+        assert members == {}
 
 
 class TestBridgeResidueCompatibility:
