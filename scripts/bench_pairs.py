@@ -7,7 +7,10 @@ checkouts, the parent first when k is odd and the change first when k
 is even.  Only the last line
 of each run's stdout is read; a run that exits non-zero, reads
 ``correct: false`` or counts a failed operation stops the comparison
-with exit 1.  For each end-to-end metric of the change's
+with exit 1.  A checkout that holds ``src/klrblocks/__pycache__`` is
+refused with exit 2 before the first pair: its workers would load the
+package's bytecode instead of compiling its sources, and ``setup_s`` of
+the two sides would not compare.  For each end-to-end metric of the change's
 ``BENCHMARK.json`` one line gives the parent's median and quartiles, the
 change's median, the change in percent, the pairs the change won (ties
 count for neither side) and a verdict: ``gain`` when the change won at
@@ -109,6 +112,13 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     roots = {"parent": args.parent, "change": args.change}
+    compiled = [str(root) for root in roots.values()
+                if (root / "src" / "klrblocks" / "__pycache__").exists()]
+    if compiled:
+        print(f"bench_pairs: refused: {', '.join(compiled)} holds "
+              f"src/klrblocks/__pycache__; remove it, or setup_s times loading "
+              f"bytecode on one side and compiling on the other", file=sys.stderr)
+        return 2
     lines = {side: [] for side in SIDES}
     try:
         for k in range(1, args.pairs + 1):

@@ -32,7 +32,7 @@ from klrblocks.morita import ALL_CHECKS, one_block_bridge, verify_bridge
 from klrblocks.partitions import content
 
 MEMOS = (graded._gdim, morita.c_walk, morita.a_walk, morita.c_kleshchev,
-         morita.a_kleshchev, morita.c_good_walk)
+         morita.a_kleshchev, morita.c_good_walk, morita.rectangle, morita.rho_gdim)
 
 
 def main():

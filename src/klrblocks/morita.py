@@ -21,11 +21,18 @@ addable, else a removable lower corner is; an addable lower corner is
 cogood unless the upper one is removable, else an addable upper one is.
 The counting and graded checks compare gdim(rho) times the type-C walk
 over [rho, nu] (c_walk), the factorizable tableaux of nu, with gdim(rho)
-times the type-A walk (a_walk); each walk holds a polynomial as one int in
-Q = 2^K, so a removal is a shift and an add, and only the report decodes
-the ints.  The Kleshchev check's two tests follow one good node
-(c_kleshchev, a_kleshchev), and the good-path check searches good removals
-(c_good_walk).
+times the type-A walk (a_walk).  Each walk memo holds one entry per state,
+at one digit width K for the whole process: at K = 0 the state's tableau
+count, else the count with its polynomial, one int in Q = 2^K, so a
+removal is a shift and an add, and only the report decodes the ints.  K
+stays 0 until a graded check runs, then is a multiple of 16 and only
+grows: when a block's gdim(rho)(1) times its largest count needs more
+bits, both memos are cleared, since no narrower entry is read again.  The
+memos found empty start over at K = 0.  What depends on (kappa_c, a0)
+alone, rho's content, its JSON and gdim(rho), is built once per process
+(rectangle, rho_gdim).  The Kleshchev check's two tests follow one good
+node (c_kleshchev, a_kleshchev), and the good-path check searches good
+removals (c_good_walk).
 
 The type-C shapes come from one of two sources, decided by the input.  A
 sweep (iter_bridges) finds each block by grouping the partitions of each
@@ -46,7 +53,7 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequen
                     Tuple)
 
 from .cartan import CartanType, Charge, Residue, RootVector
-from .graded import LaurentPoly, gdim_specht
+from .graded import gdim_specht
 from .partitions import (
     Partition,
     conjugate,
@@ -91,10 +98,29 @@ class BlockBridge(NamedTuple):
             "beta": self.beta.to_json(),
             "a0": self.a0,
             "rho": list(self.rho),
-            "omega": self.omega.to_json(),
+            "omega": rectangle(self.kappa_c, self.a0)[2],
             "kappa1": self.kappa1,
             "kappa2": self.kappa2,
         }
+
+
+@lru_cache(maxsize=None)
+def rectangle(kappa_c: int, a0: int) -> tuple:
+    """The bridge's rho = (a0^(kappa_c + a0)), its content and its JSON."""
+    rho = (a0,) * (kappa_c + a0)
+    omega = content(CartanType.C, (kappa_c,), (rho,))
+    return rho, omega, omega.to_json()
+
+
+@lru_cache(maxsize=None)
+def rho_gdim(kappa_c: int, a0: int, K: int) -> tuple:
+    """gdim(rho) as (its lowest exponent low, one int in Q = 2^K with digit
+    0 at q^low); at K = 0 the int is its value at 1."""
+    terms = gdim_specht((rectangle(kappa_c, a0)[0],), CartanType.C, (kappa_c,)).items()
+    low, x = min(terms)[0], 0
+    for e, c in terms:
+        x += c << K * (e - low)
+    return low, x
 
 
 def bridge(kappa_c: int, beta: RootVector) -> BlockBridge:
@@ -109,8 +135,7 @@ def bridge(kappa_c: int, beta: RootVector) -> BlockBridge:
     # checked before rho, of a0 (kappa_c + a0) nodes, is built
     if a0 * (kappa_c + a0) > beta.height:
         raise BridgeError("rectangle content is not contained in beta")
-    rho = (a0,) * (kappa_c + a0)
-    omega = content(CartanType.C, (kappa_c,), (rho,))
+    rho, omega, _ = rectangle(kappa_c, a0)
     if not omega <= beta:
         raise BridgeError("rectangle content is not contained in beta")
     rest = beta - omega
@@ -266,12 +291,16 @@ def _c_steps(zero: int, s: int) -> List[Tuple[int, int]]:
     return out
 
 
+_width = 0  # the digit width K of every entry in the walk memos
+
+
 @lru_cache(maxsize=None)
-def c_walk(K: int, zero: int, s: int) -> int:
-    """The sum of Q^(deg + |nu| - |rho|), Q = 2^K, over the skew tableaux of
-    nu/rho, for (zero, s) = c_state(nu, kappa_c) and rho the rectangle of
-    nu's zero-residue nodes; every coefficient must be below Q, and K = 0
-    counts the tableaux.  The memo is keyed by K, so widths never mix.
+def c_walk(zero: int, s: int):
+    """The walk over the skew tableaux of nu/rho, for (zero, s) =
+    c_state(nu, kappa_c) and rho the rectangle of nu's zero-residue nodes,
+    at the walks' width K: at K = 0 the number of tableaux, else the pair
+    of that number and the sum of Q^(deg + |nu| - |rho|), Q = 2^K, every
+    coefficient below Q.  One entry per state: _Block.walks sets K.
 
     This is the bridge's factorizable truncation.  With a_0 >= 1 and rho =
     (a_0^(kappa_c + a_0)) of content omega, a sub-diagram of nu of content
@@ -279,10 +308,17 @@ def c_walk(K: int, zero: int, s: int) -> int:
     holds rho's corner and is rho.  So the tableaux of nu whose first
     ht(omega) entries fill a sub-diagram of content omega sum to gdim(rho)
     times this walk."""
-    total = 0
+    K, n, p = _width, 0, 0
     for child, d in _c_steps(zero, s):
-        total += c_walk(K, zero - 1, child) << K * (d + 1)
-    return total or 1
+        e = c_walk(zero - 1, child)
+        if K:
+            n += e[0]
+            p += e[1] << K * (d + 1)
+        else:
+            n += e
+    if not n:
+        return (1, 1) if K else 1
+    return (n, p) if K else n
 
 
 def _a_steps(s: int) -> List[Tuple[int, int]]:
@@ -302,13 +338,24 @@ def _a_steps(s: int) -> List[Tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def a_walk(K: int, s: int) -> int:
-    """The sum of Q^(deg + |bp|), Q = 2^K, over the standard tableaux of the
-    bipartition bp whose weight, as a_block gives it, is s, as c_walk."""
-    total = 0
+def a_walk(s: int):
+    """The walk over the standard tableaux of the bipartition bp whose
+    weight, as a_block gives it, is s, as c_walk, with |bp| for |nu| -
+    |rho|."""
+    K, n, p = _width, 0, 0
     for child, d in _a_steps(s):
-        total += a_walk(K, child) << K * (d + 1)
-    return total or 1
+        e = a_walk(child)
+        if K:
+            n += e[0]
+            p += e[1] << K * (d + 1)
+        else:
+            n += e
+    if not n:
+        return (1, 1) if K else 1
+    return (n, p) if K else n
+
+
+_WALK_MEMOS = (c_walk, a_walk)  # the memos themselves, whatever their names hold
 
 
 def kronecker_pairs(x: int, K: int, low: int) -> List[List[int]]:
@@ -419,15 +466,17 @@ class _part:
 
 class _Block:
     """The data the checks read, for one verify_bridge call.  Each part is
-    built on its first read, so a check builds only what it reads."""
+    built on its first read, so a check builds only what it reads; graded
+    says whether the walks must hold polynomials."""
 
-    def __init__(self, b: BlockBridge):
-        self.b = b
+    def __init__(self, b: BlockBridge, graded: bool):
+        self.b, self.graded = b, graded
+        if b.c_shapes is not None:
+            self.c_shapes = b.c_shapes
 
     @_part
     def c_shapes(self) -> Sequence[Partition]:
-        shapes = self.b.c_shapes
-        return c_block(self.b) if shapes is None else shapes
+        return c_block(self.b)
 
     @_part
     def members(self) -> Dict[Bipartition, int]:  # a_block's, with the weights
@@ -439,31 +488,53 @@ class _Block:
         return [(bp, _rect_image(bp, self.b)) for bp in self.members]
 
     @_part
-    def rho_poly(self) -> LaurentPoly:
-        return gdim_specht((self.b.rho,), CartanType.C, self.b.c_charge)
+    def c_states(self) -> dict:
+        # the listing's states, when the block has the listing (a sweep's,
+        # or one a check has read), so that each shape's is built once; a
+        # shape outside it has its state built where it is read
+        kappa_c = self.b.kappa_c
+        return {nu: c_state(nu, kappa_c) for nu in self.__dict__.get("c_shapes", ())}
 
     @_part
-    def c_states(self) -> List[Tuple[int, int]]:  # of the images in pairs
-        return [c_state(nu, self.b.kappa_c) for _, nu in self.pairs]
-
-    @_part
-    def counts(self) -> List[Tuple[int, int]]:  # the walks at q = 1
-        return [(c_walk(0, *c), a_walk(0, a))
-                for c, a in zip(self.c_states, self.members.values())]
+    def walks(self) -> tuple:
+        """(K, each pair's two tableau counts, each pair's two walk entries)
+        at the walks' width K.  A graded block needs K >= 16 above the bit
+        length of gdim(rho)(1) times its largest count, which bounds every
+        coefficient of the products; a shorter width (0 included) grows."""
+        global _width
+        b, states = self.b, self.c_states
+        # memos found empty (cleared) start over at width 0
+        K = _width if _WALK_MEMOS[0].cache_info().currsize else 0
+        while True:
+            if K != _width:  # no entry at another width is read again
+                _width = K
+                for memo in _WALK_MEMOS:
+                    memo.cache_clear()
+            entries = [(c_walk(*(states.get(nu) or c_state(nu, b.kappa_c))), a_walk(a))
+                       for (_, nu), a in zip(self.pairs, self.members.values())]
+            counts = entries if not K else [(c[0], a[0]) for c, a in entries]
+            if not self.graded:
+                return K, counts, entries
+            top = max(map(max, counts), default=0) * rho_gdim(b.kappa_c, b.a0, 0)[1]
+            need = max(16, (top.bit_length() + 15) // 16 * 16)
+            if need <= K:
+                return K, counts, entries
+            K = need
 
     @_part
     def c_klesh(self) -> List[Tuple[Partition, Tuple[int, int]]]:
         # off c_shapes, not pairs: the Kleshchev check compares two listings
-        return [(nu, st) for nu in self.c_shapes
-                for st in [c_state(nu, self.b.kappa_c)] if c_kleshchev(*st)]
+        shapes, states, kappa_c = self.c_shapes, self.c_states, self.b.kappa_c
+        return [(nu, st) for nu in shapes
+                for st in [states.get(nu) or c_state(nu, kappa_c)] if c_kleshchev(*st)]
 
 
 def _check_count(blk: _Block) -> dict:
     per_shape = []
     ok = sorted(nu for _, nu in blk.pairs) == sorted(blk.c_shapes)  # one to one
-    std_rho = blk.rho_poly.eval_at_1()
+    std_rho = rho_gdim(blk.b.kappa_c, blk.b.a0, 0)[1]
     lhs_total = rhs_total = 0
-    for (_, nu), (n_c, n_a) in zip(blk.pairs, blk.counts):
+    for (_, nu), (n_c, n_a) in zip(blk.pairs, blk.walks[1]):
         n_fact, n_rho_a = std_rho * n_c, std_rho * n_a
         lhs_total += n_fact ** 2
         rhs_total += n_rho_a ** 2
@@ -478,19 +549,16 @@ def _check_count(blk: _Block) -> dict:
 
 
 def _check_graded(blk: _Block) -> dict:
-    # Q = 2^K holds every coefficient, each at most its product's value at
-    # q = 1 (K a multiple of 16, so that blocks share the walks' memos); the
-    # two products share the factor gdim(rho), so their shift is the walks'.
-    b, rho = blk.b, blk.rho_poly
-    low = min(e for e, _ in rho.items())
-    top = rho.eval_at_1() * max(map(max, blk.counts), default=0)
-    K = max(16, (top.bit_length() + 15) // 16 * 16)
-    rho_int = sum(c << K * (e - low) for e, c in rho.items())
+    # The walks' width K holds every coefficient of the two products
+    # (_Block.walks), which share the factor gdim(rho), so their shift is
+    # the walks'.
+    b = blk.b
+    K, _, entries = blk.walks
+    low, rho_int = rho_gdim(b.kappa_c, b.a0, K)
     per_shape = []
     shift: Optional[int] = None
     ok = True
-    for (_, nu), c_st, a_st in zip(blk.pairs, blk.c_states, blk.members.values()):
-        lhs, rhs = c_walk(K, *c_st), a_walk(K, a_st)
+    for (_, nu), ((_, lhs), (_, rhs)) in zip(blk.pairs, entries):
         c = _graded_shift(lhs, rhs, K)
         if c is None or (shift is not None and c != shift):
             ok = False
@@ -564,7 +632,7 @@ def verify_bridge(b: BlockBridge,
     """Run the requested checks, in ALL_CHECKS order, each once; failures
     are report entries, never exceptions."""
     cs = known_checks(checks)
-    blk = _Block(b)
+    blk = _Block(b, "graded" in cs)
     out = {c: check(blk) for c, check in _CHECKS.items() if c in cs}
     return {"bridge": b.to_json(), "checks": out,
             "pass": all(v["pass"] for v in out.values())}

@@ -26,9 +26,11 @@ the sub-diagram a tableau's first entries fill, and the paper's
 minimal-degree rectangle tableau; the bridge's map of tableaux onto
 factorizable tableaux; the factorizable sum that the bridge's bit-state
 walks replaced, as a recursion over an interval of the Young lattice,
-with the product of Laurent polynomials it needs; and the argparse
-parser that the command line's own parser replaced, as the reference of
-its parsing."""
+with the product of Laurent polynomials it needs; those walks at one
+digit width per block, as they were before one entry per state held the
+count with the polynomial (width_c_walk, width_a_walk, block_width); and
+the argparse parser that the command line's own parser replaced, as the
+reference of its parsing."""
 
 import argparse
 from functools import cache, lru_cache
@@ -591,6 +593,38 @@ def factorizable_gdim(nu, ct, charge, rho):
     tableaux of nu/rho."""
     charge = tuple(charge)
     return poly_mul(gdim_specht(rho, ct, charge), interval_gdim(ct, charge, nu, rho))
+
+
+@lru_cache(maxsize=None)
+def width_c_walk(K, zero, s):
+    """morita.c_walk's polynomial at digit width K, K = 0 giving the count,
+    by the walk it replaced: one memo entry per (K, state), so the widths
+    that blocks need walk a state once each."""
+    total = 0
+    for child, d in morita._c_steps(zero, s):
+        total += width_c_walk(K, zero - 1, child) << K * (d + 1)
+    return total or 1
+
+
+@lru_cache(maxsize=None)
+def width_a_walk(K, s):
+    """morita.a_walk's polynomial at digit width K, as width_c_walk."""
+    total = 0
+    for child, d in morita._a_steps(s):
+        total += width_a_walk(K, child) << K * (d + 1)
+    return total or 1
+
+
+def block_width(b):
+    """The digit width the graded check gave b's block before the walks
+    shared one: a multiple of 16, at least 16, above the bit length of
+    gdim(rho)(1) times the block's largest tableau count."""
+    counts = [n for bp, w in morita.a_block(b).items()
+              for n in (width_c_walk(0, *morita.c_state(to_type_c(bp, b), b.kappa_c)),
+                        width_a_walk(0, w))]
+    rho = gdim_specht((b.rho,), CartanType.C, b.c_charge)
+    top = rho.eval_at_1() * max(counts, default=0)
+    return max(16, (top.bit_length() + 15) // 16 * 16)
 
 
 @cache

@@ -18,12 +18,14 @@ from klrblocks.morita import (
     one_block_bridge,
     verify_bridge,
 )
+from klrblocks.graded import gdim_specht
 from klrblocks.partitions import conjugate, content, lattice_state, partitions_of
 from klrblocks.tableaux import enumerate_standard
 
-from oracles import (a_state, bit_good_walk, good_nodes, maya_labels,
+from oracles import (a_state, bit_good_walk, block_width, good_nodes, maya_labels,
                      pairwise_dominance, prefix_shape, rect_add, remove_node,
-                     residue_sequence, tableau_to_type_c, to_type_c)
+                     residue_sequence, tableau_to_type_c, to_type_c, width_a_walk,
+                     width_c_walk)
 
 A, C = CartanType.A, CartanType.C
 
@@ -449,13 +451,15 @@ class TestVerifyBridge:
     ], ids=["goodpath", "dominance", "graded", "crystal"])
     def test_check_builds_only_what_it_reads(self, monkeypatch, checks, unread):
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
+        verify_bridge(b, ("graded",))  # the walks' width now holds the block
         calls = outer_calls(monkeypatch, unread)
         assert verify_bridge(b, checks)["pass"]
         assert calls == []
         # all five checks build each block once, and walk down from each
-        # pair's type-C shape twice: for its tableau count and its polynomial
+        # pair's type-C shape once: one entry holds its tableau count and
+        # its polynomial
         verify_bridge(b)
-        assert len(calls) == (2 * len(a_block(b)) if unread == "c_walk" else 1)
+        assert len(calls) == (len(a_block(b)) if unread == "c_walk" else 1)
 
     def test_kleshchev_shapes_tested_once(self, monkeypatch):
         # kleshchev and goodpath read one list of Kleshchev type-C shapes,
@@ -500,7 +504,8 @@ class TestVerifyBridge:
         shared = [verify_bridge(b) for b in bridges]
         cold = []
         for b in bridges:
-            for memo in (graded._gdim, morita.c_walk, morita.a_walk):
+            for memo in (graded._gdim, morita.c_walk, morita.a_walk, morita.rectangle,
+                         morita.rho_gdim):
                 memo.cache_clear()
             cold.append(verify_bridge(b))
         assert shared == cold
@@ -585,3 +590,116 @@ class TestDominanceCheck:
         assert len({id(s) for s in shapes}) == len({json.dumps(s) for s in shapes})
         assert len(shapes) > len({id(s) for s in shapes})
         assert json.dumps(report) == json.dumps(pairwise_dominance(b))
+
+
+def clear_walks():
+    for memo in (morita.c_walk, morita.a_walk):
+        memo.cache_clear()
+
+
+def maximal(kappa_c, a0):
+    rect = ((a0,) * (2 * a0 + 2 * kappa_c),)
+    return one_block_bridge(kappa_c, content(C, (kappa_c,), rect))
+
+
+class TestWalks:
+    """The walk memos, one entry per state at one digit width for the whole
+    process, against the walks at a width per block that they replaced
+    (oracles.width_c_walk, width_a_walk, block_width)."""
+
+    @pytest.fixture(autouse=True)
+    def clear_oracles(self):
+        yield
+        width_c_walk.cache_clear()
+        width_a_walk.cache_clear()
+
+    def assert_entries(self, b):
+        # each pair's entries: the counts of the walks at width 0, and the
+        # polynomials of the walks at the block's own width
+        own, K = block_width(b), morita._width
+        assert K >= own
+        for bp, w in a_block(b).items():
+            st = c_state(to_type_c(bp, b), b.kappa_c)
+            (n_c, p_c), (n_a, p_a) = morita.c_walk(*st), morita.a_walk(w)
+            assert (n_c, n_a) == (width_c_walk(0, *st), width_a_walk(0, w))
+            for p, oracle in ((p_c, width_c_walk(own, *st)), (p_a, width_a_walk(own, w))):
+                assert (morita.kronecker_pairs(p, K, 0)
+                        == morita.kronecker_pairs(oracle, own, 0))
+
+    @pytest.mark.parametrize("kappa_c", [0, 1, 2])
+    def test_every_bridge_to_height_20(self, kappa_c):
+        # the width never shrinks over a sweep, and grows past 16 by 20
+        clear_walks()
+        widths = []
+        for b in iter_bridges(kappa_c, 20):
+            assert verify_bridge(b, ("count", "graded"))["pass"]
+            self.assert_entries(b)
+            widths.append(morita._width)
+        assert widths == sorted(widths) and widths[0] == 16 < widths[-1]
+
+    @pytest.mark.parametrize("kappa_c", [0, 1])
+    def test_maximal_blocks(self, kappa_c):
+        clear_walks()
+        for a0 in range(1, 6):
+            b = maximal(kappa_c, a0)
+            assert verify_bridge(b, ("graded",))["pass"]
+            self.assert_entries(b)
+
+    def test_cleared_memos_start_over_at_width_0(self):
+        # as maximal_blocks.py clears them before each check: a graded block
+        # widens from 0 to its own width, and count alone stores bare counts
+        big, small = maximal(0, 4), maximal(0, 1)
+        verify_bridge(big, ("graded",))
+        assert morita._width > 16
+        clear_walks()
+        verify_bridge(small, ("graded",))
+        assert morita._width == 16
+        clear_walks()
+        verify_bridge(big, ("count",))
+        assert morita._width == 0
+        size = morita.c_walk.cache_info().currsize
+        for bp, w in a_block(big).items():
+            st = c_state(to_type_c(bp, big), 0)
+            assert type(morita.c_walk(*st)) is int and type(morita.a_walk(w)) is int
+        assert morita.c_walk.cache_info().currsize == size
+
+    def test_count_reads_a_wider_walk(self):
+        # count after graded reads the counts of the wider entries, and
+        # walks no second time
+        b = maximal(0, 3)
+        clear_walks()
+        report = verify_bridge(b, ("graded",))
+        size = morita.c_walk.cache_info().currsize
+        count = verify_bridge(b, ("count",))["checks"]["count"]
+        assert count == verify_bridge(b)["checks"]["count"]
+        assert morita.c_walk.cache_info().currsize == size
+        assert verify_bridge(b, ("graded",)) == report
+
+    def test_a_block_the_width_does_not_hold_walks_again(self, monkeypatch):
+        # once at the short width, to read its counts, then at its own
+        b = maximal(0, 4)
+        clear_walks()
+        calls = outer_calls(monkeypatch, "c_walk")
+        verify_bridge(b, ("count", "graded"))
+        assert len(calls) == 2 * len(a_block(b))
+        assert morita._width == block_width(b) > 16
+
+    def test_refused_bridge_builds_no_rectangle(self):
+        memos = (morita.rectangle, morita.rho_gdim)
+        sizes = [memo.cache_info().currsize for memo in memos]
+        with pytest.raises(BridgeError):
+            bridge(0, RootVector({0: 20000}))
+        assert [memo.cache_info().currsize for memo in memos] == sizes
+
+    def test_rectangle_is_shared(self):
+        # what depends on (kappa_c, a0) alone is built once per process
+        b1, b2 = (bridge(1, content(C, (1,), (nu,))) for nu in ((2, 2, 2), (3, 2, 2, 1)))
+        assert b1.a0 == b2.a0 == 2 and b1.beta != b2.beta
+        assert b1.omega is b2.omega
+        assert b1.to_json()["omega"] is b2.to_json()["omega"]
+        assert b1.to_json()["omega"] == b1.omega.to_json()
+        rho = gdim_specht((b1.rho,), C, b1.c_charge)
+        low = min(e for e, _ in rho.items())
+        assert morita.rho_gdim(1, 2, 0) == (low, rho.eval_at_1())
+        assert morita.rho_gdim(1, 2, 16) == (low, sum(c << 16 * (e - low)
+                                                      for e, c in rho.items()))

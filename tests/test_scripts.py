@@ -128,7 +128,7 @@ def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys):
         sizes = [memo.cache_info().currsize
                  for memo in (morita.c_kleshchev, morita.a_kleshchev,
                               morita.c_good_walk, graded._gdim, morita.c_walk,
-                              morita.a_walk)]
+                              morita.a_walk, morita.rectangle, morita.rho_gdim)]
         calls.append((b.a0, tuple(checks), sizes))
         return real(b, checks)
 
@@ -136,7 +136,7 @@ def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["maximal_blocks.py", "--max-a0", "2"])
     assert script.main() == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
-    assert calls == [(a0, (check,), [0] * 6)
+    assert calls == [(a0, (check,), [0] * 8)
                      for a0 in (1, 2) for check in ALL_CHECKS]
 
 
@@ -167,7 +167,7 @@ def test_maximal_blocks_goes_on_after_running_out_of_memory(monkeypatch, capsys)
     def graded_runs_out(b, checks):
         calls.append((b.a0, tuple(checks), morita.c_walk.cache_info().currsize))
         if checks == ["graded"]:
-            morita.c_walk(0, *morita.c_state(b.rho, b.kappa_c))  # fills a memo
+            morita.c_walk(*morita.c_state(b.rho, b.kappa_c))  # fills a memo
             raise MemoryError
         return real(b, checks)
 
@@ -193,9 +193,9 @@ def test_every_memo_is_cleared():
                      if hasattr(obj, "cache_clear"))
     assert {memo_name(memo) for memo in load_script("maximal_blocks").MEMOS} == found
     readme = (ROOT / "README.md").read_text()
-    section = readme[readme.index("Six memos live"):readme.index("Each is a `functools")]
+    section = readme[readme.index("Eight memos live"):readme.index("Each is a `functools")]
     assert set(re.findall(r"^- `(\w+\.\w+)`", section, re.M)) == found
-    assert len(found) == 6
+    assert len(found) == 8
 
 
 def memo_name(memo):
@@ -297,6 +297,20 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
         proc = bench_pairs(case, 10)
         assert proc.returncode == 0, proc.stderr
         assert [line.split()[-1] for line in proc.stdout.splitlines()[2:]] == verdicts
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_bench_pairs_refuses_a_compiled_checkout(tmp_path, side):
+    # a checkout holding the package's bytecode would time loading it, not
+    # compiling, in setup_s: refused before any run
+    out = stub_checkouts(tmp_path, [stub_result(1.0)] * 2, [stub_result(1.0)] * 2)
+    (tmp_path / side / "src" / "klrblocks" / "__pycache__").mkdir(parents=True)
+    proc = bench_pairs(tmp_path, 2, "--label", "t")
+    assert proc.returncode == 2
+    assert "refused" in proc.stderr and str(tmp_path / side) in proc.stderr
+    assert "__pycache__" in proc.stderr and proc.stdout == ""
+    assert not (tmp_path / "log").exists()
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("bad", [stub_result(1.0, correct=False),
