@@ -88,7 +88,8 @@ class RootVector:
                 d[i] = new
             else:
                 d.pop(i, None)
-        return RootVector(d)
+        # every entry left is positive, and the copy is ours alone
+        return RootVector._of_counts(d)
 
     def __le__(self, other: "RootVector") -> bool:
         return all(m <= other[i] for i, m in self._entries.items())

@@ -59,8 +59,12 @@ def _unique_keys(pairs):
     return out
 
 
+# one decoder for every call: json.loads with a hook builds a new one each time
+_decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+
+
 def parse_beta(text: str, ct: CartanType) -> RootVector:
-    beta = RootVector.from_json(json.loads(text, object_pairs_hook=_unique_keys))
+    beta = RootVector.from_json(_decode(text))
     ct.check_labels(i for i, _ in beta.items())
     return beta
 

@@ -36,13 +36,14 @@ removals (c_good_walk).
 
 The type-C shapes come from one of two sources, decided by the input.  A
 sweep (iter_bridges) finds each block by grouping the partitions of each
-height by content, and its bridges carry the group as c_shapes.  A bridge
-made by bridge() alone (a single block, or a test) has none, and the
-checks list the block with enumerate_block (c_block); a check of one
-named block (one_block_bridge, for klrblocks verify --beta) lists it so
-before the checks and passes the list on in c_shapes.  Both give the
-shapes in the order of partitions_of, and a_block lists the type-A side
-off its weights by code of its own, independent of either."""
+height by their weight (_block_key), computes the content once per block,
+and hands the group to bridge() as c_shapes.  A bridge made by bridge()
+without shapes (a single block, or a test) has none, and the checks list
+the block with enumerate_block (c_block); a check of one named block
+(one_block_bridge, for klrblocks verify --beta) lists it so before the
+checks and hands the list to bridge().  Both give the shapes in the order
+of partitions_of, and a_block lists the type-A side off its weights by
+code of its own, independent of either."""
 
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ from itertools import combinations
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .cartan import CartanType, Charge, Residue, RootVector
+from .cartan import CartanType, Charge, NotASubroot, Residue, RootVector
 from .graded import gdim_specht
 from .partitions import (
     Partition,
@@ -79,7 +80,7 @@ class BlockBridge(NamedTuple):
     kappa1: int
     kappa2: int
     a_beta: RootVector  # beta - omega, the content of the type-A block
-    # the type-C shapes, when the bridge's maker has them (iter_bridges,
+    # the type-C shapes, when bridge()'s caller has them (iter_bridges,
     # one_block_bridge); None means the checks list them with c_block, off
     # the block's Maya sets
     c_shapes: Optional[Tuple[Partition, ...]] = None
@@ -123,10 +124,13 @@ def rho_gdim(kappa_c: int, a0: int, K: int) -> tuple:
     return low, x
 
 
-def bridge(kappa_c: int, beta: RootVector) -> BlockBridge:
+def bridge(kappa_c: int, beta: RootVector,
+           c_shapes: Optional[Tuple[Partition, ...]] = None) -> BlockBridge:
     """Populate the bridge datum for a type-C block: rho is the minimal
     rectangle holding all a_0 zero-residue nodes, omega its content, and
-    the type-A charges are (kappa_c + a_0, a_0)."""
+    the type-A charges are (kappa_c + a_0, a_0).  c_shapes, given by a
+    caller that has listed the block, are its shapes in partitions_of
+    order; None lets the checks list them."""
     if kappa_c < 0:
         raise BridgeError("kappa_c must be non-negative")
     a0 = beta[0]
@@ -136,12 +140,13 @@ def bridge(kappa_c: int, beta: RootVector) -> BlockBridge:
     if a0 * (kappa_c + a0) > beta.height:
         raise BridgeError("rectangle content is not contained in beta")
     rho, omega, _ = rectangle(kappa_c, a0)
-    if not omega <= beta:
-        raise BridgeError("rectangle content is not contained in beta")
-    rest = beta - omega
+    try:
+        rest = beta - omega
+    except NotASubroot:
+        raise BridgeError("rectangle content is not contained in beta") from None
     if rest[0] != 0:
         raise BridgeError("beta - omega still supported on the zero residue")
-    return BlockBridge(kappa_c, beta, a0, rho, omega, kappa_c + a0, a0, rest)
+    return BlockBridge(kappa_c, beta, a0, rho, omega, kappa_c + a0, a0, rest, c_shapes)
 
 
 def c_block(b: BlockBridge) -> List[Partition]:
@@ -226,22 +231,24 @@ def one_block_bridge(kappa_c: int, beta: RootVector) -> BlockBridge:
     """The bridge of the one type-C block of content beta, carrying the
     block's shapes, as c_block lists them, in c_shapes.  A beta with no
     bridge raises BridgeError, and so does an empty block, which no sweep
-    reports."""
-    b = bridge(kappa_c, beta)
-    shapes = tuple(c_block(b))
+    reports.  The block is listed off a bridge without shapes, so a beta
+    with no bridge is refused before any listing."""
+    shapes = tuple(c_block(bridge(kappa_c, beta)))
     if not shapes:
         raise BridgeError(f"no type-C partition of charge {kappa_c} has "
                           f"content {json.dumps(beta.to_json())}")
-    return b._replace(c_shapes=shapes)
+    return bridge(kappa_c, beta, shapes)
 
 
 def iter_bridges(kappa_c: int, max_n: int) -> Iterator[BlockBridge]:
     """All bridges for type-C blocks with a_0 >= 1 and height at most
     max_n, in increasing height, then in the order partitions_of first
-    reaches each block.  The partitions of a height are grouped by content
-    in that walk, so each bridge carries its block's shapes (c_shapes, in
-    partitions_of order) and the checks do not list the block again.  The
-    arguments are checked at the call, before any bridge is taken."""
+    reaches each block.  The partitions of a height are grouped by their
+    weight (_block_key) in that walk, and content is computed once per
+    block, on its first shape; each bridge carries its block's shapes
+    (c_shapes, in partitions_of order), so the checks do not list the
+    block again.  The arguments are checked at the call, before any bridge
+    is taken."""
     if kappa_c < 0:
         raise ValueError(f"kappa_c must be non-negative, got {kappa_c}")
     if max_n < 0:
@@ -250,13 +257,35 @@ def iter_bridges(kappa_c: int, max_n: int) -> Iterator[BlockBridge]:
 
 
 def _bridges(kappa_c: int, max_n: int) -> Iterator[BlockBridge]:
+    charge = (kappa_c,)
     for n in range(1, max_n + 1):
-        blocks: Dict[RootVector, List[Partition]] = {}
+        blocks: Dict[Tuple[int, int], List[Partition]] = {}
         for p in partitions_of(n):
-            blocks.setdefault(content(CartanType.C, (kappa_c,), (p,)), []).append(p)
-        for beta, shapes in blocks.items():
-            if beta[0] >= 1:
-                yield bridge(kappa_c, beta)._replace(c_shapes=tuple(shapes))
+            blocks.setdefault(_block_key(p, kappa_c), []).append(p)
+        for shapes in blocks.values():
+            beta = content(CartanType.C, charge, (shapes[0],))
+            if beta[0]:
+                yield bridge(kappa_c, beta, tuple(shapes))
+
+
+def _block_key(nu: Partition, kappa_c: int) -> Tuple[int, int]:
+    """nu's weight, read off its rows in one pass: with the bit sets a =
+    {u >= 0 : u in M(nu, kappa_c)} and b = {u >= 0 : -1 - u not in M},
+    (a & b, a | b), the crosses and the crosses with the free vertices.
+    Since |a| - |b| = kappa_c, it also fixes how many free vertices lie in
+    b alone (the block's d), so it fixes the content, and two partitions
+    share it iff they share their block.  M holds kappa_c - r for every row
+    r past the last, L = len(nu): a gains the labels 0..kappa_c - L - 1,
+    and b holds u < L - kappa_c unless the label -1 - u is some row's."""
+    rows = len(nu)
+    a = (1 << kappa_c - rows) - 1 if kappa_c > rows else 0
+    b = (1 << rows - kappa_c) - 1 if rows > kappa_c else 0
+    for i, p in enumerate(nu, 1 - kappa_c):  # row r's label kappa_c + p - r
+        if p >= i:
+            a |= 1 << p - i
+        else:
+            b ^= 1 << i - p - 1
+    return a & b, a | b
 
 
 def c_state(nu: Partition, kappa_c: int) -> Tuple[int, int]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations, count
 from operator import sub
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue, RootVector
 
@@ -166,15 +166,31 @@ def conjugate(p: Partition) -> Partition:
 
 
 def partitions_of(n: int) -> Tuple[Partition, ...]:
-    """All partitions of n, lexicographically decreasing."""
-    def gen(n: int, cap: int) -> Iterator[Partition]:
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, cap), 0, -1):
-            for rest in gen(n - first, first):
-                yield (first,) + rest
-    return tuple(gen(n, n))
+    """All partitions of n, lexicographically decreasing, listed in place
+    (Zoghbi-Stojmenovic's ZS1): x holds the partition in its first m
+    entries and 1 in every entry after h, its last part above 1.  The next
+    partition lowers that part by one and refills what it and the 1s after
+    it held with parts as large as it now is, the rest in one last part."""
+    if n <= 0:
+        return ((),) if n == 0 else ()
+    x, m, h = [n] + [1] * (n - 1), 1, 0
+    out = [(n,)]
+    while x[0] > 1:
+        if x[h] == 2:  # a 2 becomes 1, 1
+            x[h], m, h = 1, m + 1, h - 1
+        else:
+            r = x[h] - 1
+            x[h], t = r, m - h
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            m = h + 1 + (t > 0)
+            if t > 1:
+                h += 1
+                x[h] = t
+        out.append(tuple(x[:m]))
+    return tuple(out)
 
 
 def multipartitions_of(n: int, level: int) -> List[MultiPartition]:

@@ -16,9 +16,12 @@ state built row by row (a_state), the oracle of the weights a_block
 gives.  Also the bridge map with its membership check, built on that
 image; the weight labels of a type-C partition; the pairwise dominance test that the dominance
 check's prefix sums replaced, the prefix sums as tuples that its packed
-sums replaced, and the check's pairwise loop on that test; the nested
-recursion that listed l-partitions before multipartitions_of kept a
-table of its own, and the tableau references that the package's walk
+sums replaced, and the check's pairwise loop on that test; the
+recursive generator that listed partitions before partitions_of listed
+them in place, and the sweep's grouping by content that its grouping by
+weight replaced (content_bridges); the nested recursion that listed
+l-partitions before multipartitions_of kept a table of its own, and the
+tableau references that the package's walk
 replaced: the recursive depth-first enumeration, the cellular degree
 replayed entry by entry, and the hand-built row-reading tableau with its
 residue word read node by node (nodes, residue); two tableau fixtures:
@@ -515,6 +518,35 @@ def pairwise_dominance(b):
             if a_rel != c_rel:
                 witnesses.append({"pair": [list(map(list, bp1)), list(map(list, bp2))]})
     return {"pass": preserving, "order_preserving": preserving, "witnesses": witnesses}
+
+
+def recursive_partitions_of(n):
+    """All partitions of n, lexicographically decreasing, by the recursive
+    generator that partitions_of's in-place listing replaced: each first
+    part, largest first, then every partition of the rest into parts no
+    larger."""
+    def gen(n, cap):
+        if n == 0:
+            yield ()
+            return
+        for first in range(min(n, cap), 0, -1):
+            for rest in gen(n - first, first):
+                yield (first,) + rest
+    return tuple(gen(n, n))
+
+
+def content_bridges(kappa_c, max_n):
+    """The sweep's bridges as they were listed before the sweep grouped by
+    weight: the partitions of each height, from recursive_partitions_of,
+    grouped by content, and one bridge per group with a zero node, which
+    carries the group as its c_shapes."""
+    for n in range(1, max_n + 1):
+        blocks = {}
+        for p in recursive_partitions_of(n):
+            blocks.setdefault(content(CartanType.C, (kappa_c,), (p,)), []).append(p)
+        for beta, shapes in blocks.items():
+            if beta[0] >= 1:
+                yield morita.bridge(kappa_c, beta)._replace(c_shapes=tuple(shapes))
 
 
 def nested_multipartitions(n, level):

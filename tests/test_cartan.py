@@ -26,6 +26,10 @@ class TestRootVector:
         a0, a1 = RootVector({0: 1}), RootVector({1: 1})
         assert RootVector({0: 1, 1: 1}) - a0 == a1
         assert RootVector({0: 2, 1: 2}).height == 4
+        # a difference, wrapped unchecked, hashes and compares as a checked one
+        diff = RootVector({0: 3, 1: 2, 2: 1}) - RootVector({0: 1, 1: 2})
+        assert (diff, hash(diff)) == (RootVector({0: 2, 2: 1}), hash(RootVector({0: 2, 2: 1})))
+        assert diff.items() == [(0, 2), (2, 1)]
 
     def test_sub_below_zero(self):
         with pytest.raises(NotASubroot):

@@ -9,6 +9,7 @@ from klrblocks.cartan import CartanType, RootVector
 from klrblocks import graded
 from klrblocks.morita import (
     BridgeError,
+    _block_key,
     a_block,
     bridge,
     c_block,
@@ -22,8 +23,8 @@ from klrblocks.graded import gdim_specht
 from klrblocks.partitions import conjugate, content, lattice_state, partitions_of
 from klrblocks.tableaux import enumerate_standard
 
-from oracles import (a_state, bit_good_walk, block_width, good_nodes, maya_labels,
-                     pairwise_dominance, prefix_shape, rect_add, remove_node,
+from oracles import (a_state, bit_good_walk, block_width, content_bridges, good_nodes,
+                     maya_labels, pairwise_dominance, prefix_shape, rect_add, remove_node,
                      residue_sequence, tableau_to_type_c, to_type_c, width_a_walk,
                      width_c_walk)
 
@@ -81,6 +82,11 @@ class TestBridge:
             bridge(0, RootVector({1: 2}))  # no zero nodes
         with pytest.raises(BridgeError):
             bridge(-1, MICRO)
+        # enough nodes for rho, but not its content: the subtraction's
+        # NotASubroot is the bridge's error
+        with pytest.raises(BridgeError, match="not contained in beta") as info:
+            bridge(0, RootVector({0: 2, 5: 10}))
+        assert type(info.value) is BridgeError
 
     def test_a_beta_computed_once(self, monkeypatch):
         beta = max(iter_bridges(0, 10), key=lambda b: len(a_block(b))).beta
@@ -227,15 +233,29 @@ class TestIterBridges:
         heights = [b.beta.height for b in iter_bridges(1, 7)]
         assert heights == sorted(heights)
 
-    @pytest.mark.parametrize("kappa_c", [0, 1])
+    @pytest.mark.parametrize("kappa_c", [0, 1, 2])
     def test_one_bridge_per_content_in_first_seen_order(self, kappa_c):
-        expected = []
-        for n in range(1, 10):
+        # grouped by weight, the sweep yields the bridges of the grouping by
+        # content, c_shapes included, in its order
+        assert [tuple(b) for b in iter_bridges(kappa_c, 24)] == [
+            tuple(b) for b in content_bridges(kappa_c, 24)]
+
+    @pytest.mark.parametrize("kappa_c", [0, 1, 2])
+    def test_sweep_computes_content_once_per_block(self, monkeypatch, kappa_c):
+        max_n = 16
+        list(iter_bridges(kappa_c, max_n))  # rectangle's contents, once per process
+        calls = []
+        monkeypatch.setattr(morita, "content",
+                            lambda *args: calls.append(args[2]) or content(*args))
+        list(iter_bridges(kappa_c, max_n))
+        # each block, a_0 = 0 included, on its first shape
+        firsts = []
+        for n in range(1, max_n + 1):
+            blocks = {}
             for p in partitions_of(n):
-                beta = content(C, (kappa_c,), (p,))
-                if beta[0] >= 1 and beta not in expected:
-                    expected.append(beta)
-        assert [b.beta for b in iter_bridges(kappa_c, 9)] == expected
+                blocks.setdefault(content(C, (kappa_c,), (p,)), p)
+            firsts += [(p,) for p in blocks.values()]
+        assert calls == firsts
 
     def test_sweep_lists_no_block_again(self, monkeypatch):
         # a sweep's bridges carry their type-C shapes, so no check under
@@ -293,6 +313,29 @@ class TestWeights:
             key = (b.beta.height, crosses, free, d)
             assert key not in seen
             seen.add(key)
+
+    def test_block_key_is_the_labels(self):
+        # the key's two bit sets: the crosses, and the crosses with the free
+        # vertices
+        for kappa_c in range(5):
+            for n in range(15):
+                for nu in partitions_of(n):
+                    crosses, free, _ = maya_labels(nu, kappa_c)
+                    assert _block_key(nu, kappa_c) == (
+                        sum(1 << u for u in crosses), sum(1 << u for u in crosses + free))
+
+    def test_grouping_by_key_is_grouping_by_content(self):
+        # groups and their order, a_0 = 0 blocks included
+        short = 0
+        for kappa_c in range(5):
+            for n in range(21):
+                by_key, by_content = {}, {}
+                for nu in partitions_of(n):
+                    short += len(nu) < kappa_c
+                    by_key.setdefault(_block_key(nu, kappa_c), []).append(nu)
+                    by_content.setdefault(content(C, (kappa_c,), (nu,)), []).append(nu)
+                assert list(by_key.values()) == list(by_content.values())
+        assert short  # shapes with fewer rows than kappa_c are among them
 
     @pytest.mark.parametrize("kappa_c, blocks", [(1, 20), (2, 120), (3, 357)])
     def test_blocks_with_no_zero_node_are_single_shapes(self, kappa_c, blocks):

@@ -504,6 +504,19 @@ class TestBridgeResidueCompatibility:
                 assert rect_add(b.rho, lam, conjugate(mu)) == p
 
 
+class TestPartitionsOf:
+    def test_matches_the_recursive_listing(self):
+        # the in-place listing against the recursive generator it replaced,
+        # partitions and order
+        for n in range(-1, 31):
+            assert partitions_of(n) == oracles.recursive_partitions_of(n)
+
+    def test_ends_and_a_count(self):
+        assert partitions_of(0) == ((),)
+        assert partitions_of(-1) == ()
+        assert len(partitions_of(36)) == 17977
+
+
 def test_multipartitions_of_counts():
     assert len(multipartitions_of(2, 2)) == 5
     assert multipartitions_of(0, 1) == [((),)]
