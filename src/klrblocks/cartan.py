@@ -91,9 +91,6 @@ class RootVector:
         # every entry left is positive, and the copy is ours alone
         return RootVector._of_counts(d)
 
-    def __le__(self, other: "RootVector") -> bool:
-        return all(m <= other[i] for i, m in self._entries.items())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RootVector) and self._entries == other._entries
 

@@ -37,13 +37,13 @@ removals (c_good_walk).
 The type-C shapes come from one of two sources, decided by the input.  A
 sweep (iter_bridges) finds each block by grouping the partitions of each
 height by their weight (_block_key), computes the content once per block,
-and hands the group to bridge() as c_shapes.  A bridge made by bridge()
-without shapes (a single block, or a test) has none, and the checks list
-the block with enumerate_block (c_block); a check of one named block
-(one_block_bridge, for klrblocks verify --beta) lists it so before the
-checks and hands the list to bridge().  Both give the shapes in the order
-of partitions_of, and a_block lists the type-A side off its weights by
-code of its own, independent of either."""
+and hands the group to bridge() as c_shapes.  A check of one named block
+(one_block_bridge, for klrblocks verify --beta) lists the block with
+enumerate_block (c_block) and hands the list to bridge().  A bridge made
+by bridge() without shapes (a test) is listed so by verify_bridge, once
+per call, before any check runs.  Both give the shapes in the order of
+partitions_of, and a_block lists the type-A side off its weights by code
+of its own, independent of either."""
 
 from __future__ import annotations
 
@@ -81,8 +81,8 @@ class BlockBridge(NamedTuple):
     kappa2: int
     a_beta: RootVector  # beta - omega, the content of the type-A block
     # the type-C shapes, when bridge()'s caller has them (iter_bridges,
-    # one_block_bridge); None means the checks list them with c_block, off
-    # the block's Maya sets
+    # one_block_bridge); None means verify_bridge lists them with c_block,
+    # once per call
     c_shapes: Optional[Tuple[Partition, ...]] = None
 
     @property
@@ -130,7 +130,7 @@ def bridge(kappa_c: int, beta: RootVector,
     rectangle holding all a_0 zero-residue nodes, omega its content, and
     the type-A charges are (kappa_c + a_0, a_0).  c_shapes, given by a
     caller that has listed the block, are its shapes in partitions_of
-    order; None lets the checks list them."""
+    order; None has verify_bridge list them."""
     if kappa_c < 0:
         raise BridgeError("kappa_c must be non-negative")
     a0 = beta[0]
@@ -140,12 +140,10 @@ def bridge(kappa_c: int, beta: RootVector,
     if a0 * (kappa_c + a0) > beta.height:
         raise BridgeError("rectangle content is not contained in beta")
     rho, omega, _ = rectangle(kappa_c, a0)
-    try:
+    try:  # rho holds all a0 zero-residue nodes, so rest has none
         rest = beta - omega
     except NotASubroot:
         raise BridgeError("rectangle content is not contained in beta") from None
-    if rest[0] != 0:
-        raise BridgeError("beta - omega still supported on the zero residue")
     return BlockBridge(kappa_c, beta, a0, rho, omega, kappa_c + a0, a0, rest, c_shapes)
 
 
@@ -494,35 +492,28 @@ class _part:
 
 
 class _Block:
-    """The data the checks read, for one verify_bridge call.  Each part is
-    built on its first read, so a check builds only what it reads; graded
-    says whether the walks must hold polynomials."""
+    """The data the checks read, for one verify_bridge call.  c_shapes is
+    the bridge's own listing, or, for a bridge made without shapes, the
+    block as c_block lists it, up front.  Each part is built on its first
+    read, so a check builds only what it reads; graded says whether the
+    walks must hold polynomials."""
 
     def __init__(self, b: BlockBridge, graded: bool):
         self.b, self.graded = b, graded
-        if b.c_shapes is not None:
-            self.c_shapes = b.c_shapes
+        self.c_shapes = b.c_shapes if b.c_shapes is not None else tuple(c_block(b))
 
     @_part
-    def c_shapes(self) -> Sequence[Partition]:
-        return c_block(self.b)
-
-    @_part
-    def members(self) -> Dict[Bipartition, int]:  # a_block's, with the weights
-        return a_block(self.b)
-
-    @_part
-    def pairs(self) -> List[Tuple[Bipartition, Partition]]:
-        # block members need no membership check on the way through the bridge
-        return [(bp, _rect_image(bp, self.b)) for bp in self.members]
+    def pairs(self) -> List[Tuple[Bipartition, Partition, int]]:
+        # each member of a_block with its image and its weight; block members
+        # need no membership check on the way through the bridge
+        b = self.b
+        return [(bp, _rect_image(bp, b), w) for bp, w in a_block(b).items()]
 
     @_part
     def c_states(self) -> dict:
-        # the listing's states, when the block has the listing (a sweep's,
-        # or one a check has read), so that each shape's is built once; a
-        # shape outside it has its state built where it is read
+        # each shape's state, built once
         kappa_c = self.b.kappa_c
-        return {nu: c_state(nu, kappa_c) for nu in self.__dict__.get("c_shapes", ())}
+        return {nu: c_state(nu, kappa_c) for nu in self.c_shapes}
 
     @_part
     def walks(self) -> tuple:
@@ -539,8 +530,10 @@ class _Block:
                 _width = K
                 for memo in _WALK_MEMOS:
                     memo.cache_clear()
-            entries = [(c_walk(*(states.get(nu) or c_state(nu, b.kappa_c))), a_walk(a))
-                       for (_, nu), a in zip(self.pairs, self.members.values())]
+            # an image outside the listing, which only a failing bridge has,
+            # has its state built here
+            entries = [(c_walk(*(states.get(nu) or c_state(nu, b.kappa_c))), a_walk(w))
+                       for _, nu, w in self.pairs]
             counts = entries if not K else [(c[0], a[0]) for c, a in entries]
             if not self.graded:
                 return K, counts, entries
@@ -552,18 +545,16 @@ class _Block:
 
     @_part
     def c_klesh(self) -> List[Tuple[Partition, Tuple[int, int]]]:
-        # off c_shapes, not pairs: the Kleshchev check compares two listings
-        shapes, states, kappa_c = self.c_shapes, self.c_states, self.b.kappa_c
-        return [(nu, st) for nu in shapes
-                for st in [states.get(nu) or c_state(nu, kappa_c)] if c_kleshchev(*st)]
+        # off the listing, not pairs: the Kleshchev check compares two listings
+        return [(nu, st) for nu, st in self.c_states.items() if c_kleshchev(*st)]
 
 
 def _check_count(blk: _Block) -> dict:
     per_shape = []
-    ok = sorted(nu for _, nu in blk.pairs) == sorted(blk.c_shapes)  # one to one
+    ok = sorted(nu for _, nu, _ in blk.pairs) == sorted(blk.c_shapes)  # one to one
     std_rho = rho_gdim(blk.b.kappa_c, blk.b.a0, 0)[1]
     lhs_total = rhs_total = 0
-    for (_, nu), (n_c, n_a) in zip(blk.pairs, blk.walks[1]):
+    for (_, nu, _), (n_c, n_a) in zip(blk.pairs, blk.walks[1]):
         n_fact, n_rho_a = std_rho * n_c, std_rho * n_a
         lhs_total += n_fact ** 2
         rhs_total += n_rho_a ** 2
@@ -584,22 +575,19 @@ def _check_graded(blk: _Block) -> dict:
     b = blk.b
     K, _, entries = blk.walks
     low, rho_int = rho_gdim(b.kappa_c, b.a0, K)
-    per_shape = []
-    shift: Optional[int] = None
-    ok = True
-    for (_, nu), ((_, lhs), (_, rhs)) in zip(blk.pairs, entries):
+    per_shape, shifts = [], []
+    for (_, nu, _), ((_, lhs), (_, rhs)) in zip(blk.pairs, entries):
         c = _graded_shift(lhs, rhs, K)
-        if c is None or (shift is not None and c != shift):
-            ok = False
-        if shift is None and c is not None:
-            shift = c
+        shifts.append(c)
         base = low - sum(nu) + b.a0 * len(b.rho)  # digit 0's exponent
         lhs_pairs = kronecker_pairs(rho_int * lhs, K, base)
         rhs_pairs = lhs_pairs if rhs == lhs else kronecker_pairs(rho_int * rhs, K, base)
         per_shape.append({"nu": list(nu), "lhs": lhs_pairs, "rhs": rhs_pairs,
                           "shift": c})
-    ok = ok and shift == 0
-    return {"pass": ok, "shift": shift, "per_shape": per_shape}
+    # an empty block has no shift, and fails
+    shift = next((c for c in shifts if c is not None), None)
+    return {"pass": shift == 0 and all(c == 0 for c in shifts), "shift": shift,
+            "per_shape": per_shape}
 
 
 def _check_dominance(blk: _Block) -> dict:
@@ -610,10 +598,10 @@ def _check_dominance(blk: _Block) -> dict:
     # subtraction and one AND per side, and the diagonal compares equal on
     # both.  A shape's JSON lists are built at its first witness and shared.
     witnesses, preserving, lists = [], True, {}
-    bps = [bp for bp, _ in blk.pairs]
+    bps = [bp for bp, _, _ in blk.pairs]
     if len(bps) > 1:  # one shape has no pair
         a_sums, a_top = dominance_sums(bps)
-        c_sums, c_top = dominance_sums([(nu,) for _, nu in blk.pairs])
+        c_sums, c_top = dominance_sums([(nu,) for _, nu, _ in blk.pairs])
         rows = list(zip(a_sums, c_sums))
         for i, (a1, c1) in enumerate(rows):
             a1, c1 = a1 | a_top, c1 | c_top
@@ -629,8 +617,7 @@ def _check_dominance(blk: _Block) -> dict:
 
 
 def _check_kleshchev(blk: _Block) -> dict:
-    a_klesh = {nu for (_, nu), s in zip(blk.pairs, blk.members.values())
-               if a_kleshchev(s)}
+    a_klesh = {nu for _, nu, w in blk.pairs if a_kleshchev(w)}
     c_klesh = {nu for nu, _ in blk.c_klesh}
     return {"pass": a_klesh == c_klesh, "a_image": sorted(map(list, a_klesh)),
             "c_set": sorted(map(list, c_klesh))}

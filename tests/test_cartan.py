@@ -49,12 +49,6 @@ class TestRootVector:
             with pytest.raises(ValueError, match="both name residue"):
                 RootVector.from_json(data)
 
-    def test_partial_order(self):
-        small = RootVector({0: 1, 1: 1})
-        big = RootVector({0: 1, 1: 2, 2: 1})
-        assert small <= big
-        assert not big <= small
-
     def test_not_iterable(self):
         # __getitem__ answers every residue, so iteration by index would
         # never end; it fails at once instead

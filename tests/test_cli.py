@@ -295,15 +295,22 @@ class TestVerify:
         assert outs[0] == outs[1]
         assert outs[0][0] == 0
 
-    @pytest.mark.parametrize("kappa_c, digest", [
-        (0, "384dab49301e0e75e31474c4d207fe006263834a5b10a4eb25f82441afc39c37"),
-        (1, "b9332b17f76d66a0210435a41411332d620d1d10627842d57fcc2dcc89b7f5c7"),
-        (2, "a027a620f6995f04c46b4daddfa0f7f1648907a9d847128700d1d015f77f7650"),
-    ], ids=["0", "1", "2"])
-    def test_reports_pinned_byte_for_byte(self, capsys, kappa_c, digest):
-        # the full battery's stdout to height 14; a change to how the checks
-        # are computed must leave every report byte as it was
-        code, out = run(capsys, "verify", "--kappa-c", str(kappa_c), "--max-n", "14")
+    @pytest.mark.parametrize("fmt, kappa_c, digest", [
+        ("json", 0, "384dab49301e0e75e31474c4d207fe006263834a5b10a4eb25f82441afc39c37"),
+        ("json", 1, "b9332b17f76d66a0210435a41411332d620d1d10627842d57fcc2dcc89b7f5c7"),
+        ("json", 2, "a027a620f6995f04c46b4daddfa0f7f1648907a9d847128700d1d015f77f7650"),
+        ("csv", 0, "a1029a6e40221c1c05bff2986a96af60c363e39ca4556e934a594e80b298b338"),
+        ("csv", 1, "97336f6e7914c2caa51e833e12be449709d78949e9e013da2a476b8331856c4e"),
+        ("csv", 2, "843d452cd36668fe1f6125016c24f86e3649fc5cb79cdede530e7889cec9c318"),
+        ("pretty", 0, "db22a89c68f8bd7f8f6dc9d419e696069589acac1bb2776020e9fae2ec1be235"),
+        ("pretty", 1, "77f5c9613d536dd913697f7ceee4cc1832e6a23a46f23b6095615611ab11a164"),
+        ("pretty", 2, "efa5c76d65ba1b5bca60ce72107e54cb384e9d5e1c4c92df571a513638645581"),
+    ], ids=["0", "1", "2", "csv-0", "csv-1", "csv-2", "pretty-0", "pretty-1", "pretty-2"])
+    def test_reports_pinned_byte_for_byte(self, capsys, fmt, kappa_c, digest):
+        # the full battery's stdout to height 14, in each format; a change to
+        # how the checks are computed must leave every report byte as it was
+        code, out = run(capsys, "--format", fmt, "verify", "--kappa-c", str(kappa_c),
+                        "--max-n", "14")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

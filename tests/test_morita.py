@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -8,6 +9,7 @@ from klrblocks import morita
 from klrblocks.cartan import CartanType, RootVector
 from klrblocks import graded
 from klrblocks.morita import (
+    ALL_CHECKS,
     BridgeError,
     _block_key,
     a_block,
@@ -87,6 +89,13 @@ class TestBridge:
         with pytest.raises(BridgeError, match="not contained in beta") as info:
             bridge(0, RootVector({0: 2, 5: 10}))
         assert type(info.value) is BridgeError
+
+    def test_rectangle_holds_every_zero_node(self):
+        # rho has one zero-residue node in each of rows kappa_c + 1 ..
+        # kappa_c + a0, so beta - omega is never supported on residue 0
+        for kappa_c in range(8):
+            for a0 in range(12):
+                assert morita.rectangle(kappa_c, a0)[1][0] == a0
 
     def test_a_beta_computed_once(self, monkeypatch):
         beta = max(iter_bridges(0, 10), key=lambda b: len(a_block(b))).beta
@@ -375,6 +384,13 @@ class TestVerifyBridge:
         with pytest.raises(ValueError):
             verify_bridge(bridge(0, MICRO), checks=("count", "bogus"))
 
+    def test_graded_fails_on_an_empty_block(self):
+        # no pair has a shift, so the graded check has none to pass on
+        b = bridge(0, RootVector({0: 1, 2: 1}))
+        assert a_block(b) == {} and c_block(b) == []
+        assert verify_bridge(b)["checks"]["graded"] == {
+            "pass": False, "shift": None, "per_shape": []}
+
     @pytest.mark.parametrize("edit", ["drop", "repeat", "add"])
     def test_count_needs_each_shape_once(self, monkeypatch, edit):
         # the type-A listing must map onto the type-C shapes one to one: a
@@ -488,10 +504,8 @@ class TestVerifyBridge:
 
     @pytest.mark.parametrize("checks, unread", [
         (("goodpath",), "a_block"),
-        (("dominance",), "c_block"),
-        (("graded",), "c_block"),
         (("dominance", "kleshchev", "goodpath"), "c_walk"),
-    ], ids=["goodpath", "dominance", "graded", "crystal"])
+    ], ids=["goodpath", "crystal"])
     def test_check_builds_only_what_it_reads(self, monkeypatch, checks, unread):
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
         verify_bridge(b, ("graded",))  # the walks' width now holds the block
@@ -503,6 +517,24 @@ class TestVerifyBridge:
         # its polynomial
         verify_bridge(b)
         assert len(calls) == (len(a_block(b)) if unread == "c_walk" else 1)
+
+    def test_shapeless_bridge_is_listed_once_per_call(self, monkeypatch):
+        # a bridge made by bridge() alone is listed with c_block once per
+        # call, up front, whatever the checks; one that carries its shapes
+        # is never listed again
+        b = bridge(0, content(C, (0,), ((4, 3, 1),)))
+        carried = (one_block_bridge(0, b.beta),
+                   next(x for x in iter_bridges(0, 8) if x.beta == b.beta))
+        calls = outer_calls(monkeypatch, "c_block")
+        for n in range(1, len(ALL_CHECKS) + 1):
+            for checks in combinations(ALL_CHECKS, n):
+                report = verify_bridge(b, checks)
+                assert report["pass"]
+                assert calls == [(b,)]
+                calls.clear()
+                for x in carried:
+                    assert verify_bridge(x, checks) == report
+                assert calls == []
 
     def test_kleshchev_shapes_tested_once(self, monkeypatch):
         # kleshchev and goodpath read one list of Kleshchev type-C shapes,
@@ -533,7 +565,7 @@ class TestVerifyBridge:
         for b in iter_bridges(kappa_c, 10):
             report = verify_bridge(b)
             # a sweep's bridge carries its type-C shapes; one from bridge()
-            # alone has none, and the checks list the block with c_block
+            # alone has none, and verify_bridge lists the block with c_block
             assert verify_bridge(bridge(b.kappa_c, b.beta)) == report
             full = report["checks"]
             for c in full:
