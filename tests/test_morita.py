@@ -504,19 +504,24 @@ class TestVerifyBridge:
 
     @pytest.mark.parametrize("checks, unread", [
         (("goodpath",), "a_block"),
+        (("dominance",), "c_state"),
+        (("graded",), "c_kleshchev"),
         (("dominance", "kleshchev", "goodpath"), "c_walk"),
-    ], ids=["goodpath", "crystal"])
+    ], ids=["goodpath", "dominance", "graded", "crystal"])
     def test_check_builds_only_what_it_reads(self, monkeypatch, checks, unread):
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
         verify_bridge(b, ("graded",))  # the walks' width now holds the block
         calls = outer_calls(monkeypatch, unread)
         assert verify_bridge(b, checks)["pass"]
         assert calls == []
-        # all five checks build each block once, and walk down from each
-        # pair's type-C shape once: one entry holds its tableau count and
-        # its polynomial
+        # all five checks build each block once, build each shape's state
+        # once (and rho's, for goodpath), test each state for Kleshchev
+        # once, and walk down from each pair's type-C shape once: one
+        # entry holds its tableau count and its polynomial
         verify_bridge(b)
-        assert len(calls) == (len(a_block(b)) if unread == "c_walk" else 1)
+        n = len(a_block(b))
+        assert len(calls) == {"a_block": 1, "c_state": n + 1,
+                              "c_kleshchev": n, "c_walk": n}[unread]
 
     def test_shapeless_bridge_is_listed_once_per_call(self, monkeypatch):
         # a bridge made by bridge() alone is listed with c_block once per
