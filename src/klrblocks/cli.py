@@ -414,7 +414,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the graded-dimension recursion recurses once per node
+        # the bridge's walks recurse once per node; the graded dimensions
+        # fill in deep shapes from the smallest size up (graded._fill)
         print("error: the shape is too large for this tool", file=sys.stderr)
         return 2
     except MemoryError:

@@ -5,10 +5,13 @@ spaces, comes from one recursion down the Young lattice to the empty
 shape (_gdim), memoized for the life of the process; no tableau is
 listed.  It walks lattice states and reads each step degree off the
 package's one corner rule (partitions.corners), as the tableau walk and
-the command line's Kleshchev test do."""
+the command line's Kleshchev test do.  It recurses once per node, so a
+shape too deep for the interpreter's recursion limit has its sub-states
+listed first and filled in from the smallest size up (_fill)."""
 
 from __future__ import annotations
 
+import sys
 from collections.abc import ItemsView, Mapping
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -95,6 +98,25 @@ def _gdim(ct: CartanType, charge: Charge, n: int, s: int,
     return LaurentPoly._owning(out)
 
 
+def _fill(ct: CartanType, charge: Charge, n: int, s: int,
+          word: Optional[Tuple[Residue, ...]]) -> LaurentPoly:
+    """_gdim(ct, charge, n, s, word), which recurses once per node.  Past a
+    quarter of the recursion limit, the sub-states it would visit (for a
+    word, those of its prefixes) are listed one size at a time and their
+    entries made from the smallest size up, so no miss recurses deeper
+    than the sizes below it, which are all in the memo."""
+    if 4 * n > sys.getrecursionlimit():
+        l, levels = len(charge), [{s}]
+        for m in range(n, 0, -1):
+            i = None if word is None else word[m - 1]
+            levels.append({move(l, t, q, False) for t in levels[-1]
+                           for q, _, _ in corners(ct, charge, m, t, False, i)})
+        for m, states in enumerate(reversed(levels)):
+            for t in states:
+                _gdim(ct, charge, m, t, None if word is None else word[:m])
+    return _gdim(ct, charge, n, s, word)
+
+
 def gdim_specht_weight(shape: MultiPartition, ct: CartanType, charge: Charge,
                        residues: Sequence[Residue]) -> LaurentPoly:
     """Graded dimension of the residue-sequence weight space of the Specht
@@ -104,9 +126,9 @@ def gdim_specht_weight(shape: MultiPartition, ct: CartanType, charge: Charge,
     if len(residues) != n:
         raise ValueError(f"residue word has length {len(residues)}, "
                          f"but the shape has {n} nodes")
-    return _gdim(ct, tuple(charge), n, s, tuple(residues))
+    return _fill(ct, tuple(charge), n, s, tuple(residues))
 
 
 def gdim_specht(shape: MultiPartition, ct: CartanType, charge: Charge) -> LaurentPoly:
     """Graded dimension of the full Specht module."""
-    return _gdim(ct, tuple(charge), *lattice_state(shape, charge), None)
+    return _fill(ct, tuple(charge), *lattice_state(shape, charge), None)

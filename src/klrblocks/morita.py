@@ -21,18 +21,20 @@ addable, else a removable lower corner is; an addable lower corner is
 cogood unless the upper one is removable, else an addable upper one is.
 The counting and graded checks compare gdim(rho) times the type-C walk
 over [rho, nu] (c_walk), the factorizable tableaux of nu, with gdim(rho)
-times the type-A walk (a_walk).  Each walk memo holds one entry per state,
-at one digit width K for the whole process: at K = 0 the state's tableau
-count, else the count with its polynomial, one int in Q = 2^K, so a
-removal is a shift and an add, and only the report decodes the ints.  K
-stays 0 until a graded check runs, then is a multiple of 16 and only
-grows: when a block's gdim(rho)(1) times its largest count needs more
-bits, both memos are cleared, since no narrower entry is read again.  The
-memos found empty start over at K = 0.  What depends on (kappa_c, a0)
-alone, rho's content, its JSON and gdim(rho), is built once per process
-(rectangle, rho_gdim).  The Kleshchev check's two tests follow one good
-node (c_kleshchev, a_kleshchev), and the good-path check searches good
-removals (c_good_walk).
+times the type-A walk (a_walk).  A walk reads each removal off the bits
+and recurses on it at once, with no list of steps.  Each walk memo holds
+one entry per state, at one digit width K for the whole process: at K =
+0 the state's tableau count, else the count with its polynomial, one int
+in Q = 2^K, so a removal is a shift and an add, and only the report
+decodes the ints.  K stays 0 until a graded check runs, then is a
+multiple of 16 and only grows: when a block's gdim(rho)(1) times its
+largest count needs more bits, both memos are cleared, since no narrower
+entry is read again.  The memos found empty start over at K = 0.  What
+depends on (kappa_c, a0) alone, rho's content, its JSON, its state and
+gdim(rho), is built once per process (rectangle, rho_gdim).  The
+Kleshchev check's two tests follow one good node (c_kleshchev,
+a_kleshchev), and the good-path check searches good removals
+(c_good_walk); each loops over the removable bits top first.
 
 The type-C shapes come from one of two sources, decided by the input.  A
 sweep (iter_bridges) finds each block by grouping the partitions of each
@@ -107,10 +109,11 @@ class BlockBridge(NamedTuple):
 
 @lru_cache(maxsize=None)
 def rectangle(kappa_c: int, a0: int) -> tuple:
-    """The bridge's rho = (a0^(kappa_c + a0)), its content and its JSON."""
+    """The bridge's rho = (a0^(kappa_c + a0)), its content, its JSON and
+    its c_state."""
     rho = (a0,) * (kappa_c + a0)
     omega = content(CartanType.C, (kappa_c,), (rho,))
-    return rho, omega, omega.to_json()
+    return rho, omega, omega.to_json(), c_state(rho, kappa_c)
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +142,7 @@ def bridge(kappa_c: int, beta: RootVector,
     # checked before rho, of a0 (kappa_c + a0) nodes, is built
     if a0 * (kappa_c + a0) > beta.height:
         raise BridgeError("rectangle content is not contained in beta")
-    rho, omega, _ = rectangle(kappa_c, a0)
+    rho, omega, _, _ = rectangle(kappa_c, a0)
     try:  # rho holds all a0 zero-residue nodes, so rest has none
         rest = beta - omega
     except NotASubroot:
@@ -164,20 +167,22 @@ def a_block(b: BlockBridge) -> Dict[Bipartition, int]:
     top = max(k1, items[-1][0] + 1 if items else 0)  # c_u = 0 from top on
     if top > k1 + beta.height:  # a label above every member's nodes
         return {}
-    sets = [(u < k1) + (u < k2) for u in range(top)]
-    for i, x in items:  # c_u gains beta(u) - beta(u + 1)
-        sets[i - 1:i + 1] = sets[i - 1] - x, sets[i] + x
-    base, free = 0, []
-    for u, c in enumerate(sets):
+    dense = [0] * (top + 1)
+    for i, x in items:
+        dense[i] = x
+    base, free, crosses = 0, [], 0
+    for u in range(top):
+        c = (u < k1) + (u < k2) + dense[u] - dense[u + 1]
         if c == 2:
             base |= 3 << 2 * u
+            crosses += 1
         elif c == 1:
             base |= 2 << 2 * u  # in set 2 unless picked
             free.append(u)
         elif c:
             return {}
     # need >= 0: the c_u sum to k_1 + k_2 >= 2 #crosses
-    need, lane, out = k1 - sets.count(2), ((1 << 2 * top) - 1) // 3, {}
+    need, lane, out = k1 - crosses, ((1 << 2 * top) - 1) // 3, {}
     for pick in sorted(combinations(free, need), key=lambda p: (sum(p), p[::-1]),
                        reverse=True):
         w = base
@@ -208,8 +213,7 @@ def _rect_image(bp: Bipartition, b: BlockBridge) -> Partition:
     below row a0, would have residue 0."""
     lam, mu = bp
     a = b.a0
-    return tuple(a + (lam[r] if r < len(lam) else 0)
-                 for r in range(len(b.rho))) + conjugate(mu)
+    return tuple([a + x for x in lam]) + (a,) * (len(b.rho) - len(lam)) + conjugate(mu)
 
 
 def from_type_c(nu: Partition, b: BlockBridge) -> Bipartition:
@@ -300,24 +304,6 @@ def c_state(nu: Partition, kappa_c: int) -> Tuple[int, int]:
     return zero, s
 
 
-def _c_steps(zero: int, s: int) -> List[Tuple[int, int]]:
-    """Each removal from the type-C bit state (zero, s), as (the new s, whose
-    zero is zero - 1, step degree).  Removing a node of content t moves t in
-    M to t - 1; its degree is b(-t - 1) - b(-t) for t > 0, with b membership
-    in M, and 0 for t < 0.  A content-0 node is never removed: above rho,
-    the only one removable is rho's corner, the walk's floor."""
-    out = []
-    movable = s & ~(s << 1) & ~1
-    while movable:
-        low = movable & -movable
-        movable ^= low
-        t = low.bit_length() - 1 - zero
-        if t:
-            d = (s >> zero - t - 1 & 1) - (s >> zero - t & 1) if t > 0 else 0
-            out.append(((s ^ low ^ low >> 1) >> 1, d))
-    return out
-
-
 _width = 0  # the digit width K of every entry in the walk memos
 
 
@@ -334,47 +320,51 @@ def c_walk(zero: int, s: int):
     omega holds all a_0 zero-residue nodes of nu, on one diagonal, so it
     holds rho's corner and is rho.  So the tableaux of nu whose first
     ht(omega) entries fill a sub-diagram of content omega sum to gdim(rho)
-    times this walk."""
+    times this walk.
+
+    Each removal is read off the bits as the walk goes: removing a node of
+    content t moves t in M to t - 1, and its step degree, read only at K >
+    0, is b(-t - 1) - b(-t) for t > 0, with b membership in M, and 0 for t
+    < 0.  A content-0 node is never removed: above rho, the only one
+    removable is rho's corner, the walk's floor."""
     K, n, p = _width, 0, 0
-    for child, d in _c_steps(zero, s):
-        e = c_walk(zero - 1, child)
-        if K:
-            n += e[0]
-            p += e[1] << K * (d + 1)
-        else:
-            n += e
-    if not n:
-        return (1, 1) if K else 1
-    return (n, p) if K else n
-
-
-def _a_steps(s: int) -> List[Tuple[int, int]]:
-    """Each removal from the type-A bit state s, as (state, step degree).
-    Removing a t-node moves t in its component's set to t - 1.  From
-    component 1 its degree is b2(t - 1) - b2(t), with b2 membership in the
-    second set (the only t-corner below it); from component 2 it is 0."""
-    out = []
-    movable = s & ~(s << 2) & ~3
+    movable = s & ~(s << 1) & ~1
     while movable:
         low = movable & -movable
         movable ^= low
-        p = low.bit_length() - 1
-        d = 0 if p & 1 else (s >> p - 1 & 1) - (s >> p + 1 & 1)
-        out.append((s ^ low ^ low >> 2, d))
-    return out
+        t = low.bit_length() - 1 - zero
+        if t:  # never rho's corner, the walk's floor
+            e = c_walk(zero - 1, (s ^ low ^ low >> 1) >> 1)
+            if K:
+                n += e[0]
+                d = 1 + (s >> zero - t - 1 & 1) - (s >> zero - t & 1) if t > 0 else 1
+                p += e[1] << K * d
+            else:
+                n += e
+    if not n:
+        return (1, 1) if K else 1
+    return (n, p) if K else n
 
 
 @lru_cache(maxsize=None)
 def a_walk(s: int):
     """The walk over the standard tableaux of the bipartition bp whose
     weight, as a_block gives it, is s, as c_walk, with |bp| for |nu| -
-    |rho|."""
+    |rho|.  Removing a t-node moves t in its component's set to t - 1.
+    From component 1 its step degree is b2(t - 1) - b2(t), with b2
+    membership in the second set (the only t-corner below it); from
+    component 2 it is 0."""
     K, n, p = _width, 0, 0
-    for child, d in _a_steps(s):
-        e = a_walk(child)
+    movable = s & ~(s << 2) & ~3
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        e = a_walk(s ^ low ^ low >> 2)
         if K:
             n += e[0]
-            p += e[1] << K * (d + 1)
+            q = low.bit_length() - 1
+            d = 1 if q & 1 else 1 + (s >> q - 1 & 1) - (s >> q + 1 & 1)
+            p += e[1] << K * d
         else:
             n += e
     if not n:
@@ -398,22 +388,17 @@ def kronecker_pairs(x: int, K: int, low: int) -> List[List[int]]:
     return out
 
 
-def _c_goods(zero: int, s: int, removable: int) -> Iterator[int]:
-    """The good ones among the removable bits p of the type-C state (zero,
-    s), top first; the mirror of content p - zero is at 2 zero - p - 1."""
-    while removable:
-        p = removable.bit_length() - 1
-        removable ^= 1 << p
-        if s >> 2 * zero - p - 1 & 3 != (1 if p >= zero else 2):
-            yield p
-
-
 @lru_cache(maxsize=None)
 def c_kleshchev(zero: int, s: int) -> bool:
-    """is_kleshchev of the level-one type-C shape with c_state (zero, s)."""
-    removable = s & ~(s << 1) & ~1
-    for p in _c_goods(zero, s, removable):
-        return c_kleshchev(zero - 1, (s ^ 3 << p - 1) >> 1)
+    """is_kleshchev of the level-one type-C shape with c_state (zero, s): its
+    removable bit p, tried top first, is good unless the mirror bits (2 zero
+    - p - 1, 2 zero - p) read (1, 0) above content 0, (0, 1) below it."""
+    rest = removable = s & ~(s << 1) & ~1
+    while rest:
+        p = rest.bit_length() - 1
+        rest ^= 1 << p
+        if s >> 2 * zero - p - 1 & 3 != (1 if p >= zero else 2):
+            return c_kleshchev(zero - 1, (s ^ 3 << p - 1) >> 1)
     return not removable
 
 
@@ -442,10 +427,13 @@ def c_good_walk(zero: int, s: int, to_rho: bool) -> Optional[int]:
     removable = s & ~(s << 1) & ~1 & ~(to_rho << zero)
     if not removable:
         return s
-    for p in _c_goods(zero, s, removable):
-        end = c_good_walk(zero - 1, (s ^ 3 << p - 1) >> 1, to_rho)
-        if end is not None:
-            return end and _c_cogood(zero - 1, end, abs(p - zero))
+    while removable:  # the good test of c_kleshchev
+        p = removable.bit_length() - 1
+        removable ^= 1 << p
+        if s >> 2 * zero - p - 1 & 3 != (1 if p >= zero else 2):
+            end = c_good_walk(zero - 1, (s ^ 3 << p - 1) >> 1, to_rho)
+            if end is not None:
+                return end and _c_cogood(zero - 1, end, abs(p - zero))
     return None
 
 
@@ -617,10 +605,12 @@ def _check_dominance(blk: _Block) -> dict:
 
 
 def _check_kleshchev(blk: _Block) -> dict:
+    # equal sets share one sorted list, as the graded check's equal sides do
     a_klesh = {nu for _, nu, w in blk.pairs if a_kleshchev(w)}
     c_klesh = {nu for nu, _ in blk.c_klesh}
-    return {"pass": a_klesh == c_klesh, "a_image": sorted(map(list, a_klesh)),
-            "c_set": sorted(map(list, c_klesh))}
+    same, a_image = a_klesh == c_klesh, sorted(map(list, a_klesh))
+    return {"pass": same, "a_image": a_image,
+            "c_set": a_image if same else sorted(map(list, c_klesh))}
 
 
 def _check_goodpath(blk: _Block) -> dict:
@@ -629,7 +619,7 @@ def _check_goodpath(blk: _Block) -> dict:
     # from the lower end reaches the upper one (a replay that meets no
     # cogood node ends in 0).  The walks are memoized: rho's head is one
     # lookup, and in a sweep a shape extends the walk one removal below it.
-    zero, s = c_state(blk.b.rho, blk.b.kappa_c)
+    zero, s = rectangle(blk.b.kappa_c, blk.b.a0)[3]
     head_ok = c_good_walk(zero, s, False) == s
     failures = [list(nu) for nu, (zero, s) in blk.c_klesh
                 if not head_ok or c_good_walk(zero, s, True) != s]

@@ -29,15 +29,21 @@ the sub-diagram a tableau's first entries fill, and the paper's
 minimal-degree rectangle tableau; the bridge's map of tableaux onto
 factorizable tableaux; the factorizable sum that the bridge's bit-state
 walks replaced, as a recursion over an interval of the Young lattice,
-with the product of Laurent polynomials it needs; those walks at one
-digit width per block, as they were before one entry per state held the
-count with the polynomial (width_c_walk, width_a_walk, block_width); and
-the argparse parser that the command line's own parser replaced, as the
-reference of its parsing."""
+with the product of Laurent polynomials it needs; the step lists and
+good-node generator that the walks and Kleshchev tests read before they
+read each removal off the bits themselves (c_steps, a_steps, c_goods),
+with the Kleshchev test and good-removal walk written on them
+(list_c_kleshchev, list_c_good_walk); those walks at one digit width per
+block, as they were before one entry per state held the count with the
+polynomial (width_c_walk, width_a_walk, block_width); the hook-length
+count of a bipartition's tableaux (hook_count); and the argparse parser
+that the command line's own parser replaced, as the reference of its
+parsing."""
 
 import argparse
 from functools import cache, lru_cache
 from itertools import accumulate, chain
+from math import comb, factorial, prod
 
 from klrblocks import cli, morita, partitions
 from klrblocks.cartan import CartanType
@@ -627,13 +633,80 @@ def factorizable_gdim(nu, ct, charge, rho):
     return poly_mul(gdim_specht(rho, ct, charge), interval_gdim(ct, charge, nu, rho))
 
 
+def c_steps(zero, s):
+    """Each removal from the type-C bit state (zero, s), as (the new s, whose
+    zero is zero - 1, step degree).  Removing a node of content t moves t in
+    M to t - 1; its degree is b(-t - 1) - b(-t) for t > 0, with b membership
+    in M, and 0 for t < 0.  A content-0 node is never removed: above rho,
+    the only one removable is rho's corner, the walk's floor."""
+    out = []
+    movable = s & ~(s << 1) & ~1
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        t = low.bit_length() - 1 - zero
+        if t:
+            d = (s >> zero - t - 1 & 1) - (s >> zero - t & 1) if t > 0 else 0
+            out.append(((s ^ low ^ low >> 1) >> 1, d))
+    return out
+
+
+def a_steps(s):
+    """Each removal from the type-A bit state s, as (state, step degree).
+    Removing a t-node moves t in its component's set to t - 1.  From
+    component 1 its degree is b2(t - 1) - b2(t), with b2 membership in the
+    second set (the only t-corner below it); from component 2 it is 0."""
+    out = []
+    movable = s & ~(s << 2) & ~3
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        p = low.bit_length() - 1
+        d = 0 if p & 1 else (s >> p - 1 & 1) - (s >> p + 1 & 1)
+        out.append((s ^ low ^ low >> 2, d))
+    return out
+
+
+def c_goods(zero, s, removable):
+    """The good ones among the removable bits p of the type-C state (zero,
+    s), top first; the mirror of content p - zero is at 2 zero - p - 1."""
+    while removable:
+        p = removable.bit_length() - 1
+        removable ^= 1 << p
+        if s >> 2 * zero - p - 1 & 3 != (1 if p >= zero else 2):
+            yield p
+
+
+@lru_cache(maxsize=None)
+def list_c_kleshchev(zero, s):
+    """morita.c_kleshchev as it read its good node off c_goods."""
+    removable = s & ~(s << 1) & ~1
+    for p in c_goods(zero, s, removable):
+        return list_c_kleshchev(zero - 1, (s ^ 3 << p - 1) >> 1)
+    return not removable
+
+
+@lru_cache(maxsize=None)
+def list_c_good_walk(zero, s, to_rho):
+    """morita.c_good_walk as it searched the good nodes of c_goods, on
+    morita's cogood step."""
+    removable = s & ~(s << 1) & ~1 & ~(to_rho << zero)
+    if not removable:
+        return s
+    for p in c_goods(zero, s, removable):
+        end = list_c_good_walk(zero - 1, (s ^ 3 << p - 1) >> 1, to_rho)
+        if end is not None:
+            return end and morita._c_cogood(zero - 1, end, abs(p - zero))
+    return None
+
+
 @lru_cache(maxsize=None)
 def width_c_walk(K, zero, s):
     """morita.c_walk's polynomial at digit width K, K = 0 giving the count,
     by the walk it replaced: one memo entry per (K, state), so the widths
     that blocks need walk a state once each."""
     total = 0
-    for child, d in morita._c_steps(zero, s):
+    for child, d in c_steps(zero, s):
         total += width_c_walk(K, zero - 1, child) << K * (d + 1)
     return total or 1
 
@@ -642,7 +715,7 @@ def width_c_walk(K, zero, s):
 def width_a_walk(K, s):
     """morita.a_walk's polynomial at digit width K, as width_c_walk."""
     total = 0
-    for child, d in morita._a_steps(s):
+    for child, d in a_steps(s):
         total += width_a_walk(K, child) << K * (d + 1)
     return total or 1
 
@@ -657,6 +730,18 @@ def block_width(b):
     rho = gdim_specht((b.rho,), CartanType.C, b.c_charge)
     top = rho.eval_at_1() * max(counts, default=0)
     return max(16, (top.bit_length() + 15) // 16 * 16)
+
+
+def hook_count(bp):
+    """The number of standard tableaux of the bipartition bp = (lambda, mu),
+    C(|lambda| + |mu|, |lambda|) f^lambda f^mu, each f by the hook-length
+    formula."""
+    def f(p):
+        cols = conjugate(p)
+        return factorial(sum(p)) // prod(x - c + cols[c] - r - 1
+                                         for r, x in enumerate(p) for c in range(x))
+    lam, mu = bp
+    return comb(sum(lam) + sum(mu), sum(lam)) * f(lam) * f(mu)
 
 
 @cache

@@ -100,6 +100,12 @@ class TestGdim:
         assert code == 0
         assert out == "q + q^-1\n"
 
+    def test_tall_column_is_answered(self, capsys):
+        # a 1200-node column, deeper than Python's recursion limit
+        column = ",".join(["1"] * 1200)
+        assert run(capsys, "gdim", "--type", "a", "--charge", "0",
+                   "--shape", column) == (0, "[[0,1]]\n")
+
     def test_empty_weight_space_csv_is_its_header(self, capsys):
         # no tableau of shape (2) has residues 0, 0
         argv = ("gdim", "--charge", "0", "--shape", "2", "--weight", "0,0")
@@ -974,13 +980,11 @@ class TestErrors:
                    "--max-n", "0") == (0, "bridge,checks,pass\r\n")
 
     def test_tall_shape_exits_2(self, capsys):
-        # a 1200-node column: deeper than the recursion limit of the
-        # graded-dimension recursion, which recurses once per node (the
-        # Kleshchev test is a loop: TestKleshchev answers the column)
-        height = 1200
-        column = ",".join(["1"] * height)
-        assert fails_cleanly(capsys, "gdim", "--type", "a", "--charge", "0",
-                             "--shape", column)
+        # a block of one 1200-node row: deeper than the recursion limit of
+        # the bridge's walks, which recurse once per node (the graded
+        # dimensions fill deep shapes in: TestGdim answers the column)
+        beta = json.dumps({str(i): 1 for i in range(1200)})
+        assert fails_cleanly(capsys, "verify", "--kappa-c", "0", "--beta", beta)
 
     def test_positive_part_after_zero_exits_2(self, capsys):
         # (1,0,1) is not the shape (1,1): the zero is refused, not dropped

@@ -442,6 +442,42 @@ class TestBitRules:
                 assert klesh == ballot_kleshchev(bp, b.a_charge)
 
 
+class TestInlinedGoodNodes:
+    """c_kleshchev and c_good_walk loop over the removable bits themselves;
+    with cold memos they must equal the recursions on the good-node
+    generator they replaced (oracles.list_c_kleshchev, list_c_good_walk)
+    on every type-C state of every bridge to height 20, and of the maximal
+    blocks to a0 = 5 at kappa_c 0 and 1."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memos(self):
+        memos = (morita.c_kleshchev, morita.c_good_walk,
+                 oracles.list_c_kleshchev, oracles.list_c_good_walk)
+        for memo in memos:
+            memo.cache_clear()
+        yield
+        for memo in memos[2:]:
+            memo.cache_clear()
+
+    @pytest.mark.parametrize("kappa_c,states", [(0, 3063), (1, 3329), (2, 2593)])
+    def test_every_bridge_state(self, kappa_c, states):
+        shapes = [nu for b in iter_bridges(kappa_c, 20) for nu in b.c_shapes]
+        for a0 in range(1, 6 if kappa_c < 2 else 1):
+            rect = (a0,) * (2 * a0 + 2 * kappa_c)
+            shapes += one_block_bridge(kappa_c, content(C, (kappa_c,), (rect,))).c_shapes
+        for nu in shapes:
+            state = c_state(nu, kappa_c)
+            assert c_kleshchev(*state) == oracles.list_c_kleshchev(*state)
+            for to_rho in (False, True):
+                assert (morita.c_good_walk(*state, to_rho)
+                        == oracles.list_c_good_walk(*state, to_rho))
+        assert len(shapes) == states
+        # the same good nodes tried in the same order reach the same states
+        for memo, oracle in ((morita.c_kleshchev, oracles.list_c_kleshchev),
+                             (morita.c_good_walk, oracles.list_c_good_walk)):
+            assert memo.cache_info().currsize == oracle.cache_info().currsize
+
+
 def bridge_shapes(max_n=8):
     """(nu, kappa_c) for every partition nu to size max_n with a zero-residue
     node, at kappa_c 0-3."""

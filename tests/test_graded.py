@@ -1,3 +1,4 @@
+import sys
 from functools import lru_cache
 
 import pytest
@@ -5,14 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from klrblocks.cartan import CartanType
 from klrblocks.graded import LaurentPoly, _gdim, gdim_specht, gdim_specht_weight
-from klrblocks.morita import (_a_steps, _c_steps, a_block, bridge, c_state, from_type_c,
-                              iter_bridges, verify_bridge)
+from klrblocks.morita import (a_block, bridge, c_state, from_type_c, iter_bridges,
+                              verify_bridge)
 from klrblocks.partitions import content, lattice_state, multipartitions_of, partitions_of, size
 from klrblocks.tableaux import enumerate_standard
 
 import oracles
 from oracles import (
     a_state,
+    a_steps,
+    c_steps,
     factorizable_gdim,
     initial_tableau,
     poly_mul,
@@ -254,6 +257,29 @@ class TestOneEntryPerState:
         assert 12 < _gdim.cache_info().currsize <= 35
 
 
+class TestDeepShapes:
+    """Shapes deeper than the recursion allows are listed first and filled
+    in from the smallest size up; each answer is the sum over its tableaux,
+    for the whole module and for each tableau's weight space."""
+
+    @pytest.mark.parametrize("shape,ct,charge", [
+        (((1,) * 1200,), A, (0,)),
+        (((600,),), C, (0,)),
+        (((700,),), A, (0,)),
+    ], ids=["column-a", "row-c", "row-a"])
+    def test_matches_enumeration(self, shape, ct, charge):
+        tableaux = list(enumerate_standard(shape, ct, charge))
+        total = LaurentPoly((t.degree, 1) for t in tableaux)
+        assert 4 * size(shape) > sys.getrecursionlimit()
+        assert gdim_specht(shape, ct, charge) == total
+        for t in tableaux:
+            assert gdim_specht_weight(shape, ct, charge, t.word) == LaurentPoly({t.degree: 1})
+
+    def test_bipartition_counts_its_tableaux(self):
+        bp = ((1,) * 400, (2,))
+        assert gdim_specht(bp, A, (0, 1)).eval_at_1() == oracles.hook_count(bp)
+
+
 @lru_cache(maxsize=None)
 def omega_gdim(ct, charge, mp, omega):
     """Oracle: the sum of q^deg(t) over t in Std(mp) whose first ht(omega)
@@ -360,12 +386,12 @@ class TestBitRules:
         shapes = walk_shapes(kappa_c, 20)
         for nu, rho in shapes.items():
             zero, s = c_state(nu, kappa_c)
-            assert sorted(((zero - 1, t), d) for t, d in _c_steps(zero, s)) == sorted(
+            assert sorted(((zero - 1, t), d) for t, d in c_steps(zero, s)) == sorted(
                 (c_state(remove_node((nu,), node)[0], kappa_c), d)
                 for node, _, d in step_degrees((nu,), C, (kappa_c,))[1]
                 if kappa_c + node[1] != node[0])
             bp, charge = own_split(nu, kappa_c), (kappa_c + rho[0], rho[0])
-            assert sorted(_a_steps(a_state(bp, charge))) == sorted(
+            assert sorted(a_steps(a_state(bp, charge))) == sorted(
                 (a_state(remove_node(bp, node), charge), d)
                 for node, _, d in step_degrees(bp, A, charge)[1])
         assert len(shapes) == states

@@ -26,9 +26,9 @@ from klrblocks.partitions import conjugate, content, lattice_state, partitions_o
 from klrblocks.tableaux import enumerate_standard
 
 from oracles import (a_state, bit_good_walk, block_width, content_bridges, good_nodes,
-                     maya_labels, pairwise_dominance, prefix_shape, rect_add, remove_node,
-                     residue_sequence, tableau_to_type_c, to_type_c, width_a_walk,
-                     width_c_walk)
+                     hook_count, maya_labels, pairwise_dominance, prefix_shape, rect_add,
+                     remove_node, residue_sequence, tableau_to_type_c, to_type_c,
+                     width_a_walk, width_c_walk)
 
 A, C = CartanType.A, CartanType.C
 
@@ -96,6 +96,13 @@ class TestBridge:
         for kappa_c in range(8):
             for a0 in range(12):
                 assert morita.rectangle(kappa_c, a0)[1][0] == a0
+
+    def test_rectangle_holds_rhos_state(self):
+        # the goodpath check reads rho's state here, not off c_state per bridge
+        for kappa_c in range(8):
+            for a0 in range(12):
+                rho, _, _, state = morita.rectangle(kappa_c, a0)
+                assert state == c_state(rho, kappa_c)
 
     def test_a_beta_computed_once(self, monkeypatch):
         beta = max(iter_bridges(0, 10), key=lambda b: len(a_block(b))).beta
@@ -411,6 +418,21 @@ class TestVerifyBridge:
             monkeypatch.setattr(morita, "a_block", lambda _: edited)
         assert not verify_bridge(b, ("count",))["pass"]
 
+    def test_failing_kleshchev_reports_its_own_c_set(self, monkeypatch):
+        # equal sets share one sorted list; unequal ones each keep their own
+        b = bridge(0, RootVector({0: 2, 1: 3, 2: 2, 3: 1}))
+        passing = verify_bridge(b, ("kleshchev",))["checks"]["kleshchev"]
+        assert passing["pass"] and passing["a_image"] is passing["c_set"]
+        edited = dict(a_block(b))
+        del edited[((1,), (2, 1))]  # a Kleshchev member
+        monkeypatch.setattr(morita, "a_block", lambda _: edited)
+        klesh = verify_bridge(b, ("kleshchev",))["checks"]["kleshchev"]
+        assert not klesh["pass"]
+        assert klesh["c_set"] == passing["c_set"] == sorted(
+            list(nu) for nu in c_block(b) if morita.c_kleshchev(*c_state(nu, 0)))
+        assert klesh["a_image"] == [nu for nu in klesh["c_set"]
+                                    if nu != list(to_type_c(((1,), (2, 1)), b))]
+
     def test_report_follows_all_checks_order(self):
         # the report lists each check once, in ALL_CHECKS order, whatever
         # the order and repeats of the request
@@ -515,12 +537,12 @@ class TestVerifyBridge:
         assert verify_bridge(b, checks)["pass"]
         assert calls == []
         # all five checks build each block once, build each shape's state
-        # once (and rho's, for goodpath), test each state for Kleshchev
+        # once (rho's is the rectangle's), test each state for Kleshchev
         # once, and walk down from each pair's type-C shape once: one
         # entry holds its tableau count and its polynomial
         verify_bridge(b)
         n = len(a_block(b))
-        assert len(calls) == {"a_block": 1, "c_state": n + 1,
+        assert len(calls) == {"a_block": 1, "c_state": n,
                               "c_kleshchev": n, "c_walk": n}[unread]
 
     def test_shapeless_bridge_is_listed_once_per_call(self, monkeypatch):
@@ -724,6 +746,19 @@ class TestWalks:
             b = maximal(kappa_c, a0)
             assert verify_bridge(b, ("graded",))["pass"]
             self.assert_entries(b)
+
+    @pytest.mark.parametrize("kappa_c", [0, 1, 2])
+    def test_counts_are_hook_counts(self, kappa_c):
+        # both walks count a pair's tableaux, C(|lambda| + |mu|, |lambda|)
+        # f^lambda f^mu (ROADMAP finding 6), with no walk oracle
+        bridges = list(iter_bridges(kappa_c, 24))
+        if kappa_c == 0:
+            bridges += [maximal(0, a0) for a0 in range(1, 7)]
+        for b in bridges:
+            counts = morita._Block(b, False).walks[1]
+            assert len(counts) == len(a_block(b))
+            for bp, (n_c, n_a) in zip(a_block(b), counts):
+                assert n_c == n_a == hook_count(bp)
 
     def test_cleared_memos_start_over_at_width_0(self):
         # as maximal_blocks.py clears them before each check: a graded block
