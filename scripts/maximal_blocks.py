@@ -5,12 +5,14 @@ The maximal block of defect a0 at kappa_c = K is the block of the
 rectangle (a0^(2 a0 + 2 K)) of charge K: its height is 2 a0 (a0 + K) and
 it has C(2 a0 + K, a0) shapes.  For each a0 up to
 --max-a0 the block is listed once; then each check runs in its own
-verify_bridge call, after the package's memos are cleared, so that its
-time is its cost alone.  One line per block gives the seconds of each
-check, the verdict and the peak RSS of the process so far.  A check that
-runs out of memory is written as check=MemoryError and fails the block;
-the run goes on with the next check and exits 1 at the end.  Ctrl-C
-stops the run with "error: interrupted" and exit code 130.
+verify_bridge call, in a child process forked after the listing, with
+the package's memos cleared, so that its time and memory are its cost
+alone.  One line per block gives each check's seconds and the peak RSS
+of its process, as count=2.120s/83.1MB, and the verdict.  A check that
+runs out of memory is written as check=MemoryError/<peak>MB, and one
+whose process ends without a verdict as check=died/<peak>MB; either
+fails the block, and the run goes on with the next check and exits 1 at
+the end.  Ctrl-C stops the run with "error: interrupted" and exit code 130.
 
 Example:
     python scripts/maximal_blocks.py --max-a0 5 --kappa-c 1
@@ -18,9 +20,10 @@ Example:
 
 import argparse
 import os
-import resource
+import signal
 import sys
 import time
+import traceback
 from pathlib import Path
 
 # Import the package from this checkout's src/, installed or not.
@@ -33,6 +36,54 @@ from klrblocks.partitions import content
 
 MEMOS = (graded._gdim, morita.c_walk, morita.a_walk, morita.c_kleshchev,
          morita.a_kleshchev, morita.c_good_walk, morita.rectangle, morita.rho_gdim)
+
+
+def timed(b, check):
+    """One check's seconds and verdict, run on cleared memos."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    start = time.perf_counter()
+    try:
+        passed = verify_bridge(b, [check])["pass"]
+    except MemoryError:
+        return "MemoryError", False
+    return f"{time.perf_counter() - start:.3f}s", passed
+
+
+def run_alone(b, check):
+    """timed(b, check) in a child process, and the child's peak RSS in MB.
+    A child stopped by Ctrl-C stops the run."""
+    r, w = os.pipe()
+    # forked, not spawned: the child starts with the listed block
+    pid = os.fork()
+    if pid == 0:  # the child, which never returns into the caller
+        code = 1
+        try:
+            os.close(r)
+            cell, passed = timed(b, check)
+            os.write(w, f"{cell} {int(passed)}".encode())
+            code = 0
+        except KeyboardInterrupt:
+            code = 130
+        except Exception:
+            traceback.print_exc()
+        finally:
+            sys.stderr.flush()
+            os._exit(code)
+    os.close(w)
+    try:
+        with os.fdopen(r, "rb") as reader:
+            verdict = reader.read().decode().split()
+        _, status, usage = os.wait4(pid, 0)
+    except BaseException:
+        # the parent is stopped first: the child must not run on alone
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if os.waitstatus_to_exitcode(status) == 130:
+        raise KeyboardInterrupt
+    cell, passed = verdict if verdict else ("died", "0")
+    return f"{cell}/{usage.ru_maxrss / 1024:.1f}MB", passed == "1"
 
 
 def main():
@@ -54,23 +105,12 @@ def main():
             b = one_block_bridge(kappa_c, content(CartanType.C, (kappa_c,), rect))
             cells, ok = [], True
             for check in ALL_CHECKS:
-                for memo in MEMOS:
-                    memo.cache_clear()
-                start = time.perf_counter()
-                try:
-                    passed = verify_bridge(b, [check])["pass"]
-                except MemoryError:
-                    # the next check starts on cleared memos all the same
-                    passed, cell = False, "MemoryError"
-                else:
-                    cell = f"{time.perf_counter() - start:.3f}s"
+                cell, passed = run_alone(b, check)
                 ok = passed and ok
                 cells.append(f"{check}={cell}")
             all_ok = all_ok and ok
-            rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             print(f"a0={a0} height={b.beta.height} shapes={len(b.c_shapes)}  "
-                  f"{'  '.join(cells)}  {'pass' if ok else 'FAIL'}  "
-                  f"peak_rss_mb={rss_mb:.1f}", flush=True)
+                  f"{'  '.join(cells)}  {'pass' if ok else 'FAIL'}", flush=True)
     except BrokenPipeError:
         # the reader closed stdout early; what is still buffered goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

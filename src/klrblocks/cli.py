@@ -86,7 +86,25 @@ def fmt_shape(shape: MultiPartition) -> str:
     return "/".join(",".join(map(str, p)) or "-" for p in shape)
 
 
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+def _make_encode() -> Callable[[Any], str]:
+    """json.dumps(obj, separators=(",", ":")) as one encoder built once.
+    Every answer is a tree of lists and dicts made afresh by the call that
+    writes it, so it holds no cycle, and the encoder keeps no markers dict
+    to look for one; json.dumps builds a new encoder, and logs every list
+    and dict it writes, on each call.  Without the C accelerator (an
+    interpreter built without CPython's _json module) the pure-Python
+    encoder is the only path, with the cycle check dropped all the same."""
+    make = getattr(json.encoder, "c_make_encoder", None)
+    if make is None:
+        return json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+    # markers, default, string encoder, indent, key and item separators,
+    # sort_keys, skipkeys, allow_nan: json.dumps's compact settings
+    encoder = make(None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+                   None, ":", ",", False, False, True)
+    return lambda obj: "".join(encoder(obj, 0))
+
+
+_encode = _make_encode()
 
 
 def emit(records, fmt: str, columns: Sequence[str] = ()) -> None:

@@ -276,6 +276,24 @@ class TestBridge:
         assert record["bridge"]["rho"] == [1]
 
 
+# the full battery's stdout to height 14, in each format
+REPORT_DIGESTS = [
+    ("json", 0, "384dab49301e0e75e31474c4d207fe006263834a5b10a4eb25f82441afc39c37"),
+    ("json", 1, "b9332b17f76d66a0210435a41411332d620d1d10627842d57fcc2dcc89b7f5c7"),
+    ("json", 2, "a027a620f6995f04c46b4daddfa0f7f1648907a9d847128700d1d015f77f7650"),
+    ("csv", 0, "a1029a6e40221c1c05bff2986a96af60c363e39ca4556e934a594e80b298b338"),
+    ("csv", 1, "97336f6e7914c2caa51e833e12be449709d78949e9e013da2a476b8331856c4e"),
+    ("csv", 2, "843d452cd36668fe1f6125016c24f86e3649fc5cb79cdede530e7889cec9c318"),
+    ("pretty", 0, "db22a89c68f8bd7f8f6dc9d419e696069589acac1bb2776020e9fae2ec1be235"),
+    ("pretty", 1, "77f5c9613d536dd913697f7ceee4cc1832e6a23a46f23b6095615611ab11a164"),
+    ("pretty", 2, "efa5c76d65ba1b5bca60ce72107e54cb384e9d5e1c4c92df571a513638645581"),
+]
+
+
+def report_argv(kappa_c):
+    return ("verify", "--kappa-c", str(kappa_c), "--max-n", "14")
+
+
 class TestVerify:
     def test_all_pass(self, capsys):
         code, out = run(capsys, "verify", "--kappa-c", "0", "--max-n", "5",
@@ -301,22 +319,13 @@ class TestVerify:
         assert outs[0] == outs[1]
         assert outs[0][0] == 0
 
-    @pytest.mark.parametrize("fmt, kappa_c, digest", [
-        ("json", 0, "384dab49301e0e75e31474c4d207fe006263834a5b10a4eb25f82441afc39c37"),
-        ("json", 1, "b9332b17f76d66a0210435a41411332d620d1d10627842d57fcc2dcc89b7f5c7"),
-        ("json", 2, "a027a620f6995f04c46b4daddfa0f7f1648907a9d847128700d1d015f77f7650"),
-        ("csv", 0, "a1029a6e40221c1c05bff2986a96af60c363e39ca4556e934a594e80b298b338"),
-        ("csv", 1, "97336f6e7914c2caa51e833e12be449709d78949e9e013da2a476b8331856c4e"),
-        ("csv", 2, "843d452cd36668fe1f6125016c24f86e3649fc5cb79cdede530e7889cec9c318"),
-        ("pretty", 0, "db22a89c68f8bd7f8f6dc9d419e696069589acac1bb2776020e9fae2ec1be235"),
-        ("pretty", 1, "77f5c9613d536dd913697f7ceee4cc1832e6a23a46f23b6095615611ab11a164"),
-        ("pretty", 2, "efa5c76d65ba1b5bca60ce72107e54cb384e9d5e1c4c92df571a513638645581"),
-    ], ids=["0", "1", "2", "csv-0", "csv-1", "csv-2", "pretty-0", "pretty-1", "pretty-2"])
+    @pytest.mark.parametrize("fmt, kappa_c, digest", REPORT_DIGESTS,
+                             ids=["0", "1", "2", "csv-0", "csv-1", "csv-2",
+                                  "pretty-0", "pretty-1", "pretty-2"])
     def test_reports_pinned_byte_for_byte(self, capsys, fmt, kappa_c, digest):
-        # the full battery's stdout to height 14, in each format; a change to
-        # how the checks are computed must leave every report byte as it was
-        code, out = run(capsys, "--format", fmt, "verify", "--kappa-c", str(kappa_c),
-                        "--max-n", "14")
+        # a change to how the checks are computed must leave every report
+        # byte as it was
+        code, out = run(capsys, "--format", fmt, *report_argv(kappa_c))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -492,6 +501,18 @@ SINGLE_ANSWERS = [
      "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
 ]
 
+# every answer pinned: (argv, format, digest of the bytes)
+ANSWER_DIGESTS = [
+    (TABLEAUX, "json", "9ea8445e8331c0a30dd85a67fdf43b2fc115e5785f87e7d09a8e2cb2b470d101"),
+    (TABLEAUX, "csv", "c0912222c839af537beadfd721553042d48bddca0dfa0275cd26b5f9d8e7dde5"),
+    (TABLEAUX, "pretty", "b1d422ce65aa8d39a15dc85852b0ba8a0e0389e2bfff443fbd75e9989899dff7"),
+    (KLESHCHEV_LIST, "json", "09b6019104862ba7bd5698410640bd9bd1e99197b0df867cce6f0d70f79cba57"),
+    (KLESHCHEV_LIST, "csv", "711ea40d2c915554cb2a7c6c3057c1e4c6c040c5527571244651fadd981be676"),
+    (KLESHCHEV_LIST, "pretty",
+     "74c113bc252c21157e33deba22aa24afe89e938c2d5ff336c6c3a13a418b54be"),
+] + [(argv, fmt, digest) for argv, *digests in SINGLE_ANSWERS
+     for fmt, digest in zip(FORMATS, digests)]
+
 
 class TestListsStream:
     # tableaux and kleshchev --n write each record as it is made, with the
@@ -499,18 +520,7 @@ class TestListsStream:
     # single answers, encoded whole, keep the bytes they had when each
     # record was encoded on its own
 
-    @pytest.mark.parametrize("argv, fmt, digest", [
-        (TABLEAUX, "json", "9ea8445e8331c0a30dd85a67fdf43b2fc115e5785f87e7d09a8e2cb2b470d101"),
-        (TABLEAUX, "csv", "c0912222c839af537beadfd721553042d48bddca0dfa0275cd26b5f9d8e7dde5"),
-        (TABLEAUX, "pretty", "b1d422ce65aa8d39a15dc85852b0ba8a0e0389e2bfff443fbd75e9989899dff7"),
-        (KLESHCHEV_LIST, "json",
-         "09b6019104862ba7bd5698410640bd9bd1e99197b0df867cce6f0d70f79cba57"),
-        (KLESHCHEV_LIST, "csv",
-         "711ea40d2c915554cb2a7c6c3057c1e4c6c040c5527571244651fadd981be676"),
-        (KLESHCHEV_LIST, "pretty",
-         "74c113bc252c21157e33deba22aa24afe89e938c2d5ff336c6c3a13a418b54be"),
-    ] + [(argv, fmt, digest) for argv, *digests in SINGLE_ANSWERS
-         for fmt, digest in zip(FORMATS, digests)])
+    @pytest.mark.parametrize("argv, fmt, digest", ANSWER_DIGESTS)
     def test_bytes_pinned(self, capsys, argv, fmt, digest):
         code, out = run(capsys, "--format", fmt, *argv)
         assert code == 0
@@ -558,30 +568,83 @@ def emitted(records, fmt, columns=()):
     return out.getvalue()
 
 
-CELLS = st.recursive(st.one_of(st.integers(), st.text(max_size=4), st.booleans()),
-                     lambda cells: st.lists(cells, max_size=3), max_leaves=6)
+CELLS = st.recursive(
+    st.one_of(st.integers(), st.integers(min_value=2**64), st.integers(max_value=-2**64),
+              st.text(max_size=4), st.text(st.characters(min_codepoint=0x80), max_size=3),
+              st.text(st.characters(max_codepoint=0x1F), max_size=3), st.booleans(),
+              st.none()),
+    lambda cells: st.lists(cells, max_size=3), max_leaves=6)
+
+
+def dumps(obj):
+    return json.dumps(obj, separators=(",", ":"))
 
 
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_one_encode_is_the_stream(data):
     # a whole answer is encoded in one call and a streamed one row by row:
-    # the same rows give the same bytes either way, no row included
+    # the same rows give the same bytes either way, no row included, and
+    # the bytes of json.dumps
     keys = data.draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=3,
                               unique=True))
     rows = data.draw(st.lists(st.fixed_dictionaries(dict.fromkeys(keys, CELLS)),
                               max_size=4))
     for fmt in FORMATS:
         assert emitted(rows, fmt, keys) == emitted((r for r in rows), fmt, keys)
+    assert cli._encode(rows) == dumps(rows)
     # rows that are lists, as gdim writes them in json and pretty
     pairs = data.draw(st.lists(st.lists(CELLS, max_size=3), max_size=4))
     for fmt in ("json", "pretty"):
         assert emitted(pairs, fmt) == emitted((r for r in pairs), fmt)
+    assert cli._encode(pairs) == dumps(pairs)
     # a dict is one row, written in json as the object itself
     row = data.draw(st.fixed_dictionaries(dict.fromkeys(keys, CELLS)))
-    assert emitted(row, "json") == json.dumps(row, separators=(",", ":")) + "\n"
+    assert emitted(row, "json") == dumps(row) + "\n"
     for fmt in ("csv", "pretty"):
         assert emitted(row, fmt, keys) == emitted((r for r in [row]), fmt, keys)
+    # one list under two keys, as kleshchev's a_image and c_set and the
+    # dominance witnesses share theirs: written out twice, not refused
+    shared = data.draw(st.lists(CELLS, max_size=3))
+    twice = {"a_image": shared, "c_set": shared, "rows": [shared, shared]}
+    assert emitted(twice, "json") == dumps(twice) + "\n"
+    assert emitted([twice, twice], "json") == emitted((r for r in [twice, twice]), "json")
+    # a value json cannot encode raises json.dumps's error, and leaves
+    # nothing behind: the same lists, once it is taken out, encode as ever
+    bad = {**row, "bad": [shared, data.draw(st.sampled_from([{1}, object(), 1j, b""]))]}
+    with pytest.raises(TypeError) as expected:
+        dumps(bad)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+        cli._encode(bad)
+    bad["bad"].pop()
+    assert cli._encode(bad) == dumps(bad)
+
+
+@pytest.fixture
+def python_encoder(monkeypatch):
+    """cli._encode as it is built where json has no C accelerator."""
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii",
+                        json.encoder.py_encode_basestring_ascii)
+    monkeypatch.setattr(cli, "_encode", cli._make_encode())
+    assert cli._encode.__self__.check_circular is False
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (report_argv(kappa_c), digest) for fmt, kappa_c, digest in REPORT_DIGESTS
+    if fmt == "json"
+] + [(argv, digest) for argv, fmt, digest in ANSWER_DIGESTS if fmt == "json"])
+def test_pinned_json_without_the_c_encoder(capsys, python_encoder, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_python_encoder_refuses_what_json_dumps_does(python_encoder):
+    shared = [1, "é\x01", None, 2**70]
+    assert cli._encode({"a": shared, "b": [shared]}) == dumps({"a": shared, "b": [shared]})
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        cli._encode([{1}])
 
 
 def fails_cleanly(capsys, *argv):

@@ -90,12 +90,12 @@ def test_maximal_blocks_lines(tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) == 3
     for a0, line in enumerate(lines, start=1):
-        head, *cells, verdict, rss = line.split("  ")
+        head, *cells, verdict = line.split("  ")
         assert head == f"a0={a0} height={2 * a0 * a0} shapes={comb(2 * a0, a0)}"
         assert [cell.split("=")[0] for cell in cells] == list(ALL_CHECKS)
-        assert all(re.fullmatch(r"\d+\.\d{3}s", cell.split("=")[1]) for cell in cells)
+        assert all(re.fullmatch(r"\d+\.\d{3}s/\d+\.\dMB", cell.split("=")[1])
+                   for cell in cells)
         assert verdict == "pass"
-        assert re.fullmatch(r"peak_rss_mb=\d+\.\d", rss)
 
 
 def test_maximal_blocks_at_kappa_c(tmp_path):
@@ -109,7 +109,7 @@ def test_maximal_blocks_at_kappa_c(tmp_path):
     heads = [line.split("  ")[0] for line in proc.stdout.splitlines()]
     assert heads == [f"a0={a0} height={2 * a0 * (a0 + 1)} shapes={comb(2 * a0 + 1, a0)}"
                      for a0 in (1, 2)]
-    assert all(line.split("  ")[-2] == "pass" for line in proc.stdout.splitlines())
+    assert all(line.split("  ")[-1] == "pass" for line in proc.stdout.splitlines())
 
 
 def load_script(name):
@@ -119,25 +119,72 @@ def load_script(name):
     return script
 
 
-def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys):
-    # every check runs alone, in its own verify_bridge call, on empty memos
+def logged(path, *record):
+    # each check runs in a child process, which can pass nothing back but a file
+    with open(path, "a") as log:
+        log.write(json.dumps(record) + "\n")
+
+
+def read_log(path):
+    return [tuple(json.loads(line)) for line in path.read_text().splitlines()]
+
+
+def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys, tmp_path):
+    # every check runs alone, in its own verify_bridge call, on empty memos,
+    # in a process of its own
     script = load_script("maximal_blocks")
-    real, calls = script.verify_bridge, []
+    real, log = script.verify_bridge, tmp_path / "calls"
 
     def recording(b, checks):
         sizes = [memo.cache_info().currsize
                  for memo in (morita.c_kleshchev, morita.a_kleshchev,
                               morita.c_good_walk, graded._gdim, morita.c_walk,
                               morita.a_walk, morita.rectangle, morita.rho_gdim)]
-        calls.append((b.a0, tuple(checks), sizes))
+        logged(log, b.a0, checks, sizes, os.getpid())
         return real(b, checks)
 
     monkeypatch.setattr(script, "verify_bridge", recording)
     monkeypatch.setattr(sys, "argv", ["maximal_blocks.py", "--max-a0", "2"])
     assert script.main() == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
-    assert calls == [(a0, (check,), [0] * 8)
-                     for a0 in (1, 2) for check in ALL_CHECKS]
+    calls = read_log(log)
+    assert [call[:3] for call in calls] == [(a0, [check], [0] * 8)
+                                            for a0 in (1, 2) for check in ALL_CHECKS]
+    assert len({pid for *_, pid in calls} - {os.getpid()}) == len(calls)
+
+
+# maximal_blocks.py run with its graded check holding 100 MB more than the
+# others: a new interpreter, whose peak before the checks is small
+GRADED_GROWS = """\
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("maximal_blocks", sys.argv[1])
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+real = script.verify_bridge
+
+def graded_grows(b, checks):
+    ballast = b"x" * (100 << 20) if checks == ["graded"] else b""  # held until return
+    return real(b, checks)
+
+script.verify_bridge = graded_grows
+sys.argv[1:] = ["--max-a0", "1"]
+sys.exit(script.main())
+"""
+
+
+def test_maximal_blocks_peak_is_each_checks_own(tmp_path):
+    # the graded check reads 100 MB more than the others, and the check
+    # after it does not inherit its peak
+    proc = subprocess.run([sys.executable, "-c", GRADED_GROWS,
+                           str(SCRIPTS / "maximal_blocks.py")],
+                          cwd=tmp_path, env=NO_PYTHONPATH, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    _, *cells, _ = proc.stdout.rstrip("\n").split("  ")
+    peaks = {cell.split("=")[0]: float(cell.split("/")[1][:-2]) for cell in cells}
+    others = [peaks[check] for check in ALL_CHECKS if check != "graded"]
+    assert peaks["graded"] > max(others) + 90
+    assert peaks["dominance"] < peaks["graded"] - 90
 
 
 @pytest.mark.parametrize("script,work,argv", [
@@ -158,14 +205,14 @@ def test_ctrl_c_exits_130_quietly(monkeypatch, capsys, script, work, argv):
     assert capsys.readouterr() == ("", "error: interrupted\n")
 
 
-def test_maximal_blocks_goes_on_after_running_out_of_memory(monkeypatch, capsys):
+def test_maximal_blocks_goes_on_after_running_out_of_memory(monkeypatch, capsys, tmp_path):
     # a check that runs out of memory is written as such, and every later
     # check still runs, on cleared memos
     script = load_script("maximal_blocks")
-    real, calls = script.verify_bridge, []
+    real, log = script.verify_bridge, tmp_path / "calls"
 
     def graded_runs_out(b, checks):
-        calls.append((b.a0, tuple(checks), morita.c_walk.cache_info().currsize))
+        logged(log, b.a0, checks, morita.c_walk.cache_info().currsize)
         if checks == ["graded"]:
             morita.c_walk(*morita.c_state(b.rho, b.kappa_c))  # fills a memo
             raise MemoryError
@@ -174,11 +221,32 @@ def test_maximal_blocks_goes_on_after_running_out_of_memory(monkeypatch, capsys)
     monkeypatch.setattr(script, "verify_bridge", graded_runs_out)
     monkeypatch.setattr(sys, "argv", ["maximal_blocks.py", "--max-a0", "2"])
     assert script.main() == 1
-    assert calls == [(a0, (check,), 0) for a0 in (1, 2) for check in ALL_CHECKS]
+    assert read_log(log) == [(a0, [check], 0) for a0 in (1, 2) for check in ALL_CHECKS]
     for line in capsys.readouterr().out.splitlines():
-        _, *cells, verdict, _ = line.split("  ")
-        assert [cell.split("=")[1] == "MemoryError" for cell in cells] == [
+        _, *cells, verdict = line.split("  ")
+        assert [cell.split("=")[1].split("/")[0] == "MemoryError" for cell in cells] == [
             check == "graded" for check in ALL_CHECKS]
+        assert verdict == "FAIL"
+
+
+def test_maximal_blocks_check_that_dies_fails_the_block(monkeypatch, capsys):
+    # a check whose process ends without a verdict fails its block, and the
+    # run goes on
+    script = load_script("maximal_blocks")
+    real = script.verify_bridge
+
+    def kleshchev_breaks(b, checks):
+        if checks == ["kleshchev"]:
+            raise RuntimeError("broken")
+        return real(b, checks)
+
+    monkeypatch.setattr(script, "verify_bridge", kleshchev_breaks)
+    monkeypatch.setattr(sys, "argv", ["maximal_blocks.py", "--max-a0", "2"])
+    assert script.main() == 1
+    for line in capsys.readouterr().out.splitlines():
+        _, *cells, verdict = line.split("  ")
+        assert [cell.split("=")[1].split("/")[0] == "died" for cell in cells] == [
+            check == "kleshchev" for check in ALL_CHECKS]
         assert verdict == "FAIL"
 
 
