@@ -15,9 +15,12 @@ the two sides would not compare.  For each end-to-end metric of the change's
 change's median, the change in percent, the pairs the change won (ties
 count for neither side) and a verdict: ``gain`` when the change won at
 least 9 in 10 of the pairs and its median is better than the parent's by
-more than the parent's interquartile range, ``worse`` when its median is
-worse than the parent's by more than the metric's ``bound`` (a fraction
-of the parent's median), else ``-``.  With ``--label L`` the last pair's
+more than the parent's interquartile range; else ``unresolved`` when that
+range is wider than the metric's ``bound`` (a fraction of the parent's
+median) and some run of the change is no better than some run of the
+parent, since a spread that wide hides a change within the bound;
+else ``worse`` when the change's median is worse than the parent's by
+more than the bound, else ``-``.  With ``--label L`` the last pair's
 two lines are written, as run.py printed them, to ``BENCH_L_parent.json``
 and ``BENCH_L_change.json`` in the current directory.
 
@@ -83,8 +86,14 @@ def summary(metrics, runs):
         p_med, c_med = statistics.median(parent), statistics.median(change)
         q1, q3 = quartiles(parent)
         delta = f"{100 * (c_med - p_med) / p_med:+.1f}%" if p_med else "n/a"
+        # a parent spread wider than the bound hides any change within it,
+        # unless every run of the change beats every run of the parent
+        apart = max(sign * c for c in change) < min(sign * p for p in parent)
+        hidden = q3 - q1 > m["bound"] * abs(p_med) and not apart
         if 10 * wins >= 9 * n and sign * (p_med - c_med) > q3 - q1:
             verdict = "gain"
+        elif hidden:
+            verdict = "unresolved"
         elif sign * (c_med - p_med) > m["bound"] * abs(p_med):
             verdict = "worse"
         else:

@@ -8,11 +8,14 @@ it has C(2 a0 + K, a0) shapes.  For each a0 up to
 verify_bridge call, in a child process forked after the listing, with
 the package's memos cleared, so that its time and memory are its cost
 alone.  One line per block gives each check's seconds and the peak RSS
-of its process, as count=2.120s/83.1MB, and the verdict.  A check that
-runs out of memory is written as check=MemoryError/<peak>MB, and one
-whose process ends without a verdict as check=died/<peak>MB; either
-fails the block, and the run goes on with the next check and exits 1 at
-the end.  Ctrl-C stops the run with "error: interrupted" and exit code 130.
+of its process, as count=2.120s/83.1MB, and the verdict.  A child's peak
+includes whatever the forking process held: run on its own, the script
+holds the interpreter and the listing, but a caller that runs main()
+inside a large process reads that process's size, not the check's.  A
+check that runs out of memory is written as check=MemoryError/<peak>MB,
+and one whose process ends without a verdict as check=died/<peak>MB;
+either fails the block, and the run goes on with the next check and
+exits 1 at the end.  Ctrl-C stops the run with "error: interrupted" and exit code 130.
 
 Example:
     python scripts/maximal_blocks.py --max-a0 5 --kappa-c 1
@@ -35,7 +38,8 @@ from klrblocks.morita import ALL_CHECKS, one_block_bridge, verify_bridge
 from klrblocks.partitions import content
 
 MEMOS = (graded._gdim, morita.c_walk, morita.a_walk, morita.c_kleshchev,
-         morita.a_kleshchev, morita.c_good_walk, morita.rectangle, morita.rho_gdim)
+         morita.a_kleshchev, morita.c_good_walk, morita.rectangle, morita.rho_gdim,
+         morita._lane_rows, morita._image_top, morita._image_bottom)
 
 
 def timed(b, check):

@@ -31,7 +31,11 @@ multiple of 16 and only grows: when a block's gdim(rho)(1) times its
 largest count needs more bits, both memos are cleared, since no narrower
 entry is read again.  The memos found empty start over at K = 0.  What
 depends on (kappa_c, a0) alone, rho's content, its JSON, its state and
-gdim(rho), is built once per process (rectangle, rho_gdim).  The
+gdim(rho), is built once per process (rectangle, rho_gdim).  So is each
+decode of a partition that a sweep repeats: a type-A lane's rows, keyed
+by its bits and charge (_lane_rows), and the two pieces of a member's
+image, rho's rows with lambda added, keyed by (lambda, a0, len(rho))
+(_image_top), and mu', keyed by mu (_image_bottom).  The
 Kleshchev check's two tests follow one good node (c_kleshchev,
 a_kleshchev), and the good-path check searches good removals
 (c_good_walk); each loops over the removable bits top first.
@@ -101,7 +105,8 @@ class BlockBridge(NamedTuple):
             "beta": self.beta.to_json(),
             "a0": self.a0,
             "rho": list(self.rho),
-            "omega": rectangle(self.kappa_c, self.a0)[2],
+            # a copy: a caller may edit its report, never the memo
+            "omega": dict(rectangle(self.kappa_c, self.a0)[2]),
             "kappa1": self.kappa1,
             "kappa2": self.kappa2,
         }
@@ -192,9 +197,11 @@ def a_block(b: BlockBridge) -> Dict[Bipartition, int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def _lane_rows(bits: int, k: int) -> Partition:
     """The partition of charge k whose Maya set is every u < 0 and each set
-    bit 2u of bits: row j is u_j - k + j, read top first while positive."""
+    bit 2u of bits: row j is u_j - k + j, read top first while positive.
+    Memoized: a block's members repeat each lane, and a sweep its blocks'."""
     rows = []
     while bits:
         u = bits.bit_length() - 1 >> 1
@@ -208,12 +215,25 @@ def _lane_rows(bits: int, k: int) -> Partition:
 
 def _rect_image(bp: Bipartition, b: BlockBridge) -> Partition:
     """(lambda, mu) -> rho + (lambda, mu'), with no membership check: a0 +
-    lambda_r in each of rho's rows, then the rows of mu'.  A member of the
-    type-A block fits: a node of lambda below row kappa_c + a0, or of mu
-    below row a0, would have residue 0."""
+    lambda_r in each of rho's rows (_image_top), then the rows of mu'
+    (_image_bottom).  A member of the type-A block fits: a node of lambda
+    below row kappa_c + a0, or of mu below row a0, would have residue 0.
+    Both pieces are memoized, since a sweep's blocks repeat them."""
     lam, mu = bp
-    a = b.a0
-    return tuple([a + x for x in lam]) + (a,) * (len(b.rho) - len(lam)) + conjugate(mu)
+    return _image_top(lam, b.a0, len(b.rho)) + _image_bottom(mu)
+
+
+@lru_cache(maxsize=None)
+def _image_top(lam: Partition, a0: int, h: int) -> Partition:
+    """The h rows of rho = (a0^h) with lambda added to them: a0 + lambda_r,
+    then a0 in each row lambda leaves empty."""
+    return tuple([a0 + x for x in lam]) + (a0,) * (h - len(lam))
+
+
+@lru_cache(maxsize=None)
+def _image_bottom(mu: Partition) -> Partition:
+    """mu', the rows of the image below rho."""
+    return conjugate(mu)
 
 
 def from_type_c(nu: Partition, b: BlockBridge) -> Bipartition:

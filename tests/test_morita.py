@@ -34,6 +34,9 @@ A, C = CartanType.A, CartanType.C
 
 MICRO = RootVector({0: 1, 1: 2})
 
+# the memos of a_block's rows and of the two pieces of a member's image
+IMAGE_MEMOS = (morita._lane_rows, morita._image_top, morita._image_bottom)
+
 
 def outer_calls(monkeypatch, name):
     """The list of the argument tuples of the calls that the checks make to
@@ -188,14 +191,25 @@ class TestBlockMap:
     @pytest.mark.parametrize("kappa_c", [0, 1, 2])
     def test_rect_image_matches_rect_add(self, kappa_c):
         # the direct image of a block member against the checked
-        # rectangle addition, on every bridge up to height 14
-        members = 0
-        for b in iter_bridges(kappa_c, 14):
-            for bp in a_block(b):
-                lam, mu = bp
-                assert morita._rect_image(bp, b) == rect_add(b.rho, lam, conjugate(mu))
-                members += 1
-        assert members > 0
+        # rectangle addition, on every bridge up to height 14 and the
+        # maximal blocks up to a0 = 6 at kappa_c = 0 and 5 at kappa_c = 1:
+        # once on the decode memos as the bridges before left them, once
+        # on memos cleared before each bridge
+        max_a0 = {0: 6, 1: 5}.get(kappa_c, 0)
+        bridges = [*iter_bridges(kappa_c, 14),
+                   *(maximal(kappa_c, a0) for a0 in range(1, max_a0 + 1))]
+        for cold in (False, True):
+            members = 0
+            for b in bridges:
+                if cold:
+                    for memo in IMAGE_MEMOS:
+                        memo.cache_clear()
+                for bp in a_block(b):
+                    lam, mu = bp
+                    image = morita._rect_image(bp, b)
+                    assert image == rect_add(b.rho, lam, conjugate(mu))
+                    members += 1
+            assert members > 0
 
 
 class TestTableauTransport:
@@ -607,7 +621,7 @@ class TestVerifyBridge:
         cold = []
         for b in bridges:
             for memo in (graded._gdim, morita.c_walk, morita.a_walk, morita.rectangle,
-                         morita.rho_gdim):
+                         morita.rho_gdim, *IMAGE_MEMOS):
                 memo.cache_clear()
             cold.append(verify_bridge(b))
         assert shared == cold
@@ -621,7 +635,8 @@ class TestVerifyBridge:
         shared = [verify_bridge(b, checks) for b in bridges]
         cold = []
         for b in bridges:
-            for memo in (morita.c_kleshchev, morita.a_kleshchev, morita.c_good_walk):
+            for memo in (morita.c_kleshchev, morita.a_kleshchev, morita.c_good_walk,
+                         *IMAGE_MEMOS):
                 memo.cache_clear()
             cold.append(verify_bridge(b, checks))
         assert shared == cold
@@ -811,8 +826,17 @@ class TestWalks:
         b1, b2 = (bridge(1, content(C, (1,), (nu,))) for nu in ((2, 2, 2), (3, 2, 2, 1)))
         assert b1.a0 == b2.a0 == 2 and b1.beta != b2.beta
         assert b1.omega is b2.omega
-        assert b1.to_json()["omega"] is b2.to_json()["omega"]
-        assert b1.to_json()["omega"] == b1.omega.to_json()
+        assert b1.to_json()["omega"] == b2.to_json()["omega"] == b1.omega.to_json()
+
+    def test_edited_report_leaves_rectangle_alone(self):
+        # each report owns its omega: an edit to one reaches neither the
+        # next report of the same (kappa_c, a0) nor the rectangle memo
+        b1, b2 = (bridge(1, content(C, (1,), (nu,))) for nu in ((2, 2, 2), (3, 2, 2, 1)))
+        omega = b1.omega.to_json()
+        verify_bridge(b1)["bridge"]["omega"]["0"] = 99
+        assert verify_bridge(b2)["bridge"]["omega"] == omega
+        assert verify_bridge(b1)["bridge"]["omega"] == omega
+        assert morita.rectangle(1, 2)[2] == omega
         rho = gdim_specht((b1.rho,), C, b1.c_charge)
         low = min(e for e, _ in rho.items())
         assert morita.rho_gdim(1, 2, 0) == (low, rho.eval_at_1())

@@ -261,9 +261,9 @@ def test_every_memo_is_cleared():
                      if hasattr(obj, "cache_clear"))
     assert {memo_name(memo) for memo in load_script("maximal_blocks").MEMOS} == found
     readme = (ROOT / "README.md").read_text()
-    section = readme[readme.index("Eight memos live"):readme.index("Each is a `functools")]
+    section = readme[readme.index("Eleven memos live"):readme.index("Each is a `functools")]
     assert set(re.findall(r"^- `(\w+\.\w+)`", section, re.M)) == found
-    assert len(found) == 8
+    assert len(found) == 11
 
 
 def memo_name(memo):
@@ -336,32 +336,42 @@ def test_bench_pairs_alternates_and_summarises(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == "queries: 4 pairs, seeds 5-8, 3 s per run"
     # medians 1.15 and 1.0, quartiles of the parent 1.025 and 1.275, 3 wins
-    # of 4, so no verdict; on ok_ratio all 4 pairs tie
+    # of 4: no gain, and the parent's spread of 0.25 is wider than the
+    # bound, 0.15 of 1.15, so unresolved; on ok_ratio all 4 pairs tie
     assert lines[1].split()[-1] == "verdict"
     assert lines[2].split() == ["wall_s", "s", "1.15", "1.025", "1.275", "1",
-                                "-13.0%", "3/4", "-"]
+                                "-13.0%", "3/4", "unresolved"]
     assert lines[3].split() == ["ok_ratio", "ratio", "1", "1", "1", "1", "+0.0%", "0/4",
                                 "-"]
     for side, results in (("parent", parent), ("change", change)):
         written = (out / f"BENCH_t_{side}.json").read_text()
         assert written == json.dumps(results[-1]) + "\n"
     # ten pairs against a parent whose wall_s has median 1.0 and quartiles
-    # 0.95 and 1.05; the verdicts of wall_s and ok_ratio
-    parent = [stub_result(w) for w in (0.9, 0.95, 0.95, 1.0, 1.0, 1.0, 1.0, 1.05, 1.05, 1.1)]
-    for k, (walls, ok_ratio, verdicts) in enumerate([
+    # 0.95 and 1.05, inside the bound, or, wide, median 1.4 and quartiles
+    # 1.15 and 1.65, beyond it; the verdicts of wall_s and ok_ratio
+    narrow = (0.9, 0.95, 0.95, 1.0, 1.0, 1.0, 1.0, 1.05, 1.05, 1.1)
+    wide = (1.0, 1.2, 1.4, 1.6, 1.8) * 2
+    for k, (parent, walls, ok_ratio, verdicts) in enumerate([
         # 9 of 10 wins and a median gap of 0.2, beyond the IQR of 0.1;
         # ok_ratio 0.999 against 1 is worse by more than its bound 0.0005
-        ([0.8] * 9 + [2.0], 0.999, ["gain", "worse"]),
+        (narrow, [0.8] * 9 + [2.0], 0.999, ["gain", "worse"]),
         # 8 of 10 wins with the same medians: not a gain
-        ([0.8] * 8 + [2.0] * 2, 1.0, ["-", "-"]),
+        (narrow, [0.8] * 8 + [2.0] * 2, 1.0, ["-", "-"]),
         # 9 of 10 wins, by a median gap of 0.06, inside the IQR
-        ([0.95 - 0.002 * j for j in range(10)], 1.0, ["-", "-"]),
+        (narrow, [0.95 - 0.002 * j for j in range(10)], 1.0, ["-", "-"]),
         # 16% slower than the parent's median, beyond wall_s's bound 0.15;
         # ok_ratio 0.9996 is inside its bound
-        ([1.16] * 10, 0.9996, ["worse", "-"]),
+        (narrow, [1.16] * 10, 0.9996, ["worse", "-"]),
+        # 21% slower, but the parent's spread of 0.5 hides it
+        (wide, [1.7] * 10, 1.0, ["unresolved", "-"]),
+        # every run of the change beats every run of the parent, so the
+        # spread hides nothing: a gap of 0.45 inside the IQR, then a gain
+        (wide, [0.95] * 10, 1.0, ["-", "-"]),
+        (wide, [0.8] * 10, 1.0, ["gain", "-"]),
     ]):
         case = tmp_path / f"case{k}"
-        stub_checkouts(case, parent, [stub_result(w, ok_ratio=ok_ratio) for w in walls])
+        stub_checkouts(case, [stub_result(w) for w in parent],
+                       [stub_result(w, ok_ratio=ok_ratio) for w in walls])
         proc = bench_pairs(case, 10)
         assert proc.returncode == 0, proc.stderr
         assert [line.split()[-1] for line in proc.stdout.splitlines()[2:]] == verdicts
