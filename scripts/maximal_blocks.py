@@ -7,12 +7,16 @@ it has C(2 a0 + K, a0) shapes.  For each a0 up to
 --max-a0 the block is listed once; then each check runs in its own
 verify_bridge call, in a child process forked after the listing, with
 the package's memos cleared, so that its time and memory are its cost
-alone.  One line per block gives each check's seconds and the peak RSS
-of its process, as count=2.120s/83.1MB, and the verdict.  A child's peak
-includes whatever the forking process held: run on its own, the script
-holds the interpreter and the listing, but a caller that runs main()
-inside a large process reads that process's size, not the check's.  A
-check that runs out of memory is written as check=MemoryError/<peak>MB,
+alone.  One line per block gives each check's seconds, its seconds at
+the benchmark's reference speed and the peak RSS of its process, as
+count=2.120s/1.874s-ref/83.1MB, and the verdict.  The reference time is
+the measured one scaled by bench/worker.py's probe loop, timed in the
+child just before and just after the check (probe_ms, at_ref_speed), so
+that it compares across runs while the machine's speed drifts.  A
+child's peak includes whatever the forking process held: run on its
+own, the script holds the interpreter and the listing, but a caller that
+runs main() inside a large process reads that process's size, not the
+check's.  A check that runs out of memory is written as check=MemoryError/<peak>MB,
 and one whose process ends without a verdict as check=died/<peak>MB;
 either fails the block, and the run goes on with the next check and
 exits 1 at the end.  Ctrl-C stops the run with "error: interrupted" and exit code 130.
@@ -29,13 +33,16 @@ import time
 import traceback
 from pathlib import Path
 
-# Import the package from this checkout's src/, installed or not.
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# Import the package from this checkout's src/, installed or not, and the
+# benchmark's probe from its bench/.
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from klrblocks import graded, morita
 from klrblocks.cartan import CartanType
 from klrblocks.morita import ALL_CHECKS, one_block_bridge, verify_bridge
 from klrblocks.partitions import content
+from worker import at_ref_speed, probe_ms
 
 MEMOS = (graded._gdim, morita.c_walk, morita.a_walk, morita.c_kleshchev,
          morita.a_kleshchev, morita.c_good_walk, morita.rectangle, morita.rho_gdim,
@@ -43,15 +50,19 @@ MEMOS = (graded._gdim, morita.c_walk, morita.a_walk, morita.c_kleshchev,
 
 
 def timed(b, check):
-    """One check's seconds and verdict, run on cleared memos."""
+    """One check's seconds, plain and at the reference speed, and its
+    verdict, run on cleared memos."""
     for memo in MEMOS:
         memo.cache_clear()
+    before = probe_ms()
     start = time.perf_counter()
     try:
         passed = verify_bridge(b, [check])["pass"]
     except MemoryError:
         return "MemoryError", False
-    return f"{time.perf_counter() - start:.3f}s", passed
+    seconds = time.perf_counter() - start
+    ref = at_ref_speed(seconds, before, probe_ms())
+    return f"{seconds:.3f}s/{ref:.3f}s-ref", passed
 
 
 def run_alone(b, check):

@@ -74,6 +74,10 @@ class RootVector:
     def items(self):
         return sorted(self._entries.items())
 
+    def labels(self):
+        """The residues of non-zero multiplicity, in no set order."""
+        return self._entries.keys()
+
     @property
     def height(self) -> int:
         return sum(self._entries.values())
@@ -113,10 +117,18 @@ class RootVector:
         if not isinstance(data, dict) or not all(type(m) is int for m in data.values()):
             raise ValueError(f"a root vector is a JSON object of integer "
                              f"multiplicities, got {data!r}")
-        keys: Dict[Residue, str] = {}
-        for key in data:
+        # every entry is read in one loop; a repeated residue is refused
+        # before any negative multiplicity, which is named in key order
+        d: Dict[Residue, int] = {}
+        for key, m in data.items():
             i = int(key)
-            if i in keys:
-                raise ValueError(f"keys {keys[i]!r} and {key!r} both name residue {i}")
-            keys[i] = key
-        return cls({i: data[key] for i, key in keys.items()})
+            if i in d:
+                first = next(k for k in data if int(k) == i)
+                raise ValueError(f"keys {first!r} and {key!r} both name residue {i}")
+            d[i] = m
+        if d and min(d.values()) < 1:
+            for i, m in d.items():
+                if m < 0:
+                    raise ValueError(f"negative multiplicity {m} at residue {i}")
+            d = {i: m for i, m in d.items() if m}
+        return cls._of_counts(d)

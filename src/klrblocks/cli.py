@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, product
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -65,15 +65,17 @@ _decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
 def parse_beta(text: str, ct: CartanType) -> RootVector:
     beta = RootVector.from_json(_decode(text))
-    ct.check_labels(i for i, _ in beta.items())
+    labels = beta.labels()
+    if labels:  # the least label is the first that check_labels would name
+        ct.check_labels((min(labels),))
     return beta
 
 
 def parse_type(text: str) -> CartanType:
-    try:
-        return CartanType(text.lower())
-    except ValueError:
-        raise ValueError(f"unknown type {text!r} (use a or c)") from None
+    ct = _TYPES.get(text.lower())
+    if ct is None:
+        raise ValueError(f"unknown type {text!r} (use a or c)")
+    return ct
 
 
 def parse_residues(text: str, ct: CartanType) -> Tuple[int, ...]:
@@ -310,13 +312,19 @@ COMMANDS = {
     }, (("--kappa-c",), ("--max-n", "--beta"))),
 }
 # Built once from the tables above and only read: each option's name in the
-# namespace, and each command's namespace before its options are read.
+# namespace, each command's namespace before its options are read, each
+# command's grouped options with every set of them that holds exactly one
+# option of each group, and the type of each --type value.
 _DEST = {name: name[2:].replace("-", "_")
          for options in (FORMAT, *(cmd.options for cmd in COMMANDS.values()))
          for name in options}
 _START = {command: {"command": command, "func": cmd.func,
                     **{_DEST[name]: o.default for name, o in cmd.options.items()}}
           for command, cmd in COMMANDS.items()}
+_GROUPS = {command: (frozenset(chain(*cmd.groups)),
+                     frozenset(map(frozenset, product(*cmd.groups))))
+           for command, cmd in COMMANDS.items()}
+_TYPES = {ct.value: ct for ct in CartanType}
 
 
 def build_parser():
@@ -371,10 +379,8 @@ def parse_args(argv: Sequence[str]):
     command, options = None, FORMAT
     values: Dict[str, Any] = {"format": "json"}
     given = set()
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        i += 1
+    rest = iter(argv)
+    for arg in rest:
         name, eq, value = arg.partition("=")
         option = options.get(name)
         if option is None:
@@ -389,10 +395,9 @@ def parse_args(argv: Sequence[str]):
             value = True
         else:
             if not eq:
-                if i == len(argv) or argv[i][:1] == "-":
+                value = next(rest, None)
+                if value is None or value[:1] == "-":
                     break
-                value = argv[i]
-                i += 1
             try:
                 value = option.convert(value)
             except ValueError:
@@ -400,9 +405,10 @@ def parse_args(argv: Sequence[str]):
         values[_DEST[name]] = value
         given.add(name)
     else:  # every argument was read
-        if command is not None and all(sum(n in given for n in group) == 1
-                                       for group in COMMANDS[command].groups):
-            return SimpleNamespace(**values)
+        if command is not None:
+            grouped, picks = _GROUPS[command]
+            if (grouped & given) in picks:
+                return SimpleNamespace(**values)
     parser = build_parser()
     args = parser.parse_args(argv)
     for name, option in chain(FORMAT.items(), COMMANDS[args.command].options.items()):

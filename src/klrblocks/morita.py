@@ -22,7 +22,9 @@ cogood unless the upper one is removable, else an addable upper one is.
 The counting and graded checks compare gdim(rho) times the type-C walk
 over [rho, nu] (c_walk), the factorizable tableaux of nu, with gdim(rho)
 times the type-A walk (a_walk).  A walk reads each removal off the bits
-and recurses on it at once, with no list of steps.  Each walk memo holds
+and recurses on it at once, with no list of steps; for a block taller
+than a quarter of the recursion limit, every state below the block's is
+put in the memos first, from the lowest up (_fill).  Each walk memo holds
 one entry per state, at one digit width K for the whole process: at K =
 0 the state's tableau count, else the count with its polynomial, one int
 in Q = 2^K, so a removal is a shift and an add, and only the report
@@ -54,6 +56,7 @@ of its own, independent of either."""
 from __future__ import annotations
 
 import json
+import sys
 from functools import lru_cache
 from itertools import combinations
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
@@ -395,6 +398,43 @@ def a_walk(s: int):
 _WALK_MEMOS = (c_walk, a_walk)  # the memos themselves, whatever their names hold
 
 
+def _c_below(zero: int, s: int) -> List[Tuple[int, int]]:
+    """The states c_walk(zero, s) reads."""
+    out = []
+    movable = s & ~(s << 1) & ~1
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        if low.bit_length() - 1 != zero:  # not rho's corner
+            out.append((zero - 1, (s ^ low ^ low >> 1) >> 1))
+    return out
+
+
+def _a_below(s: int) -> List[Tuple[int]]:
+    """The states a_walk(s) reads."""
+    out = []
+    movable = s & ~(s << 2) & ~3
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        out.append((s ^ low ^ low >> 2,))
+    return out
+
+
+def _fill(walk, below, tops) -> None:
+    """Make walk's entries for the states tops (argument tuples) and every
+    state below them, one removal per level, from the lowest level up, so
+    that no miss recurses more than once: the walks recurse once per
+    removed node, and a block taller than a quarter of the recursion limit
+    is filled so first, as graded._fill does."""
+    levels = [set(tops)]
+    while levels[-1]:
+        levels.append({t for st in levels[-1] for t in below(*st)})
+    for level in reversed(levels):
+        for st in level:
+            walk(*st)
+
+
 def kronecker_pairs(x: int, K: int, low: int) -> List[List[int]]:
     """The [exponent, coefficient] pairs of the polynomial whose
     coefficients are the K-bit digits of x, digit 0 being q^low."""
@@ -531,6 +571,7 @@ class _Block:
         coefficient of the products; a shorter width (0 included) grows."""
         global _width
         b, states = self.b, self.c_states
+        deep = 4 * b.a_beta.height > sys.getrecursionlimit()
         # memos found empty (cleared) start over at width 0
         K = _width if _WALK_MEMOS[0].cache_info().currsize else 0
         while True:
@@ -540,6 +581,10 @@ class _Block:
                     memo.cache_clear()
             # an image outside the listing, which only a failing bridge has,
             # has its state built here
+            if deep:  # on every pass: a wider K has cleared the memos
+                _fill(c_walk, _c_below, [states.get(nu) or c_state(nu, b.kappa_c)
+                                         for _, nu, _ in self.pairs])
+                _fill(a_walk, _a_below, [(w,) for _, _, w in self.pairs])
             entries = [(c_walk(*(states.get(nu) or c_state(nu, b.kappa_c))), a_walk(w))
                        for _, nu, w in self.pairs]
             counts = entries if not K else [(c[0], a[0]) for c, a in entries]

@@ -31,11 +31,13 @@ def as_partition(parts: Sequence[int]) -> Partition:
     part above the one before it (a positive part after a zero among
     them), is refused."""
     p = tuple(parts)
-    if p and min(p) < 0:
+    ordered = all(map(int.__ge__, p, p[1:]))
+    # a negative part is named first; the least of ordered parts is the last
+    if p and (p[-1] if ordered else min(p)) < 0:
         raise ValueError(f"negative part in {parts!r}")
-    if not all(map(int.__ge__, p, p[1:])):
+    if not ordered:
         raise ValueError(f"parts not weakly decreasing: {parts!r}")
-    return p[:len(p) - p.count(0)]
+    return p[:p.index(0)] if p and not p[-1] else p
 
 
 def size(mp: MultiPartition) -> int:

@@ -36,9 +36,13 @@ with the Kleshchev test and good-removal walk written on them
 (list_c_kleshchev, list_c_good_walk); those walks at one digit width per
 block, as they were before one entry per state held the count with the
 polynomial (width_c_walk, width_a_walk, block_width); the hook-length
-count of a bipartition's tableaux (hook_count); and the argparse parser
+count of a bipartition's tableaux (hook_count); the argparse parser
 that the command line's own parser replaced, as the reference of its
-parsing."""
+parsing, with the --type reader through the CartanType enum call that
+the command line's table of types replaced (enum_type); and the readers
+that the one-pass parsers replaced: the partition rule's two checks
+(two_check_partition) and the root vector read key by key and then
+checked entry by entry (keyed_root_vector)."""
 
 import argparse
 from functools import cache, lru_cache
@@ -46,7 +50,7 @@ from itertools import accumulate, chain
 from math import comb, factorial, prod
 
 from klrblocks import cli, morita, partitions
-from klrblocks.cartan import CartanType
+from klrblocks.cartan import CartanType, RootVector
 from klrblocks.graded import LaurentPoly, gdim_specht
 from klrblocks.morita import ALL_CHECKS, BridgeError
 from klrblocks.partitions import (
@@ -744,6 +748,41 @@ def hook_count(bp):
     return comb(sum(lam) + sum(mu), sum(lam)) * f(lam) * f(mu)
 
 
+def two_check_partition(parts):
+    """parts as a partition, trailing zeros dropped, after a check for a
+    negative part and then one for the order."""
+    p = tuple(parts)
+    if p and min(p) < 0:
+        raise ValueError(f"negative part in {parts!r}")
+    if not all(map(int.__ge__, p, p[1:])):
+        raise ValueError(f"parts not weakly decreasing: {parts!r}")
+    return p[:len(p) - p.count(0)]
+
+
+def keyed_root_vector(data):
+    """The root vector of a JSON object: every multiplicity checked to be an
+    int, then each key read as a residue, then RootVector's own entry
+    checks."""
+    if not isinstance(data, dict) or not all(type(m) is int for m in data.values()):
+        raise ValueError(f"a root vector is a JSON object of integer "
+                         f"multiplicities, got {data!r}")
+    keys = {}
+    for key in data:
+        i = int(key)
+        if i in keys:
+            raise ValueError(f"keys {keys[i]!r} and {key!r} both name residue {i}")
+        keys[i] = key
+    return RootVector({i: data[key] for i, key in keys.items()})
+
+
+def enum_type(text):
+    """A --type value read through the CartanType enum call."""
+    try:
+        return CartanType(text.lower())
+    except ValueError:
+        raise ValueError(f"unknown type {text!r} (use a or c)") from None
+
+
 @cache
 def argparse_parser():
     """The command line's argparse parser, as klrblocks.cli built it before
@@ -759,7 +798,7 @@ def argparse_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--type", type=cli.parse_type, default=CartanType.C)
+        p.add_argument("--type", type=enum_type, default=CartanType.C)
         p.add_argument("--charge", required=True)
 
     p = sub.add_parser("block", help="list the l-partitions of a block or size")

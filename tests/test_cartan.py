@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
 from klrblocks import crystal
 from klrblocks.cartan import CartanType, NotASubroot, RootVector
 from klrblocks.partitions import lattice_state
+
+from oracles import keyed_root_vector
 
 
 class TestCartanType:
@@ -57,3 +60,29 @@ class TestRootVector:
             with pytest.raises(TypeError):
                 make(v)
         assert v.items() == [(0, 1)]
+
+
+def outcome(read, data):
+    """(value, hash) of read(data), or the type and text of its error."""
+    try:
+        v = read(data)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return v, hash(v)
+
+
+# keys that spell residues -2..2 in several ways, and a few that spell none;
+# multiplicities mostly ints, zero and negative included
+KEYS = st.one_of(st.integers(-2, 2).map(str),
+                 st.sampled_from(("01", "00", "-01", " 1", "+2", "1_0", "x", "")))
+MULTIPLICITIES = st.one_of(st.integers(-2, 3), st.sampled_from((True, 1.5, "1", None)))
+
+
+@given(st.dictionaries(KEYS, MULTIPLICITIES, max_size=5))
+@example({"0": -1, "00": 1})  # a repeated residue is named before a negative one
+@example({"1": 0, "01": 2})
+@example({"x": 1, "0": 1.5})  # a multiplicity that is not an int is named first
+def test_from_json_reads_as_key_by_key(data):
+    # the one-pass reader against the key-by-key reader it replaced: the
+    # same value and hash, or the same error
+    assert outcome(RootVector.from_json, data) == outcome(keyed_root_vector, data)

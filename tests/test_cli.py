@@ -972,6 +972,14 @@ def test_usage_errors_name_the_command(capsys):
         parse_args(["bogus"])
     assert capsys.readouterr().err.splitlines()[1].startswith(
         "klrblocks: error: argument command: invalid choice: 'bogus'")
+    # a value the one pass refuses is argparse's to report
+    with pytest.raises(SystemExit) as err:
+        parse_args(GDIM + ["--type=x"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: klrblocks gdim [-h] [--type TYPE] --charge CHARGE --shape SHAPE "
+        "[--weight WEIGHT]",
+        "klrblocks gdim: error: argument --type: unknown type 'x' (use a or c)"]
 
 
 class TestErrors:
@@ -1043,11 +1051,24 @@ class TestErrors:
                    "--max-n", "0") == (0, "bridge,checks,pass\r\n")
 
     def test_tall_shape_exits_2(self, capsys):
-        # a block of one 1200-node row: deeper than the recursion limit of
-        # the bridge's walks, which recurse once per node (the graded
-        # dimensions fill deep shapes in: TestGdim answers the column)
+        # a block of 1200 nodes, the row (1200) and the column (1^1200): the
+        # kleshchev and goodpath checks recurse once per good removal, past
+        # the recursion limit (the count and graded walks are filled in from
+        # the bottom: test_tall_block_is_counted_and_graded)
         beta = json.dumps({str(i): 1 for i in range(1200)})
         assert fails_cleanly(capsys, "verify", "--kappa-c", "0", "--beta", beta)
+        for check in ("kleshchev", "goodpath"):
+            assert fails_cleanly(capsys, "verify", "--kappa-c", "0", "--beta", beta,
+                                 "--checks", check)
+
+    def test_tall_block_is_counted_and_graded(self, capsys):
+        beta = json.dumps({str(i): 1 for i in range(1200)})
+        code, out = run(capsys, "verify", "--kappa-c", "0", "--beta", beta,
+                        "--checks", "count,graded")
+        [report] = json.loads(out)
+        assert code == 0 and report["pass"]
+        assert [s["nu"] for s in report["checks"]["count"]["per_shape"]] == [
+            [1200], [1] * 1200]
 
     def test_positive_part_after_zero_exits_2(self, capsys):
         # (1,0,1) is not the shape (1,1): the zero is refused, not dropped
@@ -1057,6 +1078,9 @@ class TestErrors:
             assert main(list(argv)) == 2
             assert capsys.readouterr() == (
                 "", f"error: parts not weakly decreasing: ({parts})\n")
+        # a negative part is named before the order it breaks
+        assert main(["gdim", "--charge=0", "--shape=-1,2"]) == 2
+        assert capsys.readouterr() == ("", "error: negative part in (-1, 2)\n")
 
     def test_repeated_label_exits_2(self, capsys):
         # json.loads alone would answer the block of {"0":1,"1":1}
@@ -1068,6 +1092,12 @@ class TestErrors:
                              "--beta", '{"0":1,"0":1}')
         assert run(capsys, "block", "--type", "c", "--charge", "0",
                    "--beta", '{"0":1,"1":1}')[0] == 0
+        # a residue named twice is refused before a negative multiplicity,
+        # and of two labels refused in type C the least is named
+        for beta, message in (('{"0":-1,"00":1}', "keys '0' and '00' both name residue 0"),
+                              ('{"-1":1,"-3":1}', "residue -3 is not a valid type-C label")):
+            assert main(["block", "--charge=0", "--beta", beta]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_determinism(capsys):

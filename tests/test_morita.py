@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -813,6 +814,32 @@ class TestWalks:
         verify_bridge(b, ("count", "graded"))
         assert len(calls) == 2 * len(a_block(b))
         assert morita._width == block_width(b) > 16
+
+    def test_deep_blocks_fill_the_walks_from_the_bottom(self, monkeypatch):
+        # with a recursion limit that makes every block deep, each state is
+        # put in the memos from the lowest up, at each width a block takes:
+        # the same reports, and no walk call nests more than one other
+        blocks = [maximal(0, a0) for a0 in (2, 3, 4)] + list(iter_bridges(1, 10))
+        clear_walks()
+        expected = [verify_bridge(b, ("count", "graded")) for b in blocks]
+        monkeypatch.setattr(morita, "sys", SimpleNamespace(getrecursionlimit=lambda: 0))
+        depth, deepest = [0], [0]
+
+        def nesting(real):
+            def walk(*args):
+                depth[0] += 1
+                deepest[0] = max(deepest[0], depth[0])
+                try:
+                    return real(*args)
+                finally:
+                    depth[0] -= 1
+            return walk
+
+        clear_walks()
+        for name in ("c_walk", "a_walk"):
+            monkeypatch.setattr(morita, name, nesting(getattr(morita, name)))
+        assert [verify_bridge(b, ("count", "graded")) for b in blocks] == expected
+        assert morita._width > 16 and deepest[0] == 2
 
     def test_refused_bridge_builds_no_rectangle(self):
         memos = (morita.rectangle, morita.rho_gdim)

@@ -4,7 +4,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from klrblocks.cartan import CartanType, RootVector
 from klrblocks.morita import a_block, bridge, c_block, from_type_c, iter_bridges
@@ -32,6 +32,7 @@ from oracles import (
     state_corners,
     step_degrees,
     to_type_c,
+    two_check_partition,
 )
 
 A, C = CartanType.A, CartanType.C
@@ -275,6 +276,22 @@ class TestPackedDominanceSums:
         for b in iter_bridges(kappa_c, 14):
             self.check(list(a_block(b)))
             self.check([(nu,) for nu in c_block(b)])
+
+
+@given(st.lists(st.integers(-2, 3), max_size=6))
+@example([-1, 2])  # a negative part is named before the order it breaks
+@example([2, 0, 1])
+@example([1, 0, 0])
+def test_as_partition_is_the_two_check_rule(parts):
+    # the one-pass rule against the two checks it replaced: the same
+    # partition, or the same message
+    def outcome(read):
+        try:
+            return read(parts)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(as_partition) == outcome(two_check_partition)
 
 
 @given(st.lists(st.integers(1, 8), max_size=8))
