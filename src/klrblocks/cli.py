@@ -20,8 +20,8 @@ from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 from .cartan import CartanType, RootVector
 from .crystal import is_kleshchev
 from .graded import gdim_specht, gdim_specht_weight
-from .morita import (ALL_CHECKS, bridge, from_type_c, iter_bridges, known_checks,
-                     one_block_bridge, verify_bridge)
+from .morita import (ALL_CHECKS, bridge, iter_bridges, known_checks, one_block_bridge,
+                     rect_preimage, verify_bridge)
 from .partitions import (
     MultiPartition,
     as_partition,
@@ -226,7 +226,7 @@ def cmd_bridge(args) -> int:
     nu = parse_partition(args.shape)
     beta = content(CartanType.C, (args.kappa_c,), (nu,))
     b = bridge(args.kappa_c, beta)
-    lam, mu = from_type_c(nu, b)
+    lam, mu = rect_preimage(nu, b)  # nu is in the block: its content made it
     record = {"bridge": b.to_json(), "nu": list(nu),
               "bipartition": [list(lam), list(mu)]}
     emit(record, args.format)
@@ -438,8 +438,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the bridge's walks recurse once per node; the graded dimensions
-        # fill in deep shapes from the smallest size up (graded._fill)
+        # the graded dimensions and the bridge's checks recurse once per
+        # node, and fill in deep shapes from the smallest size up
+        # (graded._fill, morita._fill); a recursion that outruns them ends here
         print("error: the shape is too large for this tool", file=sys.stderr)
         return 2
     except MemoryError:

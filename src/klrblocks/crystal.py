@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .cartan import CartanType, Charge
-from .partitions import MultiPartition, corners, lattice_state, move
+from .partitions import MultiPartition, corners, lattice_state
 
 
 _KLESHCHEV: Dict[Tuple[CartanType, Charge, int], bool] = {}
@@ -30,19 +30,20 @@ def _kleshchev(ct: CartanType, charge: Charge, mp: MultiPartition) -> bool:
     a state with no good node (False) or one in the memo _KLESHCHEV, and
     record the answer there for every state on the way (each lane of s
     holds n + 1 bits, so s fixes n); a loop, for any depth.  Each step
-    removes the good node of the first normal node's residue, bottom first."""
-    l, (n, s) = len(charge), lattice_state(mp, charge)
+    removes the good node of the first normal node's residue, bottom first,
+    and goes on from the corner rule's child state."""
+    n, s = lattice_state(mp, charge)
     chain, key = [], (ct, charge, s)
     while key not in _KLESHCHEV:
         chain.append(key)
-        pick = None  # the residue of the first normal node, its good node
-        for q, i, d in reversed(corners(ct, charge, n, s, False)):
+        pick = None  # the first normal node's residue; the state without its good node
+        for _, i, d, child in reversed(corners(ct, charge, n, s, False)):
             if d < 1 and pick is None or i == pick and d < low:
-                pick, good, low = i, q, d
+                pick, good, low = i, child, d
         if pick is None:
             answer = not n
             break
-        n, s = n - 1, move(l, s, good, False)
+        n, s = n - 1, good
         key = (ct, charge, s)
     else:
         answer = _KLESHCHEV[key]

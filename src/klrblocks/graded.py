@@ -3,11 +3,12 @@
 The graded dimension of a Specht module, or of one of its residue weight
 spaces, comes from one recursion down the Young lattice to the empty
 shape (_gdim), memoized for the life of the process; no tableau is
-listed.  It walks lattice states and reads each step degree off the
-package's one corner rule (partitions.corners), as the tableau walk and
-the command line's Kleshchev test do.  It recurses once per node, so a
-shape too deep for the interpreter's recursion limit has its sub-states
-listed first and filled in from the smallest size up (_fill)."""
+listed.  It walks lattice states and reads each step degree and each
+child state off the package's one corner rule (partitions.corners), as
+the tableau walk and the command line's Kleshchev test do.  It recurses
+once per node, so a shape too deep for the interpreter's recursion limit
+has its sub-states listed first and filled in from the smallest size up
+(_fill)."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue
-from .partitions import MultiPartition, corners, lattice_state, move
+from .partitions import MultiPartition, corners, lattice_state
 
 
 class LaurentPoly:
@@ -84,15 +85,23 @@ def _gdim(ct: CartanType, charge: Charge, n: int, s: int,
     smaller shape and takes that node's step degree, which depends only on
     the shape and the node, off the degree; so the sum is a recursion down
     the Young lattice, memoized for the life of the process.  Each miss
-    adds the sub-sums of its removable corners (partitions.corners),
-    shifted by their step degrees, into one coefficient map; with word,
-    only those of residue word[-1], below them word[-2], and so on."""
+    adds the sub-sums of its removable corners (partitions.corners) at
+    their children, shifted by their step degrees, into one coefficient
+    map; with word, only those of residue word[-1], below them word[-2],
+    and so on.  A miss with one corner is its child's sum, shifted only by
+    a degree that is not 0 (the polynomials are never changed, so entries
+    may share one)."""
     if not n:
         return LaurentPoly.one()
     i, rest = (None, None) if word is None else (word[-1], word[:-1])
+    found = corners(ct, charge, n, s, False, i)
+    if len(found) == 1:
+        (_, _, d, child), = found
+        below = _gdim(ct, charge, n - 1, child, rest)
+        return LaurentPoly._owning({e + d: c for e, c in below.items()}) if d else below
     out: Dict[int, int] = {}
-    for q, _, d in corners(ct, charge, n, s, False, i):
-        for e, c in _gdim(ct, charge, n - 1, move(len(charge), s, q, False), rest).items():
+    for _, _, d, child in found:
+        for e, c in _gdim(ct, charge, n - 1, child, rest).items():
             out[e + d] = out.get(e + d, 0) + c
     # every coefficient counts tableaux, so none is 0
     return LaurentPoly._owning(out)
@@ -106,11 +115,11 @@ def _fill(ct: CartanType, charge: Charge, n: int, s: int,
     entries made from the smallest size up, so no miss recurses deeper
     than the sizes below it, which are all in the memo."""
     if 4 * n > sys.getrecursionlimit():
-        l, levels = len(charge), [{s}]
+        levels = [{s}]
         for m in range(n, 0, -1):
             i = None if word is None else word[m - 1]
-            levels.append({move(l, t, q, False) for t in levels[-1]
-                           for q, _, _ in corners(ct, charge, m, t, False, i)})
+            levels.append({child for t in levels[-1]
+                           for _, _, _, child in corners(ct, charge, m, t, False, i)})
         for m, states in enumerate(reversed(levels)):
             for t in states:
                 _gdim(ct, charge, m, t, None if word is None else word[:m])

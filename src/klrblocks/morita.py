@@ -40,7 +40,9 @@ image, rho's rows with lambda added, keyed by (lambda, a0, len(rho))
 (_image_top), and mu', keyed by mu (_image_bottom).  The
 Kleshchev check's two tests follow one good node (c_kleshchev,
 a_kleshchev), and the good-path check searches good removals
-(c_good_walk); each loops over the removable bits top first.
+(c_good_walk); each loops over the removable bits top first and recurses
+once per removal, and in a block as tall as the walks fill theirs, its
+memo is filled the same way, from the lowest state up.
 
 The type-C shapes come from one of two sources, decided by the input.  A
 sweep (iter_bridges) finds each block by grouping the partitions of each
@@ -240,14 +242,21 @@ def _image_bottom(mu: Partition) -> Partition:
 
 
 def from_type_c(nu: Partition, b: BlockBridge) -> Bipartition:
-    """rho + (lambda, mu') -> (lambda, mu), the bridge read backwards: lambda
-    is nu beyond a0 in the rows of rho (a rectangle by construction), mu the
-    conjugate of nu below them.  A block member needs no other check: its
-    content-0 nodes are (kappa_c + j, j) for j = 1..a0, so it holds
-    (kappa_c + a0, a0) and with it rho, but not (kappa_c + a0 + 1, a0 + 1),
-    so no row below rho is wider than a0."""
+    """rect_preimage(nu, b) for nu in b's type-C block; a shape of another
+    block, whose content is not b.beta, raises BridgeError."""
     if content(CartanType.C, b.c_charge, (nu,)) != b.beta:
         raise BridgeError(f"{nu} is not in the type-C block")
+    return rect_preimage(nu, b)
+
+
+def rect_preimage(nu: Partition, b: BlockBridge) -> Bipartition:
+    """rho + (lambda, mu') -> (lambda, mu), the bridge read backwards, with
+    no membership check (from_type_c makes it): lambda is nu beyond a0 in
+    the rows of rho (a rectangle by construction), mu the conjugate of nu
+    below them.  A block member needs no other check: its content-0 nodes
+    are (kappa_c + j, j) for j = 1..a0, so it holds (kappa_c + a0, a0) and
+    with it rho, but not (kappa_c + a0 + 1, a0 + 1), so no row below rho is
+    wider than a0."""
     a, h = b.a0, len(b.rho)
     return tuple([p - a for p in nu[:h] if p > a]), conjugate(nu[h:])
 
@@ -421,12 +430,42 @@ def _a_below(s: int) -> List[Tuple[int]]:
     return out
 
 
+def _c_goods(zero: int, s: int, to_rho: bool) -> List[Tuple[int, int, bool]]:
+    """The states c_good_walk(zero, s, to_rho) may read: one good removal
+    each, top first (c_kleshchev reads the first of them)."""
+    out = []
+    removable = s & ~(s << 1) & ~1 & ~(to_rho << zero)
+    while removable:
+        p = removable.bit_length() - 1
+        removable ^= 1 << p
+        if s >> 2 * zero - p - 1 & 3 != (1 if p >= zero else 2):
+            out.append((zero - 1, (s ^ 3 << p - 1) >> 1, to_rho))
+    return out
+
+
+def _c_good(zero: int, s: int) -> List[Tuple[int, int]]:
+    """The state c_kleshchev(zero, s) reads, if any."""
+    return [st[:2] for st in _c_goods(zero, s, False)[:1]]
+
+
+def _a_good(s: int) -> List[Tuple[int]]:
+    """The state a_kleshchev(s) reads, if any."""
+    rest = s & ~(s << 2) & ~3
+    while rest:
+        p = rest.bit_length() - 1
+        rest ^= 1 << p
+        if s >> p - 3 & 5 != 4 if p & 1 else s >> p - 1 & 5 != 1:
+            return [(s ^ 5 << p - 2,)]
+    return []
+
+
 def _fill(walk, below, tops) -> None:
     """Make walk's entries for the states tops (argument tuples) and every
     state below them, one removal per level, from the lowest level up, so
-    that no miss recurses more than once: the walks recurse once per
-    removed node, and a block taller than a quarter of the recursion limit
-    is filled so first, as graded._fill does."""
+    that no miss recurses more than once: the walks and the Kleshchev and
+    good-removal tests recurse once per removed node, and for a block
+    taller than a quarter of the recursion limit (_Block.deep) they are
+    filled so first, as graded._fill does."""
     levels = [set(tops)]
     while levels[-1]:
         levels.append({t for st in levels[-1] for t in below(*st)})
@@ -549,6 +588,9 @@ class _Block:
     def __init__(self, b: BlockBridge, graded: bool):
         self.b, self.graded = b, graded
         self.c_shapes = b.c_shapes if b.c_shapes is not None else tuple(c_block(b))
+        # every recursion of the checks is at most the block's height deep;
+        # a deep block has its memos filled from the bottom (_fill)
+        self.deep = 4 * b.beta.height > sys.getrecursionlimit()
 
     @_part
     def pairs(self) -> List[Tuple[Bipartition, Partition, int]]:
@@ -570,8 +612,7 @@ class _Block:
         length of gdim(rho)(1) times its largest count, which bounds every
         coefficient of the products; a shorter width (0 included) grows."""
         global _width
-        b, states = self.b, self.c_states
-        deep = 4 * b.a_beta.height > sys.getrecursionlimit()
+        b, states, deep = self.b, self.c_states, self.deep
         # memos found empty (cleared) start over at width 0
         K = _width if _WALK_MEMOS[0].cache_info().currsize else 0
         while True:
@@ -599,6 +640,8 @@ class _Block:
     @_part
     def c_klesh(self) -> List[Tuple[Partition, Tuple[int, int]]]:
         # off the listing, not pairs: the Kleshchev check compares two listings
+        if self.deep:
+            _fill(c_kleshchev, _c_good, self.c_states.values())
         return [(nu, st) for nu, st in self.c_states.items() if c_kleshchev(*st)]
 
 
@@ -671,6 +714,8 @@ def _check_dominance(blk: _Block) -> dict:
 
 def _check_kleshchev(blk: _Block) -> dict:
     # equal sets share one sorted list, as the graded check's equal sides do
+    if blk.deep:
+        _fill(a_kleshchev, _a_good, [(w,) for _, _, w in blk.pairs])
     a_klesh = {nu for _, nu, w in blk.pairs if a_kleshchev(w)}
     c_klesh = {nu for nu, _ in blk.c_klesh}
     same, a_image = a_klesh == c_klesh, sorted(map(list, a_klesh))
@@ -685,6 +730,9 @@ def _check_goodpath(blk: _Block) -> dict:
     # cogood node ends in 0).  The walks are memoized: rho's head is one
     # lookup, and in a sweep a shape extends the walk one removal below it.
     zero, s = rectangle(blk.b.kappa_c, blk.b.a0)[3]
+    if blk.deep:
+        _fill(c_good_walk, _c_goods, [(zero, s, False)] + [
+            (*st, True) for _, st in blk.c_klesh])
     head_ok = c_good_walk(zero, s, False) == s
     failures = [list(nu) for nu, (zero, s) in blk.c_klesh
                 if not head_ok or c_good_walk(zero, s, True) != s]

@@ -6,9 +6,9 @@ A node is a triple (row, col, comp), all 1-based.
 
 The Young lattice is walked on one int per l-partition, of any type and
 level (lattice_state); one corner rule (corners) reads each corner's
-residue and step degree off its bits, and a step (move) keeps the state
-canonical.  The graded recursion, the tableau walk and the command line's
-Kleshchev test read them.
+residue and step degree off its bits, with the state after the step (its
+child), which is again a lattice state.  The graded recursion, the tableau
+walk and the command line's Kleshchev test read them.
 """
 
 from __future__ import annotations
@@ -80,60 +80,85 @@ def lattice_state(mp: MultiPartition, charge: Charge) -> Tuple[int, int]:
     return n, s
 
 
+# (type, charge) -> what corners reads of that setting (_setting), built on
+# its first call and kept for the process
+_SETTINGS: Dict[Tuple[CartanType, Charge], tuple] = {}
+
+
+def _setting(ct: CartanType, charge: Charge) -> tuple:
+    """corners' constants of (ct, charge): l = len(charge), the fold (type
+    C), the l low bits, 1 << l | 1, and per component m (own, later, mirror).
+    In a state of size n, label u - 1 of component b is bit l (u + n) + b -
+    l k_b; own is m's offset m - l k_m, later the offsets of the components
+    after m, and mirror later with own after them."""
+    l = len(charge)
+    offsets = [b - l * k for b, k in enumerate(charge)]
+    return l, ct is CartanType.C, (1 << l) - 1, 1 << l | 1, tuple(
+        (own, tuple(offsets[m + 1:]), tuple(offsets[m + 1:]) + (own,))
+        for m, own in enumerate(offsets))
+
+
 def corners(ct: CartanType, charge: Charge, n: int, s: int, add: bool,
-            i: Optional[Residue] = None) -> List[Tuple[int, Residue, int]]:
+            i: Optional[Residue] = None) -> List[Tuple[int, Residue, int, int]]:
     """Every addable (add) or removable corner of the lattice state (n, s)
-    under charge (l = len(charge)), of residue i only if i is given, as
-    (bit, residue, step degree) in (component, row) order.  Bit q = l j + m
-    is in component m + 1, of content t = j + k - n - 1 and residue t, or
-    |t| in type C; it is addable when t - 1 is in M and t is not, removable
-    when t is and t - 1 is not.  Its step degree (Brundan-Kleshchev-Wang),
-    the addable minus the removable nodes of its residue strictly below
-    it, sums b(u - 1) - b(u), b membership (1 below the window), over every
-    later component and label u of the residue (t, or t and -t in type C),
-    and in type C with t > 0 over the mirror -t in its own component.
-    Adding or removing the corner moves none of these bits, so an addable
-    corner's degree is that of adding it."""
-    l, fold = len(charge), ct is CartanType.C
-    found = []  # (bit, component, content)
+    under charge (a tuple, l = len(charge)), of residue i only if i is
+    given, as (bit, residue, step degree, child) in (component, row) order.
+    Bit q = l j + m is in component m + 1, of content t = j + k - n - 1 and
+    residue t, or |t| in type C; it is addable when t - 1 is in M and t is
+    not, removable when t is and t - 1 is not.  Its step degree
+    (Brundan-Kleshchev-Wang), the addable minus the removable nodes of its
+    residue strictly below it, sums b(u - 1) - b(u), b membership (1 below
+    the window), over every later component and label u of the residue (t,
+    or t and -t in type C), and in type C with t > 0 over the mirror -t in
+    its own component.  Adding or removing the corner moves none of these
+    bits, so an addable corner's degree is that of adding it.  The child is
+    the lattice state of the shape after the step: t - 1 moves to t or
+    back, and the window moves one lane step.  What depends on (ct, charge)
+    alone is read from _SETTINGS."""
+    setting = _SETTINGS.get((ct, charge))
+    if setting is None:
+        setting = _SETTINGS[ct, charge] = _setting(ct, charge)
+    l, fold, low, pair, comps = setting
+    found = []  # (bit, content, later, mirror)
     if i is None:
-        mask = ~s & s << l if add else s & ~(s << l) & ~((1 << l) - 1)
-        rep = ((1 << l * (mask.bit_length() // l + 1)) - 1) // ((1 << l) - 1)
-        for m, k in enumerate(charge):  # bit l j + m for every j, top first
+        mask = ~s & s << l if add else s & ~(s << l) & ~low
+        rep = ((1 << l * (mask.bit_length() // l + 1)) - 1) // low
+        m = 0
+        for own, later, mirror in comps:  # bit l j + m for every j, top first
             lane = mask & rep << m
+            m += 1
             while lane:
                 q = lane.bit_length() - 1
                 lane ^= 1 << q
-                found.append((q, m, q // l + k - n - 1))
+                found.append((q, (q - own) // l - n - 1, later, mirror))
     else:
-        want, pair = 1 if add else 1 << l, 1 << l | 1  # the bits of t - 1 and t
-        for m, k in enumerate(charge):
-            for t in (i,) if not fold or i == 0 else (i, -i) if i > 0 else ():
-                q = l * (t - k + n + 1) + m
+        # a corner's bits of t - 1 and t (pair) read want
+        want, base = 1 if add else 1 << l, l * (n + 1)
+        contents = (i,) if not fold or i == 0 else (i, -i) if i > 0 else ()
+        for own, later, mirror in comps:
+            for t in contents:
+                q = l * t + base + own
                 if q >= l and s >> q - l & pair == want:
-                    found.append((q, m, t))
+                    found.append((q, t, later, mirror))
     out = []
-    for q, m, t in found:
-        d = 0
-        for below in range(m + 1, l):
-            for u in (t, -t) if fold and t else (t,):
-                p = l * (u - charge[below] + n) + below  # the bit of u - 1
-                if p >= 0:
-                    d += (s >> p & 1) - (s >> p + l & 1)
-        if fold and t > 0:
-            p = l * (n - t - charge[m]) + m
+    for q, t, later, mirror in found:
+        d, h = 0, l * (t + n)
+        for p in later:  # the bit of u - 1, for u = t
+            p += h
             if p >= 0:
-                d += (s >> p & 1) - (s >> p + l & 1)
-        out.append((q, -t if fold and t < 0 else t, d))
+                x = s >> p
+                d += (x & 1) - (x >> l & 1)
+        if fold and t:
+            h = l * (n - t)
+            for p in mirror if t > 0 else later:  # for u = -t
+                p += h
+                if p >= 0:
+                    x = s >> p
+                    d += (x & 1) - (x >> l & 1)
+            t = abs(t)
+        x = s ^ pair << q - l
+        out.append((q, t, d, x << l | low if add else x >> l))
     return out
-
-
-def move(l: int, s: int, q: int, add: bool) -> int:
-    """The lattice state of level l after adding (add) or removing the
-    corner at bit q of s: t - 1 moves to t or back, and the window moves
-    one lane step, so the state is again that of lattice_state."""
-    s ^= (1 << l | 1) << q - l
-    return s << l | (1 << l) - 1 if add else s >> l
 
 
 def dominance_sums(mps: Sequence[MultiPartition]) -> Tuple[List[int], int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue
-from .partitions import MultiPartition, Node, corners, lattice_state, move
+from .partitions import MultiPartition, Node, corners, lattice_state
 
 
 class StandardTableau(NamedTuple):
@@ -38,16 +38,18 @@ def enumerate_standard(
     row) order, so the first is the row-reading tableau, each tableau with
     its residue word and degree.  The walk keeps its own stack, so a shape
     of any height is walked.  A prefix is a lattice state: the corner rule
-    (partitions.corners) gives each addable node its residue and the step
+    (partitions.corners) gives each addable node its residue, the step
     degree of adding it, whose sum along the path is the degree, and the
-    node's row is 1 plus the number of its component's bits above it.
+    state of the prefix with it added; the node's row is 1 plus the number
+    of its component's bits above it.
     With a residue filter only the next residue's corners are read.  A
-    charge of another level is refused at the call, as lattice_state does."""
+    charge of another level is refused at the call, as lattice_state does,
+    and a list charge is read as a tuple."""
     n = lattice_state(shape, charge)[0]
     if residues is not None and len(residues) != n:
         raise ValueError(f"residue word has length {len(residues)}, "
                          f"but the shape has {n} nodes")
-    return _walk(shape, ct, charge, residues, n)
+    return _walk(shape, ct, tuple(charge), residues, n)
 
 
 def _walk(shape: MultiPartition, ct: CartanType, charge: Charge,
@@ -60,26 +62,25 @@ def _walk(shape: MultiPartition, ct: CartanType, charge: Charge,
 
     def children(k: int, s: int):
         out = []
-        for q, i, d in corners(ct, charge, k, s, True, residues and residues[k]):
+        for q, i, d, child in corners(ct, charge, k, s, True, residues and residues[k]):
             j, m = divmod(q, l)
             r = (s >> q & lane).bit_count() + 1
             p, c = shape[m], j - k - 1 + r  # the charge-free content plus the row
             if r <= len(p) and c <= p[r - 1]:
-                out.append(((r, c, m + 1), i, d, q))
+                out.append(((r, c, m + 1), i, d, child))
         return iter(out)
 
-    # per prefix: its untried children, entries, residue word, degree, state
-    s = lattice_state(((),) * l, charge)[1]
-    stack = [(children(0, s), (), (), 0, s)]
+    # per prefix: its untried children, entries, residue word, degree; the
+    # walk starts from the empty l-partition, whose state is (1 << l) - 1
+    stack = [(children(0, (1 << l) - 1), (), (), 0)]
     while stack:
-        kids, order, word, total, s = stack[-1]
-        for node, i, d, q in kids:
+        kids, order, word, total = stack[-1]
+        for node, i, d, child in kids:
             if len(order) == n - 1:
                 yield StandardTableau(shape, order + (node,), word + (i,), total + d)
                 continue
-            child = move(l, s, q, True)
             stack.append((children(len(order) + 1, child), order + (node,), word + (i,),
-                          total + d, child))
+                          total + d))
             break
         else:
             stack.pop()

@@ -5,7 +5,8 @@ good nodes): the nodes of a shape and their residues, the Young-lattice
 steps on shapes (contains, add_node, remove_node) with the corners they
 accept, step degrees by definition, and the reversed pass over the rows
 that the lattice states replaced (step_degrees), beside a reader of the
-corner rule in its terms (state_corners) and the running-minimum good
+corner rule in its terms (state_corners), the step on a lattice state
+that the rule's child state replaced (move), and the running-minimum good
 nodes on it (good_nodes); i-signatures and their reduction, good and
 cogood nodes, the unmemoized cogood replay, and the bridge image.  The
 cogood rule on step degrees and the good-removal walk on shapes that the
@@ -218,8 +219,17 @@ def state_corners(mp, ct, charge):
         at = {l * (x + add - r + n + 1) + m: (r, x + add, m + 1)
               for m, p in enumerate(mp) for r, x in enumerate(p + (0,) * add, 1)}
         found = partitions.corners(ct, tuple(charge), n, s, add)
-        out.append([(at[q], i, d) for q, i, d in reversed(found)])
+        out.append([(at[q], i, d) for q, i, d, _ in reversed(found)])
     return tuple(out)
+
+
+def move(l, s, q, add):
+    """The lattice state of level l after adding (add) or removing the
+    corner at bit q of s, as the corner rule's callers computed it before
+    the rule gave each corner its child: t - 1 moves to t or back, and the
+    window moves one lane step."""
+    s ^= (1 << l | 1) << q - l
+    return s << l | (1 << l) - 1 if add else s >> l
 
 
 def good_nodes(mp, ct, charge):

@@ -1050,16 +1050,18 @@ class TestErrors:
         assert run(capsys, "--format", "csv", "verify", "--kappa-c", "0",
                    "--max-n", "0") == (0, "bridge,checks,pass\r\n")
 
-    def test_tall_shape_exits_2(self, capsys):
+    def test_tall_block_passes_every_check(self, capsys):
         # a block of 1200 nodes, the row (1200) and the column (1^1200): the
         # kleshchev and goodpath checks recurse once per good removal, past
-        # the recursion limit (the count and graded walks are filled in from
-        # the bottom: test_tall_block_is_counted_and_graded)
+        # the recursion limit, and are filled in from the bottom, as the
+        # count and graded walks are (test_tall_block_is_counted_and_graded)
         beta = json.dumps({str(i): 1 for i in range(1200)})
-        assert fails_cleanly(capsys, "verify", "--kappa-c", "0", "--beta", beta)
-        for check in ("kleshchev", "goodpath"):
-            assert fails_cleanly(capsys, "verify", "--kappa-c", "0", "--beta", beta,
-                                 "--checks", check)
+        for checks in (",".join(ALL_CHECKS), "kleshchev", "goodpath"):
+            code, out = run(capsys, "--format", "pretty", "verify", "--kappa-c", "0",
+                            "--beta", beta, "--checks", checks)
+            assert code == 0
+            verdicts = " ".join(f"{c}:pass" for c in checks.split(","))
+            assert out == f"beta={beta} {verdicts}\nall-pass\n"
 
     def test_tall_block_is_counted_and_graded(self, capsys):
         beta = json.dumps({str(i): 1 for i in range(1200)})

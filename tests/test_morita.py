@@ -181,6 +181,20 @@ class TestBlockMap:
         with pytest.raises(BridgeError):
             from_type_c((3,), b)
 
+    @pytest.mark.parametrize("kappa_c", [0, 1])
+    def test_from_type_c_refuses_every_other_block(self, kappa_c):
+        # rect_preimage makes no check, so from_type_c alone refuses a shape
+        # of another block, of the same height or not
+        for b in iter_bridges(kappa_c, 8):
+            members = set(b.c_shapes)
+            for n in range(b.beta.height - 1, b.beta.height + 2):
+                for nu in partitions_of(n):
+                    if nu in members:
+                        assert from_type_c(nu, b) == morita.rect_preimage(nu, b)
+                    else:
+                        with pytest.raises(BridgeError):
+                            from_type_c(nu, b)
+
     @pytest.mark.parametrize("kappa_c", [0, 1, 2])
     def test_round_trip_is_block_bijection(self, kappa_c):
         for b in iter_bridges(kappa_c, 12):
@@ -661,6 +675,24 @@ class TestVerifyBridge:
             sizes = [memo.cache_info().currsize for memo in memos]
             assert sizes[0] <= bound and sizes[1] <= bound and sizes[2] == 0
 
+    def test_deep_blocks_fill_the_kleshchev_tests_from_the_bottom(self, monkeypatch):
+        # with a recursion limit that makes every block deep, both Kleshchev
+        # tests and the good-removal walk are put in their memos from the
+        # lowest state up: the same reports, and no call nests in more than
+        # one other
+        names = ("c_kleshchev", "a_kleshchev", "c_good_walk")
+        checks = ("kleshchev", "goodpath")
+        blocks = [maximal(0, a0) for a0 in (2, 3, 4)] + [maximal(1, 3), *iter_bridges(1, 10)]
+        for name in names:
+            getattr(morita, name).cache_clear()
+        expected = [verify_bridge(b, checks) for b in blocks]
+        monkeypatch.setattr(morita, "sys", SimpleNamespace(getrecursionlimit=lambda: 0))
+        for name in names:
+            getattr(morita, name).cache_clear()
+        deepest = nesting(monkeypatch, names)
+        assert [verify_bridge(b, checks) for b in blocks] == expected
+        assert deepest[0] == 2
+
     @pytest.mark.parametrize("kappa_c", [0, 1])
     def test_order_preserving_on_small_blocks(self, kappa_c):
         for b in iter_bridges(kappa_c, 8):
@@ -713,6 +745,27 @@ class TestDominanceCheck:
 def clear_walks():
     for memo in (morita.c_walk, morita.a_walk):
         memo.cache_clear()
+
+
+def nesting(monkeypatch, names):
+    """Replace morita's functions names by wrappers that count how deeply
+    their calls nest, one count for all of them; the list that holds the
+    deepest nesting seen."""
+    depth, deepest = [0], [0]
+
+    def counting(real):
+        def call(*args):
+            depth[0] += 1
+            deepest[0] = max(deepest[0], depth[0])
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+        return call
+
+    for name in names:
+        monkeypatch.setattr(morita, name, counting(getattr(morita, name)))
+    return deepest
 
 
 def maximal(kappa_c, a0):
@@ -823,21 +876,8 @@ class TestWalks:
         clear_walks()
         expected = [verify_bridge(b, ("count", "graded")) for b in blocks]
         monkeypatch.setattr(morita, "sys", SimpleNamespace(getrecursionlimit=lambda: 0))
-        depth, deepest = [0], [0]
-
-        def nesting(real):
-            def walk(*args):
-                depth[0] += 1
-                deepest[0] = max(deepest[0], depth[0])
-                try:
-                    return real(*args)
-                finally:
-                    depth[0] -= 1
-            return walk
-
         clear_walks()
-        for name in ("c_walk", "a_walk"):
-            monkeypatch.setattr(morita, name, nesting(getattr(morita, name)))
+        deepest = nesting(monkeypatch, ("c_walk", "a_walk"))
         assert [verify_bridge(b, ("count", "graded")) for b in blocks] == expected
         assert morita._width > 16 and deepest[0] == 2
 

@@ -16,7 +16,6 @@ from klrblocks.partitions import (
     dominance_sums,
     enumerate_block,
     lattice_state,
-    move,
     multipartitions_of,
     partitions_of,
 )
@@ -171,8 +170,8 @@ class TestLatticeState:
         # away costs the same bits
         n, s = lattice_state(((2, 1), (1,)), (10 ** 9, 0))
         assert s.bit_length() <= 2 * (2 * n + 2)
-        assert [d for _, _, d in corners(A, (10 ** 9, 0), n, s, False)] == [0, 0, 0]
-        assert [i for _, i, _ in corners(A, (10 ** 9, 0), n, s, True)] == [
+        assert [d for _, _, d, _ in corners(A, (10 ** 9, 0), n, s, False)] == [0, 0, 0]
+        assert [i for _, i, _, _ in corners(A, (10 ** 9, 0), n, s, True)] == [
             10 ** 9 + 2, 10 ** 9, 10 ** 9 - 2, 1, -1]
 
     def test_corner_rule_matches_the_row_scan(self):
@@ -180,21 +179,41 @@ class TestLatticeState:
         rule gives the nodes, order, residues and step degrees of the row
         scan the states replaced, and with a residue only that residue's
         corners, none for a negative one in type C.  Each lane holds n + 1
-        bits, and a step on the state is the state of the shape add_node or
-        remove_node makes."""
+        bits."""
         for ct, charge, mp in reader_cases():
             n, s = lattice_state(mp, charge)
             assert bin(s).count("1") == len(mp) * (n + 1)
             scanned = step_degrees(mp, ct, charge)
             assert state_corners(mp, ct, charge) == scanned
-            for add, step, found in ((True, add_node, scanned[0]),
-                                     (False, remove_node, scanned[1])):
+            for add, found in ((True, scanned[0]), (False, scanned[1])):
                 rule = corners(ct, charge, n, s, add)
                 for i in {i for _, i, _ in found} | {-1, 7}:
                     assert corners(ct, charge, n, s, add, i) == [c for c in rule if c[1] == i]
-                for (q, _, _), (node, _, _) in zip(rule, reversed(found)):
-                    assert lattice_state(step(mp, node), charge) == (
-                        n + 1 if add else n - 1, move(len(mp), s, q, add))
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("ct", [A, C])
+    def test_child_is_the_state_of_the_step(self, ct, level):
+        """Every corner of every l-partition to size 8, under a few charges:
+        its child is the lattice state of the shape with its node added or
+        removed (add_node, remove_node), and the step on the state that the
+        rule's callers took before (oracles.move), both with and without a
+        residue filter."""
+        shapes = [mp for n in range(9) for mp in multipartitions_of(n, level)]
+        charges = {A: [(0,) * level, tuple(range(-1, level - 1)), (3,) + (-2,) * (level - 1)],
+                   C: [(0,) * level, tuple(range(level, 0, -1)), (2,) + (0,) * (level - 1)]}[ct]
+        for charge in charges:
+            for mp in shapes:
+                n, s = lattice_state(mp, charge)
+                addable, removable = state_corners(mp, ct, charge)
+                for add, step, found in ((True, add_node, addable),
+                                         (False, remove_node, removable)):
+                    rule = corners(ct, charge, n, s, add)
+                    assert len(rule) == len(found)
+                    for (q, i, d, child), (node, _, _) in zip(rule, reversed(found)):
+                        assert child == oracles.move(level, s, q, add)
+                        assert lattice_state(step(mp, node), charge) == (
+                            n + 1 if add else n - 1, child)
+                        assert (q, i, d, child) in corners(ct, charge, n, s, add, i)
 
 
 class TestDominance:

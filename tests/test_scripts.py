@@ -252,6 +252,28 @@ def test_maximal_blocks_check_that_dies_fails_the_block(monkeypatch, capsys):
         assert verdict == "FAIL"
 
 
+def test_query_kinds_lines(tmp_path):
+    # one line per kind of the queries pool, in pool order; the run reads
+    # bench/ and writes nothing there or into the package
+    def listing():
+        return sorted((p, p.stat().st_mtime_ns)
+                      for root in (ROOT / "bench", ROOT / "src" / "klrblocks")
+                      for p in root.rglob("*"))
+
+    before = listing()
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "query_kinds.py")],
+                          cwd=tmp_path, env=NO_PYTHONPATH, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "block", "tableaux", "kleshchev", "gdim", "gdim_weight", "bridge"]
+    for line in lines:
+        assert re.fullmatch(r"\w+ +cold +\d+\.\d us  warm +\d+\.\d us  \(300 queries\)",
+                            line), line
+    assert listing() == before
+
+
 def test_every_memo_is_cleared():
     # the memos of the package's modules, found by their cache_clear, are
     # those maximal_blocks.py clears before each check and those the README
