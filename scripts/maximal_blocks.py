@@ -44,9 +44,10 @@ from klrblocks.morita import ALL_CHECKS, one_block_bridge, verify_bridge
 from klrblocks.partitions import content
 from worker import at_ref_speed, probe_ms
 
-MEMOS = (graded._gdim, morita.c_walk, morita.a_walk, morita.c_kleshchev,
-         morita.a_kleshchev, morita.c_good_walk, morita.rectangle, morita.rho_gdim,
-         morita._lane_rows, morita._image_top, morita._image_bottom)
+MEMOS = (graded._gdim, morita.c_walk, morita.a_walk, morita.c_good_walk,
+         morita.rectangle, morita.rho_gdim, morita._lane_rows, morita._image_top,
+         morita._image_bottom)
+TABLES = (morita._C_KLESHCHEV, morita._A_KLESHCHEV)  # the dict memos
 
 
 def timed(b, check):
@@ -54,6 +55,8 @@ def timed(b, check):
     verdict, run on cleared memos."""
     for memo in MEMOS:
         memo.cache_clear()
+    for table in TABLES:
+        table.clear()
     before = probe_ms()
     start = time.perf_counter()
     try:

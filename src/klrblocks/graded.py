@@ -88,19 +88,12 @@ def _gdim(ct: CartanType, charge: Charge, n: int, s: int,
     adds the sub-sums of its removable corners (partitions.corners) at
     their children, shifted by their step degrees, into one coefficient
     map; with word, only those of residue word[-1], below them word[-2],
-    and so on.  A miss with one corner is its child's sum, shifted only by
-    a degree that is not 0 (the polynomials are never changed, so entries
-    may share one)."""
+    and so on."""
     if not n:
         return LaurentPoly.one()
     i, rest = (None, None) if word is None else (word[-1], word[:-1])
-    found = corners(ct, charge, n, s, False, i)
-    if len(found) == 1:
-        (_, _, d, child), = found
-        below = _gdim(ct, charge, n - 1, child, rest)
-        return LaurentPoly._owning({e + d: c for e, c in below.items()}) if d else below
     out: Dict[int, int] = {}
-    for _, _, d, child in found:
+    for _, _, d, child in corners(ct, charge, n, s, False, i):
         for e, c in _gdim(ct, charge, n - 1, child, rest).items():
             out[e + d] = out.get(e + d, 0) + c
     # every coefficient counts tableaux, so none is 0

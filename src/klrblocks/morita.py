@@ -39,10 +39,10 @@ by its bits and charge (_lane_rows), and the two pieces of a member's
 image, rho's rows with lambda added, keyed by (lambda, a0, len(rho))
 (_image_top), and mu', keyed by mu (_image_bottom).  The
 Kleshchev check's two tests follow one good node (c_kleshchev,
-a_kleshchev), and the good-path check searches good removals
-(c_good_walk); each loops over the removable bits top first and recurses
-once per removal, and in a block as tall as the walks fill theirs, its
-memo is filled the same way, from the lowest state up.
+a_kleshchev), each a loop with a dict memo, and the good-path check
+searches good removals (c_good_walk), recursing once per removal, with
+its memo filled from the lowest state up in a block as tall as the walks
+fill theirs; each tries the removable bits top first.
 
 The type-C shapes come from one of two sources, decided by the input.  A
 sweep (iter_bridges) finds each block by grouping the partitions of each
@@ -432,7 +432,7 @@ def _a_below(s: int) -> List[Tuple[int]]:
 
 def _c_goods(zero: int, s: int, to_rho: bool) -> List[Tuple[int, int, bool]]:
     """The states c_good_walk(zero, s, to_rho) may read: one good removal
-    each, top first (c_kleshchev reads the first of them)."""
+    each, top first."""
     out = []
     removable = s & ~(s << 1) & ~1 & ~(to_rho << zero)
     while removable:
@@ -443,29 +443,13 @@ def _c_goods(zero: int, s: int, to_rho: bool) -> List[Tuple[int, int, bool]]:
     return out
 
 
-def _c_good(zero: int, s: int) -> List[Tuple[int, int]]:
-    """The state c_kleshchev(zero, s) reads, if any."""
-    return [st[:2] for st in _c_goods(zero, s, False)[:1]]
-
-
-def _a_good(s: int) -> List[Tuple[int]]:
-    """The state a_kleshchev(s) reads, if any."""
-    rest = s & ~(s << 2) & ~3
-    while rest:
-        p = rest.bit_length() - 1
-        rest ^= 1 << p
-        if s >> p - 3 & 5 != 4 if p & 1 else s >> p - 1 & 5 != 1:
-            return [(s ^ 5 << p - 2,)]
-    return []
-
-
 def _fill(walk, below, tops) -> None:
     """Make walk's entries for the states tops (argument tuples) and every
     state below them, one removal per level, from the lowest level up, so
-    that no miss recurses more than once: the walks and the Kleshchev and
-    good-removal tests recurse once per removed node, and for a block
-    taller than a quarter of the recursion limit (_Block.deep) they are
-    filled so first, as graded._fill does."""
+    that no miss recurses more than once: the walks and the good-removal
+    walk recurse once per removed node, and for a block taller than a
+    quarter of the recursion limit (_Block.deep) they are filled so first,
+    as graded._fill does."""
     levels = [set(tops)]
     while levels[-1]:
         levels.append({t for st in levels[-1] for t in below(*st)})
@@ -487,32 +471,61 @@ def kronecker_pairs(x: int, K: int, low: int) -> List[List[int]]:
     return out
 
 
-@lru_cache(maxsize=None)
+# The Kleshchev tests' memos, as crystal._KLESHCHEV: the answer for every
+# state on a followed path, (zero, s) in type C and the weight s in type A
+_C_KLESHCHEV: Dict[Tuple[int, int], bool] = {}
+_A_KLESHCHEV: Dict[int, bool] = {}
+
+
 def c_kleshchev(zero: int, s: int) -> bool:
     """is_kleshchev of the level-one type-C shape with c_state (zero, s): its
     removable bit p, tried top first, is good unless the mirror bits (2 zero
-    - p - 1, 2 zero - p) read (1, 0) above content 0, (0, 1) below it."""
-    rest = removable = s & ~(s << 1) & ~1
-    while rest:
-        p = rest.bit_length() - 1
-        rest ^= 1 << p
-        if s >> 2 * zero - p - 1 & 3 != (1 if p >= zero else 2):
-            return c_kleshchev(zero - 1, (s ^ 3 << p - 1) >> 1)
-    return not removable
+    - p - 1, 2 zero - p) read (1, 0) above content 0, (0, 1) below it.
+    Removes one good node a step, to the empty shape (True), a state with
+    no good node (False) or one in _C_KLESHCHEV, and records the answer
+    there for every state on the way; a loop, for any depth."""
+    memo, chain, key = _C_KLESHCHEV, [], (zero, s)
+    answer = memo.get(key)
+    while answer is None:
+        chain.append(key)
+        rest = removable = s & ~(s << 1) & ~1
+        while rest:
+            p = rest.bit_length() - 1
+            rest ^= 1 << p
+            if s >> 2 * zero - p - 1 & 3 != (1 if p >= zero else 2):
+                zero, s = zero - 1, (s ^ 3 << p - 1) >> 1
+                key = (zero, s)
+                answer = memo.get(key)
+                break
+        else:
+            answer = not removable
+    for key in chain:
+        memo[key] = answer
+    return answer
 
 
-@lru_cache(maxsize=None)
 def a_kleshchev(s: int) -> bool:
     """is_kleshchev of the bipartition whose weight (a_block) is s: its node
     at bit p is good unless bits (p - 1, p + 1) read (1, 0) in component 1,
-    (p - 3, p - 1) read (0, 1) in component 2."""
-    rest = removable = s & ~(s << 2) & ~3
-    while rest:
-        p = rest.bit_length() - 1
-        rest ^= 1 << p
-        if s >> p - 3 & 5 != 4 if p & 1 else s >> p - 1 & 5 != 1:
-            return a_kleshchev(s ^ 5 << p - 2)
-    return not removable
+    (p - 3, p - 1) read (0, 1) in component 2.  A loop over one good node a
+    step, as c_kleshchev, with the memo _A_KLESHCHEV."""
+    memo, chain = _A_KLESHCHEV, []
+    answer = memo.get(s)
+    while answer is None:
+        chain.append(s)
+        rest = removable = s & ~(s << 2) & ~3
+        while rest:
+            p = rest.bit_length() - 1
+            rest ^= 1 << p
+            if s >> p - 3 & 5 != 4 if p & 1 else s >> p - 1 & 5 != 1:
+                s ^= 5 << p - 2
+                answer = memo.get(s)
+                break
+        else:
+            answer = not removable
+    for s in chain:
+        memo[s] = answer
+    return answer
 
 
 @lru_cache(maxsize=None)
@@ -640,8 +653,6 @@ class _Block:
     @_part
     def c_klesh(self) -> List[Tuple[Partition, Tuple[int, int]]]:
         # off the listing, not pairs: the Kleshchev check compares two listings
-        if self.deep:
-            _fill(c_kleshchev, _c_good, self.c_states.values())
         return [(nu, st) for nu, st in self.c_states.items() if c_kleshchev(*st)]
 
 
@@ -714,8 +725,6 @@ def _check_dominance(blk: _Block) -> dict:
 
 def _check_kleshchev(blk: _Block) -> dict:
     # equal sets share one sorted list, as the graded check's equal sides do
-    if blk.deep:
-        _fill(a_kleshchev, _a_good, [(w,) for _, _, w in blk.pairs])
     a_klesh = {nu for _, nu, w in blk.pairs if a_kleshchev(w)}
     c_klesh = {nu for nu, _ in blk.c_klesh}
     same, a_image = a_klesh == c_klesh, sorted(map(list, a_klesh))

@@ -90,18 +90,23 @@ def _setting(ct: CartanType, charge: Charge) -> tuple:
     C), the l low bits, 1 << l | 1, and per component m (own, later, mirror).
     In a state of size n, label u - 1 of component b is bit l (u + n) + b -
     l k_b; own is m's offset m - l k_m, later the offsets of the components
-    after m, and mirror later with own after them."""
-    l = len(charge)
-    offsets = [b - l * k for b, k in enumerate(charge)]
-    return l, ct is CartanType.C, (1 << l) - 1, 1 << l | 1, tuple(
-        (own, tuple(offsets[m + 1:]), tuple(offsets[m + 1:]) + (own,))
-        for m, own in enumerate(offsets))
+    after m, and mirror later with own after them.  Built on the setting's
+    first call and kept in _SETTINGS under the tuple charge."""
+    setting = _SETTINGS.get((ct, charge))
+    if setting is None:
+        l = len(charge)
+        offsets = [b - l * k for b, k in enumerate(charge)]
+        setting = _SETTINGS[ct, charge] = (
+            l, ct is CartanType.C, (1 << l) - 1, 1 << l | 1, tuple(
+                (own, tuple(offsets[m + 1:]), tuple(offsets[m + 1:]) + (own,))
+                for m, own in enumerate(offsets)))
+    return setting
 
 
 def corners(ct: CartanType, charge: Charge, n: int, s: int, add: bool,
             i: Optional[Residue] = None) -> List[Tuple[int, Residue, int, int]]:
     """Every addable (add) or removable corner of the lattice state (n, s)
-    under charge (a tuple, l = len(charge)), of residue i only if i is
+    under charge (l = len(charge)), of residue i only if i is
     given, as (bit, residue, step degree, child) in (component, row) order.
     Bit q = l j + m is in component m + 1, of content t = j + k - n - 1 and
     residue t, or |t| in type C; it is addable when t - 1 is in M and t is
@@ -115,9 +120,10 @@ def corners(ct: CartanType, charge: Charge, n: int, s: int, add: bool,
     the lattice state of the shape after the step: t - 1 moves to t or
     back, and the window moves one lane step.  What depends on (ct, charge)
     alone is read from _SETTINGS."""
-    setting = _SETTINGS.get((ct, charge))
-    if setting is None:
-        setting = _SETTINGS[ct, charge] = _setting(ct, charge)
+    try:
+        setting = _SETTINGS[ct, charge]
+    except (KeyError, TypeError):  # a new setting, or a list charge
+        setting = _setting(ct, tuple(charge))
     l, fold, low, pair, comps = setting
     found = []  # (bit, content, later, mirror)
     if i is None:

@@ -441,6 +441,27 @@ class TestVerifyStreams:
                        "pretty": whole[:-len("all-pass\n")]}[fmt]
 
     @pytest.mark.parametrize("fmt", FORMATS)
+    def test_recursing_too_deep_exits_2(self, capsys, monkeypatch, fmt):
+        # no known input outruns the fills from the bottom; one that did
+        # would end with this line and no traceback, after the reports
+        # made before it
+        reports = []
+
+        def third_recurses(b, checks):
+            if len(reports) == 2:
+                raise RecursionError("maximum recursion depth exceeded")
+            reports.append(verify_bridge(b, checks))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "verify_bridge", third_recurses)
+        code = main(["--format", fmt, "verify", "--kappa-c", "0", "--max-n", "6"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "error: the shape is too large for this tool\n")
+        whole = list_based_verify(reports, fmt)
+        assert out == {"json": whole[:-len("]\n")], "csv": whole,
+                       "pretty": whole[:-len("all-pass\n")]}[fmt]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
     def test_each_report_is_written_before_the_next_is_made(self, monkeypatch, fmt):
         out, written = io.StringIO(), []
 

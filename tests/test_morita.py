@@ -650,8 +650,9 @@ class TestVerifyBridge:
         shared = [verify_bridge(b, checks) for b in bridges]
         cold = []
         for b in bridges:
-            for memo in (morita.c_kleshchev, morita.a_kleshchev, morita.c_good_walk,
-                         *IMAGE_MEMOS):
+            morita._C_KLESHCHEV.clear()
+            morita._A_KLESHCHEV.clear()
+            for memo in (morita.c_good_walk, *IMAGE_MEMOS):
                 memo.cache_clear()
             cold.append(verify_bridge(b, checks))
         assert shared == cold
@@ -664,31 +665,36 @@ class TestVerifyBridge:
         # good-removal search is not read.  (At kappa_c = 0, a0 = 5 the tests
         # hold 2061 and 1349 entries against a bound of 12852; the search
         # holds 44455.)
-        memos = (morita.c_kleshchev, morita.a_kleshchev, morita.c_good_walk)
+        tables = (morita._C_KLESHCHEV, morita._A_KLESHCHEV)
         for a0 in range(1, 6):
             rect = ((a0,) * (2 * a0 + 2 * kappa_c),)
             b = one_block_bridge(kappa_c, content(C, (kappa_c,), rect))
-            for memo in memos:
-                memo.cache_clear()
+            for table in tables:
+                table.clear()
+            morita.c_good_walk.cache_clear()
             assert verify_bridge(b, ("kleshchev",))["pass"]
             bound = len(b.c_shapes) * (b.beta.height + 1)
-            sizes = [memo.cache_info().currsize for memo in memos]
-            assert sizes[0] <= bound and sizes[1] <= bound and sizes[2] == 0
+            assert all(len(table) <= bound for table in tables)
+            assert morita.c_good_walk.cache_info().currsize == 0
 
-    def test_deep_blocks_fill_the_kleshchev_tests_from_the_bottom(self, monkeypatch):
-        # with a recursion limit that makes every block deep, both Kleshchev
-        # tests and the good-removal walk are put in their memos from the
-        # lowest state up: the same reports, and no call nests in more than
+    def test_deep_blocks_answer_the_kleshchev_and_goodpath_checks(self, monkeypatch):
+        # with a recursion limit that makes every block deep, the good-removal
+        # walk is put in its memo from the lowest state up, and the Kleshchev
+        # tests are loops: the same reports, and no call nests in more than
         # one other
         names = ("c_kleshchev", "a_kleshchev", "c_good_walk")
         checks = ("kleshchev", "goodpath")
         blocks = [maximal(0, a0) for a0 in (2, 3, 4)] + [maximal(1, 3), *iter_bridges(1, 10)]
-        for name in names:
-            getattr(morita, name).cache_clear()
+
+        def cold():
+            morita._C_KLESHCHEV.clear()
+            morita._A_KLESHCHEV.clear()
+            morita.c_good_walk.cache_clear()
+
+        cold()
         expected = [verify_bridge(b, checks) for b in blocks]
         monkeypatch.setattr(morita, "sys", SimpleNamespace(getrecursionlimit=lambda: 0))
-        for name in names:
-            getattr(morita, name).cache_clear()
+        cold()
         deepest = nesting(monkeypatch, names)
         assert [verify_bridge(b, checks) for b in blocks] == expected
         assert deepest[0] == 2

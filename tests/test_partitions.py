@@ -144,13 +144,20 @@ class TestStepDegrees:
 
 def reader_cases():
     """Every l-partition to size 7 at levels 1 and 2 and to size 4 at level
-    3, under the type-A charges -2..2 and the type-C charges 0..2."""
+    3, under the type-A charges -2..2 and the type-C charges 0..2; then
+    those of the larger sizes to 8 under three charges of each type."""
     for level, largest in ((1, 7), (2, 7), (3, 4)):
-        shapes = [mp for n in range(largest + 1) for mp in multipartitions_of(n, level)]
+        shapes = [[mp for n in sizes for mp in multipartitions_of(n, level)]
+                  for sizes in (range(largest + 1), range(largest + 1, 9))]
         for ct in (A, C):
-            for charge in product(range(3) if ct is C else range(-2, 3), repeat=level):
-                for mp in shapes:
-                    yield ct, charge, mp
+            every = product(range(3) if ct is C else range(-2, 3), repeat=level)
+            few = ([(0,) * level, tuple(range(-1, level - 1)), (3,) + (-2,) * (level - 1)]
+                   if ct is A else
+                   [(0,) * level, tuple(range(level, 0, -1)), (2,) + (0,) * (level - 1)])
+            for mps, charges in zip(shapes, (every, few)):
+                for charge in charges:
+                    for mp in mps:
+                        yield ct, charge, mp
 
 
 class TestLatticeState:
@@ -179,41 +186,29 @@ class TestLatticeState:
         rule gives the nodes, order, residues and step degrees of the row
         scan the states replaced, and with a residue only that residue's
         corners, none for a negative one in type C.  Each lane holds n + 1
-        bits."""
+        bits, and each corner's child is the state of the shape add_node or
+        remove_node makes, and the step on the state that the rule's
+        callers took before (oracles.move)."""
         for ct, charge, mp in reader_cases():
             n, s = lattice_state(mp, charge)
             assert bin(s).count("1") == len(mp) * (n + 1)
             scanned = step_degrees(mp, ct, charge)
             assert state_corners(mp, ct, charge) == scanned
-            for add, found in ((True, scanned[0]), (False, scanned[1])):
+            for add, step, found in ((True, add_node, scanned[0]),
+                                     (False, remove_node, scanned[1])):
                 rule = corners(ct, charge, n, s, add)
                 for i in {i for _, i, _ in found} | {-1, 7}:
                     assert corners(ct, charge, n, s, add, i) == [c for c in rule if c[1] == i]
+                for (q, _, _, child), (node, _, _) in zip(rule, reversed(found)):
+                    assert child == oracles.move(len(mp), s, q, add)
+                    assert lattice_state(step(mp, node), charge) == (
+                        n + 1 if add else n - 1, child)
 
-    @pytest.mark.parametrize("level", [1, 2, 3])
-    @pytest.mark.parametrize("ct", [A, C])
-    def test_child_is_the_state_of_the_step(self, ct, level):
-        """Every corner of every l-partition to size 8, under a few charges:
-        its child is the lattice state of the shape with its node added or
-        removed (add_node, remove_node), and the step on the state that the
-        rule's callers took before (oracles.move), both with and without a
-        residue filter."""
-        shapes = [mp for n in range(9) for mp in multipartitions_of(n, level)]
-        charges = {A: [(0,) * level, tuple(range(-1, level - 1)), (3,) + (-2,) * (level - 1)],
-                   C: [(0,) * level, tuple(range(level, 0, -1)), (2,) + (0,) * (level - 1)]}[ct]
-        for charge in charges:
-            for mp in shapes:
-                n, s = lattice_state(mp, charge)
-                addable, removable = state_corners(mp, ct, charge)
-                for add, step, found in ((True, add_node, addable),
-                                         (False, remove_node, removable)):
-                    rule = corners(ct, charge, n, s, add)
-                    assert len(rule) == len(found)
-                    for (q, i, d, child), (node, _, _) in zip(rule, reversed(found)):
-                        assert child == oracles.move(level, s, q, add)
-                        assert lattice_state(step(mp, node), charge) == (
-                            n + 1 if add else n - 1, child)
-                        assert (q, i, d, child) in corners(ct, charge, n, s, add, i)
+    def test_a_list_charge_reads_as_its_tuple(self):
+        n, s = lattice_state(((2, 1), (1,)), (1, 0))
+        for ct in (A, C):
+            for add in (True, False):
+                assert corners(ct, [1, 0], n, s, add) == corners(ct, (1, 0), n, s, add)
 
 
 class TestDominance:

@@ -137,10 +137,10 @@ def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys, tmp_path):
     real, log = script.verify_bridge, tmp_path / "calls"
 
     def recording(b, checks):
-        sizes = [memo.cache_info().currsize
-                 for memo in (morita.c_kleshchev, morita.a_kleshchev,
-                              morita.c_good_walk, graded._gdim, morita.c_walk,
-                              morita.a_walk, morita.rectangle, morita.rho_gdim)]
+        sizes = [len(morita._C_KLESHCHEV), len(morita._A_KLESHCHEV)] + [
+            memo.cache_info().currsize
+            for memo in (morita.c_good_walk, graded._gdim, morita.c_walk,
+                         morita.a_walk, morita.rectangle, morita.rho_gdim)]
         logged(log, b.a0, checks, sizes, os.getpid())
         return real(b, checks)
 
@@ -277,17 +277,21 @@ def test_query_kinds_lines(tmp_path):
 def test_every_memo_is_cleared():
     # the memos of the package's modules, found by their cache_clear, are
     # those maximal_blocks.py clears before each check and those the README
-    # lists, so a memo added without an entry in either fails here
+    # lists, so a memo added without an entry in either fails here; the
+    # script empties the bridge's two dict memos too
     found = set()
     for info in pkgutil.iter_modules(klrblocks.__path__):
         module = importlib.import_module(f"klrblocks.{info.name}")
         found.update(memo_name(obj) for obj in vars(module).values()
                      if hasattr(obj, "cache_clear"))
-    assert {memo_name(memo) for memo in load_script("maximal_blocks").MEMOS} == found
+    script = load_script("maximal_blocks")
+    assert {memo_name(memo) for memo in script.MEMOS} == found
     readme = (ROOT / "README.md").read_text()
-    section = readme[readme.index("Eleven memos live"):readme.index("Each is a `functools")]
+    section = readme[readme.index("Nine memos live"):readme.index("Each is a `functools")]
     assert set(re.findall(r"^- `(\w+\.\w+)`", section, re.M)) == found
-    assert len(found) == 11
+    assert len(found) == 9
+    assert [id(table) for table in script.TABLES] == [
+        id(morita._C_KLESHCHEV), id(morita._A_KLESHCHEV)]
 
 
 def memo_name(memo):
