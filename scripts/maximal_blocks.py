@@ -44,10 +44,9 @@ from klrblocks.morita import ALL_CHECKS, one_block_bridge, verify_bridge
 from klrblocks.partitions import content
 from worker import at_ref_speed, probe_ms
 
-MEMOS = (graded._gdim, morita.c_walk, morita.a_walk, morita.c_good_walk,
-         morita.rectangle, morita.rho_gdim, morita._lane_rows, morita._image_top,
-         morita._image_bottom)
-TABLES = (morita._C_KLESHCHEV, morita._A_KLESHCHEV)  # the dict memos
+MEMOS = (graded._gdim, morita.c_walk, morita.a_walk, morita.rectangle, morita.rho_gdim,
+         morita._lane_rows, morita._image_top, morita._image_bottom)
+TABLES = (morita._C_KLESHCHEV, morita._A_KLESHCHEV, morita._C_GOOD)  # the dict memos
 
 
 def timed(b, check):

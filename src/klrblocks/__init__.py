@@ -15,7 +15,6 @@ from .morita import (
     a_block,
     bridge,
     c_block,
-    from_type_c,
     iter_bridges,
     verify_bridge,
 )

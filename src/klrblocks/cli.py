@@ -438,9 +438,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the graded dimensions and the bridge's checks recurse once per
-        # node, and fill in deep shapes from the smallest size up
-        # (graded._fill, morita._fill); a recursion that outruns them ends here
+        # the graded dimensions and the bridge's walks recurse once per node,
+        # deep shapes filled from the bottom (partitions.fill_from_bottom),
+        # and block --beta's placements once or more per component; a
+        # recursion that outruns them ends here
         print("error: the shape is too large for this tool", file=sys.stderr)
         return 2
     except MemoryError:

@@ -7,18 +7,17 @@ listed.  It walks lattice states and reads each step degree and each
 child state off the package's one corner rule (partitions.corners), as
 the tableau walk and the command line's Kleshchev test do.  It recurses
 once per node, so a shape too deep for the interpreter's recursion limit
-has its sub-states listed first and filled in from the smallest size up
-(_fill)."""
+has its sub-states (_gdim_below) filled in from the smallest size up
+(partitions.fill_from_bottom)."""
 
 from __future__ import annotations
 
-import sys
 from collections.abc import ItemsView, Mapping
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue
-from .partitions import MultiPartition, corners, lattice_state
+from .partitions import MultiPartition, corners, fill_from_bottom, lattice_state
 
 
 class LaurentPoly:
@@ -100,23 +99,14 @@ def _gdim(ct: CartanType, charge: Charge, n: int, s: int,
     return LaurentPoly._owning(out)
 
 
-def _fill(ct: CartanType, charge: Charge, n: int, s: int,
-          word: Optional[Tuple[Residue, ...]]) -> LaurentPoly:
-    """_gdim(ct, charge, n, s, word), which recurses once per node.  Past a
-    quarter of the recursion limit, the sub-states it would visit (for a
-    word, those of its prefixes) are listed one size at a time and their
-    entries made from the smallest size up, so no miss recurses deeper
-    than the sizes below it, which are all in the memo."""
-    if 4 * n > sys.getrecursionlimit():
-        levels = [{s}]
-        for m in range(n, 0, -1):
-            i = None if word is None else word[m - 1]
-            levels.append({child for t in levels[-1]
-                           for _, _, _, child in corners(ct, charge, m, t, False, i)})
-        for m, states in enumerate(reversed(levels)):
-            for t in states:
-                _gdim(ct, charge, m, t, None if word is None else word[:m])
-    return _gdim(ct, charge, n, s, word)
+def _gdim_below(ct: CartanType, charge: Charge, n: int, s: int,
+                word: Optional[Tuple[Residue, ...]]) -> list:
+    """The argument tuples that _gdim(ct, charge, n, s, word) reads."""
+    if not n:
+        return []
+    i, rest = (None, None) if word is None else (word[-1], word[:-1])
+    return [(ct, charge, n - 1, child, rest)
+            for _, _, _, child in corners(ct, charge, n, s, False, i)]
 
 
 def gdim_specht_weight(shape: MultiPartition, ct: CartanType, charge: Charge,
@@ -128,9 +118,14 @@ def gdim_specht_weight(shape: MultiPartition, ct: CartanType, charge: Charge,
     if len(residues) != n:
         raise ValueError(f"residue word has length {len(residues)}, "
                          f"but the shape has {n} nodes")
-    return _fill(ct, tuple(charge), n, s, tuple(residues))
+    key = (ct, tuple(charge), n, s, tuple(residues))
+    fill_from_bottom(n, _gdim, _gdim_below, (key,))
+    return _gdim(*key)
 
 
 def gdim_specht(shape: MultiPartition, ct: CartanType, charge: Charge) -> LaurentPoly:
     """Graded dimension of the full Specht module."""
-    return _fill(ct, tuple(charge), *lattice_state(shape, charge), None)
+    n, s = lattice_state(shape, charge)
+    key = (ct, tuple(charge), n, s, None)
+    fill_from_bottom(n, _gdim, _gdim_below, (key,))
+    return _gdim(*key)

@@ -22,9 +22,9 @@ cogood unless the upper one is removable, else an addable upper one is.
 The counting and graded checks compare gdim(rho) times the type-C walk
 over [rho, nu] (c_walk), the factorizable tableaux of nu, with gdim(rho)
 times the type-A walk (a_walk).  A walk reads each removal off the bits
-and recurses on it at once, with no list of steps; for a block taller
-than a quarter of the recursion limit, every state below the block's is
-put in the memos first, from the lowest up (_fill).  Each walk memo holds
+and recurses on it at once, with no list of steps; for a block too tall
+to recurse through, every state below the block's (_c_below, _a_below)
+is put in the memos first (partitions.fill_from_bottom).  Each walk memo holds
 one entry per state, at one digit width K for the whole process: at K =
 0 the state's tableau count, else the count with its polynomial, one int
 in Q = 2^K, so a removal is a shift and an add, and only the report
@@ -40,9 +40,9 @@ image, rho's rows with lambda added, keyed by (lambda, a0, len(rho))
 (_image_top), and mu', keyed by mu (_image_bottom).  The
 Kleshchev check's two tests follow one good node (c_kleshchev,
 a_kleshchev), each a loop with a dict memo, and the good-path check
-searches good removals (c_good_walk), recursing once per removal, with
-its memo filled from the lowest state up in a block as tall as the walks
-fill theirs; each tries the removable bits top first.
+searches good removals (c_good_walk), a loop over a stack of frames with
+the dict memo _C_GOOD; each tries the removable bits top first, so all
+three answer a block of any height.
 
 The type-C shapes come from one of two sources, decided by the input.  A
 sweep (iter_bridges) finds each block by grouping the partitions of each
@@ -58,7 +58,6 @@ of its own, independent of either."""
 from __future__ import annotations
 
 import json
-import sys
 from functools import lru_cache
 from itertools import combinations
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
@@ -72,6 +71,7 @@ from .partitions import (
     content,
     dominance_sums,
     enumerate_block,
+    fill_from_bottom,
     partitions_of,
 )
 
@@ -241,17 +241,9 @@ def _image_bottom(mu: Partition) -> Partition:
     return conjugate(mu)
 
 
-def from_type_c(nu: Partition, b: BlockBridge) -> Bipartition:
-    """rect_preimage(nu, b) for nu in b's type-C block; a shape of another
-    block, whose content is not b.beta, raises BridgeError."""
-    if content(CartanType.C, b.c_charge, (nu,)) != b.beta:
-        raise BridgeError(f"{nu} is not in the type-C block")
-    return rect_preimage(nu, b)
-
-
 def rect_preimage(nu: Partition, b: BlockBridge) -> Bipartition:
     """rho + (lambda, mu') -> (lambda, mu), the bridge read backwards, with
-    no membership check (from_type_c makes it): lambda is nu beyond a0 in
+    no membership check: lambda is nu beyond a0 in
     the rows of rho (a rectangle by construction), mu the conjugate of nu
     below them.  A block member needs no other check: its content-0 nodes
     are (kappa_c + j, j) for j = 1..a0, so it holds (kappa_c + a0, a0) and
@@ -430,34 +422,6 @@ def _a_below(s: int) -> List[Tuple[int]]:
     return out
 
 
-def _c_goods(zero: int, s: int, to_rho: bool) -> List[Tuple[int, int, bool]]:
-    """The states c_good_walk(zero, s, to_rho) may read: one good removal
-    each, top first."""
-    out = []
-    removable = s & ~(s << 1) & ~1 & ~(to_rho << zero)
-    while removable:
-        p = removable.bit_length() - 1
-        removable ^= 1 << p
-        if s >> 2 * zero - p - 1 & 3 != (1 if p >= zero else 2):
-            out.append((zero - 1, (s ^ 3 << p - 1) >> 1, to_rho))
-    return out
-
-
-def _fill(walk, below, tops) -> None:
-    """Make walk's entries for the states tops (argument tuples) and every
-    state below them, one removal per level, from the lowest level up, so
-    that no miss recurses more than once: the walks and the good-removal
-    walk recurse once per removed node, and for a block taller than a
-    quarter of the recursion limit (_Block.deep) they are filled so first,
-    as graded._fill does."""
-    levels = [set(tops)]
-    while levels[-1]:
-        levels.append({t for st in levels[-1] for t in below(*st)})
-    for level in reversed(levels):
-        for st in level:
-            walk(*st)
-
-
 def kronecker_pairs(x: int, K: int, low: int) -> List[List[int]]:
     """The [exponent, coefficient] pairs of the polynomial whose
     coefficients are the K-bit digits of x, digit 0 being q^low."""
@@ -475,6 +439,8 @@ def kronecker_pairs(x: int, K: int, low: int) -> List[List[int]]:
 # state on a followed path, (zero, s) in type C and the weight s in type A
 _C_KLESHCHEV: Dict[Tuple[int, int], bool] = {}
 _A_KLESHCHEV: Dict[int, bool] = {}
+# c_good_walk's memo: the answer for every state it searched, by (zero, s, to_rho)
+_C_GOOD: Dict[Tuple[int, int, bool], Optional[int]] = {}
 
 
 def c_kleshchev(zero: int, s: int) -> bool:
@@ -528,25 +494,50 @@ def a_kleshchev(s: int) -> bool:
     return answer
 
 
-@lru_cache(maxsize=None)
 def c_good_walk(zero: int, s: int, to_rho: bool) -> Optional[int]:
     """Search good-node removals, top first, from the type-C state (zero, s)
     to the empty shape, or with to_rho to the rectangle rho of its content-0
     nodes, whose corner is the one good node inside rho; the s (at zero) that
     the word's cogood additions reach from that end, 0 if a step has no
-    cogood node, None if there is no word.  An entry is one cogood step on
-    top of the walk one good removal below it."""
-    removable = s & ~(s << 1) & ~1 & ~(to_rho << zero)
-    if not removable:
+    cogood node, None if there is no word.  A loop, for any depth: a frame
+    holds a state, its untried removable bits and the bit tried while the
+    state below is searched.  An entry of _C_GOOD is one cogood step on the
+    entry one good removal below, made once that is found (a frame popped)."""
+    memo = _C_GOOD
+    end = memo.get((zero, s, to_rho), memo)  # the memo itself: not searched yet
+    if end is not memo:
+        return end
+    rest = s & ~(s << 1) & ~1 & ~(to_rho << zero)
+    if not rest:
+        memo[zero, s, to_rho] = s
         return s
-    while removable:  # the good test of c_kleshchev
-        p = removable.bit_length() - 1
-        removable ^= 1 << p
-        if s >> 2 * zero - p - 1 & 3 != (1 if p >= zero else 2):
-            end = c_good_walk(zero - 1, (s ^ 3 << p - 1) >> 1, to_rho)
-            if end is not None:
-                return end and _c_cogood(zero - 1, end, abs(p - zero))
-    return None
+    frames = []
+    while True:
+        while rest:  # the good test of c_kleshchev, on the bits left
+            p = rest.bit_length() - 1
+            rest ^= 1 << p
+            if s >> 2 * zero - p - 1 & 3 != (1 if p >= zero else 2):
+                z, c = zero - 1, (s ^ 3 << p - 1) >> 1
+                end = memo.get((z, c, to_rho), memo)
+                if end is memo:
+                    below = c & ~(c << 1) & ~1 & ~(to_rho << z)
+                    if below:  # search the state below first
+                        frames.append((zero, s, rest, p))
+                        zero, s, rest = z, c, below
+                        continue
+                    end = memo[z, c, to_rho] = c
+                if end is not None:
+                    end = memo[zero, s, to_rho] = end and _c_cogood(z, end, abs(p - zero))
+                    break
+        else:
+            end = memo[zero, s, to_rho] = None
+        while frames:  # a cogood step per frame, down to one with bits to try
+            zero, s, rest, p = frames.pop()
+            if end is None:
+                break
+            end = memo[zero, s, to_rho] = end and _c_cogood(zero - 1, end, abs(p - zero))
+        else:
+            return end
 
 
 def _c_cogood(zero: int, s: int, i: Residue) -> int:
@@ -601,9 +592,6 @@ class _Block:
     def __init__(self, b: BlockBridge, graded: bool):
         self.b, self.graded = b, graded
         self.c_shapes = b.c_shapes if b.c_shapes is not None else tuple(c_block(b))
-        # every recursion of the checks is at most the block's height deep;
-        # a deep block has its memos filled from the bottom (_fill)
-        self.deep = 4 * b.beta.height > sys.getrecursionlimit()
 
     @_part
     def pairs(self) -> List[Tuple[Bipartition, Partition, int]]:
@@ -625,7 +613,7 @@ class _Block:
         length of gdim(rho)(1) times its largest count, which bounds every
         coefficient of the products; a shorter width (0 included) grows."""
         global _width
-        b, states, deep = self.b, self.c_states, self.deep
+        b, states, height = self.b, self.c_states, self.b.beta.height
         # memos found empty (cleared) start over at width 0
         K = _width if _WALK_MEMOS[0].cache_info().currsize else 0
         while True:
@@ -634,11 +622,11 @@ class _Block:
                 for memo in _WALK_MEMOS:
                     memo.cache_clear()
             # an image outside the listing, which only a failing bridge has,
-            # has its state built here
-            if deep:  # on every pass: a wider K has cleared the memos
-                _fill(c_walk, _c_below, [states.get(nu) or c_state(nu, b.kappa_c)
-                                         for _, nu, _ in self.pairs])
-                _fill(a_walk, _a_below, [(w,) for _, _, w in self.pairs])
+            # has its state built here.  A walk recurses at most height deep;
+            # a deep block is filled on every pass: a wider K cleared the memos
+            fill_from_bottom(height, c_walk, _c_below, (
+                states.get(nu) or c_state(nu, b.kappa_c) for _, nu, _ in self.pairs))
+            fill_from_bottom(height, a_walk, _a_below, ((w,) for _, _, w in self.pairs))
             entries = [(c_walk(*(states.get(nu) or c_state(nu, b.kappa_c))), a_walk(w))
                        for _, nu, w in self.pairs]
             counts = entries if not K else [(c[0], a[0]) for c, a in entries]
@@ -739,9 +727,6 @@ def _check_goodpath(blk: _Block) -> dict:
     # cogood node ends in 0).  The walks are memoized: rho's head is one
     # lookup, and in a sweep a shape extends the walk one removal below it.
     zero, s = rectangle(blk.b.kappa_c, blk.b.a0)[3]
-    if blk.deep:
-        _fill(c_good_walk, _c_goods, [(zero, s, False)] + [
-            (*st, True) for _, st in blk.c_klesh])
     head_ok = c_good_walk(zero, s, False) == s
     failures = [list(nu) for nu, (zero, s) in blk.c_klesh
                 if not head_ok or c_good_walk(zero, s, True) != s]

@@ -8,14 +8,16 @@ The Young lattice is walked on one int per l-partition, of any type and
 level (lattice_state); one corner rule (corners) reads each corner's
 residue and step degree off its bits, with the state after the step (its
 child), which is again a lattice state.  The graded recursion, the tableau
-walk and the command line's Kleshchev test read them.
+walk and the command line's Kleshchev test read them.  A memoized walk
+too deep to recurse through is filled from the bottom (fill_from_bottom).
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations, count
 from operator import sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cartan import CartanType, Charge, Residue, RootVector
 
@@ -167,6 +169,21 @@ def corners(ct: CartanType, charge: Charge, n: int, s: int, add: bool,
     return out
 
 
+def fill_from_bottom(depth: int, memo: Callable, below: Callable,
+                     tops: Iterable[tuple]) -> None:
+    """If depth, the most levels a miss of memo recurses, is past a quarter
+    of the recursion limit, read tops (argument tuples) and make memo's
+    entries for them and every tuple below them (below(*args) lists those
+    that memo(*args) reads), lowest level first, so no miss recurses twice."""
+    if 4 * depth > sys.getrecursionlimit():
+        levels = [set(tops)]
+        while levels[-1]:
+            levels.append({t for args in levels[-1] for t in below(*args)})
+        for level in reversed(levels):
+            for args in level:
+                memo(*args)
+
+
 def dominance_sums(mps: Sequence[MultiPartition]) -> Tuple[List[int], int]:
     """Each l-partition's row prefix sums, taken over its components in
     turn with every component padded by zero rows to the largest row count
@@ -228,21 +245,23 @@ def partitions_of(n: int) -> Tuple[Partition, ...]:
 
 def multipartitions_of(n: int, level: int) -> List[MultiPartition]:
     """All l-partitions of n, ordered lexicographically on part lists.  The
-    partitions of each height up to n are listed once per call, and each
-    tail list once per size of the component before it."""
+    partitions of each height up to n are listed once per call, and the
+    tails, the last j components, once per size and j, from j = 1 up: a
+    loop, for any level."""
     if n < 0:
         raise ValueError(f"size must be non-negative, got {n}")
     if level == 1:
         return [(p,) for p in partitions_of(n)]
     table = [partitions_of(k) for k in range(n + 1)]
 
-    def tails(n: int, level: int) -> List[MultiPartition]:
-        if level == 1:
-            return [(p,) for p in table[n]]
-        return [(p,) + rest for k in range(n, -1, -1)
-                for rests in [tails(n - k, level - 1)] for p in table[k] for rest in rests]
+    def heads(m: int, rests: List[List[MultiPartition]]) -> List[MultiPartition]:
+        return [(p,) + rest for k in range(m, -1, -1)
+                for p in table[k] for rest in rests[m - k]]
 
-    return tails(n, level)
+    tails = [[(p,) for p in ps] for ps in table]
+    for _ in range(level - 2):
+        tails = [heads(m, tails) for m in range(n + 1)]
+    return heads(n, tails)
 
 
 def enumerate_block(ct: CartanType, charge: Charge, beta: RootVector) -> List[MultiPartition]:

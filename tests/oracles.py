@@ -15,9 +15,10 @@ rule of the type-A weights (ballot_kleshchev), and a reader of the bit
 walk in the terms of good_walk (c_shape, bit_good_walk); the type-A bit
 state built row by row (a_state), the oracle of the weights a_block
 gives.  Also the bridge map with its membership check, built on that
-image; the weight labels of a type-C partition; the pairwise dominance test that the dominance
-check's prefix sums replaced, the prefix sums as tuples that its packed
-sums replaced, and the check's pairwise loop on that test; the
+image, and its inverse with the same check (from_type_c); the weight
+labels of a type-C partition; the pairwise dominance test that the
+dominance check's prefix sums replaced, the prefix sums as tuples that
+its packed sums replaced, and the check's pairwise loop on that test; the
 recursive generator that listed partitions before partitions_of listed
 them in place, and the sweep's grouping by content that its grouping by
 weight replaced (content_bridges); the nested recursion that listed
@@ -473,6 +474,15 @@ def to_type_c(bp, b):
         raise BridgeError(f"{bp} is not in the type-A block")
     lam, mu = bp
     return rect_add(b.rho, lam, conjugate(mu))
+
+
+def from_type_c(nu, b):
+    """morita.rect_preimage(nu, b) for nu in b's type-C block, the bridge
+    read backwards with its membership check: a shape of another block,
+    whose content is not b.beta, raises BridgeError."""
+    if content(CartanType.C, b.c_charge, (nu,)) != b.beta:
+        raise BridgeError(f"{nu} is not in the type-C block")
+    return morita.rect_preimage(nu, b)
 
 
 def maya_labels(nu, kappa):

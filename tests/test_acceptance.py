@@ -11,11 +11,12 @@ from math import comb, factorial
 
 from klrblocks.cartan import CartanType
 from klrblocks.graded import LaurentPoly, gdim_specht_weight
-from klrblocks.morita import a_block, from_type_c, iter_bridges, verify_bridge
+from klrblocks.morita import a_block, iter_bridges, verify_bridge
 from klrblocks.partitions import conjugate, partitions_of
 from klrblocks.tableaux import enumerate_standard
 
 from oracles import (
+    from_type_c,
     initial_tableau,
     rectangle_final_tableau,
     reduce_signature,

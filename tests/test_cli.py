@@ -157,6 +157,17 @@ class TestKleshchev:
                 0, json.dumps({"shape": column, "kleshchev": True},
                               separators=(",", ":")) + "\n")
 
+    def test_level_past_the_recursion_limit_is_listed(self, capsys):
+        # 1100 components, more than Python's recursion limit: the
+        # l-partitions of 1 are one node in each component, in turn
+        charge = ",".join(["0"] * 1100)
+        for command in ("kleshchev", "block"):
+            code, out = run(capsys, command, "--charge", charge, "--n", "1")
+            assert code == 0
+            shapes = [r["shape"].split("/") for r in json.loads(out)]
+            assert len(shapes) == 1100
+            assert all(s.index("1") == m for m, s in enumerate(shapes))
+
     def test_list_with_shape_exits_2(self, capsys):
         assert main(["kleshchev", "--charge", "0", "--shape", "2", "--list"]) == 2
         assert "--list filters the l-partitions of --n" in capsys.readouterr().err
@@ -1072,10 +1083,10 @@ class TestErrors:
                    "--max-n", "0") == (0, "bridge,checks,pass\r\n")
 
     def test_tall_block_passes_every_check(self, capsys):
-        # a block of 1200 nodes, the row (1200) and the column (1^1200): the
-        # kleshchev and goodpath checks recurse once per good removal, past
-        # the recursion limit, and are filled in from the bottom, as the
-        # count and graded walks are (test_tall_block_is_counted_and_graded)
+        # a block of 1200 nodes, the row (1200) and the column (1^1200),
+        # past the recursion limit: the kleshchev and goodpath checks are
+        # loops, and the count and graded walks are filled in from the
+        # bottom (test_tall_block_is_counted_and_graded)
         beta = json.dumps({str(i): 1 for i in range(1200)})
         for checks in (",".join(ALL_CHECKS), "kleshchev", "goodpath"):
             code, out = run(capsys, "--format", "pretty", "verify", "--kappa-c", "0",

@@ -451,12 +451,13 @@ class TestInlinedGoodNodes:
 
     @pytest.fixture(autouse=True)
     def cold_memos(self):
-        memos = (morita.c_good_walk, oracles.list_c_kleshchev, oracles.list_c_good_walk)
+        memos = (oracles.list_c_kleshchev, oracles.list_c_good_walk)
         morita._C_KLESHCHEV.clear()
+        morita._C_GOOD.clear()
         for memo in memos:
             memo.cache_clear()
         yield
-        for memo in memos[1:]:
+        for memo in memos:
             memo.cache_clear()
 
     @pytest.mark.parametrize("kappa_c,states", [(0, 3063), (1, 3329), (2, 2593)])
@@ -474,8 +475,7 @@ class TestInlinedGoodNodes:
         assert len(shapes) == states
         # the same good nodes tried in the same order reach the same states
         assert len(morita._C_KLESHCHEV) == oracles.list_c_kleshchev.cache_info().currsize
-        assert (morita.c_good_walk.cache_info().currsize
-                == oracles.list_c_good_walk.cache_info().currsize)
+        assert len(morita._C_GOOD) == oracles.list_c_good_walk.cache_info().currsize
 
 
 def bridge_shapes(max_n=8):
@@ -496,7 +496,7 @@ class TestHeadMemo:
         a0 = content(C, (kappa_c,), (nu,))[0]
         target = (a0,) * (kappa_c + a0) if to_rho else ()
         warm = bit_good_walk(nu, kappa_c, to_rho)
-        morita.c_good_walk.cache_clear()
+        morita._C_GOOD.clear()
         assert bit_good_walk(nu, kappa_c, to_rho) == warm
         assert warm == good_walk((nu,), (target,), C, (kappa_c,))
         word = unpruned_good_removal_path((nu,), (target,), C, (kappa_c,))
@@ -504,43 +504,22 @@ class TestHeadMemo:
 
     def test_one_head_search_per_key(self):
         # rho's walk down to the empty partition is built once: a sweep's
-        # misses are the head's plus the tails' alone (their keys have
+        # entries are the head's plus the tails' alone (their keys have
         # another flag)
         rho, shapes = (2, 2), [(4, 3, 1), (3, 2, 2, 1), (2, 2, 2, 2), (4, 3, 1)]
-        walk = morita.c_good_walk
-        walk.cache_clear()
+        walk, memo = morita.c_good_walk, morita._C_GOOD
+        memo.clear()
         assert walk(*c_state(rho, 0), False) is not None
-        head = walk.cache_info().misses
-        walk.cache_clear()
+        head = len(memo)
+        memo.clear()
         for nu in shapes:
             walk(*c_state(nu, 0), True)
-        tails = walk.cache_info().misses
-        walk.cache_clear()
+        tails = len(memo)
+        memo.clear()
         for nu in shapes:
             walk(*c_state(rho, 0), False)
             walk(*c_state(nu, 0), True)
-        assert walk.cache_info().misses == head + tails
-
-    def test_cold_miss_recurses_once_per_node(self, monkeypatch):
-        # a cold walk recurses at most |nu| - |rho| deep, and its replay
-        # adds no recursion
-        memo, depth, deepest = morita.c_good_walk, [0], [0]
-
-        def tracking(*key):
-            depth[0] += 1
-            deepest[0] = max(deepest[0], depth[0])
-            try:
-                return memo(*key)
-            finally:
-                depth[0] -= 1
-
-        monkeypatch.setattr(morita, "c_good_walk", tracking)
-        for nu, rho in (((8,) + (1,) * 7, ()), ((7, 2, 2, 1, 1, 1, 1), (2, 2))):
-            memo.cache_clear()
-            deepest[0] = 0
-            zero, s = c_state(nu, 0)
-            assert morita.c_good_walk(zero, s, bool(rho)) == s
-            assert deepest[0] == sum(nu) - sum(rho) + 1
+        assert len(memo) == head + tails
 
 
 class TestWalkMemos:
@@ -591,14 +570,14 @@ class TestCogoodPath:
             return 0 if i == 1 else real(zero, s, i)
 
         monkeypatch.setattr(morita, "_c_cogood", no_cogood_1)
-        morita.c_good_walk.cache_clear()
+        morita._C_GOOD.clear()
         try:
             assert bit_good_walk((1,), 0, False) == ((0,), ((1,),))
             assert bit_good_walk((1, 1), 0, False) == ((0, 1), None)
             assert bit_good_walk((2, 1, 1), 0, False) == ((0, 1, 2, 1), None)
             assert morita.c_good_walk(*c_state((2, 1, 1), 0), False) == 0
         finally:
-            morita.c_good_walk.cache_clear()
+            morita._C_GOOD.clear()
         assert plain_cogood_path(((),), (0, 0), C, (0,)) is None
 
     def test_replay_witness(self):

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from klrblocks.cartan import CartanType
 from klrblocks.graded import LaurentPoly, _gdim, gdim_specht, gdim_specht_weight
-from klrblocks.morita import (a_block, bridge, c_state, from_type_c, iter_bridges,
-                              verify_bridge)
+from klrblocks.morita import a_block, bridge, c_state, iter_bridges, verify_bridge
 from klrblocks.partitions import content, lattice_state, multipartitions_of, partitions_of, size
 from klrblocks.tableaux import enumerate_standard
 
@@ -17,6 +16,7 @@ from oracles import (
     a_steps,
     c_steps,
     factorizable_gdim,
+    from_type_c,
     initial_tableau,
     poly_mul,
     prefix_shape,

@@ -8,7 +8,7 @@ import pytest
 
 from klrblocks import morita
 from klrblocks.cartan import CartanType, RootVector
-from klrblocks import graded
+from klrblocks import graded, partitions
 from klrblocks.morita import (
     ALL_CHECKS,
     BridgeError,
@@ -17,7 +17,6 @@ from klrblocks.morita import (
     bridge,
     c_block,
     c_state,
-    from_type_c,
     iter_bridges,
     one_block_bridge,
     verify_bridge,
@@ -26,10 +25,10 @@ from klrblocks.graded import gdim_specht
 from klrblocks.partitions import conjugate, content, lattice_state, partitions_of
 from klrblocks.tableaux import enumerate_standard
 
-from oracles import (a_state, bit_good_walk, block_width, content_bridges, good_nodes,
-                     hook_count, maya_labels, pairwise_dominance, prefix_shape, rect_add,
-                     remove_node, residue_sequence, tableau_to_type_c, to_type_c,
-                     width_a_walk, width_c_walk)
+from oracles import (a_state, bit_good_walk, block_width, content_bridges, from_type_c,
+                     good_nodes, hook_count, maya_labels, pairwise_dominance,
+                     prefix_shape, rect_add, remove_node, residue_sequence,
+                     tableau_to_type_c, to_type_c, width_a_walk, width_c_walk)
 
 A, C = CartanType.A, CartanType.C
 
@@ -496,9 +495,8 @@ class TestVerifyBridge:
         # tail once; with a cold memo every state the walks pass through
         # is built once, with its replay step, and a second run builds none
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
-        walk = morita.c_good_walk
         calls = outer_calls(monkeypatch, "c_good_walk")
-        walk.cache_clear()
+        morita._C_GOOD.clear()
         report = verify_bridge(b, checks=("kleshchev", "goodpath"))
         flags = [to_rho for _, _, to_rho in calls]
         assert report["checks"]["goodpath"]["pass"]
@@ -514,10 +512,9 @@ class TestVerifyBridge:
                 states.add((c_state(mp[0], b.kappa_c), to_rho))
                 mp = remove_node(mp, good_nodes(mp, C, b.c_charge)[i])
             states.add((c_state(mp[0], b.kappa_c), to_rho))
-        misses = walk.cache_info().misses
-        assert misses == len(states)
+        assert len(morita._C_GOOD) == len(states)
         verify_bridge(b, checks=("kleshchev", "goodpath"))
-        assert walk.cache_info().misses == misses
+        assert len(morita._C_GOOD) == len(states)
 
     def test_goodpath_bad_head_fails_every_shape(self, monkeypatch):
         b = bridge(0, content(C, (0,), ((4, 3, 1),)))
@@ -539,17 +536,16 @@ class TestVerifyBridge:
         # shape one good removal below it, which the bridge one height
         # lower checked; so once a bridge with the same rho has run,
         # rho's head and every other walk a bridge reads are memo hits
-        walk = morita.c_good_walk
-        walk.cache_clear()
+        memo = morita._C_GOOD
+        memo.clear()
         seen, later = set(), 0
         for b in iter_bridges(kappa_c, 14):
-            misses = walk.cache_info().misses
+            entries = len(memo)
             report = verify_bridge(b, ("kleshchev", "goodpath"))
             assert report["pass"]
             if b.rho in seen:
                 later += 1
-                assert (walk.cache_info().misses - misses
-                        == len(report["checks"]["kleshchev"]["c_set"]))
+                assert len(memo) - entries == len(report["checks"]["kleshchev"]["c_set"])
             seen.add(b.rho)
         assert later > 100
 
@@ -652,7 +648,8 @@ class TestVerifyBridge:
         for b in bridges:
             morita._C_KLESHCHEV.clear()
             morita._A_KLESHCHEV.clear()
-            for memo in (morita.c_good_walk, *IMAGE_MEMOS):
+            morita._C_GOOD.clear()
+            for memo in IMAGE_MEMOS:
                 memo.cache_clear()
             cold.append(verify_bridge(b, checks))
         assert shared == cold
@@ -669,19 +666,17 @@ class TestVerifyBridge:
         for a0 in range(1, 6):
             rect = ((a0,) * (2 * a0 + 2 * kappa_c),)
             b = one_block_bridge(kappa_c, content(C, (kappa_c,), rect))
-            for table in tables:
+            for table in tables + (morita._C_GOOD,):
                 table.clear()
-            morita.c_good_walk.cache_clear()
             assert verify_bridge(b, ("kleshchev",))["pass"]
             bound = len(b.c_shapes) * (b.beta.height + 1)
             assert all(len(table) <= bound for table in tables)
-            assert morita.c_good_walk.cache_info().currsize == 0
+            assert not morita._C_GOOD
 
     def test_deep_blocks_answer_the_kleshchev_and_goodpath_checks(self, monkeypatch):
-        # with a recursion limit that makes every block deep, the good-removal
-        # walk is put in its memo from the lowest state up, and the Kleshchev
-        # tests are loops: the same reports, and no call nests in more than
-        # one other
+        # with a recursion limit that makes every block deep, the same
+        # reports: the Kleshchev tests and the good-removal walk are loops,
+        # and no call of one nests in another
         names = ("c_kleshchev", "a_kleshchev", "c_good_walk")
         checks = ("kleshchev", "goodpath")
         blocks = [maximal(0, a0) for a0 in (2, 3, 4)] + [maximal(1, 3), *iter_bridges(1, 10)]
@@ -689,15 +684,15 @@ class TestVerifyBridge:
         def cold():
             morita._C_KLESHCHEV.clear()
             morita._A_KLESHCHEV.clear()
-            morita.c_good_walk.cache_clear()
+            morita._C_GOOD.clear()
 
         cold()
         expected = [verify_bridge(b, checks) for b in blocks]
-        monkeypatch.setattr(morita, "sys", SimpleNamespace(getrecursionlimit=lambda: 0))
+        monkeypatch.setattr(partitions, "sys", SimpleNamespace(getrecursionlimit=lambda: 0))
         cold()
         deepest = nesting(monkeypatch, names)
         assert [verify_bridge(b, checks) for b in blocks] == expected
-        assert deepest[0] == 2
+        assert deepest[0] == 1
 
     @pytest.mark.parametrize("kappa_c", [0, 1])
     def test_order_preserving_on_small_blocks(self, kappa_c):
@@ -881,7 +876,7 @@ class TestWalks:
         blocks = [maximal(0, a0) for a0 in (2, 3, 4)] + list(iter_bridges(1, 10))
         clear_walks()
         expected = [verify_bridge(b, ("count", "graded")) for b in blocks]
-        monkeypatch.setattr(morita, "sys", SimpleNamespace(getrecursionlimit=lambda: 0))
+        monkeypatch.setattr(partitions, "sys", SimpleNamespace(getrecursionlimit=lambda: 0))
         clear_walks()
         deepest = nesting(monkeypatch, ("c_walk", "a_walk"))
         assert [verify_bridge(b, ("count", "graded")) for b in blocks] == expected

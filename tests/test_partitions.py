@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from klrblocks.cartan import CartanType, RootVector
-from klrblocks.morita import a_block, bridge, c_block, from_type_c, iter_bridges
+from klrblocks.morita import a_block, bridge, c_block, iter_bridges
 from klrblocks.partitions import (
     as_partition,
     conjugate,
@@ -24,6 +24,7 @@ import oracles
 from oracles import (
     add_node,
     dominates,
+    from_type_c,
     nodes,
     rect_add,
     remove_node,

@@ -137,10 +137,10 @@ def test_maximal_blocks_times_each_check_cold(monkeypatch, capsys, tmp_path):
     real, log = script.verify_bridge, tmp_path / "calls"
 
     def recording(b, checks):
-        sizes = [len(morita._C_KLESHCHEV), len(morita._A_KLESHCHEV)] + [
+        sizes = [len(morita._C_KLESHCHEV), len(morita._A_KLESHCHEV), len(morita._C_GOOD)] + [
             memo.cache_info().currsize
-            for memo in (morita.c_good_walk, graded._gdim, morita.c_walk,
-                         morita.a_walk, morita.rectangle, morita.rho_gdim)]
+            for memo in (graded._gdim, morita.c_walk, morita.a_walk, morita.rectangle,
+                         morita.rho_gdim)]
         logged(log, b.a0, checks, sizes, os.getpid())
         return real(b, checks)
 
@@ -269,8 +269,8 @@ def test_query_kinds_lines(tmp_path):
     assert [line.split()[0] for line in lines] == [
         "block", "tableaux", "kleshchev", "gdim", "gdim_weight", "bridge"]
     for line in lines:
-        assert re.fullmatch(r"\w+ +cold +\d+\.\d us  warm +\d+\.\d us  \(300 queries\)",
-                            line), line
+        assert re.fullmatch(r"\w+ +cold +\d+\.\d us +\d+\.\d us-ref  "
+                            r"warm +\d+\.\d us +\d+\.\d us-ref  \(300 queries\)", line), line
     assert listing() == before
 
 
@@ -278,7 +278,7 @@ def test_every_memo_is_cleared():
     # the memos of the package's modules, found by their cache_clear, are
     # those maximal_blocks.py clears before each check and those the README
     # lists, so a memo added without an entry in either fails here; the
-    # script empties the bridge's two dict memos too
+    # script empties the bridge's three dict memos too
     found = set()
     for info in pkgutil.iter_modules(klrblocks.__path__):
         module = importlib.import_module(f"klrblocks.{info.name}")
@@ -287,11 +287,11 @@ def test_every_memo_is_cleared():
     script = load_script("maximal_blocks")
     assert {memo_name(memo) for memo in script.MEMOS} == found
     readme = (ROOT / "README.md").read_text()
-    section = readme[readme.index("Nine memos live"):readme.index("Each is a `functools")]
+    section = readme[readme.index("Eight memos live"):readme.index("Each is a `functools")]
     assert set(re.findall(r"^- `(\w+\.\w+)`", section, re.M)) == found
-    assert len(found) == 9
+    assert len(found) == 8
     assert [id(table) for table in script.TABLES] == [
-        id(morita._C_KLESHCHEV), id(morita._A_KLESHCHEV)]
+        id(morita._C_KLESHCHEV), id(morita._A_KLESHCHEV), id(morita._C_GOOD)]
 
 
 def memo_name(memo):

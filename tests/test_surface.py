@@ -13,10 +13,6 @@ KEPT = {
     # the bar involution of the planned graded decomposition numbers
     # (ROADMAP item 6)
     "LaurentPoly.bar",
-    # the bridge read backwards with its membership check, exported for a
-    # caller holding a shape of any block; the command line holds a member
-    # and calls rect_preimage
-    "from_type_c",
 }
 
 
