@@ -439,8 +439,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except RecursionError:
         # the graded dimensions and the bridge's walks recurse once per node,
-        # deep shapes filled from the bottom (partitions.fill_from_bottom),
-        # and block --beta's placements once or more per component; a
+        # deep shapes filled from the bottom (partitions.fill_from_bottom); a
         # recursion that outruns them ends here
         print("error: the shape is too large for this tool", file=sys.stderr)
         return 2

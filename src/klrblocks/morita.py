@@ -24,36 +24,30 @@ over [rho, nu] (c_walk), the factorizable tableaux of nu, with gdim(rho)
 times the type-A walk (a_walk).  A walk reads each removal off the bits
 and recurses on it at once, with no list of steps; for a block too tall
 to recurse through, every state below the block's (_c_below, _a_below)
-is put in the memos first (partitions.fill_from_bottom).  Each walk memo holds
-one entry per state, at one digit width K for the whole process: at K =
-0 the state's tableau count, else the count with its polynomial, one int
-in Q = 2^K, so a removal is a shift and an add, and only the report
-decodes the ints.  K stays 0 until a graded check runs, then is a
+is put in the memos first (partitions.fill_from_bottom).  Each walk memo
+holds one entry per state, at one digit width K for the whole process:
+at K = 0 the state's tableau count, else the count with its polynomial,
+one int in Q = 2^K, so a removal is a shift and an add, and only the
+report decodes the ints.  K stays 0 until a graded check runs, then is a
 multiple of 16 and only grows: when a block's gdim(rho)(1) times its
 largest count needs more bits, both memos are cleared, since no narrower
 entry is read again.  The memos found empty start over at K = 0.  What
 depends on (kappa_c, a0) alone, rho's content, its JSON, its state and
-gdim(rho), is built once per process (rectangle, rho_gdim).  So is each
-decode of a partition that a sweep repeats: a type-A lane's rows, keyed
-by its bits and charge (_lane_rows), and the two pieces of a member's
-image, rho's rows with lambda added, keyed by (lambda, a0, len(rho))
-(_image_top), and mu', keyed by mu (_image_bottom).  The
-Kleshchev check's two tests follow one good node (c_kleshchev,
-a_kleshchev), each a loop with a dict memo, and the good-path check
-searches good removals (c_good_walk), a loop over a stack of frames with
-the dict memo _C_GOOD; each tries the removable bits top first, so all
+gdim(rho), is built once per process (rectangle, rho_gdim), and so is
+each decode of a partition that a sweep repeats (_lane_rows, _image_top,
+_image_bottom).  The Kleshchev check's two tests and the good-path
+check's walk (c_kleshchev, a_kleshchev, c_good_walk) each follow one
+chain of good removals, top first, in a loop with a dict memo, so all
 three answer a block of any height.
 
-The type-C shapes come from one of two sources, decided by the input.  A
-sweep (iter_bridges) finds each block by grouping the partitions of each
-height by their weight (_block_key), computes the content once per block,
-and hands the group to bridge() as c_shapes.  A check of one named block
-(one_block_bridge, for klrblocks verify --beta) lists the block with
-enumerate_block (c_block) and hands the list to bridge().  A bridge made
-by bridge() without shapes (a test) is listed so by verify_bridge, once
-per call, before any check runs.  Both give the shapes in the order of
-partitions_of, and a_block lists the type-A side off its weights by code
-of its own, independent of either."""
+The type-C shapes come from one of two sources, decided by the input: a
+sweep (iter_bridges) groups the partitions of each height by their
+weight (_block_key) and hands each group to bridge() as c_shapes, and a
+check of one named block (one_block_bridge, for klrblocks verify --beta)
+lists it with enumerate_block (c_block).  A bridge made without shapes
+(a test) is listed so by verify_bridge, once per call.  Both give the
+shapes in the order of partitions_of, and a_block lists the type-A side
+off its weights by code of its own, independent of either."""
 
 from __future__ import annotations
 
@@ -439,7 +433,7 @@ def kronecker_pairs(x: int, K: int, low: int) -> List[List[int]]:
 # state on a followed path, (zero, s) in type C and the weight s in type A
 _C_KLESHCHEV: Dict[Tuple[int, int], bool] = {}
 _A_KLESHCHEV: Dict[int, bool] = {}
-# c_good_walk's memo: the answer for every state it searched, by (zero, s, to_rho)
+# c_good_walk's memo, by (zero, s, to_rho): the answer for every state on a chain
 _C_GOOD: Dict[Tuple[int, int, bool], Optional[int]] = {}
 
 
@@ -495,49 +489,38 @@ def a_kleshchev(s: int) -> bool:
 
 
 def c_good_walk(zero: int, s: int, to_rho: bool) -> Optional[int]:
-    """Search good-node removals, top first, from the type-C state (zero, s)
-    to the empty shape, or with to_rho to the rectangle rho of its content-0
-    nodes, whose corner is the one good node inside rho; the s (at zero) that
-    the word's cogood additions reach from that end, 0 if a step has no
-    cogood node, None if there is no word.  A loop, for any depth: a frame
-    holds a state, its untried removable bits and the bit tried while the
-    state below is searched.  An entry of _C_GOOD is one cogood step on the
-    entry one good removal below, made once that is found (a frame popped)."""
-    memo = _C_GOOD
-    end = memo.get((zero, s, to_rho), memo)  # the memo itself: not searched yet
-    if end is not memo:
-        return end
-    rest = s & ~(s << 1) & ~1 & ~(to_rho << zero)
-    if not rest:
-        memo[zero, s, to_rho] = s
-        return s
-    frames = []
-    while True:
-        while rest:  # the good test of c_kleshchev, on the bits left
+    """Good-node removals, top first, from the type-C state (zero, s) to the
+    empty shape, or with to_rho to the rectangle rho of its content-0 nodes,
+    whose corner is the one good node inside rho; the s (at zero) that the
+    word's cogood additions reach from that end, 0 if a step has no cogood
+    node, None if there is no word.  One chain decides: its removals are
+    Kashiwara's e_i (i >= 1 toward rho), and a component of a normal crystal
+    has one highest-weight element, so every maximal chain of good removals
+    from a state stops at the same state.  A loop, as c_kleshchev, down to a
+    state with no removable bit (its end is its s), none good (None) or one
+    in _C_GOOD, then back up, one cogood step on the entry below a state."""
+    memo, chain = _C_GOOD, []
+    end = memo.get((zero, s, to_rho), memo)  # the memo itself: not walked yet
+    while end is memo:
+        rest = removable = s & ~(s << 1) & ~1 & ~(to_rho << zero)
+        while rest:
             p = rest.bit_length() - 1
             rest ^= 1 << p
             if s >> 2 * zero - p - 1 & 3 != (1 if p >= zero else 2):
                 z, c = zero - 1, (s ^ 3 << p - 1) >> 1
                 end = memo.get((z, c, to_rho), memo)
                 if end is memo:
-                    below = c & ~(c << 1) & ~1 & ~(to_rho << z)
-                    if below:  # search the state below first
-                        frames.append((zero, s, rest, p))
-                        zero, s, rest = z, c, below
-                        continue
-                    end = memo[z, c, to_rho] = c
-                if end is not None:
+                    chain.append((zero, s, p))
+                    zero, s = z, c
+                else:
                     end = memo[zero, s, to_rho] = end and _c_cogood(z, end, abs(p - zero))
-                    break
-        else:
-            end = memo[zero, s, to_rho] = None
-        while frames:  # a cogood step per frame, down to one with bits to try
-            zero, s, rest, p = frames.pop()
-            if end is None:
                 break
-            end = memo[zero, s, to_rho] = end and _c_cogood(zero - 1, end, abs(p - zero))
         else:
-            return end
+            end = memo[zero, s, to_rho] = None if removable else s
+    while chain:
+        zero, s, p = chain.pop()
+        end = memo[zero, s, to_rho] = end and _c_cogood(zero - 1, end, abs(p - zero))
+    return end
 
 
 def _c_cogood(zero: int, s: int, i: Residue) -> int:
@@ -721,11 +704,11 @@ def _check_kleshchev(blk: _Block) -> dict:
 
 
 def _check_goodpath(blk: _Block) -> dict:
-    # A Kleshchev shape passes when good-node removals take it down to rho
-    # and rho down to the empty partition, and each word's cogood replay
-    # from the lower end reaches the upper one (a replay that meets no
-    # cogood node ends in 0).  The walks are memoized: rho's head is one
-    # lookup, and in a sweep a shape extends the walk one removal below it.
+    # A Kleshchev shape passes when its chain of good-node removals reaches
+    # rho and rho's reaches the empty partition, and each word's cogood
+    # replay from the lower end reaches the upper one (a replay that meets no
+    # cogood node ends in 0).  The chains are memoized: rho's head is one
+    # lookup, and in a sweep a shape extends the chain one removal below it.
     zero, s = rectangle(blk.b.kappa_c, blk.b.a0)[3]
     head_ok = c_good_walk(zero, s, False) == s
     failures = [list(nu) for nu, (zero, s) in blk.c_klesh

@@ -333,10 +333,10 @@ def _run_block(fold: bool, charge: Charge,
     if not fold:
         counts = tuple([k - lo for k in ks])
         return [tuple(map(_maya_rows, tracks, tops))
-                for tracks in _placements(tuple(c), counts, {})]
+                for tracks in _placements(tuple(c), counts)]
     counts = tuple([x for k in ks for x in (None, k)])
     out = []
-    for tracks in _placements(tuple(c), counts, {}):
+    for tracks in _placements(tuple(c), counts):
         shapes = []
         for top, inside, outside in zip(tops, tracks[::2], tracks[1::2]):
             # a vertex u (index j) of the second track leaves -1 - u, the
@@ -355,46 +355,63 @@ def _maya_rows(indices: Sequence[int], top: int) -> Partition:
     return tuple(filter(None, map(sub, count(top), indices)))
 
 
-def _placements(c: Tuple[int, ...], counts: tuple, memo: dict) -> list:
+def _placements(c: Tuple[int, ...], counts: tuple) -> Iterable[tuple]:
     """Every way to give each track counts[t] vertices so that vertex j goes
     to c[j] tracks, as one increasing list of vertices per track.  A count
     None (a type-C first track) is free, and the next entry is the charge k
     by which that track outnumbers the next.  A vertex whose c equals the
-    tracks left goes to each of them; the last track takes what is left.
-    memo holds the placements of the tracks after the first, by their
-    (c, counts)."""
+    tracks left goes to each of them; the last track takes what is left."""
     left = len(counts)
+    if left > 2:
+        return _dealt_placements(c, counts)
     forced = tuple([j for j, x in enumerate(c) if x == left])
     free = [j for j, x in enumerate(c) if 0 < x < left]
     if counts[0] is None:
-        k = counts[1]
-        if left > 2:
-            sizes = range(max(k, len(forced)), len(forced) + len(free) + 1)
-            return [placed for n in sizes
-                    for placed in _placements(c, (n, n - k) + counts[2:], memo)]
-        n = (sum(c) + k) // 2
-        counts = (n, n - k)
+        n = (sum(c) + counts[1]) // 2
+        counts = (n, n - counts[1])
     d = counts[0] - len(forced)
     if max(c) > left or not 0 <= d <= len(free):
         return []
     if left == 1:
         return [(list(forced),)]
-    if left == 2:
-        if len(forced) + len(free) - d != counts[1]:
-            return []
-        # the complements of free's d-subsets, taken in lexicographic order,
-        # are its other subsets in reverse lexicographic order
-        rests = reversed(list(combinations(free, len(free) - d)))
-        return [(sorted(forced + pick), sorted(forced + rest))
-                for pick, rest in zip(combinations(free, d), rests)]
-    out = []
-    for pick in combinations(free, d):
-        track = sorted(forced + pick)
-        after = list(c)
-        for j in track:
-            after[j] -= 1
-        key = (tuple(after), counts[1:])
-        if key not in memo:
-            memo[key] = _placements(*key, memo)
-        out.extend((track,) + placed for placed in memo[key])
-    return out
+    if len(forced) + len(free) - d != counts[1]:
+        return []
+    # the complements of free's d-subsets, taken in lexicographic order,
+    # are its other subsets in reverse lexicographic order
+    rests = reversed(list(combinations(free, len(free) - d)))
+    return [(sorted(forced + pick), sorted(forced + rest))
+            for pick, rest in zip(combinations(free, d), rests)]
+
+
+def _dealt_placements(c: Tuple[int, ...], counts: tuple) -> Iterable[tuple]:
+    """_placements past two tracks, for a charge of many components: a loop
+    over an explicit stack of keys (c, counts), each pick of the first track
+    (or size of a free one) before the rest of c, chains sharing their tails."""
+    memo, stack = {}, [(c, counts, None)]
+    while stack:
+        cs, ks, below = stack.pop()
+        left = len(ks)
+        if below is not None:  # every key below it is in memo
+            memo[cs, ks] = [(head, chain) for head, key in below for chain in memo[key]]
+        elif left <= 2:
+            memo[cs, ks] = [(placed, None) for placed in _placements(cs, ks)]
+        elif (cs, ks) not in memo:
+            forced = tuple([j for j, x in enumerate(cs) if x == left])
+            free = [j for j, x in enumerate(cs) if 0 < x < left]
+            if ks[0] is None:
+                below = [((), (cs, (n, n - ks[1]) + ks[2:])) for n in range(
+                    max(ks[1], len(forced)), len(forced) + len(free) + 1)]
+            else:
+                below, d = [], ks[0] - len(forced)
+                for pick in combinations(free, d) if max(cs) <= left and d >= 0 else ():
+                    track = set(forced + pick)
+                    after = tuple([x - (j in track) for j, x in enumerate(cs)])
+                    below.append(((sorted(track),), (after, ks[1:])))
+            stack += [(cs, ks, below)] + [key + (None,) for _, key in below
+                                          if key not in memo]
+    for chain in memo[c, counts]:
+        tracks = []
+        while chain:
+            head, chain = chain
+            tracks += head
+        yield tuple(tracks)

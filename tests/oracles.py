@@ -34,10 +34,12 @@ walks replaced, as a recursion over an interval of the Young lattice,
 with the product of Laurent polynomials it needs; the step lists and
 good-node generator that the walks and Kleshchev tests read before they
 read each removal off the bits themselves (c_steps, a_steps, c_goods),
-with the Kleshchev test and good-removal walk written on them
-(list_c_kleshchev, list_c_good_walk); those walks at one digit width per
-block, as they were before one entry per state held the count with the
-polynomial (width_c_walk, width_a_walk, block_width); the hook-length
+with the Kleshchev test and good-removal search written on them
+(list_c_kleshchev, list_c_good_walk), and the state where good removals
+stop, the bits tried bottom first or top first (good_chain_end), which
+must be one state for the walk's one chain; those walks at one digit
+width per block, as they were before one entry per state held the count
+with the polynomial (width_c_walk, width_a_walk, block_width); the hook-length
 count of a bipartition's tableaux (hook_count); the argparse parser
 that the command line's own parser replaced, as the reference of its
 parsing, with the --type reader through the CartanType enum call that
@@ -722,6 +724,18 @@ def list_c_good_walk(zero, s, to_rho):
         if end is not None:
             return end and morita._c_cogood(zero - 1, end, abs(p - zero))
     return None
+
+
+def good_chain_end(zero, s, to_rho, bottom_first):
+    """The type-C state where good removals from (zero, s) stop, each step
+    removing the first good bit of c_goods (never rho's corner with to_rho),
+    read bottom first or top first: a state with no good removable bit."""
+    while True:
+        goods = list(c_goods(zero, s, s & ~(s << 1) & ~1 & ~(to_rho << zero)))
+        if not goods:
+            return zero, s
+        p = goods[-1] if bottom_first else goods[0]
+        zero, s = zero - 1, (s ^ 3 << p - 1) >> 1
 
 
 @lru_cache(maxsize=None)

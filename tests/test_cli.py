@@ -221,6 +221,18 @@ class TestBlock:
             0, '[{"rows":[[[1]],[[2]]],"residues":[100000000,0],"degree":0},'
                '{"rows":[[[2]],[[1]]],"residues":[0,100000000],"degree":0}]\n')
 
+    @pytest.mark.parametrize("ct, level", [("c", 300), ("a", 1100)])
+    def test_charge_of_many_components_is_answered(self, capsys, ct, level):
+        # more tracks than Python's recursion limit allows frames: one node
+        # of residue 0 in each component in turn, the first component first
+        code, out = run(capsys, "block", "--type", ct, "--charge", ",".join(["0"] * level),
+                        "--beta", '{"0":1}')
+        assert code == 0
+        shapes = [r["shape"] for r in json.loads(out)]
+        assert len(shapes) == level
+        assert shapes[0] == "/".join(["1"] + ["-"] * (level - 1))
+        assert shapes[-1] == "/".join(["-"] * (level - 1) + ["1"])
+
     def test_tall_block_is_answered(self, capsys):
         # a 1200-node column, deeper than Python's recursion limit
         height = 1200

@@ -447,7 +447,8 @@ class TestInlinedGoodNodes:
     with cold memos they must equal the recursions on the good-node
     generator they replaced (oracles.list_c_kleshchev, list_c_good_walk)
     on every type-C state of every bridge to height 20, and of the maximal
-    blocks to a0 = 5 at kappa_c 0 and 1."""
+    blocks to a0 = 5 at kappa_c 0 and 1.  The good-path check's traffic
+    leaves the same entries in _C_GOOD as in the search oracle's memo."""
 
     @pytest.fixture(autouse=True)
     def cold_memos(self):
@@ -460,12 +461,18 @@ class TestInlinedGoodNodes:
         for memo in memos:
             memo.cache_clear()
 
-    @pytest.mark.parametrize("kappa_c,states", [(0, 3063), (1, 3329), (2, 2593)])
-    def test_every_bridge_state(self, kappa_c, states):
-        shapes = [nu for b in iter_bridges(kappa_c, 20) for nu in b.c_shapes]
+    @staticmethod
+    def bridges(kappa_c):
+        """Every bridge to height 20, then the maximal blocks to a0 = 5 at
+        kappa_c 0 and 1."""
+        yield from iter_bridges(kappa_c, 20)
         for a0 in range(1, 6 if kappa_c < 2 else 1):
             rect = (a0,) * (2 * a0 + 2 * kappa_c)
-            shapes += one_block_bridge(kappa_c, content(C, (kappa_c,), (rect,))).c_shapes
+            yield one_block_bridge(kappa_c, content(C, (kappa_c,), (rect,)))
+
+    @pytest.mark.parametrize("kappa_c,states", [(0, 3063), (1, 3329), (2, 2593)])
+    def test_every_bridge_state(self, kappa_c, states):
+        shapes = [nu for b in self.bridges(kappa_c) for nu in b.c_shapes]
         for nu in shapes:
             state = c_state(nu, kappa_c)
             assert c_kleshchev(*state) == oracles.list_c_kleshchev(*state)
@@ -475,7 +482,53 @@ class TestInlinedGoodNodes:
         assert len(shapes) == states
         # the same good nodes tried in the same order reach the same states
         assert len(morita._C_KLESHCHEV) == oracles.list_c_kleshchev.cache_info().currsize
-        assert len(morita._C_GOOD) == oracles.list_c_good_walk.cache_info().currsize
+        # the search also records the dead ends it backs out of, which the
+        # chain never enters (no maximal chain stops elsewhere)
+        assert len(morita._C_GOOD) <= oracles.list_c_good_walk.cache_info().currsize
+
+    @pytest.mark.parametrize("kappa_c", range(3))
+    def test_check_traffic_memo(self, kappa_c):
+        # the goodpath check's calls: each rho down to the empty partition,
+        # each Kleshchev shape down to its rho.  Off dead ends the search and
+        # the chain visit the same states, so both memos hold the same keys
+        for b in self.bridges(kappa_c):
+            rho = morita.rectangle(kappa_c, b.a0)[3]
+            states = [c_state(nu, kappa_c) for nu in b.c_shapes]
+            calls = [(*rho, False)] + [(*st, True) for st in states if c_kleshchev(*st)]
+            for call in calls:
+                assert morita.c_good_walk(*call) == oracles.list_c_good_walk(*call)
+        size = oracles.list_c_good_walk.cache_info().currsize
+        assert len(morita._C_GOOD) == size
+        for key, end in morita._C_GOOD.items():
+            assert oracles.list_c_good_walk(*key) == end
+        assert oracles.list_c_good_walk.cache_info().currsize == size
+
+
+class TestOneChainDecides:
+    """Every maximal chain of good removals from a type-C state stops at the
+    same state, the highest-weight element of its crystal component (of e_i
+    for i >= 1 toward rho), which is why c_good_walk follows one chain."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        morita._C_GOOD.clear()
+        yield
+        morita._C_GOOD.clear()
+
+    @pytest.mark.parametrize("kappa_c", range(4))
+    def test_top_and_bottom_first_chains_stop_together(self, kappa_c):
+        cases = 0
+        for n in range(21):
+            for nu in partitions_of(n):
+                state = c_state(nu, kappa_c)
+                for to_rho in (False, True):
+                    end = oracles.good_chain_end(*state, to_rho, bottom_first=True)
+                    assert oracles.good_chain_end(*state, to_rho, bottom_first=False) == end
+                    zero, s = end
+                    stuck = bool(s & ~(s << 1) & ~1 & ~(to_rho << zero))
+                    assert (morita.c_good_walk(*state, to_rho) is None) == stuck
+                    cases += 1
+        assert cases == 5428
 
 
 def bridge_shapes(max_n=8):
